@@ -16,8 +16,6 @@ package repro_test
 import (
 	"bytes"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -382,137 +380,16 @@ func BenchmarkPSSAccounting(b *testing.B) {
 
 type spaceLike interface{ PSS() float64 }
 
-// --- Harness contention benchmarks (sharded vs flat-lock baseline) ---
+// --- Harness contention benchmarks ---
 //
-// These stress the simulator's own hot paths under b.RunParallel,
-// comparing the sharded packages against faithful copies of the
-// pre-shard layouts: a registry whose every lookup takes one global
-// RWMutex read-lock, and a journal whose append, trace-ID, and span-ID
-// paths all funnel through one mutex. The copies live below
-// (flatLockRegistry, flatLockJournal) so the baseline stays measurable
-// after the real packages moved on. cmd/benchgate records both numbers
-// in BENCH_simharness.json and gates the sharded/flat ratio, so a
-// refactor that quietly reintroduces a global lock fails CI.
-
-// flatLockRegistry is the pre-shard metrics registry: three maps
-// behind one RWMutex, every instrument lookup paying a read-lock
-// acquire/release on a shared cache line. Instrument internals match
-// internal/metrics (atomic counters and gauges, mutexed histogram), so
-// the benchmark isolates the lookup path — the part the shards and
-// lock-free reads replaced.
-type flatLockRegistry struct {
-	mu         sync.RWMutex
-	counters   map[string]*flatCounter
-	gauges     map[string]*flatGauge
-	histograms map[string]*flatHistogram
-}
-
-type flatCounter struct{ v atomic.Int64 }
-
-func (c *flatCounter) Inc() { c.v.Add(1) }
-
-type flatGauge struct{ v atomic.Int64 }
-
-func (g *flatGauge) Add(d int64) { g.v.Add(d) }
-
-type flatHistogram struct {
-	mu      sync.Mutex
-	bounds  []float64
-	counts  []uint64
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
-	samples []float64 // ring of the most recent flatMaxSamples
-	next    int
-}
-
-const flatMaxSamples = 1 << 16 // matches internal/metrics maxSamples
-
-func (h *flatHistogram) ObserveDuration(d time.Duration) {
-	v := float64(d)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if len(h.samples) < flatMaxSamples {
-		h.samples = append(h.samples, v)
-	} else {
-		h.samples[h.next] = v
-		h.next = (h.next + 1) % flatMaxSamples
-	}
-}
-
-func newFlatLockRegistry() *flatLockRegistry {
-	return &flatLockRegistry{
-		counters:   make(map[string]*flatCounter),
-		gauges:     make(map[string]*flatGauge),
-		histograms: make(map[string]*flatHistogram),
-	}
-}
-
-func (r *flatLockRegistry) Counter(name string) *flatCounter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &flatCounter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-func (r *flatLockRegistry) Gauge(name string) *flatGauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &flatGauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-func (r *flatLockRegistry) Histogram(name string) *flatHistogram {
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		bounds := metrics.DefaultLatencyBuckets()
-		h = &flatHistogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-		r.histograms[name] = h
-	}
-	return h
-}
+// These stress the simulator's own hot paths under b.RunParallel: the
+// registry's name lookups and the journal's trace appends. cmd/benchgate
+// gates their ns/op band and allocs/op, so a refactor that puts a lock
+// or an allocation on either path fails CI.
 
 // BenchmarkMetricsParallel hammers registry lookups the way a fleet of
 // nodes does — per-node labeled counters and histograms resolved by
-// name on every operation. "flat" is the pre-shard global-RWMutex
-// registry; "sharded" is internal/metrics with its lock-free striped
-// lookups.
+// name on every operation.
 func BenchmarkMetricsParallel(b *testing.B) {
 	const nodes = 64
 	counterNames := make([]string, nodes)
@@ -522,184 +399,48 @@ func BenchmarkMetricsParallel(b *testing.B) {
 		counterNames[i] = metrics.Name("cluster_node_invocations_total", "node", node)
 		histNames[i] = metrics.Name("cluster_place_duration", "node", node)
 	}
-	b.Run("flat", func(b *testing.B) {
-		reg := newFlatLockRegistry()
-		for i := range counterNames {
-			reg.Counter(counterNames[i]).Inc()
-			reg.Histogram(histNames[i]).ObserveDuration(time.Microsecond)
-		}
-		var gid atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := int(gid.Add(1)) * 7919 // spread goroutines across names
-			for pb.Next() {
-				reg.Counter(counterNames[i%nodes]).Inc()
-				reg.Gauge(counterNames[(i+1)%nodes]).Add(1)
-				if i%8 == 0 {
-					reg.Histogram(histNames[i%nodes]).ObserveDuration(time.Duration(i))
-				}
-				i++
+	reg := metrics.NewRegistry()
+	for i := range counterNames {
+		reg.Counter(counterNames[i]).Inc()
+		reg.Histogram(histNames[i]).ObserveDuration(time.Microsecond)
+	}
+	var gid atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(gid.Add(1)) * 7919 // spread goroutines across names
+		for pb.Next() {
+			reg.Counter(counterNames[i%nodes]).Inc()
+			reg.Gauge(counterNames[(i+1)%nodes]).Add(1)
+			if i%8 == 0 {
+				reg.Histogram(histNames[i%nodes]).ObserveDuration(time.Duration(i))
 			}
-		})
-	})
-	b.Run("sharded", func(b *testing.B) {
-		reg := metrics.NewRegistry()
-		for i := range counterNames {
-			reg.Counter(counterNames[i]).Inc()
-			reg.Histogram(histNames[i]).ObserveDuration(time.Microsecond)
+			i++
 		}
-		var gid atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := int(gid.Add(1)) * 7919
-			for pb.Next() {
-				reg.Counter(counterNames[i%nodes]).Inc()
-				reg.Gauge(counterNames[(i+1)%nodes]).Add(1)
-				if i%8 == 0 {
-					reg.Histogram(histNames[i%nodes]).ObserveDuration(time.Duration(i))
-				}
-				i++
-			}
-		})
 	})
-}
-
-// flatLockJournal is the pre-shard event journal: one mutex guards the
-// ring, the sequence counter, and both ID allocators, so every span
-// begin pays two lock round-trips (span ID + append) on the same
-// mutex every other goroutine is fighting for.
-type flatLockJournal struct {
-	mu        sync.Mutex
-	buf       []events.Event
-	start, n  int
-	seq       uint64
-	nextTrace uint64
-	nextSpan  uint64
-}
-
-func (j *flatLockJournal) append(e events.Event) {
-	j.mu.Lock()
-	j.seq++
-	e.Seq = j.seq
-	if j.n == len(j.buf) {
-		j.start = (j.start + 1) % len(j.buf)
-		j.n--
-	}
-	j.buf[(j.start+j.n)%len(j.buf)] = e
-	j.n++
-	j.mu.Unlock()
-}
-
-func (j *flatLockJournal) newTraceID() events.TraceID {
-	j.mu.Lock()
-	j.nextTrace++
-	id := events.TraceID(j.nextTrace)
-	j.mu.Unlock()
-	return id
-}
-
-func (j *flatLockJournal) newSpanID() events.SpanID {
-	j.mu.Lock()
-	j.nextSpan++
-	id := events.SpanID(j.nextSpan)
-	j.mu.Unlock()
-	return id
-}
-
-// flatScope mirrors the pre-shard events.Scope (heap stack slice, no
-// inline buffer) over flatLockJournal.
-type flatScope struct {
-	j     *flatLockJournal
-	trace events.TraceID
-	stack []events.SpanID
-	node  string
-}
-
-func (j *flatLockJournal) newScope(component, name string, ts time.Duration) *flatScope {
-	s := &flatScope{j: j, trace: j.newTraceID()}
-	s.begin(component, name, ts)
-	return s
-}
-
-func (s *flatScope) parent() events.SpanID {
-	if len(s.stack) == 0 {
-		return 0
-	}
-	return s.stack[len(s.stack)-1]
-}
-
-func (s *flatScope) begin(component, name string, ts time.Duration) {
-	id := s.j.newSpanID()
-	s.j.append(events.Event{
-		TS: ts, Trace: s.trace, Span: id, Parent: s.parent(), Kind: events.KindBegin,
-		Component: component, Name: name, Node: s.node,
-	})
-	s.stack = append(s.stack, id)
-}
-
-func (s *flatScope) instant(component, name string, ts time.Duration) {
-	id := s.j.newSpanID()
-	s.j.append(events.Event{
-		TS: ts, Trace: s.trace, Span: id, Parent: s.parent(), Kind: events.KindInstant,
-		Component: component, Name: name, Node: s.node,
-	})
-}
-
-func (s *flatScope) close(ts time.Duration) {
-	for len(s.stack) > 0 {
-		id := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		s.j.append(events.Event{
-			TS: ts, Trace: s.trace, Span: id, Parent: s.parent(), Kind: events.KindEnd,
-			Node: s.node,
-		})
-	}
 }
 
 // BenchmarkJournalParallel appends per-invocation traces from many
 // nodes into one shared journal — the cluster storm access pattern.
-// "flat" is the pre-shard single-mutex journal (IDs and appends all on
-// one lock); "sharded" is internal/events with atomic ID allocation
-// and per-node ring stripes.
 func BenchmarkJournalParallel(b *testing.B) {
 	const nodes = 16
 	nodeNames := make([]string, nodes)
 	for i := range nodeNames {
 		nodeNames[i] = fmt.Sprintf("node-%02d", i)
 	}
-	b.Run("flat", func(b *testing.B) {
-		j := &flatLockJournal{buf: make([]events.Event, events.DefaultCapacity)}
-		var gid atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			g := int(gid.Add(1))
-			node := nodeNames[g%nodes]
-			i := 0
-			for pb.Next() {
-				sc := j.newScope("core", "invoke", time.Duration(i))
-				sc.node = node
-				sc.instant("vmm", "restore", time.Duration(i))
-				sc.close(time.Duration(i + 1))
-				i++
-			}
-		})
-	})
-	b.Run("sharded", func(b *testing.B) {
-		j := events.NewJournal(events.DefaultCapacity)
-		var gid atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			g := int(gid.Add(1))
-			node := nodeNames[g%nodes]
-			i := 0
-			for pb.Next() {
-				sc := j.NewScope("core", "invoke", time.Duration(i))
-				sc.SetNode(node)
-				sc.Instant("vmm", "restore", time.Duration(i))
-				sc.Close(time.Duration(i + 1))
-				i++
-			}
-		})
+	j := events.NewJournal(events.DefaultCapacity)
+	var gid atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		g := int(gid.Add(1))
+		node := nodeNames[g%nodes]
+		i := 0
+		for pb.Next() {
+			sc := j.NewScope("core", "invoke", time.Duration(i))
+			sc.SetNode(node)
+			sc.Instant("vmm", "restore", time.Duration(i))
+			sc.Close(time.Duration(i + 1))
+			i++
+		}
 	})
 }
 

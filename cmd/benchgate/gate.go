@@ -51,7 +51,7 @@ func (r *Report) result(name string) *BenchResult {
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
-//	BenchmarkMetricsParallel/sharded-4   10362654   45.85 ns/op   1 B/op   0 allocs/op
+//	BenchmarkMetricsParallel-4   10362654   45.85 ns/op   1 B/op   0 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 // parseBenchOutput extracts results from `go test -bench` output.
@@ -101,8 +101,6 @@ func parseBenchOutput(out string) []BenchResult {
 //     harness replays per wall-clock second (1e9 / ns_per_op of
 //     BenchmarkFireworksInvoke) — the headline "is the simulator still
 //     fast" number.
-//   - metrics_parallel_speedup, journal_parallel_speedup: flat-lock
-//     baseline ns/op ÷ sharded ns/op.
 //   - msgbus_batch_speedup: per-record produce/consume ns/op ÷ batched
 //     ns/op.
 func derive(r *Report) {
@@ -116,8 +114,6 @@ func derive(r *Report) {
 			r.Derived[key] = n.NsPerOp / d.NsPerOp
 		}
 	}
-	ratio("metrics_parallel_speedup", "BenchmarkMetricsParallel/flat", "BenchmarkMetricsParallel/sharded")
-	ratio("journal_parallel_speedup", "BenchmarkJournalParallel/flat", "BenchmarkJournalParallel/sharded")
 	ratio("msgbus_batch_speedup", "BenchmarkMsgbusBatch/single", "BenchmarkMsgbusBatch/batch")
 	// Virtual-time and virtual-bytes ratios are deterministic (the
 	// simulator charges fixed costs on the virtual clock), so they gate
@@ -152,10 +148,7 @@ type Tolerances struct {
 	// not read as 1.5x).
 	AllocSlack float64
 	// MinSpeedups gates the derived ratios: each key must be at least
-	// its value in the fresh report. The msgbus batch win is
-	// algorithmic and holds everywhere; the sharded registry/journal
-	// wins grow with core count, so their floors are set as
-	// "never meaningfully slower than the flat baseline".
+	// its value in the fresh report.
 	MinSpeedups map[string]float64
 }
 
@@ -165,13 +158,6 @@ func defaultTolerances() Tolerances {
 		MaxAllocRatio: 1.25,
 		AllocSlack:    4,
 		MinSpeedups: map[string]float64{
-			// Lock-free read index: faster than the flat RLock path
-			// even single-threaded; grows with cores.
-			"metrics_parallel_speedup": 1.2,
-			// Atomic ID allocation vs all-on-one-mutex: parity
-			// single-core, wins with real parallelism. Floor guards
-			// against reintroducing a global lock.
-			"journal_parallel_speedup": 0.8,
 			// Amortized lock acquisition: algorithmic, holds on any
 			// machine.
 			"msgbus_batch_speedup": 1.3,

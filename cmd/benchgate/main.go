@@ -148,7 +148,7 @@ func printSummary(r *Report) {
 	if v, ok := r.Derived["sim_invokes_per_wall_sec"]; ok {
 		fmt.Printf("sim invokes/wall-sec: %.0f\n", v)
 	}
-	for _, k := range []string{"metrics_parallel_speedup", "journal_parallel_speedup", "msgbus_batch_speedup", "workflow_chain_speedup"} {
+	for _, k := range []string{"msgbus_batch_speedup", "workflow_chain_speedup"} {
 		if v, ok := r.Derived[k]; ok {
 			fmt.Printf("%s: %.2fx\n", k, v)
 		}

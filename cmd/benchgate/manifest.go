@@ -20,8 +20,8 @@ type BenchEntry struct {
 
 // manifest inventories every benchmark in bench_test.go. The gated
 // subset is the simulator's own hot path — invocation, snapshot
-// restore, and the contention benchmarks guarding the sharded
-// registry/journal and the batched message bus.
+// restore, and the contention benchmarks guarding the registry, the
+// journal and the batched message bus.
 var manifest = []BenchEntry{
 	// Paper-figure experiment benchmarks: deterministic virtual-time
 	// replays, tracked for inventory but not gated (each runs a whole
@@ -59,11 +59,9 @@ var manifest = []BenchEntry{
 	{Name: "BenchmarkPrefetchReplay/replay", Gate: true},
 
 	// Harness contention benchmarks: gated, including the derived
-	// sharded/flat and batch/single speedups.
-	{Name: "BenchmarkMetricsParallel/flat", Gate: true},
-	{Name: "BenchmarkMetricsParallel/sharded", Gate: true},
-	{Name: "BenchmarkJournalParallel/flat", Gate: true},
-	{Name: "BenchmarkJournalParallel/sharded", Gate: true},
+	// batch/single speedup.
+	{Name: "BenchmarkMetricsParallel", Gate: true},
+	{Name: "BenchmarkJournalParallel", Gate: true},
 	{Name: "BenchmarkMsgbusBatch/single", Gate: true},
 	{Name: "BenchmarkMsgbusBatch/batch", Gate: true},
 

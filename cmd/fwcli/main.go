@@ -38,8 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -69,7 +67,7 @@ func main() {
 	watch := flag.Bool("watch", false, "print a memory-telemetry line per invocation and the smem-style memory report after the run")
 	tsDump := flag.String("timeseries-dump", "", "write the run's sampled telemetry series to this file as CSV")
 	insightFlag := flag.Bool("insight", false, "print the run's critical-path blame tables and service graph after the last invocation")
-	telemSpec := flag.String("telem", "", `arm tail-based trace sampling on the run's journal: "seed=N,rate=P" (docs/telemetry.md); dumps and -insight see the sampled journal and the run ends with the keep/drop ledger`)
+	telemSpec := flag.String("telem", "", `arm tail-based trace sampling on the run's journal: "seed=N,rate=P[,card=K]" (docs/telemetry.md); dumps and -insight see the sampled journal and the run ends with the keep/drop ledger`)
 	flag.Parse()
 
 	if *listBuiltins {
@@ -180,8 +178,8 @@ func main() {
 		}
 	}
 	if *traceDump != "" {
-		if err := dumpJournal(*traceDump, env.Events.Events()); err != nil {
-			fatal(err)
+		if err := events.WriteFile(*traceDump, env.Events.Events()); err != nil {
+			fatal(fmt.Errorf("-trace-dump: %w", err))
 		}
 	}
 	if *profile {
@@ -194,43 +192,16 @@ func main() {
 	}
 }
 
-// armTelemetry parses the -telem spec ("seed=N,rate=P", both keys
-// optional) and attaches a tail sampler to the run's journal. An empty
-// spec leaves sampling off.
+// armTelemetry parses the -telem spec and attaches a tail sampler to
+// the run's journal (and the spec's cardinality budget to its
+// registry). An empty spec leaves sampling off.
 func armTelemetry(spec string, env *platform.Env) (*telemetry.TailSampler, error) {
-	if spec == "" {
-		return nil, nil
+	cfg, card, err := telemetry.ParseSpec(spec)
+	if cfg == nil {
+		return nil, err
 	}
-	cfg := telemetry.Config{Seed: 1, KeepRate: 0.1}
-	for _, field := range strings.Split(spec, ",") {
-		key, value, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return nil, fmt.Errorf("-telem field %q is not key=value", field)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseUint(value, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-telem seed: %w", err)
-			}
-			cfg.Seed = n
-		case "rate":
-			r, err := strconv.ParseFloat(value, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-telem rate: %w", err)
-			}
-			if r < 0 || r > 1 {
-				return nil, fmt.Errorf("-telem rate %v out of [0,1]", r)
-			}
-			cfg.KeepRate = r
-			if r == 0 {
-				cfg.KeepRate = -1 // explicit 0 = keep no boring traces
-			}
-		default:
-			return nil, fmt.Errorf("-telem has no key %q (want seed, rate)", key)
-		}
-	}
-	tail := telemetry.New(cfg)
+	env.Metrics.SetCardinalityLimit(card)
+	tail := telemetry.New(*cfg)
 	tail.Attach(env.Events, env.Metrics)
 	return tail, nil
 }
@@ -300,25 +271,6 @@ func dumpTimeseries(path string, s *timeseries.Sampler) error {
 	if err := s.WriteCSV(f); err != nil {
 		f.Close()
 		return fmt.Errorf("-timeseries-dump: %w", err)
-	}
-	return f.Close()
-}
-
-// dumpJournal writes the host's event journal to path: Chrome
-// trace-event JSON when the name ends in .json (load it in Perfetto),
-// NDJSON otherwise.
-func dumpJournal(path string, evs []events.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("-trace-dump: %w", err)
-	}
-	format := "ndjson"
-	if strings.HasSuffix(path, ".json") {
-		format = "chrome"
-	}
-	if err := events.WriteFormat(f, evs, format); err != nil {
-		f.Close()
-		return fmt.Errorf("-trace-dump: %w", err)
 	}
 	return f.Close()
 }

@@ -83,6 +83,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -154,7 +155,7 @@ type installRequest struct {
 // telem non-nil the telemetry governor arms: tail-based trace sampling
 // over the journal, a cardinality budget on the registry, and rollup
 // tiers on the sampler.
-func newServer(nodes int, chaos *faultsConfig, telem *telemConfig) *server {
+func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config, card int) *server {
 	envCfg := platform.EnvConfig{}
 	opts := core.Options{}
 	if chaos != nil {
@@ -187,11 +188,9 @@ func newServer(nodes int, chaos *faultsConfig, telem *telemConfig) *server {
 	if telem != nil {
 		// Arm the plane before the first event: the eviction guard and
 		// observer must see every trace from its first span.
-		s.tail = telemetry.New(telemetry.Config{Seed: telem.seed, KeepRate: telem.keepRate()})
+		s.tail = telemetry.New(*telem)
 		s.tail.Attach(c.Journal(), c.Metrics())
-		if telem.card > 0 {
-			c.Metrics().SetCardinalityLimit(telem.card)
-		}
+		c.Metrics().SetCardinalityLimit(card)
 		s.sampler.SetRollups(timeseries.DefaultRollups())
 	}
 	s.sampler.AddProbe("fleet_down_nodes", func() float64 {
@@ -291,9 +290,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	telem, err := parseTelemSpec(*telemSpec)
+	telem, card, err := telemetry.ParseSpec(*telemSpec)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("fwsim: %v", err)
 	}
 
 	if *metricsDump != "" {
@@ -317,9 +316,9 @@ func main() {
 		log.Printf("fault injection armed: seed=%d rate=%g", chaos.seed, chaos.rate)
 	}
 	if telem != nil {
-		log.Printf("telemetry governor armed: seed=%d rate=%g card=%d", telem.seed, telem.rate, telem.card)
+		log.Printf("telemetry governor armed: seed=%d rate=%g card=%d", telem.Seed, max(telem.KeepRate, 0), card)
 	}
-	s := newServer(*nodes, chaos, telem)
+	s := newServer(*nodes, chaos, telem, card)
 	log.Printf("fwsim gateway on http://%s (%d nodes)", *addr, *nodes)
 	log.Fatal(http.ListenAndServe(*addr, s.mux()))
 }
@@ -365,68 +364,12 @@ func parseFaultsSpec(spec string) (*faultsConfig, error) {
 	return cfg, nil
 }
 
-// telemConfig is a parsed -telem flag.
-type telemConfig struct {
-	seed uint64
-	rate float64
-	// card, when positive, is the default per-family label-value budget
-	// the cardinality governor enforces on the registry.
-	card int
-}
-
-// keepRate maps the CLI rate to telemetry.Config semantics: an
-// explicit rate=0 means keep no boring traces (the Config encodes
-// that as negative; its zero value means "default").
-func (tc *telemConfig) keepRate() float64 {
-	if tc.rate == 0 {
-		return -1
-	}
-	return tc.rate
-}
-
-// parseTelemSpec parses "seed=N,rate=P[,card=K]" (every key optional,
-// any order). An empty spec leaves the governor off (nil config).
-func parseTelemSpec(spec string) (*telemConfig, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	cfg := &telemConfig{seed: 1, rate: 0.1}
-	for _, field := range strings.Split(spec, ",") {
-		key, value, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return nil, fmt.Errorf("fwsim: -telem field %q is not key=value", field)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseUint(value, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fwsim: -telem seed: %w", err)
-			}
-			cfg.seed = n
-		case "rate":
-			r, err := strconv.ParseFloat(value, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fwsim: -telem rate: %w", err)
-			}
-			if r < 0 || r > 1 {
-				return nil, fmt.Errorf("fwsim: -telem rate %v out of [0,1]", r)
-			}
-			cfg.rate = r
-		case "card":
-			k, err := strconv.Atoi(value)
-			if err != nil || k < 0 {
-				return nil, fmt.Errorf("fwsim: -telem card %q (want a non-negative integer)", value)
-			}
-			cfg.card = k
-		default:
-			return nil, fmt.Errorf("fwsim: -telem has no key %q (want seed, rate, card)", key)
-		}
-	}
-	return cfg, nil
-}
+// maxBodyBytes caps every request body the gateway reads; a larger one
+// is answered 413 (see writeBodyError).
+const maxBodyBytes = 1 << 20
 
 // mux registers the gateway's routes.
-func (s *server) mux() *http.ServeMux {
+func (s *server) mux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /install", s.handleInstall)
 	mux.HandleFunc("POST /invoke/{name}", s.handleInvoke)
@@ -452,7 +395,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("POST /workflows/{name}/run", s.handleWorkflowRun)
 	mux.HandleFunc("GET /workflows/{name}/dlq", s.handleWorkflowDLQ)
 	mux.HandleFunc("POST /workflows/{name}/dlq/replay", s.handleWorkflowDLQReplay)
-	return mux
+	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
 
 // demoConfig parameterizes the -metrics demo run.
@@ -517,8 +460,8 @@ func runMetricsDemo(w io.Writer, cfg demoConfig) error {
 		return fmt.Errorf("fwsim: %w", err)
 	}
 	if cfg.traceDump != "" {
-		if err := dumpJournal(cfg.traceDump, c.Journal().Events()); err != nil {
-			return err
+		if err := events.WriteFile(cfg.traceDump, c.Journal().Events()); err != nil {
+			return fmt.Errorf("fwsim: -trace-dump: %w", err)
 		}
 	}
 	if cfg.profile != nil {
@@ -527,24 +470,6 @@ func runMetricsDemo(w io.Writer, cfg demoConfig) error {
 		}
 	}
 	return nil
-}
-
-// dumpJournal writes the journal to path: Chrome trace-event JSON when
-// the name ends in .json (load it in Perfetto), NDJSON otherwise.
-func dumpJournal(path string, evs []events.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("fwsim: -trace-dump: %w", err)
-	}
-	format := "ndjson"
-	if strings.HasSuffix(path, ".json") {
-		format = "chrome"
-	}
-	if err := events.WriteFormat(f, evs, format); err != nil {
-		f.Close()
-		return fmt.Errorf("fwsim: -trace-dump: %w", err)
-	}
-	return f.Close()
 }
 
 func chaosRate(chaos *faultsConfig) float64 {
@@ -566,10 +491,26 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 when it ran past maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+}
+
 func (s *server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	var req installRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	// UseNumber keeps integer default_params integers (platform's
+	// FromGo conversion maps json.Number exactly as rt.DecodeJSON does
+	// for /invoke), so priming runs the guest on the types it will see.
+	dec := json.NewDecoder(r.Body)
+	dec.UseNumber()
+	if err := dec.Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	lang := rt.Lang(req.Lang)
@@ -602,7 +543,7 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	if len(body) == 0 {
@@ -1008,7 +949,7 @@ func (s *server) handleInsightDiff(w http.ResponseWriter, r *http.Request) {
 		B *insight.Report `json:"b"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("insight: diff body: %w", err))
+		writeBodyError(w, fmt.Errorf("insight: diff body: %w", err))
 		return
 	}
 	if req.A == nil || req.B == nil {
@@ -1078,7 +1019,7 @@ func (s *server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleWorkflowRegister(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	spec, err := workflow.ParseSpec(body)
@@ -1139,7 +1080,7 @@ func (s *server) handleWorkflowRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var input map[string]any
 	if err := json.NewDecoder(r.Body).Decode(&input); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("input: %w", err))
+		writeBodyError(w, fmt.Errorf("input: %w", err))
 		return
 	}
 	run, err := s.wf.Run(name, input, s.timeline.Now())

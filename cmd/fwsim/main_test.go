@@ -15,11 +15,13 @@ import (
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/platform"
+	"repro/internal/runtime"
+	"repro/internal/workloads"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s := newServer(2, nil, nil)
+	s := newServer(2, nil, nil, 0)
 	ts := httptest.NewServer(s.mux())
 	t.Cleanup(ts.Close)
 	return ts
@@ -866,6 +868,48 @@ func TestHistogramExemplarsResolveToTraces(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("histogram %s* carries no exemplars", want)
+		}
+	}
+}
+
+// TestInstallIntegerDefaultsOverHTTP: integer default_params must reach
+// install-time priming (and default-parameter invokes) as integers, the
+// way /invoke bodies do — faas-fact takes n % d and fails on floats.
+func TestInstallIntegerDefaultsOverHTTP(t *testing.T) {
+	ts := newTestServer(t)
+	fn := workloads.Fact(runtime.LangNode).Function
+	body, err := json.Marshal(map[string]any{
+		"name": fn.Name, "lang": fn.Lang, "source": fn.Source, "default_params": fn.DefaultParams,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, out := post(t, ts.URL+"/install", string(body))
+	if status != http.StatusCreated {
+		t.Fatalf("install status = %d: %v", status, out)
+	}
+	status, out = post(t, ts.URL+"/invoke/"+fn.Name, "")
+	if status != http.StatusOK {
+		t.Fatalf("invoke status = %d: %v", status, out)
+	}
+	if out["result"] == nil {
+		t.Fatalf("no result: %v", out)
+	}
+}
+
+// TestOversizedBodyRejected: every body-reading route answers 413 past
+// maxBodyBytes instead of buffering the request.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := newTestServer(t)
+	post(t, ts.URL+"/workflows", `{"name": "wf", "steps": [{"id": "a", "function": "hello"}]}`)
+	// Valid JSON all the way to the cap, so only the cap can reject it.
+	big := `{"pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, route := range []string{
+		"/install", "/invoke/hello", "/workflows", "/workflows/wf/run", "/insight/diff",
+	} {
+		status, out := post(t, ts.URL+route, big)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status = %d, want 413: %v", route, status, out)
 		}
 	}
 }

@@ -7,13 +7,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // newTelemServer builds a gateway with the telemetry governor armed:
 // keep no boring traces (rate=0), cardinality budget of card.
 func newTelemServer(t *testing.T, card int) *httptest.Server {
 	t.Helper()
-	s := newServer(2, nil, &telemConfig{seed: 7, rate: 0, card: card})
+	s := newServer(2, nil, &telemetry.Config{Seed: 7, KeepRate: -1}, card)
 	ts := httptest.NewServer(s.mux())
 	t.Cleanup(ts.Close)
 	return ts
@@ -231,22 +233,19 @@ func TestTelemetryEndpoint(t *testing.T) {
 }
 
 func TestParseTelemSpec(t *testing.T) {
-	if cfg, err := parseTelemSpec(""); cfg != nil || err != nil {
+	if cfg, _, err := telemetry.ParseSpec(""); cfg != nil || err != nil {
 		t.Fatalf("empty spec: %v %v", cfg, err)
 	}
-	cfg, err := parseTelemSpec("seed=9,rate=0.25,card=32")
-	if err != nil || cfg.seed != 9 || cfg.rate != 0.25 || cfg.card != 32 {
-		t.Fatalf("full spec: %+v %v", cfg, err)
+	cfg, card, err := telemetry.ParseSpec("seed=9,rate=0.25,card=32")
+	if err != nil || cfg.Seed != 9 || cfg.KeepRate != 0.25 || card != 32 {
+		t.Fatalf("full spec: %+v card=%d %v", cfg, card, err)
 	}
-	if cfg.keepRate() != 0.25 {
-		t.Fatalf("keepRate = %v", cfg.keepRate())
-	}
-	cfg, err = parseTelemSpec("rate=0")
-	if err != nil || cfg.keepRate() != -1 {
+	cfg, _, err = telemetry.ParseSpec("rate=0")
+	if err != nil || cfg.KeepRate != -1 {
 		t.Fatalf("rate=0 should map to keep-none: %+v %v", cfg, err)
 	}
 	for _, bad := range []string{"seed", "seed=x", "rate=2", "rate=-0.1", "card=-1", "zap=1"} {
-		if _, err := parseTelemSpec(bad); err == nil {
+		if _, _, err := telemetry.ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}

@@ -598,9 +598,9 @@ func (f *Framework) stageTopic(st *invokeState, name string, params lang.Value, 
 
 // stageRestore provides the microVM: a warm resume of a pooled clone
 // when Options.WarmPool has one, otherwise a fresh snapshot restore
-// (step ⑦). On the fresh path the "startup" span stays open across the
-// netns and revive stages and is closed by whichever stage finishes
-// (or fails) it.
+// (step ⑦). On the fresh path the start-up interval runs from
+// st.startupMark across the netns and revive stages; stageRevive
+// charges it to the breakdown.
 func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Invocation, opts platform.InvokeOptions, cl *lifecycle.Cleanup) error {
 	st.startupMark = inv.Clock.Now()
 	if f.opts.WarmPool && !f.opts.RetainInstances {
@@ -610,13 +610,11 @@ func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Inv
 					_ = pooled.VM.Stop()
 				}
 			})
-			inv.Breakdown.BeginSpan("startup", trace.PhaseStartup, st.startupMark)
 			inv.Trace.SetVM(pooled.VM.ID)
-			inv.StartSpan("core", "warm-resume", trace.PhaseStartup)
+			inv.StartSpan("core", "warm-resume")
 			err := pooled.VM.ResumeWarmTraced(inv.Clock, inv.Trace)
 			inv.FinishSpan()
 			if err != nil {
-				inv.Breakdown.EndSpan(inv.Clock.Now())
 				return err
 			}
 			pooled.FcID = st.fcID
@@ -624,7 +622,6 @@ func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Inv
 			pooled.VM.SetMMDS("fcID", st.fcID)
 			pooled.VM.SetMMDS("topic", st.topic)
 			inv.Breakdown.Add(trace.PhaseStartup, "warm-resume", inv.Clock.Since(st.startupMark))
-			inv.Breakdown.EndSpan(inv.Clock.Now())
 			f.warmResumes.Inc()
 			st.instance = pooled
 			st.warm = true
@@ -635,8 +632,7 @@ func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Inv
 		// The image lookup failed and no pooled VM can cover for it.
 		return st.snapErr
 	}
-	inv.Breakdown.BeginSpan("startup", trace.PhaseStartup, st.startupMark)
-	inv.StartSpan("core", "vm-restore", trace.PhaseStartup)
+	inv.StartSpan("core", "vm-restore")
 	// A restore that exceeds the per-attempt deadline (a latency-spike
 	// fault) leaves a running clone behind; the discard hook stops it
 	// before the retry restores a fresh one.
@@ -665,7 +661,6 @@ func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Inv
 	})
 	inv.FinishSpan()
 	if err != nil {
-		inv.Breakdown.EndSpan(inv.Clock.Now())
 		return err
 	}
 	inv.Trace.SetVM(vm.ID)
@@ -686,11 +681,10 @@ func (f *Framework) stageNetns(st *invokeState, inv *platform.Invocation, cl *li
 		return nil
 	}
 	vm := st.instance.VM
-	inv.StartSpan("core", "netns-setup", trace.PhaseStartup)
+	inv.StartSpan("core", "netns-setup")
 	err := f.env.HV.SetupNetwork(vm, st.snap.GuestIP, inv.Clock)
 	inv.FinishSpan()
 	if err != nil {
-		inv.Breakdown.EndSpan(inv.Clock.Now())
 		return err
 	}
 	vm.SetMMDS("fcID", st.fcID)
@@ -712,16 +706,14 @@ func (f *Framework) stageRevive(st *invokeState, inv *platform.Invocation, cl *l
 	}
 	vm := st.instance.VM
 	template := st.snap.GuestState.(*runtime.SnapshotTemplate)
-	inv.StartSpan("core", "runtime-revive", trace.PhaseStartup)
+	inv.StartSpan("core", "runtime-revive")
 	rt, err := runtime.NewFromSnapshot(template, inv.Clock)
 	inv.FinishSpan()
 	if err != nil {
-		inv.Breakdown.EndSpan(inv.Clock.Now())
 		return err
 	}
 	restoreSpan := inv.Clock.Since(st.startupMark)
 	inv.Breakdown.Add(trace.PhaseStartup, "snapshot-restore", restoreSpan)
-	inv.Breakdown.EndSpan(inv.Clock.Now())
 	f.env.Metrics.Histogram("fireworks_restore_duration").
 		ObserveDurationExemplar(restoreSpan, uint64(inv.Trace.TraceID()), inv.Clock.Now())
 
@@ -780,7 +772,7 @@ func (f *Framework) stageExecute(st *invokeState, name string, inv *platform.Inv
 	rt := st.instance.rt
 	attributedBefore := inv.Breakdown.Total()
 	mark := inv.Clock.Now()
-	inv.StartSpan("core", "exec", trace.PhaseExec)
+	inv.StartSpan("core", "exec")
 	result, err := rt.Call("__fireworks_continue")
 	span := inv.Clock.Since(mark)
 	inv.FinishSpan()

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/events"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/runtime"
@@ -184,9 +186,41 @@ func TestWarmPoolCrashDropsPooledVM(t *testing.T) {
 	}
 }
 
+// assertFailedTraceClosed checks the journal's newest trace — the
+// invocation that just failed: it must record the error, and every
+// span it began must have ended.
+func assertFailedTraceClosed(t *testing.T, env *platform.Env) {
+	t.Helper()
+	var last events.TraceID
+	for _, e := range env.Events.Events() {
+		if e.Trace > last {
+			last = e.Trace
+		}
+	}
+	open := map[events.SpanID]string{}
+	errored := false
+	for _, e := range env.Events.Trace(last) {
+		switch e.Kind {
+		case events.KindBegin:
+			open[e.Span] = e.Component + ":" + e.Name
+		case events.KindEnd:
+			delete(open, e.Span)
+			for _, a := range e.Attrs {
+				errored = errored || a.Key == "error"
+			}
+		}
+	}
+	if !errored {
+		t.Fatalf("newest trace %d records no error; not the failed invocation?", last)
+	}
+	for id, name := range open {
+		t.Errorf("failed trace %d: span %d (%s) began but never ended", last, id, name)
+	}
+}
+
 // TestFailedInvocationLeaksNothing proves the satellite fix: whatever
-// stage an invocation dies in, no msgbus topic and no running microVM
-// survives it.
+// stage an invocation dies in, no msgbus topic, no running microVM and
+// no open journal span survives it.
 func TestFailedInvocationLeaksNothing(t *testing.T) {
 	t.Run("executeCrash", func(t *testing.T) {
 		env, fw := newFW(t, core.Options{})
@@ -201,6 +235,7 @@ func TestFailedInvocationLeaksNothing(t *testing.T) {
 		if _, err := fw.Invoke("crasher", platform.MustParams(map[string]any{"m": 0}), platform.InvokeOptions{}); err == nil {
 			t.Fatal("crash survived")
 		}
+		assertFailedTraceClosed(t, env)
 		leakCheck(t, env)
 		if busTopics(env) != 0 {
 			t.Fatalf("%d topics leaked by execute failure", busTopics(env))
@@ -224,6 +259,7 @@ func TestFailedInvocationLeaksNothing(t *testing.T) {
 		if _, err := fw.Invoke(w.Name, params, platform.InvokeOptions{}); err == nil {
 			t.Fatal("third invoke got a namespace")
 		}
+		assertFailedTraceClosed(t, env)
 		// Only the two retained instances' topics remain; the failed
 		// invocation's topic and VM are gone.
 		if busTopics(env) != 2 {
@@ -256,9 +292,28 @@ func TestFailedInvocationLeaksNothing(t *testing.T) {
 		if _, err := fw.Invoke(a.Name, platform.MustParams(nil), platform.InvokeOptions{}); err == nil {
 			t.Fatal("evicted function invoked")
 		}
+		assertFailedTraceClosed(t, env)
 		leakCheck(t, env)
 		if busTopics(env) != 0 {
 			t.Fatalf("%d topics leaked by snapshot-get failure", busTopics(env))
+		}
+	})
+	t.Run("restoreFault", func(t *testing.T) {
+		// An injected vm-restore fault with retries off fails the
+		// pipeline inside the open vm-restore span.
+		env, fw, plane := faultyEnv(t, faults.RetryPolicy{})
+		w := workloads.Fact(runtime.LangNode)
+		if _, err := fw.Install(w.Function); err != nil {
+			t.Fatal(err)
+		}
+		plane.Enqueue(faults.SiteVMMRestore, faults.KindError)
+		if _, err := fw.Invoke(w.Name, platform.MustParams(nil), platform.InvokeOptions{}); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("err = %v, want the injected fault", err)
+		}
+		assertFailedTraceClosed(t, env)
+		leakCheck(t, env)
+		if busTopics(env) != 0 {
+			t.Fatalf("%d topics leaked by restore failure", busTopics(env))
 		}
 	})
 }

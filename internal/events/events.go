@@ -529,8 +529,8 @@ func (s *Scope) Begin(component, name string, ts time.Duration, attrs ...Attr) {
 }
 
 // End closes the innermost open span. Ending with nothing open is a
-// no-op (unlike Breakdown.EndSpan the journal is best-effort: a lost
-// event must never take the platform down).
+// no-op (the journal is best-effort: a lost event must never take the
+// platform down).
 func (s *Scope) End(ts time.Duration, attrs ...Attr) {
 	if s == nil || len(s.stack) == 0 {
 		return

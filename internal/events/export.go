@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -263,4 +265,23 @@ func WriteFormat(w io.Writer, evs []Event, format string) error {
 	default:
 		return fmt.Errorf("events: unknown export format %q (want ndjson or chrome)", format)
 	}
+}
+
+// WriteFile writes evs to path: Chrome trace-event JSON when the name
+// ends in .json (load it in Perfetto), NDJSON otherwise — the
+// -trace-dump flag of fwsim and fwcli.
+func WriteFile(path string, evs []Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	format := "ndjson"
+	if strings.HasSuffix(path, ".json") {
+		format = "chrome"
+	}
+	if err := WriteFormat(f, evs, format); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -104,7 +104,7 @@ func TestClockRestartNormalization(t *testing.T) {
 	sc.Begin("core", "invoke", 12*time.Millisecond)
 	sc.End(0) // clock restarted
 	sc.Begin("core", "invoke", 3*time.Millisecond)
-	sc.End(4*time.Millisecond)
+	sc.End(4 * time.Millisecond)
 	sc.Close(4 * time.Millisecond)
 
 	ti := Analyze(j.Events()).Traces[0]

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -38,8 +36,7 @@ const overflowCounterFamily = "telemetry_cardinality_overflow_total"
 // cardinality holds the governor's state; zero value = disabled.
 type cardinality struct {
 	mu         sync.Mutex
-	defLimit   int
-	famLimit   map[string]int
+	limit      int
 	famCount   map[string]int   // admitted labeled series per family
 	overflowed map[string]int64 // redirected (aliased) names per family
 }
@@ -49,38 +46,23 @@ func OverflowName(family string) string {
 	return Name(family, "series", OverflowSeries)
 }
 
-// SetCardinalityLimit sets the default per-family budget for labeled
+// SetCardinalityLimit sets the per-family budget for labeled
 // series: once a family has limit distinct admitted series, further new
-// names alias onto its overflow series. 0 disables the default
-// (families stay unbounded unless SetFamilyLimit says otherwise).
+// names alias onto its overflow series. 0 leaves families unbounded.
 // Already-created series are never retired.
 func (r *Registry) SetCardinalityLimit(limit int) {
 	if r == nil {
 		return
 	}
 	r.card.mu.Lock()
-	r.card.defLimit = limit
-	r.card.mu.Unlock()
-}
-
-// SetFamilyLimit overrides the budget for one family: 0 lifts the
-// budget (unbounded), positive bounds it.
-func (r *Registry) SetFamilyLimit(family string, limit int) {
-	if r == nil {
-		return
-	}
-	r.card.mu.Lock()
-	if r.card.famLimit == nil {
-		r.card.famLimit = make(map[string]int)
-	}
-	r.card.famLimit[family] = limit
+	r.card.limit = limit
 	r.card.mu.Unlock()
 }
 
 // admitSeries decides whether a new series name may be created or must
 // redirect to its family's overflow series. Unlabeled names and the
 // governor's own instruments are always admitted. Called with the
-// owning shard lock held; takes only the leaf card.mu.
+// owning table's create lock held; takes only the leaf card.mu.
 func (r *Registry) admitSeries(name string) (family string, redirect bool) {
 	i := strings.IndexByte(name, '{')
 	if i < 0 {
@@ -93,14 +75,10 @@ func (r *Registry) admitSeries(name string) (family string, redirect bool) {
 	c := &r.card
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	limit, ok := c.famLimit[family]
-	if !ok {
-		limit = c.defLimit
-	}
-	if limit <= 0 {
+	if c.limit <= 0 {
 		return family, false
 	}
-	if c.famCount[family] >= limit {
+	if c.famCount[family] >= c.limit {
 		return family, true
 	}
 	if c.famCount == nil {
@@ -153,47 +131,27 @@ func (r *Registry) CardinalityAudit(k int) CardinalityReport {
 		return rep
 	}
 	counts := make(map[string]int)
-	seenC := make(map[*Counter]bool)
-	seenG := make(map[*Gauge]bool)
-	seenH := make(map[*Histogram]bool)
 	bump := func(name string) {
 		fam, _, _ := strings.Cut(name, "{")
 		counts[fam]++
 		rep.TotalSeries++
 	}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, c := range s.counters {
-			if !seenC[c] {
-				seenC[c] = true
-				bump(c.name)
-			}
-		}
-		for _, g := range s.gauges {
-			if !seenG[g] {
-				seenG[g] = true
-				bump(g.name)
-			}
-		}
-		for _, h := range s.histograms {
-			if !seenH[h] {
-				seenH[h] = true
-				bump(h.name)
-			}
-		}
-		s.mu.RUnlock()
+	for _, c := range r.counters.distinct() {
+		bump(c.name)
+	}
+	for _, g := range r.gauges.distinct() {
+		bump(g.name)
+	}
+	for _, h := range r.histograms.distinct() {
+		bump(h.name)
 	}
 	c := &r.card
 	c.mu.Lock()
+	limit := c.limit
+	if limit < 0 {
+		limit = 0
+	}
 	for fam, n := range counts {
-		limit, ok := c.famLimit[fam]
-		if !ok {
-			limit = c.defLimit
-		}
-		if limit < 0 {
-			limit = 0
-		}
 		rep.Families = append(rep.Families, FamilyCardinality{
 			Family: fam, Series: n, Limit: limit, OverflowedNames: c.overflowed[fam],
 		})
@@ -210,12 +168,4 @@ func (r *Registry) CardinalityAudit(k int) CardinalityReport {
 		rep.Families = rep.Families[:k]
 	}
 	return rep
-}
-
-// WriteCardinalityJSON renders the audit as indented JSON — the
-// /telemetry endpoint's cardinality section.
-func (r *Registry) WriteCardinalityJSON(w io.Writer, k int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.CardinalityAudit(k))
 }

@@ -65,23 +65,6 @@ func TestCardinalityUnlabeledAndOverflowExempt(t *testing.T) {
 	}
 }
 
-func TestFamilyLimitOverridesDefault(t *testing.T) {
-	r := NewRegistry()
-	r.SetCardinalityLimit(1)
-	r.SetFamilyLimit("wide_total", 0) // lifted: unbounded
-	r.SetFamilyLimit("narrow_total", 2)
-	for i := 0; i < 5; i++ {
-		r.Counter(Name("wide_total", "i", fmt.Sprintf("%d", i))).Inc()
-		r.Counter(Name("narrow_total", "i", fmt.Sprintf("%d", i))).Inc()
-	}
-	if v := r.Counter(OverflowName("wide_total")).Value(); v != 0 {
-		t.Fatalf("lifted family overflowed: %d", v)
-	}
-	if v := r.Counter(OverflowName("narrow_total")).Value(); v != 3 {
-		t.Fatalf("narrow family overflow = %d, want 3", v)
-	}
-}
-
 func TestCardinalityGaugesAndHistograms(t *testing.T) {
 	r := NewRegistry()
 	r.SetCardinalityLimit(2)
@@ -160,13 +143,6 @@ func TestCardinalityAuditTopK(t *testing.T) {
 		if a.Series < b.Series || (a.Series == b.Series && a.Family > b.Family) {
 			t.Fatalf("audit not ordered: %+v before %+v", a, b)
 		}
-	}
-	var buf bytes.Buffer
-	if err := r.WriteCardinalityJSON(&buf, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"family": "big_total"`) {
-		t.Fatalf("audit JSON missing top family:\n%s", buf.String())
 	}
 }
 

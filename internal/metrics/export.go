@@ -137,48 +137,13 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	snap := Snapshot{VirtualTimeNS: int64(r.snapshotTime())}
-	// Gather instruments stripe by stripe; the sort below merges the
-	// shards deterministically, so shard count never shows in the dump.
-	// Redirected names alias the same instrument under several map
-	// keys (see cardinality.go) — the seen sets export each shared
-	// overflow series exactly once.
-	var counters []*Counter
-	var gauges []*Gauge
-	var hists []*Histogram
-	seenC := make(map[*Counter]bool)
-	seenG := make(map[*Gauge]bool)
-	seenH := make(map[*Histogram]bool)
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, c := range s.counters {
-			if !seenC[c] {
-				seenC[c] = true
-				counters = append(counters, c)
-			}
-		}
-		for _, g := range s.gauges {
-			if !seenG[g] {
-				seenG[g] = true
-				gauges = append(gauges, g)
-			}
-		}
-		for _, h := range s.histograms {
-			if !seenH[h] {
-				seenH[h] = true
-				hists = append(hists, h)
-			}
-		}
-		s.mu.RUnlock()
-	}
-
-	for _, c := range counters {
+	for _, c := range r.counters.distinct() {
 		snap.Counters = append(snap.Counters, CounterSnapshot{Name: c.name, Value: c.Value()})
 	}
-	for _, g := range gauges {
+	for _, g := range r.gauges.distinct() {
 		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: g.name, Value: g.Value()})
 	}
-	for _, h := range hists {
+	for _, h := range r.histograms.distinct() {
 		snap.Histograms = append(snap.Histograms, h.snapshot())
 	}
 	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })

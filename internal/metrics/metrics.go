@@ -18,18 +18,12 @@
 // therefore record unconditionally and stay zero-cost when a host is
 // built without a registry.
 //
-// The registry's lookup path is two-level. Steady-state lookups hit a
-// frozen copy-on-write read index: one atomic pointer load plus a map
-// access, no lock traffic at all — instruments are created once and
-// live forever, which is exactly the read-mostly shape that layout
-// serves. Creates hash the instrument name (FNV-1a) onto independently
-// locked stripes and then republish the index, so concurrent first-use
-// from many nodes of a simulated fleet does not serialize on one
-// mutex. Sharding is invisible to exports — Snapshot gathers every
-// stripe and sorts by name, so the text and JSON dumps are
-// byte-identical to a single-stripe registry fed the same workload
-// (the golden tests pin this down, and NewRegistryShards(1) keeps that
-// layout available).
+// Lookups resolve through a frozen copy-on-write read index: one
+// atomic pointer load plus a map access, no lock traffic at all —
+// instruments are created once and live forever, which is exactly the
+// read-mostly shape that layout serves. A create takes the kind's one
+// mutex, copies the index with the new name added and publishes the
+// copy. Exports walk the published index and sort by name.
 package metrics
 
 import (
@@ -74,88 +68,100 @@ func DefaultLatencyBuckets() []float64 {
 	}
 }
 
-// DefaultShards is the stripe count of NewRegistry. 32 stripes keep
-// lock cache lines apart for fleets of dozens of nodes while costing
-// ~3 KiB of empty maps on a single-host registry.
-const DefaultShards = 32
-
 // Registry is a concurrency-safe collection of named instruments.
 // Instruments are created on first use and live for the registry's
-// lifetime. The zero value is not usable; call NewRegistry.
+// lifetime. It holds locks, so share it by pointer (NewRegistry).
 type Registry struct {
 	clockMu sync.RWMutex
 	clock   *vclock.Clock
-	shards  []regShard
-	mask    uint32
 
-	// Frozen read indexes. Instruments are created once and live
-	// forever, so the common lookup is a pure read: one atomic pointer
-	// load and a map access, no lock round-trip. Creates go through the
-	// shards and then republish the index (rebuilds are serialized by
-	// rebuildMu and gather every shard under its lock, so the last
-	// published index always contains every completed create).
-	rebuildMu sync.Mutex
-	readC     atomic.Pointer[map[string]*Counter]
-	readG     atomic.Pointer[map[string]*Gauge]
-	readH     atomic.Pointer[map[string]*Histogram]
+	counters   table[Counter]
+	gauges     table[Gauge]
+	histograms table[Histogram]
 
 	// card is the cardinality governor (cardinality.go); its zero
 	// value leaves every family unbounded.
 	card cardinality
 }
 
-// regShard is one independently locked stripe of the name space. The
-// pad keeps neighboring stripes' mutexes off one cache line.
-type regShard struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	_          [16]byte // sync.RWMutex (24) + 3 map headers (24) + 16 = one 64-byte line
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return &Registry{} }
+
+// table is the name space of one instrument kind. Instruments are
+// created once and live forever, so the index is published as an
+// immutable map: a lookup is one atomic pointer load and a map access,
+// and a create (serialized by mu) copies the map, adds the name and
+// publishes the copy. Every reader therefore sees every completed
+// create.
+type table[T any] struct {
+	mu   sync.Mutex
+	read atomic.Pointer[map[string]*T]
 }
 
-// NewRegistry returns an empty registry with DefaultShards stripes.
-func NewRegistry() *Registry { return NewRegistryShards(DefaultShards) }
-
-// NewRegistryShards returns an empty registry striped over n shards
-// (rounded up to a power of two; n <= 1 yields a single-stripe
-// registry, the layout the golden determinism tests compare the
-// default against). Shard count never changes observable behavior —
-// only lock spread.
-func NewRegistryShards(n int) *Registry {
-	if n < 1 {
-		n = DefaultShards
+// get returns the named instrument, or nil when it does not exist yet.
+func (t *table[T]) get(name string) *T {
+	if m := t.read.Load(); m != nil {
+		return (*m)[name]
 	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	r := &Registry{shards: make([]regShard, pow), mask: uint32(pow - 1)}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.counters = make(map[string]*Counter)
-		s.gauges = make(map[string]*Gauge)
-		s.histograms = make(map[string]*Histogram)
-	}
-	return r
+	return nil
 }
 
-// Shards reports the registry's stripe count.
-func (r *Registry) Shards() int {
-	if r == nil {
-		return 0
+// create returns the named instrument, making it with mk on first use.
+// When the name's family is over its cardinality budget the name
+// becomes an alias of the family's shared overflow series, so repeat
+// lookups of a redirected name still hit the read index.
+func (t *table[T]) create(r *Registry, name string, mk func(name string) *T) *T {
+	t.mu.Lock()
+	if v := t.get(name); v != nil {
+		// Created by a racing goroutine between our lookup and the lock.
+		t.mu.Unlock()
+		return v
 	}
-	return len(r.shards)
+	fam, redirect := r.admitSeries(name)
+	target := name
+	if redirect {
+		target = OverflowName(fam)
+	}
+	v := t.get(target)
+	if v == nil {
+		v = mk(target)
+	}
+	var old map[string]*T
+	if m := t.read.Load(); m != nil {
+		old = *m
+	}
+	next := make(map[string]*T, len(old)+2)
+	for k, inst := range old {
+		next[k] = inst
+	}
+	next[name] = v
+	next[target] = v
+	t.read.Store(&next)
+	t.mu.Unlock()
+	if redirect {
+		// Outside the lock: the overflow counter lives in a table too.
+		r.noteOverflow(fam)
+	}
+	return v
 }
 
-// shard maps an instrument name onto its stripe (FNV-1a).
-func (r *Registry) shard(name string) *regShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
+// distinct returns every instrument once. Redirected names alias one
+// instrument under several keys (see cardinality.go); the result lists
+// each shared overflow series exactly once, in no particular order.
+func (t *table[T]) distinct() []*T {
+	m := t.read.Load()
+	if m == nil {
+		return nil
 	}
-	return &r.shards[h&r.mask]
+	seen := make(map[*T]bool, len(*m))
+	out := make([]*T, 0, len(*m))
+	for _, v := range *m {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // SetClock attaches a virtual clock; snapshots are stamped with its
@@ -206,62 +212,10 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	if m := r.readC.Load(); m != nil {
-		if c := (*m)[name]; c != nil {
-			return c
-		}
-	}
-	return r.counterSlow(name)
-}
-
-func (r *Registry) counterSlow(name string) *Counter {
-	s := r.shard(name)
-	s.mu.Lock()
-	c := s.counters[name]
-	if c != nil {
-		// Created by a racing goroutine whose index republish is still
-		// in flight; that republish will surface it.
-		s.mu.Unlock()
+	if c := r.counters.get(name); c != nil {
 		return c
 	}
-	fam, redirect := r.admitSeries(name)
-	if !redirect {
-		c = &Counter{name: name}
-		s.counters[name] = c
-		s.mu.Unlock()
-		r.republishCounters()
-		return c
-	}
-	s.mu.Unlock()
-	// Family over budget: alias this name onto the shared overflow
-	// series (created outside the shard lock — it may hash anywhere),
-	// so repeat lookups still hit the read index.
-	oc := r.Counter(OverflowName(fam))
-	s.mu.Lock()
-	if c := s.counters[name]; c != nil {
-		s.mu.Unlock()
-		return c
-	}
-	s.counters[name] = oc
-	s.mu.Unlock()
-	r.noteOverflow(fam)
-	r.republishCounters()
-	return oc
-}
-
-func (r *Registry) republishCounters() {
-	r.rebuildMu.Lock()
-	defer r.rebuildMu.Unlock()
-	m := make(map[string]*Counter)
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for k, v := range s.counters {
-			m[k] = v
-		}
-		s.mu.RUnlock()
-	}
-	r.readC.Store(&m)
+	return r.counters.create(r, name, func(name string) *Counter { return &Counter{name: name} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -269,57 +223,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	if m := r.readG.Load(); m != nil {
-		if g := (*m)[name]; g != nil {
-			return g
-		}
-	}
-	return r.gaugeSlow(name)
-}
-
-func (r *Registry) gaugeSlow(name string) *Gauge {
-	s := r.shard(name)
-	s.mu.Lock()
-	g := s.gauges[name]
-	if g != nil {
-		s.mu.Unlock()
+	if g := r.gauges.get(name); g != nil {
 		return g
 	}
-	fam, redirect := r.admitSeries(name)
-	if !redirect {
-		g = &Gauge{name: name}
-		s.gauges[name] = g
-		s.mu.Unlock()
-		r.republishGauges()
-		return g
-	}
-	s.mu.Unlock()
-	og := r.Gauge(OverflowName(fam))
-	s.mu.Lock()
-	if g := s.gauges[name]; g != nil {
-		s.mu.Unlock()
-		return g
-	}
-	s.gauges[name] = og
-	s.mu.Unlock()
-	r.noteOverflow(fam)
-	r.republishGauges()
-	return og
-}
-
-func (r *Registry) republishGauges() {
-	r.rebuildMu.Lock()
-	defer r.rebuildMu.Unlock()
-	m := make(map[string]*Gauge)
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for k, v := range s.gauges {
-			m[k] = v
-		}
-		s.mu.RUnlock()
-	}
-	r.readG.Store(&m)
+	return r.gauges.create(r, name, func(name string) *Gauge { return &Gauge{name: name} })
 }
 
 // Histogram returns the named duration histogram (default latency
@@ -330,10 +237,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if m := r.readH.Load(); m != nil {
-		if h := (*m)[name]; h != nil {
-			return h
-		}
+	if h := r.histograms.get(name); h != nil {
+		return h
 	}
 	return r.HistogramWith(name, UnitDuration, DefaultLatencyBuckets())
 }
@@ -346,71 +251,24 @@ func (r *Registry) HistogramWith(name, unit string, bounds []float64) *Histogram
 	if r == nil {
 		return nil
 	}
-	if m := r.readH.Load(); m != nil {
-		if h := (*m)[name]; h != nil {
-			return h
-		}
-	}
-	s := r.shard(name)
-	s.mu.Lock()
-	if h := s.histograms[name]; h != nil {
-		s.mu.Unlock()
+	if h := r.histograms.get(name); h != nil {
 		return h
 	}
-	s.mu.Unlock()
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("metrics: histogram %s bounds not ascending: %v", name, bounds))
 		}
 	}
-	s.mu.Lock()
-	h := s.histograms[name]
-	if h != nil {
-		s.mu.Unlock()
-		return h
-	}
-	fam, redirect := r.admitSeries(name)
-	if !redirect {
-		h = &Histogram{
+	// A family's overflow histogram inherits the unit and bounds of the
+	// first create redirected to it — families share a shape.
+	return r.histograms.create(r, name, func(name string) *Histogram {
+		return &Histogram{
 			name:   name,
 			unit:   unit,
 			bounds: append([]float64(nil), bounds...),
 			counts: make([]uint64, len(bounds)+1),
 		}
-		s.histograms[name] = h
-		s.mu.Unlock()
-		r.republishHistograms()
-		return h
-	}
-	s.mu.Unlock()
-	// The overflow histogram inherits this create's unit and bounds —
-	// families share a shape, so the first redirected shape wins.
-	oh := r.HistogramWith(OverflowName(fam), unit, bounds)
-	s.mu.Lock()
-	if h := s.histograms[name]; h != nil {
-		s.mu.Unlock()
-		return h
-	}
-	s.histograms[name] = oh
-	s.mu.Unlock()
-	r.noteOverflow(fam)
-	r.republishHistograms()
-	return oh
-}
-
-func (r *Registry) republishHistograms() {
-	r.rebuildMu.Lock()
-	defer r.rebuildMu.Unlock()
-	m := make(map[string]*Histogram)
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for k, v := range s.histograms {
-			m[k] = v
-		}
-		s.mu.RUnlock()
-	}
-	r.readH.Store(&m)
+	})
 }
 
 // Counter is a monotonically increasing count. Safe for concurrent

@@ -6,13 +6,11 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/vclock"
 )
 
 // TestShardedNoLostUpdates hammers counters, gauges, and histograms
-// from many goroutines — through the name-resolution path, so shard
-// routing and the copy-on-write read index are both exercised — while
+// from many goroutines — through the name-resolution path, so creates
+// and the copy-on-write read index are both exercised — while
 // another goroutine keeps exporting snapshots. Every update must land.
 // Run under -race this also proves the lookup fast path is clean.
 func TestShardedNoLostUpdates(t *testing.T) {
@@ -122,63 +120,5 @@ func TestShardedConcurrentCreates(t *testing.T) {
 	}
 	if got := reg.Counter("race_counter_00").Value(); got != goroutines {
 		t.Errorf("race_counter_00 = %d, want %d", got, goroutines)
-	}
-}
-
-// seedWorkload drives a fixed, deterministic workload into a registry.
-func seedWorkload(reg *Registry) {
-	clk := vclock.New()
-	reg.SetClock(clk)
-	for i := 0; i < 500; i++ {
-		node := fmt.Sprintf("node-%02d", i%7)
-		reg.Counter(Name("invocations_total", "node", node)).Inc()
-		reg.Gauge(Name("queue_depth", "node", node)).Set(int64(i % 13))
-		reg.Histogram(Name("invoke_latency", "node", node)).
-			ObserveDuration(time.Duration(i*i) * time.Microsecond)
-		clk.Advance(time.Millisecond)
-	}
-	reg.Counter("plain_counter").Add(42)
-	reg.HistogramWith("bytes_hist", "bytes", []float64{10, 100, 1000}).Observe(55)
-}
-
-// TestGoldenExportShardInvariance is the golden determinism test: the
-// same seeded workload exported from a single-stripe registry and from
-// the default sharded registry must produce byte-identical text and
-// JSON dumps. Shard count must never leak into an artifact.
-func TestGoldenExportShardInvariance(t *testing.T) {
-	flat := NewRegistryShards(1)
-	sharded := NewRegistry()
-	if flat.Shards() != 1 || sharded.Shards() != DefaultShards {
-		t.Fatalf("shard counts: flat %d, sharded %d", flat.Shards(), sharded.Shards())
-	}
-	seedWorkload(flat)
-	seedWorkload(sharded)
-
-	for _, format := range []string{"text", "json"} {
-		var fb, sb bytes.Buffer
-		if err := flat.Snapshot().WriteFormat(&fb, format); err != nil {
-			t.Fatal(err)
-		}
-		if err := sharded.Snapshot().WriteFormat(&sb, format); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fb.Bytes(), sb.Bytes()) {
-			t.Errorf("%s export differs between 1 and %d shards:\n--- flat ---\n%s\n--- sharded ---\n%s",
-				format, DefaultShards, fb.String(), sb.String())
-		}
-	}
-}
-
-// TestShardDistribution sanity-checks the FNV routing: per-node
-// labeled names must not all land on one stripe.
-func TestShardDistribution(t *testing.T) {
-	reg := NewRegistry()
-	stripes := map[*regShard]int{}
-	for i := 0; i < 64; i++ {
-		name := Name("invocations_total", "node", fmt.Sprintf("node-%02d", i))
-		stripes[reg.shard(name)]++
-	}
-	if len(stripes) < DefaultShards/4 {
-		t.Errorf("64 node-labeled names landed on only %d of %d stripes", len(stripes), DefaultShards)
 	}
 }

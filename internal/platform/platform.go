@@ -132,20 +132,14 @@ func (inv *Invocation) ChargeOther(label string, d time.Duration) {
 // Total returns the end-to-end latency recorded so far.
 func (inv *Invocation) Total() time.Duration { return inv.Breakdown.Total() }
 
-// StartSpan opens a paired span: one on the breakdown (per-invocation
-// view) and one in the event journal (fleet-wide view), joined by
-// stamping the journal SpanID onto the breakdown span. Close it with
-// FinishSpan.
-func (inv *Invocation) StartSpan(component, name string, p trace.Phase, attrs ...events.Attr) *trace.Span {
-	s := inv.Breakdown.BeginSpan(name, p, inv.Clock.Now())
+// StartSpan opens a span in the event journal at the invocation's
+// current virtual time. Close it with FinishSpan.
+func (inv *Invocation) StartSpan(component, name string, attrs ...events.Attr) {
 	inv.Trace.Begin(component, name, inv.Clock.Now(), attrs...)
-	s.ID = uint64(inv.Trace.Current().Span)
-	return s
 }
 
-// FinishSpan closes the innermost span pair opened by StartSpan.
+// FinishSpan closes the innermost span opened by StartSpan.
 func (inv *Invocation) FinishSpan(attrs ...events.Attr) {
-	inv.Breakdown.EndSpan(inv.Clock.Now())
 	inv.Trace.End(inv.Clock.Now(), attrs...)
 }
 

@@ -70,15 +70,6 @@ func TestGeoMeanDurations(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("single value stddev != 0")
-	}
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !approx(got, 2, 1e-9) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct{ p, want float64 }{

@@ -35,7 +35,10 @@
 package telemetry
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -99,6 +102,54 @@ func (c Config) withDefaults() Config {
 		c.Timeout = 30 * time.Second
 	}
 	return c
+}
+
+// ParseSpec parses a -telem flag value, "seed=N,rate=P[,card=K]" (every
+// key optional, any order): the sampler's Config plus card, the
+// per-family label-value budget the same flag sets on the registry
+// (metrics.Registry.SetCardinalityLimit; 0 = unbounded). An explicit
+// rate=0 keeps no boring traces. An empty spec leaves the governor off
+// and returns a nil Config.
+func ParseSpec(spec string) (cfg *Config, card int, err error) {
+	if spec == "" {
+		return nil, 0, nil
+	}
+	cfg = &Config{Seed: 1, KeepRate: 0.1}
+	for _, field := range strings.Split(spec, ",") {
+		key, value, ok := strings.Cut(strings.TrimSpace(field), "=")
+		if !ok {
+			return nil, 0, fmt.Errorf("-telem field %q is not key=value", field)
+		}
+		switch key {
+		case "seed":
+			n, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				return nil, 0, fmt.Errorf("-telem seed: %w", err)
+			}
+			cfg.Seed = n
+		case "rate":
+			r, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				return nil, 0, fmt.Errorf("-telem rate: %w", err)
+			}
+			if r < 0 || r > 1 {
+				return nil, 0, fmt.Errorf("-telem rate %v out of [0,1]", r)
+			}
+			cfg.KeepRate = r
+			if r == 0 {
+				cfg.KeepRate = -1 // Config's zero means "default"
+			}
+		case "card":
+			k, err := strconv.Atoi(value)
+			if err != nil || k < 0 {
+				return nil, 0, fmt.Errorf("-telem card %q (want a non-negative integer)", value)
+			}
+			card = k
+		default:
+			return nil, 0, fmt.Errorf("-telem has no key %q (want seed, rate, card)", key)
+		}
+	}
+	return cfg, card, nil
 }
 
 // traceState is what the sampler buffers per in-flight trace: not the
@@ -215,20 +266,6 @@ func (t *TailSampler) Attach(j *events.Journal, reg *metrics.Registry) {
 		return ok
 	})
 	j.SetObserver(t)
-}
-
-// Detach disarms the sampler, leaving pending traces undecided.
-func (t *TailSampler) Detach() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	j := t.j
-	t.mu.Unlock()
-	if j != nil {
-		j.SetObserver(nil)
-		j.SetEvictionGuard(nil)
-	}
 }
 
 // decision is one completed trace's verdict, executed outside t.mu.

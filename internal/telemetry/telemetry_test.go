@@ -249,17 +249,10 @@ func TestArmedSamplerGuardsPendingTraces(t *testing.T) {
 	}
 }
 
-func TestNilAndDetach(t *testing.T) {
+func TestNilSampler(t *testing.T) {
 	var ts *TailSampler
 	ts.ObserveEvent(events.Event{})
 	ts.Flush(0)
 	ts.FlushAll()
 	_ = ts.Stats()
-
-	armed, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1}, 4)
-	armed.Detach()
-	id := closeTrace(j, 0, time.Millisecond)
-	if len(j.Trace(id)) == 0 {
-		t.Fatal("detached sampler still dropped a trace")
-	}
 }

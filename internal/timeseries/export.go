@@ -21,19 +21,6 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	return writeCSV(w, s.Snapshot())
 }
 
-// WriteCSVFiltered is WriteCSV over only the series for which keep
-// returns true (e.g. just the mem_* columns for a Fig-10 artifact).
-func (s *Sampler) WriteCSVFiltered(w io.Writer, keep func(name string) bool) error {
-	all := s.Snapshot()
-	kept := all[:0]
-	for _, sr := range all {
-		if keep == nil || keep(sr.Name) {
-			kept = append(kept, sr)
-		}
-	}
-	return writeCSV(w, kept)
-}
-
 func writeCSV(w io.Writer, series []SeriesSnapshot) error {
 	// Row skeleton: the sorted union of every timestamp.
 	tsSet := make(map[time.Duration]bool)

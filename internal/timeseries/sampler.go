@@ -218,13 +218,6 @@ func (s *Sampler) Delta(name string, from time.Duration) (float64, bool) {
 	return s.series[name].DeltaSince(from)
 }
 
-// Rate returns the named series' growth per virtual second since from.
-func (s *Sampler) Rate(name string, from time.Duration) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.series[name].RateSince(from)
-}
-
 // Quantile returns the p-quantile of the named series after from.
 func (s *Sampler) Quantile(name string, from time.Duration, p float64) (float64, bool) {
 	s.mu.Lock()

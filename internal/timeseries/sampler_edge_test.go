@@ -52,9 +52,6 @@ func TestSamplerUnknownSeries(t *testing.T) {
 	if _, ok := s.Delta("missing", 0); ok {
 		t.Fatal("Delta on unknown series reported ok")
 	}
-	if _, ok := s.Rate("missing", 0); ok {
-		t.Fatal("Rate on unknown series reported ok")
-	}
 	if _, ok := s.Quantile("missing", 0, 99); ok {
 		t.Fatal("Quantile on unknown series reported ok")
 	}

@@ -158,10 +158,10 @@ func TestCSVExportSparseSeries(t *testing.T) {
 	s.AddProbe("q", func() float64 { return 2.5 })
 	s.Sample(ms(2))
 	var sb strings.Builder
-	if err := s.WriteCSVFiltered(&sb, func(n string) bool { return n == "p" || n == "q" }); err != nil {
+	if err := s.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := "p,q\n1000000,1,\n2000000,1,2.5\n"
+	want := "p,q,timeseries_samples_total\n1000000,1,,1\n2000000,1,2.5,2\n"
 	if got := sb.String(); got != "ts_ns,"+want {
 		t.Fatalf("sparse CSV = %q", got)
 	}

@@ -96,32 +96,21 @@ type ruleState struct {
 // transition back emits an "slo resolve" instant. Safe for concurrent
 // use.
 type Watchdog struct {
-	mu       sync.Mutex
-	sampler  *Sampler
-	journal  *events.Journal
-	reg      *metrics.Registry
-	rules    []*ruleState
-	alerts   []Alert
-	evidence func() events.Ref
+	mu      sync.Mutex
+	sampler *Sampler
+	journal *events.Journal
+	reg     *metrics.Registry
+	rules   []*ruleState
+	alerts  []Alert
 }
 
 // NewWatchdog builds a watchdog over a sampler, emitting alert events
 // into journal (nil is fine: alerts are still recorded and returned)
 // and per-rule slo_alerts_total / slo_rule_firing metrics into reg.
-// The default evidence finder links each alert to the newest journal
-// event that carries an "error" attribute inside a trace.
+// Each alert links to the newest journal event that carries an "error"
+// attribute inside a trace (LastErrorEvidence).
 func NewWatchdog(s *Sampler, journal *events.Journal, reg *metrics.Registry) *Watchdog {
-	w := &Watchdog{sampler: s, journal: journal, reg: reg}
-	w.evidence = func() events.Ref { return LastErrorEvidence(journal) }
-	return w
-}
-
-// SetEvidence replaces the causal-evidence finder consulted when an
-// alert fires.
-func (w *Watchdog) SetEvidence(fn func() events.Ref) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.evidence = fn
+	return &Watchdog{sampler: s, journal: journal, reg: reg}
 }
 
 // LastErrorEvidence scans the journal newest-first for an in-trace
@@ -212,7 +201,7 @@ func (w *Watchdog) Evaluate(now time.Duration) []Alert {
 			rs.firing = true
 			rs.fired.Inc()
 			rs.gauge.Set(1)
-			link := w.evidence()
+			link := LastErrorEvidence(w.journal)
 			ref := w.journal.InstantLinked("slo", "alert", now, link,
 				events.A("rule", rs.rule.Name),
 				events.A("contract", rs.rule.String()),

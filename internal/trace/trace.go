@@ -3,11 +3,15 @@
 // phases — start-up, function execution, and everything else (network,
 // disk, queueing) — and this package is the common currency that every
 // platform implementation uses to report those phases.
+//
+// A Breakdown is three phase totals plus the log of charges behind
+// them. It holds no spans: nested, timestamped intervals are recorded
+// once, in the event journal (internal/events), through
+// platform.Invocation.StartSpan/FinishSpan.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -25,25 +29,17 @@ const (
 // Breakdown accumulates virtual time per phase for one invocation.
 // The zero value is ready to use. Breakdown is not safe for concurrent
 // use; each invocation owns its own.
-//
-// The three standard phases live in fixed slots (no per-invocation
-// map allocation on the hot path); phases outside the standard three
-// fall back to a lazily allocated map.
 type Breakdown struct {
-	durs    [3]time.Duration // PhaseStartup, PhaseExec, PhaseOthers
+	durs    [3]time.Duration // indexed by slot: start-up, exec, others
 	present [3]bool          // whether the slot was ever charged (even 0)
-	extra   map[Phase]time.Duration
 	events  []Event
-	// spans are the root spans of the invocation's span tree; open is
-	// the stack of spans begun but not yet ended (see span.go).
-	spans []*Span
-	open  []*Span
-	// arena allocates spans in chunks so an invocation's ~dozen spans
-	// cost one allocation instead of one each (see span.go).
-	arena []Span
 }
 
-// slot maps a standard phase to its fixed index, or -1.
+// phases lists the three phases in slot order.
+var phases = [3]Phase{PhaseStartup, PhaseExec, PhaseOthers}
+
+// slot maps a phase to its fixed index. Charging or reading a phase
+// other than the paper's three is an instrumentation bug and panics.
 func slot(p Phase) int {
 	switch p {
 	case PhaseStartup:
@@ -53,25 +49,7 @@ func slot(p Phase) int {
 	case PhaseOthers:
 		return 2
 	}
-	return -1
-}
-
-// forEachPhase visits every charged phase in sorted-name order:
-// exec, others, start-up slot among any extra phases.
-func (b *Breakdown) forEachPhase(fn func(p Phase, d time.Duration)) {
-	phases := make([]Phase, 0, 3+len(b.extra))
-	for i, p := range [3]Phase{PhaseStartup, PhaseExec, PhaseOthers} {
-		if b.present[i] {
-			phases = append(phases, p)
-		}
-	}
-	for p := range b.extra {
-		phases = append(phases, p)
-	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, p := range phases {
-		fn(p, b.Get(p))
-	}
+	panic(fmt.Sprintf("trace: unknown phase %q", p))
 }
 
 // Event is a single timestamped accounting entry, useful for debugging a
@@ -87,25 +65,14 @@ func (b *Breakdown) Add(p Phase, label string, cost time.Duration) {
 	if cost < 0 {
 		panic(fmt.Sprintf("trace: negative cost %v for %s/%s", cost, p, label))
 	}
-	if i := slot(p); i >= 0 {
-		b.durs[i] += cost
-		b.present[i] = true
-	} else {
-		if b.extra == nil {
-			b.extra = make(map[Phase]time.Duration)
-		}
-		b.extra[p] += cost
-	}
+	i := slot(p)
+	b.durs[i] += cost
+	b.present[i] = true
 	b.events = append(b.events, Event{Phase: p, Label: label, Cost: cost})
 }
 
 // Get returns the accumulated time for one phase.
-func (b *Breakdown) Get(p Phase) time.Duration {
-	if i := slot(p); i >= 0 {
-		return b.durs[i]
-	}
-	return b.extra[p]
-}
+func (b *Breakdown) Get(p Phase) time.Duration { return b.durs[slot(p)] }
 
 // Startup, Exec, and Others are convenience accessors for the three
 // standard phases.
@@ -115,57 +82,22 @@ func (b *Breakdown) Others() time.Duration  { return b.Get(PhaseOthers) }
 
 // Total returns the end-to-end latency: the sum over all phases.
 func (b *Breakdown) Total() time.Duration {
-	t := b.durs[0] + b.durs[1] + b.durs[2]
-	for _, d := range b.extra {
-		t += d
-	}
-	return t
+	return b.durs[0] + b.durs[1] + b.durs[2]
 }
 
 // Events returns the accounting log in insertion order. The returned
 // slice is owned by the Breakdown and must not be modified.
 func (b *Breakdown) Events() []Event { return b.events }
 
-// Merge adds every phase of other into b. It is used when an invocation
-// spans a chain of functions and the chain reports one combined breakdown.
-// The other breakdown's root spans are appended to b's span tree.
-func (b *Breakdown) Merge(other *Breakdown) {
-	if other == nil {
-		return
-	}
-	other.forEachPhase(func(p Phase, d time.Duration) {
-		b.Add(p, "merged", d)
-	})
-	for _, s := range other.spans {
-		b.spans = append(b.spans, cloneSpan(s))
-	}
-}
-
-// Clone returns an independent copy of the breakdown. Spans still open
-// at clone time remain open only in the original; the clone holds an
-// independent deep copy of the span tree.
-func (b *Breakdown) Clone() *Breakdown {
-	c := &Breakdown{durs: b.durs, present: b.present}
-	if len(b.extra) > 0 {
-		c.extra = make(map[Phase]time.Duration, len(b.extra))
-		for p, d := range b.extra {
-			c.extra[p] = d
-		}
-	}
-	c.events = append(c.events, b.events...)
-	for _, s := range b.spans {
-		c.spans = append(c.spans, cloneSpan(s))
-	}
-	return c
-}
-
 // String renders the breakdown compactly, phases sorted by name, e.g.
 // "exec=1.2ms others=300µs start-up=12ms total=13.5ms".
 func (b *Breakdown) String() string {
 	var sb strings.Builder
-	b.forEachPhase(func(p Phase, d time.Duration) {
-		fmt.Fprintf(&sb, "%s=%v ", p, d)
-	})
+	for _, i := range [3]int{1, 2, 0} { // exec, others, start-up
+		if b.present[i] {
+			fmt.Fprintf(&sb, "%s=%v ", phases[i], b.durs[i])
+		}
+	}
 	fmt.Fprintf(&sb, "total=%v", b.Total())
 	return sb.String()
 }

@@ -43,31 +43,6 @@ func TestNegativeCostPanics(t *testing.T) {
 	b.Add(PhaseExec, "bad", -time.Millisecond)
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Breakdown
-	a.Add(PhaseExec, "x", time.Millisecond)
-	b.Add(PhaseExec, "y", 2*time.Millisecond)
-	b.Add(PhaseOthers, "z", time.Millisecond)
-	a.Merge(&b)
-	if a.Exec() != 3*time.Millisecond || a.Others() != time.Millisecond {
-		t.Fatalf("merged: %s", a.String())
-	}
-	a.Merge(nil) // must not panic
-}
-
-func TestClone(t *testing.T) {
-	var a Breakdown
-	a.Add(PhaseExec, "x", time.Millisecond)
-	c := a.Clone()
-	c.Add(PhaseExec, "more", time.Millisecond)
-	if a.Exec() != time.Millisecond {
-		t.Fatal("clone mutation leaked to original")
-	}
-	if c.Exec() != 2*time.Millisecond {
-		t.Fatal("clone did not accumulate")
-	}
-}
-
 func TestString(t *testing.T) {
 	var b Breakdown
 	b.Add(PhaseStartup, "boot", 12*time.Millisecond)
