@@ -101,7 +101,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/insight"
-	"repro/internal/lang"
 	"repro/internal/metrics"
 	"repro/internal/msgbus"
 	"repro/internal/platform"
@@ -183,7 +182,7 @@ func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config, card int
 		wfBus.AttachFaults(envCfg.Faults)
 		wfOpts.Retry = faults.DefaultRetryPolicy()
 	}
-	s.wf = workflow.New(wfBus, c.Journal(), c.Metrics(), clusterInvoker{c}, wfOpts)
+	s.wf = workflow.New(wfBus, c.Journal(), c.Metrics(), cluster.Invoker{C: c}, wfOpts)
 	s.sampler = timeseries.NewSampler(c.Metrics(), timeseries.DefaultCapacity)
 	if telem != nil {
 		// Arm the plane before the first event: the eviction guard and
@@ -225,16 +224,6 @@ func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config, card int
 	// The zero-time baseline sample anchors every burn-rate delta.
 	s.sampler.Sample(0)
 	return s
-}
-
-// clusterInvoker adapts the cluster to the workflow engine's Invoker:
-// workflow steps go through normal placement (and failover, when
-// armed); the serving node is recorded on the invocation's trace.
-type clusterInvoker struct{ c *cluster.Cluster }
-
-func (ci clusterInvoker) Invoke(name string, params lang.Value, opts platform.InvokeOptions) (*platform.Invocation, error) {
-	inv, _, err := ci.c.Invoke(name, params, opts)
-	return inv, err
 }
 
 // sharingEfficiency is the fleet-wide RSS-to-resident ratio: how many

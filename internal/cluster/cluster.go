@@ -483,6 +483,18 @@ func (c *Cluster) Invoke(name string, params lang.Value, opts platform.InvokeOpt
 	}
 }
 
+// Invoker adapts a Cluster to callers that invoke by name and have no
+// use for the serving node, such as the workflow engine: each call goes
+// through normal placement (and failover, when armed), and the serving
+// node is recorded on the invocation's trace.
+type Invoker struct{ C *Cluster }
+
+// Invoke is Cluster.Invoke without the node.
+func (ci Invoker) Invoke(name string, params lang.Value, opts platform.InvokeOptions) (*platform.Invocation, error) {
+	inv, _, err := ci.C.Invoke(name, params, opts)
+	return inv, err
+}
+
 // NodeStats is a point-in-time view of one node.
 type NodeStats struct {
 	Name        string

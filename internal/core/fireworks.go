@@ -770,18 +770,14 @@ func (f *Framework) invokeBridge(st *invokeState, inv *platform.Invocation) *fir
 // (step ⑧).
 func (f *Framework) stageExecute(st *invokeState, name string, inv *platform.Invocation, cl *lifecycle.Cleanup) error {
 	rt := st.instance.rt
-	attributedBefore := inv.Breakdown.Total()
-	mark := inv.Clock.Now()
 	inv.StartSpan("core", "exec")
-	result, err := rt.Call("__fireworks_continue")
-	span := inv.Clock.Since(mark)
+	result, _, err := inv.ChargeExec(func() (lang.Value, error) { return rt.Call("__fireworks_continue") })
 	inv.FinishSpan()
-	inv.Breakdown.Add(trace.PhaseExec, "exec", span-(inv.Breakdown.Total()-attributedBefore))
 	if err != nil {
 		return fmt.Errorf("fireworks: %s: %w", name, err)
 	}
 	inv.Result = result
-	inv.Response = responseOrDefault(inv, result, f.profile)
+	inv.RespondDefault(result, f.profile)
 	inv.Logs += rt.Stdout.String()
 	rt.Stdout.Reset()
 	inv.Mode = platform.ModeWarm // every Fireworks start behaves like (better than) warm
@@ -1005,17 +1001,6 @@ func (f *Framework) installFireworksNatives(rt *runtime.Runtime, bridge *firewor
 		},
 	}
 	rt.InstallNatives(natives)
-}
-
-// responseOrDefault wraps a function result as the delivered response
-// when the guest did not call http_respond itself.
-func responseOrDefault(inv *platform.Invocation, result lang.Value, profile sandbox.Profile) *platform.Response {
-	if inv.Response != nil {
-		return inv.Response
-	}
-	body := lang.Format(result)
-	inv.ChargeOther("response", profile.NetOpBase+platform.PerKB(profile, len(body)))
-	return &platform.Response{Status: 200, Body: body}
 }
 
 // Statically assert the Platform contract.

@@ -10,9 +10,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/faults"
-	"repro/internal/metrics"
+	"repro/internal/lang"
 	"repro/internal/platform"
 	"repro/internal/runtime"
+	"repro/internal/telemetry"
 	"repro/internal/timeseries"
 	"repro/internal/vclock"
 	"repro/internal/workloads"
@@ -61,70 +62,66 @@ func chaosBudget() (uint64, error) {
 	return env.Snaps.UsedBytes() - 1, nil
 }
 
-// chaosOutcome is what one configuration's storm produced.
-type chaosOutcome struct {
+// stormArm is what distinguishes one run of the seeded storm from
+// another; seed, rate, fleet size, functions and request sequence are
+// the same for all of them.
+type stormArm struct {
+	// env sizes each node and may carry a journal; runStorm adds the
+	// fault plane.
+	env platform.EnvConfig
+	// resilient turns on stage retries and controller failover.
+	resilient bool
+	// probe prefixes the requests/failures series the watchdog reads.
+	probe string
+	// sampled arms the tail-based trace sampler.
+	sampled bool
+}
+
+// storm is one finished run of the seeded storm.
+type storm struct {
+	c         *cluster.Cluster
 	successes int
 	failures  int
-	retries   int64
-	failovers int64
-	crashes   int64
-	injected  int64
-	dump      string
-	// ndjson is the run's full event journal (the determinism witness);
-	// chrome is the same journal as Perfetto-loadable trace JSON.
-	ndjson []byte
-	chrome []byte
-	// alerts is what the SLO watchdog fired during the storm; journal
-	// keeps the run's event journal alive so each alert's causal link
-	// can be resolved back to the trace that broke the SLO.
-	alerts  []timeseries.Alert
-	journal *events.Journal
-	// reg keeps the storm's metrics registry alive so the insight
-	// experiment can walk histogram exemplars back into the journal.
-	reg *metrics.Registry
+	// alerts is what the SLO watchdog fired; each alert's causal link
+	// resolves through c.Journal() to the trace that broke the SLO.
+	alerts []timeseries.Alert
+	// tail is the armed trace sampler (nil, and nil-safe, without one).
+	tail *telemetry.TailSampler
+	// end is where the storm left its virtual timeline.
+	end time.Duration
 }
 
-func (o *chaosOutcome) successRate() float64 {
-	total := o.successes + o.failures
-	if total == 0 {
-		return 0
-	}
-	return float64(o.successes) / float64(total)
+func (s *storm) successRate() float64 {
+	return float64(s.successes) / float64(s.successes+s.failures)
 }
 
-// runChaosOnce replays the seeded storm against one configuration.
-func runChaosOnce(seed uint64, resilient bool) (*chaosOutcome, error) {
-	plane := faults.NewPlane(seed)
-	budget, err := chaosBudget()
-	if err != nil {
-		return nil, err
+// runStorm replays the seeded storm against one arm: chaosInvocations
+// requests alternating faas-fact and faas-matrix-mult on a
+// chaosNodes-node Fireworks cluster whose data path faults at chaosRate.
+func runStorm(arm stormArm) (*storm, error) {
+	plane := faults.NewPlane(chaosSeed)
+	arm.env.Faults = plane
+	retry, failover := faults.RetryPolicy{}, cluster.FailoverPolicy{MaxFailovers: 0}
+	if arm.resilient {
+		retry, failover.MaxFailovers = faults.DefaultRetryPolicy(), 2
 	}
-	cfg := platform.EnvConfig{
-		SnapshotDiskBudget:    budget,
-		RemoteSnapshotStorage: true,
-		Faults:                plane,
-	}
-	retry := faults.RetryPolicy{}
-	if resilient {
-		retry = faults.DefaultRetryPolicy()
-	}
-	c := cluster.New(chaosNodes, cluster.RoundRobin, cfg, func(env *platform.Env) platform.Platform {
+	c := cluster.New(chaosNodes, cluster.RoundRobin, arm.env, func(env *platform.Env) platform.Platform {
 		return core.New(env, core.Options{Retry: retry})
 	})
-	if resilient {
-		c.SetFailover(cluster.FailoverPolicy{MaxFailovers: 2})
-	} else {
-		c.SetFailover(cluster.FailoverPolicy{MaxFailovers: 0})
-	}
+	c.SetFailover(failover)
 
 	// Install fault-free: the storm targets the data path, not the
 	// one-time deploy. Profiles arm only after both functions are in.
-	wa := workloads.Fact(runtime.LangNode)
-	wb := workloads.MatrixMult(runtime.LangNode)
-	for _, w := range []workloads.Workload{wa, wb} {
+	ws := [2]workloads.Workload{workloads.Fact(runtime.LangNode), workloads.MatrixMult(runtime.LangNode)}
+	for _, w := range ws {
 		if err := c.Install(w.Function); err != nil {
 			return nil, err
 		}
+	}
+	st := &storm{c: c}
+	if arm.sampled {
+		st.tail = telemetry.New(telemetry.Config{Seed: telemSampleSeed, KeepRate: telemKeepRate})
+		st.tail.Attach(c.Journal(), c.Metrics())
 	}
 	plane.ApplyDefaultPlan(chaosRate)
 
@@ -132,46 +129,69 @@ func runChaosOnce(seed uint64, resilient bool) (*chaosOutcome, error) {
 	// sample per request, and the invoke-success-rate rule is evaluated
 	// at every sample. MinDen keeps it from firing before the storm has
 	// produced a statistically meaningful denominator.
-	out := &chaosOutcome{journal: c.Journal()}
+	requests, failures := arm.probe+"_requests_total", arm.probe+"_failures_total"
 	sampler := timeseries.NewSampler(c.Metrics(), timeseries.DefaultCapacity)
-	sampler.AddProbe("chaos_requests_total", func() float64 { return float64(out.successes + out.failures) })
-	sampler.AddProbe("chaos_failures_total", func() float64 { return float64(out.failures) })
+	sampler.AddProbe(requests, func() float64 { return float64(st.successes + st.failures) })
+	sampler.AddProbe(failures, func() float64 { return float64(st.failures) })
 	wd := timeseries.NewWatchdog(sampler, c.Journal(), c.Metrics())
 	wd.AddRule(timeseries.Rule{
 		Name:      "invoke-success-rate",
-		Ratio:     &timeseries.RatioSource{Num: "chaos_failures_total", Den: "chaos_requests_total", Complement: true, MinDen: 50},
+		Ratio:     &timeseries.RatioSource{Num: failures, Den: requests, Complement: true, MinDen: 50},
 		Op:        timeseries.AtLeast,
 		Threshold: 0.99,
 	})
 	timeline := vclock.New()
 	sampler.Sample(0)
 
-	paramsA := platform.MustParams(map[string]any{"n": 101, "rounds": 2})
-	paramsB := platform.MustParams(map[string]any{"n": 4})
+	params := [2]lang.Value{
+		platform.MustParams(map[string]any{"n": 101, "rounds": 2}),
+		platform.MustParams(map[string]any{"n": 4}),
+	}
 	for i := 0; i < chaosInvocations; i++ {
-		name, params := wa.Name, paramsA
-		if i%2 == 1 {
-			name, params = wb.Name, paramsB
-		}
-		inv, _, err := c.Invoke(name, params, platform.InvokeOptions{})
+		inv, _, err := c.Invoke(ws[i%2].Name, params[i%2], platform.InvokeOptions{})
 		step := time.Microsecond // failures still move the timeline
 		if err != nil {
-			out.failures++
+			st.failures++
 		} else {
-			out.successes++
+			st.successes++
 			step = inv.Breakdown.Total()
 		}
 		now := timeline.Advance(step)
 		sampler.Sample(now)
 		wd.Evaluate(now)
+		st.tail.Flush(now)
 	}
-	out.alerts = wd.Alerts()
+	st.alerts = wd.Alerts()
+	st.end = timeline.Now()
+	return st, nil
+}
 
-	reg := c.Metrics()
-	out.reg = reg
-	out.retries = reg.Counter("retries_total").Value()
-	out.failovers = reg.Counter("failovers_total").Value()
-	out.crashes = reg.Counter("cluster_node_crashes_total").Value()
+// chaosOutcome is what one configuration's storm produced.
+type chaosOutcome struct {
+	*storm
+	injected int64
+	dump     string
+	// ndjson is the run's full event journal (the determinism witness).
+	ndjson []byte
+}
+
+// runChaosOnce replays the storm against one configuration, on nodes
+// sized by chaosBudget.
+func runChaosOnce(resilient bool) (*chaosOutcome, error) {
+	budget, err := chaosBudget()
+	if err != nil {
+		return nil, err
+	}
+	st, err := runStorm(stormArm{
+		env:       platform.EnvConfig{SnapshotDiskBudget: budget, RemoteSnapshotStorage: true},
+		resilient: resilient,
+		probe:     "chaos",
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &chaosOutcome{storm: st}
+	reg := st.c.Metrics()
 	for _, cs := range reg.Snapshot().Counters {
 		if strings.HasPrefix(cs.Name, "faults_injected_total{") {
 			out.injected += cs.Value
@@ -182,33 +202,28 @@ func runChaosOnce(seed uint64, resilient bool) (*chaosOutcome, error) {
 		return nil, err
 	}
 	out.dump = sb.String()
-	evs := c.Journal().Events()
-	var nd, ch bytes.Buffer
-	if err := events.WriteNDJSON(&nd, evs); err != nil {
-		return nil, err
-	}
-	if err := events.WriteChromeTrace(&ch, evs); err != nil {
+	var nd bytes.Buffer
+	if err := events.WriteNDJSON(&nd, st.c.Journal().Events()); err != nil {
 		return nil, err
 	}
 	out.ndjson = nd.Bytes()
-	out.chrome = ch.Bytes()
 	return out, nil
 }
 
 // RunChaos is registered as experiment id "chaos".
 func RunChaos() (*Result, error) {
-	resilient, err := runChaosOnce(chaosSeed, true)
+	resilient, err := runChaosOnce(true)
 	if err != nil {
 		return nil, err
 	}
-	exposed, err := runChaosOnce(chaosSeed, false)
+	exposed, err := runChaosOnce(false)
 	if err != nil {
 		return nil, err
 	}
 	// Determinism: the same seed and configuration must reproduce the
 	// whole run — checked on the full metrics dump, the most sensitive
 	// artifact (every counter, gauge, bucket, and quantile).
-	replay, err := runChaosOnce(chaosSeed, true)
+	replay, err := runChaosOnce(true)
 	if err != nil {
 		return nil, err
 	}
@@ -217,6 +232,7 @@ func RunChaos() (*Result, error) {
 
 	res := &Result{ID: "chaos"}
 	row := func(mode string, o *chaosOutcome) []string {
+		reg := o.c.Metrics()
 		return []string{
 			mode,
 			fmt.Sprintf("%d", o.successes+o.failures),
@@ -224,9 +240,9 @@ func RunChaos() (*Result, error) {
 			fmt.Sprintf("%d", o.successes),
 			fmt.Sprintf("%d", o.failures),
 			fmt.Sprintf("%.1f%%", o.successRate()*100),
-			fmt.Sprintf("%d", o.retries),
-			fmt.Sprintf("%d", o.failovers),
-			fmt.Sprintf("%d", o.crashes),
+			fmt.Sprintf("%d", reg.Counter("retries_total").Value()),
+			fmt.Sprintf("%d", reg.Counter("failovers_total").Value()),
+			fmt.Sprintf("%d", reg.Counter("cluster_node_crashes_total").Value()),
 		}
 	}
 	res.Tables = append(res.Tables, Table{
@@ -277,7 +293,7 @@ func RunChaos() (*Result, error) {
 	alertDetail := "no alert fired"
 	if len(exposed.alerts) > 0 {
 		a := exposed.alerts[0]
-		linked := exposed.journal.Trace(a.Link.Trace)
+		linked := exposed.c.Journal().Trace(a.Link.Trace)
 		linkResolves = a.Link.Trace != 0 && len(linked) > 0
 		alertDetail = fmt.Sprintf("%s at %v (value %.3f, link trace %d: %d events)",
 			a.Rule, a.At, a.Value, uint64(a.Link.Trace), len(linked))
@@ -302,8 +318,13 @@ func RunChaos() (*Result, error) {
 			Pass:     len(resilient.alerts) == 0,
 		},
 	)
+	// The same journal as Perfetto-loadable trace JSON.
+	var chrome bytes.Buffer
+	if err := events.WriteChromeTrace(&chrome, resilient.c.Journal().Events()); err != nil {
+		return nil, err
+	}
 	res.Artifacts = append(res.Artifacts,
-		Artifact{Name: "chaos-trace.json", Contents: resilient.chrome},
+		Artifact{Name: "chaos-trace.json", Contents: chrome.Bytes()},
 		Artifact{Name: "chaos-trace.ndjson", Contents: resilient.ndjson},
 	)
 	return res, nil

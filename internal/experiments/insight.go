@@ -31,18 +31,19 @@ const insightSlowestK = 5
 
 // RunInsight is registered as experiment id "insight".
 func RunInsight() (*Result, error) {
-	storm, err := runChaosOnce(chaosSeed, true)
+	st, err := runChaosOnce(true)
 	if err != nil {
 		return nil, err
 	}
-	replay, err := runChaosOnce(chaosSeed, true)
+	replay, err := runChaosOnce(true)
 	if err != nil {
 		return nil, err
 	}
 
-	evs := storm.journal.Events()
+	journal, reg := st.c.Journal(), st.c.Metrics()
+	evs := journal.Events()
 	rep := insight.Analyze(evs)
-	insight.CountReport(storm.reg, "experiment")
+	insight.CountReport(reg, "experiment")
 
 	var repJSON, repDOT, repMermaid bytes.Buffer
 	if err := rep.WriteJSON(&repJSON); err != nil {
@@ -54,7 +55,7 @@ func RunInsight() (*Result, error) {
 	if err := rep.Graph.WriteMermaid(&repMermaid); err != nil {
 		return nil, err
 	}
-	replayRep := insight.Analyze(replay.journal.Events())
+	replayRep := insight.Analyze(replay.c.Journal().Events())
 	var replayJSON, replayDOT bytes.Buffer
 	if err := replayRep.WriteJSON(&replayJSON); err != nil {
 		return nil, err
@@ -120,7 +121,7 @@ func RunInsight() (*Result, error) {
 	top := rep.Slowest(insightSlowestK)
 	slowestAgree := len(top) > 0
 	for _, ti := range top {
-		single, ok := insight.AnalyzeTrace(storm.journal.Trace(ti.Trace))
+		single, ok := insight.AnalyzeTrace(journal.Trace(ti.Trace))
 		if !ok || single.Total != ti.Total || len(single.Path) != len(ti.Path) ||
 			len(single.Blame) != len(ti.Blame) {
 			slowestAgree = false
@@ -131,14 +132,14 @@ func RunInsight() (*Result, error) {
 	// Exemplars: every trace a histogram pinned during the storm must
 	// still resolve to events in the journal.
 	exemplars, resolved, exemplarHists := 0, 0, 0
-	for _, h := range storm.reg.Snapshot().Histograms {
+	for _, h := range reg.Snapshot().Histograms {
 		if len(h.Exemplars) == 0 {
 			continue
 		}
 		exemplarHists++
 		for _, ex := range h.Exemplars {
 			exemplars++
-			if len(storm.journal.Trace(events.TraceID(ex.Trace))) > 0 {
+			if len(journal.Trace(events.TraceID(ex.Trace))) > 0 {
 				resolved++
 			}
 		}

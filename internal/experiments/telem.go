@@ -3,20 +3,14 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/faults"
 	"repro/internal/insight"
-	"repro/internal/lang"
 	"repro/internal/msgbus"
 	"repro/internal/platform"
 	"repro/internal/runtime"
 	"repro/internal/telemetry"
-	"repro/internal/timeseries"
-	"repro/internal/vclock"
 	"repro/internal/workflow"
 	"repro/internal/workloads"
 )
@@ -36,11 +30,6 @@ import (
 //     same-seed replays — sampling must not cost determinism.
 
 const (
-	// telemSeed reuses the chaos storm's fault schedule.
-	telemSeed        = 22
-	telemRate        = 0.01
-	telemNodes       = 3
-	telemInvocations = 300
 	// telemKeepRate is the probabilistic keep fraction for boring
 	// traces; the always-keep policies ride above it.
 	telemKeepRate = 0.05
@@ -53,30 +42,18 @@ const (
 
 // telemOutcome is what one storm arm produced.
 type telemOutcome struct {
-	requests int
-	failures int
+	*storm
 	// ndjson is the post-flush journal export; insightJSON the full
 	// insight report over the same events (coverage-annotated when
 	// sampled).
 	ndjson      []byte
 	insightJSON []byte
 	stats       telemetry.Stats
-	journal     *events.Journal
-	alerts      []timeseries.Alert
 	// errorTraces/faultTraces/dlqTraces classify the journal's traces
 	// by what the sampling policies must preserve.
 	errorTraces map[events.TraceID]bool
 	faultTraces map[events.TraceID]bool
 	dlqTraces   map[events.TraceID]bool
-}
-
-// telemInvoker adapts the cluster to the workflow engine (steps place
-// like any other invocation).
-type telemInvoker struct{ c *cluster.Cluster }
-
-func (ti telemInvoker) Invoke(name string, params lang.Value, opts platform.InvokeOptions) (*platform.Invocation, error) {
-	inv, _, err := ti.c.Invoke(name, params, opts)
-	return inv, err
 }
 
 // telemPipeline is a two-step workflow whose second step calls a
@@ -93,82 +70,29 @@ func telemPipeline() *workflow.Spec {
 	}
 }
 
-// runTelemOnce replays the seeded storm against one journal layout,
-// with or without the tail sampler armed.
+// runTelemOnce replays the storm in exposed mode — no retries, no
+// failover, so its failures are real and the journal has an interesting
+// tail to preserve — against one journal layout, with or without the
+// tail sampler armed.
 func runTelemOnce(shards int, sampled bool) (*telemOutcome, error) {
-	plane := faults.NewPlane(telemSeed)
-	cfg := platform.EnvConfig{
-		Faults: plane,
-		Events: events.NewJournalShards(telemJournalCap, shards),
-	}
-	// Exposed mode: no retries, no failover — the storm's failures are
-	// real, so the journal has an interesting tail to preserve.
-	c := cluster.New(telemNodes, cluster.RoundRobin, cfg, func(env *platform.Env) platform.Platform {
-		return core.New(env, core.Options{})
+	st, err := runStorm(stormArm{
+		env:     platform.EnvConfig{Events: events.NewJournalShards(telemJournalCap, shards)},
+		probe:   "telem",
+		sampled: sampled,
 	})
-	c.SetFailover(cluster.FailoverPolicy{MaxFailovers: 0})
-
-	wa := workloads.Fact(runtime.LangNode)
-	wb := workloads.MatrixMult(runtime.LangNode)
-	for _, w := range []workloads.Workload{wa, wb} {
-		if err := c.Install(w.Function); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-
-	var tail *telemetry.TailSampler
-	if sampled {
-		tail = telemetry.New(telemetry.Config{Seed: telemSampleSeed, KeepRate: telemKeepRate})
-		tail.Attach(c.Journal(), c.Metrics())
-	}
-	plane.ApplyDefaultPlan(telemRate)
-
-	eng := workflow.New(msgbus.NewBroker(), c.Journal(), c.Metrics(), telemInvoker{c}, workflow.Options{})
+	c := st.c
+	// One poisoned workflow run dead-letters its second step; errors are
+	// expected (that is the point), the DLQ instant is the witness.
+	eng := workflow.New(msgbus.NewBroker(), c.Journal(), c.Metrics(), cluster.Invoker{C: c}, workflow.Options{})
 	if err := eng.Register(telemPipeline()); err != nil {
 		return nil, err
 	}
-
-	out := &telemOutcome{journal: c.Journal()}
-	sampler := timeseries.NewSampler(c.Metrics(), timeseries.DefaultCapacity)
-	sampler.SetRollups(timeseries.DefaultRollups())
-	sampler.AddProbe("telem_requests_total", func() float64 { return float64(out.requests) })
-	sampler.AddProbe("telem_failures_total", func() float64 { return float64(out.failures) })
-	wd := timeseries.NewWatchdog(sampler, c.Journal(), c.Metrics())
-	wd.AddRule(timeseries.Rule{
-		Name:      "invoke-success-rate",
-		Ratio:     &timeseries.RatioSource{Num: "telem_failures_total", Den: "telem_requests_total", Complement: true, MinDen: 50},
-		Op:        timeseries.AtLeast,
-		Threshold: 0.99,
-	})
-	timeline := vclock.New()
-	sampler.Sample(0)
-
-	paramsA := platform.MustParams(map[string]any{"n": 101, "rounds": 2})
-	paramsB := platform.MustParams(map[string]any{"n": 4})
-	for i := 0; i < telemInvocations; i++ {
-		name, params := wa.Name, paramsA
-		if i%2 == 1 {
-			name, params = wb.Name, paramsB
-		}
-		inv, _, err := c.Invoke(name, params, platform.InvokeOptions{})
-		step := time.Microsecond
-		out.requests++
-		if err != nil {
-			out.failures++
-		} else {
-			step = inv.Breakdown.Total()
-		}
-		now := timeline.Advance(step)
-		sampler.Sample(now)
-		wd.Evaluate(now)
-		tail.Flush(now)
-	}
-	// One poisoned workflow run dead-letters its second step; errors are
-	// expected (that is the point), the DLQ instant is the witness.
-	_, _ = eng.Run("telem-pipeline", map[string]any{"n": 3, "rounds": 1}, timeline.Now())
-	tail.FlushAll()
-	out.alerts = wd.Alerts()
-	out.stats = tail.Stats()
+	_, _ = eng.Run("telem-pipeline", map[string]any{"n": 3, "rounds": 1}, st.end)
+	st.tail.FlushAll()
+	out := &telemOutcome{storm: st, stats: st.tail.Stats()}
 
 	evs := c.Journal().Events()
 	out.errorTraces = make(map[events.TraceID]bool)
@@ -243,13 +167,13 @@ func RunTelem() (*Result, error) {
 	if len(sampledA.ndjson) > 0 {
 		reduction = float64(len(full.ndjson)) / float64(len(sampledA.ndjson))
 	}
-	errKept, errTotal := retained(full.errorTraces, sampledA.journal)
-	faultKept, faultTotal := retained(full.faultTraces, sampledA.journal)
-	dlqKept, dlqTotal := retained(full.dlqTraces, sampledA.journal)
+	errKept, errTotal := retained(full.errorTraces, sampledA.c.Journal())
+	faultKept, faultTotal := retained(full.faultTraces, sampledA.c.Journal())
+	dlqKept, dlqTotal := retained(full.dlqTraces, sampledA.c.Journal())
 
 	alertLinksResolve := len(sampledA.alerts) > 0
 	for _, a := range sampledA.alerts {
-		if a.Link.Trace == 0 || len(sampledA.journal.Trace(a.Link.Trace)) == 0 {
+		if a.Link.Trace == 0 || len(sampledA.c.Journal().Trace(a.Link.Trace)) == 0 {
 			alertLinksResolve = false
 		}
 	}
@@ -262,9 +186,9 @@ func RunTelem() (*Result, error) {
 	row := func(mode string, o *telemOutcome) []string {
 		return []string{
 			mode,
-			fmt.Sprintf("%d", o.requests),
+			fmt.Sprintf("%d", o.successes+o.failures),
 			fmt.Sprintf("%d", o.failures),
-			fmt.Sprintf("%d", o.journal.Len()),
+			fmt.Sprintf("%d", o.c.Journal().Len()),
 			fmt.Sprintf("%d", len(o.ndjson)),
 			fmt.Sprintf("%d/%d", o.stats.KeptTraces, o.stats.DecidedTraces),
 			fmt.Sprintf("%d", o.stats.DroppedBytes),
@@ -272,7 +196,7 @@ func RunTelem() (*Result, error) {
 	}
 	res.Tables = append(res.Tables, Table{
 		ID:     "telem",
-		Title:  fmt.Sprintf("Telemetry plane: tail sampling over the exposed storm (seed %d, %d invocations, keep rate %.0f%%)", telemSeed, telemInvocations, telemKeepRate*100),
+		Title:  fmt.Sprintf("Telemetry plane: tail sampling over the exposed storm (seed %d, %d invocations, keep rate %.0f%%)", chaosSeed, chaosInvocations, telemKeepRate*100),
 		Header: []string{"mode", "requests", "failed", "journal events", "export bytes", "traces kept", "bytes dropped"},
 		Rows: [][]string{
 			row("full fidelity", full),

@@ -1,15 +1,10 @@
 package platform
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/fs"
-	"repro/internal/lang"
-	"repro/internal/lifecycle"
 	"repro/internal/mem"
-	"repro/internal/runtime"
 	"repro/internal/sandbox"
 	"repro/internal/trace"
 )
@@ -23,39 +18,25 @@ const (
 	costOWWarmController = 24 * time.Millisecond
 )
 
-// containerPlatform is the shared implementation behind the OpenWhisk
-// and gVisor baselines: per-function pools of pausable container guests.
-type containerPlatform struct {
-	env     *Env
-	name    string
-	profile sandbox.Profile
+// processGuest is the park/stop half of the kinds whose guest is a host
+// process-level sandbox owning one address space: it stays resident as
+// it is while pooled, and stopping it frees the space.
+type processGuest struct{}
+
+func (processGuest) park(*guest) error { return nil }
+
+func (processGuest) stop(g *guest) error {
+	g.space.Free()
+	return nil
+}
+
+// containerKind is the guest behind the OpenWhisk and gVisor baselines:
+// a pausable container with a private runtime image.
+type containerKind struct {
+	processGuest
 	// controller overheads; zero for bare-Docker gVisor.
 	coldOverhead time.Duration
 	warmOverhead time.Duration
-	// chains enables the invoke() native (OpenWhisk can run function
-	// chains; the bare sandbox managers cannot — §5.3).
-	chains bool
-	// pool holds idle warm containers; its keep-alive TTL bounds how
-	// long one stays resident on the workload timeline
-	// (InvokeOptions.At); zero keeps containers forever (the default
-	// for untimed invocations).
-	pool *lifecycle.Pool[*containerGuest]
-
-	mu     sync.Mutex
-	fns    map[string]*Function
-	nextID int
-}
-
-// containerGuest is one (possibly paused) container with a loaded
-// runtime.
-type containerGuest struct {
-	id        string
-	fn        *Function
-	rt        *runtime.Runtime
-	space     *mem.Space
-	overlay   *fs.Overlay
-	binding   *NativeBinding
-	heapAlloc bool
 }
 
 // NewOpenWhisk returns the OpenWhisk baseline: container sandboxes plus
@@ -68,243 +49,53 @@ func NewOpenWhisk(env *Env) Platform { return NewOpenWhiskKeepAlive(env, 0) }
 // (InvokeOptions.At), releasing their memory — the production policy
 // ("defer termination of the worker sandbox for a certain period", §2).
 func NewOpenWhiskKeepAlive(env *Env, ttl time.Duration) Platform {
-	p := &containerPlatform{
-		env:          env,
-		name:         "openwhisk",
-		profile:      sandbox.Profiles(sandbox.ClassContainer),
-		coldOverhead: costOWColdController,
-		warmOverhead: costOWWarmController,
-		chains:       true,
-		fns:          make(map[string]*Function),
-	}
-	p.pool = lifecycle.NewPool(lifecycle.PoolConfig[*containerGuest]{
-		TTL:     ttl,
-		OnEvict: func(g *containerGuest) { g.space.Free() },
-	})
-	p.pool.Instrument(env.Metrics, p.name)
-	return p
+	b := newBaseline(env, "openwhisk", sandbox.ClassContainer, ttl,
+		containerKind{coldOverhead: costOWColdController, warmOverhead: costOWWarmController})
+	b.chains = true
+	return b
 }
 
 // NewGVisor returns the gVisor baseline: runsc sandboxes under plain
 // Docker (no controller, no chain support).
 func NewGVisor(env *Env) Platform {
-	p := &containerPlatform{
-		env:     env,
-		name:    "gvisor",
-		profile: sandbox.Profiles(sandbox.ClassGVisor),
-		fns:     make(map[string]*Function),
-	}
-	p.pool = lifecycle.NewPool(lifecycle.PoolConfig[*containerGuest]{
-		OnEvict: func(g *containerGuest) { g.space.Free() },
-	})
-	p.pool.Instrument(env.Metrics, p.name)
-	return p
+	return newBaseline(env, "gvisor", sandbox.ClassGVisor, 0, containerKind{})
 }
 
-// PlatformName implements Platform.
-func (p *containerPlatform) PlatformName() string { return p.name }
+// install: container platforms only register the function.
+func (containerKind) install(*baseline, *deployed, *InstallReport) error { return nil }
 
-// Install implements Platform: container platforms only register the
-// function; sandboxes are created lazily at first invocation.
-func (p *containerPlatform) Install(fn Function) (*InstallReport, error) {
-	if err := validate(&fn); err != nil {
-		return nil, err
+// cold pays controller work, container creation, runtime boot and
+// application load.
+func (k containerKind) cold(b *baseline, g *guest, inv *Invocation) error {
+	if k.coldOverhead > 0 {
+		inv.ChargeStartup("controller", k.coldOverhead)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fns[fn.Name] = &fn
-	return &InstallReport{Function: fn.Name}, nil
-}
+	inv.ChargeStartup("container-create", b.profile.ColdCreate)
 
-// Remove implements Platform.
-func (p *containerPlatform) Remove(name string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.fns[name]; !ok {
-		return fmt.Errorf("%s: no function %q", p.name, name)
+	g.id = b.newID()
+	g.space = b.env.Mem.NewSpace(g.id)
+	g.space.AllocPrivate(mem.KindAnon, mem.PagesFor(b.profile.InfraBytes))
+
+	bootMark := inv.Clock.Now()
+	if err := b.startRuntime(g, inv, fs.NewOverlay(fs.NewMemFS()), false); err != nil {
+		return err
 	}
-	for _, g := range p.pool.DrainKey(name) {
-		g.space.Free()
-	}
-	delete(p.fns, name)
+	inv.Breakdown.Add(trace.PhaseStartup, "runtime-boot+load", inv.Clock.Since(bootMark))
+	g.space.AllocPrivate(mem.KindRuntime, mem.PagesFor(g.rt.Model.RuntimeImageBytes))
+	g.space.AllocPrivate(mem.KindLibrary, mem.PagesFor(g.rt.Model.LibraryBytes))
 	return nil
 }
 
-// Invoke implements Platform.
-func (p *containerPlatform) Invoke(name string, params lang.Value, opts InvokeOptions) (*Invocation, error) {
-	p.mu.Lock()
-	fn, ok := p.fns[name]
-	p.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%s: no function %q", p.name, name)
+func (k containerKind) resume(b *baseline, g *guest, inv *Invocation) error {
+	if k.warmOverhead > 0 {
+		inv.ChargeStartup("controller", k.warmOverhead)
 	}
-
-	inv := opts.Parent
-	if inv == nil {
-		inv = NewInvocation(name)
-	}
-	// Request delivery: frontend -> controller -> sandbox.
-	paramBytes := encodedSize(params)
-	inv.ChargeOther("param-deliver", p.profile.NetOpBase+time.Duration((paramBytes+1023)/1024)*p.profile.NetPerKB)
-
-	guest, mode, err := p.acquire(fn, opts.Mode, inv, opts.At)
-	if err != nil {
-		observeInvokeError(p.env.Metrics, p.name)
-		return nil, err
-	}
-	inv.Mode = mode
-	inv.SandboxID = guest.id
-
-	guest.rt.SetClock(inv.Clock)
-	guest.binding.Rebind(inv)
-
-	// Execute the entry point. Whatever the call charged to explicit
-	// phases (host-native "others" charges, and the full breakdown of
-	// chained child invocations) is subtracted from the measured span;
-	// the remainder is this function's own execution time.
-	attributedBefore := inv.Breakdown.Total()
-	startMark := inv.Clock.Now()
-	result, err := guest.rt.Call(fn.EntryName(), params)
-	span := inv.Clock.Since(startMark)
-	attributed := inv.Breakdown.Total() - attributedBefore
-	exec := span - attributed
-	inv.Breakdown.Add(trace.PhaseExec, "exec", exec)
-	// Sentry-style sandboxes intercept the runtime's own syscalls
-	// during computation (gVisor), taxing pure execution.
-	if p.profile.ExecOverheadFactor > 0 && exec > 0 {
-		tax := time.Duration(float64(exec) * p.profile.ExecOverheadFactor)
-		inv.Clock.Advance(tax)
-		inv.Breakdown.Add(trace.PhaseExec, "syscall-interception", tax)
-	}
-	if err != nil {
-		p.release(guest, opts.At)
-		observeInvokeError(p.env.Metrics, p.name)
-		return inv, fmt.Errorf("%s: %s: %w", p.name, name, err)
-	}
-	inv.Result = result
-	inv.Logs += guest.rt.Stdout.String()
-	guest.rt.Stdout.Reset()
-
-	// Memory dirtied by this run (heap churn + workload writes), only
-	// accounted once per guest: later warm runs reuse the same pages.
-	if !guest.heapAlloc {
-		guest.space.AllocPrivate(mem.KindHeap,
-			mem.PagesFor(guest.rt.Model.HeapPerInvokeBytes+fn.DirtyBytesPerRun))
-		guest.heapAlloc = true
-	}
-
-	// Response delivery when the function did not answer over HTTP
-	// itself.
-	if inv.Response == nil {
-		body := lang.Format(result)
-		inv.ChargeOther("response", p.profile.NetOpBase+time.Duration((len(body)+1023)/1024)*p.profile.NetPerKB)
-		inv.Response = &Response{Status: 200, Body: body}
-	}
-
-	p.release(guest, opts.At)
-	if opts.Parent == nil {
-		observeInvocation(p.env.Metrics, p.name, inv)
-	}
-	return inv, nil
+	inv.ChargeStartup("container-unpause", b.profile.WarmResume)
+	return nil
 }
 
-// acquire returns a running guest for fn, cold-starting one if needed.
-// Pool entries whose keep-alive expired before `at` are terminated
-// (their memory released) instead of reused.
-func (p *containerPlatform) acquire(fn *Function, mode StartMode, inv *Invocation, at time.Duration) (*containerGuest, StartMode, error) {
-	if mode != ModeCold {
-		if guest, ok := p.pool.Acquire(fn.Name, at); ok {
-			if p.warmOverhead > 0 {
-				inv.ChargeStartup("controller", p.warmOverhead)
-			}
-			inv.ChargeStartup("container-unpause", p.profile.WarmResume)
-			return guest, ModeWarm, nil
-		}
-	}
-	if mode == ModeWarm {
-		return nil, mode, fmt.Errorf("%s: no warm sandbox for %q", p.name, fn.Name)
-	}
-
-	// Cold start: controller work, container creation, runtime boot,
-	// application load.
-	if p.coldOverhead > 0 {
-		inv.ChargeStartup("controller", p.coldOverhead)
-	}
-	inv.ChargeStartup("container-create", p.profile.ColdCreate)
-
-	p.mu.Lock()
-	p.nextID++
-	id := fmt.Sprintf("%s-%04d", p.name, p.nextID)
-	p.mu.Unlock()
-
-	space := p.env.Mem.NewSpace(id)
-	space.AllocPrivate(mem.KindAnon, mem.PagesFor(p.profile.InfraBytes))
-
-	rt := runtime.New(fn.Lang, inv.Clock)
-	overlay := fs.NewOverlay(fs.NewMemFS())
-	guest := &containerGuest{id: id, fn: fn, rt: rt, space: space, overlay: overlay}
-	guest.binding = &NativeBinding{
-		Profile: p.profile,
-		FS:      overlay,
-		Couch:   p.env.Couch,
-		Inv:     inv,
-	}
-	if p.chains {
-		guest.binding.Invoke = func(name string, params lang.Value, parent *Invocation) (*Invocation, error) {
-			return p.Invoke(name, params, InvokeOptions{Parent: parent})
-		}
-	}
-	guest.binding.Install(rt)
-
-	bootMark := inv.Clock.Now()
-	rt.Boot()
-	if err := rt.LoadModule(fn.Source); err != nil {
-		space.Free()
-		return nil, mode, err
-	}
-	inv.Breakdown.Add(trace.PhaseStartup, "runtime-boot+load", inv.Clock.Since(bootMark))
-	space.AllocPrivate(mem.KindRuntime, mem.PagesFor(rt.Model.RuntimeImageBytes))
-	space.AllocPrivate(mem.KindLibrary, mem.PagesFor(rt.Model.LibraryBytes))
-	return guest, ModeCold, nil
-}
-
-// release returns a guest to the warm pool (OpenWhisk's keep-alive),
-// stamping it with the invocation's workload-timeline position.
-func (p *containerPlatform) release(g *containerGuest, at time.Duration) {
-	p.pool.Release(g.fn.Name, g, at)
-}
-
-// ExpireIdle implements Platform: terminate every pooled container idle
-// past the keep-alive at timeline position now, releasing its memory.
-// (Acquire also expires lazily; this is the background reaper that
-// reclaims memory for functions that are never called again.)
-func (p *containerPlatform) ExpireIdle(now time.Duration) int {
-	return p.pool.ExpireIdle(now)
-}
-
-// Spaces returns the address spaces of the function's pooled containers
-// (implements the harness's MemoryReporter).
-func (p *containerPlatform) Spaces(name string) []*mem.Space {
-	var out []*mem.Space
-	for _, g := range p.pool.Guests(name) {
-		out = append(out, g.space)
-	}
-	return out
-}
-
-// WarmCount implements Platform: the idle pool size for a function.
-func (p *containerPlatform) WarmCount(name string) int {
-	return p.pool.Count(name)
-}
-
-// encodedSize estimates the wire size of params.
-func encodedSize(params lang.Value) int {
-	if params == nil {
-		return 2
-	}
-	data, err := runtime.EncodeJSON(params)
-	if err != nil {
-		return 64
-	}
-	return len(data)
+// dirty: heap churn plus workload writes.
+func (containerKind) dirty(g *guest) {
+	g.space.AllocPrivate(mem.KindHeap,
+		mem.PagesFor(g.rt.Model.HeapPerInvokeBytes+g.fn.DirtyBytesPerRun))
 }

@@ -1,16 +1,10 @@
 package platform
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
-	"repro/internal/lang"
-	"repro/internal/lifecycle"
 	"repro/internal/mem"
-	"repro/internal/runtime"
 	"repro/internal/sandbox"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 	"repro/internal/vmm"
 )
 
@@ -39,267 +33,115 @@ func (m FirecrackerMode) String() string {
 	return "no-snapshot"
 }
 
-// firecrackerPlatform is the Firecracker baseline: microVM sandboxes,
-// one function per VM, warm pool by pausing VMs. It cannot run function
-// chains (§5.3).
-type firecrackerPlatform struct {
-	env     *Env
-	mode    FirecrackerMode
-	profile sandbox.Profile
-	// pool holds idle paused microVMs awaiting a warm resume.
-	pool *lifecycle.Pool[*fcGuest]
-
-	mu     sync.Mutex
-	fns    map[string]*Function
-	osSnap map[string]*vmm.Snapshot
-}
-
-type fcGuest struct {
-	vm        *vmm.MicroVM
-	fn        *Function
-	rt        *runtime.Runtime
-	binding   *NativeBinding
-	heapAlloc bool
-}
-
-// NewFirecracker returns the Firecracker baseline in the given mode.
-func NewFirecracker(env *Env, mode FirecrackerMode) Platform {
-	p := &firecrackerPlatform{
-		env:     env,
-		mode:    mode,
-		profile: sandbox.Profiles(sandbox.ClassFirecracker),
-		fns:     make(map[string]*Function),
-		osSnap:  make(map[string]*vmm.Snapshot),
-	}
-	p.pool = lifecycle.NewPool(lifecycle.PoolConfig[*fcGuest]{
-		OnEvict: func(g *fcGuest) { _ = g.vm.Stop() },
-	})
-	p.pool.Instrument(env.Metrics, p.PlatformName())
-	return p
-}
-
-// PlatformName implements Platform.
-func (p *firecrackerPlatform) PlatformName() string {
-	if p.mode == FCOSSnapshot {
-		return "firecracker+os-snapshot"
-	}
-	return "firecracker"
-}
-
-// Install implements Platform. In OS-snapshot mode installation boots a
-// VM once and captures the post-OS-boot image that invocations restore.
-func (p *firecrackerPlatform) Install(fn Function) (*InstallReport, error) {
-	if err := validate(&fn); err != nil {
-		return nil, err
-	}
-	report := &InstallReport{Function: fn.Name}
-	if p.mode == FCOSSnapshot {
-		clock := vclockNew()
-		vm, err := p.env.HV.CreateVM(vmm.DefaultConfig(), clock)
-		if err != nil {
-			return nil, err
-		}
-		if err := vm.BootKernel(clock); err != nil {
-			return nil, err
-		}
-		snap, err := p.env.HV.TakeSnapshot(vm, vmm.SnapOSOnly,
-			[]vmm.RegionSpec{{Kind: mem.KindKernel, Bytes: vmm.CostKernelBytes}},
-			osSnapshotWorkingSet, nil, clock)
-		if err != nil {
-			return nil, err
-		}
-		if err := vm.Stop(); err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		p.osSnap[fn.Name] = snap
-		p.mu.Unlock()
-		report.Duration = clock.Now()
-		report.SnapshotBytes = snap.TotalBytes()
-	}
-	p.mu.Lock()
-	p.fns[fn.Name] = &fn
-	p.mu.Unlock()
-	return report, nil
-}
-
 // osSnapshotWorkingSet is the post-boot resident set a restored OS
 // snapshot faults in before the runtime can start.
 const osSnapshotWorkingSet = 24 << 20
 
-// Remove implements Platform.
-func (p *firecrackerPlatform) Remove(name string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.fns[name]; !ok {
-		return fmt.Errorf("%s: no function %q", p.PlatformName(), name)
+// firecrackerKind is the Firecracker baseline's guest: a microVM, one
+// function per VM, warm pool by pausing VMs. It cannot run function
+// chains (§5.3).
+type firecrackerKind struct{ mode FirecrackerMode }
+
+// NewFirecracker returns the Firecracker baseline in the given mode.
+func NewFirecracker(env *Env, mode FirecrackerMode) Platform {
+	name := "firecracker"
+	if mode == FCOSSnapshot {
+		name = "firecracker+os-snapshot"
 	}
-	for _, g := range p.pool.DrainKey(name) {
-		if err := g.vm.Stop(); err != nil {
-			return err
-		}
+	return newBaseline(env, name, sandbox.ClassFirecracker, 0, firecrackerKind{mode})
+}
+
+// install: in OS-snapshot mode installation boots a VM once and captures
+// the post-OS-boot image that cold starts restore.
+func (k firecrackerKind) install(b *baseline, fn *deployed, report *InstallReport) error {
+	if k.mode != FCOSSnapshot {
+		return nil
 	}
-	delete(p.osSnap, name)
-	delete(p.fns, name)
+	clock := vclock.New()
+	vm, err := b.env.HV.CreateVM(vmm.DefaultConfig(), clock)
+	if err != nil {
+		return err
+	}
+	var snap *vmm.Snapshot
+	if err = vm.BootKernel(clock); err == nil {
+		snap, err = b.env.HV.TakeSnapshot(vm, vmm.SnapOSOnly,
+			[]vmm.RegionSpec{{Kind: mem.KindKernel, Bytes: vmm.CostKernelBytes}},
+			osSnapshotWorkingSet, nil, clock)
+	}
+	// The install VM exists only to be imaged: it goes whether or not
+	// the capture worked.
+	if stopErr := vm.Stop(); err == nil {
+		err = stopErr
+	}
+	if err != nil {
+		return err
+	}
+	fn.osSnap = snap
+	report.Duration = clock.Now()
+	report.SnapshotBytes = snap.TotalBytes()
 	return nil
 }
 
-// Invoke implements Platform.
-func (p *firecrackerPlatform) Invoke(name string, params lang.Value, opts InvokeOptions) (*Invocation, error) {
-	p.mu.Lock()
-	fn, ok := p.fns[name]
-	p.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%s: no function %q", p.PlatformName(), name)
-	}
-	inv := opts.Parent
-	if inv == nil {
-		inv = NewInvocation(name)
-	}
-	paramBytes := encodedSize(params)
-	inv.ChargeOther("param-deliver", p.profile.NetOpBase+timePerKB(p.profile, paramBytes))
-
-	guest, mode, err := p.acquire(fn, opts.Mode, inv, opts.At)
-	if err != nil {
-		observeInvokeError(p.env.Metrics, p.PlatformName())
-		return nil, err
-	}
-	inv.Mode = mode
-	inv.SandboxID = guest.vm.ID
-
-	guest.rt.SetClock(inv.Clock)
-	guest.binding.Rebind(inv)
-
-	attributedBefore := inv.Breakdown.Total()
-	mark := inv.Clock.Now()
-	result, err := guest.rt.Call(fn.EntryName(), params)
-	span := inv.Clock.Since(mark)
-	inv.Breakdown.Add(trace.PhaseExec, "exec", span-(inv.Breakdown.Total()-attributedBefore))
-	if err != nil {
-		p.release(guest, opts.At)
-		observeInvokeError(p.env.Metrics, p.PlatformName())
-		return inv, fmt.Errorf("%s: %s: %w", p.PlatformName(), name, err)
-	}
-	inv.Result = result
-	inv.Logs += guest.rt.Stdout.String()
-	guest.rt.Stdout.Reset()
-
-	if !guest.heapAlloc {
-		guest.vm.DirtyDuringExecution(guest.rt.Model.HeapPerInvokeBytes + fn.DirtyBytesPerRun)
-		guest.heapAlloc = true
-	}
-
-	if inv.Response == nil {
-		body := lang.Format(result)
-		inv.ChargeOther("response", p.profile.NetOpBase+timePerKB(p.profile, len(body)))
-		inv.Response = &Response{Status: 200, Body: body}
-	}
-	p.release(guest, opts.At)
-	if opts.Parent == nil {
-		observeInvocation(p.env.Metrics, p.PlatformName(), inv)
-	}
-	return inv, nil
-}
-
-func (p *firecrackerPlatform) acquire(fn *Function, mode StartMode, inv *Invocation, at time.Duration) (*fcGuest, StartMode, error) {
-	if mode != ModeCold {
-		if guest, ok := p.pool.Acquire(fn.Name, at); ok {
-			warmMark := inv.Clock.Now()
-			if err := guest.vm.ResumeWarm(inv.Clock); err != nil {
-				_ = guest.vm.Stop()
-				return nil, mode, err
-			}
-			inv.Breakdown.Add(trace.PhaseStartup, "vm-resume", inv.Clock.Since(warmMark))
-			return guest, ModeWarm, nil
-		}
-	}
-	if mode == ModeWarm {
-		return nil, mode, fmt.Errorf("%s: no warm microVM for %q", p.PlatformName(), fn.Name)
-	}
-
+// cold restores the OS snapshot or boots a fresh kernel, then boots the
+// runtime and loads the function inside the VM.
+func (k firecrackerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 	startMark := inv.Clock.Now()
-	var vm_ *vmm.MicroVM
-	var err error
-	switch p.mode {
-	case FCOSSnapshot:
-		p.mu.Lock()
-		snap := p.osSnap[fn.Name]
-		p.mu.Unlock()
-		if snap == nil {
-			return nil, mode, fmt.Errorf("%s: no OS snapshot for %q", p.PlatformName(), fn.Name)
-		}
-		vm_, err = p.env.HV.Restore(snap, vmm.RestoreOptions{}, inv.Clock)
+	hv := b.env.HV
+	if snap := g.fn.osSnap; snap != nil {
+		vm, err := hv.Restore(snap, vmm.RestoreOptions{}, inv.Clock)
 		if err != nil {
-			return nil, mode, err
+			return err
 		}
-		if err := p.env.HV.SetupNetwork(vm_, snap.GuestIP, inv.Clock); err != nil {
-			return nil, mode, err
+		g.vm, g.id, g.space = vm, vm.ID, vm.Space()
+		if err := hv.SetupNetwork(vm, snap.GuestIP, inv.Clock); err != nil {
+			return err
 		}
-	default:
-		vm_, err = p.env.HV.CreateVM(vmm.DefaultConfig(), inv.Clock)
+	} else {
+		vm, err := hv.CreateVM(vmm.DefaultConfig(), inv.Clock)
 		if err != nil {
-			return nil, mode, err
+			return err
 		}
-		if err := vm_.BootKernel(inv.Clock); err != nil {
-			return nil, mode, err
+		g.vm, g.id, g.space = vm, vm.ID, vm.Space()
+		if err := vm.BootKernel(inv.Clock); err != nil {
+			return err
 		}
-		if err := p.env.HV.SetupNetwork(vm_, "192.168.0.2", inv.Clock); err != nil {
-			return nil, mode, err
+		if err := hv.SetupNetwork(vm, "192.168.0.2", inv.Clock); err != nil {
+			return err
 		}
 	}
-
-	rt := runtime.New(fn.Lang, inv.Clock)
-	guest := &fcGuest{vm: vm_, fn: fn, rt: rt}
-	guest.binding = &NativeBinding{
-		Profile: p.profile,
-		FS:      vm_.FS,
-		Couch:   p.env.Couch,
-		Inv:     inv,
+	if err := b.startRuntime(g, inv, g.vm.FS, false); err != nil {
+		return err
 	}
-	guest.binding.Install(rt)
-
-	rt.Boot()
-	if err := rt.LoadModule(fn.Source); err != nil {
-		_ = vm_.Stop()
-		return nil, mode, err
+	if err := g.vm.AllocGuest(mem.KindRuntime, g.rt.Model.RuntimeImageBytes); err != nil {
+		return err
 	}
-	if err := vm_.AllocGuest(mem.KindRuntime, rt.Model.RuntimeImageBytes); err != nil {
-		return nil, mode, err
-	}
-	if err := vm_.AllocGuest(mem.KindLibrary, rt.Model.LibraryBytes); err != nil {
-		return nil, mode, err
+	if err := g.vm.AllocGuest(mem.KindLibrary, g.rt.Model.LibraryBytes); err != nil {
+		return err
 	}
 	inv.Breakdown.Add(trace.PhaseStartup, "vm-boot+runtime", inv.Clock.Since(startMark))
-	return guest, ModeCold, nil
+	return nil
 }
 
-// Spaces returns the address spaces of the function's live (pooled)
-// microVMs, for the memory experiments (implements the harness's
-// MemoryReporter).
-func (p *firecrackerPlatform) Spaces(name string) []*mem.Space {
-	var out []*mem.Space
-	for _, g := range p.pool.Guests(name) {
-		out = append(out, g.vm.Space())
+func (firecrackerKind) resume(_ *baseline, g *guest, inv *Invocation) error {
+	warmMark := inv.Clock.Now()
+	if err := g.vm.ResumeWarm(inv.Clock); err != nil {
+		return err
 	}
-	return out
+	inv.Breakdown.Add(trace.PhaseStartup, "vm-resume", inv.Clock.Since(warmMark))
+	return nil
 }
 
-func (p *firecrackerPlatform) release(g *fcGuest, at time.Duration) {
-	if err := g.vm.Pause(); err != nil {
-		// A VM that cannot pause is broken; drop it.
-		_ = g.vm.Stop()
-		return
+func (firecrackerKind) park(g *guest) error { return g.vm.Pause() }
+
+// stop also serves a cold start that failed before its VM existed.
+func (firecrackerKind) stop(g *guest) error {
+	if g.vm == nil {
+		return nil
 	}
-	p.pool.Release(g.fn.Name, g, at)
+	return g.vm.Stop()
 }
 
-// ExpireIdle implements Platform. The Firecracker baseline keeps warm
-// VMs indefinitely (no keep-alive TTL), so the reaper is a no-op.
-func (p *firecrackerPlatform) ExpireIdle(now time.Duration) int {
-	return p.pool.ExpireIdle(now)
-}
-
-// WarmCount implements Platform: the idle pool size for a function.
-func (p *firecrackerPlatform) WarmCount(name string) int {
-	return p.pool.Count(name)
+// dirty: snapshot-mapped pages CoW-split first, the rest is fresh heap.
+func (firecrackerKind) dirty(g *guest) {
+	g.vm.DirtyDuringExecution(g.rt.Model.HeapPerInvokeBytes + g.fn.DirtyBytesPerRun)
 }

@@ -2,19 +2,15 @@ package platform
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/fs"
-	"repro/internal/lang"
-	"repro/internal/lifecycle"
 	"repro/internal/mem"
 	"repro/internal/runtime"
 	"repro/internal/sandbox"
 	"repro/internal/trace"
 )
 
-// isolatePlatform models Cloudflare Workers (Table 1's "Low (runtime)"
+// isolateKind models Cloudflare Workers (Table 1's "Low (runtime)"
 // isolation row): hundreds of V8 isolates inside one long-running
 // runtime process. Start-up is creating an isolate (~ms), and memory
 // efficiency comes from process sharing — every isolate maps the same
@@ -27,196 +23,57 @@ import (
 // runnable. Only Node.js is supported (V8 isolates are a JavaScript
 // mechanism), and function chains are not (workers call each other over
 // HTTP in reality, which the paper's chain semantics do not cover).
-type isolatePlatform struct {
-	env     *Env
-	profile sandbox.Profile
-	// pool holds idle isolates awaiting reuse.
-	pool *lifecycle.Pool[*isolateGuest]
-
-	mu     sync.Mutex
-	fns    map[string]*Function
-	nextID int
+type isolateKind struct {
+	processGuest
 	// processImage is the single runtime process's shared pages
 	// (runtime text + stdlib), mapped by every isolate.
 	processImage *mem.Region
-}
-
-type isolateGuest struct {
-	id        string
-	fn        *Function
-	rt        *runtime.Runtime
-	space     *mem.Space
-	binding   *NativeBinding
-	heapAlloc bool
 }
 
 // NewIsolate returns the V8-isolate (Cloudflare Workers-style) runtime
 // sandbox platform.
 func NewIsolate(env *Env) Platform {
 	model := runtime.ModelFor(runtime.LangNode)
-	p := &isolatePlatform{
-		env:     env,
-		profile: sandbox.Profiles(sandbox.ClassIsolate),
-		fns:     make(map[string]*Function),
+	return newBaseline(env, "isolate", sandbox.ClassIsolate, 0, isolateKind{
 		processImage: env.Mem.NewRegion("v8-process", mem.KindRuntime,
 			mem.PagesFor(model.RuntimeImageBytes+model.LibraryBytes)),
-	}
-	p.pool = lifecycle.NewPool(lifecycle.PoolConfig[*isolateGuest]{
-		OnEvict: func(g *isolateGuest) { g.space.Free() },
 	})
-	p.pool.Instrument(env.Metrics, "isolate")
-	return p
 }
 
-// PlatformName implements Platform.
-func (p *isolatePlatform) PlatformName() string { return "isolate" }
-
-// Install implements Platform.
-func (p *isolatePlatform) Install(fn Function) (*InstallReport, error) {
-	if err := validate(&fn); err != nil {
-		return nil, err
-	}
+func (isolateKind) install(_ *baseline, fn *deployed, _ *InstallReport) error {
 	if fn.Lang != runtime.LangNode {
-		return nil, fmt.Errorf("isolate: only nodejs functions run in V8 isolates, got %q", fn.Lang)
+		return fmt.Errorf("isolate: only nodejs functions run in V8 isolates, got %q", fn.Lang)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fns[fn.Name] = &fn
-	return &InstallReport{Function: fn.Name}, nil
-}
-
-// Remove implements Platform.
-func (p *isolatePlatform) Remove(name string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.fns[name]; !ok {
-		return fmt.Errorf("isolate: no function %q", name)
-	}
-	for _, g := range p.pool.DrainKey(name) {
-		g.space.Free()
-	}
-	delete(p.fns, name)
 	return nil
 }
 
-// Invoke implements Platform.
-func (p *isolatePlatform) Invoke(name string, params lang.Value, opts InvokeOptions) (*Invocation, error) {
-	p.mu.Lock()
-	fn, ok := p.fns[name]
-	p.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("isolate: no function %q", name)
-	}
-	inv := opts.Parent
-	if inv == nil {
-		inv = NewInvocation(name)
-	}
-	inv.ChargeOther("param-deliver", p.profile.NetOpBase+timePerKB(p.profile, encodedSize(params)))
+// cold is a new isolate in the already-running process. The runtime
+// binary is warm, so only isolate creation and module load are paid —
+// no process boot.
+func (k isolateKind) cold(b *baseline, g *guest, inv *Invocation) error {
+	inv.ChargeStartup("isolate-create", b.profile.ColdCreate)
+	g.id = b.newID()
+	g.space = b.env.Mem.NewSpace(g.id)
+	g.space.MapRegion(k.processImage) // process sharing: the whole point
+	g.space.AllocPrivate(mem.KindAnon, mem.PagesFor(b.profile.InfraBytes))
 
-	guest, mode, err := p.acquire(fn, opts.Mode, inv, opts.At)
-	if err != nil {
-		observeInvokeError(p.env.Metrics, "isolate")
-		return nil, err
-	}
-	inv.Mode = mode
-	inv.SandboxID = guest.id
-	guest.rt.SetClock(inv.Clock)
-	guest.binding.Rebind(inv)
-
-	attributedBefore := inv.Breakdown.Total()
-	mark := inv.Clock.Now()
-	result, err := guest.rt.Call(fn.EntryName(), params)
-	span := inv.Clock.Since(mark)
-	inv.Breakdown.Add(trace.PhaseExec, "exec", span-(inv.Breakdown.Total()-attributedBefore))
-	if err != nil {
-		p.release(guest, opts.At)
-		observeInvokeError(p.env.Metrics, "isolate")
-		return inv, fmt.Errorf("isolate: %s: %w", name, err)
-	}
-	inv.Result = result
-	inv.Logs += guest.rt.Stdout.String()
-	guest.rt.Stdout.Reset()
-	if !guest.heapAlloc {
-		// Isolates have small private heaps (V8 heap limits per
-		// worker); the process image stays shared.
-		guest.space.AllocPrivate(mem.KindHeap, mem.PagesFor(2<<20+fn.DirtyBytesPerRun))
-		guest.heapAlloc = true
-	}
-	if inv.Response == nil {
-		body := lang.Format(result)
-		inv.ChargeOther("response", p.profile.NetOpBase+timePerKB(p.profile, len(body)))
-		inv.Response = &Response{Status: 200, Body: body}
-	}
-	p.release(guest, opts.At)
-	if opts.Parent == nil {
-		observeInvocation(p.env.Metrics, "isolate", inv)
-	}
-	return inv, nil
-}
-
-func (p *isolatePlatform) acquire(fn *Function, mode StartMode, inv *Invocation, at time.Duration) (*isolateGuest, StartMode, error) {
-	if mode != ModeCold {
-		if guest, ok := p.pool.Acquire(fn.Name, at); ok {
-			inv.ChargeStartup("isolate-resume", p.profile.WarmResume)
-			return guest, ModeWarm, nil
-		}
-	}
-	if mode == ModeWarm {
-		return nil, mode, fmt.Errorf("isolate: no warm isolate for %q", fn.Name)
-	}
-
-	// "Cold" start: a new isolate in the already-running process. The
-	// runtime binary is warm, so only isolate creation and module load
-	// are paid — no process boot.
-	inv.ChargeStartup("isolate-create", p.profile.ColdCreate)
-	p.mu.Lock()
-	p.nextID++
-	id := fmt.Sprintf("isolate-%04d", p.nextID)
-	p.mu.Unlock()
-
-	space := p.env.Mem.NewSpace(id)
-	space.MapRegion(p.processImage) // process sharing: the whole point
-	space.AllocPrivate(mem.KindAnon, mem.PagesFor(p.profile.InfraBytes))
-
-	rt := runtime.New(fn.Lang, inv.Clock)
-	guest := &isolateGuest{id: id, fn: fn, rt: rt, space: space}
 	// Workers have no real filesystem; give each isolate a private
 	// scratch FS so file natives still behave.
-	guest.binding = &NativeBinding{Profile: p.profile, FS: fs.NewMemFS(), Couch: p.env.Couch, Inv: inv}
-	guest.binding.Install(rt)
-
-	// The process is warm: mark the runtime booted without charging the
-	// process start cost, then load the worker's module.
-	rt.BootWarmProcess()
 	loadMark := inv.Clock.Now()
-	if err := rt.LoadModule(fn.Source); err != nil {
-		space.Free()
-		return nil, mode, err
+	if err := b.startRuntime(g, inv, fs.NewMemFS(), true); err != nil {
+		return err
 	}
 	inv.Breakdown.Add(trace.PhaseStartup, "module-load", inv.Clock.Since(loadMark))
-	return guest, ModeCold, nil
+	return nil
 }
 
-func (p *isolatePlatform) release(g *isolateGuest, at time.Duration) {
-	p.pool.Release(g.fn.Name, g, at)
+func (isolateKind) resume(b *baseline, _ *guest, inv *Invocation) error {
+	inv.ChargeStartup("isolate-resume", b.profile.WarmResume)
+	return nil
 }
 
-// ExpireIdle implements Platform. Workers keeps isolates resident as
-// long as the process lives (no keep-alive TTL), so this reaps nothing.
-func (p *isolatePlatform) ExpireIdle(now time.Duration) int {
-	return p.pool.ExpireIdle(now)
-}
-
-// WarmCount implements Platform: the idle pool size for a function.
-func (p *isolatePlatform) WarmCount(name string) int {
-	return p.pool.Count(name)
-}
-
-// Spaces implements the harness's MemoryReporter.
-func (p *isolatePlatform) Spaces(name string) []*mem.Space {
-	var out []*mem.Space
-	for _, g := range p.pool.Guests(name) {
-		out = append(out, g.space)
-	}
-	return out
+// dirty: isolates have small private heaps (V8 heap limits per worker);
+// the process image stays shared.
+func (isolateKind) dirty(g *guest) {
+	g.space.AllocPrivate(mem.KindHeap, mem.PagesFor(2<<20+g.fn.DirtyBytesPerRun))
 }

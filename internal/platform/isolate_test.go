@@ -53,7 +53,7 @@ func TestIsolateProcessSharing(t *testing.T) {
 	// share the runtime process image; per-isolate PSS is far below a
 	// container's footprint.
 	env := NewEnv(EnvConfig{})
-	p := NewIsolate(env).(*isolatePlatform)
+	p := NewIsolate(env).(*baseline)
 	p.Install(factFn("fact"))
 	params := MustParams(map[string]any{"n": 5})
 	const n = 20
@@ -78,7 +78,7 @@ func TestIsolateProcessSharing(t *testing.T) {
 	}
 	// A container running the same function holds the full image
 	// privately.
-	ow := NewOpenWhisk(NewEnv(EnvConfig{})).(*containerPlatform)
+	ow := NewOpenWhisk(NewEnv(EnvConfig{})).(*baseline)
 	ow.Install(factFn("fact"))
 	ow.Invoke("fact", params, InvokeOptions{})
 	owPSS := ow.Spaces("fact")[0].PSS()

@@ -129,6 +129,32 @@ func (inv *Invocation) ChargeOther(label string, d time.Duration) {
 	inv.Breakdown.Add(trace.PhaseOthers, label, d)
 }
 
+// ChargeExec runs a guest call and attributes the function's own
+// execution time: the measured span minus whatever the call itself
+// charged to explicit phases (host-native "others" charges, and the
+// full breakdown of chained child invocations). It returns the call's
+// result and the exec time it charged.
+func (inv *Invocation) ChargeExec(call func() (lang.Value, error)) (lang.Value, time.Duration, error) {
+	attributedBefore := inv.Breakdown.Total()
+	mark := inv.Clock.Now()
+	result, err := call()
+	exec := inv.Clock.Since(mark) - (inv.Breakdown.Total() - attributedBefore)
+	inv.Breakdown.Add(trace.PhaseExec, "exec", exec)
+	return result, exec, err
+}
+
+// RespondDefault delivers result as the response — status 200, the
+// formatted value, priced under the sandbox profile — unless the guest
+// already answered over HTTP itself.
+func (inv *Invocation) RespondDefault(result lang.Value, p sandbox.Profile) {
+	if inv.Response != nil {
+		return
+	}
+	body := lang.Format(result)
+	inv.ChargeOther("response", p.NetOpBase+PerKB(p, len(body)))
+	inv.Response = &Response{Status: 200, Body: body}
+}
+
 // Total returns the end-to-end latency recorded so far.
 func (inv *Invocation) Total() time.Duration { return inv.Breakdown.Total() }
 
@@ -303,12 +329,12 @@ func NewEnv(cfg EnvConfig) *Env {
 	return env
 }
 
-// observeInvocation records a completed top-level invocation into the
+// ObserveInvocation records a completed top-level invocation into the
 // host registry: an invocation counter and the paper's three phase
 // histograms plus total latency, all labeled by platform. Chained
 // child invocations (opts.Parent != nil) share the parent's breakdown
 // and must not be recorded again; callers skip them.
-func observeInvocation(reg *metrics.Registry, platformName string, inv *Invocation) {
+func ObserveInvocation(reg *metrics.Registry, platformName string, inv *Invocation) {
 	if inv == nil {
 		return
 	}
@@ -325,32 +351,19 @@ func observeInvocation(reg *metrics.Registry, platformName string, inv *Invocati
 		ObserveDurationExemplar(inv.Breakdown.Total(), tr, now)
 }
 
-// ObserveInvocation is observeInvocation for platform implementations
-// living outside this package (internal/core).
-func ObserveInvocation(reg *metrics.Registry, platformName string, inv *Invocation) {
-	observeInvocation(reg, platformName, inv)
-}
-
-// observeInvokeError counts a failed invocation for a platform.
-func observeInvokeError(reg *metrics.Registry, platformName string) {
+// ObserveInvokeError counts a failed invocation for a platform.
+func ObserveInvokeError(reg *metrics.Registry, platformName string) {
 	reg.Counter(metrics.Name("invoke_errors_total", "platform", platformName)).Inc()
 }
 
-// ObserveInvokeError is observeInvokeError for external platforms.
-func ObserveInvokeError(reg *metrics.Registry, platformName string) {
-	observeInvokeError(reg, platformName)
-}
-
-// vclockNew is an alias that keeps install paths readable.
-func vclockNew() *vclock.Clock { return vclock.New() }
-
-// timePerKB prices size-dependent network cost under a sandbox profile.
-func timePerKB(p sandbox.Profile, bytes int) time.Duration {
+// PerKB prices size-dependent network cost under a sandbox profile.
+func PerKB(p sandbox.Profile, bytes int) time.Duration {
 	return time.Duration((bytes+1023)/1024) * p.NetPerKB
 }
 
-// paramsValue converts a Function's default params into a FaaSLang map.
-func paramsValue(params map[string]any) (lang.Value, error) {
+// ParamsValue converts plain Go data — a Function's default params, or
+// a harness's static inputs — into the FaaSLang params map for Invoke.
+func ParamsValue(params map[string]any) (lang.Value, error) {
 	if params == nil {
 		return lang.NewMap(), nil
 	}
@@ -361,13 +374,9 @@ func paramsValue(params map[string]any) (lang.Value, error) {
 	return runtime.FromGo(goMap)
 }
 
-// ParamsValue converts plain Go data into the FaaSLang params map for
-// Invoke (exported for harness and examples).
-func ParamsValue(params map[string]any) (lang.Value, error) { return paramsValue(params) }
-
 // MustParams is ParamsValue for static inputs in tests and examples.
 func MustParams(params map[string]any) lang.Value {
-	v, err := paramsValue(params)
+	v, err := ParamsValue(params)
 	if err != nil {
 		panic(fmt.Sprintf("platform: bad params: %v", err))
 	}
@@ -377,15 +386,7 @@ func MustParams(params map[string]any) lang.Value {
 // Validate compiles and sanity-checks a function definition at
 // registration time; every platform (including Fireworks in
 // internal/core) calls it from Install.
-func Validate(fn *Function) error { return validate(fn) }
-
-// PerKB prices size-dependent network cost under a sandbox profile
-// (exported for platform implementations outside this package).
-func PerKB(p sandbox.Profile, bytes int) time.Duration { return timePerKB(p, bytes) }
-
-// validate compiles and sanity-checks a function definition at
-// registration time; every platform calls it from Install.
-func validate(fn *Function) error {
+func Validate(fn *Function) error {
 	if fn.Name == "" {
 		return fmt.Errorf("platform: function needs a name")
 	}

@@ -104,7 +104,7 @@ func TestWarmModeWithoutPoolFails(t *testing.T) {
 
 func TestAutoModeReusesSandbox(t *testing.T) {
 	env := NewEnv(EnvConfig{})
-	p := NewOpenWhisk(env).(*containerPlatform)
+	p := NewOpenWhisk(env).(*baseline)
 	p.Install(factFn("fact"))
 	p.Invoke("fact", MustParams(nil), InvokeOptions{})
 	if p.WarmCount("fact") != 1 {
@@ -150,7 +150,7 @@ func TestGVisorSlowerColdThanOpenWhisk(t *testing.T) {
 
 func TestKeepAliveExpiry(t *testing.T) {
 	env := NewEnv(EnvConfig{})
-	p := NewOpenWhiskKeepAlive(env, 10*time.Minute).(*containerPlatform)
+	p := NewOpenWhiskKeepAlive(env, 10*time.Minute).(*baseline)
 	p.Install(factFn("fact"))
 	params := MustParams(map[string]any{"n": 5})
 
@@ -188,7 +188,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 
 func TestExpireIdleReapsInBackground(t *testing.T) {
 	env := NewEnv(EnvConfig{})
-	p := NewOpenWhiskKeepAlive(env, time.Minute).(*containerPlatform)
+	p := NewOpenWhiskKeepAlive(env, time.Minute).(*baseline)
 	p.Install(factFn("fact"))
 	if _, err := p.Invoke("fact", MustParams(nil), InvokeOptions{At: 0}); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestExpireIdleReapsInBackground(t *testing.T) {
 		t.Fatal("reaper did not release memory")
 	}
 	// Infinite keep-alive never reaps.
-	inf := NewOpenWhisk(env).(*containerPlatform)
+	inf := NewOpenWhisk(env).(*baseline)
 	inf.Install(factFn("fact2"))
 	inf.Invoke("fact2", MustParams(nil), InvokeOptions{At: 0})
 	if n := inf.ExpireIdle(time.Hour); n != 0 {

@@ -65,41 +65,30 @@ type Config struct {
 	// always-keep policy claims: 0 means the default 0.1, negative
 	// means keep none (always-keep policies still apply).
 	KeepRate float64
-	// LatencyQuantile is the per-site percentile (0–100) a root
-	// latency must exceed to be kept by the latency policy
-	// (default 99).
-	LatencyQuantile float64
-	// MinSiteSamples is how many root latencies a site must have
-	// contributed before its latency threshold arms (default 32) —
-	// the first requests of a site must not all read as outliers.
-	MinSiteSamples int
-	// SiteWindow bounds the per-site latency sample ring
-	// (default 512).
-	SiteWindow int
-	// Timeout force-decides a trace that stopped emitting without
-	// closing its root span, measured on the virtual clock from its
-	// last event (default 30s virtual). Timed-out traces go through
-	// the same policy chain.
-	Timeout time.Duration
 }
+
+// Fixed parameters of the latency policy and the stall timeout.
+const (
+	// latencyQuantile is the per-site percentile (0–100) a root latency
+	// must exceed to be kept by the latency policy.
+	latencyQuantile = 99
+	// minSiteSamples is how many root latencies a site must have
+	// contributed before its latency threshold arms — the first
+	// requests of a site must not all read as outliers.
+	minSiteSamples = 32
+	// siteWindow bounds the per-site latency sample ring.
+	siteWindow = 512
+	// stallTimeout force-decides a trace that stopped emitting without
+	// closing its root span, measured on the virtual clock from its
+	// last event. Timed-out traces go through the same policy chain.
+	stallTimeout = 30 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.KeepRate == 0 {
 		c.KeepRate = 0.1
 	} else if c.KeepRate < 0 {
 		c.KeepRate = 0
-	}
-	if c.LatencyQuantile <= 0 {
-		c.LatencyQuantile = 99
-	}
-	if c.MinSiteSamples <= 0 {
-		c.MinSiteSamples = 32
-	}
-	if c.SiteWindow <= 0 {
-		c.SiteWindow = 512
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
 	}
 	return c
 }
@@ -366,7 +355,7 @@ func (t *TailSampler) decideLocked(id events.TraceID, st *traceState) decision {
 	if st.site != "" {
 		ring := t.sites[st.site]
 		if ring == nil {
-			ring = &siteRing{buf: make([]time.Duration, t.cfg.SiteWindow)}
+			ring = &siteRing{buf: make([]time.Duration, siteWindow)}
 			t.sites[st.site] = ring
 		}
 		ring.push(latency)
@@ -377,14 +366,14 @@ func (t *TailSampler) decideLocked(id events.TraceID, st *traceState) decision {
 }
 
 // latencyOutlierLocked reports whether latency exceeds the site's
-// armed threshold. Sites with fewer than MinSiteSamples completed
+// armed threshold. Sites with fewer than minSiteSamples completed
 // roots have no threshold yet.
 func (t *TailSampler) latencyOutlierLocked(site string, latency time.Duration) bool {
 	ring := t.sites[site]
-	if ring == nil || ring.n < t.cfg.MinSiteSamples {
+	if ring == nil || ring.n < minSiteSamples {
 		return false
 	}
-	return latency > ring.quantile(t.cfg.LatencyQuantile)
+	return latency > ring.quantile(latencyQuantile)
 }
 
 // execute applies one decision: account it, and for drops physically
@@ -423,11 +412,11 @@ func (t *TailSampler) execute(d decision) {
 }
 
 // Flush force-decides every pending trace whose last event is at least
-// Timeout behind now on the virtual clock — the terminal path for
+// stallTimeout behind now on the virtual clock — the terminal path for
 // traces that died without closing their root. Call it from the same
 // loop that advances the clock.
 func (t *TailSampler) Flush(now time.Duration) {
-	t.flush(func(st *traceState) bool { return now-st.lastTS >= t.cfg.Timeout })
+	t.flush(func(st *traceState) bool { return now-st.lastTS >= stallTimeout })
 }
 
 // FlushAll decides every pending trace regardless of age — the

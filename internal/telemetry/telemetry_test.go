@@ -127,10 +127,10 @@ func TestProbabilisticKeepIsSeededAndOrderFree(t *testing.T) {
 }
 
 func TestLatencyOutlierKept(t *testing.T) {
-	cfg := Config{Seed: 1, KeepRate: -1, MinSiteSamples: 16, LatencyQuantile: 99}
+	cfg := Config{Seed: 1, KeepRate: -1}
 	_, j, reg := newArmed(t, cfg, 16)
 	// Arm the site threshold with uniform 1ms roots.
-	for i := 0; i < 32; i++ {
+	for i := 0; i < minSiteSamples; i++ {
 		closeTrace(j, 0, time.Millisecond)
 	}
 	slow := closeTrace(j, 0, 100*time.Millisecond)
@@ -164,15 +164,15 @@ func TestAlertPromotesPendingTrace(t *testing.T) {
 }
 
 func TestTimeoutFlushDecidesStalledTraces(t *testing.T) {
-	ts, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1, Timeout: time.Second}, 16)
+	ts, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1}, 16)
 	sc := j.NewScope("core", "invoke", 0)
 	sc.Instant("core", "mark", time.Millisecond) // never closes its root
 	stalled := sc.TraceID()
-	ts.Flush(500 * time.Millisecond)
+	ts.Flush(stallTimeout / 2)
 	if st := ts.Stats(); st.PendingTraces != 1 {
 		t.Fatalf("flushed too early: %+v", st)
 	}
-	ts.Flush(2 * time.Second)
+	ts.Flush(2 * stallTimeout)
 	st := ts.Stats()
 	if st.PendingTraces != 0 || st.DroppedTraces != 1 {
 		t.Fatalf("timeout flush: %+v", st)
@@ -181,8 +181,8 @@ func TestTimeoutFlushDecidesStalledTraces(t *testing.T) {
 		t.Fatal("timed-out boring trace still resident")
 	}
 	// A stalled trace with an error still lands on the error policy.
-	sc2 := j.NewScope("core", "invoke", 3*time.Second)
-	sc2.Instant("core", "mark", 3*time.Second, events.A("error", "lost"))
+	sc2 := j.NewScope("core", "invoke", 3*stallTimeout)
+	sc2.Instant("core", "mark", 3*stallTimeout, events.A("error", "lost"))
 	ts.Flush(time.Hour)
 	if len(j.Trace(sc2.TraceID())) == 0 {
 		t.Fatal("timed-out errored trace was dropped")

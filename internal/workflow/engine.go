@@ -20,8 +20,7 @@ import (
 
 // Invoker executes one deployed function. core.Framework, the
 // OpenWhisk model, and any other platform.Platform satisfy it
-// directly; cluster callers wrap Cluster.Invoke to drop the node
-// return.
+// directly; cluster callers pass a cluster.Invoker.
 type Invoker interface {
 	Invoke(name string, params lang.Value, opts platform.InvokeOptions) (*platform.Invocation, error)
 }
@@ -31,10 +30,10 @@ type Options struct {
 	// Retry is the per-step retry policy (a step's own Retry field
 	// overrides it). The zero policy fails fast on the first error.
 	Retry faults.RetryPolicy
-	// StepBatch caps how many step messages one bus poll returns
-	// (default 16).
-	StepBatch int
 }
+
+// stepBatch caps how many step messages one bus poll returns.
+const stepBatch = 16
 
 // Step delivery states. Completed, Skipped, and Dead are terminal;
 // Dead steps come back to Pending only through ReplayDLQ.
@@ -182,9 +181,6 @@ type Engine struct {
 // and function invoker. Any of journal/reg may be nil (events and
 // metrics are dropped); bus and inv must be set.
 func New(bus *msgbus.Broker, journal *events.Journal, reg *metrics.Registry, inv Invoker, opts Options) *Engine {
-	if opts.StepBatch <= 0 {
-		opts.StepBatch = 16
-	}
 	return &Engine{
 		bus:            bus,
 		journal:        journal,
@@ -364,7 +360,7 @@ func (e *Engine) drive(wf *registered) {
 		clock, sc := e.pollContext(wf)
 		err := e.busRetrier.DoTraced(clock, sc, "wf-poll", func() error {
 			var cerr error
-			msgs, cerr = e.bus.ConsumeFromTracedAt(wf.stepsTopic, 0, wf.offset, e.opts.StepBatch, clock.Now(), sc)
+			msgs, cerr = e.bus.ConsumeFromTracedAt(wf.stepsTopic, 0, wf.offset, stepBatch, clock.Now(), sc)
 			return cerr
 		})
 		if err != nil || len(msgs) == 0 {
