@@ -42,14 +42,16 @@ trace-demo:
 # bench-gate runs the hot-path benchmarks and compares them against
 # the committed baseline (BENCH_simharness.json), failing on
 # regression. CI uses a short benchtime; see docs/benchmarking.md for
-# the tolerance policy.
+# the tolerance policy. Both targets pin GOMAXPROCS=1: the committed
+# baseline is recorded that way, and the parallel benchmarks' ratios
+# (msgbus_batch_speedup) only compare like with like.
 bench-gate:
-	$(GO) run ./cmd/benchgate -benchtime 200ms -out bench-fresh.json
+	GOMAXPROCS=1 $(GO) run ./cmd/benchgate -benchtime 200ms -out bench-fresh.json
 
 # bench-baseline refreshes the committed baseline from a longer run on
 # the current machine. Commit the resulting BENCH_simharness.json.
 bench-baseline:
-	$(GO) run ./cmd/benchgate -write -benchtime 1s -count 2
+	GOMAXPROCS=1 $(GO) run ./cmd/benchgate -write -benchtime 1s -count 2
 
 # insight-demo replays the chaos storm through the insight experiment,
 # writes the report and service-graph artifacts, and fails on any WARN

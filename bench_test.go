@@ -29,11 +29,13 @@ import (
 	"repro/internal/lang/bytecode"
 	"repro/internal/lang/jit"
 	"repro/internal/lang/vm"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/msgbus"
 	"repro/internal/platform"
 	"repro/internal/runtime"
 	"repro/internal/telemetry"
+	"repro/internal/timeseries"
 	"repro/internal/vclock"
 	"repro/internal/vmm"
 	"repro/internal/workflow"
@@ -249,6 +251,48 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	}
 }
 
+// BenchmarkDirtyStop isolates the memory bookkeeping of one request
+// around the guest's execution: restore a clone of a Node.js snapshot,
+// CoW-split the heap and JIT-code pages one invocation writes (about
+// 2,300 pages), stop the VM so the space is freed. The cost must follow
+// the handful of page runs involved, not the pages — benchgate holds the
+// allocation count under an absolute ceiling no per-page structure fits.
+func BenchmarkDirtyStop(b *testing.B) {
+	env := platform.NewEnv(platform.EnvConfig{})
+	fw := core.New(env, core.Options{})
+	w := workloads.Fact(runtime.LangNode)
+	if _, err := fw.Install(w.Function); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := env.Snaps.Get(w.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := runtime.NewFromSnapshot(snap.GuestState.(*runtime.SnapshotTemplate), vclock.New())
+	if err != nil {
+		b.Fatal(err)
+	}
+	heap, code := rt.Model.HeapPerInvokeBytes, rt.JITCodeBytes()
+	faults := env.Metrics.Counter("mem_cow_faults_total")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vm_, err := env.HV.Restore(snap, vmm.RestoreOptions{}, vclock.New())
+		if err != nil {
+			b.Fatal(err)
+		}
+		vm_.DirtyKind(mem.KindHeap, heap)
+		vm_.DirtyKind(mem.KindJITCode, code)
+		if err := vm_.Stop(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got, want := faults.Value(), int64(b.N)*int64(mem.PagesFor(heap)); got < want {
+		b.Fatalf("%d CoW faults over %d iterations, want at least the %d heap pages each", got, b.N, mem.PagesFor(heap))
+	}
+}
+
 // BenchmarkRestoreDelta measures pulling an evicted image back from
 // remote storage two ways: "flat" is the faithful pre-chunking arm
 // (no local pool to delta against — every byte of the image moves, as
@@ -417,6 +461,50 @@ func BenchmarkMetricsParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkSamplerSample is one request's telemetry step — observe into
+// every latency histogram, then Sampler.Sample — with the histograms'
+// raw-sample windows holding 1k and 64k observations. A window is
+// ordered as it is written, so neither the observe (insert, and at 64k
+// an evict) nor the four quantiles Sample reads per histogram may grow
+// with what the window holds: benchgate caps the 64k ÷ 1k ratio.
+func BenchmarkSamplerSample(b *testing.B) {
+	for _, fill := range []struct {
+		name string
+		n    int
+	}{{"fill=1k", 1 << 10}, {"fill=64k", 1 << 16}} {
+		b.Run(fill.name, func(b *testing.B) {
+			reg := metrics.NewRegistry()
+			hists := make([]*metrics.Histogram, 8)
+			for i := range hists {
+				node := fmt.Sprintf("node-%02d", i)
+				hists[i] = reg.Histogram(metrics.Name("invoke_latency", "node", node))
+				reg.Counter(metrics.Name("cluster_node_invocations_total", "node", node)).Inc()
+				reg.Gauge(metrics.Name("cluster_node_inflight", "node", node)).Set(1)
+			}
+			// A seeded latency-like spread: many distinct values, some ties.
+			rng := uint64(1)
+			next := func() time.Duration {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return time.Duration(rng>>44) * time.Microsecond
+			}
+			for i := 0; i < fill.n; i++ {
+				for _, h := range hists {
+					h.ObserveDuration(next())
+				}
+			}
+			s := timeseries.NewSampler(reg, timeseries.DefaultCapacity)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, h := range hists {
+					h.ObserveDuration(next())
+				}
+				s.Sample(time.Duration(i) * time.Millisecond)
+			}
+		})
+	}
 }
 
 // BenchmarkJournalParallel appends per-invocation traces from many

@@ -103,6 +103,8 @@ func parseBenchOutput(out string) []BenchResult {
 //     fast" number.
 //   - msgbus_batch_speedup: per-record produce/consume ns/op ÷ batched
 //     ns/op.
+//   - sampler_fill_ratio: Sampler.Sample ns/op over full (64k) histogram
+//     windows ÷ over 1k-sample ones.
 func derive(r *Report) {
 	r.Derived = map[string]float64{}
 	if b := r.result("BenchmarkFireworksInvoke"); b != nil && b.NsPerOp > 0 {
@@ -115,6 +117,7 @@ func derive(r *Report) {
 		}
 	}
 	ratio("msgbus_batch_speedup", "BenchmarkMsgbusBatch/single", "BenchmarkMsgbusBatch/batch")
+	ratio("sampler_fill_ratio", "BenchmarkSamplerSample/fill=64k", "BenchmarkSamplerSample/fill=1k")
 	// Virtual-time and virtual-bytes ratios are deterministic (the
 	// simulator charges fixed costs on the virtual clock), so they gate
 	// much tighter than wall-clock numbers.
@@ -150,6 +153,13 @@ type Tolerances struct {
 	// MinSpeedups gates the derived ratios: each key must be at least
 	// its value in the fresh report.
 	MinSpeedups map[string]float64
+	// MaxRatios gates the derived ratios that must stay small: each key
+	// must be at most its value in the fresh report.
+	MaxRatios map[string]float64
+	// MaxAllocs bounds a benchmark's fresh allocs/op absolutely, for a
+	// path whose allocation count is a design property rather than
+	// whatever the baseline happened to record.
+	MaxAllocs map[string]float64
 }
 
 func defaultTolerances() Tolerances {
@@ -179,6 +189,19 @@ func defaultTolerances() Tolerances {
 			// exported bytes shrink >10x by construction; the floor
 			// sits at the experiment's headline claim.
 			"tail_sampling_reduction": 5.0,
+		},
+		MaxRatios: map[string]float64{
+			// A histogram window is kept ordered as it is written, so
+			// sampling full windows costs what sampling near-empty ones
+			// does (measured 1.3x: the rank walk over more blocks). A
+			// per-sample copy, sort or memmove of the window reads 10x+.
+			"sampler_fill_ratio": 2.0,
+		},
+		MaxAllocs: map[string]float64{
+			// Restore + dirty ~2,300 pages + stop allocates per page run
+			// and per VM (33 measured). One allocation per 100 pages
+			// would already break this.
+			"BenchmarkDirtyStop": 48,
 		},
 	}
 }
@@ -221,23 +244,36 @@ func compare(baseline, fresh *Report, tol Tolerances) []Violation {
 				bb.AllocsOp, fb.AllocsOp, allowed)})
 		}
 	}
-	keys := make([]string, 0, len(tol.MinSpeedups))
-	for k := range tol.MinSpeedups {
+	for _, name := range sortedKeys(tol.MaxAllocs) {
+		if fb := fresh.result(name); fb != nil && fb.AllocsOp > tol.MaxAllocs[name] {
+			vs = append(vs, Violation{name, fmt.Sprintf(
+				"allocs/op over its ceiling: %.0f, want <= %.0f", fb.AllocsOp, tol.MaxAllocs[name])})
+		}
+	}
+	derived := func(bounds map[string]float64, bad func(got, bound float64) bool, want string) {
+		for _, k := range sortedKeys(bounds) {
+			got, ok := fresh.Derived[k]
+			if !ok {
+				vs = append(vs, Violation{k, "derived ratio missing from fresh run"})
+				continue
+			}
+			if bad(got, bounds[k]) {
+				vs = append(vs, Violation{k, fmt.Sprintf("%.2fx, want %s %.2fx", got, want, bounds[k])})
+			}
+		}
+	}
+	derived(tol.MinSpeedups, func(got, min float64) bool { return got < min }, ">=")
+	derived(tol.MaxRatios, func(got, max float64) bool { return got > max }, "<=")
+	return vs
+}
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		min := tol.MinSpeedups[k]
-		got, ok := fresh.Derived[k]
-		if !ok {
-			vs = append(vs, Violation{k, "derived ratio missing from fresh run"})
-			continue
-		}
-		if got < min {
-			vs = append(vs, Violation{k, fmt.Sprintf("%.2fx, want >= %.2fx", got, min)})
-		}
-	}
-	return vs
+	return keys
 }
 
 func readReport(path string) (*Report, error) {

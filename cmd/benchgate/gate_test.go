@@ -32,6 +32,9 @@ func sampleReport() *Report {
 	// Tail sampling shrinks the exported journal bytes >10x.
 	r.result("BenchmarkTailSampling/full").Custom = map[string]float64{"vbytes/op": 1.11e5}
 	r.result("BenchmarkTailSampling/sampled").Custom = map[string]float64{"vbytes/op": 9.2e3}
+	// Sampling full histogram windows costs about what sampling
+	// near-empty ones does.
+	r.result("BenchmarkSamplerSample/fill=64k").NsPerOp = 1300
 	derive(r)
 	return r
 }
@@ -117,6 +120,30 @@ func TestCompareFailsOnSyntheticRegression(t *testing.T) {
 		vs := compare(base, fresh, defaultTolerances())
 		if !hasViolation(vs, "tail_sampling_reduction", "want >=") {
 			t.Fatalf("collapsed tail-sampling reduction not caught: %v", vs)
+		}
+	})
+
+	t.Run("sampler_grows_with_fill", func(t *testing.T) {
+		// A histogram window that is copied, sorted or shifted per
+		// sample makes full windows cost a multiple of near-empty ones.
+		fresh := sampleReport()
+		fresh.result("BenchmarkSamplerSample/fill=64k").NsPerOp = 3 * fresh.result("BenchmarkSamplerSample/fill=1k").NsPerOp
+		derive(fresh)
+		vs := compare(base, fresh, defaultTolerances())
+		if !hasViolation(vs, "sampler_fill_ratio", "want <=") {
+			t.Fatalf("sampler cost growing with window fill not caught: %v", vs)
+		}
+	})
+
+	t.Run("dirty_stop_allocs_ceiling", func(t *testing.T) {
+		// Per-page bookkeeping shows as allocations per page. The
+		// ceiling is absolute: it holds even against a baseline that
+		// recorded the regression.
+		regressed := sampleReport()
+		regressed.result("BenchmarkDirtyStop").AllocsOp = 94
+		vs := compare(regressed, regressed, defaultTolerances())
+		if !hasViolation(vs, "BenchmarkDirtyStop", "ceiling") {
+			t.Fatalf("allocs/op over the absolute ceiling not caught: %v", vs)
 		}
 	})
 

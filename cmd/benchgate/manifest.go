@@ -49,6 +49,10 @@ var manifest = []BenchEntry{
 	{Name: "BenchmarkJITTier"},
 	{Name: "BenchmarkSnapshotRestore", Gate: true},
 	{Name: "BenchmarkPSSAccounting"},
+	// One request's CoW bookkeeping (restore, dirty, stop): gated, with
+	// an absolute allocs/op ceiling — the cost follows page runs, not
+	// pages.
+	{Name: "BenchmarkDirtyStop", Gate: true},
 
 	// Content-addressed store benchmarks: gated, including the derived
 	// flat/delta fetch ratios (virtual time and bytes moved) and the
@@ -64,6 +68,11 @@ var manifest = []BenchEntry{
 	{Name: "BenchmarkJournalParallel", Gate: true},
 	{Name: "BenchmarkMsgbusBatch/single", Gate: true},
 	{Name: "BenchmarkMsgbusBatch/batch", Gate: true},
+	// One request's telemetry step at two histogram-window fills: gated,
+	// including the derived 64k/1k ratio — it must not cost more the
+	// more history the windows hold.
+	{Name: "BenchmarkSamplerSample/fill=1k", Gate: true},
+	{Name: "BenchmarkSamplerSample/fill=64k", Gate: true},
 
 	// Workflow engine: gated, including the derived hand-wired vs
 	// declarative virtual-cost ratio (the engine's composition overhead

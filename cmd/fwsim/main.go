@@ -192,8 +192,18 @@ func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config, card int
 		c.Metrics().SetCardinalityLimit(card)
 		s.sampler.SetRollups(timeseries.DefaultRollups())
 	}
+	// Both probes run on every request, so they read state that is
+	// already current: the node_state gauge /healthz derives the same
+	// count from mirrors Node.Health(), and each host keeps the two
+	// totals Report() would sum.
 	s.sampler.AddProbe("fleet_down_nodes", func() float64 {
-		return float64(platform.DeriveFleetHealth(c.Metrics().Snapshot()).Down)
+		down := 0
+		for _, n := range c.Nodes() {
+			if n.Health() == cluster.Down {
+				down++
+			}
+		}
+		return float64(down)
 	})
 	s.sampler.AddProbe("mem_sharing_efficiency", func() float64 { return s.sharingEfficiency() })
 	s.watchdog = timeseries.NewWatchdog(s.sampler, c.Journal(), c.Metrics())
@@ -233,9 +243,9 @@ func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config, card int
 func (s *server) sharingEfficiency() float64 {
 	var rss, used float64
 	for _, n := range s.c.Nodes() {
-		rep := n.Env.Mem.Report()
-		rss += float64(rep.RSSSumBytes)
-		used += float64(rep.UsedBytes)
+		r, u := n.Env.Mem.SharingTotals()
+		rss += float64(r)
+		used += float64(u)
 	}
 	if used == 0 {
 		return 1
@@ -644,10 +654,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz serves the fleet availability view. The derivation is
-// platform.DeriveFleetHealth — the same helper the SLO watchdog's
-// fleet_down_nodes probe samples — so the dashboard and the alerting
-// path can never disagree; 503 only when every node is down (the
-// cluster absorbs anything less).
+// platform.DeriveFleetHealth over the node_state gauges, which mirror
+// the Node.Health() states the SLO watchdog's fleet_down_nodes probe
+// counts, so the dashboard and the alerting path cannot disagree; 503
+// only when every node is down (the cluster absorbs anything less).
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	f := platform.DeriveFleetHealth(s.c.Metrics().Snapshot())
 	code := http.StatusOK

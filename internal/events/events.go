@@ -400,6 +400,38 @@ func (j *Journal) Events() []Event {
 	return out
 }
 
+// Newest returns a copy of the most recently appended resident event
+// match accepts, searching each shard from its tail and copying nothing
+// else — the lookup for "the latest event that …" on a journal too big
+// to copy and sort per query. Among the shards' candidates the highest
+// sequence number wins, and a shard is abandoned as soon as its events
+// are older than the best candidate so far. match runs under the shard
+// lock on the ring's own slot: it must not retain the pointer or call
+// back into the journal.
+func (j *Journal) Newest(match func(e *Event) bool) (Event, bool) {
+	var best Event
+	found := false
+	if j == nil {
+		return best, found
+	}
+	for i := range j.shards {
+		s := &j.shards[i]
+		s.mu.Lock()
+		for k := s.n - 1; k >= 0; k-- {
+			e := &s.buf[(s.start+k)%len(s.buf)]
+			if found && e.Seq < best.Seq {
+				break
+			}
+			if match(e) {
+				best, found = *e, true
+				break
+			}
+		}
+		s.mu.Unlock()
+	}
+	return best, found
+}
+
 // Tail returns a copy of the newest n resident events in append order
 // (all of them when n <= 0 or n exceeds the resident count).
 func (j *Journal) Tail(n int) []Event {

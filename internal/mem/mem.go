@@ -10,9 +10,10 @@
 // MAP_PRIVATE snapshot file mapping behaves in Firecracker). When a guest
 // writes to a shared page, the page is CoW-split: the writing address
 // space gets a private copy, and the base frame's sharer count for that
-// page drops by one. Per-page sharer counts are kept sparsely, so a
-// 512 MiB guest costs a handful of map entries rather than 131072 of
-// them, while PSS remains page-exact.
+// page drops by one. Per-page facts are kept as runs of consecutive
+// pages (runs.go), so a 512 MiB guest that dirties one working set
+// costs a handful of runs rather than 131072 entries, an operation
+// costs per run rather than per page, and PSS remains page-exact.
 //
 // A Host tracks total physical frame usage against a capacity and a
 // swappiness threshold, reproducing the "launch microVMs until swapping
@@ -55,10 +56,10 @@ type Host struct {
 	capacity     uint64 // bytes of physical memory
 	swappiness   float64
 	usedPages    uint64
-	privatePages uint64 // pages not backed by a shared region frame
-	maxUsedPages uint64 // high-water mark of usedPages
-	regions      map[string]*Region
-	nextRegion   int
+	privatePages uint64         // pages not backed by a shared region frame
+	maxUsedPages uint64         // high-water mark of usedPages
+	rssPages     uint64         // sum of every live space's RSS, in pages
+	regions      []*Region      // every region ever created, in creation order
 	spaces       map[int]*Space // live address spaces by creation seq
 	nextSpace    int
 
@@ -87,7 +88,6 @@ func NewHost(capacity uint64, swappiness float64) *Host {
 	return &Host{
 		capacity:   capacity,
 		swappiness: swappiness,
-		regions:    make(map[string]*Region),
 		spaces:     make(map[int]*Space),
 	}
 }
@@ -178,19 +178,14 @@ func (h *Host) HighWater() uint64 {
 // Swapping reports whether current usage has crossed the swap threshold.
 func (h *Host) Swapping() bool { return h.Used() > h.SwapThreshold() }
 
-func (h *Host) addPages(n int64) { h.adjust(n, 0) }
-
-func (h *Host) adjust(pages, private int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.adjustLocked(pages, private)
-}
-
 // adjustLocked moves the host's page accounting: pages is the total
 // physical frame delta, private the subset that is privately owned
 // (anonymous allocations and CoW copies). Shared frame usage is derived
 // as total - private. Crossing the swap threshold upward counts one
-// swap event. Caller holds h.mu.
+// swap event. Every caller's delta is one-signed page by page, so
+// applying it whole crosses the threshold (and sets the high-water
+// mark) exactly where applying it a page at a time would. Caller holds
+// h.mu.
 func (h *Host) adjustLocked(pages, private int64) {
 	next := int64(h.usedPages) + pages
 	if next < 0 {
@@ -230,53 +225,49 @@ func (h *Host) NewRegion(name string, kind Kind, pages int) *Region {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.nextRegion++
 	r := &Region{
-		host:      h,
-		seq:       h.nextRegion,
-		name:      fmt.Sprintf("%s#%d", name, h.nextRegion),
-		kind:      kind,
-		pages:     pages,
-		dirtied:   make(map[int]int),
-		freedBase: make(map[int]bool),
+		host:  h,
+		name:  fmt.Sprintf("%s#%d", name, len(h.regions)+1),
+		kind:  kind,
+		pages: pages,
 	}
-	h.regions[r.name] = r
+	h.regions = append(h.regions, r)
 	return r
 }
 
 // Region is a named group of pages shared CoW among address spaces.
 type Region struct {
 	host    *Host
-	seq     int // creation order, for deterministic reports
 	name    string
 	kind    Kind
 	pages   int
 	sharers int
 	faults  uint64 // lifetime CoW faults attributed to this region
-	// dirtied[p] = number of spaces that CoW-split page p and therefore
-	// no longer reference the base frame. Sparse: absent means zero.
-	dirtied map[int]int
-	// freedBase marks pages whose base frame has been reclaimed because
-	// every current sharer CoW-split it (the file-backed page becomes
-	// evictable page cache and stops counting against physical memory).
-	freedBase map[int]bool
+	// split counts, per page, the sharers that CoW-split it and therefore
+	// no longer reference the base frame; pages outside every run have
+	// none. A page every current sharer has split has no referent left:
+	// its base frame is reclaimed (the file-backed page becomes evictable
+	// page cache and stops counting against physical memory). That set is
+	// derived from the counts, never stored — see residentLocked.
+	split []run
 }
 
-// recheckPage reconciles page p's base frame with its referent count and
-// returns the host page delta (-1 reclaimed, +1 re-materialized, 0
-// unchanged). Caller holds the host lock and applies the delta.
-func (r *Region) recheckPage(p int) int {
-	base := r.sharers - r.dirtied[p]
-	switch {
-	case base <= 0 && !r.freedBase[p] && r.sharers > 0:
-		r.freedBase[p] = true
-		return -1
-	case base > 0 && r.freedBase[p]:
-		delete(r.freedBase, p)
-		return 1
-	default:
+// residentLocked returns how many of the region's base frames occupy
+// physical memory: none while nothing maps it, otherwise every page at
+// least one sharer still references. Each mutation reads it before and
+// after, and the difference is the shared part of the host delta.
+// Caller holds the host lock.
+func (r *Region) residentLocked() int {
+	if r.sharers == 0 {
 		return 0
 	}
+	resident := r.pages
+	for _, x := range r.split {
+		if x.n == r.sharers {
+			resident -= x.hi - x.lo
+		}
+	}
+	return resident
 }
 
 // Name returns the unique region name, Kind its content label, and Pages
@@ -306,14 +297,24 @@ type Space struct {
 	host    *Host
 	seq     int // creation order, for deterministic reports
 	name    string
-	refs    map[string]*regionRef
+	refs    []*regionRef // in mapping order
 	private map[Kind]int // private page counts by kind (anon + CoW copies)
 	freed   bool
 }
 
 type regionRef struct {
 	region *Region
-	dirty  map[int]bool // pages this space has CoW-split
+	dirty  []run // pages this space has CoW-split (every n is 1)
+}
+
+// ref returns the space's mapping of r, or nil.
+func (s *Space) ref(r *Region) *regionRef {
+	for _, ref := range s.refs {
+		if ref.region == r {
+			return ref
+		}
+	}
+	return nil
 }
 
 // NewSpace creates an empty address space on the host and registers it
@@ -326,7 +327,6 @@ func (h *Host) NewSpace(name string) *Space {
 		host:    h,
 		seq:     h.nextSpace,
 		name:    name,
-		refs:    make(map[string]*regionRef),
 		private: make(map[Kind]int),
 	}
 	h.spaces[s.seq] = s
@@ -337,6 +337,10 @@ func (h *Host) NewSpace(name string) *Space {
 func (h *Host) Spaces() []*Space {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.spacesLocked()
+}
+
+func (h *Host) spacesLocked() []*Space {
 	out := make([]*Space, 0, len(h.spaces))
 	for _, s := range h.spaces {
 		out = append(out, s)
@@ -355,69 +359,66 @@ func (s *Space) MapRegion(r *Region) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s.mustLive()
-	if _, ok := s.refs[r.name]; ok {
+	if s.ref(r) != nil {
 		panic(fmt.Sprintf("mem: region %s mapped twice into %s", r.name, s.name))
 	}
-	s.refs[r.name] = &regionRef{region: r, dirty: make(map[int]bool)}
+	s.refs = append(s.refs, &regionRef{region: r})
+	// Frames materialize on first mapping, and a new sharer re-references
+	// base frames that were reclaimed when every previous sharer had
+	// split them.
+	before := r.residentLocked()
 	r.sharers++
-	var delta int64
-	if r.sharers == 1 {
-		delta += int64(r.pages) // frames materialize on first mapping
-	}
-	// A new sharer re-references base frames that were reclaimed when
-	// every previous sharer had split them.
-	for p := range r.freedBase {
-		delta += int64(r.recheckPage(p))
-	}
-	if delta != 0 {
-		h.adjustLocked(delta, 0)
-	}
+	h.rssPages += uint64(r.pages)
+	h.adjustLocked(int64(r.residentLocked()-before), 0)
 }
 
 // DirtyPage CoW-splits one page of a mapped region: this space gets a
 // private copy. Dirtying an already-split page is a no-op (the private
 // copy is simply written again). It reports whether a CoW fault occurred.
 func (s *Space) DirtyPage(r *Region, page int) bool {
-	h := s.host
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s.mustLive()
-	ref, ok := s.refs[r.name]
-	if !ok {
-		panic(fmt.Sprintf("mem: dirty of unmapped region %s in %s", r.name, s.name))
-	}
-	if page < 0 || page >= r.pages {
-		panic(fmt.Sprintf("mem: page %d out of range for region %s (%d pages)", page, r.name, r.pages))
-	}
-	if ref.dirty[page] {
-		return false
-	}
-	ref.dirty[page] = true
-	r.dirtied[page]++
-	r.faults++
-	delta := int64(1) + int64(r.recheckPage(page))
-	s.private[r.kind]++
-	h.cowFaults.Inc()
-	h.cowByKind[r.kind].Inc()
-	// The CoW copy is a new private page; the recheck remainder adjusts
-	// shared base frames.
-	h.adjustLocked(delta, 1)
-	return true
+	return s.DirtyRange(r, page, page+1) == 1
 }
 
 // DirtyPages CoW-splits the first n pages of the region (a convenient
 // stand-in for "the working set touched during execution") and returns
 // the number of actual faults.
 func (s *Space) DirtyPages(r *Region, n int) int {
-	if n > r.pages {
-		n = r.pages
+	return s.DirtyRange(r, 0, min(n, r.pages))
+}
+
+// DirtyRange CoW-splits pages [lo,hi) of a mapped region and returns the
+// number of actual faults: pages of the range this space had not split
+// before. The whole range is booked under one lock acquisition at a cost
+// that follows the number of runs involved, not the number of pages.
+func (s *Space) DirtyRange(r *Region, lo, hi int) int {
+	h := s.host
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s.mustLive()
+	ref := s.ref(r)
+	if ref == nil {
+		panic(fmt.Sprintf("mem: dirty of unmapped region %s in %s", r.name, s.name))
 	}
-	faults := 0
-	for p := 0; p < n; p++ {
-		if s.DirtyPage(r, p) {
-			faults++
-		}
+	if lo < 0 || hi > r.pages {
+		panic(fmt.Sprintf("mem: pages [%d,%d) out of range for region %s (%d pages)", lo, hi, r.name, r.pages))
 	}
+	fresh := uncovered(ref.dirty, lo, hi)
+	if len(fresh) == 0 {
+		return 0
+	}
+	before := r.residentLocked()
+	for _, x := range fresh {
+		ref.dirty = add(ref.dirty, x.lo, x.hi, 1)
+		r.split = add(r.split, x.lo, x.hi, 1)
+	}
+	faults := span(fresh)
+	r.faults += uint64(faults)
+	s.private[r.kind] += faults
+	h.cowFaults.Add(int64(faults))
+	h.cowByKind[r.kind].Add(int64(faults))
+	// Each CoW copy is a new private page; the rest of the delta is base
+	// frames reclaimed because this was their last referent.
+	h.adjustLocked(int64(faults+r.residentLocked()-before), int64(faults))
 	return faults
 }
 
@@ -430,15 +431,16 @@ func (s *Space) DirtiedPagesIn(r *Region) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s.mustLive()
-	ref, ok := s.refs[r.name]
-	if !ok {
+	ref := s.ref(r)
+	if ref == nil {
 		return nil
 	}
-	pages := make([]int, 0, len(ref.dirty))
-	for p := range ref.dirty {
-		pages = append(pages, p)
+	pages := make([]int, 0, span(ref.dirty))
+	for _, x := range ref.dirty {
+		for p := x.lo; p < x.hi; p++ {
+			pages = append(pages, p)
+		}
 	}
-	sort.Ints(pages)
 	return pages
 }
 
@@ -452,6 +454,7 @@ func (s *Space) AllocPrivate(kind Kind, pages int) {
 	defer h.mu.Unlock()
 	s.mustLive()
 	s.private[kind] += pages
+	h.rssPages += uint64(pages)
 	h.adjustLocked(int64(pages), int64(pages))
 }
 
@@ -465,11 +468,12 @@ func (s *Space) FreePrivate(kind Kind, pages int) {
 		panic(fmt.Sprintf("mem: freeing %d %s pages but only %d allocated", pages, kind, s.private[kind]))
 	}
 	s.private[kind] -= pages
+	h.rssPages -= uint64(pages)
 	h.adjustLocked(-int64(pages), -int64(pages))
 }
 
 // Free releases everything the space holds: region mappings (dropping
-// per-page sharer counts, reclaiming base frames that lost their last
+// per-page split counts, reclaiming base frames that lost their last
 // referent) and private pages. The space's final PSS is observed into
 // mem_pss_bytes (smem's per-process sample, taken at end of life) and
 // the space is unregistered from fleet reports; it is unusable
@@ -482,45 +486,23 @@ func (s *Space) Free() {
 	if h.pssHist != nil {
 		h.pssHist.Observe(s.pssLocked())
 	}
-	var dirtyTotal int64
+	h.rssPages -= s.rssPagesLocked()
+	// Base frames: a departing sharer releases every resident frame of a
+	// region it was the last to map, and otherwise orphans the frames of
+	// pages every remaining sharer has split.
+	var base int64
 	for _, ref := range s.refs {
 		r := ref.region
-		dirtyTotal += int64(len(ref.dirty))
-		// Our private CoW copies are released.
-		delta := -int64(len(ref.dirty))
-		for p := range ref.dirty {
-			r.dirtied[p]--
-			if r.dirtied[p] == 0 {
-				delete(r.dirtied, p)
-			}
+		before := r.residentLocked()
+		for _, x := range ref.dirty {
+			r.split = add(r.split, x.lo, x.hi, -1)
 		}
 		r.sharers--
-		if r.sharers == 0 {
-			// Region goes dormant: release every base frame that was
-			// not already reclaimed.
-			delta -= int64(r.pages - len(r.freedBase))
-			r.freedBase = make(map[int]bool)
-		} else {
-			// Our departure may orphan base frames of pages every
-			// remaining sharer has split, or re-balance ones we split.
-			for p := range r.dirtied {
-				delta += int64(r.recheckPage(p))
-			}
-			for p := range r.freedBase {
-				delta += int64(r.recheckPage(p))
-			}
-		}
-		// -len(ref.dirty) of delta is this space's CoW copies (private);
-		// the rest adjusts shared base frames.
-		h.adjustLocked(delta, -int64(len(ref.dirty)))
+		base += int64(r.residentLocked() - before)
 	}
-	var privatePages int64
-	for _, n := range s.private {
-		privatePages += int64(n)
-	}
-	// Region CoW copies were already subtracted above; subtract only
-	// the remaining pure-anonymous portion.
-	h.adjustLocked(-(privatePages - dirtyTotal), -(privatePages - dirtyTotal))
+	// s.private holds the CoW copies as well as the anonymous pages.
+	private := int64(s.privatePagesLocked())
+	h.adjustLocked(base-private, -private)
 	delete(h.spaces, s.seq)
 	s.refs = nil
 	s.private = nil
@@ -540,6 +522,44 @@ func (s *Space) PrivatePages(kind Kind) int {
 	return s.private[kind]
 }
 
+func (s *Space) privatePagesLocked() uint64 {
+	var pages uint64
+	for _, n := range s.private {
+		pages += uint64(n)
+	}
+	return pages
+}
+
+// eachSharedLocked walks the base frames this space still references,
+// as stretches of pages with one referent count each: first the pages
+// some other sharer split but this space did not (referents = sharers
+// minus splitters), then the pages nobody split (referents = sharers).
+// PSS and USS are both sums over these stretches.
+func (ref *regionRef) eachSharedLocked(f func(pages, referents int)) {
+	r := ref.region
+	clean, j := r.pages, 0
+	for _, x := range r.split {
+		clean -= x.hi - x.lo
+		// Every page this space split is inside some run of r.split, so
+		// ref.dirty[j] never starts before x.
+		own := 0
+		for j < len(ref.dirty) && ref.dirty[j].lo < x.hi {
+			d := ref.dirty[j]
+			own += min(d.hi, x.hi) - max(d.lo, x.lo)
+			if d.hi > x.hi {
+				break // d continues into the next run
+			}
+			j++
+		}
+		if n := x.hi - x.lo - own; n > 0 {
+			f(n, r.sharers-x.n)
+		}
+	}
+	if clean > 0 {
+		f(clean, r.sharers)
+	}
+}
+
 // RSS returns the resident set size in bytes: all mapped shared pages
 // plus all private pages (how `top` would see the microVM process).
 func (s *Space) RSS() uint64 {
@@ -547,19 +567,16 @@ func (s *Space) RSS() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s.mustLive()
-	return s.rssLocked()
+	return s.rssPagesLocked() * PageSize
 }
 
-func (s *Space) rssLocked() uint64 {
-	var pages uint64
+func (s *Space) rssPagesLocked() uint64 {
+	pages := s.privatePagesLocked()
 	for _, ref := range s.refs {
 		// Shared pages still referenced (not CoW-split by this space).
-		pages += uint64(ref.region.pages - len(ref.dirty))
+		pages += uint64(ref.region.pages - span(ref.dirty))
 	}
-	for _, n := range s.private {
-		pages += uint64(n)
-	}
-	return pages * PageSize
+	return pages
 }
 
 // PSS returns the proportional set size in bytes, exactly as smem
@@ -574,29 +591,20 @@ func (s *Space) PSS() float64 {
 }
 
 func (s *Space) pssLocked() float64 {
-	var pss float64
-	for _, n := range s.private {
-		pss += float64(n) * PageSize
-	}
+	pss := float64(s.privatePagesLocked()) * PageSize
 	for _, ref := range s.refs {
-		r := ref.region
-		// Pages nobody split: shared by all current sharers.
-		clean := r.pages - len(r.dirtied)
-		if r.sharers > 0 {
-			pss += float64(clean) * PageSize / float64(r.sharers)
-		}
-		// Pages split by someone: this space shares the base frame only
-		// if it did not split the page itself.
-		for p, nSplit := range r.dirtied {
-			if ref.dirty[p] {
-				continue // our copy already counted as private
-			}
-			base := r.sharers - nSplit
-			if base > 0 {
-				pss += PageSize / float64(base)
-			}
-		}
+		pss += ref.pssLocked()
 	}
+	return pss
+}
+
+// pssLocked is the space's proportional share of the region's base
+// frames (its CoW copies are private pages, counted by the space).
+func (ref *regionRef) pssLocked() float64 {
+	var pss float64
+	ref.eachSharedLocked(func(pages, referents int) {
+		pss += float64(pages) * PageSize / float64(referents)
+	})
 	return pss
 }
 
@@ -611,24 +619,13 @@ func (s *Space) USS() uint64 {
 }
 
 func (s *Space) ussLocked() uint64 {
-	var pages uint64
-	for _, n := range s.private {
-		pages += uint64(n)
-	}
+	pages := s.privatePagesLocked()
 	for _, ref := range s.refs {
-		r := ref.region
-		if r.sharers == 1 {
-			pages += uint64(r.pages - len(ref.dirty))
-		} else {
-			for p, nSplit := range r.dirtied {
-				if !ref.dirty[p] && r.sharers-nSplit == 1 {
-					pages++
-				}
+		ref.eachSharedLocked(func(n, referents int) {
+			if referents == 1 {
+				pages += uint64(n)
 			}
-			if len(r.dirtied) == 0 {
-				continue
-			}
-		}
+		})
 	}
 	return pages * PageSize
 }
@@ -649,19 +646,7 @@ func (s *Space) breakdownLocked() map[Kind]float64 {
 		out[kind] += float64(n) * PageSize
 	}
 	for _, ref := range s.refs {
-		r := ref.region
-		clean := r.pages - len(r.dirtied)
-		if r.sharers > 0 {
-			out[r.kind] += float64(clean) * PageSize / float64(r.sharers)
-		}
-		for p, nSplit := range r.dirtied {
-			if ref.dirty[p] {
-				continue
-			}
-			if base := r.sharers - nSplit; base > 0 {
-				out[r.kind] += PageSize / float64(base)
-			}
-		}
+		out[ref.region.kind] += ref.pssLocked()
 	}
 	return out
 }

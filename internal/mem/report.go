@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"text/tabwriter"
 )
 
@@ -71,12 +70,12 @@ func (r *Region) lineageLocked() RegionLineage {
 		// Dormant: no frames resident, nothing shared.
 		return l
 	}
-	for p, n := range r.dirtied {
-		l.SplitCopies += n
-		if r.freedBase[p] {
-			l.ReclaimedPages++
+	for _, x := range r.split {
+		l.SplitCopies += x.n * (x.hi - x.lo)
+		if x.n == r.sharers {
+			l.ReclaimedPages += x.hi - x.lo
 		} else {
-			l.PartialPages++
+			l.PartialPages += x.hi - x.lo
 		}
 	}
 	l.SharedPages = r.pages - l.PartialPages - l.ReclaimedPages
@@ -136,22 +135,13 @@ func (h *Host) Report() HostReport {
 	}
 	rep.Swapping = rep.UsedBytes > rep.SwapThresholdBytes
 
-	spaces := make([]*Space, 0, len(h.spaces))
-	for _, s := range h.spaces {
-		spaces = append(spaces, s)
-	}
-	sort.Slice(spaces, func(i, j int) bool { return spaces[i].seq < spaces[j].seq })
-	for _, s := range spaces {
-		var privPages uint64
-		for _, n := range s.private {
-			privPages += uint64(n)
-		}
+	for _, s := range h.spacesLocked() {
 		sr := SpaceReport{
 			Name:         s.name,
-			RSSBytes:     s.rssLocked(),
+			RSSBytes:     s.rssPagesLocked() * PageSize,
 			PSSBytes:     s.pssLocked(),
 			USSBytes:     s.ussLocked(),
-			PrivateBytes: privPages * PageSize,
+			PrivateBytes: s.privatePagesLocked() * PageSize,
 			ByKind:       s.breakdownLocked(),
 		}
 		sr.SharedBytes = sr.RSSBytes - sr.PrivateBytes
@@ -160,15 +150,10 @@ func (h *Host) Report() HostReport {
 		rep.Spaces = append(rep.Spaces, sr)
 	}
 
-	regions := make([]*Region, 0, len(h.regions))
 	for _, r := range h.regions {
 		if r.sharers > 0 || r.faults > 0 {
-			regions = append(regions, r)
+			rep.Regions = append(rep.Regions, r.lineageLocked())
 		}
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i].seq < regions[j].seq })
-	for _, r := range regions {
-		rep.Regions = append(rep.Regions, r.lineageLocked())
 	}
 
 	rep.PSSPageExact = uint64(math.Round(rep.PSSSumBytes/PageSize)) == h.usedPages
@@ -176,6 +161,16 @@ func (h *Host) Report() HostReport {
 		rep.SharingEfficiency = float64(rep.RSSSumBytes) / float64(rep.UsedBytes)
 	}
 	return rep
+}
+
+// SharingTotals returns the numerator and denominator of
+// SharingEfficiency — the sum of every live space's RSS and the bytes
+// resident — from two running totals the host keeps as it books each
+// operation, so a per-request probe need not derive a whole Report.
+func (h *Host) SharingTotals() (rssSumBytes, usedBytes uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.rssPages * PageSize, h.usedPages * PageSize
 }
 
 // WriteText renders the report as the smem-style table plus the

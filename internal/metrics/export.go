@@ -7,8 +7,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Snapshot is a point-in-time, export-ready view of a registry. All
@@ -164,10 +162,10 @@ func (h *Histogram) snapshot() HistSnapshot {
 		Max:   h.max,
 	}
 	if h.count > 0 {
-		hs.P50 = stats.Percentile(h.samples, 50)
-		hs.P90 = stats.Percentile(h.samples, 90)
-		hs.P99 = stats.Percentile(h.samples, 99)
-		hs.P999 = stats.Percentile(h.samples, 99.9)
+		hs.P50 = h.win.percentile(50)
+		hs.P90 = h.win.percentile(90)
+		hs.P99 = h.win.percentile(99)
+		hs.P999 = h.win.percentile(99.9)
 	}
 	cum := uint64(0)
 	for i, n := range h.counts {

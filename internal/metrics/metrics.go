@@ -10,8 +10,8 @@
 //
 // Timestamps are virtual (internal/vclock), so a metrics snapshot is a
 // pure function of the workload. Percentile math reuses
-// internal/stats.Percentile over retained raw samples, so histogram
-// quantiles are exact up to the sample window.
+// internal/stats's interpolation over retained raw samples, so
+// histogram quantiles are exact up to the sample window.
 //
 // Instruments are nil-safe: every method works on a nil receiver as a
 // no-op, and a nil *Registry hands out nil instruments. Components can
@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -45,7 +44,7 @@ const UnitDuration = "ns"
 // maxSamples bounds the raw-sample window a histogram retains for
 // exact percentiles. Past the bound the window wraps (a deterministic
 // ring), so quantiles describe the most recent maxSamples
-// observations.
+// observations (see window.go).
 const maxSamples = 1 << 16
 
 // DefaultLatencyBuckets are the fixed upper bounds (in nanoseconds)
@@ -355,8 +354,7 @@ type Histogram struct {
 	sum       float64
 	min       float64
 	max       float64
-	samples   []float64  // ring of the most recent maxSamples observations
-	next      int        // ring cursor
+	win       window     // the most recent maxSamples observations
 	exemplars []Exemplar // lazily allocated, len(bounds)+1; zero Trace = empty slot
 }
 
@@ -382,12 +380,7 @@ func (h *Histogram) observeLocked(v float64) int {
 	}
 	h.count++
 	h.sum += v
-	if len(h.samples) < maxSamples {
-		h.samples = append(h.samples, v)
-	} else {
-		h.samples[h.next] = v
-		h.next = (h.next + 1) % maxSamples
-	}
+	h.win.observe(v)
 	return i
 }
 
@@ -460,14 +453,15 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Percentile returns the p-th percentile (0-100) over the retained
-// sample window, computed with internal/stats.Percentile.
+// sample window: what internal/stats.Percentile computes over the
+// window's samples, read by rank instead of by sorting them.
 func (h *Histogram) Percentile(p float64) float64 {
 	if h == nil {
 		return 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return stats.Percentile(h.samples, p)
+	return h.win.percentile(p)
 }
 
 // snapshotTime returns the registry's virtual time, or 0 without a

@@ -56,7 +56,17 @@ func GeoMeanDurations(ds []time.Duration) time.Duration {
 // linear interpolation between closest ranks. It returns 0 for an empty
 // slice. The input is not modified.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return PercentileSorted(len(sorted), func(i int) float64 { return sorted[i] }, p)
+}
+
+// PercentileSorted is Percentile over n values already in ascending
+// order (sort.Float64s order: NaNs first), read by rank through at. It
+// is the one interpolation routine: a caller that keeps its values
+// ordered gets the same bits Percentile would give, without the sort.
+func PercentileSorted(n int, at func(rank int) float64, p float64) float64 {
+	if n == 0 {
 		return 0
 	}
 	// NaN fails both range checks below and would flow into the array
@@ -67,19 +77,17 @@ func Percentile(xs []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
+	if n == 1 {
+		return at(0)
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Speedup returns how many times faster "fast" is than "slow"

@@ -117,19 +117,18 @@ func NewWatchdog(s *Sampler, journal *events.Journal, reg *metrics.Registry) *Wa
 // event carrying an "error" attribute — the default causal anchor for
 // an alert (the failure closest to the SLO breach).
 func LastErrorEvidence(j *events.Journal) events.Ref {
-	evs := j.Events()
-	for i := len(evs) - 1; i >= 0; i-- {
-		e := evs[i]
+	e, _ := j.Newest(func(e *events.Event) bool {
 		if e.Trace == 0 {
-			continue
+			return false
 		}
 		for _, a := range e.Attrs {
 			if a.Key == "error" {
-				return events.Ref{Trace: e.Trace, Span: e.Span}
+				return true
 			}
 		}
-	}
-	return events.Ref{}
+		return false
+	})
+	return events.Ref{Trace: e.Trace, Span: e.Span}
 }
 
 // AddRule registers a rule. Exactly one of Ratio or Value must be set.

@@ -334,18 +334,18 @@ func (v *MicroVM) DirtyDuringExecution(bytes uint64) {
 	// CoW-split mapped snapshot pages beyond what we already dirtied.
 	cursor := int(v.dirtyCursor / mem.PageSize)
 	for _, r := range v.mapped {
-		if remaining == 0 {
-			break
-		}
 		if cursor >= r.Pages() {
 			cursor -= r.Pages()
 			continue
 		}
-		for p := cursor; p < r.Pages() && remaining > 0; p++ {
-			if v.space.DirtyPage(r, p) {
-				remaining--
-			}
-			v.dirtyCursor += mem.PageSize
+		// Each step takes as many pages as budget remains; pages some
+		// DirtyKind call already split fault nothing, and the next step
+		// carries the unspent budget on past them.
+		for cursor < r.Pages() && remaining > 0 {
+			end := min(cursor+remaining, r.Pages())
+			remaining -= v.space.DirtyRange(r, cursor, end)
+			v.dirtyCursor += uint64(end-cursor) * mem.PageSize
+			cursor = end
 		}
 		cursor = 0
 	}
@@ -371,13 +371,9 @@ func (v *MicroVM) DirtyKind(kind mem.Kind, bytes uint64) {
 		if r.Kind() != kind {
 			continue
 		}
-		n := r.Pages()
-		if n > remaining {
-			n = remaining
-		}
-		faulted := v.space.DirtyPages(r, n)
+		n := min(r.Pages(), remaining)
+		v.space.DirtyRange(r, 0, n)
 		remaining -= n
-		_ = faulted
 	}
 	if remaining > 0 {
 		v.space.AllocPrivate(kind, remaining)

@@ -155,6 +155,7 @@ type Engine struct {
 	names     []string // registration order
 	runs      map[string]*Run
 	runSeq    int
+	completed []string // IDs of retained completed runs, oldest first
 
 	busRetrier *faults.Retrier
 
@@ -562,9 +563,31 @@ func (e *Engine) finalize(wf *registered, run *Run) {
 		events.A("steps_dead", strconv.Itoa(dead)),
 		events.A("steps_pending", strconv.Itoa(pending)))
 	run.sc.Close(now, events.A("status", status))
+	if status == RunCompleted {
+		e.retire(run.ID)
+	}
 }
 
-// Runs returns all runs in start order.
+// retainCompleted is how many completed runs the engine keeps. Once Run
+// has returned, nothing reads a completed run again except the
+// late-duplicate check in deliver, and a duplicate for a forgotten run
+// is skipped by drive like any unknown run ID. Stalled runs are never
+// forgotten: ReplayDLQ resumes them.
+const retainCompleted = 256
+
+// retire records a run as completed and forgets the oldest completed
+// runs beyond retainCompleted, with their invocation, charge log and
+// step outputs.
+func (e *Engine) retire(id string) {
+	e.completed = append(e.completed, id)
+	if len(e.completed) > retainCompleted {
+		delete(e.runs, e.completed[0])
+		e.completed = e.completed[1:]
+	}
+}
+
+// Runs returns the runs the engine still holds — every stalled run and
+// the most recent completed ones — in start order.
 func (e *Engine) Runs() []*Run {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -576,7 +599,7 @@ func (e *Engine) Runs() []*Run {
 	return out
 }
 
-// GetRun returns a run by ID (nil if unknown).
+// GetRun returns a run by ID (nil if unknown or no longer retained).
 func (e *Engine) GetRun(id string) *Run {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -618,3 +618,74 @@ func TestDoneEventCarriesStepCounts(t *testing.T) {
 		t.Errorf("trace ends with %v %s:%s, want the done instant (or the root close)", last.Kind, last.Component, last.Name)
 	}
 }
+
+// TestCompletedRunsAreBounded pins the engine's retention rule: a
+// completed run is forgotten once enough newer ones have completed, a
+// stalled run never is, and a late duplicate for a forgotten run is
+// dropped without executing anything.
+func TestCompletedRunsAreBounded(t *testing.T) {
+	h := newHarness(t, workflow.Options{Retry: faults.RetryPolicy{
+		MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, Multiplier: 1,
+	}})
+	broken := true
+	h.inv.handle("f", func(in map[string]any) (any, error) {
+		if broken {
+			return nil, fmt.Errorf("transient: %w", faults.ErrInjected)
+		}
+		return "ok", nil
+	})
+	spec := &workflow.Spec{Name: "keep", Steps: []workflow.Step{
+		{ID: "a", Function: "f"},
+		{ID: "b", Function: "f", After: []string{"a"}},
+	}}
+	if err := h.eng.Register(spec); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	stalled, err := h.eng.Run("keep", nil, 0)
+	if err != nil || stalled.Status != workflow.RunStalled {
+		t.Fatalf("first run = %v, %v; want stalled", stalled.Status, err)
+	}
+	broken = false
+	var first *workflow.Run
+	for i := 1; i <= 5000; i++ {
+		run, err := h.eng.Run("keep", nil, time.Duration(i)*time.Millisecond)
+		if err != nil || run.Status != workflow.RunCompleted {
+			t.Fatalf("run %d = %v, %v; want completed", i, run.Status, err)
+		}
+		if first == nil {
+			first = run
+		}
+	}
+	runs := h.eng.Runs()
+	if len(runs) > 300 {
+		t.Fatalf("engine holds %d runs after 5000 completed, want a bounded few hundred", len(runs))
+	}
+	if runs[0].ID != stalled.ID {
+		t.Fatalf("oldest retained run is %s, want the stalled run %s", runs[0].ID, stalled.ID)
+	}
+	if last := runs[len(runs)-1]; last.Status != workflow.RunCompleted {
+		t.Fatalf("newest retained run status %q", last.Status)
+	}
+	if h.eng.GetRun(first.ID) != nil {
+		t.Fatalf("first completed run %s still retained", first.ID)
+	}
+
+	// A late duplicate of a forgotten run's step is consumed and skipped.
+	started := h.counter("workflow_steps_started_total")
+	body, _ := json.Marshal(map[string]string{"run": first.ID, "step": "a"})
+	if _, _, err := h.bus.ProduceTracedAt("wf-keep-steps", first.ID, body, 6*time.Second, nil); err != nil {
+		t.Fatalf("produce duplicate: %v", err)
+	}
+
+	// The stalled run, older than every forgotten one, still replays.
+	resumed, err := h.eng.ReplayDLQ("keep", 7*time.Second)
+	if err != nil || len(resumed) != 1 || resumed[0] != stalled {
+		t.Fatalf("ReplayDLQ = %v, %v; want the stalled run", resumed, err)
+	}
+	if stalled.Status != workflow.RunCompleted {
+		t.Fatalf("stalled run status %q after replay, want completed", stalled.Status)
+	}
+	if got := h.counter("workflow_steps_started_total") - started; got != 2 {
+		t.Fatalf("replay started %d steps, want 2 (the forgotten run's duplicate must not execute)", got)
+	}
+}
