@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline
+.PHONY: check vet build test race bench-smoke trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline loc
 
 # check is the tier-1 gate: everything must pass before a merge.
 check: vet build test race bench-smoke
@@ -70,7 +70,7 @@ insight-demo:
 # storm with the telemetry governor armed — writes the sampled NDJSON
 # journal and coverage-annotated insight report, and fails on any WARN
 # shape check (>=5x byte reduction, 100% error/fault/DLQ retention,
-# layout-invariant and same-seed byte-identical exports).
+# same-seed byte-identical exports).
 telem-demo:
 	mkdir -p telem-demo-artifacts
 	$(GO) run ./cmd/fwbench -run telem -artifacts telem-demo-artifacts > telem-demo.log || { cat telem-demo.log; rm -f telem-demo.log; exit 1; }
@@ -89,3 +89,19 @@ mem-demo:
 	$(GO) run ./cmd/fwbench -run memtl -artifacts mem-demo-artifacts
 	$(GO) run ./cmd/memcheck mem-demo-artifacts/memory-timeline-fireworks.csv
 	$(GO) run ./cmd/memcheck mem-demo-artifacts/memory-timeline-firecracker.csv
+
+# loc prints a PR's column of the table in DESIGN.md §6 — non-test .go
+# lines of tracked files per package, in the table's row order — so the
+# column is generated rather than hand-counted.
+LOC_OBSERVABILITY = internal/metrics internal/timeseries internal/events internal/insight internal/telemetry internal/trace
+LOC_MECHANISM = internal/core internal/vmm internal/snapshot internal/mem internal/chunk
+LOC_OTHER = internal/platform internal/experiments internal/workflow internal/cluster internal/stats cmd/fwsim cmd/fwcli cmd/benchgate
+
+loc:
+	@lines() { grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l; }; \
+	rows() { sum=0; for p in $$2; do n=$$(git ls-files -- $$p | lines); echo "| \`$$p\` | $$n |"; sum=$$((sum+n)); done; \
+		[ -z "$$1" ] || echo "| **$$1, sum** | **$$sum** |"; }; \
+	{ rows observability "$(LOC_OBSERVABILITY)"; rows mechanism "$(LOC_MECHANISM)"; rows "" "$(LOC_OTHER)"; \
+	  echo "| **repo total** | **$$(git ls-files | grep -v '^bench/' | lines)** |"; \
+	  echo "| \`bench_test.go\` (test file, all lines) | $$(wc -l < bench_test.go) |"; \
+	} | sed -E ':a;s/([0-9])([0-9]{3})\b/\1,\2/;ta'

@@ -507,31 +507,6 @@ func BenchmarkSamplerSample(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalParallel appends per-invocation traces from many
-// nodes into one shared journal — the cluster storm access pattern.
-func BenchmarkJournalParallel(b *testing.B) {
-	const nodes = 16
-	nodeNames := make([]string, nodes)
-	for i := range nodeNames {
-		nodeNames[i] = fmt.Sprintf("node-%02d", i)
-	}
-	j := events.NewJournal(events.DefaultCapacity)
-	var gid atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		g := int(gid.Add(1))
-		node := nodeNames[g%nodes]
-		i := 0
-		for pb.Next() {
-			sc := j.NewScope("core", "invoke", time.Duration(i))
-			sc.SetNode(node)
-			sc.Instant("vmm", "restore", time.Duration(i))
-			sc.Close(time.Duration(i + 1))
-			i++
-		}
-	})
-}
-
 // BenchmarkMsgbusBatch compares the per-record produce/consume path
 // against the batched API on the same 64-record workload: one topic
 // per iteration (the invoke path's per-instance topic lifecycle),

@@ -65,7 +65,6 @@ var manifest = []BenchEntry{
 	// Harness contention benchmarks: gated, including the derived
 	// batch/single speedup.
 	{Name: "BenchmarkMetricsParallel", Gate: true},
-	{Name: "BenchmarkJournalParallel", Gate: true},
 	{Name: "BenchmarkMsgbusBatch/single", Gate: true},
 	{Name: "BenchmarkMsgbusBatch/batch", Gate: true},
 	// One request's telemetry step at two histogram-window fills: gated,

@@ -594,24 +594,24 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleFunctions(w http.ResponseWriter, r *http.Request) {
+	// Name and report are read under one lock acquisition: a concurrent
+	// DELETE must not leave a listed name without its report.
 	s.mu.Lock()
 	names := make([]string, 0, len(s.installs))
 	for name := range s.installs {
 		names = append(names, name)
 	}
-	s.mu.Unlock()
 	sort.Strings(names)
 	out := make([]map[string]any, 0, len(names))
 	for _, name := range names {
-		s.mu.Lock()
 		rep := s.installs[name]
-		s.mu.Unlock()
 		out = append(out, map[string]any{
 			"name":           name,
 			"snapshot_bytes": rep.SnapshotBytes,
 			"install_time":   rep.Duration.String(),
 		})
 	}
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -766,18 +766,17 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	evs := s.c.Journal().Events()
+	limit := 0 // no limit: the whole ring
 	if limitStr := r.URL.Query().Get("limit"); limitStr != "" {
 		// A limit must be a positive integer; zero, negatives, and
 		// garbage are client errors, not silent defaults.
-		limit, err := strconv.Atoi(limitStr)
-		if err != nil || limit <= 0 {
+		var err error
+		if limit, err = strconv.Atoi(limitStr); err != nil || limit <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("events: bad limit %q (want a positive integer)", limitStr))
 			return
 		}
-		evs = s.c.Journal().Tail(limit)
 	}
-	s.writeEvents(w, r, evs)
+	s.writeEvents(w, r, s.c.Journal().Tail(limit))
 }
 
 // handleEventsStream long-polls the journal as NDJSON: events with
@@ -815,12 +814,7 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(wait)
 	var fresh []events.Event
 	for {
-		fresh = fresh[:0]
-		for _, e := range s.c.Journal().Events() {
-			if e.Seq > since {
-				fresh = append(fresh, e)
-			}
-		}
+		fresh = s.c.Journal().Since(since)
 		if len(fresh) > 0 || !time.Now().Before(deadline) {
 			break
 		}
@@ -864,7 +858,6 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		"journal": map[string]any{
 			"events":  s.c.Journal().Len(),
 			"dropped": s.c.Journal().Dropped(),
-			"shards":  s.c.Journal().Shards(),
 		},
 	})
 }

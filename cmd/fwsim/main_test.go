@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -912,4 +914,69 @@ func TestOversizedBodyRejected(t *testing.T) {
 			t.Errorf("POST %s: status = %d, want 413: %v", route, status, out)
 		}
 	}
+}
+
+// TestFunctionsListDuringChurn lists the functions from several clients
+// while another installs and removes one: every listing must be a
+// complete 200. (The handler used to collect names under one lock
+// acquisition and read each report under another, and dereferenced the
+// report a DELETE in between had taken away; the churning name sorts
+// last, behind enough stable ones for that window to be hit.)
+func TestFunctionsListDuringChurn(t *testing.T) {
+	ts := newTestServer(t)
+	const stable = 16
+	for i := 0; i < stable; i++ {
+		post(t, ts.URL+"/install", strings.Replace(installBody, `"hello"`, fmt.Sprintf(`"f%02d"`, i), 1))
+	}
+	churn := strings.Replace(installBody, `"hello"`, `"zz-churn"`, 1)
+	done := make(chan struct{})
+	var listers sync.WaitGroup
+	for l := 0; l < 4; l++ {
+		listers.Add(1)
+		go func() {
+			defer listers.Done()
+			for listing := true; listing; {
+				select {
+				case <-done:
+					listing = false // one more listing after the churn has stopped
+				default:
+				}
+				resp, err := http.Get(ts.URL + "/functions")
+				if err != nil {
+					t.Errorf("GET /functions: %v", err)
+					return
+				}
+				var fns []struct {
+					Name          string `json:"name"`
+					SnapshotBytes uint64 `json:"snapshot_bytes"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&fns)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(fns) < stable || len(fns) > stable+1 {
+					t.Errorf("GET /functions = %d with %d functions (%v), want the %d stable ones plus at most the churning one",
+						resp.StatusCode, len(fns), err, stable)
+					return
+				}
+				for i, fn := range fns[:stable] {
+					if fn.Name != fmt.Sprintf("f%02d", i) || fn.SnapshotBytes == 0 {
+						t.Errorf("listing entry %d = %+v", i, fn)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if status, out := post(t, ts.URL+"/install", churn); status != http.StatusCreated {
+			t.Fatalf("install %d = %d: %v", i, status, out)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/functions/zz-churn", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("delete %d: %v", i, err)
+		}
+		resp.Body.Close()
+	}
+	close(done)
+	listers.Wait()
 }

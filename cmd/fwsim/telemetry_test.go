@@ -107,6 +107,36 @@ func TestEventsStreamEndpoint(t *testing.T) {
 		t.Fatalf("idle cursor moved: %q", got)
 	}
 
+	// A cursor in the middle of the ring is served exactly the events
+	// after it; one past the newest Seq gets nothing and stays put, even
+	// when it long-polls.
+	mid := lines[len(lines)/2-1]
+	var midEv struct {
+		Seq uint64 `json:"seq"`
+	}
+	if err := json.Unmarshal([]byte(mid), &midEv); err != nil {
+		t.Fatal(err)
+	}
+	resp3, err := http.Get(ts.URL + "/events/stream?since=" + strconv.FormatUint(midEv.Seq, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readAll(t, resp3), strings.Join(lines[len(lines)/2:], "\n")+"\n"; got != want {
+		t.Fatalf("stream since=%d served %d bytes, want the %d lines after it (%d bytes)",
+			midEv.Seq, len(got), len(lines)-len(lines)/2, len(want))
+	}
+	if got := resp3.Header.Get("X-Next-Since"); got != strconv.FormatUint(next, 10) {
+		t.Fatalf("mid-ring cursor advanced to %q, want %d", got, next)
+	}
+	beyond := strconv.FormatUint(next+1000, 10)
+	resp4, err := http.Get(ts.URL + "/events/stream?wait_ms=30&since=" + beyond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body4 := readAll(t, resp4); body4 != "" || resp4.Header.Get("X-Next-Since") != beyond {
+		t.Fatalf("cursor past the newest Seq: body %q, X-Next-Since %q", body4, resp4.Header.Get("X-Next-Since"))
+	}
+
 	for _, bad := range []string{"?since=abc", "?wait_ms=-1", "?wait_ms=x"} {
 		if status, _ := get(t, ts.URL+"/events/stream"+bad); status != http.StatusBadRequest {
 			t.Fatalf("stream%s = %d, want 400", bad, status)
@@ -194,10 +224,7 @@ func TestTelemetryEndpoint(t *testing.T) {
 			Series      int `json:"series"`
 			TierBuckets int `json:"tier_buckets"`
 		} `json:"sampler"`
-		Journal struct {
-			Events int `json:"events"`
-			Shards int `json:"shards"`
-		} `json:"journal"`
+		Journal map[string]json.RawMessage `json:"journal"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("telemetry JSON: %v\n%s", err, body)
@@ -213,8 +240,8 @@ func TestTelemetryEndpoint(t *testing.T) {
 	if out.Sampler.Series == 0 || out.Sampler.TierBuckets == 0 {
 		t.Fatalf("sampler stats = %+v (rollups not armed?)", out.Sampler)
 	}
-	if out.Journal.Shards == 0 {
-		t.Fatalf("journal stats missing:\n%s", body)
+	if out.Journal["events"] == nil || out.Journal["dropped"] == nil || len(out.Journal) != 2 {
+		t.Fatalf("journal stats are not {events, dropped}:\n%s", body)
 	}
 	if status, _ := get(t, ts.URL+"/telemetry?k=0"); status != http.StatusBadRequest {
 		t.Fatal("bad k accepted")

@@ -16,24 +16,22 @@
 // byte. (Concurrent invocations interleave appends in goroutine
 // schedule order — the same caveat internal/faults documents.)
 //
-// The journal is sharded per node: appends hash the event's Node name
-// onto independently locked rings, so a fleet of nodes recording into
-// one shared journal does not serialize on a single mutex. Sequence
-// numbers stay journal-wide (an atomic counter), and Events() merges
-// the shards back into sequence order, so exports are byte-identical
-// to the flat single-ring layout for the same workload —
-// NewJournalShards(capacity, 1) keeps the flat layout available as the
-// benchmark baseline. The one observable difference is eviction under
-// overflow: a full shard evicts its own oldest event rather than the
-// globally oldest (capacity is divided across shards), an approximation
-// that only shows once a run overflows the ring. With an eviction
-// guard installed (SetEvictionGuard — a tail sampler protecting its
-// still-open traces) a full shard skips guarded traces and evicts the
-// oldest unguarded event instead.
+// The journal is one ring under one lock, and its slots are in Seq
+// order by construction: an append takes its sequence number while it
+// holds the lock, and eviction and DropTrace close the gaps they make
+// without reordering survivors. So no read sorts, and each walks only
+// the suffix it needs: Tail copies the last n slots, Since binary-
+// searches Seq for the first event a cursor has not seen, Newest scans
+// back from the tail, and DropTrace(id, since) compacts only the slots
+// from the trace's first Seq on — dropping a trace that just finished
+// costs the events appended while it ran, not the ring's capacity.
+//
+// A full ring evicts its oldest event on append. With an eviction guard
+// installed (SetEvictionGuard — a tail sampler protecting its still-open
+// traces) it skips guarded traces and evicts the oldest unguarded event.
 package events
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,18 +106,17 @@ type Event struct {
 	Attrs []Attr
 }
 
-// DefaultCapacity is the journal's default ring size.
-const DefaultCapacity = 1 << 16
-
-// DefaultShards is the per-node stripe count of NewJournal — sized for
-// the simulated fleets the cluster experiments run (dozens of nodes).
-const DefaultShards = 16
+// DefaultCapacity is the journal's default ring size: the room a 3-node
+// gateway really had when the journal was 16 node-hashed stripes of
+// 4,096 slots and wrote four of them. Reads cost in proportion to the
+// resident events, so a larger default makes every scrape dearer.
+const DefaultCapacity = 1 << 14
 
 // Observer sees every event as it is appended — the hook a tail
-// sampler uses to track trace liveness without polling the rings.
-// ObserveEvent runs on the appending goroutine after the shard lock is
-// released, so an observer may call back into the journal (DropTrace,
-// Trace, …) but must tolerate concurrent appends.
+// sampler uses to track trace liveness without polling the ring.
+// ObserveEvent runs on the appending goroutine after the journal's lock
+// is released, so an observer may call back into the journal
+// (DropTrace, Trace, …) but must tolerate concurrent appends.
 type Observer interface {
 	ObserveEvent(e Event)
 }
@@ -129,9 +126,13 @@ type Observer interface {
 // full, the oldest events are dropped and counted. A nil *Journal is
 // valid and records nothing, so components emit unconditionally.
 type Journal struct {
-	shards    []journalShard
-	mask      uint32
-	seq       atomic.Uint64
+	mu      sync.Mutex
+	buf     []Event
+	start   int    // index of the oldest event
+	n       int    // events resident
+	seq     uint64 // last sequence number assigned
+	dropped uint64
+
 	nextTrace atomic.Uint64
 	nextSpan  atomic.Uint64
 
@@ -142,67 +143,40 @@ type Journal struct {
 	guard atomic.Pointer[func(TraceID) bool]
 }
 
-// journalShard is one independently locked event ring; appends hash
-// the event's Node name here, so each simulated node contends only
-// with itself (and the host events sharing its stripe).
-type journalShard struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // index of the oldest event
-	n       int // events resident
-	dropped uint64
-	_       [24]byte // keep neighboring shard mutexes off one cache line
-}
-
 // NewJournal returns a journal holding at most capacity events
-// (DefaultCapacity when <= 0) striped over DefaultShards rings.
+// (DefaultCapacity when <= 0).
 func NewJournal(capacity int) *Journal {
-	return NewJournalShards(capacity, DefaultShards)
-}
-
-// NewJournalShards returns a journal with an explicit stripe count
-// (rounded up to a power of two; n <= 1 yields the flat single-ring
-// layout the contention benchmarks use as their baseline). The total
-// capacity is divided across the stripes.
-func NewJournalShards(capacity, n int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	if n < 1 {
-		n = DefaultShards
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	per := (capacity + pow - 1) / pow
-	if per < 1 {
-		per = 1
-	}
-	j := &Journal{shards: make([]journalShard, pow), mask: uint32(pow - 1)}
-	for i := range j.shards {
-		j.shards[i].buf = make([]Event, per)
-	}
-	return j
+	return &Journal{buf: make([]Event, capacity)}
 }
 
-// Shards reports the journal's stripe count.
-func (j *Journal) Shards() int {
-	if j == nil {
-		return 0
+// at returns the k-th oldest resident slot; the caller holds j.mu.
+func (j *Journal) at(k int) *Event { return &j.buf[(j.start+k)%len(j.buf)] }
+
+// firstAfter returns the index of the oldest resident event whose Seq
+// exceeds seq (j.n when there is none), by binary search — slots are in
+// Seq order. The caller holds j.mu.
+func (j *Journal) firstAfter(seq uint64) int {
+	lo, hi := 0, j.n
+	for lo < hi {
+		if mid := (lo + hi) / 2; j.at(mid).Seq > seq {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return len(j.shards)
+	return lo
 }
 
-// shard maps a node name onto its stripe (FNV-1a; "" — the host /
-// control plane — hashes like any other name).
-func (j *Journal) shard(node string) *journalShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(node); i++ {
-		h ^= uint32(node[i])
-		h *= 16777619
-	}
-	return &j.shards[h&j.mask]
+// copyFrom returns a copy of the resident events from index k on, in
+// append order. The caller holds j.mu.
+func (j *Journal) copyFrom(k int) []Event {
+	out := make([]Event, j.n-k)
+	head := copy(out, j.buf[(j.start+k)%len(j.buf):])
+	copy(out[head:], j.buf)
+	return out
 }
 
 // Instrument attaches the journal to a metrics registry:
@@ -228,11 +202,11 @@ func (j *Journal) SetObserver(o Observer) {
 	j.obs.Store(&o)
 }
 
-// SetEvictionGuard installs the predicate consulted when a full shard
+// SetEvictionGuard installs the predicate consulted when the full ring
 // must evict: active(trace) == true protects that trace's events, so
 // ring pressure falls on completed traces first. A tail sampler
 // installs one so spans of still-open traces cannot be lost before
-// their keep/drop decision. The guard runs under the shard lock and
+// their keep/drop decision. The guard runs under the journal's lock and
 // must not call back into the journal. Nil removes the guard,
 // restoring plain oldest-first eviction.
 func (j *Journal) SetEvictionGuard(active func(TraceID) bool) {
@@ -246,46 +220,38 @@ func (j *Journal) SetEvictionGuard(active func(TraceID) bool) {
 	j.guard.Store(&active)
 }
 
-// append records an event, assigning its sequence number.
-func (j *Journal) append(e Event) {
-	if j == nil {
-		return
-	}
-	j.appendTo(j.shard(e.Node), &e)
-}
-
-// appendTo is append with the stripe already resolved — scopes cache
-// their stripe so steady-state emission skips the node hash. The event
+// append records an event. Its sequence number is taken under the lock
+// that places it, which is what keeps the slots in Seq order. The event
 // is passed by pointer purely to avoid copying the ~200-byte struct an
-// extra time; appendTo copies it into the ring and retains nothing.
-func (j *Journal) appendTo(s *journalShard, e *Event) {
-	e.Seq = j.seq.Add(1)
-	s.mu.Lock()
-	if s.n == len(s.buf) {
-		j.evictOne(s)
+// extra time; append copies it into the ring and retains nothing.
+func (j *Journal) append(e *Event) {
+	j.mu.Lock()
+	j.seq++
+	e.Seq = j.seq
+	if j.n == len(j.buf) {
+		j.evictOne()
 	}
-	s.buf[(s.start+s.n)%len(s.buf)] = *e
-	s.n++
-	s.mu.Unlock()
+	*j.at(j.n) = *e
+	j.n++
+	j.mu.Unlock()
 	j.recorded.Load().Inc()
 	if op := j.obs.Load(); op != nil {
 		(*op).ObserveEvent(*e)
 	}
 }
 
-// evictOne frees one slot in a full shard ring; the caller holds s.mu.
-// Without a guard the shard's oldest event goes. With a guard the
-// oldest event of an inactive trace goes instead (traceless events
-// count as inactive), so a still-open trace keeps its spans; when every
-// resident event is protected the shard falls back to plain oldest —
-// bounded memory beats perfect retention.
-func (j *Journal) evictOne(s *journalShard) {
+// evictOne frees one slot in the full ring; the caller holds j.mu.
+// Without a guard the oldest event goes. With a guard the oldest event
+// of an inactive trace goes instead (traceless events count as
+// inactive), so a still-open trace keeps its spans; when every resident
+// event is protected the ring falls back to plain oldest — bounded
+// memory beats perfect retention.
+func (j *Journal) evictOne() {
 	victim := 0
 	if gp := j.guard.Load(); gp != nil {
 		active := *gp
-		for k := 0; k < s.n; k++ {
-			e := &s.buf[(s.start+k)%len(s.buf)]
-			if e.Trace == 0 || !active(e.Trace) {
+		for k := 0; k < j.n; k++ {
+			if e := j.at(k); e.Trace == 0 || !active(e.Trace) {
 				victim = k
 				break
 			}
@@ -294,59 +260,48 @@ func (j *Journal) evictOne(s *journalShard) {
 	// Shift the events older than the victim forward one slot and
 	// advance start: survivors keep their relative order.
 	for k := victim; k > 0; k-- {
-		s.buf[(s.start+k)%len(s.buf)] = s.buf[(s.start+k-1)%len(s.buf)]
+		*j.at(k) = *j.at(k - 1)
 	}
-	s.start = (s.start + 1) % len(s.buf)
-	s.n--
-	s.dropped++
+	j.start = (j.start + 1) % len(j.buf)
+	j.n--
+	j.dropped++
 	j.droppedC.Load().Inc()
 }
 
 // DropTrace removes every resident event of one trace and reports how
 // many events (and how many NDJSON-encoded bytes, trailing newlines
 // included) were discarded — the accounting a tail sampler charges its
-// dropped-bytes counters with. Dropping is physical: Events(), Trace(),
+// dropped-bytes counters with. since is the Seq of the trace's first
+// event when the caller knows it: only the slots from there to the tail
+// are examined and compacted; 0, or any Seq no later than the trace's
+// first, scans the whole ring. Dropping is physical: Events(), Trace(),
 // and every exporter see only survivors, so a sampled journal costs
 // O(kept). Sampler drops are deliberate, so they do not count into
 // Dropped() or events_dropped_total, which measure ring-overflow loss.
-func (j *Journal) DropTrace(id TraceID) (removed int, bytes int64) {
+func (j *Journal) DropTrace(id TraceID, since uint64) (removed int, bytes int64) {
 	if j == nil || id == 0 {
 		return 0, 0
 	}
-	for i := range j.shards {
-		s := &j.shards[i]
-		s.mu.Lock()
-		kept := 0
-		for k := 0; k < s.n; k++ {
-			e := s.buf[(s.start+k)%len(s.buf)]
-			if e.Trace == id {
-				removed++
-				bytes += int64(EncodedSize(e))
-				continue
-			}
-			s.buf[(s.start+kept)%len(s.buf)] = e
-			kept++
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	kept := 0
+	if since > 0 {
+		kept = j.firstAfter(since - 1)
+	}
+	for k := kept; k < j.n; k++ {
+		e := j.at(k)
+		if e.Trace == id {
+			removed++
+			bytes += int64(EncodedSize(*e))
+			continue
 		}
-		s.n = kept
-		s.mu.Unlock()
+		if kept != k {
+			*j.at(kept) = *e
+		}
+		kept++
 	}
+	j.n = kept
 	return removed, bytes
-}
-
-// newTraceID allocates a fresh trace ID.
-func (j *Journal) newTraceID() TraceID {
-	if j == nil {
-		return 0
-	}
-	return TraceID(j.nextTrace.Add(1))
-}
-
-// newSpanID allocates a fresh span ID.
-func (j *Journal) newSpanID() SpanID {
-	if j == nil {
-		return 0
-	}
-	return SpanID(j.nextSpan.Add(1))
 }
 
 // Len reports how many events are resident.
@@ -354,92 +309,69 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	total := 0
-	for i := range j.shards {
-		s := &j.shards[i]
-		s.mu.Lock()
-		total += s.n
-		s.mu.Unlock()
-	}
-	return total
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.n
 }
 
-// Dropped reports how many events the rings have evicted.
+// Dropped reports how many events the ring has evicted.
 func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0
 	}
-	var total uint64
-	for i := range j.shards {
-		s := &j.shards[i]
-		s.mu.Lock()
-		total += s.dropped
-		s.mu.Unlock()
-	}
-	return total
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.dropped
 }
 
-// Events returns a copy of the resident events in append order: the
-// shards merge back into one stream ordered by journal-wide sequence
-// number, so the result is identical to a flat single-ring journal fed
-// the same workload.
+// Events returns a copy of the resident events in append order.
 func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
-	var out []Event
-	for i := range j.shards {
-		s := &j.shards[i]
-		s.mu.Lock()
-		for k := 0; k < s.n; k++ {
-			out = append(out, s.buf[(s.start+k)%len(s.buf)])
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
-}
-
-// Newest returns a copy of the most recently appended resident event
-// match accepts, searching each shard from its tail and copying nothing
-// else — the lookup for "the latest event that …" on a journal too big
-// to copy and sort per query. Among the shards' candidates the highest
-// sequence number wins, and a shard is abandoned as soon as its events
-// are older than the best candidate so far. match runs under the shard
-// lock on the ring's own slot: it must not retain the pointer or call
-// back into the journal.
-func (j *Journal) Newest(match func(e *Event) bool) (Event, bool) {
-	var best Event
-	found := false
-	if j == nil {
-		return best, found
-	}
-	for i := range j.shards {
-		s := &j.shards[i]
-		s.mu.Lock()
-		for k := s.n - 1; k >= 0; k-- {
-			e := &s.buf[(s.start+k)%len(s.buf)]
-			if found && e.Seq < best.Seq {
-				break
-			}
-			if match(e) {
-				best, found = *e, true
-				break
-			}
-		}
-		s.mu.Unlock()
-	}
-	return best, found
+	return j.Tail(0)
 }
 
 // Tail returns a copy of the newest n resident events in append order
 // (all of them when n <= 0 or n exceeds the resident count).
 func (j *Journal) Tail(n int) []Event {
-	evs := j.Events()
-	if n > 0 && n < len(evs) {
-		evs = evs[len(evs)-n:]
+	if j == nil {
+		return nil
 	}
-	return evs
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if n <= 0 || n > j.n {
+		n = j.n
+	}
+	return j.copyFrom(j.n - n)
+}
+
+// Since returns a copy of the resident events whose Seq exceeds seq, in
+// append order — what a cursor that has read up to seq has not seen
+// yet. It costs a binary search plus the events returned.
+func (j *Journal) Since(seq uint64) []Event {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.copyFrom(j.firstAfter(seq))
+}
+
+// Newest returns a copy of the most recently appended resident event
+// match accepts, scanning back from the tail and copying nothing else —
+// the lookup for "the latest event that …" on a journal too big to copy
+// per query. match runs under the journal's lock on the ring's own
+// slot: it must not retain the pointer or call back into the journal.
+func (j *Journal) Newest(match func(e *Event) bool) (Event, bool) {
+	if j == nil {
+		return Event{}, false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for k := j.n - 1; k >= 0; k-- {
+		if e := j.at(k); match(e) {
+			return *e, true
+		}
+	}
+	return Event{}, false
 }
 
 // Trace returns the resident events of one trace in append order.
@@ -447,10 +379,12 @@ func (j *Journal) Trace(id TraceID) []Event {
 	if j == nil || id == 0 {
 		return nil
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	var out []Event
-	for _, e := range j.Events() {
-		if e.Trace == id {
-			out = append(out, e)
+	for k := 0; k < j.n; k++ {
+		if e := j.at(k); e.Trace == id {
+			out = append(out, *e)
 		}
 	}
 	return out
@@ -471,8 +405,8 @@ func (j *Journal) InstantLinked(component, name string, ts time.Duration, link R
 	if j == nil {
 		return Ref{}
 	}
-	id := j.newSpanID()
-	j.append(Event{
+	id := SpanID(j.nextSpan.Add(1))
+	j.append(&Event{
 		TS: ts, Span: id, Kind: KindInstant,
 		Component: component, Name: name, Link: link, Attrs: attrs,
 	})
@@ -490,10 +424,6 @@ type Scope struct {
 	stack []SpanID
 	node  string
 	vm    string
-	// shard is the stripe of the scope's current node, cached so
-	// steady-state emission pays the node hash once per SetNode instead
-	// of once per event.
-	shard *journalShard
 	// stackBuf inlines the open-span stack for typical nesting depths,
 	// so a scope costs one allocation instead of two.
 	stackBuf [4]SpanID
@@ -506,7 +436,7 @@ func (j *Journal) NewScope(component, name string, ts time.Duration, attrs ...At
 	if j == nil {
 		return nil
 	}
-	s := &Scope{j: j, trace: j.newTraceID(), shard: j.shard("")}
+	s := &Scope{j: j, trace: TraceID(j.nextTrace.Add(1))}
 	s.stack = s.stackBuf[:0]
 	s.Begin(component, name, ts, attrs...)
 	return s
@@ -534,7 +464,6 @@ func (s *Scope) Current() Ref {
 func (s *Scope) SetNode(name string) {
 	if s != nil {
 		s.node = name
-		s.shard = s.j.shard(name)
 	}
 }
 
@@ -551,12 +480,12 @@ func (s *Scope) Begin(component, name string, ts time.Duration, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	id := s.j.newSpanID()
+	id := SpanID(s.j.nextSpan.Add(1))
 	e := Event{
 		TS: ts, Trace: s.trace, Span: id, Parent: s.parent(), Kind: KindBegin,
 		Component: component, Name: name, Node: s.node, VM: s.vm, Attrs: attrs,
 	}
-	s.j.appendTo(s.shard, &e)
+	s.j.append(&e)
 	s.stack = append(s.stack, id)
 }
 
@@ -575,7 +504,7 @@ func (s *Scope) End(ts time.Duration, attrs ...Attr) {
 		TS: ts, Trace: s.trace, Span: id, Parent: s.parent(), Kind: KindEnd,
 		Node: s.node, VM: s.vm, Attrs: attrs,
 	}
-	s.j.appendTo(s.shard, &e)
+	s.j.append(&e)
 }
 
 // Instant records a zero-width event under the innermost open span and
@@ -590,12 +519,12 @@ func (s *Scope) InstantLinked(component, name string, ts time.Duration, link Ref
 	if s == nil {
 		return Ref{}
 	}
-	id := s.j.newSpanID()
+	id := SpanID(s.j.nextSpan.Add(1))
 	e := Event{
 		TS: ts, Trace: s.trace, Span: id, Parent: s.parent(), Kind: KindInstant,
 		Component: component, Name: name, Node: s.node, VM: s.vm, Link: link, Attrs: attrs,
 	}
-	s.j.appendTo(s.shard, &e)
+	s.j.append(&e)
 	return Ref{Trace: s.trace, Span: id}
 }
 

@@ -110,9 +110,7 @@ func TestCausalLink(t *testing.T) {
 }
 
 func TestRingDropsOldest(t *testing.T) {
-	// A single flat ring pins the exact global-FIFO drop semantics;
-	// per-node shards approximate it per stripe (see shard_test.go).
-	j := NewJournalShards(4, 1)
+	j := NewJournal(4)
 	reg := metrics.NewRegistry()
 	j.Instrument(reg)
 	for i := 0; i < 7; i++ {

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Without a guard, ring pressure evicts the shard's oldest event even
+// Without a guard, ring pressure evicts the ring's oldest event even
 // when it belongs to a trace that is still open — the PR 6 caveat.
 func TestEvictionWithoutGuardDropsOpenTrace(t *testing.T) {
-	j := NewJournalShards(8, 1)
+	j := NewJournal(8)
 	sc := j.NewScope("core", "invoke", 0)
 	root := sc.TraceID()
 	for i := 0; i < 20; i++ {
@@ -22,11 +22,11 @@ func TestEvictionWithoutGuardDropsOpenTrace(t *testing.T) {
 	}
 }
 
-// With an eviction guard — the regression fix — a full shard evicts
+// With an eviction guard — the regression fix — a full ring evicts
 // the oldest unguarded event, so an open trace keeps its spans under
 // ring pressure.
 func TestEvictionGuardProtectsOpenTrace(t *testing.T) {
-	j := NewJournalShards(8, 1)
+	j := NewJournal(8)
 	sc := j.NewScope("core", "invoke", 0)
 	root := sc.TraceID()
 	j.SetEvictionGuard(func(id TraceID) bool { return id == root })
@@ -59,7 +59,7 @@ func TestEvictionGuardProtectsOpenTrace(t *testing.T) {
 // When every resident event is guarded, eviction falls back to plain
 // oldest-first: bounded memory wins over retention.
 func TestEvictionGuardFullRingFallsBack(t *testing.T) {
-	j := NewJournalShards(4, 1)
+	j := NewJournal(4)
 	j.SetEvictionGuard(func(TraceID) bool { return true })
 	sc := j.NewScope("core", "invoke", 0)
 	for i := 0; i < 10; i++ {
@@ -74,7 +74,7 @@ func TestEvictionGuardFullRingFallsBack(t *testing.T) {
 }
 
 func TestDropTraceRemovesEventsAndCountsBytes(t *testing.T) {
-	j := NewJournalShards(64, 4)
+	j := NewJournal(64)
 	keepSc := j.NewScope("core", "keep", 0)
 	keepSc.Instant("core", "mark", 1)
 	keepSc.Close(2)
@@ -83,10 +83,11 @@ func TestDropTraceRemovesEventsAndCountsBytes(t *testing.T) {
 	dropSc.Close(2)
 
 	var want int64
-	for _, e := range j.Trace(dropSc.TraceID()) {
+	doomed := j.Trace(dropSc.TraceID())
+	for _, e := range doomed {
 		want += int64(EncodedSize(e))
 	}
-	removed, bytesDropped := j.DropTrace(dropSc.TraceID())
+	removed, bytesDropped := j.DropTrace(dropSc.TraceID(), doomed[0].Seq)
 	if removed != 3 {
 		t.Fatalf("removed = %d, want 3", removed)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/platform"
 	rt "repro/internal/runtime"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -29,14 +30,16 @@ const (
 // runSeeded drives a seeded faulted workload through the full stack —
 // gateway scope, cluster placement, core pipeline — exactly as fwsim
 // does, and returns the journal's NDJSON dump plus the cluster and the
-// per-request trace ids.
-func runSeeded(t *testing.T) ([]byte, *cluster.Cluster, []events.TraceID) {
+// per-request trace ids. It records into journal (the cluster's default
+// when nil), with tail armed on it when non-nil.
+func runSeeded(t *testing.T, journal *events.Journal, tail *telemetry.TailSampler) ([]byte, *cluster.Cluster, []events.TraceID) {
 	t.Helper()
 	plane := faults.NewPlane(replaySeed)
-	c := cluster.New(3, cluster.RoundRobin, platform.EnvConfig{Faults: plane},
+	c := cluster.New(3, cluster.RoundRobin, platform.EnvConfig{Faults: plane, Events: journal},
 		func(env *platform.Env) platform.Platform {
 			return core.New(env, core.Options{Retry: faults.DefaultRetryPolicy()})
 		})
+	tail.Attach(c.Journal(), c.Metrics())
 	c.SetFailover(cluster.FailoverPolicy{MaxFailovers: 2})
 	wl := workloads.NetLatency(rt.LangNode)
 	if err := c.Install(wl.Function); err != nil {
@@ -75,8 +78,8 @@ func runSeeded(t *testing.T) ([]byte, *cluster.Cluster, []events.TraceID) {
 // TestReplayDeterminism is the tentpole's acceptance bar: two runs with
 // the same seed produce byte-identical NDJSON journal dumps.
 func TestReplayDeterminism(t *testing.T) {
-	first, _, _ := runSeeded(t)
-	second, _, _ := runSeeded(t)
+	first, _, _ := runSeeded(t, nil, nil)
+	second, _, _ := runSeeded(t, nil, nil)
 	if !bytes.Equal(first, second) {
 		a, b := string(first), string(second)
 		max := 400
@@ -90,12 +93,41 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestReplayDeterminismUnderOverflowAndSampling pins the same bar where
+// the ring does the most to the journal: a ring a fraction of the run's
+// size evicts on most appends while a tail sampler drops finished
+// traces out of the middle of it. Two same-seed runs must still export
+// byte-identical NDJSON and Chrome JSON.
+func TestReplayDeterminismUnderOverflowAndSampling(t *testing.T) {
+	run := func() (ndjson, chrome []byte) {
+		j := events.NewJournal(256)
+		tail := telemetry.New(telemetry.Config{Seed: 3, KeepRate: 0.3})
+		ndjson, _, _ = runSeeded(t, j, tail)
+		if st := tail.Stats(); j.Dropped() == 0 || st.DroppedTraces == 0 || st.KeptTraces == 0 {
+			t.Fatalf("weak scenario: %d evictions, sampler %+v", j.Dropped(), st)
+		}
+		var buf bytes.Buffer
+		if err := events.WriteFormat(&buf, j.Events(), "chrome"); err != nil {
+			t.Fatal(err)
+		}
+		return ndjson, buf.Bytes()
+	}
+	nd1, ch1 := run()
+	nd2, ch2 := run()
+	if len(nd1) == 0 || !bytes.Equal(nd1, nd2) {
+		t.Errorf("same-seed NDJSON dumps diverge (%d vs %d bytes)", len(nd1), len(nd2))
+	}
+	if !bytes.Equal(ch1, ch2) {
+		t.Errorf("same-seed Chrome traces diverge (%d vs %d bytes)", len(ch1), len(ch2))
+	}
+}
+
 // TestSingleTraceSpansStack verifies one request's trace reaches every
 // layer: the gateway root, cluster placement, the core pipeline, a
 // causally linked msgbus produce→consume pair, a vmm start (restore or
 // warm resume), and the exec span.
 func TestSingleTraceSpansStack(t *testing.T) {
-	_, c, traces := runSeeded(t)
+	_, c, traces := runSeeded(t, nil, nil)
 	j := c.Journal()
 
 	// Find a successful trace (has an exec span); the faulted schedule
@@ -169,7 +201,7 @@ func TestSingleTraceSpansStack(t *testing.T) {
 // forces a failover, the failover instant links back to the failed
 // placement attempt in the same trace.
 func TestFailoverLinksReplacement(t *testing.T) {
-	_, c, _ := runSeeded(t)
+	_, c, _ := runSeeded(t, nil, nil)
 	if c.Metrics().Counter("failovers_total").Value() == 0 {
 		t.Fatalf("seed %d injected no failovers; pick a stormier schedule", replaySeed)
 	}

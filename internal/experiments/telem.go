@@ -26,8 +26,8 @@ import (
 //     retention of the interesting tail), and every SLO alert's causal
 //     link still resolves through the sampled journal;
 //   - the sampled NDJSON export and the insight report built over it
-//     are byte-identical across journal shard layouts and across
-//     same-seed replays — sampling must not cost determinism.
+//     are byte-identical across same-seed replays — sampling must not
+//     cost determinism.
 
 const (
 	// telemKeepRate is the probabilistic keep fraction for boring
@@ -72,11 +72,10 @@ func telemPipeline() *workflow.Spec {
 
 // runTelemOnce replays the storm in exposed mode — no retries, no
 // failover, so its failures are real and the journal has an interesting
-// tail to preserve — against one journal layout, with or without the
-// tail sampler armed.
-func runTelemOnce(shards int, sampled bool) (*telemOutcome, error) {
+// tail to preserve — with or without the tail sampler armed.
+func runTelemOnce(sampled bool) (*telemOutcome, error) {
 	st, err := runStorm(stormArm{
-		env:     platform.EnvConfig{Events: events.NewJournalShards(telemJournalCap, shards)},
+		env:     platform.EnvConfig{Events: events.NewJournal(telemJournalCap)},
 		probe:   "telem",
 		sampled: sampled,
 	})
@@ -146,41 +145,35 @@ func retained(traces map[events.TraceID]bool, j *events.Journal) (kept, total in
 
 // RunTelem is registered as experiment id "telem".
 func RunTelem() (*Result, error) {
-	full, err := runTelemOnce(1, false)
+	full, err := runTelemOnce(false)
 	if err != nil {
 		return nil, err
 	}
-	sampledA, err := runTelemOnce(1, true)
+	sampled, err := runTelemOnce(true)
 	if err != nil {
 		return nil, err
 	}
-	sampledB, err := runTelemOnce(16, true)
-	if err != nil {
-		return nil, err
-	}
-	replay, err := runTelemOnce(1, true)
+	replay, err := runTelemOnce(true)
 	if err != nil {
 		return nil, err
 	}
 
 	reduction := 0.0
-	if len(sampledA.ndjson) > 0 {
-		reduction = float64(len(full.ndjson)) / float64(len(sampledA.ndjson))
+	if len(sampled.ndjson) > 0 {
+		reduction = float64(len(full.ndjson)) / float64(len(sampled.ndjson))
 	}
-	errKept, errTotal := retained(full.errorTraces, sampledA.c.Journal())
-	faultKept, faultTotal := retained(full.faultTraces, sampledA.c.Journal())
-	dlqKept, dlqTotal := retained(full.dlqTraces, sampledA.c.Journal())
+	errKept, errTotal := retained(full.errorTraces, sampled.c.Journal())
+	faultKept, faultTotal := retained(full.faultTraces, sampled.c.Journal())
+	dlqKept, dlqTotal := retained(full.dlqTraces, sampled.c.Journal())
 
-	alertLinksResolve := len(sampledA.alerts) > 0
-	for _, a := range sampledA.alerts {
-		if a.Link.Trace == 0 || len(sampledA.c.Journal().Trace(a.Link.Trace)) == 0 {
+	alertLinksResolve := len(sampled.alerts) > 0
+	for _, a := range sampled.alerts {
+		if a.Link.Trace == 0 || len(sampled.c.Journal().Trace(a.Link.Trace)) == 0 {
 			alertLinksResolve = false
 		}
 	}
-	layoutInvariant := bytes.Equal(sampledA.ndjson, sampledB.ndjson) &&
-		bytes.Equal(sampledA.insightJSON, sampledB.insightJSON)
-	reproducible := bytes.Equal(sampledA.ndjson, replay.ndjson) &&
-		bytes.Equal(sampledA.insightJSON, replay.insightJSON)
+	reproducible := bytes.Equal(sampled.ndjson, replay.ndjson) &&
+		bytes.Equal(sampled.insightJSON, replay.insightJSON)
 
 	res := &Result{ID: "telem"}
 	row := func(mode string, o *telemOutcome) []string {
@@ -200,7 +193,7 @@ func RunTelem() (*Result, error) {
 		Header: []string{"mode", "requests", "failed", "journal events", "export bytes", "traces kept", "bytes dropped"},
 		Rows: [][]string{
 			row("full fidelity", full),
-			row("tail-sampled", sampledA),
+			row("tail-sampled", sampled),
 		},
 		Notes: []string{
 			"same seed, same storm: the arms differ only in the sampler",
@@ -211,7 +204,7 @@ func RunTelem() (*Result, error) {
 		Check{
 			Name:     "journal export shrinks at least 5x",
 			Expected: ">= 5.0x fewer bytes",
-			Measured: fmt.Sprintf("%.1fx (%d -> %d bytes)", reduction, len(full.ndjson), len(sampledA.ndjson)),
+			Measured: fmt.Sprintf("%.1fx (%d -> %d bytes)", reduction, len(full.ndjson), len(sampled.ndjson)),
 			Pass:     reduction >= 5.0,
 		},
 		Check{
@@ -235,14 +228,8 @@ func RunTelem() (*Result, error) {
 		Check{
 			Name:     "SLO alert links resolve through the sampled journal",
 			Expected: "every alert's trace resolvable",
-			Measured: fmt.Sprintf("%d alerts", len(sampledA.alerts)),
+			Measured: fmt.Sprintf("%d alerts", len(sampled.alerts)),
 			Pass:     alertLinksResolve,
-		},
-		Check{
-			Name:     "sampled exports are shard-layout invariant",
-			Expected: "byte-identical across 1 and 16 stripes",
-			Measured: map[bool]string{true: "identical", false: "DIVERGED"}[layoutInvariant],
-			Pass:     layoutInvariant,
 		},
 		Check{
 			Name:     "fixed seed reproduces the sampled exports",
@@ -253,13 +240,13 @@ func RunTelem() (*Result, error) {
 		Check{
 			Name:     "insight report annotates its coverage",
 			Expected: `"coverage" with kept/total`,
-			Measured: fmt.Sprintf("kept %d of %d traces", sampledA.stats.KeptTraces, sampledA.stats.DecidedTraces),
-			Pass:     bytes.Contains(sampledA.insightJSON, []byte(`"coverage"`)) && sampledA.stats.DecidedTraces > sampledA.stats.KeptTraces,
+			Measured: fmt.Sprintf("kept %d of %d traces", sampled.stats.KeptTraces, sampled.stats.DecidedTraces),
+			Pass:     bytes.Contains(sampled.insightJSON, []byte(`"coverage"`)) && sampled.stats.DecidedTraces > sampled.stats.KeptTraces,
 		},
 	)
 	res.Artifacts = append(res.Artifacts,
-		Artifact{Name: "telem-sampled.ndjson", Contents: sampledA.ndjson},
-		Artifact{Name: "telem-insight.json", Contents: sampledA.insightJSON},
+		Artifact{Name: "telem-sampled.ndjson", Contents: sampled.ndjson},
+		Artifact{Name: "telem-insight.json", Contents: sampled.insightJSON},
 	)
 	return res, nil
 }

@@ -161,9 +161,9 @@ func TestServiceGraphEdgesAndBusHops(t *testing.T) {
 	}
 }
 
-func TestReportDeterminismAcrossShardLayouts(t *testing.T) {
-	build := func(shards int) *bytes.Buffer {
-		j := events.NewJournalShards(0, shards)
+func TestReportDeterminism(t *testing.T) {
+	build := func() *bytes.Buffer {
+		j := events.NewJournal(0)
 		invokeTrace(j, 40*time.Millisecond, true)
 		invokeTrace(j, 10*time.Millisecond, false)
 		r := Analyze(j.Events())
@@ -179,12 +179,8 @@ func TestReportDeterminismAcrossShardLayouts(t *testing.T) {
 		}
 		return &buf
 	}
-	a, b, c := build(1), build(1), build(8)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if a, b := build(), build(); !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("same-workload reports differ")
-	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
-		t.Error("report depends on journal shard layout")
 	}
 }
 

@@ -26,12 +26,12 @@
 // events.DropTrace), so exports, /trace lookups, and insight reports
 // run over O(kept) events — and, because the decision function is
 // deterministic, two same-seed runs export byte-identical sampled
-// journals even across different journal shard layouts.
+// journals.
 //
 // The sampler also installs an eviction guard on the journal: under
 // ring pressure the journal evicts decided traces before the spans of
 // traces still awaiting their decision, closing the PR 6 caveat where
-// a full stripe could silently drop the begin of an open trace.
+// a full ring could silently drop the begin of an open trace.
 package telemetry
 
 import (
@@ -145,6 +145,9 @@ func ParseSpec(spec string) (cfg *Config, card int, err error) {
 // events themselves (the journal already holds those) but the few bits
 // the policy chain needs.
 type traceState struct {
+	// since is the Seq of the trace's root begin — where DropTrace may
+	// start looking — or 0 for a trace first seen mid-flight.
+	since   uint64
 	root    events.SpanID
 	site    string
 	firstTS time.Duration
@@ -220,9 +223,9 @@ type TailSampler struct {
 	decided int64
 
 	// active mirrors "trace has undecided state" lock-free for the
-	// journal's eviction guard, which runs under shard locks and must
-	// not take t.mu (the sampler holds t.mu while calling DropTrace,
-	// which takes shard locks — the mirror breaks the cycle).
+	// journal's eviction guard, which runs under the journal's lock and
+	// must not take t.mu (the sampler holds t.mu while calling DropTrace,
+	// which takes that lock — the mirror breaks the cycle).
 	active sync.Map // events.TraceID -> struct{}
 }
 
@@ -260,12 +263,13 @@ func (t *TailSampler) Attach(j *events.Journal, reg *metrics.Registry) {
 // decision is one completed trace's verdict, executed outside t.mu.
 type decision struct {
 	id     events.TraceID
+	since  uint64
 	policy string
 	keep   bool
 }
 
 // ObserveEvent implements events.Observer. It runs on the appending
-// goroutine after the journal released its shard lock.
+// goroutine after the journal released its lock.
 func (t *TailSampler) ObserveEvent(e events.Event) {
 	if t == nil {
 		return
@@ -287,6 +291,9 @@ func (t *TailSampler) ObserveEvent(e events.Event) {
 	st := t.traces[e.Trace]
 	if st == nil {
 		st = &traceState{firstTS: e.TS, lastTS: e.TS}
+		if e.Kind == events.KindBegin && e.Parent == 0 {
+			st.since = e.Seq
+		}
 		t.traces[e.Trace] = st
 		t.order = append(t.order, e.Trace)
 		t.active.Store(e.Trace, struct{}{})
@@ -333,12 +340,11 @@ func (t *TailSampler) ObserveEvent(e events.Event) {
 
 // decideLocked runs the policy chain for a completed trace, retires
 // its state, and feeds the site latency ring. Caller holds t.mu; the
-// returned decision is executed after unlock (DropTrace takes journal
-// shard locks).
+// returned decision is executed after unlock (DropTrace takes the
+// journal's lock).
 func (t *TailSampler) decideLocked(id events.TraceID, st *traceState) decision {
 	latency := st.lastTS - st.firstTS
-	var d decision
-	d.id = id
+	d := decision{id: id, since: st.since}
 	switch {
 	case st.errored || st.faulted || st.alerted:
 		d.policy, d.keep = PolicyError, true
@@ -378,13 +384,13 @@ func (t *TailSampler) latencyOutlierLocked(site string, latency time.Duration) b
 
 // execute applies one decision: account it, and for drops physically
 // remove the trace from the journal. Runs without t.mu held (DropTrace
-// takes shard locks; the eviction guard takes none).
+// takes the journal's lock; the eviction guard takes none).
 func (t *TailSampler) execute(d decision) {
 	t.active.Delete(d.id)
 	var removed int
 	var bytes int64
 	if !d.keep {
-		removed, bytes = t.j.DropTrace(d.id)
+		removed, bytes = t.j.DropTrace(d.id, d.since)
 	}
 	t.mu.Lock()
 	pc := t.policy[d.policy]

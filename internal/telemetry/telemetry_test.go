@@ -9,9 +9,9 @@ import (
 	"repro/internal/metrics"
 )
 
-func newArmed(t *testing.T, cfg Config, shards int) (*TailSampler, *events.Journal, *metrics.Registry) {
+func newArmed(t *testing.T, cfg Config) (*TailSampler, *events.Journal, *metrics.Registry) {
 	t.Helper()
-	j := events.NewJournalShards(1<<12, shards)
+	j := events.NewJournal(1 << 12)
 	reg := metrics.NewRegistry()
 	ts := New(cfg)
 	ts.Attach(j, reg)
@@ -26,7 +26,7 @@ func closeTrace(j *events.Journal, t0, t1 time.Duration, attrs ...events.Attr) e
 }
 
 func TestErrorTraceAlwaysKept(t *testing.T) {
-	ts, j, reg := newArmed(t, Config{Seed: 1, KeepRate: -1}, 16)
+	ts, j, reg := newArmed(t, Config{Seed: 1, KeepRate: -1})
 	id := closeTrace(j, 0, time.Millisecond, events.A("error", "boom"))
 	if len(j.Trace(id)) == 0 {
 		t.Fatal("errored trace was dropped")
@@ -41,7 +41,7 @@ func TestErrorTraceAlwaysKept(t *testing.T) {
 }
 
 func TestFaultTraceAlwaysKept(t *testing.T) {
-	_, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1}, 16)
+	_, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1})
 	sc := j.NewScope("core", "invoke", 0)
 	sc.Instant("faults", "vmm-restore", 1, events.A("kind", "latency"))
 	sc.Close(time.Millisecond)
@@ -51,7 +51,7 @@ func TestFaultTraceAlwaysKept(t *testing.T) {
 }
 
 func TestDLQTraceAlwaysKept(t *testing.T) {
-	_, j, reg := newArmed(t, Config{Seed: 1, KeepRate: -1}, 16)
+	_, j, reg := newArmed(t, Config{Seed: 1, KeepRate: -1})
 	sc := j.NewScope("workflow", "run", 0)
 	sc.Instant("workflow", "step-dead", 1, events.A("step", "parse"))
 	sc.Close(time.Millisecond)
@@ -64,7 +64,7 @@ func TestDLQTraceAlwaysKept(t *testing.T) {
 }
 
 func TestBoringTracesDropPhysically(t *testing.T) {
-	ts, j, reg := newArmed(t, Config{Seed: 7, KeepRate: -1}, 16)
+	ts, j, reg := newArmed(t, Config{Seed: 7, KeepRate: -1})
 	var ids []events.TraceID
 	for i := 0; i < 20; i++ {
 		ids = append(ids, closeTrace(j, 0, time.Millisecond))
@@ -90,7 +90,7 @@ func TestBoringTracesDropPhysically(t *testing.T) {
 
 func TestProbabilisticKeepIsSeededAndOrderFree(t *testing.T) {
 	run := func(seed uint64) map[int]bool {
-		_, j, _ := newArmed(t, Config{Seed: seed, KeepRate: 0.3}, 16)
+		_, j, _ := newArmed(t, Config{Seed: seed, KeepRate: 0.3})
 		kept := map[int]bool{}
 		for i := 0; i < 200; i++ {
 			id := closeTrace(j, 0, time.Millisecond)
@@ -128,7 +128,7 @@ func TestProbabilisticKeepIsSeededAndOrderFree(t *testing.T) {
 
 func TestLatencyOutlierKept(t *testing.T) {
 	cfg := Config{Seed: 1, KeepRate: -1}
-	_, j, reg := newArmed(t, cfg, 16)
+	_, j, reg := newArmed(t, cfg)
 	// Arm the site threshold with uniform 1ms roots.
 	for i := 0; i < minSiteSamples; i++ {
 		closeTrace(j, 0, time.Millisecond)
@@ -149,7 +149,7 @@ func TestLatencyOutlierKept(t *testing.T) {
 }
 
 func TestAlertPromotesPendingTrace(t *testing.T) {
-	_, j, reg := newArmed(t, Config{Seed: 1, KeepRate: -1}, 16)
+	_, j, reg := newArmed(t, Config{Seed: 1, KeepRate: -1})
 	sc := j.NewScope("core", "invoke", 0)
 	// Watchdog names the still-open trace as alert evidence.
 	j.InstantLinked("slo", "alert", time.Millisecond,
@@ -164,7 +164,7 @@ func TestAlertPromotesPendingTrace(t *testing.T) {
 }
 
 func TestTimeoutFlushDecidesStalledTraces(t *testing.T) {
-	ts, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1}, 16)
+	ts, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1})
 	sc := j.NewScope("core", "invoke", 0)
 	sc.Instant("core", "mark", time.Millisecond) // never closes its root
 	stalled := sc.TraceID()
@@ -190,7 +190,7 @@ func TestTimeoutFlushDecidesStalledTraces(t *testing.T) {
 }
 
 func TestFlushAllDrains(t *testing.T) {
-	ts, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1}, 16)
+	ts, j, _ := newArmed(t, Config{Seed: 1, KeepRate: -1})
 	for i := 0; i < 5; i++ {
 		sc := j.NewScope("core", "invoke", 0)
 		sc.Instant("core", "mark", 1)
@@ -203,10 +203,11 @@ func TestFlushAllDrains(t *testing.T) {
 }
 
 // The acceptance property: the sampled export is a pure function of
-// (workload, seed) — journal shard layout must not show through.
-func TestSampledExportShardLayoutInvariant(t *testing.T) {
-	dump := func(shards int) []byte {
-		ts, j, _ := newArmed(t, Config{Seed: 99, KeepRate: 0.2}, shards)
+// (workload, seed), and a drop — which looks for the trace only from its
+// first Seq on — takes the whole trace or none of it.
+func TestSampledExportIsDeterministic(t *testing.T) {
+	dump := func() []byte {
+		ts, j, _ := newArmed(t, Config{Seed: 99, KeepRate: 0.2})
 		for i := 0; i < 100; i++ {
 			sc := j.NewScope("core", "invoke", 0)
 			sc.SetNode([]string{"node-01", "node-02", "node-03"}[i%3])
@@ -218,25 +219,53 @@ func TestSampledExportShardLayoutInvariant(t *testing.T) {
 			sc.Close(time.Duration(i%7+1) * time.Millisecond)
 		}
 		ts.FlushAll()
+		perTrace := map[events.TraceID]int{}
+		for _, e := range j.Events() {
+			perTrace[e.Trace]++
+		}
+		for id, n := range perTrace {
+			if n < 4 {
+				t.Fatalf("trace %d is resident with %d of its events: a drop left orphans", id, n)
+			}
+		}
+		if st := ts.Stats(); st.DroppedTraces == 0 || len(perTrace) == 0 || len(perTrace)+int(st.DroppedTraces) != 100 {
+			t.Fatalf("weak scenario: %d traces resident, stats %+v", len(perTrace), st)
+		}
 		var buf bytes.Buffer
 		if err := events.WriteNDJSON(&buf, j.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	flat, sharded := dump(1), dump(16)
-	if !bytes.Equal(flat, sharded) {
-		t.Fatalf("sampled NDJSON differs across shard layouts: %d vs %d bytes", len(flat), len(sharded))
+	first, second := dump(), dump()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("same-seed sampled NDJSON differs: %d vs %d bytes", len(first), len(second))
 	}
-	if len(flat) == 0 {
-		t.Fatal("sampled export is empty")
+}
+
+// A trace already under way when the sampler attaches has events the
+// sampler never saw: its drop must search the whole ring, not start at
+// the first event observed.
+func TestTraceSeenMidFlightDropsWhole(t *testing.T) {
+	j := events.NewJournal(64)
+	sc := j.NewScope("core", "invoke", 0)
+	sc.Begin("vmm", "restore", 1)
+	ts := New(Config{Seed: 1, KeepRate: -1})
+	ts.Attach(j, nil)
+	sc.Close(time.Millisecond)
+	ts.FlushAll()
+	if st := ts.Stats(); st.DroppedTraces != 1 || st.DroppedEvents != 4 {
+		t.Fatalf("stats = %+v, want the trace's 4 events dropped", st)
+	}
+	if left := j.Trace(sc.TraceID()); len(left) != 0 {
+		t.Fatalf("%d events from before the attach survived the drop", len(left))
 	}
 }
 
 // Under ring pressure the armed sampler's eviction guard protects
 // pending traces; decided traces are evicted first.
 func TestArmedSamplerGuardsPendingTraces(t *testing.T) {
-	j := events.NewJournalShards(16, 1)
+	j := events.NewJournal(16)
 	ts := New(Config{Seed: 1, KeepRate: 1}) // keep everything: isolate eviction behavior
 	ts.Attach(j, nil)
 	open := j.NewScope("core", "invoke", 0)

@@ -220,7 +220,7 @@ func TestRuleString(t *testing.T) {
 }
 
 // scanErrorEvidence is LastErrorEvidence as it was before the journal
-// could search itself: copy every shard, sort by sequence, scan back.
+// could search itself: copy the ring, scan back.
 func scanErrorEvidence(j *events.Journal) events.Ref {
 	evs := j.Events()
 	for i := len(evs) - 1; i >= 0; i-- {
@@ -237,57 +237,55 @@ func scanErrorEvidence(j *events.Journal) events.Ref {
 	return events.Ref{}
 }
 
-// TestLastErrorEvidenceMatchesFullScan drives flat and striped journals
-// through the same seeded mix of traces on several nodes — errors in
-// some, traceless errors that must not count, enough events to overflow
-// the rings, traces dropped by a sampler — and checks after every step
-// that the newest-first search names the event the full scan names.
+// TestLastErrorEvidenceMatchesFullScan drives a journal through a seeded
+// mix of traces on several nodes — errors in some, traceless errors that
+// must not count, enough events to overflow the ring, traces dropped by
+// a sampler — and checks after every step that the newest-first search
+// names the event the full scan names.
 func TestLastErrorEvidenceMatchesFullScan(t *testing.T) {
-	for _, shards := range []int{1, 16} {
-		j := events.NewJournalShards(96, shards)
-		if got := LastErrorEvidence(j); !got.IsZero() {
-			t.Fatalf("shards=%d: empty journal evidence %+v", shards, got)
-		}
-		rng := uint64(42)
-		next := func(n int) int {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return int(rng>>33) % n
-		}
-		var traces []events.TraceID
-		errors, nonZero := 0, 0
-		for step := 0; step < 600; step++ {
-			ts := time.Duration(step) * time.Millisecond
-			sc := j.NewScope("gateway", "request", ts)
-			sc.SetNode([]string{"", "node-01", "node-02", "node-03", "node-04"}[next(5)])
-			traces = append(traces, sc.TraceID())
-			for k := next(4); k >= 0; k-- {
-				if next(6) == 0 {
-					sc.Instant("core", "fail", ts, events.A("error", "boom"))
-					errors++
-				} else {
-					sc.Instant("core", "step", ts, events.A("ok", "1"))
-				}
-			}
-			sc.Close(ts)
-			if next(5) == 0 {
-				j.Instant("watchdog", "note", ts, events.A("error", "traceless, not evidence"))
-			}
-			if next(7) == 0 {
-				// A sampler drop, often of the very trace that holds the
-				// newest error.
-				j.DropTrace(traces[len(traces)-1-next(min(len(traces), 3))])
-			}
-			got, want := LastErrorEvidence(j), scanErrorEvidence(j)
-			if got != want {
-				t.Fatalf("shards=%d step %d: LastErrorEvidence = %+v, full scan = %+v", shards, step, got, want)
-			}
-			if !want.IsZero() {
-				nonZero++
+	j := events.NewJournal(96)
+	if got := LastErrorEvidence(j); !got.IsZero() {
+		t.Fatalf("empty journal evidence %+v", got)
+	}
+	rng := uint64(42)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	var traces []events.TraceID
+	errors, nonZero := 0, 0
+	for step := 0; step < 600; step++ {
+		ts := time.Duration(step) * time.Millisecond
+		sc := j.NewScope("gateway", "request", ts)
+		sc.SetNode([]string{"", "node-01", "node-02", "node-03", "node-04"}[next(5)])
+		traces = append(traces, sc.TraceID())
+		for k := next(4); k >= 0; k-- {
+			if next(6) == 0 {
+				sc.Instant("core", "fail", ts, events.A("error", "boom"))
+				errors++
+			} else {
+				sc.Instant("core", "step", ts, events.A("ok", "1"))
 			}
 		}
-		if j.Dropped() == 0 || errors == 0 || nonZero == 0 || nonZero == 600 {
-			t.Fatalf("shards=%d: weak scenario: dropped=%d errors=%d steps with evidence=%d/600",
-				shards, j.Dropped(), errors, nonZero)
+		sc.Close(ts)
+		if next(5) == 0 {
+			j.Instant("watchdog", "note", ts, events.A("error", "traceless, not evidence"))
 		}
+		if next(7) == 0 {
+			// A sampler drop, often of the very trace that holds the
+			// newest error.
+			j.DropTrace(traces[len(traces)-1-next(min(len(traces), 3))], 0)
+		}
+		got, want := LastErrorEvidence(j), scanErrorEvidence(j)
+		if got != want {
+			t.Fatalf("step %d: LastErrorEvidence = %+v, full scan = %+v", step, got, want)
+		}
+		if !want.IsZero() {
+			nonZero++
+		}
+	}
+	if j.Dropped() == 0 || errors == 0 || nonZero == 0 || nonZero == 600 {
+		t.Fatalf("weak scenario: dropped=%d errors=%d steps with evidence=%d/600",
+			j.Dropped(), errors, nonZero)
 	}
 }
