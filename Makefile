@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline loc
+.PHONY: check vet build test race bench-smoke fuzz-smoke trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline loc
 
 # check is the tier-1 gate: everything must pass before a merge.
-check: vet build test race bench-smoke
+check: vet build test race bench-smoke fuzz-smoke
 
 # vet also fails on any file gofmt would rewrite.
 vet:
@@ -30,6 +30,20 @@ race:
 # only fail the benchmark run.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# fuzz-smoke runs every native fuzz target in the tree for a few
+# seconds each: the committed seed corpus (testdata/fuzz) first, then
+# whatever the mutator reaches in FUZZ_TIME. `go test -fuzz` takes one
+# target of one package at a time, so the targets are listed first; a
+# crasher is written to the package's testdata/fuzz and fails the run.
+FUZZ_TIME ?= 5s
+
+fuzz-smoke:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { names = names " " $$1 } /^ok/ { n = split(names, t, " "); for (i = 1; i <= n; i++) print $$2, t[i]; names = "" }' | \
+	while read -r pkg target; do \
+		echo "fuzz $$pkg $$target ($(FUZZ_TIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 2s $$pkg || exit 1; \
+	done
 
 # trace-demo runs a faulted fwsim demo, dumps its event journal as
 # Chrome trace-event JSON, and sanity-checks that the dump parses and

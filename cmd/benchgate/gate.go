@@ -202,6 +202,16 @@ func defaultTolerances() Tolerances {
 			// and per VM (33 measured). One allocation per 100 pages
 			// would already break this.
 			"BenchmarkDirtyStop": 48,
+			// One request through the whole invoke path, its guest
+			// factoring a 7-digit prime (~54k ops): 299 / 179 measured,
+			// nearly all of it outside the guest. Boxing one intermediate per
+			// loop iteration read 8,582 / 8,458.
+			"BenchmarkFireworksInvoke":           1000,
+			"BenchmarkFireworksWarmResumeInvoke": 1000,
+			// hot(1000): a frame, its locals and the boxed result (2 / 4
+			// measured). One allocation per iteration reads 1,000+.
+			"BenchmarkInterpreterTier": 16,
+			"BenchmarkJITTier":         16,
 		},
 	}
 }

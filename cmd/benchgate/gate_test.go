@@ -147,6 +147,19 @@ func TestCompareFailsOnSyntheticRegression(t *testing.T) {
 		}
 	})
 
+	// Every absolute ceiling bites one allocation above it, whatever the
+	// baseline says.
+	for name, ceiling := range defaultTolerances().MaxAllocs {
+		t.Run("allocs_ceiling/"+name, func(t *testing.T) {
+			regressed := sampleReport()
+			regressed.result(name).AllocsOp = ceiling + 1
+			vs := compare(regressed, regressed, defaultTolerances())
+			if !hasViolation(vs, name, "ceiling") {
+				t.Fatalf("%s at %v allocs/op not caught: %v", name, ceiling+1, vs)
+			}
+		})
+	}
+
 	t.Run("missing_benchmark", func(t *testing.T) {
 		fresh := sampleReport()
 		keep := fresh.Results[:0]

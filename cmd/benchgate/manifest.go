@@ -45,8 +45,10 @@ var manifest = []BenchEntry{
 	{Name: "BenchmarkFireworksInvoke", Gate: true},
 	{Name: "BenchmarkFireworksWarmResumeInvoke", Gate: true},
 	{Name: "BenchmarkFirecrackerColdInvoke"},
-	{Name: "BenchmarkInterpreterTier"},
-	{Name: "BenchmarkJITTier"},
+	// A 1,000-iteration integer loop in each FaaSLang tier: gated, with
+	// an absolute allocs/op ceiling — guarded integer code boxes nothing.
+	{Name: "BenchmarkInterpreterTier", Gate: true},
+	{Name: "BenchmarkJITTier", Gate: true},
 	{Name: "BenchmarkSnapshotRestore", Gate: true},
 	{Name: "BenchmarkPSSAccounting"},
 	// One request's CoW bookkeeping (restore, dirty, stop): gated, with

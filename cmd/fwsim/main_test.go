@@ -980,3 +980,43 @@ func TestFunctionsListDuringChurn(t *testing.T) {
 	close(done)
 	listers.Wait()
 }
+
+// TestRunawayRecursionIsAnErrorNotACrash: a guest that recurses without
+// bound gets the call-depth error in whichever tier it runs, through
+// install (priming starts in the interpreter and tiers up mid-descent)
+// and through invoke (compiled code, and compiled code whose guards fail
+// at every level), and the gateway keeps serving. Compiled code used to
+// recurse until the Go stack limit killed the process.
+func TestRunawayRecursionIsAnErrorNotACrash(t *testing.T) {
+	ts := newTestServer(t)
+	status, out := post(t, ts.URL+"/install", `{
+  "name": "abyss", "lang": "nodejs",
+  "source": "func f(n) { return f(n + 1); }\nfunc main(params) { return f(0); }"
+}`)
+	if status == http.StatusCreated || !strings.Contains(fmt.Sprint(out["error"]), "call depth limit (512) exceeded in f") {
+		t.Fatalf("install of a runaway guest: status %d, %v", status, out)
+	}
+
+	// Priming calls f(0, true), so f is compiled guarded on (int, bool).
+	status, out = post(t, ts.URL+"/install", `{
+  "name": "deep", "lang": "nodejs",
+  "source": "func f(n, stop) { if (stop) { return n; } return f(n + 1, stop); }\nfunc main(params) { return f(params.start, params.stop); }",
+  "default_params": {"start": 0, "stop": true}
+}`)
+	if status != http.StatusCreated {
+		t.Fatalf("install status = %d: %v", status, out)
+	}
+	for _, body := range []string{
+		`{"start": 0, "stop": false}`,   // guards hold: every level runs compiled
+		`{"start": "s", "stop": false}`, // "s" + 1 = "s1": every level de-optimizes
+	} {
+		status, out = post(t, ts.URL+"/invoke/deep", body)
+		if status == http.StatusOK || !strings.Contains(fmt.Sprint(out["error"]), "call depth limit (512) exceeded in f") {
+			t.Fatalf("invoke %s: status %d, %v", body, status, out)
+		}
+	}
+	status, out = post(t, ts.URL+"/invoke/deep", `{"start": 41, "stop": true}`)
+	if status != http.StatusOK || out["result"] != float64(41) {
+		t.Fatalf("gateway after the runaway guests: status %d, %v", status, out)
+	}
+}

@@ -90,6 +90,9 @@ const (
 	CatArith
 	CatIndex
 	CatCall
+	// NumCategories sizes the per-category arrays of the cost model
+	// and of the VM's pending op counts.
+	NumCategories = iota
 )
 
 // CategoryOf returns the cost category of an opcode.

@@ -11,20 +11,26 @@ import (
 // state is the register file of one compiled-function activation.
 type state struct {
 	v      *vm.VM
-	locals []lang.Value
-	stack  []lang.Value
+	locals []vm.Slot
+	stack  []vm.Slot
 	pc     int
 	done   bool
-	ret    lang.Value
+	ret    vm.Slot
 	err    error
 }
 
-func (s *state) push(v lang.Value) { s.stack = append(s.stack, v) }
+func (s *state) push(v vm.Slot) { s.stack = append(s.stack, v) }
 
-func (s *state) pop() lang.Value {
+func (s *state) pop() vm.Slot {
 	v := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
 	return v
+}
+
+func (s *state) popValues(n int) []lang.Value {
+	vals := vm.Values(s.stack[len(s.stack)-n:])
+	s.stack = s.stack[:len(s.stack)-n]
+	return vals
 }
 
 func (s *state) fail(line int, err error) {
@@ -58,25 +64,25 @@ func (c *compiledFunc) Run(v *vm.VM, args []lang.Value) (lang.Value, bool, error
 	}
 	s := &state{
 		v:      v,
-		locals: make([]lang.Value, c.fn.NumLocals),
-		stack:  make([]lang.Value, 0, 16),
+		locals: make([]vm.Slot, c.fn.NumLocals),
+		stack:  make([]vm.Slot, 0, 16),
 	}
-	copy(s.locals, args)
-	meter := v.Meter
+	for i, a := range args {
+		s.locals[i] = vm.SlotOf(a)
+	}
 	for !s.done {
 		if s.pc >= len(c.steps) {
 			break // fall off the end: implicit return null
 		}
-		if err := v.CountStep(); err != nil {
+		if err := v.CountStep(vm.TierJIT, c.cats[s.pc]); err != nil {
 			return nil, false, err
 		}
-		meter.Charge(vm.TierJIT, c.cats[s.pc], 1)
 		c.steps[s.pc](s)
 	}
 	if s.err != nil {
 		return nil, false, fmt.Errorf("jit %s: %w", c.fn.Name, s.err)
 	}
-	return s.ret, false, nil
+	return s.ret.Value(), false, nil
 }
 
 // compile translates fn's bytecode into direct-threaded closures.
@@ -94,19 +100,32 @@ func compile(fn *bytecode.Function, guards []lang.Type) *compiledFunc {
 	return c
 }
 
+// intFast holds the speculative int64 paths — the common case in the
+// numeric benchmarks the JIT exists for. Operators without an entry
+// (and every non-int operand pair) take the interpreter's BinaryOp.
+var intFast = map[bytecode.Op]func(a, b int64) vm.Slot{
+	bytecode.OpAdd: func(a, b int64) vm.Slot { return vm.Int(a + b) },
+	bytecode.OpSub: func(a, b int64) vm.Slot { return vm.Int(a - b) },
+	bytecode.OpMul: func(a, b int64) vm.Slot { return vm.Int(a * b) },
+	bytecode.OpLt:  func(a, b int64) vm.Slot { return vm.Bool(a < b) },
+	bytecode.OpLte: func(a, b int64) vm.Slot { return vm.Bool(a <= b) },
+	bytecode.OpGt:  func(a, b int64) vm.Slot { return vm.Bool(a > b) },
+	bytecode.OpGte: func(a, b int64) vm.Slot { return vm.Bool(a >= b) },
+}
+
 func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 	a := ins.A
 	line := ins.Line
 	switch ins.Op {
 	case bytecode.OpConst:
-		v := fn.Consts[a]
+		v := vm.SlotOf(fn.Consts[a])
 		return func(s *state) { s.push(v); s.pc++ }
 	case bytecode.OpNull:
-		return func(s *state) { s.push(nil); s.pc++ }
+		return func(s *state) { s.push(vm.Slot{}); s.pc++ }
 	case bytecode.OpTrue:
-		return func(s *state) { s.push(true); s.pc++ }
+		return func(s *state) { s.push(vm.Bool(true)); s.pc++ }
 	case bytecode.OpFalse:
-		return func(s *state) { s.push(false); s.pc++ }
+		return func(s *state) { s.push(vm.Bool(false)); s.pc++ }
 	case bytecode.OpPop:
 		return func(s *state) { s.pop(); s.pc++ }
 	case bytecode.OpDup:
@@ -123,41 +142,17 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 				s.fail(line, fmt.Errorf("undefined variable %q", name))
 				return
 			}
-			s.push(v)
+			s.push(vm.SlotOf(v))
 			s.pc++
 		}
 	case bytecode.OpStoreGlobal:
 		name := fn.Consts[a].(string)
-		return func(s *state) { s.v.Globals[name] = s.pop(); s.pc++ }
+		return func(s *state) { s.v.Globals[name] = s.pop().Value(); s.pc++ }
 
-	case bytecode.OpAdd:
-		return func(s *state) {
-			right := s.pop()
-			left := s.pop()
-			// Speculative integer fast path — the common case in the
-			// numeric benchmarks the JIT exists for.
-			if li, ok := left.(int64); ok {
-				if ri, ok := right.(int64); ok {
-					s.push(li + ri)
-					s.pc++
-					return
-				}
-			}
-			v, err := vm.BinaryOp(bytecode.OpAdd, left, right)
-			if err != nil {
-				s.fail(line, err)
-				return
-			}
-			s.push(v)
-			s.pc++
-		}
-	case bytecode.OpSub:
-		return intFastBinop(bytecode.OpSub, line, func(a, b int64) int64 { return a - b })
-	case bytecode.OpMul:
-		return intFastBinop(bytecode.OpMul, line, func(a, b int64) int64 { return a * b })
-	case bytecode.OpDiv, bytecode.OpMod:
+	case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod,
+		bytecode.OpEq, bytecode.OpNeq, bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
 		op := ins.Op
-		return func(s *state) {
+		generic := func(s *state) {
 			right := s.pop()
 			left := s.pop()
 			v, err := vm.BinaryOp(op, left, right)
@@ -168,49 +163,38 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 			s.push(v)
 			s.pc++
 		}
-	case bytecode.OpLt:
-		return intFastCompare(bytecode.OpLt, line, func(a, b int64) bool { return a < b })
-	case bytecode.OpLte:
-		return intFastCompare(bytecode.OpLte, line, func(a, b int64) bool { return a <= b })
-	case bytecode.OpGt:
-		return intFastCompare(bytecode.OpGt, line, func(a, b int64) bool { return a > b })
-	case bytecode.OpGte:
-		return intFastCompare(bytecode.OpGte, line, func(a, b int64) bool { return a >= b })
-	case bytecode.OpEq:
-		return func(s *state) {
-			right := s.pop()
-			left := s.pop()
-			s.push(lang.Equal(left, right))
-			s.pc++
+		fast := intFast[op]
+		if fast == nil {
+			return generic
 		}
-	case bytecode.OpNeq:
 		return func(s *state) {
-			right := s.pop()
-			left := s.pop()
-			s.push(!lang.Equal(left, right))
-			s.pc++
+			n := len(s.stack)
+			if left, right := s.stack[n-2], s.stack[n-1]; left.IsInt() && right.IsInt() {
+				s.stack[n-2] = fast(left.Int64(), right.Int64())
+				s.stack = s.stack[:n-1]
+				s.pc++
+				return
+			}
+			generic(s)
 		}
 	case bytecode.OpNeg:
 		return func(s *state) {
-			switch n := s.pop().(type) {
-			case int64:
-				s.push(-n)
-			case float64:
-				s.push(-n)
-			default:
-				s.fail(line, fmt.Errorf("cannot negate %s", lang.TypeOf(n)))
+			v, err := vm.Negate(s.pop())
+			if err != nil {
+				s.fail(line, err)
 				return
 			}
+			s.push(v)
 			s.pc++
 		}
 	case bytecode.OpNot:
-		return func(s *state) { s.push(!lang.Truthy(s.pop())); s.pc++ }
+		return func(s *state) { s.push(vm.Bool(!s.pop().Truthy())); s.pc++ }
 
 	case bytecode.OpJump, bytecode.OpLoop:
 		return func(s *state) { s.pc = a }
 	case bytecode.OpJumpIfFalse:
 		return func(s *state) {
-			if !lang.Truthy(s.pop()) {
+			if !s.pop().Truthy() {
 				s.pc = a
 			} else {
 				s.pc++
@@ -218,7 +202,7 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 		}
 	case bytecode.OpJumpIfTrue:
 		return func(s *state) {
-			if lang.Truthy(s.pop()) {
+			if s.pop().Truthy() {
 				s.pc = a
 			} else {
 				s.pc++
@@ -227,18 +211,14 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 
 	case bytecode.OpCall:
 		return func(s *state) {
-			args := make([]lang.Value, a)
-			for i := a - 1; i >= 0; i-- {
-				args[i] = s.pop()
-			}
-			callee := s.pop()
-			v, err := s.v.CallValue(callee, args)
+			args := s.popValues(a)
+			v, err := s.v.CallValue(s.pop().Value(), args)
 			if err != nil {
 				s.err = err
 				s.done = true
 				return
 			}
-			s.push(v)
+			s.push(vm.SlotOf(v))
 			s.pc++
 		}
 	case bytecode.OpReturn:
@@ -249,44 +229,23 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 
 	case bytecode.OpMakeList:
 		return func(s *state) {
-			items := make([]lang.Value, a)
-			for i := a - 1; i >= 0; i-- {
-				items[i] = s.pop()
-			}
-			s.push(&lang.List{Items: items})
+			s.push(vm.SlotOf(&lang.List{Items: s.popValues(a)}))
 			s.pc++
 		}
 	case bytecode.OpMakeMap:
 		return func(s *state) {
-			m := lang.NewMap()
-			pairs := make([]lang.Value, 2*a)
-			for i := 2*a - 1; i >= 0; i-- {
-				pairs[i] = s.pop()
+			m, err := vm.MakeMap(s.popValues(2 * a))
+			if err != nil {
+				s.fail(line, err)
+				return
 			}
-			for i := 0; i < a; i++ {
-				key, ok := pairs[2*i].(string)
-				if !ok {
-					s.fail(line, fmt.Errorf("map key must be string, got %s", lang.TypeOf(pairs[2*i])))
-					return
-				}
-				m.Items[key] = pairs[2*i+1]
-			}
-			s.push(m)
+			s.push(vm.SlotOf(m))
 			s.pc++
 		}
 	case bytecode.OpIndex:
 		return func(s *state) {
 			key := s.pop()
 			container := s.pop()
-			// Fast path: list[int], the inner-loop access pattern of the
-			// matrix benchmarks.
-			if l, ok := container.(*lang.List); ok {
-				if i, ok := key.(int64); ok && i >= 0 && i < int64(len(l.Items)) {
-					s.push(l.Items[i])
-					s.pc++
-					return
-				}
-			}
 			v, err := vm.Index(container, key)
 			if err != nil {
 				s.fail(line, err)
@@ -300,13 +259,6 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 			val := s.pop()
 			key := s.pop()
 			container := s.pop()
-			if l, ok := container.(*lang.List); ok {
-				if i, ok := key.(int64); ok && i >= 0 && i < int64(len(l.Items)) {
-					l.Items[i] = val
-					s.pc++
-					return
-				}
-			}
 			if err := vm.SetIndex(container, key, val); err != nil {
 				s.fail(line, err)
 				return
@@ -325,8 +277,7 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 		}
 	case bytecode.OpIterNext:
 		return func(s *state) {
-			it := s.stack[len(s.stack)-1].(*vm.Iter)
-			if item, ok := it.Next(); ok {
+			if item, ok := vm.IterNext(s.stack[len(s.stack)-1]); ok {
 				s.push(item)
 				s.pc++
 			} else {
@@ -336,53 +287,9 @@ func translate(fn *bytecode.Function, ins bytecode.Instr) step {
 		}
 	case bytecode.OpClosure:
 		inner := fn.Consts[a].(*bytecode.Function)
-		return func(s *state) { s.push(&bytecode.Closure{Fn: inner}); s.pc++ }
+		return func(s *state) { s.push(vm.SlotOf(&bytecode.Closure{Fn: inner})); s.pc++ }
 	default:
 		op := ins.Op
 		return func(s *state) { s.fail(line, fmt.Errorf("unknown opcode %s", op)) }
-	}
-}
-
-// intFastBinop builds a step with a speculative int64 fast path and a
-// generic fallback through the shared interpreter semantics.
-func intFastBinop(op bytecode.Op, line int, fast func(a, b int64) int64) step {
-	return func(s *state) {
-		right := s.pop()
-		left := s.pop()
-		if li, ok := left.(int64); ok {
-			if ri, ok := right.(int64); ok {
-				s.push(fast(li, ri))
-				s.pc++
-				return
-			}
-		}
-		v, err := vm.BinaryOp(op, left, right)
-		if err != nil {
-			s.fail(line, err)
-			return
-		}
-		s.push(v)
-		s.pc++
-	}
-}
-
-func intFastCompare(op bytecode.Op, line int, fast func(a, b int64) bool) step {
-	return func(s *state) {
-		right := s.pop()
-		left := s.pop()
-		if li, ok := left.(int64); ok {
-			if ri, ok := right.(int64); ok {
-				s.push(fast(li, ri))
-				s.pc++
-				return
-			}
-		}
-		v, err := vm.BinaryOp(op, left, right)
-		if err != nil {
-			s.fail(line, err)
-			return
-		}
-		s.push(v)
-		s.pc++
 	}
 }

@@ -109,14 +109,14 @@ func (e *Engine) Lookup(fn *bytecode.Function) vm.Compiled {
 // OnCall implements vm.JITBackend: tier up when the call threshold hits.
 func (e *Engine) OnCall(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
 	if e.cfg.CallThreshold > 0 && prof.Calls >= e.cfg.CallThreshold {
-		e.Compile(fn, prof)
+		e.compile(v, fn, prof)
 	}
 }
 
 // OnLoopBack implements vm.JITBackend: tier up on hot loops.
 func (e *Engine) OnLoopBack(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
 	if e.cfg.LoopThreshold > 0 && prof.LoopBackEdges >= e.cfg.LoopThreshold {
-		e.Compile(fn, prof)
+		e.compile(v, fn, prof)
 	}
 }
 
@@ -127,14 +127,19 @@ func (e *Engine) OnDeopt(v *vm.VM, fn *bytecode.Function) {
 	e.mu.Unlock()
 	v.Profile(fn).Deopts++
 	if e.cfg.OnDeopt != nil {
+		v.Flush() // the hook charges the penalty to the clock
 		e.cfg.OnDeopt(fn)
 	}
 }
 
 // Compile compiles fn (idempotently) with guards from the profile. It is
-// also called directly by __fireworks_jit to force compilation at
-// install time.
-func (e *Engine) Compile(fn *bytecode.Function, prof *vm.Profile) {
+// called directly by __fireworks_jit to force compilation at install
+// time, from the host, while no guest code is running.
+func (e *Engine) Compile(fn *bytecode.Function, prof *vm.Profile) { e.compile(nil, fn, prof) }
+
+// compile is Compile on behalf of v, whose running guest code crossed a
+// tier-up threshold (nil when the host asks).
+func (e *Engine) compile(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
 	if e.cfg.AnnotatedOnly && !fn.HasAnnotation("jit") {
 		return
 	}
@@ -155,6 +160,9 @@ func (e *Engine) Compile(fn *bytecode.Function, prof *vm.Profile) {
 	e.compiles++
 	e.mu.Unlock()
 	if e.cfg.OnCompile != nil {
+		if v != nil {
+			v.Flush() // the hook charges compile time to the clock
+		}
 		e.cfg.OnCompile(fn, len(fn.Code))
 	}
 }

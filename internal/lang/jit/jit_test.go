@@ -401,3 +401,132 @@ func TestRecursionInJITTedCode(t *testing.T) {
 		t.Fatalf("Compiles = %d", engine.Compiles())
 	}
 }
+
+// chargeLog records every Charge call the VM makes.
+type chargeLog struct {
+	calls []charge
+}
+
+type charge struct {
+	tier vm.Tier
+	cat  bytecode.Category
+	n    int
+}
+
+func (m *chargeLog) Charge(tier vm.Tier, cat bytecode.Category, n int) {
+	m.calls = append(m.calls, charge{tier, cat, n})
+}
+
+func (m *chargeLog) total() (n int64) {
+	for _, c := range m.calls {
+		n += int64(c.n)
+	}
+	return n
+}
+
+// TestChargesArePerFlushNotPerOp: a call that reaches no native and no
+// tier change hands its ops to the meter once, when it returns — one
+// Charge per (tier, category) it touched, together worth every step.
+func TestChargesArePerFlushNotPerOp(t *testing.T) {
+	for _, compiled := range []bool{false, true} {
+		mod, err := bytecode.CompileSource(hotSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter := &chargeLog{}
+		v := vm.New(meter)
+		engine := jit.NewEngine(jit.Config{})
+		v.JIT = engine
+		if _, err := v.RunModule(mod); err != nil {
+			t.Fatal(err)
+		}
+		wantTier := vm.TierInterp
+		if compiled {
+			engine.Compile(mod.Function("hot"), nil)
+			wantTier = vm.TierJIT
+		}
+		meter.calls = nil
+		before := v.Steps()
+		got, err := v.CallValue(v.Globals["hot"], []lang.Value{int64(1000)})
+		if err != nil || got != wantHot(1000) {
+			t.Fatalf("compiled=%v: hot(1000) = %v, %v", compiled, got, err)
+		}
+		seen := map[bytecode.Category]bool{}
+		for _, c := range meter.calls {
+			if c.tier != wantTier {
+				t.Errorf("compiled=%v: charge in tier %s", compiled, c.tier)
+			}
+			if seen[c.cat] {
+				t.Errorf("compiled=%v: category %d charged twice: %+v", compiled, c.cat, meter.calls)
+			}
+			seen[c.cat] = true
+		}
+		if !seen[bytecode.CatArith] || !seen[bytecode.CatOther] {
+			t.Errorf("compiled=%v: charges %+v miss a category the loop executes", compiled, meter.calls)
+		}
+		if steps := v.Steps() - before; meter.total() != steps || steps < 10_000 {
+			t.Errorf("compiled=%v: charged %d ops, executed %d", compiled, meter.total(), steps)
+		}
+	}
+}
+
+// TestErrorsStillChargeExecutedOps: whichever way a call ends, every op
+// that ran before has been charged and nothing is left pending.
+func TestErrorsStillChargeExecutedOps(t *testing.T) {
+	const src = `
+func spin() { let i = 0; while (true) { i = i + 1; } }
+func bad(n) { let i = 0; while (i < n) { i = i + 1; } return i - "x"; }
+func outer(n) { return bad(n) + 1; }
+`
+	for _, compiled := range []bool{false, true} {
+		mod, err := bytecode.CompileSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter := &chargeLog{}
+		v := vm.New(meter)
+		engine := jit.NewEngine(jit.Config{})
+		v.JIT = engine
+		if _, err := v.RunModule(mod); err != nil {
+			t.Fatal(err)
+		}
+		if compiled {
+			for _, fn := range mod.Functions {
+				engine.Compile(fn, nil)
+			}
+		}
+		settled := func(what string) {
+			t.Helper()
+			n := len(meter.calls)
+			if v.Flush(); len(meter.calls) != n {
+				t.Errorf("compiled=%v: ops still pending after %s: %+v", compiled, what, meter.calls[n:])
+			}
+		}
+		settled("module load")
+
+		// A type error three frames deep: the failing op itself was
+		// booked before it ran, as the per-instruction meter did.
+		meter.calls = nil
+		before := v.Steps()
+		if _, err := v.CallValue(v.Globals["outer"], []lang.Value{int64(100)}); err == nil {
+			t.Fatalf("compiled=%v: outer returned no error", compiled)
+		}
+		if steps := v.Steps() - before; meter.total() != steps || steps < 500 {
+			t.Errorf("compiled=%v: type error: charged %d ops, executed %d", compiled, meter.total(), steps)
+		}
+		settled("a type error")
+
+		// The step limit: the op that would exceed it never runs and is
+		// not charged.
+		meter.calls = nil
+		before = v.Steps()
+		v.MaxSteps = before + 1000
+		if _, err := v.CallValue(v.Globals["spin"], nil); err == nil || !strings.Contains(err.Error(), "step limit") {
+			t.Fatalf("compiled=%v: spin: err = %v", compiled, err)
+		}
+		if meter.total() != 1000 {
+			t.Errorf("compiled=%v: step limit: charged %d ops, want 1000", compiled, meter.total())
+		}
+		settled("the step limit")
+	}
+}

@@ -280,6 +280,36 @@ func TestDeepCopyCycleGuard(t *testing.T) {
 	}
 }
 
+// A guest builds these with push(l, l); walking one without a guard
+// overflows the Go stack and kills the process.
+func TestCyclicValuesFormatAndCompare(t *testing.T) {
+	l := NewList(int64(1))
+	l.Items = append(l.Items, l, l)
+	if got := Format(l); got != "[1, [...], [...]]" {
+		t.Errorf("Format(cyclic list) = %s", got)
+	}
+	m := NewMap()
+	m.Set("self", m)
+	m.Set("l", l)
+	if got := Format(m); got != `{"l": [1, [...], [...]], "self": {...}}` {
+		t.Errorf("Format(cyclic map) = %s", got)
+	}
+	other := NewList(int64(1))
+	other.Items = append(other.Items, other, other)
+	if !Equal(l, l) || !Equal(l, other) || !Equal(m, m) {
+		t.Error("cyclic values of the same shape compare unequal")
+	}
+	other.Items[0] = int64(2)
+	if Equal(l, other) {
+		t.Error("cyclic lists with different elements compare equal")
+	}
+	// A container that merely appears twice is not a cycle.
+	shared := NewList("x")
+	if got := Format(NewList(shared, shared)); got != `[["x"], ["x"]]` {
+		t.Errorf("Format(shared sublist) = %s", got)
+	}
+}
+
 // Property: Equal(v, DeepCopy(v)) for generated scalar/list/map values.
 func TestDeepCopyEqualProperty(t *testing.T) {
 	f := func(ints []int64, strs []string) bool {

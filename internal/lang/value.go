@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -145,7 +146,17 @@ func Truthy(v Value) bool {
 
 // Equal reports FaaSLang equality: numbers compare across int/float,
 // lists and maps compare structurally.
-func Equal(a, b Value) bool {
+func Equal(a, b Value) bool { return equal(a, b, nil) }
+
+// containerPair is one comparison of two containers in progress. A guest
+// can build a cyclic list with push(l, l), so Equal, Format and the host
+// conversions remember the containers on their current path: recursing
+// through a cycle would overflow the Go stack, which no recover catches.
+type containerPair struct{ a, b Value }
+
+// equal compares under the assumption that the pairs on path are equal
+// (they are being compared further up the stack).
+func equal(a, b Value, path []containerPair) bool {
 	switch av := a.(type) {
 	case nil:
 		return b == nil
@@ -176,8 +187,12 @@ func Equal(a, b Value) bool {
 		if !ok || len(av.Items) != len(bv.Items) {
 			return false
 		}
+		if slices.Contains(path, containerPair{a, b}) {
+			return true
+		}
+		path = append(path, containerPair{a, b})
 		for i := range av.Items {
-			if !Equal(av.Items[i], bv.Items[i]) {
+			if !equal(av.Items[i], bv.Items[i], path) {
 				return false
 			}
 		}
@@ -187,9 +202,13 @@ func Equal(a, b Value) bool {
 		if !ok || len(av.Items) != len(bv.Items) {
 			return false
 		}
+		if slices.Contains(path, containerPair{a, b}) {
+			return true
+		}
+		path = append(path, containerPair{a, b})
 		for k, v := range av.Items {
 			bvv, ok := bv.Items[k]
-			if !ok || !Equal(v, bvv) {
+			if !ok || !equal(v, bvv, path) {
 				return false
 			}
 		}
@@ -200,7 +219,10 @@ func Equal(a, b Value) bool {
 }
 
 // Format renders a value the way FaaSLang's print and str builtins do.
-func Format(v Value) string {
+// A container met again inside itself renders as [...] or {...}.
+func Format(v Value) string { return format(v, nil) }
+
+func format(v Value, path []Value) string {
 	switch v := v.(type) {
 	case nil:
 		return "null"
@@ -216,24 +238,32 @@ func Format(v Value) string {
 	case string:
 		return v
 	case *List:
+		if slices.Contains(path, Value(v)) {
+			return "[...]"
+		}
+		path = append(path, v)
 		var sb strings.Builder
 		sb.WriteByte('[')
 		for i, item := range v.Items {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(formatQuoted(item))
+			sb.WriteString(formatQuoted(item, path))
 		}
 		sb.WriteByte(']')
 		return sb.String()
 	case *Map:
+		if slices.Contains(path, Value(v)) {
+			return "{...}"
+		}
+		path = append(path, v)
 		var sb strings.Builder
 		sb.WriteByte('{')
 		for i, k := range v.SortedKeys() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			fmt.Fprintf(&sb, "%q: %s", k, formatQuoted(v.Items[k]))
+			fmt.Fprintf(&sb, "%q: %s", k, formatQuoted(v.Items[k], path))
 		}
 		sb.WriteByte('}')
 		return sb.String()
@@ -244,11 +274,11 @@ func Format(v Value) string {
 	}
 }
 
-// formatQuoted is Format except strings render quoted, for container
+// formatQuoted is format except strings render quoted, for container
 // elements.
-func formatQuoted(v Value) string {
+func formatQuoted(v Value, path []Value) string {
 	if s, ok := v.(string); ok {
 		return strconv.Quote(s)
 	}
-	return Format(v)
+	return format(v, path)
 }

@@ -2,240 +2,258 @@ package vm
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/lang"
 	"repro/internal/lang/bytecode"
 )
 
-// BinaryOp implements FaaSLang binary operator semantics. It is shared
-// verbatim by the interpreter and the JIT tier's generic slow path, so
-// the two tiers cannot diverge semantically.
-func BinaryOp(op bytecode.Op, left, right lang.Value) (lang.Value, error) {
+// BinaryOp implements FaaSLang binary operator semantics on slots. It
+// is shared verbatim by the interpreter and the JIT tier's generic slow
+// path, so the two tiers cannot diverge semantically. Numeric operands
+// never leave their slots, so int and float arithmetic allocates nothing.
+func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
+	if left.kind == lang.TInt && right.kind == lang.TInt {
+		return intOp(op, int64(left.word), int64(right.word))
+	}
+	if l, ok := left.number(); ok {
+		if r, ok := right.number(); ok {
+			return floatOp(op, l, r)
+		}
+	}
 	switch op {
+	case bytecode.OpEq:
+		return Bool(equal(left, right)), nil
+	case bytecode.OpNeq:
+		return Bool(!equal(left, right)), nil
 	case bytecode.OpAdd:
-		switch l := left.(type) {
-		case int64:
-			switch r := right.(type) {
-			case int64:
-				return l + r, nil
-			case float64:
-				return float64(l) + r, nil
-			}
-		case float64:
-			switch r := right.(type) {
-			case int64:
-				return l + float64(r), nil
-			case float64:
-				return l + r, nil
-			}
+		switch l := left.ref.(type) {
 		case string:
-			if r, ok := right.(string); ok {
-				return l + r, nil
-			}
 			// String concatenation coerces the right side, matching the
 			// JavaScript-flavored semantics of the benchmark sources.
-			return l + lang.Format(right), nil
+			r, ok := right.ref.(string)
+			if !ok {
+				r = lang.Format(right.Value())
+			}
+			if len(l)+len(r) > maxConcat {
+				return Slot{}, fmt.Errorf("string too large")
+			}
+			return Slot{kind: lang.TString, ref: l + r}, nil
 		case *lang.List:
-			if r, ok := right.(*lang.List); ok {
+			if r, ok := right.ref.(*lang.List); ok {
+				if len(l.Items)+len(r.Items) > maxConcat/16 { // an item is a 16-byte interface
+					return Slot{}, fmt.Errorf("list too large")
+				}
 				items := make([]lang.Value, 0, len(l.Items)+len(r.Items))
 				items = append(items, l.Items...)
 				items = append(items, r.Items...)
-				return &lang.List{Items: items}, nil
+				return Slot{kind: lang.TList, ref: &lang.List{Items: items}}, nil
 			}
 		}
-		return nil, opTypeError("+", left, right)
-	case bytecode.OpSub:
-		return numericOp(left, right, "-",
-			func(a, b int64) (lang.Value, error) { return a - b, nil },
-			func(a, b float64) (lang.Value, error) { return a - b, nil })
-	case bytecode.OpMul:
-		return numericOp(left, right, "*",
-			func(a, b int64) (lang.Value, error) { return a * b, nil },
-			func(a, b float64) (lang.Value, error) { return a * b, nil })
-	case bytecode.OpDiv:
-		return numericOp(left, right, "/",
-			func(a, b int64) (lang.Value, error) {
-				if b == 0 {
-					return nil, fmt.Errorf("division by zero")
-				}
-				return a / b, nil
-			},
-			func(a, b float64) (lang.Value, error) { return a / b, nil })
-	case bytecode.OpMod:
-		return numericOp(left, right, "%",
-			func(a, b int64) (lang.Value, error) {
-				if b == 0 {
-					return nil, fmt.Errorf("modulo by zero")
-				}
-				return a % b, nil
-			},
-			func(a, b float64) (lang.Value, error) {
-				return nil, fmt.Errorf("modulo of floats")
-			})
-	case bytecode.OpEq:
-		return lang.Equal(left, right), nil
-	case bytecode.OpNeq:
-		return !lang.Equal(left, right), nil
 	case bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
-		cmp, err := compare(left, right)
-		if err != nil {
-			return nil, err
+		l, lok := left.ref.(string)
+		r, rok := right.ref.(string)
+		if !lok || !rok {
+			return Slot{}, fmt.Errorf("cannot compare %s and %s", left.kind, right.kind)
 		}
-		switch op {
-		case bytecode.OpLt:
-			return cmp < 0, nil
-		case bytecode.OpLte:
-			return cmp <= 0, nil
-		case bytecode.OpGt:
-			return cmp > 0, nil
-		default:
-			return cmp >= 0, nil
-		}
+		return ordered(op, strings.Compare(l, r)), nil
 	}
-	return nil, fmt.Errorf("unsupported binary op %s", op)
+	if int(op) < len(opSymbols) && opSymbols[op] != "" {
+		return Slot{}, fmt.Errorf("unsupported operand types for %s: %s and %s", opSymbols[op], left.kind, right.kind)
+	}
+	return Slot{}, fmt.Errorf("unsupported binary op %s", op)
 }
 
-func numericOp(left, right lang.Value, name string,
-	intFn func(a, b int64) (lang.Value, error),
-	floatFn func(a, b float64) (lang.Value, error),
-) (lang.Value, error) {
-	switch l := left.(type) {
-	case int64:
-		switch r := right.(type) {
-		case int64:
-			return intFn(l, r)
-		case float64:
-			return floatFn(float64(l), r)
-		}
-	case float64:
-		switch r := right.(type) {
-		case int64:
-			return floatFn(l, float64(r))
-		case float64:
-			return floatFn(l, r)
-		}
-	}
-	return nil, opTypeError(name, left, right)
+// maxConcat caps the bytes one + may produce (the repeat builtin's
+// limit): s = s + s in a loop doubles its operand every few ops, which
+// no step limit keeps from exhausting the host's memory.
+const maxConcat = 64 << 20
+
+// opSymbols names the arithmetic operators in type errors.
+var opSymbols = [...]string{
+	bytecode.OpAdd: "+", bytecode.OpSub: "-", bytecode.OpMul: "*", bytecode.OpDiv: "/", bytecode.OpMod: "%",
 }
 
-func compare(left, right lang.Value) (int, error) {
-	switch l := left.(type) {
-	case int64:
-		switch r := right.(type) {
-		case int64:
-			switch {
-			case l < r:
-				return -1, nil
-			case l > r:
-				return 1, nil
-			}
-			return 0, nil
-		case float64:
-			return compareFloats(float64(l), r), nil
+func intOp(op bytecode.Op, a, b int64) (Slot, error) {
+	switch op {
+	case bytecode.OpAdd:
+		return Int(a + b), nil
+	case bytecode.OpSub:
+		return Int(a - b), nil
+	case bytecode.OpMul:
+		return Int(a * b), nil
+	case bytecode.OpDiv:
+		if b == 0 {
+			return Slot{}, fmt.Errorf("division by zero")
 		}
-	case float64:
-		switch r := right.(type) {
-		case int64:
-			return compareFloats(l, float64(r)), nil
-		case float64:
-			return compareFloats(l, r), nil
+		return Int(a / b), nil
+	case bytecode.OpMod:
+		if b == 0 {
+			return Slot{}, fmt.Errorf("modulo by zero")
 		}
-	case string:
-		if r, ok := right.(string); ok {
-			switch {
-			case l < r:
-				return -1, nil
-			case l > r:
-				return 1, nil
-			}
-			return 0, nil
-		}
+		return Int(a % b), nil
+	case bytecode.OpEq:
+		return Bool(a == b), nil
+	case bytecode.OpNeq:
+		return Bool(a != b), nil
+	case bytecode.OpLt:
+		return Bool(a < b), nil
+	case bytecode.OpLte:
+		return Bool(a <= b), nil
+	case bytecode.OpGt:
+		return Bool(a > b), nil
+	case bytecode.OpGte:
+		return Bool(a >= b), nil
 	}
-	return 0, fmt.Errorf("cannot compare %s and %s", lang.TypeOf(left), lang.TypeOf(right))
+	return Slot{}, fmt.Errorf("unsupported binary op %s", op)
 }
 
-func compareFloats(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// floatOp is the mixed int/float and float/float path: an int operand
+// has already been widened.
+func floatOp(op bytecode.Op, a, b float64) (Slot, error) {
+	switch op {
+	case bytecode.OpAdd:
+		return Float(a + b), nil
+	case bytecode.OpSub:
+		return Float(a - b), nil
+	case bytecode.OpMul:
+		return Float(a * b), nil
+	case bytecode.OpDiv:
+		return Float(a / b), nil
+	case bytecode.OpMod:
+		return Slot{}, fmt.Errorf("modulo of floats")
+	case bytecode.OpEq:
+		return Bool(a == b), nil
+	case bytecode.OpNeq:
+		return Bool(a != b), nil
+	case bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
+		// Three-way first: a NaN operand orders as equal, so NaN <= x
+		// holds while NaN < x does not.
+		cmp := 0
+		switch {
+		case a < b:
+			cmp = -1
+		case a > b:
+			cmp = 1
+		}
+		return ordered(op, cmp), nil
+	}
+	return Slot{}, fmt.Errorf("unsupported binary op %s", op)
+}
+
+// ordered turns a three-way comparison into the result of a relational
+// operator.
+func ordered(op bytecode.Op, cmp int) Slot {
+	switch op {
+	case bytecode.OpLt:
+		return Bool(cmp < 0)
+	case bytecode.OpLte:
+		return Bool(cmp <= 0)
+	case bytecode.OpGt:
+		return Bool(cmp > 0)
 	default:
-		return 0
+		return Bool(cmp >= 0)
 	}
 }
 
-func opTypeError(op string, left, right lang.Value) error {
-	return fmt.Errorf("unsupported operand types for %s: %s and %s",
-		op, lang.TypeOf(left), lang.TypeOf(right))
+// equal is lang.Equal for a pair that is not two numbers (BinaryOp has
+// dealt with those): inline kinds compare by kind and word, references
+// structurally.
+func equal(left, right Slot) bool {
+	if left.ref == nil || right.ref == nil {
+		return left.kind == right.kind && left.word == right.word
+	}
+	return lang.Equal(left.ref, right.ref)
+}
+
+// Negate implements unary minus.
+func Negate(s Slot) (Slot, error) {
+	switch s.kind {
+	case lang.TInt:
+		return Int(-int64(s.word)), nil
+	case lang.TFloat:
+		return Float(-s.float()), nil
+	default:
+		return Slot{}, fmt.Errorf("cannot negate %s", s.kind)
+	}
+}
+
+// MakeMap builds a map literal from its (key, value) pairs in source
+// order; a later duplicate key wins.
+func MakeMap(pairs []lang.Value) (*lang.Map, error) {
+	m := lang.NewMap()
+	for i := 0; i < len(pairs); i += 2 {
+		key, ok := pairs[i].(string)
+		if !ok {
+			return nil, fmt.Errorf("map key must be string, got %s", lang.TypeOf(pairs[i]))
+		}
+		m.Items[key] = pairs[i+1]
+	}
+	return m, nil
 }
 
 // Index implements container[key] for lists (int index, negative wraps),
 // maps (string key, missing yields null), and strings (int index).
-func Index(container, key lang.Value) (lang.Value, error) {
-	switch c := container.(type) {
+func Index(container, key Slot) (Slot, error) {
+	switch c := container.ref.(type) {
 	case *lang.List:
-		idx, ok := key.(int64)
-		if !ok {
-			return nil, fmt.Errorf("list index must be int, got %s", lang.TypeOf(key))
+		idx, err := wrapIndex("list", key, len(c.Items))
+		if err != nil {
+			return Slot{}, err
 		}
-		n := int64(len(c.Items))
-		if idx < 0 {
-			idx += n
-		}
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("list index %d out of range (len %d)", idx, n)
-		}
-		return c.Items[idx], nil
+		return SlotOf(c.Items[idx]), nil
 	case *lang.Map:
-		k, ok := key.(string)
+		k, ok := key.ref.(string)
 		if !ok {
-			return nil, fmt.Errorf("map key must be string, got %s", lang.TypeOf(key))
+			return Slot{}, fmt.Errorf("map key must be string, got %s", key.kind)
 		}
-		return c.Items[k], nil
+		return SlotOf(c.Items[k]), nil
 	case string:
-		idx, ok := key.(int64)
-		if !ok {
-			return nil, fmt.Errorf("string index must be int, got %s", lang.TypeOf(key))
+		idx, err := wrapIndex("string", key, len(c))
+		if err != nil {
+			return Slot{}, err
 		}
-		n := int64(len(c))
-		if idx < 0 {
-			idx += n
-		}
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("string index %d out of range (len %d)", idx, n)
-		}
-		return string(c[idx]), nil
+		return Slot{kind: lang.TString, ref: string(c[idx])}, nil
 	default:
-		return nil, fmt.Errorf("cannot index %s", lang.TypeOf(container))
+		return Slot{}, fmt.Errorf("cannot index %s", container.kind)
 	}
 }
 
-// SetIndex implements container[key] = value for lists and maps.
-func SetIndex(container, key, value lang.Value) error {
-	switch c := container.(type) {
+// wrapIndex resolves an int key against a sequence of length n: a
+// negative index counts from the end.
+func wrapIndex(what string, key Slot, n int) (int64, error) {
+	if key.kind != lang.TInt {
+		return 0, fmt.Errorf("%s index must be int, got %s", what, key.kind)
+	}
+	idx := int64(key.word)
+	if idx < 0 {
+		idx += int64(n)
+	}
+	if idx < 0 || idx >= int64(n) {
+		return 0, fmt.Errorf("%s index %d out of range (len %d)", what, idx, n)
+	}
+	return idx, nil
+}
+
+// SetIndex implements container[key] = value for lists and maps; the
+// stored value is boxed here.
+func SetIndex(container, key, value Slot) error {
+	switch c := container.ref.(type) {
 	case *lang.List:
-		idx, ok := key.(int64)
-		if !ok {
-			return fmt.Errorf("list index must be int, got %s", lang.TypeOf(key))
+		idx, err := wrapIndex("list", key, len(c.Items))
+		if err != nil {
+			return err
 		}
-		n := int64(len(c.Items))
-		if idx < 0 {
-			idx += n
-		}
-		if idx < 0 || idx >= n {
-			return fmt.Errorf("list index %d out of range (len %d)", idx, n)
-		}
-		c.Items[idx] = value
+		c.Items[idx] = value.Value()
 		return nil
 	case *lang.Map:
-		k, ok := key.(string)
+		k, ok := key.ref.(string)
 		if !ok {
-			return fmt.Errorf("map key must be string, got %s", lang.TypeOf(key))
+			return fmt.Errorf("map key must be string, got %s", key.kind)
 		}
-		c.Items[k] = value
+		c.Items[k] = value.Value()
 		return nil
 	default:
-		return fmt.Errorf("cannot index-assign %s", lang.TypeOf(container))
+		return fmt.Errorf("cannot index-assign %s", container.kind)
 	}
 }

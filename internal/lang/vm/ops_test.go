@@ -58,7 +58,8 @@ func TestBinaryOpSemantics(t *testing.T) {
 		{bytecode.OpEq, true, true, true, false},
 	}
 	for _, tc := range cases {
-		got, err := vm.BinaryOp(tc.op, tc.a, tc.b)
+		slot, err := vm.BinaryOp(tc.op, vm.SlotOf(tc.a), vm.SlotOf(tc.b))
+		got := slot.Value()
 		if tc.isErr {
 			if err == nil {
 				t.Errorf("%v %s %v: expected error, got %v", tc.a, tc.op, tc.b, got)
@@ -75,11 +76,11 @@ func TestBinaryOpSemantics(t *testing.T) {
 	}
 	// List concatenation produces a fresh list.
 	a, b := lang.NewList(int64(1)), lang.NewList(int64(2))
-	sum, err := vm.BinaryOp(bytecode.OpAdd, a, b)
+	sum, err := vm.BinaryOp(bytecode.OpAdd, vm.SlotOf(a), vm.SlotOf(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := sum.(*lang.List)
+	cat := sum.Value().(*lang.List)
 	if len(cat.Items) != 2 {
 		t.Fatalf("concat = %v", lang.Format(cat))
 	}
@@ -119,7 +120,8 @@ func TestIndexSemantics(t *testing.T) {
 		{int64(5), int64(0), nil, true},
 	}
 	for _, tc := range cases {
-		got, err := vm.Index(tc.container, tc.key)
+		slot, err := vm.Index(vm.SlotOf(tc.container), vm.SlotOf(tc.key))
+		got := slot.Value()
 		if tc.isErr {
 			if err == nil {
 				t.Errorf("Index(%v, %v): expected error", tc.container, tc.key)
@@ -137,30 +139,33 @@ func TestIndexSemantics(t *testing.T) {
 }
 
 func TestSetIndexSemantics(t *testing.T) {
+	setIndex := func(container, key, value lang.Value) error {
+		return vm.SetIndex(vm.SlotOf(container), vm.SlotOf(key), vm.SlotOf(value))
+	}
 	l := lang.NewList(int64(1), int64(2))
-	if err := vm.SetIndex(l, int64(-1), int64(9)); err != nil {
+	if err := setIndex(l, int64(-1), int64(9)); err != nil {
 		t.Fatal(err)
 	}
 	if l.Items[1] != int64(9) {
 		t.Fatal("negative index assignment")
 	}
-	if err := vm.SetIndex(l, int64(2), int64(0)); err == nil {
+	if err := setIndex(l, int64(2), int64(0)); err == nil {
 		t.Fatal("out-of-range assignment succeeded")
 	}
-	if err := vm.SetIndex(l, "x", int64(0)); err == nil {
+	if err := setIndex(l, "x", int64(0)); err == nil {
 		t.Fatal("string index on list succeeded")
 	}
 	m := lang.NewMap()
-	if err := vm.SetIndex(m, "k", "v"); err != nil {
+	if err := setIndex(m, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if m.Get("k") != "v" {
 		t.Fatal("map assignment lost")
 	}
-	if err := vm.SetIndex(m, int64(1), "v"); err == nil {
+	if err := setIndex(m, int64(1), "v"); err == nil {
 		t.Fatal("int key on map succeeded")
 	}
-	if err := vm.SetIndex("str", int64(0), "x"); err == nil {
+	if err := setIndex("str", int64(0), "x"); err == nil {
 		t.Fatal("string assignment succeeded")
 	}
 }

@@ -1,10 +1,11 @@
 // Package vm executes FaaSLang bytecode. It is the baseline execution
 // tier (the "interpreter" in the paper's terminology): every instruction
-// is dispatched dynamically and charged to a cost meter at
-// interpreter-tier rates. The VM also collects the runtime profile (call
-// counts, loop back-edges, observed argument types) that drives tier-up
-// decisions in the JIT backend, and it is the de-optimization target
-// when JITted code's type guards fail.
+// is dispatched dynamically and booked at interpreter-tier rates. The
+// VM counts the ops both tiers execute and hands the counts to a cost
+// meter before anyone can read the clock (see Flush). It also collects
+// the runtime profile (call counts, loop back-edges, observed argument
+// types) that drives tier-up decisions in the JIT backend, and it is the
+// de-optimization target when JITted code's type guards fail.
 package vm
 
 import (
@@ -22,6 +23,7 @@ type Tier uint8
 const (
 	TierInterp Tier = iota
 	TierJIT
+	numTiers = iota
 )
 
 // String returns the tier name.
@@ -32,8 +34,9 @@ func (t Tier) String() string {
 	return "interp"
 }
 
-// CostMeter receives per-instruction virtual cost charges. The runtime
-// layer maps (tier, category) pairs to calibrated virtual durations.
+// CostMeter receives the virtual cost of executed instructions: n ops
+// of one (tier, category) pair per call, handed over by VM.Flush. The
+// runtime layer maps the pairs to calibrated virtual durations.
 type CostMeter interface {
 	Charge(tier Tier, cat bytecode.Category, n int)
 }
@@ -83,9 +86,11 @@ type VM struct {
 	steps    int64
 	profiles map[*bytecode.Function]*Profile
 	depth    int
+	// pending counts the ops executed since the last Flush.
+	pending [numTiers][bytecode.NumCategories]int
 }
 
-// maxCallDepth bounds recursion in guest code.
+// maxCallDepth bounds recursion in guest code, whichever tier runs it.
 const maxCallDepth = 512
 
 // New returns a VM with empty globals and the given meter (nil means
@@ -102,9 +107,57 @@ func New(meter CostMeter) *VM {
 	}
 }
 
-// Steps returns the total number of bytecode instructions executed by
-// the interpreter tier so far.
+// Steps returns the total number of bytecode instructions executed so
+// far, in either tier.
 func (v *VM) Steps() int64 { return v.steps }
+
+// CountStep books one op about to execute in tier: it counts against
+// the step limit and joins the pending counts that the next Flush
+// charges. The op that exceeds the limit is not booked.
+func (v *VM) CountStep(tier Tier, cat bytecode.Category) error {
+	v.steps++
+	if v.steps > v.MaxSteps {
+		return ErrTooManySteps
+	}
+	v.pending[tier][cat]++
+	return nil
+}
+
+// Flush charges the pending op counts to the meter, one Charge per
+// (tier, category) executed. The rule is that counts reach the clock
+// before anyone can read it: the VM flushes before a native runs and
+// when the outermost call returns (value or error), and the JIT backend
+// flushes before its compile and deopt hooks charge. Between those
+// points nothing can observe the clock, so every reading is the one a
+// per-instruction meter would have produced.
+func (v *VM) Flush() {
+	for tier := range v.pending {
+		for cat, n := range v.pending[tier] {
+			if n != 0 {
+				v.pending[tier][cat] = 0
+				v.Meter.Charge(Tier(tier), bytecode.Category(cat), n)
+			}
+		}
+	}
+}
+
+// enter and leave bracket one activation (a closure call or a module's
+// top level): enter enforces the depth limit for both tiers, leave
+// flushes when the outermost activation returns.
+func (v *VM) enter(fn *bytecode.Function) error {
+	if v.depth >= maxCallDepth {
+		return fmt.Errorf("vm: call depth limit (%d) exceeded in %s", maxCallDepth, fn.Name)
+	}
+	v.depth++
+	return nil
+}
+
+func (v *VM) leave() {
+	v.depth--
+	if v.depth == 0 {
+		v.Flush()
+	}
+}
 
 // Profile returns (creating if needed) the profile of fn.
 func (v *VM) Profile(fn *bytecode.Function) *Profile {
@@ -119,6 +172,10 @@ func (v *VM) Profile(fn *bytecode.Function) *Profile {
 // RunModule executes a module's top level, defining its functions and
 // running its module-level statements.
 func (v *VM) RunModule(mod *bytecode.Module) (lang.Value, error) {
+	if err := v.enter(mod.TopLevel); err != nil {
+		return nil, err
+	}
+	defer v.leave()
 	return v.runFunction(mod.TopLevel, nil)
 }
 
@@ -131,6 +188,7 @@ func (v *VM) CallValue(fnVal lang.Value, args []lang.Value) (lang.Value, error) 
 		if fn.Arity >= 0 && len(args) != fn.Arity {
 			return nil, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, fn.Arity, len(args))
 		}
+		v.Flush() // a native may read the clock
 		return fn.Fn(args)
 	case *bytecode.Closure:
 		return v.callClosure(fn, args)
@@ -144,6 +202,10 @@ func (v *VM) callClosure(cl *bytecode.Closure, args []lang.Value) (lang.Value, e
 	if len(args) != len(fn.Params) {
 		return nil, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, len(fn.Params), len(args))
 	}
+	if err := v.enter(fn); err != nil {
+		return nil, err
+	}
+	defer v.leave()
 	prof := v.Profile(fn)
 	prof.RecordCall(args)
 	if v.JIT != nil {
@@ -159,94 +221,87 @@ func (v *VM) callClosure(cl *bytecode.Closure, args []lang.Value) (lang.Value, e
 	return v.runFunction(fn, args)
 }
 
-// Iter drives for-in loops over lists (items), maps (sorted keys), and
-// strings (runes). It is shared by the interpreter and the JIT tier.
-type Iter struct {
+// iter drives for-in loops over lists (items), maps (sorted keys), and
+// strings (runes). It lives in a slot on the operand stack of either
+// tier, which step it through NewIter and IterNext.
+type iter struct {
 	items []lang.Value
 	idx   int
 }
 
-// NewIter returns an iterator over v, or an error for non-iterables.
-func NewIter(v lang.Value) (*Iter, error) {
-	switch v := v.(type) {
+// NewIter returns a slot holding an iterator over s, or an error for
+// non-iterables.
+func NewIter(s Slot) (Slot, error) {
+	var items []lang.Value
+	switch v := s.ref.(type) {
 	case *lang.List:
-		return &Iter{items: v.Items}, nil
+		items = v.Items
 	case *lang.Map:
 		keys := v.SortedKeys()
-		items := make([]lang.Value, len(keys))
+		items = make([]lang.Value, len(keys))
 		for i, k := range keys {
 			items[i] = k
 		}
-		return &Iter{items: items}, nil
 	case string:
-		items := make([]lang.Value, 0, len(v))
+		items = make([]lang.Value, 0, len(v))
 		for _, r := range v {
 			items = append(items, string(r))
 		}
-		return &Iter{items: items}, nil
 	default:
-		return nil, fmt.Errorf("vm: cannot iterate %s", lang.TypeOf(v))
+		return Slot{}, fmt.Errorf("vm: cannot iterate %s", s.kind)
 	}
+	return Slot{kind: lang.TOther, ref: &iter{items: items}}, nil
 }
 
-// Next returns the next item, or ok=false when exhausted.
-func (it *Iter) Next() (lang.Value, bool) {
+// IterNext returns the next item of the iterator in s, or ok=false when
+// it is exhausted.
+func IterNext(s Slot) (Slot, bool) {
+	it := s.ref.(*iter)
 	if it.idx >= len(it.items) {
-		return nil, false
+		return Slot{}, false
 	}
 	v := it.items[it.idx]
 	it.idx++
-	return v, true
-}
-
-// CountStep increments the executed-instruction counter on behalf of a
-// non-interpreter tier and reports whether the step limit was exceeded.
-func (v *VM) CountStep() error {
-	v.steps++
-	if v.steps > v.MaxSteps {
-		return ErrTooManySteps
-	}
-	return nil
+	return SlotOf(v), true
 }
 
 // runFunction interprets fn's bytecode. args may be nil for the module
 // top level.
-func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (result lang.Value, err error) {
-	if v.depth >= maxCallDepth {
-		return nil, fmt.Errorf("vm: call depth limit (%d) exceeded in %s", maxCallDepth, fn.Name)
+func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (lang.Value, error) {
+	locals := make([]Slot, fn.NumLocals)
+	for i, a := range args {
+		locals[i] = SlotOf(a)
 	}
-	v.depth++
-	defer func() { v.depth-- }()
-
-	locals := make([]lang.Value, fn.NumLocals)
-	copy(locals, args)
-	stack := make([]lang.Value, 0, 16)
-	push := func(val lang.Value) { stack = append(stack, val) }
-	pop := func() lang.Value {
-		val := stack[len(stack)-1]
+	stack := make([]Slot, 0, 16)
+	push := func(s Slot) { stack = append(stack, s) }
+	pop := func() Slot {
+		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		return val
+		return s
+	}
+	popValues := func(n int) []lang.Value {
+		vals := Values(stack[len(stack)-n:])
+		stack = stack[:len(stack)-n]
+		return vals
 	}
 
 	code := fn.Code
 	prof := v.Profile(fn)
 	for pc := 0; pc < len(code); {
 		ins := code[pc]
-		v.steps++
-		if v.steps > v.MaxSteps {
-			return nil, fmt.Errorf("%w (in %s)", ErrTooManySteps, fn.Name)
+		if err := v.CountStep(TierInterp, bytecode.CategoryOf(ins.Op)); err != nil {
+			return nil, fmt.Errorf("%w (in %s)", err, fn.Name)
 		}
-		v.Meter.Charge(TierInterp, bytecode.CategoryOf(ins.Op), 1)
 
 		switch ins.Op {
 		case bytecode.OpConst:
-			push(fn.Consts[ins.A])
+			push(SlotOf(fn.Consts[ins.A]))
 		case bytecode.OpNull:
-			push(nil)
+			push(Slot{})
 		case bytecode.OpTrue:
-			push(true)
+			push(Bool(true))
 		case bytecode.OpFalse:
-			push(false)
+			push(Bool(false))
 		case bytecode.OpPop:
 			pop()
 		case bytecode.OpDup:
@@ -261,9 +316,9 @@ func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (result lang.
 			if !ok {
 				return nil, fmt.Errorf("vm: line %d: undefined variable %q", ins.Line, name)
 			}
-			push(val)
+			push(SlotOf(val))
 		case bytecode.OpStoreGlobal:
-			v.Globals[fn.Consts[ins.A].(string)] = pop()
+			v.Globals[fn.Consts[ins.A].(string)] = pop().Value()
 		case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod,
 			bytecode.OpEq, bytecode.OpNeq, bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
 			right := pop()
@@ -274,17 +329,13 @@ func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (result lang.
 			}
 			push(val)
 		case bytecode.OpNeg:
-			val := pop()
-			switch n := val.(type) {
-			case int64:
-				push(-n)
-			case float64:
-				push(-n)
-			default:
-				return nil, fmt.Errorf("vm: line %d: cannot negate %s", ins.Line, lang.TypeOf(val))
+			val, err := Negate(pop())
+			if err != nil {
+				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
 			}
+			push(val)
 		case bytecode.OpNot:
-			push(!lang.Truthy(pop()))
+			push(Bool(!pop().Truthy()))
 		case bytecode.OpJump:
 			pc = ins.A
 			continue
@@ -296,51 +347,32 @@ func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (result lang.
 			pc = ins.A
 			continue
 		case bytecode.OpJumpIfFalse:
-			if !lang.Truthy(pop()) {
+			if !pop().Truthy() {
 				pc = ins.A
 				continue
 			}
 		case bytecode.OpJumpIfTrue:
-			if lang.Truthy(pop()) {
+			if pop().Truthy() {
 				pc = ins.A
 				continue
 			}
 		case bytecode.OpCall:
-			argc := ins.A
-			callArgs := make([]lang.Value, argc)
-			for i := argc - 1; i >= 0; i-- {
-				callArgs[i] = pop()
-			}
-			callee := pop()
-			val, err := v.CallValue(callee, callArgs)
+			callArgs := popValues(ins.A)
+			val, err := v.CallValue(pop().Value(), callArgs)
 			if err != nil {
 				return nil, err
 			}
-			push(val)
+			push(SlotOf(val))
 		case bytecode.OpReturn:
-			return pop(), nil
+			return pop().Value(), nil
 		case bytecode.OpMakeList:
-			n := ins.A
-			items := make([]lang.Value, n)
-			for i := n - 1; i >= 0; i-- {
-				items[i] = pop()
-			}
-			push(&lang.List{Items: items})
+			push(Slot{kind: lang.TList, ref: &lang.List{Items: popValues(ins.A)}})
 		case bytecode.OpMakeMap:
-			n := ins.A
-			m := lang.NewMap()
-			pairs := make([]lang.Value, 2*n)
-			for i := 2*n - 1; i >= 0; i-- {
-				pairs[i] = pop()
+			m, err := MakeMap(popValues(2 * ins.A))
+			if err != nil {
+				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
 			}
-			for i := 0; i < n; i++ {
-				key, ok := pairs[2*i].(string)
-				if !ok {
-					return nil, fmt.Errorf("vm: line %d: map key must be string, got %s", ins.Line, lang.TypeOf(pairs[2*i]))
-				}
-				m.Items[key] = pairs[2*i+1]
-			}
-			push(m)
+			push(Slot{kind: lang.TMap, ref: m})
 		case bytecode.OpIndex:
 			key := pop()
 			container := pop()
@@ -363,8 +395,7 @@ func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (result lang.
 			}
 			push(it)
 		case bytecode.OpIterNext:
-			it := stack[len(stack)-1].(*Iter)
-			if item, ok := it.Next(); ok {
+			if item, ok := IterNext(stack[len(stack)-1]); ok {
 				push(item)
 			} else {
 				pop() // discard exhausted iterator
@@ -372,7 +403,7 @@ func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (result lang.
 				continue
 			}
 		case bytecode.OpClosure:
-			push(&bytecode.Closure{Fn: fn.Consts[ins.A].(*bytecode.Function)})
+			push(SlotOf(&bytecode.Closure{Fn: fn.Consts[ins.A].(*bytecode.Function)}))
 		default:
 			return nil, fmt.Errorf("vm: line %d: unknown opcode %s", ins.Line, ins.Op)
 		}

@@ -228,6 +228,10 @@ func TestRuntimeErrors(t *testing.T) {
 		{"undefVar", `func f() { return nope; }`, "undefined variable"},
 		{"notCallable", `func f() { let x = 3; return x(); }`, "not callable"},
 		{"badIter", `func f() { for (x in 5) {} }`, "cannot iterate"},
+		// Doubling by + outruns any step limit; it ends at the size cap
+		// (27 doublings of one byte), not at the host's memory.
+		{"hugeString", `func f() { let s = "x"; while (true) { s = s + s; } }`, "string too large"},
+		{"hugeList", `func f() { let l = [0]; while (true) { l = l + l; } }`, "list too large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

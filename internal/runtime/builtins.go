@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -275,7 +276,7 @@ func (r *Runtime) installBuiltins() {
 		if !ok || n < 0 {
 			return nil, fmt.Errorf("repeat: count must be a non-negative int")
 		}
-		if int64(len(s))*n > 64<<20 {
+		if len(s) > 0 && n > (64<<20)/int64(len(s)) {
 			return nil, fmt.Errorf("repeat: result too large")
 		}
 		return strings.Repeat(s, int(n)), nil
@@ -375,15 +376,21 @@ func asFloat(name string, v lang.Value) (float64, bool, error) {
 }
 
 // ToGo converts a FaaSLang value into plain Go data (for JSON encoding
-// and host interop).
-func ToGo(v lang.Value) (any, error) {
+// and host interop). A cyclic value (push(l, l)) is an error.
+func ToGo(v lang.Value) (any, error) { return toGo(v, nil) }
+
+func toGo(v lang.Value, path []lang.Value) (any, error) {
 	switch v := v.(type) {
 	case nil, bool, int64, float64, string:
 		return v, nil
 	case *lang.List:
+		path, err := descend(path, v)
+		if err != nil {
+			return nil, err
+		}
 		out := make([]any, len(v.Items))
 		for i, item := range v.Items {
-			g, err := ToGo(item)
+			g, err := toGo(item, path)
 			if err != nil {
 				return nil, err
 			}
@@ -391,9 +398,13 @@ func ToGo(v lang.Value) (any, error) {
 		}
 		return out, nil
 	case *lang.Map:
+		path, err := descend(path, v)
+		if err != nil {
+			return nil, err
+		}
 		out := make(map[string]any, len(v.Items))
 		for k, item := range v.Items {
-			g, err := ToGo(item)
+			g, err := toGo(item, path)
 			if err != nil {
 				return nil, err
 			}
@@ -403,6 +414,16 @@ func ToGo(v lang.Value) (any, error) {
 	default:
 		return nil, fmt.Errorf("cannot convert %s to host data", lang.TypeOf(v))
 	}
+}
+
+// descend adds container to the path of containers being converted, or
+// fails if it is already there: recursing through a cycle would
+// overflow the Go stack, which no recover catches.
+func descend(path []lang.Value, container lang.Value) ([]lang.Value, error) {
+	if slices.Contains(path, container) {
+		return nil, fmt.Errorf("cannot convert a cyclic %s to host data", lang.TypeOf(container))
+	}
+	return append(path, container), nil
 }
 
 // FromGo converts plain Go data (JSON-shaped) into FaaSLang values.

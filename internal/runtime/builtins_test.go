@@ -152,9 +152,15 @@ func f() {
 }
 
 func TestRepeatSizeGuard(t *testing.T) {
-	_, err := evalBuiltin(t, `repeat("xxxxxxxxxx", 100000000)`)
-	if err == nil || !strings.Contains(err.Error(), "too large") {
-		t.Fatalf("err = %v", err)
+	for _, expr := range []string{
+		`repeat("xxxxxxxxxx", 100000000)`,
+		// len * count wraps past int64: the guard must not multiply.
+		`repeat("xx", 4611686018427387904)`,
+	} {
+		_, err := evalBuiltin(t, expr)
+		if err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Fatalf("%s: err = %v", expr, err)
+		}
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // while an I/O workload's execution time is dominated by the sandbox I/O
 // costs instead — exactly the behaviour Figures 6, 7, and 11 show.
 type CostModel struct {
-	// InterpCost and JITCost are per-bytecode-op costs by category.
-	InterpCost map[bytecode.Category]time.Duration
-	JITCost    map[bytecode.Category]time.Duration
+	// InterpCost and JITCost are per-bytecode-op costs, indexed by
+	// bytecode.Category.
+	InterpCost [bytecode.NumCategories]time.Duration
+	JITCost    [bytecode.NumCategories]time.Duration
 
 	// CompilePerInstr is the JIT compilation cost per bytecode
 	// instruction; DeoptPenalty is charged on each guard bailout.
@@ -84,13 +85,13 @@ func ModelFor(l Lang) CostModel {
 	switch l {
 	case LangNode:
 		return CostModel{
-			InterpCost: map[bytecode.Category]time.Duration{
+			InterpCost: [bytecode.NumCategories]time.Duration{
 				bytecode.CatArith: 14 * time.Nanosecond,
 				bytecode.CatIndex: 22 * time.Nanosecond,
 				bytecode.CatCall:  90 * time.Nanosecond,
 				bytecode.CatOther: 9 * time.Nanosecond,
 			},
-			JITCost: map[bytecode.Category]time.Duration{
+			JITCost: [bytecode.NumCategories]time.Duration{
 				bytecode.CatArith: 4 * time.Nanosecond,
 				bytecode.CatIndex: 7 * time.Nanosecond,
 				bytecode.CatCall:  35 * time.Nanosecond,
@@ -113,13 +114,13 @@ func ModelFor(l Lang) CostModel {
 		}
 	case LangPython:
 		return CostModel{
-			InterpCost: map[bytecode.Category]time.Duration{
+			InterpCost: [bytecode.NumCategories]time.Duration{
 				bytecode.CatArith: 110 * time.Nanosecond,
 				bytecode.CatIndex: 230 * time.Nanosecond,
 				bytecode.CatCall:  550 * time.Nanosecond,
 				bytecode.CatOther: 55 * time.Nanosecond,
 			},
-			JITCost: map[bytecode.Category]time.Duration{
+			JITCost: [bytecode.NumCategories]time.Duration{
 				bytecode.CatArith: 3 * time.Nanosecond,
 				bytecode.CatIndex: 1 * time.Nanosecond,
 				bytecode.CatCall:  40 * time.Nanosecond,

@@ -35,8 +35,8 @@ type Runtime struct {
 	moduleBytes uint64
 }
 
-// meter charges per-op virtual time according to the cost model. It
-// reads the runtime's current clock on every charge, because a warm
+// meter charges executed ops' virtual time according to the cost model.
+// It reads the runtime's current clock on every charge, because a warm
 // sandbox serves many invocations and each invocation brings its own
 // clock (see SetClock).
 type meter struct {
@@ -45,13 +45,11 @@ type meter struct {
 
 // Charge implements vm.CostMeter.
 func (m *meter) Charge(tier vm.Tier, cat bytecode.Category, n int) {
-	var per time.Duration
+	costs := &m.rt.Model.InterpCost
 	if tier == vm.TierJIT {
-		per = m.rt.Model.JITCost[cat]
-	} else {
-		per = m.rt.Model.InterpCost[cat]
+		costs = &m.rt.Model.JITCost
 	}
-	m.rt.Clock.Advance(per * time.Duration(n))
+	m.rt.Clock.Advance(costs[cat] * time.Duration(n))
 }
 
 // New creates a runtime of the given language charging time to clock.
@@ -77,7 +75,8 @@ func New(l Lang, clock *vclock.Clock) *Runtime {
 }
 
 // SetClock redirects all further charges to a new clock. Warm sandboxes
-// call this at the start of each invocation.
+// call this at the start of each invocation — between guest calls, when
+// the VM has flushed every op it counted to the old clock.
 func (r *Runtime) SetClock(clock *vclock.Clock) { r.Clock = clock }
 
 // Boot charges the runtime's process start cost. It must be called once

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/lang"
+	"repro/internal/lang/bytecode"
 	"repro/internal/vclock"
 )
 
@@ -339,6 +340,12 @@ func TestJSONHelpers(t *testing.T) {
 	if _, err := DecodeJSON([]byte("{broken")); err == nil {
 		t.Fatal("bad JSON decoded")
 	}
+	// A guest can make a value contain itself; encoding it is an error,
+	// not unbounded recursion.
+	m.Set("l", lang.NewList(m))
+	if _, err := EncodeJSON(m); err == nil || !strings.Contains(err.Error(), "cyclic") {
+		t.Fatalf("cyclic value: err = %v", err)
+	}
 }
 
 func TestModelForPanicsOnUnknown(t *testing.T) {
@@ -369,4 +376,163 @@ func TestCostModelShapes(t *testing.T) {
 		t.Error("duplication factors wrong")
 	}
 	_ = time.Nanosecond
+}
+
+// TestRecursionDepthLimitEveryTier: unbounded guest recursion must come
+// back as an error whichever tier runs it. Compiled code used to skip
+// the check and recurse until the Go stack limit killed the process.
+func TestRecursionDepthLimitEveryTier(t *testing.T) {
+	const src = `func f(n) { return f(n + 1); }`
+	cases := []struct {
+		name string
+		lang Lang
+		arg  lang.Value
+	}{
+		// Unannotated Python never compiles.
+		{"interpreter", LangPython, int64(0)},
+		// Forced compile, no profile yet: unguarded code, every level JITted.
+		{"jit", LangNode, int64(0)},
+		// Node tiers f up on its 4th call with an int guard; the string
+		// argument ("s" + 1 = "s1", ...) fails it at every level.
+		{"jit-after-deopt", LangNode, "s"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, _ := bootAndLoad(t, tc.lang, src)
+			switch tc.name {
+			case "jit":
+				rt.ForceJITAll()
+			case "jit-after-deopt":
+				// An int-typed priming run compiles f with an int guard
+				// (and itself ends at the depth limit).
+				if _, err := rt.Call("f", int64(0)); err == nil {
+					t.Fatal("priming recursion returned no error")
+				}
+			}
+			_, err := rt.Call("f", tc.arg)
+			if err == nil || !strings.Contains(err.Error(), "vm: call depth limit (512) exceeded in f") {
+				t.Fatalf("err = %v, want the call depth limit", err)
+			}
+			// The recursion ran in the tier the case is named for.
+			switch tc.name {
+			case "interpreter":
+				if rt.Engine.Compiles() != 0 {
+					t.Fatal("interpreter case compiled f")
+				}
+			case "jit":
+				if rt.Engine.Compiles() != 1 || rt.Engine.Deopts() != 0 {
+					t.Fatalf("compiles = %d, deopts = %d; want f JITted throughout", rt.Engine.Compiles(), rt.Engine.Deopts())
+				}
+			case "jit-after-deopt":
+				if rt.Engine.Deopts() < 512 {
+					t.Fatalf("deopts = %d, want one per level", rt.Engine.Deopts())
+				}
+			}
+			// The runtime is still usable afterwards.
+			if _, err := rt.Call("len", "abc"); err != nil {
+				t.Fatalf("runtime unusable after the depth error: %v", err)
+			}
+		})
+	}
+}
+
+// TestClockReadingsMatchPerInstructionMeter: ops are counted and charged
+// in batches, but a guest that reads the clock on every loop iteration
+// must see exactly what a meter charging each instruction as it executes
+// would show. The expected readings are computed from the bytecode and
+// the cost arrays.
+func TestClockReadingsMatchPerInstructionMeter(t *testing.T) {
+	const src = `
+func probe(n) {
+  let out = [];
+  let i = 0;
+  while (i < n) {
+    push(out, now_ns());
+    i = i + 1;
+  }
+  return out;
+}`
+	const n = 50
+	for _, tc := range []struct {
+		name  string
+		lang  Lang
+		force bool
+	}{
+		{"interp", LangPython, false},
+		{"jit", LangNode, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := vclock.New()
+			rt := New(tc.lang, clock)
+			rt.Boot()
+			rt.InstallNatives(map[string]*lang.Native{
+				"now_ns": {Name: "now_ns", Arity: 0, Fn: func([]lang.Value) (lang.Value, error) {
+					return int64(rt.Clock.Now()), nil
+				}},
+			})
+			if err := rt.LoadModule(src); err != nil {
+				t.Fatal(err)
+			}
+			costs := rt.Model.InterpCost
+			if tc.force {
+				rt.ForceJITAll()
+				costs = rt.Model.JITCost
+			}
+			// probe's code is a straight line up to the now_ns call (the
+			// first OpCall) and one straight-line loop body ending in
+			// the OpLoop back-edge.
+			code := rt.Module().Function("probe").Code
+			firstCall, loopEnd, loopStart := -1, -1, -1
+			for pc, ins := range code {
+				if ins.Op == bytecode.OpCall && firstCall < 0 {
+					firstCall = pc
+				}
+				if ins.Op == bytecode.OpLoop {
+					loopEnd, loopStart = pc, ins.A
+				}
+			}
+			if firstCall < 0 || loopEnd < 0 {
+				t.Fatalf("unexpected bytecode:\n%s", bytecode.Disassemble(rt.Module().Function("probe")))
+			}
+			span := func(lo, hi int) (d time.Duration) {
+				for _, ins := range code[lo : hi+1] {
+					d += costs[bytecode.CategoryOf(ins.Op)]
+				}
+				return d
+			}
+			start := clock.Now()
+			got, err := rt.Call("probe", int64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			readings := got.(*lang.List).Items
+			if len(readings) != n {
+				t.Fatalf("%d readings, want %d", len(readings), n)
+			}
+			want := start + span(0, firstCall)
+			for i, r := range readings {
+				if r != int64(want) {
+					t.Fatalf("reading %d = %v, want %d", i, r, int64(want))
+				}
+				want += span(loopStart, loopEnd)
+			}
+			// When the call returns, the rest of the run is on the clock
+			// too: the tail of the last iteration, the loop test that
+			// fails, and the exit path up to the return.
+			testEnd := loopStart
+			for code[testEnd].Op != bytecode.OpJumpIfFalse {
+				testEnd++
+			}
+			exit := code[testEnd].A
+			ret := exit
+			for code[ret].Op != bytecode.OpReturn {
+				ret++
+			}
+			want += span(firstCall+1, loopEnd) - span(loopStart, loopEnd) // want had moved one whole iteration on
+			want += span(loopStart, testEnd) + span(exit, ret)
+			if clock.Now() != want {
+				t.Fatalf("clock after return = %v, want %v", clock.Now(), want)
+			}
+		})
+	}
 }
