@@ -109,7 +109,7 @@ mem-demo:
 # column is generated rather than hand-counted.
 LOC_OBSERVABILITY = internal/metrics internal/timeseries internal/events internal/insight internal/telemetry internal/trace
 LOC_MECHANISM = internal/core internal/vmm internal/snapshot internal/mem internal/chunk
-LOC_OTHER = internal/platform internal/experiments internal/workflow internal/cluster internal/stats cmd/fwsim cmd/fwcli cmd/benchgate
+LOC_OTHER = internal/lang internal/runtime internal/platform internal/experiments internal/workflow internal/cluster internal/stats cmd/fwsim cmd/fwcli cmd/benchgate
 
 loc:
 	@lines() { grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l; }; \

@@ -170,9 +170,9 @@ func BenchmarkFirecrackerColdInvoke(b *testing.B) {
 	b.ReportMetric(float64(virtual)/float64(b.N), "ns_virtual/op")
 }
 
-// BenchmarkInterpreter and BenchmarkJIT measure the two FaaSLang
-// execution tiers on the same hot loop (real wall-clock speed of the
-// simulator itself).
+// BenchmarkInterpreterTier and BenchmarkJITTier run the same hot loop
+// in each tier of the one FaaSLang engine (real wall-clock speed of the
+// simulator itself); they differ only in the tier the ops are charged to.
 const hotLoopSrc = `
 func hot(n) {
   let total = 0;

@@ -35,6 +35,10 @@ func sampleReport() *Report {
 	// Sampling full histogram windows costs about what sampling
 	// near-empty ones does.
 	r.result("BenchmarkSamplerSample/fill=64k").NsPerOp = 1300
+	// A guest call allocates its locals-and-stack buffer and a boxed
+	// result, under the tiers' absolute ceilings.
+	r.result("BenchmarkInterpreterTier").AllocsOp = 2
+	r.result("BenchmarkJITTier").AllocsOp = 2
 	derive(r)
 	return r
 }

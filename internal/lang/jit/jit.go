@@ -1,18 +1,22 @@
-// Package jit is FaaSLang's optimizing execution tier. It compiles
-// bytecode functions into direct-threaded Go closures with speculative
-// integer fast paths and entry type guards derived from the runtime
-// profile; a guard failure de-optimizes the call back to the
-// interpreter, exactly the V8/Numba behaviour the paper's §6 discusses.
+// Package jit is FaaSLang's optimizing tier: the policy and accounting
+// of tier-up, not a second executor. Compiling a function records the
+// entry type guards derived from its runtime profile; the VM then runs
+// the function's one translation (vm.Program) in the JIT tier whenever
+// the arguments pass those guards, and de-optimizes the call to the
+// interpreter tier of the same translation when they do not — the
+// V8/Numba behaviour the paper's §6 discusses.
 //
-// The engine implements vm.JITBackend: the interpreter reports calls and
-// loop back-edges, and the engine tiers functions up according to a
-// per-runtime policy (Node.js compiles any hot function; Python compiles
-// only @jit-annotated functions, mirroring Numba). Compilation cost and
-// de-optimization penalties are charged through hooks so the simulation
-// layer can account virtual time and JIT code memory.
+// The engine implements vm.JITBackend: the VM reports calls and
+// interpreted loop back-edges, and the engine tiers functions up
+// according to a per-runtime policy (Node.js compiles any hot function;
+// Python compiles only @jit-annotated functions, mirroring Numba).
+// Compilation cost and de-optimization penalties are charged through
+// hooks so the simulation layer can account virtual time and JIT code
+// memory.
 package jit
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/lang"
@@ -40,12 +44,13 @@ type Config struct {
 	OnDeopt func(fn *bytecode.Function)
 }
 
-// Engine is a per-guest JIT compiler and code cache.
+// Engine is a per-guest JIT compiler. Its code cache maps each compiled
+// function to the entry guards it was specialized for.
 type Engine struct {
 	cfg Config
 
 	mu       sync.Mutex
-	cache    map[*bytecode.Function]*compiledFunc
+	cache    map[*bytecode.Function][]lang.Type
 	codeSize int64
 	compiles int64
 	deopts   int64
@@ -53,7 +58,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the given policy.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{cfg: cfg, cache: make(map[*bytecode.Function]*compiledFunc)}
+	return &Engine{cfg: cfg, cache: make(map[*bytecode.Function][]lang.Type)}
 }
 
 // bytesPerInstr models the machine-code expansion factor of one bytecode
@@ -97,13 +102,11 @@ func (e *Engine) CompiledFunctions() []string {
 }
 
 // Lookup implements vm.JITBackend.
-func (e *Engine) Lookup(fn *bytecode.Function) vm.Compiled {
+func (e *Engine) Lookup(fn *bytecode.Function) ([]lang.Type, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c, ok := e.cache[fn]; ok {
-		return c
-	}
-	return nil
+	guards, ok := e.cache[fn]
+	return guards, ok
 }
 
 // OnCall implements vm.JITBackend: tier up when the call threshold hits.
@@ -154,8 +157,7 @@ func (e *Engine) compile(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
 	if prof != nil && prof.Stable && prof.ArgTypes != nil {
 		guards = append([]lang.Type(nil), prof.ArgTypes...)
 	}
-	c := compile(fn, guards)
-	e.cache[fn] = c
+	e.cache[fn] = guards
 	e.codeSize += int64(len(fn.Code) * bytesPerInstr)
 	e.compiles++
 	e.mu.Unlock()
@@ -168,7 +170,7 @@ func (e *Engine) compile(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
 }
 
 // CloneWithCache returns a new engine that starts with this engine's
-// code cache (compiled code is immutable and safely shared) but its own
+// code cache (guards are immutable and safely shared) but its own
 // policy and accounting hooks. This is how a restored VM snapshot
 // "contains" the install-time JITted code: each clone gets an engine
 // pre-populated with the snapshot's machine code, with zero compiles
@@ -177,9 +179,7 @@ func (e *Engine) CloneWithCache(cfg Config) *Engine {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	clone := NewEngine(cfg)
-	for fn, c := range e.cache {
-		clone.cache[fn] = c
-	}
+	maps.Copy(clone.cache, e.cache)
 	clone.codeSize = e.codeSize
 	// The clone holds the same compiled functions; the count drives
 	// resident JIT-code accounting (Numba module overhead), so it

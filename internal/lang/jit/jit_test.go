@@ -237,11 +237,11 @@ func TestInvalidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if engine.Lookup(fn.Fn) == nil {
+	if _, compiled := engine.Lookup(fn.Fn); !compiled {
 		t.Fatal("not compiled")
 	}
 	engine.Invalidate(fn.Fn)
-	if engine.Lookup(fn.Fn) != nil {
+	if _, compiled := engine.Lookup(fn.Fn); compiled {
 		t.Fatal("still in cache after Invalidate")
 	}
 	if engine.CodeSize() != 0 {
@@ -348,8 +348,8 @@ func kitchenSink(n, s) {
 }
 
 // TestJITRuntimeErrorsMatchInterpreter checks the compiled tier's error
-// paths (division by zero, bad index, non-iterable) behave like the
-// interpreter's.
+// paths (division by zero, bad index, non-iterable) fail with the
+// interpreter's error text.
 func TestJITRuntimeErrorsMatchInterpreter(t *testing.T) {
 	cases := []string{
 		`func f() { return 1 / 0; }`,
@@ -382,6 +382,8 @@ func TestJITRuntimeErrorsMatchInterpreter(t *testing.T) {
 		ierr, jerr := run(false), run(true)
 		if ierr == nil || jerr == nil {
 			t.Errorf("%s: expected both tiers to fail (interp %v, jit %v)", src, ierr, jerr)
+		} else if ierr.Error() != jerr.Error() {
+			t.Errorf("%s: interp error %q, jit error %q", src, ierr, jerr)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func runTiered(src string, params lang.Value, mode tierMode) (out outcome, ok bo
 
 // FuzzTiers asserts the property the post-JIT snapshot rests on: which
 // tier runs a program never changes what it computes — the result, the
-// output, whether it fails, and the ops it executes (so the virtual
+// output, whether it fails and with which error, and the ops it executes (so the virtual
 // time it is charged differs only by the per-tier rates).
 func FuzzTiers(f *testing.F) {
 	for _, s := range fuzzSeeds() {
@@ -190,6 +190,10 @@ func FuzzTiers(f *testing.F) {
 			got, _ := runTiered(src, decode(), mode)
 			if (got.err == nil) != (want.err == nil) {
 				t.Fatalf("mode %d: err = %v, interpreter: %v\n%s", mode, got.err, want.err, src)
+			}
+			// One engine runs every mode, so an error reads the same in all.
+			if got.err != nil && got.err.Error() != want.err.Error() {
+				t.Fatalf("mode %d: err %q, interpreter: %q\n%s", mode, got.err, want.err, src)
 			}
 			if lang.Format(got.result) != lang.Format(want.result) || lang.TypeOf(got.result) != lang.TypeOf(want.result) {
 				t.Fatalf("mode %d: result %s, interpreter: %s\n%s", mode, lang.Format(got.result), lang.Format(want.result), src)

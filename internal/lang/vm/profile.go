@@ -47,19 +47,3 @@ func (p *Profile) RecordCall(args []lang.Value) {
 		}
 	}
 }
-
-// Signature returns the recorded argument types (nil before any call).
-func (p *Profile) Signature() []lang.Type { return p.ArgTypes }
-
-// Matches reports whether args conform to the recorded signature.
-func (p *Profile) Matches(args []lang.Value) bool {
-	if p.ArgTypes == nil || len(args) != len(p.ArgTypes) {
-		return false
-	}
-	for i, a := range args {
-		if lang.TypeOf(a) != p.ArgTypes[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -6,12 +6,12 @@ import (
 	"repro/internal/lang"
 )
 
-// Slot is one cell of a tier's operand stack or locals. Null, bool, int
+// Slot is one cell of an activation's operand stack or locals. Null, bool, int
 // and float values live inline in word, so arithmetic, comparisons and
 // loop counters allocate nothing; every other kind (string, list, map,
 // function, iterator) is a reference in ref. The zero Slot is null.
 //
-// Slots exist only inside the two execution tiers. Everything the rest
+// Slots exist only inside the executor. Everything the rest
 // of the program can see — constants, globals, list and map elements,
 // call arguments and results — is a lang.Value, converted at that
 // boundary by SlotOf and Value.
@@ -68,9 +68,9 @@ func (s Slot) Value() lang.Value {
 	}
 }
 
-// Values boxes slots into a fresh slice: call arguments and container
-// literals leaving a tier's stack for the heap.
-func Values(slots []Slot) []lang.Value {
+// values boxes slots into a fresh slice: call arguments and container
+// literals leaving the operand stack for the heap.
+func values(slots []Slot) []lang.Value {
 	vals := make([]lang.Value, len(slots))
 	for i, s := range slots {
 		vals[i] = s.Value()

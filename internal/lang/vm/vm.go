@@ -1,11 +1,14 @@
-// Package vm executes FaaSLang bytecode. It is the baseline execution
-// tier (the "interpreter" in the paper's terminology): every instruction
-// is dispatched dynamically and booked at interpreter-tier rates. The
+// Package vm executes FaaSLang bytecode. A module is translated once,
+// when it loads, into direct-threaded Go closures (see Program), and
+// that one translation is the engine of both execution tiers: the
+// interpreter tier runs it unguarded and books its ops at interpreter
+// rates, the JIT tier runs it behind the entry type guards a JIT
+// backend compiled and books JIT rates, and a guard failure
+// de-optimizes the call to the interpreter tier of the same code. The
 // VM counts the ops both tiers execute and hands the counts to a cost
 // meter before anyone can read the clock (see Flush). It also collects
 // the runtime profile (call counts, loop back-edges, observed argument
-// types) that drives tier-up decisions in the JIT backend, and it is the
-// de-optimization target when JITted code's type guards fail.
+// types) that drives tier-up decisions in the JIT backend.
 package vm
 
 import (
@@ -47,26 +50,19 @@ type NopMeter struct{}
 // Charge implements CostMeter.
 func (NopMeter) Charge(Tier, bytecode.Category, int) {}
 
-// Compiled is optimized code produced by a JIT backend for one function.
-type Compiled interface {
-	// Run executes the compiled function. deopt=true means an entry
-	// type-guard failed and the caller must fall back to the
-	// interpreter for this call.
-	Run(v *VM, args []lang.Value) (result lang.Value, deopt bool, err error)
-}
-
 // JITBackend is the optimizing tier's hook into the VM.
 type JITBackend interface {
-	// Lookup returns compiled code for fn, or nil.
-	Lookup(fn *bytecode.Function) Compiled
+	// Lookup reports whether fn is compiled and, if so, the entry type
+	// guards its code is specialized for (nil: generic code).
+	Lookup(fn *bytecode.Function) (guards []lang.Type, compiled bool)
 	// OnCall is invoked on every function entry with the current
 	// profile, letting the backend trigger compilation.
 	OnCall(v *VM, fn *bytecode.Function, prof *Profile)
 	// OnLoopBack is invoked on every loop back-edge.
 	OnLoopBack(v *VM, fn *bytecode.Function, prof *Profile)
-	// OnDeopt is invoked when compiled code bails out to the
-	// interpreter, letting the backend charge the de-optimization
-	// penalty and update its caches.
+	// OnDeopt is invoked when a call fails its entry guards and runs in
+	// the interpreter tier instead, letting the backend charge the
+	// de-optimization penalty and update its caches.
 	OnDeopt(v *VM, fn *bytecode.Function)
 }
 
@@ -82,10 +78,14 @@ type VM struct {
 	Meter    CostMeter
 	JIT      JITBackend
 	MaxSteps int64
+	// Program is the translation of the loaded module. RunModule builds
+	// it; a VM revived from a snapshot is handed its template's.
+	Program *Program
 
 	steps    int64
 	profiles map[*bytecode.Function]*Profile
 	depth    int
+	frames   []*frame // one per call depth, reused by every activation at it
 	// pending counts the ops executed since the last Flush.
 	pending [numTiers][bytecode.NumCategories]int
 }
@@ -111,10 +111,10 @@ func New(meter CostMeter) *VM {
 // far, in either tier.
 func (v *VM) Steps() int64 { return v.steps }
 
-// CountStep books one op about to execute in tier: it counts against
+// countStep books one op about to execute in tier: it counts against
 // the step limit and joins the pending counts that the next Flush
 // charges. The op that exceeds the limit is not booked.
-func (v *VM) CountStep(tier Tier, cat bytecode.Category) error {
+func (v *VM) countStep(tier Tier, cat bytecode.Category) error {
 	v.steps++
 	if v.steps > v.MaxSteps {
 		return ErrTooManySteps
@@ -169,19 +169,20 @@ func (v *VM) Profile(fn *bytecode.Function) *Profile {
 	return p
 }
 
-// RunModule executes a module's top level, defining its functions and
-// running its module-level statements.
+// RunModule translates a module and executes its top level, defining
+// its functions and running its module-level statements.
 func (v *VM) RunModule(mod *bytecode.Module) (lang.Value, error) {
+	v.Program = translateModule(mod)
 	if err := v.enter(mod.TopLevel); err != nil {
 		return nil, err
 	}
 	defer v.leave()
-	return v.runFunction(mod.TopLevel, nil)
+	return v.run(v.Program.lookup(mod.TopLevel), TierInterp, v.Profile(mod.TopLevel), nil)
 }
 
 // CallValue calls any callable FaaSLang value with args. It is the
-// single call dispatcher used by the interpreter, JITted code, and host
-// natives alike, so tier transitions happen in exactly one place.
+// single call dispatcher used by guest code and host natives alike, so
+// tier transitions happen in exactly one place.
 func (v *VM) CallValue(fnVal lang.Value, args []lang.Value) (lang.Value, error) {
 	switch fn := fnVal.(type) {
 	case *lang.Native:
@@ -202,36 +203,58 @@ func (v *VM) callClosure(cl *bytecode.Closure, args []lang.Value) (lang.Value, e
 	if len(args) != len(fn.Params) {
 		return nil, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, len(fn.Params), len(args))
 	}
+	c := v.Program.lookup(fn)
+	if c == nil {
+		return nil, fmt.Errorf("vm: %s is not part of a loaded module", fn.Name)
+	}
 	if err := v.enter(fn); err != nil {
 		return nil, err
 	}
 	defer v.leave()
 	prof := v.Profile(fn)
 	prof.RecordCall(args)
+	tier := TierInterp
 	if v.JIT != nil {
 		v.JIT.OnCall(v, fn, prof)
-		if comp := v.JIT.Lookup(fn); comp != nil {
-			result, deopt, err := comp.Run(v, args)
-			if !deopt {
-				return result, err
+		if guards, compiled := v.JIT.Lookup(fn); compiled {
+			if guardsHold(guards, args) {
+				tier = TierJIT
+			} else {
+				v.JIT.OnDeopt(v, fn)
 			}
-			v.JIT.OnDeopt(v, fn)
 		}
 	}
-	return v.runFunction(fn, args)
+	return v.run(c, tier, prof, args)
+}
+
+// guardsHold reports whether args pass compiled code's entry type
+// guards; nil guards mean generic code, which takes any arguments.
+func guardsHold(guards []lang.Type, args []lang.Value) bool {
+	if guards == nil {
+		return true
+	}
+	if len(args) != len(guards) {
+		return false
+	}
+	for i, a := range args {
+		if lang.TypeOf(a) != guards[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // iter drives for-in loops over lists (items), maps (sorted keys), and
-// strings (runes). It lives in a slot on the operand stack of either
-// tier, which step it through NewIter and IterNext.
+// strings (runes). It lives in a slot on the operand stack, stepped
+// through by newIter and iterNext.
 type iter struct {
 	items []lang.Value
 	idx   int
 }
 
-// NewIter returns a slot holding an iterator over s, or an error for
+// newIter returns a slot holding an iterator over s, or an error for
 // non-iterables.
-func NewIter(s Slot) (Slot, error) {
+func newIter(s Slot) (Slot, error) {
 	var items []lang.Value
 	switch v := s.ref.(type) {
 	case *lang.List:
@@ -253,9 +276,9 @@ func NewIter(s Slot) (Slot, error) {
 	return Slot{kind: lang.TOther, ref: &iter{items: items}}, nil
 }
 
-// IterNext returns the next item of the iterator in s, or ok=false when
+// iterNext returns the next item of the iterator in s, or ok=false when
 // it is exhausted.
-func IterNext(s Slot) (Slot, bool) {
+func iterNext(s Slot) (Slot, bool) {
 	it := s.ref.(*iter)
 	if it.idx >= len(it.items) {
 		return Slot{}, false
@@ -263,151 +286,4 @@ func IterNext(s Slot) (Slot, bool) {
 	v := it.items[it.idx]
 	it.idx++
 	return SlotOf(v), true
-}
-
-// runFunction interprets fn's bytecode. args may be nil for the module
-// top level.
-func (v *VM) runFunction(fn *bytecode.Function, args []lang.Value) (lang.Value, error) {
-	locals := make([]Slot, fn.NumLocals)
-	for i, a := range args {
-		locals[i] = SlotOf(a)
-	}
-	stack := make([]Slot, 0, 16)
-	push := func(s Slot) { stack = append(stack, s) }
-	pop := func() Slot {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return s
-	}
-	popValues := func(n int) []lang.Value {
-		vals := Values(stack[len(stack)-n:])
-		stack = stack[:len(stack)-n]
-		return vals
-	}
-
-	code := fn.Code
-	prof := v.Profile(fn)
-	for pc := 0; pc < len(code); {
-		ins := code[pc]
-		if err := v.CountStep(TierInterp, bytecode.CategoryOf(ins.Op)); err != nil {
-			return nil, fmt.Errorf("%w (in %s)", err, fn.Name)
-		}
-
-		switch ins.Op {
-		case bytecode.OpConst:
-			push(SlotOf(fn.Consts[ins.A]))
-		case bytecode.OpNull:
-			push(Slot{})
-		case bytecode.OpTrue:
-			push(Bool(true))
-		case bytecode.OpFalse:
-			push(Bool(false))
-		case bytecode.OpPop:
-			pop()
-		case bytecode.OpDup:
-			push(stack[len(stack)-1])
-		case bytecode.OpLoadLocal:
-			push(locals[ins.A])
-		case bytecode.OpStoreLocal:
-			locals[ins.A] = pop()
-		case bytecode.OpLoadGlobal:
-			name := fn.Consts[ins.A].(string)
-			val, ok := v.Globals[name]
-			if !ok {
-				return nil, fmt.Errorf("vm: line %d: undefined variable %q", ins.Line, name)
-			}
-			push(SlotOf(val))
-		case bytecode.OpStoreGlobal:
-			v.Globals[fn.Consts[ins.A].(string)] = pop().Value()
-		case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod,
-			bytecode.OpEq, bytecode.OpNeq, bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
-			right := pop()
-			left := pop()
-			val, err := BinaryOp(ins.Op, left, right)
-			if err != nil {
-				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
-			}
-			push(val)
-		case bytecode.OpNeg:
-			val, err := Negate(pop())
-			if err != nil {
-				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
-			}
-			push(val)
-		case bytecode.OpNot:
-			push(Bool(!pop().Truthy()))
-		case bytecode.OpJump:
-			pc = ins.A
-			continue
-		case bytecode.OpLoop:
-			prof.LoopBackEdges++
-			if v.JIT != nil {
-				v.JIT.OnLoopBack(v, fn, prof)
-			}
-			pc = ins.A
-			continue
-		case bytecode.OpJumpIfFalse:
-			if !pop().Truthy() {
-				pc = ins.A
-				continue
-			}
-		case bytecode.OpJumpIfTrue:
-			if pop().Truthy() {
-				pc = ins.A
-				continue
-			}
-		case bytecode.OpCall:
-			callArgs := popValues(ins.A)
-			val, err := v.CallValue(pop().Value(), callArgs)
-			if err != nil {
-				return nil, err
-			}
-			push(SlotOf(val))
-		case bytecode.OpReturn:
-			return pop().Value(), nil
-		case bytecode.OpMakeList:
-			push(Slot{kind: lang.TList, ref: &lang.List{Items: popValues(ins.A)}})
-		case bytecode.OpMakeMap:
-			m, err := MakeMap(popValues(2 * ins.A))
-			if err != nil {
-				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
-			}
-			push(Slot{kind: lang.TMap, ref: m})
-		case bytecode.OpIndex:
-			key := pop()
-			container := pop()
-			val, err := Index(container, key)
-			if err != nil {
-				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
-			}
-			push(val)
-		case bytecode.OpSetIndex:
-			val := pop()
-			key := pop()
-			container := pop()
-			if err := SetIndex(container, key, val); err != nil {
-				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
-			}
-		case bytecode.OpIterNew:
-			it, err := NewIter(pop())
-			if err != nil {
-				return nil, fmt.Errorf("vm: line %d: %w", ins.Line, err)
-			}
-			push(it)
-		case bytecode.OpIterNext:
-			if item, ok := IterNext(stack[len(stack)-1]); ok {
-				push(item)
-			} else {
-				pop() // discard exhausted iterator
-				pc = ins.A
-				continue
-			}
-		case bytecode.OpClosure:
-			push(SlotOf(&bytecode.Closure{Fn: fn.Consts[ins.A].(*bytecode.Function)}))
-		default:
-			return nil, fmt.Errorf("vm: line %d: unknown opcode %s", ins.Line, ins.Op)
-		}
-		pc++
-	}
-	return nil, nil
 }

@@ -183,12 +183,15 @@ func (r *Runtime) JITCodeBytes() uint64 {
 // SnapshotTemplate is the language-level guest state captured inside a
 // VM snapshot: the globals (natives excluded — the host re-binds them on
 // restore, just as a resumed clone re-reads MMDS), the JIT engine whose
-// code cache holds the post-JIT machine code, and the loaded module.
+// code cache records what was compiled, the loaded module, and its
+// translation — the post-JIT code every revival runs, built once per
+// installed code version and shared by all of them.
 type SnapshotTemplate struct {
 	Lang        Lang
 	Globals     map[string]lang.Value
 	Engine      *jit.Engine
 	Module      *bytecode.Module
+	Program     *vm.Program
 	ModuleBytes uint64
 }
 
@@ -205,6 +208,7 @@ func (r *Runtime) SnapshotTemplate() (*SnapshotTemplate, error) {
 		Globals:     globals,
 		Engine:      r.Engine,
 		Module:      r.module,
+		Program:     r.VM.Program,
 		ModuleBytes: r.moduleBytes,
 	}, nil
 }
@@ -214,13 +218,14 @@ func (r *Runtime) SnapshotTemplate() (*SnapshotTemplate, error) {
 // code cache — with zero virtual time charged, because restoring a
 // memory snapshot pays only the restore cost (charged by the
 // hypervisor), not boot/load/JIT costs. Each restored runtime gets its
-// own copy-on-write view of the globals and its own engine sharing the
-// template's compiled code.
+// own copy-on-write view of the globals and its own engine, and shares
+// the template's translated code.
 func NewFromSnapshot(t *SnapshotTemplate, clock *vclock.Clock) (*Runtime, error) {
 	model := ModelFor(t.Lang)
 	r := &Runtime{Lang: t.Lang, Model: model, Clock: clock, booted: true,
 		module: t.Module, moduleBytes: t.ModuleBytes}
 	r.VM = vm.New(&meter{rt: r})
+	r.VM.Program = t.Program
 	r.Engine = t.Engine.CloneWithCache(jit.Config{
 		CallThreshold: model.CallThreshold,
 		LoopThreshold: model.LoopThreshold,
