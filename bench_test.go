@@ -16,14 +16,17 @@ package repro_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/core"
+	"repro/internal/couchdb"
 	"repro/internal/events"
 	"repro/internal/experiments"
+	"repro/internal/fs"
 	"repro/internal/insight"
 	"repro/internal/lang"
 	"repro/internal/lang/bytecode"
@@ -34,6 +37,7 @@ import (
 	"repro/internal/msgbus"
 	"repro/internal/platform"
 	"repro/internal/runtime"
+	"repro/internal/sandbox"
 	"repro/internal/telemetry"
 	"repro/internal/timeseries"
 	"repro/internal/vclock"
@@ -224,6 +228,85 @@ func BenchmarkJITTier(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGuestComputeMix runs the guest programs of the end-to-end
+// compute-mix workload — faas-fact and faas-matrix-mult, each in a
+// Node.js runtime (every function JIT-compiled, the post-JIT snapshot's
+// state) and a Python one (no @jit, so interpreted) — in bare runtimes
+// with the platform natives bound, as FuzzTiers' harness binds them. One
+// op is a fixed list of calls drawn with a seeded vclock.Rand from
+// compute-mix's parameter ranges. It reports the guest ops per op (a
+// counted number: it moves only if the engine executes a different op
+// stream), the host ns each guest op costs, and the virtual ns each is
+// charged (counted too: the cost model's weighted rate).
+func BenchmarkGuestComputeMix(b *testing.B) {
+	type call struct {
+		rt     *runtime.Runtime
+		params lang.Value
+	}
+	var rts []*runtime.Runtime
+	load := func(w workloads.Workload) *runtime.Runtime {
+		rt := runtime.New(w.Lang, vclock.New())
+		rt.Boot()
+		binding := &platform.NativeBinding{
+			Profile: sandbox.Profiles(sandbox.ClassFirecracker),
+			FS:      fs.NewMemFS(),
+			Couch:   couchdb.NewServer(),
+			Inv:     platform.NewInvocation(w.Name),
+		}
+		binding.Install(rt)
+		if err := rt.LoadModule(w.Source); err != nil {
+			b.Fatal(err)
+		}
+		rt.ForceJITAll()
+		rt.VM.MaxSteps = math.MaxInt64
+		rts = append(rts, rt)
+		return rt
+	}
+	fact := map[runtime.Lang]*runtime.Runtime{}
+	matrix := map[runtime.Lang]*runtime.Runtime{}
+	for _, l := range []runtime.Lang{runtime.LangNode, runtime.LangPython} {
+		fact[l], matrix[l] = load(workloads.Fact(l)), load(workloads.MatrixMult(l))
+	}
+	rng := vclock.NewRand(1)
+	var calls []call
+	for i := 0; i < 8; i++ {
+		l := []runtime.Lang{runtime.LangNode, runtime.LangPython}[rng.Intn(2)]
+		if rng.Intn(2) == 0 {
+			params := map[string]any{"n": 9999000 + rng.Intn(1000), "rounds": 20 + rng.Intn(60)}
+			calls = append(calls, call{fact[l], platform.MustParams(params)})
+		} else {
+			calls = append(calls, call{matrix[l], platform.MustParams(map[string]any{"n": 16 + rng.Intn(17)})})
+		}
+	}
+	runCalls := func() {
+		for _, c := range calls {
+			if _, err := c.rt.Call("main", c.params); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	totals := func() (steps int64, virtual time.Duration) {
+		for _, rt := range rts {
+			steps += rt.VM.Steps()
+			virtual += rt.Clock.Now()
+		}
+		return steps, virtual
+	}
+	runCalls() // profiles, frames and stacks reach their steady state
+	steps0, virtual0 := totals()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runCalls()
+	}
+	b.StopTimer()
+	steps, virtual := totals()
+	steps, virtual = steps-steps0, virtual-virtual0
+	b.ReportMetric(float64(steps)/float64(b.N), "guest_ops/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "host_ns/guest_op")
+	b.ReportMetric(float64(virtual)/float64(steps), "ns_virtual/guest_op")
 }
 
 // BenchmarkSnapshotRestore isolates the hypervisor restore path.

@@ -160,6 +160,12 @@ type Tolerances struct {
 	// path whose allocation count is a design property rather than
 	// whatever the baseline happened to record.
 	MaxAllocs map[string]float64
+	// Counted lists, per benchmark, custom metrics that count work the
+	// simulation does rather than time the host takes — ops executed,
+	// virtual time charged. They are exact on any machine, so a fresh
+	// value must equal the baseline's: a change is a change of behaviour,
+	// and needs a deliberate re-recording of the baseline.
+	Counted map[string][]string
 }
 
 func defaultTolerances() Tolerances {
@@ -214,6 +220,16 @@ func defaultTolerances() Tolerances {
 			// activation reads 3, one per iteration 1,000+.
 			"BenchmarkInterpreterTier": 4,
 			"BenchmarkJITTier":         4,
+			// compute-mix's guest programs, eight calls: the lists and boxed
+			// ints the programs build and the natives' arguments, as
+			// measured. The guest engine itself allocates one buffer per
+			// activation.
+			"BenchmarkGuestComputeMix": 13609,
+		},
+		Counted: map[string][]string{
+			"BenchmarkFireworksInvoke":           {"ns_virtual/op"},
+			"BenchmarkFireworksWarmResumeInvoke": {"ns_virtual/op"},
+			"BenchmarkGuestComputeMix":           {"guest_ops/op", "ns_virtual/guest_op"},
 		},
 	}
 }
@@ -262,6 +278,20 @@ func compare(baseline, fresh *Report, tol Tolerances) []Violation {
 				"allocs/op over its ceiling: %.0f, want <= %.0f", fb.AllocsOp, tol.MaxAllocs[name])})
 		}
 	}
+	for _, name := range sortedKeys(tol.Counted) {
+		bb, fb := baseline.result(name), fresh.result(name)
+		if bb == nil || fb == nil {
+			continue // reported above if gated
+		}
+		for _, unit := range tol.Counted[name] {
+			want, inBase := bb.Custom[unit]
+			got, inFresh := fb.Custom[unit]
+			if !inBase || !inFresh || got != want {
+				vs = append(vs, Violation{name, fmt.Sprintf(
+					"counted %s changed: %v -> %v, want equal", unit, want, got)})
+			}
+		}
+	}
 	derived := func(bounds map[string]float64, bad func(got, bound float64) bool, want string) {
 		for _, k := range sortedKeys(bounds) {
 			got, ok := fresh.Derived[k]
@@ -279,7 +309,7 @@ func compare(baseline, fresh *Report, tol Tolerances) []Violation {
 	return vs
 }
 
-func sortedKeys(m map[string]float64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -39,6 +39,11 @@ func sampleReport() *Report {
 	// result, under the tiers' absolute ceilings.
 	r.result("BenchmarkInterpreterTier").AllocsOp = 2
 	r.result("BenchmarkJITTier").AllocsOp = 2
+	// Counted metrics: the invoke's virtual latency, and the guest
+	// benchmark's op count and virtual ns per op.
+	r.result("BenchmarkFireworksInvoke").Custom = map[string]float64{"ns_virtual/op": 12598878}
+	r.result("BenchmarkFireworksWarmResumeInvoke").Custom = map[string]float64{"ns_virtual/op": 44675198}
+	r.result("BenchmarkGuestComputeMix").Custom = map[string]float64{"guest_ops/op": 2793072, "host_ns/guest_op": 4.1, "ns_virtual/guest_op": 22.9}
 	derive(r)
 	return r
 }
@@ -162,6 +167,21 @@ func TestCompareFailsOnSyntheticRegression(t *testing.T) {
 				t.Fatalf("%s at %v allocs/op not caught: %v", name, ceiling+1, vs)
 			}
 		})
+	}
+
+	// Every counted metric is exact: baseline+1 fails, whatever the
+	// tolerances allow wall time and allocations.
+	for name, units := range defaultTolerances().Counted {
+		for _, unit := range units {
+			t.Run("counted/"+name+"/"+unit, func(t *testing.T) {
+				fresh := sampleReport()
+				fresh.result(name).Custom[unit]++
+				vs := compare(base, fresh, defaultTolerances())
+				if !hasViolation(vs, name, "counted "+unit) {
+					t.Fatalf("%s %s at baseline+1 not caught: %v", name, unit, vs)
+				}
+			})
+		}
 	}
 
 	t.Run("missing_benchmark", func(t *testing.T) {

@@ -49,6 +49,10 @@ var manifest = []BenchEntry{
 	// an absolute allocs/op ceiling — guarded integer code boxes nothing.
 	{Name: "BenchmarkInterpreterTier", Gate: true},
 	{Name: "BenchmarkJITTier", Gate: true},
+	// compute-mix's guest programs in bare runtimes: gated, with an exact
+	// allocs/op ceiling and its counted metrics (guest ops per op, virtual
+	// ns per guest op) held equal to the baseline's.
+	{Name: "BenchmarkGuestComputeMix", Gate: true},
 	{Name: "BenchmarkSnapshotRestore", Gate: true},
 	{Name: "BenchmarkPSSAccounting"},
 	// One request's CoW bookkeeping (restore, dirty, stop): gated, with

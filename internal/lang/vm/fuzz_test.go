@@ -3,6 +3,7 @@ package vm_test
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -93,6 +94,15 @@ type outcome struct {
 	err    error
 	stdout string
 	counts opCounts
+	steps  int64 // VM.Steps() at the end
+}
+
+// total is the number of ops charged.
+func (c *opCounts) total() (n int64) {
+	for _, k := range c.perCategory() {
+		n += int64(k)
+	}
+	return n
 }
 
 // fuzzMaxSteps keeps one execution to a few milliseconds; running into
@@ -100,9 +110,10 @@ type outcome struct {
 const fuzzMaxSteps = 200_000
 
 // runTiered loads src into a fresh runtime with the platform natives
-// bound to throw-away substrates and calls its entry in the given mode.
-// ok is false when src does not compile or declares no function.
-func runTiered(src string, params lang.Value, mode tierMode) (out outcome, ok bool) {
+// bound to throw-away substrates and calls its entry in the given mode,
+// under a step limit of maxSteps. ok is false when src does not load (its
+// error is out.err) or declares no function.
+func runTiered(src string, params lang.Value, mode tierMode, maxSteps int64) (out outcome, ok bool) {
 	rt := runtime.New(runtime.LangNode, vclock.New())
 	rt.Boot()
 	binding := &platform.NativeBinding{
@@ -122,13 +133,15 @@ func runTiered(src string, params lang.Value, mode tierMode) (out outcome, ok bo
 		return realRange.Fn(args)
 	}}})
 	rt.VM.Meter = &out.counts
-	rt.VM.MaxSteps = fuzzMaxSteps
+	rt.VM.MaxSteps = maxSteps
 	engine := jit.NewEngine(jit.Config{}) // no thresholds: only explicit compiles
 	rt.VM.JIT = engine
 	if mode == modeInterp {
 		rt.VM.JIT = nil
 	}
+	defer func() { out.steps = rt.VM.Steps() }()
 	if err := rt.LoadModule(src); err != nil {
+		out.err = err
 		return out, false
 	}
 	fns := rt.Module().Functions
@@ -160,6 +173,21 @@ func runTiered(src string, params lang.Value, mode tierMode) (out outcome, ok bo
 	return out, true
 }
 
+// fuzzParams skips oversized inputs and returns a decoder of the params
+// that gives each run its own copy to mutate.
+func fuzzParams(t *testing.T, src, paramsJSON string) func() lang.Value {
+	if len(src) > 4096 || len(paramsJSON) > 1024 {
+		t.Skip("oversized input")
+	}
+	return func() lang.Value {
+		v, err := runtime.DecodeJSON([]byte(paramsJSON))
+		if err != nil {
+			t.Skip("params are not JSON")
+		}
+		return v
+	}
+}
+
 // FuzzTiers asserts the property the post-JIT snapshot rests on: which
 // tier runs a program never changes what it computes — the result, the
 // output, whether it fails and with which error, and the ops it executes (so the virtual
@@ -169,17 +197,8 @@ func FuzzTiers(f *testing.F) {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, src, paramsJSON string) {
-		if len(src) > 4096 || len(paramsJSON) > 1024 {
-			t.Skip("oversized input")
-		}
-		decode := func() lang.Value { // each mode gets its own copy to mutate
-			v, err := runtime.DecodeJSON([]byte(paramsJSON))
-			if err != nil {
-				t.Skip("params are not JSON")
-			}
-			return v
-		}
-		want, ok := runTiered(src, decode(), modeInterp)
+		decode := fuzzParams(t, src, paramsJSON)
+		want, ok := runTiered(src, decode(), modeInterp, fuzzMaxSteps)
 		if !ok {
 			t.Skip("source does not load")
 		}
@@ -187,7 +206,7 @@ func FuzzTiers(f *testing.F) {
 			t.Fatalf("JIT-tier ops charged without a JIT: %v", want.counts)
 		}
 		for _, mode := range []tierMode{modeJIT, modeDeopted} {
-			got, _ := runTiered(src, decode(), mode)
+			got, _ := runTiered(src, decode(), mode, fuzzMaxSteps)
 			if (got.err == nil) != (want.err == nil) {
 				t.Fatalf("mode %d: err = %v, interpreter: %v\n%s", mode, got.err, want.err, src)
 			}
@@ -210,6 +229,55 @@ func FuzzTiers(f *testing.F) {
 			}
 			if got.counts.perCategory() != want.counts.perCategory() {
 				t.Fatalf("mode %d: ops per category %v, interpreter: %v\n%s", mode, got.counts, want.counts, src)
+			}
+		}
+	})
+}
+
+// FuzzStepLimit asserts that charging ops by the basic block keeps the
+// step limit exact. A run that executes T ops under no effective limit
+// must run the same under MaxSteps = T, stop with the step-limit error
+// after exactly T-1 charged ops under MaxSteps = T-1, and after exactly
+// L under a limit L in [1, T) derived from the input — the op at which
+// a per-instruction meter would stop, whichever block it sits in and
+// however its block is fused.
+func FuzzStepLimit(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, src, paramsJSON string) {
+		decode := fuzzParams(t, src, paramsJSON)
+		mode := tierMode(len(src) % 3)
+		want, ok := runTiered(src, decode(), mode, fuzzMaxSteps)
+		if !ok {
+			t.Skip("source does not load")
+		}
+		T := want.counts.total()
+		limited := want.err != nil && strings.Contains(want.err.Error(), "step limit")
+		if !limited && want.steps != T {
+			t.Fatalf("executed %d ops, charged %d\n%s", want.steps, T, src)
+		}
+		if T < 2 {
+			t.Skip("too short to limit")
+		}
+		got, _ := runTiered(src, decode(), mode, T)
+		if (got.err == nil) != (want.err == nil) || got.err != nil && got.err.Error() != want.err.Error() {
+			t.Fatalf("MaxSteps = %d: err %v, unlimited: %v\n%s", T, got.err, want.err, src)
+		}
+		if lang.Format(got.result) != lang.Format(want.result) || got.counts != want.counts {
+			t.Fatalf("MaxSteps = %d: %s charged %v, unlimited: %s charged %v\n%s",
+				T, lang.Format(got.result), got.counts, lang.Format(want.result), want.counts, src)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(src + paramsJSON))
+		for _, limit := range []int64{T - 1, 1 + int64(h.Sum64()%uint64(T-1))} {
+			got, _ := runTiered(src, decode(), mode, limit)
+			if got.err == nil || !strings.Contains(got.err.Error(), "step limit") {
+				t.Fatalf("MaxSteps = %d of %d: err = %v, want the step limit\n%s", limit, T, got.err, src)
+			}
+			if n := got.counts.total(); n != limit || got.steps != limit+1 {
+				t.Fatalf("MaxSteps = %d of %d: charged %d ops, counted %d steps; want %d and %d\n%s",
+					limit, T, n, got.steps, limit, limit+1, src)
 			}
 		}
 	})

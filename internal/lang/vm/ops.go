@@ -8,13 +8,45 @@ import (
 	"repro/internal/lang/bytecode"
 )
 
-// BinaryOp implements FaaSLang binary operator semantics on slots. It
-// is shared verbatim by the interpreter and the JIT tier's generic slow
-// path, so the two tiers cannot diverge semantically. Numeric operands
-// never leave their slots, so int and float arithmetic allocates nothing.
+// BinaryOp implements FaaSLang binary operator semantics on slots; every
+// step that applies an operator, fused or not, in either tier, calls it.
+// Two ints take the first switch, inline: the fast path of every
+// operator. Numeric operands never leave their slots, so int and float
+// arithmetic allocates nothing.
 func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
 	if left.kind == lang.TInt && right.kind == lang.TInt {
-		return intOp(op, int64(left.word), int64(right.word))
+		a, b := int64(left.word), int64(right.word)
+		switch op {
+		case bytecode.OpAdd:
+			return Int(a + b), nil
+		case bytecode.OpSub:
+			return Int(a - b), nil
+		case bytecode.OpMul:
+			return Int(a * b), nil
+		case bytecode.OpDiv:
+			if b == 0 {
+				return Slot{}, fmt.Errorf("division by zero")
+			}
+			return Int(a / b), nil
+		case bytecode.OpMod:
+			if b == 0 {
+				return Slot{}, fmt.Errorf("modulo by zero")
+			}
+			return Int(a % b), nil
+		case bytecode.OpEq:
+			return Bool(a == b), nil
+		case bytecode.OpNeq:
+			return Bool(a != b), nil
+		case bytecode.OpLt:
+			return Bool(a < b), nil
+		case bytecode.OpLte:
+			return Bool(a <= b), nil
+		case bytecode.OpGt:
+			return Bool(a > b), nil
+		case bytecode.OpGte:
+			return Bool(a >= b), nil
+		}
+		return Slot{}, fmt.Errorf("unsupported binary op %s", op)
 	}
 	if l, ok := left.number(); ok {
 		if r, ok := right.number(); ok {
@@ -72,40 +104,6 @@ const maxConcat = 64 << 20
 // opSymbols names the arithmetic operators in type errors.
 var opSymbols = [...]string{
 	bytecode.OpAdd: "+", bytecode.OpSub: "-", bytecode.OpMul: "*", bytecode.OpDiv: "/", bytecode.OpMod: "%",
-}
-
-func intOp(op bytecode.Op, a, b int64) (Slot, error) {
-	switch op {
-	case bytecode.OpAdd:
-		return Int(a + b), nil
-	case bytecode.OpSub:
-		return Int(a - b), nil
-	case bytecode.OpMul:
-		return Int(a * b), nil
-	case bytecode.OpDiv:
-		if b == 0 {
-			return Slot{}, fmt.Errorf("division by zero")
-		}
-		return Int(a / b), nil
-	case bytecode.OpMod:
-		if b == 0 {
-			return Slot{}, fmt.Errorf("modulo by zero")
-		}
-		return Int(a % b), nil
-	case bytecode.OpEq:
-		return Bool(a == b), nil
-	case bytecode.OpNeq:
-		return Bool(a != b), nil
-	case bytecode.OpLt:
-		return Bool(a < b), nil
-	case bytecode.OpLte:
-		return Bool(a <= b), nil
-	case bytecode.OpGt:
-		return Bool(a > b), nil
-	case bytecode.OpGte:
-		return Bool(a >= b), nil
-	}
-	return Slot{}, fmt.Errorf("unsupported binary op %s", op)
 }
 
 // floatOp is the mixed int/float and float/float path: an int operand

@@ -1,9 +1,9 @@
 // Package vm executes FaaSLang bytecode. A module is translated once,
-// when it loads, into direct-threaded Go closures (see Program), and
-// that one translation is the engine of both execution tiers: the
-// interpreter tier runs it unguarded and books its ops at interpreter
-// rates, the JIT tier runs it behind the entry type guards a JIT
-// backend compiled and books JIT rates, and a guard failure
+// when it loads, into basic blocks of direct-threaded Go closures (see
+// Program), and that one translation is the engine of both execution
+// tiers: the interpreter tier runs it unguarded and books its ops at
+// interpreter rates, the JIT tier runs it behind the entry type guards a
+// JIT backend compiled and books JIT rates, and a guard failure
 // de-optimizes the call to the interpreter tier of the same code. The
 // VM counts the ops both tiers execute and hands the counts to a cost
 // meter before anyone can read the clock (see Flush). It also collects
@@ -113,7 +113,9 @@ func (v *VM) Steps() int64 { return v.steps }
 
 // countStep books one op about to execute in tier: it counts against
 // the step limit and joins the pending counts that the next Flush
-// charges. The op that exceeds the limit is not booked.
+// charges. The op that exceeds the limit is not booked. Blocks are
+// booked whole (see run); countStep books the ops of a block that would
+// cross the limit.
 func (v *VM) countStep(tier Tier, cat bytecode.Category) error {
 	v.steps++
 	if v.steps > v.MaxSteps {
