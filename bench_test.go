@@ -90,7 +90,8 @@ func BenchmarkClusterScale(b *testing.B)       { benchExperiment(b, "scale") }
 
 // BenchmarkFireworksInvoke measures the full Fireworks invoke path
 // (queue produce, snapshot restore, netns setup, param fetch, JITted
-// execution) and reports the virtual latency as a custom metric.
+// execution) and reports the virtual latency, the guest ops each
+// request executes and the host time per guest op as custom metrics.
 func BenchmarkFireworksInvoke(b *testing.B) {
 	env := platform.NewEnv(platform.EnvConfig{})
 	fw := core.New(env, core.Options{})
@@ -99,16 +100,24 @@ func BenchmarkFireworksInvoke(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := platform.MustParams(map[string]any{"n": 9999991, "rounds": 1})
+	// The first request creates the platform's invocation instruments;
+	// outside the timer, so allocs/op does not depend on b.N.
+	if _, err := fw.Invoke(w.Name, params, platform.InvokeOptions{}); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
-	var virtual int64
+	var virtual, ops int64
 	for i := 0; i < b.N; i++ {
 		inv, err := fw.Invoke(w.Name, params, platform.InvokeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		virtual += int64(inv.Breakdown.Total())
+		ops += inv.GuestOps
 	}
 	b.ReportMetric(float64(virtual)/float64(b.N), "ns_virtual/op")
+	b.ReportMetric(float64(ops)/float64(b.N), "guest_ops/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "host_ns/guest_op")
 }
 
 // BenchmarkFireworksWarmResumeInvoke measures the opt-in warm-pool
@@ -550,9 +559,14 @@ func BenchmarkMetricsParallel(b *testing.B) {
 // every latency histogram, then Sampler.Sample — with the histograms'
 // raw-sample windows holding 1k and 64k observations. A window is
 // ordered as it is written, so neither the observe (insert, and at 64k
-// an evict) nor the four quantiles Sample reads per histogram may grow
-// with what the window holds: benchgate caps the 64k ÷ 1k ratio.
+// an evict) nor the two quantiles Sample reads per histogram may grow
+// with what the window holds. Both arms report that as counted work,
+// which benchgate holds exact: window blocks stepped and samples moved
+// per step, and instruments the sampler reads per Sample. The counts
+// come from a fixed prefix of censusSteps steps, so they do not depend
+// on b.N.
 func BenchmarkSamplerSample(b *testing.B) {
+	const censusSteps = 256
 	for _, fill := range []struct {
 		name string
 		n    int
@@ -578,14 +592,35 @@ func BenchmarkSamplerSample(b *testing.B) {
 				}
 			}
 			s := timeseries.NewSampler(reg, timeseries.DefaultCapacity)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			step := func(i int) {
 				for _, h := range hists {
 					h.ObserveDuration(next())
 				}
 				s.Sample(time.Duration(i) * time.Millisecond)
 			}
+			work := func() (stepped, moved uint64) {
+				for _, h := range hists {
+					st, mv := h.WindowWork()
+					stepped, moved = stepped+st, moved+mv
+				}
+				return stepped, moved
+			}
+			stepped0, moved0 := work()
+			walked0 := s.Walked()
+			for i := 0; i < censusSteps; i++ {
+				step(i)
+			}
+			stepped, moved := work()
+			walked := s.Walked() - walked0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(censusSteps + i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(stepped-stepped0)/censusSteps, "blocks_stepped/sample")
+			b.ReportMetric(float64(moved-moved0)/censusSteps, "samples_moved/sample")
+			b.ReportMetric(float64(walked)/censusSteps, "instruments/sample")
 		})
 	}
 }

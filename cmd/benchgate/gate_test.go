@@ -32,16 +32,20 @@ func sampleReport() *Report {
 	// Tail sampling shrinks the exported journal bytes >10x.
 	r.result("BenchmarkTailSampling/full").Custom = map[string]float64{"vbytes/op": 1.11e5}
 	r.result("BenchmarkTailSampling/sampled").Custom = map[string]float64{"vbytes/op": 9.2e3}
-	// Sampling full histogram windows costs about what sampling
-	// near-empty ones does.
-	r.result("BenchmarkSamplerSample/fill=64k").NsPerOp = 1300
+	// The telemetry step's counted work at both window fills.
+	r.result("BenchmarkSamplerSample/fill=1k").Custom = map[string]float64{
+		"blocks_stepped/sample": 44.86, "samples_moved/sample": 1196, "instruments/sample": 25}
+	r.result("BenchmarkSamplerSample/fill=64k").Custom = map[string]float64{
+		"blocks_stepped/sample": 1572, "samples_moved/sample": 2949, "instruments/sample": 25}
+	r.result("BenchmarkSamplerSample/fill=1k").AllocsOp = 0
+	r.result("BenchmarkSamplerSample/fill=64k").AllocsOp = 0
 	// A guest call allocates its locals-and-stack buffer and a boxed
 	// result, under the tiers' absolute ceilings.
 	r.result("BenchmarkInterpreterTier").AllocsOp = 2
 	r.result("BenchmarkJITTier").AllocsOp = 2
 	// Counted metrics: the invoke's virtual latency, and the guest
 	// benchmark's op count and virtual ns per op.
-	r.result("BenchmarkFireworksInvoke").Custom = map[string]float64{"ns_virtual/op": 12598878}
+	r.result("BenchmarkFireworksInvoke").Custom = map[string]float64{"ns_virtual/op": 12598878, "guest_ops/op": 53825, "host_ns/guest_op": 5.8}
 	r.result("BenchmarkFireworksWarmResumeInvoke").Custom = map[string]float64{"ns_virtual/op": 44675198}
 	r.result("BenchmarkGuestComputeMix").Custom = map[string]float64{"guest_ops/op": 2793072, "host_ns/guest_op": 4.1, "ns_virtual/guest_op": 22.9}
 	derive(r)
@@ -133,14 +137,41 @@ func TestCompareFailsOnSyntheticRegression(t *testing.T) {
 	})
 
 	t.Run("sampler_grows_with_fill", func(t *testing.T) {
-		// A histogram window that is copied, sorted or shifted per
-		// sample makes full windows cost a multiple of near-empty ones.
+		// A histogram window that is copied or sorted per sample moves
+		// every sample it holds, and a rank walk from one end steps over
+		// every block: the full window's counts multiply, whatever the
+		// wall time reads.
 		fresh := sampleReport()
-		fresh.result("BenchmarkSamplerSample/fill=64k").NsPerOp = 3 * fresh.result("BenchmarkSamplerSample/fill=1k").NsPerOp
-		derive(fresh)
+		full := fresh.result("BenchmarkSamplerSample/fill=64k").Custom
+		full["samples_moved/sample"] = 8 << 16
+		full["blocks_stepped/sample"] *= 3
 		vs := compare(base, fresh, defaultTolerances())
-		if !hasViolation(vs, "sampler_fill_ratio", "want <=") {
-			t.Fatalf("sampler cost growing with window fill not caught: %v", vs)
+		if !hasViolation(vs, "BenchmarkSamplerSample/fill=64k", "counted samples_moved/sample") ||
+			!hasViolation(vs, "BenchmarkSamplerSample/fill=64k", "counted blocks_stepped/sample") {
+			t.Fatalf("sampler work growing with window fill not caught: %v", vs)
+		}
+	})
+
+	t.Run("sampler_snapshot_per_sample", func(t *testing.T) {
+		// Building a registry Snapshot per Sample allocated 92 times per
+		// step; the ceiling catches it even in a baseline that recorded
+		// it.
+		regressed := sampleReport()
+		regressed.result("BenchmarkSamplerSample/fill=1k").AllocsOp = 92
+		vs := compare(regressed, regressed, defaultTolerances())
+		if !hasViolation(vs, "BenchmarkSamplerSample/fill=1k", "ceiling") {
+			t.Fatalf("per-sample snapshot allocations not caught: %v", vs)
+		}
+	})
+
+	t.Run("invoke_guest_ops_missing", func(t *testing.T) {
+		// A benchmark that stops reporting a counted metric fails the
+		// gate instead of passing it unchecked.
+		fresh := sampleReport()
+		delete(fresh.result("BenchmarkFireworksInvoke").Custom, "guest_ops/op")
+		vs := compare(base, fresh, defaultTolerances())
+		if !hasViolation(vs, "BenchmarkFireworksInvoke", "counted guest_ops/op") {
+			t.Fatalf("missing guest_ops/op not caught: %v", vs)
 		}
 	})
 

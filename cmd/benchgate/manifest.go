@@ -42,6 +42,9 @@ var manifest = []BenchEntry{
 	{Name: "BenchmarkClusterScale"},
 
 	// Hot-path microbenchmarks: gated.
+	// One request through the whole invoke path: gated, with an exact
+	// allocs/op ceiling and its counted metrics (virtual ns and guest ops
+	// per op) held equal to the baseline's.
 	{Name: "BenchmarkFireworksInvoke", Gate: true},
 	{Name: "BenchmarkFireworksWarmResumeInvoke", Gate: true},
 	{Name: "BenchmarkFirecrackerColdInvoke"},
@@ -74,8 +77,10 @@ var manifest = []BenchEntry{
 	{Name: "BenchmarkMsgbusBatch/single", Gate: true},
 	{Name: "BenchmarkMsgbusBatch/batch", Gate: true},
 	// One request's telemetry step at two histogram-window fills: gated,
-	// including the derived 64k/1k ratio — it must not cost more the
-	// more history the windows hold.
+	// with an absolute allocs/op ceiling and its counted work (window
+	// blocks stepped, samples moved, instruments read) held equal to the
+	// baseline's — it must not cost more the more history the windows
+	// hold.
 	{Name: "BenchmarkSamplerSample/fill=1k", Gate: true},
 	{Name: "BenchmarkSamplerSample/fill=64k", Gate: true},
 

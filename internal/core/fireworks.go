@@ -94,6 +94,8 @@ type Framework struct {
 	// warmResumes counts invocations served by a pooled VM resume
 	// instead of a snapshot restore.
 	warmResumes *metrics.Counter
+	// obs holds the platform's invocation instruments.
+	obs *platform.InvokeMetrics
 	// retrier guards fallible pipeline stages per Options.Retry; nil
 	// when retries are disabled (every stage runs exactly once).
 	retrier *faults.Retrier
@@ -153,6 +155,7 @@ func New(env *platform.Env, opts Options) *Framework {
 	})
 	f.pool.Instrument(env.Metrics, "fireworks")
 	f.warmResumes = env.Metrics.Counter("fireworks_warm_resume_total")
+	f.obs = platform.NewInvokeMetrics(env.Metrics, f.PlatformName())
 	if opts.Retry.MaxAttempts > 1 {
 		pol := opts.Retry
 		if pol.Permanent == nil {
@@ -500,7 +503,7 @@ func (f *Framework) Invoke(name string, params lang.Value, opts platform.InvokeO
 			return f.stageRelease(st, name, inv, opts, cl)
 		}))
 	if err := pl.Run(); err != nil {
-		platform.ObserveInvokeError(f.env.Metrics, "fireworks")
+		f.obs.ObserveInvokeError()
 		f.env.Metrics.Counter(metrics.Name("fireworks_stage_failures_total", "stage", pl.Failed())).Inc()
 		finishScope(err)
 		// An execute (or release) failure still yields the invocation
@@ -513,7 +516,7 @@ func (f *Framework) Invoke(name string, params lang.Value, opts platform.InvokeO
 	// Chained child invocations accumulate into the parent's breakdown;
 	// only the top-level request is a platform invocation.
 	if opts.Parent == nil {
-		platform.ObserveInvocation(f.env.Metrics, "fireworks", inv)
+		f.obs.ObserveInvocation(inv)
 	}
 	finishScope(nil)
 	return inv, nil
@@ -771,7 +774,9 @@ func (f *Framework) invokeBridge(st *invokeState, inv *platform.Invocation) *fir
 func (f *Framework) stageExecute(st *invokeState, name string, inv *platform.Invocation, cl *lifecycle.Cleanup) error {
 	rt := st.instance.rt
 	inv.StartSpan("core", "exec")
+	ops := rt.VM.Steps()
 	result, _, err := inv.ChargeExec(func() (lang.Value, error) { return rt.Call("__fireworks_continue") })
+	inv.GuestOps = rt.VM.Steps() - ops
 	inv.FinishSpan()
 	if err != nil {
 		return fmt.Errorf("fireworks: %s: %w", name, err)

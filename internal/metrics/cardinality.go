@@ -136,13 +136,13 @@ func (r *Registry) CardinalityAudit(k int) CardinalityReport {
 		counts[fam]++
 		rep.TotalSeries++
 	}
-	for _, c := range r.counters.distinct() {
+	for _, c := range r.counters.load().created {
 		bump(c.name)
 	}
-	for _, g := range r.gauges.distinct() {
+	for _, g := range r.gauges.load().created {
 		bump(g.name)
 	}
-	for _, h := range r.histograms.distinct() {
+	for _, h := range r.histograms.load().created {
 		bump(h.name)
 	}
 	c := &r.card

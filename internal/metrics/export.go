@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -135,18 +134,15 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	snap := Snapshot{VirtualTimeNS: int64(r.snapshotTime())}
-	for _, c := range r.counters.distinct() {
-		snap.Counters = append(snap.Counters, CounterSnapshot{Name: c.name, Value: c.Value()})
+	for _, c := range r.counters.load().byName {
+		snap.Counters = append(snap.Counters, CounterSnapshot{Name: c.name, Value: c.inst.Value()})
 	}
-	for _, g := range r.gauges.distinct() {
-		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: g.name, Value: g.Value()})
+	for _, g := range r.gauges.load().byName {
+		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: g.name, Value: g.inst.Value()})
 	}
-	for _, h := range r.histograms.distinct() {
-		snap.Histograms = append(snap.Histograms, h.snapshot())
+	for _, h := range r.histograms.load().byName {
+		snap.Histograms = append(snap.Histograms, h.inst.snapshot())
 	}
-	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
-	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
-	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
 	return snap
 }
 

@@ -22,12 +22,14 @@
 // atomic pointer load plus a map access, no lock traffic at all —
 // instruments are created once and live forever, which is exactly the
 // read-mostly shape that layout serves. A create takes the kind's one
-// mutex, copies the index with the new name added and publishes the
-// copy. Exports walk the published index and sort by name.
+// mutex and publishes a copy of the index with the new name added; the
+// index also lists the instruments in name order, which exports walk,
+// and in creation order, which a sampler walks (Instruments).
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -87,23 +89,37 @@ type Registry struct {
 func NewRegistry() *Registry { return &Registry{} }
 
 // table is the name space of one instrument kind. Instruments are
-// created once and live forever, so the index is published as an
-// immutable map: a lookup is one atomic pointer load and a map access,
-// and a create (serialized by mu) copies the map, adds the name and
-// publishes the copy. Every reader therefore sees every completed
-// create.
+// created once and live forever, so a create (serialized by mu)
+// publishes a new immutable index, and readers never lock.
 type table[T any] struct {
-	mu   sync.Mutex
-	read atomic.Pointer[map[string]*T]
+	mu  sync.Mutex
+	idx atomic.Pointer[index[T]]
+}
+
+// index is one published state of a table: every name, aliases
+// included (see cardinality.go), and each instrument once in creation
+// order and in name order. A create appends to created in place, past
+// the length any reader has loaded.
+type index[T any] struct {
+	byKey   map[string]*T
+	created []*T
+	byName  []named[T]
+}
+
+type named[T any] struct {
+	name string
+	inst *T
+}
+
+func (t *table[T]) load() index[T] {
+	if x := t.idx.Load(); x != nil {
+		return *x
+	}
+	return index[T]{}
 }
 
 // get returns the named instrument, or nil when it does not exist yet.
-func (t *table[T]) get(name string) *T {
-	if m := t.read.Load(); m != nil {
-		return (*m)[name]
-	}
-	return nil
-}
+func (t *table[T]) get(name string) *T { return t.load().byKey[name] }
 
 // create returns the named instrument, making it with mk on first use.
 // When the name's family is over its cardinality budget the name
@@ -121,46 +137,28 @@ func (t *table[T]) create(r *Registry, name string, mk func(name string) *T) *T 
 	if redirect {
 		target = OverflowName(fam)
 	}
-	v := t.get(target)
+	old := t.load()
+	next := index[T]{byKey: make(map[string]*T, len(old.byKey)+2), created: old.created, byName: old.byName}
+	for k, inst := range old.byKey {
+		next.byKey[k] = inst
+	}
+	v := old.byKey[target]
 	if v == nil {
 		v = mk(target)
+		i, _ := slices.BinarySearchFunc(old.byName, target, func(e named[T], name string) int {
+			return strings.Compare(e.name, name)
+		})
+		next.created = append(old.created, v)
+		next.byName = slices.Insert(slices.Clip(old.byName), i, named[T]{target, v})
 	}
-	var old map[string]*T
-	if m := t.read.Load(); m != nil {
-		old = *m
-	}
-	next := make(map[string]*T, len(old)+2)
-	for k, inst := range old {
-		next[k] = inst
-	}
-	next[name] = v
-	next[target] = v
-	t.read.Store(&next)
+	next.byKey[name], next.byKey[target] = v, v
+	t.idx.Store(&next)
 	t.mu.Unlock()
 	if redirect {
 		// Outside the lock: the overflow counter lives in a table too.
 		r.noteOverflow(fam)
 	}
 	return v
-}
-
-// distinct returns every instrument once. Redirected names alias one
-// instrument under several keys (see cardinality.go); the result lists
-// each shared overflow series exactly once, in no particular order.
-func (t *table[T]) distinct() []*T {
-	m := t.read.Load()
-	if m == nil {
-		return nil
-	}
-	seen := make(map[*T]bool, len(*m))
-	out := make([]*T, 0, len(*m))
-	for _, v := range *m {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // SetClock attaches a virtual clock; snapshots are stamped with its
@@ -270,12 +268,26 @@ func (r *Registry) HistogramWith(name, unit string, bounds []float64) *Histogram
 	})
 }
 
+// Instruments returns every counter, gauge and histogram once, each
+// kind in creation order. The lists only grow, so a caller that
+// remembers their lengths reads only what was created since. Do not
+// modify them.
+func (r *Registry) Instruments() (counters []*Counter, gauges []*Gauge, histograms []*Histogram) {
+	if r == nil {
+		return nil, nil, nil
+	}
+	return r.counters.load().created, r.gauges.load().created, r.histograms.load().created
+}
+
 // Counter is a monotonically increasing count. Safe for concurrent
 // use; all methods are no-ops on a nil receiver.
 type Counter struct {
 	name string
 	v    atomic.Int64
 }
+
+// Name returns the counter's registry name.
+func (c *Counter) Name() string { return c.name }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -305,6 +317,9 @@ type Gauge struct {
 	name string
 	v    atomic.Int64
 }
+
+// Name returns the gauge's registry name.
+func (g *Gauge) Name() string { return g.name }
 
 // Set replaces the value.
 func (g *Gauge) Set(v int64) {
@@ -357,6 +372,9 @@ type Histogram struct {
 	win       window     // the most recent maxSamples observations
 	exemplars []Exemplar // lazily allocated, len(bounds)+1; zero Trace = empty slot
 }
+
+// Name returns the histogram's registry name.
+func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -462,6 +480,31 @@ func (h *Histogram) Percentile(p float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.win.percentile(p)
+}
+
+// Summary returns the count, p50 and p99 under one lock: what a
+// sampler records per histogram. The quantiles are 0 while it is empty.
+func (h *Histogram) Summary() (count uint64, p50, p99 float64) {
+	if h == nil {
+		return 0, 0, 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count > 0 {
+		p50, p99 = h.win.percentile(50), h.win.percentile(99)
+	}
+	return h.count, p50, p99
+}
+
+// WindowWork reports the raw-sample window's counted work so far (see
+// window.go).
+func (h *Histogram) WindowWork() (blocksStepped, samplesMoved uint64) {
+	if h == nil {
+		return 0, 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.win.stepped, h.win.moved
 }
 
 // snapshotTime returns the registry's virtual time, or 0 without a

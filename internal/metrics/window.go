@@ -22,10 +22,16 @@ const blockCap = 512
 // sort.Float64s's (NaNs first), so every rank — and every quantile read
 // through stats.PercentileSorted — is the one stats.Percentile finds by
 // sorting ring.
+//
+// stepped counts the blocks rank lookups step over and moved the
+// samples inserts, evictions, splits and merges shift or copy: exact
+// work counts a benchmark can hold to a number.
 type window struct {
 	ring   []float64
 	next   int // ring cursor: the oldest sample once the ring is full
 	blocks [][]float64
+
+	stepped, moved uint64
 }
 
 // observe adds v, evicting the oldest sample from a full window.
@@ -59,10 +65,12 @@ func (w *window) insert(v float64) {
 		return
 	}
 	b, i := w.find(v)
+	w.moved += uint64(len(w.blocks[b]) - i)
 	blk := slices.Insert(w.blocks[b], i, v)
 	w.blocks[b] = blk
 	if len(blk) > blockCap {
 		half := len(blk) / 2
+		w.moved += uint64(len(blk) - half)
 		w.blocks[b] = blk[:half]
 		w.blocks = slices.Insert(w.blocks, b+1, slices.Clone(blk[half:]))
 	}
@@ -72,6 +80,7 @@ func (w *window) insert(v float64) {
 // Equal samples are interchangeable, so the first in order goes.
 func (w *window) remove(v float64) {
 	b, i := w.find(v)
+	w.moved += uint64(len(w.blocks[b]) - i - 1)
 	w.blocks[b] = slices.Delete(w.blocks[b], i, i+1)
 	if len(w.blocks[b]) == 0 {
 		w.blocks = slices.Delete(w.blocks, b, b+1)
@@ -81,19 +90,35 @@ func (w *window) remove(v float64) {
 	// bounds the block count: fold a thin block into the one before it.
 	for _, k := range [2]int{b + 1, b} {
 		if k > 0 && k < len(w.blocks) && len(w.blocks[k-1])+len(w.blocks[k]) <= blockCap/2 {
+			w.moved += uint64(len(w.blocks[k]))
 			w.blocks[k-1] = append(w.blocks[k-1], w.blocks[k]...)
 			w.blocks = slices.Delete(w.blocks, k, k+1)
 		}
 	}
 }
 
-// at returns the sample of the given rank (0 = smallest).
+// at returns the sample of the given rank (0 = smallest), stepping
+// from whichever end of the window is nearer: a p99 steps over a few
+// blocks, not over all of them.
 func (w *window) at(rank int) float64 {
-	for _, blk := range w.blocks {
-		if rank < len(blk) {
-			return blk[rank]
+	if rank < len(w.ring)/2 {
+		for _, blk := range w.blocks {
+			w.stepped++
+			if rank < len(blk) {
+				return blk[rank]
+			}
+			rank -= len(blk)
 		}
-		rank -= len(blk)
+	} else {
+		rank = len(w.ring) - 1 - rank // rank from the largest
+		for b := len(w.blocks) - 1; b >= 0; b-- {
+			blk := w.blocks[b]
+			w.stepped++
+			if rank < len(blk) {
+				return blk[len(blk)-1-rank]
+			}
+			rank -= len(blk)
+		}
 	}
 	panic("metrics: window rank out of range")
 }

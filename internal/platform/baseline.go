@@ -34,6 +34,8 @@ type baseline struct {
 	// one stays resident on the workload timeline (InvokeOptions.At);
 	// zero keeps guests forever (the default for untimed invocations).
 	pool *lifecycle.Pool[*guest]
+	// obs holds the platform's invocation instruments.
+	obs *InvokeMetrics
 
 	mu     sync.Mutex
 	fns    map[string]*deployed
@@ -88,6 +90,7 @@ func newBaseline(env *Env, name string, class sandbox.Class, ttl time.Duration, 
 		name:    name,
 		profile: sandbox.Profiles(class),
 		kind:    k,
+		obs:     NewInvokeMetrics(env.Metrics, name),
 		fns:     make(map[string]*deployed),
 	}
 	b.pool = lifecycle.NewPool(lifecycle.PoolConfig[*guest]{
@@ -153,16 +156,18 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 
 	g, err := b.acquire(fn, opts.Mode, inv, opts.At)
 	if err != nil {
-		ObserveInvokeError(b.env.Metrics, b.name)
+		b.obs.ObserveInvokeError()
 		return nil, err
 	}
 	inv.SandboxID = g.id
 	g.rt.SetClock(inv.Clock)
 	g.binding.Rebind(inv)
 
+	ops := g.rt.VM.Steps()
 	result, exec, err := inv.ChargeExec(func() (lang.Value, error) {
 		return g.rt.Call(fn.EntryName(), params)
 	})
+	inv.GuestOps = g.rt.VM.Steps() - ops
 	// Sentry-style sandboxes intercept the runtime's own syscalls
 	// during computation (gVisor), taxing pure execution.
 	if b.profile.ExecOverheadFactor > 0 && exec > 0 {
@@ -172,7 +177,7 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 	}
 	if err != nil {
 		b.release(g, opts.At)
-		ObserveInvokeError(b.env.Metrics, b.name)
+		b.obs.ObserveInvokeError()
 		return inv, fmt.Errorf("%s: %s: %w", b.name, name, err)
 	}
 	inv.Result = result
@@ -186,7 +191,7 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 
 	b.release(g, opts.At)
 	if opts.Parent == nil {
-		ObserveInvocation(b.env.Metrics, b.name, inv)
+		b.obs.ObserveInvocation(inv)
 	}
 	return inv, nil
 }

@@ -10,6 +10,8 @@ package platform
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/couchdb"
@@ -101,6 +103,9 @@ type Invocation struct {
 	SandboxID string
 	// Mode records which start path actually ran (cold/warm).
 	Mode StartMode
+	// GuestOps counts the guest ops the function's own call executed;
+	// a chained child's ops count in the child's invocation.
+	GuestOps int64
 	// Trace is the invocation's handle into the event journal. Nil when
 	// the deployment records no events; every emission site is nil-safe.
 	Trace *events.Scope
@@ -329,31 +334,78 @@ func NewEnv(cfg EnvConfig) *Env {
 	return env
 }
 
-// ObserveInvocation records a completed top-level invocation into the
-// host registry: an invocation counter and the paper's three phase
-// histograms plus total latency, all labeled by platform. Chained
+// InvokeMetrics is one platform's invocation instruments: an
+// invocation counter, a per-start-mode counter, the paper's three phase
+// histograms plus total latency, and an error counter, all labeled by
+// platform. Each is resolved once and kept, at the first invocation
+// that records into it (per start mode for invoke_mode_total), not at
+// construction: a registry then lists exactly the instruments the
+// platform has recorded into, and the cardinality governor admits each
+// family's names in the order it always has.
+type InvokeMetrics struct {
+	reg      *metrics.Registry
+	platform string
+
+	once    sync.Once
+	total   *metrics.Counter
+	phases  [3]*metrics.Histogram // start-up, exec, others
+	latency *metrics.Histogram
+	modes   [3]atomic.Pointer[metrics.Counter] // ModeAuto, ModeCold, ModeWarm
+
+	errOnce sync.Once
+	errors  *metrics.Counter
+}
+
+// NewInvokeMetrics returns the invocation instruments of the named
+// platform in reg. It creates nothing yet.
+func NewInvokeMetrics(reg *metrics.Registry, platformName string) *InvokeMetrics {
+	return &InvokeMetrics{reg: reg, platform: platformName}
+}
+
+// ObserveInvocation records a completed top-level invocation. Chained
 // child invocations (opts.Parent != nil) share the parent's breakdown
 // and must not be recorded again; callers skip them.
-func ObserveInvocation(reg *metrics.Registry, platformName string, inv *Invocation) {
+func (m *InvokeMetrics) ObserveInvocation(inv *Invocation) {
 	if inv == nil {
 		return
 	}
-	reg.Counter(metrics.Name("invoke_total", "platform", platformName)).Inc()
-	reg.Counter(metrics.Name("invoke_mode_total", "mode", inv.Mode.String(), "platform", platformName)).Inc()
+	m.once.Do(func() {
+		m.total = m.reg.Counter(metrics.Name("invoke_total", "platform", m.platform))
+		for i, ph := range [3]trace.Phase{trace.PhaseStartup, trace.PhaseExec, trace.PhaseOthers} {
+			m.phases[i] = m.reg.Histogram(metrics.Name("invoke_phase_duration", "phase", string(ph), "platform", m.platform))
+		}
+		m.latency = m.reg.Histogram(metrics.Name("invoke_latency", "platform", m.platform))
+	})
+	m.total.Inc()
+	m.mode(inv.Mode).Inc()
 	tr, now := uint64(inv.Trace.TraceID()), inv.Clock.Now()
-	reg.Histogram(metrics.Name("invoke_phase_duration", "phase", string(trace.PhaseStartup), "platform", platformName)).
-		ObserveDurationExemplar(inv.Breakdown.Startup(), tr, now)
-	reg.Histogram(metrics.Name("invoke_phase_duration", "phase", string(trace.PhaseExec), "platform", platformName)).
-		ObserveDurationExemplar(inv.Breakdown.Exec(), tr, now)
-	reg.Histogram(metrics.Name("invoke_phase_duration", "phase", string(trace.PhaseOthers), "platform", platformName)).
-		ObserveDurationExemplar(inv.Breakdown.Others(), tr, now)
-	reg.Histogram(metrics.Name("invoke_latency", "platform", platformName)).
-		ObserveDurationExemplar(inv.Breakdown.Total(), tr, now)
+	m.phases[0].ObserveDurationExemplar(inv.Breakdown.Startup(), tr, now)
+	m.phases[1].ObserveDurationExemplar(inv.Breakdown.Exec(), tr, now)
+	m.phases[2].ObserveDurationExemplar(inv.Breakdown.Others(), tr, now)
+	m.latency.ObserveDurationExemplar(inv.Breakdown.Total(), tr, now)
 }
 
-// ObserveInvokeError counts a failed invocation for a platform.
-func ObserveInvokeError(reg *metrics.Registry, platformName string) {
-	reg.Counter(metrics.Name("invoke_errors_total", "platform", platformName)).Inc()
+// mode returns the invoke_mode_total counter of one start mode.
+func (m *InvokeMetrics) mode(mode StartMode) *metrics.Counter {
+	slot := &m.modes[ModeAuto]
+	if mode == ModeCold || mode == ModeWarm {
+		slot = &m.modes[mode]
+	}
+	c := slot.Load()
+	if c == nil {
+		// Racing first calls resolve the same instrument.
+		c = m.reg.Counter(metrics.Name("invoke_mode_total", "mode", mode.String(), "platform", m.platform))
+		slot.Store(c)
+	}
+	return c
+}
+
+// ObserveInvokeError counts a failed invocation.
+func (m *InvokeMetrics) ObserveInvokeError() {
+	m.errOnce.Do(func() {
+		m.errors = m.reg.Counter(metrics.Name("invoke_errors_total", "platform", m.platform))
+	})
+	m.errors.Inc()
 }
 
 // PerKB prices size-dependent network cost under a sandbox profile.

@@ -14,21 +14,41 @@ import (
 // installBuiltins binds FaaSLang's standard library into the VM globals.
 // These are the language-level builtins every runtime personality
 // provides; host-bridge natives (file I/O, HTTP, queues, databases) are
-// installed separately by the sandbox via InstallNatives.
+// installed separately by the sandbox via InstallNatives. Only print
+// (the runtime's Stdout) and now_ms (its clock) read per-runtime state
+// and are bound here; the rest are the process-wide pureBuiltins.
 func (r *Runtime) installBuiltins() {
 	g := r.VM.Globals
-	reg := func(name string, arity int, fn func(args []lang.Value) (lang.Value, error)) {
-		g[name] = &lang.Native{Name: name, Arity: arity, Fn: fn}
+	for _, n := range pureBuiltins {
+		g[n.Name] = n
 	}
+	g["print"] = &lang.Native{Name: "print", Arity: -1, Fn: r.print}
+	g["now_ms"] = &lang.Native{Name: "now_ms", Arity: 0, Fn: r.nowMS}
+}
 
-	reg("print", -1, func(args []lang.Value) (lang.Value, error) {
-		parts := make([]string, len(args))
-		for i, a := range args {
-			parts[i] = lang.Format(a)
-		}
-		fmt.Fprintln(&r.Stdout, strings.Join(parts, " "))
-		return nil, nil
-	})
+func (r *Runtime) print(args []lang.Value) (lang.Value, error) {
+	parts := make([]string, len(args))
+	for i, a := range args {
+		parts[i] = lang.Format(a)
+	}
+	fmt.Fprintln(&r.Stdout, strings.Join(parts, " "))
+	return nil, nil
+}
+
+func (r *Runtime) nowMS(args []lang.Value) (lang.Value, error) {
+	return r.Clock.Now().Milliseconds(), nil
+}
+
+// pureBuiltins are the builtins that capture nothing. A revival binds
+// them without building them: every runtime of the process shares the
+// same immutable natives.
+var pureBuiltins = newPureBuiltins()
+
+func newPureBuiltins() []*lang.Native {
+	var natives []*lang.Native
+	reg := func(name string, arity int, fn func(args []lang.Value) (lang.Value, error)) {
+		natives = append(natives, &lang.Native{Name: name, Arity: arity, Fn: fn})
+	}
 
 	reg("len", 1, func(args []lang.Value) (lang.Value, error) {
 		switch v := args[0].(type) {
@@ -340,10 +360,7 @@ func (r *Runtime) installBuiltins() {
 		}
 		return DecodeJSON([]byte(s))
 	})
-
-	reg("now_ms", 0, func(args []lang.Value) (lang.Value, error) {
-		return r.Clock.Now().Milliseconds(), nil
-	})
+	return natives
 }
 
 func numPair(name string, fn func(a, b float64) float64) func(args []lang.Value) (lang.Value, error) {

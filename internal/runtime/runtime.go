@@ -225,6 +225,9 @@ func NewFromSnapshot(t *SnapshotTemplate, clock *vclock.Clock) (*Runtime, error)
 	r := &Runtime{Lang: t.Lang, Model: model, Clock: clock, booted: true,
 		module: t.Module, moduleBytes: t.ModuleBytes}
 	r.VM = vm.New(&meter{rt: r})
+	// Room for the builtins, the template's globals and a host's natives
+	// (a dozen), so a revival's inserts do not regrow the map.
+	r.VM.Globals = make(map[string]lang.Value, len(pureBuiltins)+2+len(t.Globals)+16)
 	r.VM.Program = t.Program
 	r.Engine = t.Engine.CloneWithCache(jit.Config{
 		CallThreshold: model.CallThreshold,

@@ -15,10 +15,22 @@ import (
 const DefaultCapacity = 4096
 
 // probe is a caller-supplied derived quantity sampled alongside the
-// registry (sharing efficiency, fleet down-node count, …).
+// registry (sharing efficiency, fleet down-node count, …). errors is
+// resolved at its first error, so a healthy probe adds no counter.
 type probe struct {
-	name string
-	fn   func() float64
+	name   string
+	fn     func() float64
+	errors *metrics.Counter
+}
+
+// binding ties one registry instrument to the series it feeds: a
+// counter's or gauge's value, or a histogram's .count, .p50 and .p99.
+// A nil series is one the filter drops.
+type binding struct {
+	c  *metrics.Counter
+	g  *metrics.Gauge
+	h  *metrics.Histogram
+	sr [3]*Series
 }
 
 // Sampler snapshots a metrics registry into ring-buffer series on a
@@ -27,6 +39,10 @@ type probe struct {
 // ".p99" derivative series. Sampling is driven by the owner (after
 // each invocation, on a simulated tick, …) — the sampler never touches
 // wall time, so the series are as deterministic as the workload.
+//
+// Each instrument is bound to its series once, at the first Sample
+// after its creation (the filter applies then); a Sample reads the
+// bound instruments in place.
 //
 // Safe for concurrent use.
 type Sampler struct {
@@ -38,6 +54,10 @@ type Sampler struct {
 	keep    func(name string) bool
 	rollups []RollupSpec
 	samples *metrics.Counter
+
+	bound      []binding
+	nc, ng, nh int   // instruments of each kind bound so far
+	walked     int64 // instrument reads over every Sample
 }
 
 // NewSampler returns a sampler over reg with the given per-series
@@ -57,11 +77,13 @@ func NewSampler(reg *metrics.Registry, capacity int) *Sampler {
 
 // SetFilter restricts which registry metrics are recorded: only names
 // for which keep returns true get a series. Probes are always kept.
-// Call before the first Sample; a nil keep records everything.
+// Call before the first Sample; a nil keep records everything. A later
+// call rebinds every instrument at the next Sample.
 func (s *Sampler) SetFilter(keep func(name string) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.keep = keep
+	s.bound, s.nc, s.ng, s.nh = nil, 0, 0, 0
 }
 
 // AddProbe samples a derived quantity under the given name on every
@@ -82,9 +104,9 @@ func (s *Sampler) SetRollups(specs []RollupSpec) {
 	s.rollups = append([]RollupSpec(nil), specs...)
 }
 
-// Sample snapshots the registry and every probe at virtual time now.
-// Sampling the same instant twice appends two points; the owner's
-// clock discipline decides the cadence.
+// Sample records every registry instrument and every probe at virtual
+// time now. Sampling the same instant twice appends two points; the
+// owner's clock discipline decides the cadence.
 //
 // Probes are fenced: a panicking probe, or one returning NaN/Inf, is
 // skipped for that sample and counted as
@@ -92,27 +114,79 @@ func (s *Sampler) SetRollups(specs []RollupSpec) {
 // not take the telemetry plane down or poison the CSV timelines.
 func (s *Sampler) Sample(now time.Duration) {
 	s.samples.Inc()
-	snap := s.reg.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, c := range snap.Counters {
-		s.recordLocked(c.Name, now, float64(c.Value))
-	}
-	for _, g := range snap.Gauges {
-		s.recordLocked(g.Name, now, float64(g.Value))
-	}
-	for _, h := range snap.Histograms {
-		s.recordLocked(h.Name+".count", now, float64(h.Count))
-		s.recordLocked(h.Name+".p50", now, h.P50)
-		s.recordLocked(h.Name+".p99", now, h.P99)
-	}
-	for _, p := range s.probes {
-		if v, ok := runProbe(p.fn); ok {
-			s.appendLocked(p.name, now, v)
-		} else {
-			s.reg.Counter(metrics.Name("timeseries_probe_errors_total", "probe", p.name)).Inc()
+	s.bindLocked()
+	s.walked += int64(len(s.bound))
+	for _, b := range s.bound {
+		switch {
+		case b.c != nil:
+			b.sr[0].append(now, float64(b.c.Value()))
+		case b.g != nil:
+			b.sr[0].append(now, float64(b.g.Value()))
+		default:
+			n, p50, p99 := b.h.Summary()
+			b.sr[0].append(now, float64(n))
+			b.sr[1].append(now, p50)
+			b.sr[2].append(now, p99)
 		}
 	}
+	for i := range s.probes {
+		p := &s.probes[i]
+		if v, ok := runProbe(p.fn); ok {
+			s.seriesLocked(p.name).append(now, v)
+			continue
+		}
+		if p.errors == nil {
+			p.errors = s.reg.Counter(metrics.Name("timeseries_probe_errors_total", "probe", p.name))
+		}
+		p.errors.Inc()
+	}
+}
+
+// bindLocked binds the instruments created since the last Sample.
+func (s *Sampler) bindLocked() {
+	cs, gs, hs := s.reg.Instruments()
+	for _, c := range cs[s.nc:] {
+		s.bindOneLocked(binding{c: c}, c.Name())
+	}
+	for _, g := range gs[s.ng:] {
+		s.bindOneLocked(binding{g: g}, g.Name())
+	}
+	for _, h := range hs[s.nh:] {
+		s.bindOneLocked(binding{h: h}, h.Name()+".count", h.Name()+".p50", h.Name()+".p99")
+	}
+	s.nc, s.ng, s.nh = len(cs), len(gs), len(hs)
+}
+
+// bindOneLocked binds b to the series of the names the filter keeps.
+func (s *Sampler) bindOneLocked(b binding, names ...string) {
+	for i, name := range names {
+		if s.keep == nil || s.keep(name) {
+			b.sr[i] = s.seriesLocked(name)
+		}
+	}
+	if b.sr != [3]*Series{} {
+		s.bound = append(s.bound, b)
+	}
+}
+
+// seriesLocked returns the named series, creating it on first use.
+func (s *Sampler) seriesLocked(name string) *Series {
+	sr := s.series[name]
+	if sr == nil {
+		sr = newSeriesTiered(name, s.cap, s.rollups)
+		s.series[name] = sr
+	}
+	return sr
+}
+
+// Walked counts the instrument reads of every Sample so far: the
+// sampler's work, which a benchmark can hold exact.
+func (s *Sampler) Walked() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.walked
 }
 
 // runProbe calls one probe fn, converting panics and non-finite
@@ -128,23 +202,6 @@ func runProbe(fn func() float64) (v float64, ok bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// recordLocked appends a registry-sourced point, honoring the filter.
-func (s *Sampler) recordLocked(name string, ts time.Duration, v float64) {
-	if s.keep != nil && !s.keep(name) {
-		return
-	}
-	s.appendLocked(name, ts, v)
-}
-
-func (s *Sampler) appendLocked(name string, ts time.Duration, v float64) {
-	sr := s.series[name]
-	if sr == nil {
-		sr = newSeriesTiered(name, s.cap, s.rollups)
-		s.series[name] = sr
-	}
-	sr.append(ts, v)
 }
 
 // SamplerStats is the sampler's own memory accounting, reported by

@@ -170,7 +170,11 @@ func (s *Series) Len() int {
 	return s.n
 }
 
+// append adds a point; a nil series (filtered out) takes none.
 func (s *Series) append(ts time.Duration, v float64) {
+	if s == nil {
+		return
+	}
 	if s.n == len(s.buf) {
 		s.start = (s.start + 1) % len(s.buf)
 		s.n--
