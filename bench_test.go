@@ -303,7 +303,7 @@ func BenchmarkGuestComputeMix(b *testing.B) {
 		}
 		return steps, virtual
 	}
-	runCalls() // profiles, frames and stacks reach their steady state
+	runCalls() // the profiles reach their steady state
 	steps0, virtual0 := totals()
 	b.ReportAllocs()
 	b.ResetTimer()

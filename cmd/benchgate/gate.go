@@ -199,25 +199,25 @@ func defaultTolerances() Tolerances {
 			// would already break this.
 			"BenchmarkDirtyStop": 48,
 			// One request through the whole invoke path, its guest
-			// factoring a 7-digit prime (~54k ops): 197-200 / 104-106
+			// factoring a 7-digit prime (~54k ops): 191-194 / 104-106
 			// measured from 20 to 8,000 iterations (the histogram windows'
 			// and rings' amortized growth), nearly all of it outside the
-			// guest. Naming the invocation instruments per request (62)
-			// and rebuilding the pure builtins per revival (~34) read
-			// 298 / 172; boxing one intermediate per loop iteration read
-			// 8,582 / 8,458.
-			"BenchmarkFireworksInvoke":           200,
+			// guest. The closure-threaded engine's per-call-depth frames
+			// and step closures read 197-200; naming the invocation
+			// instruments per request (62) and rebuilding the pure
+			// builtins per revival (~34) read 298 / 172; boxing one
+			// intermediate per loop iteration read 8,582 / 8,458.
+			"BenchmarkFireworksInvoke":           194,
 			"BenchmarkFireworksWarmResumeInvoke": 106,
 			// hot(1000) in either tier of the one engine: the activation's
-			// locals-and-stack buffer and the boxed result (2 measured; the
-			// frame is reused per call depth). A second allocation per
-			// activation reads 3, one per iteration 1,000+.
+			// register file and the boxed result (2 measured). A second
+			// allocation per activation reads 3, one per iteration 1,000+.
 			"BenchmarkInterpreterTier": 4,
 			"BenchmarkJITTier":         4,
 			// compute-mix's guest programs, eight calls: the lists and boxed
 			// ints the programs build and the natives' arguments, as
-			// measured. The guest engine itself allocates one buffer per
-			// activation.
+			// measured. The guest engine itself allocates one register
+			// file per activation.
 			"BenchmarkGuestComputeMix": 13609,
 			// One request's telemetry step: the sampler reads bound
 			// instruments in place and the window's blocks grow in place

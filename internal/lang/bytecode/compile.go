@@ -65,10 +65,9 @@ type scope struct {
 }
 
 type loopCtx struct {
-	start          int
-	breakPatches   []int
-	continueTarget int // -1 until known (for-in patches later)
-	contPatches    []int
+	start        int
+	breakPatches []int
+	forIn        bool // its iterator is on the stack
 }
 
 type compiler struct {
@@ -219,7 +218,7 @@ func (c *compiler) stmt(s lang.Stmt) error {
 
 	case *lang.WhileStmt:
 		start := c.here()
-		loop := &loopCtx{start: start, continueTarget: start}
+		loop := &loopCtx{start: start}
 		c.loops = append(c.loops, loop)
 		if err := c.expr(s.Cond); err != nil {
 			return err
@@ -242,7 +241,7 @@ func (c *compiler) stmt(s lang.Stmt) error {
 		}
 		c.emit(lineOf(s), OpIterNew, 0)
 		start := c.here()
-		loop := &loopCtx{start: start, continueTarget: start}
+		loop := &loopCtx{start: start, forIn: true}
 		c.loops = append(c.loops, loop)
 		next := c.emit(lineOf(s), OpIterNext, -1)
 		c.pushScope()
@@ -284,6 +283,9 @@ func (c *compiler) stmt(s lang.Stmt) error {
 			return fmt.Errorf("bytecode: %s: break outside loop", s.Pos())
 		}
 		loop := c.loops[len(c.loops)-1]
+		if loop.forIn {
+			c.emit(lineOf(s), OpPop, 0) // the iterator, as NEXT pops it at the end
+		}
 		loop.breakPatches = append(loop.breakPatches, c.emit(lineOf(s), OpJump, -1))
 		return nil
 
@@ -292,7 +294,7 @@ func (c *compiler) stmt(s lang.Stmt) error {
 			return fmt.Errorf("bytecode: %s: continue outside loop", s.Pos())
 		}
 		loop := c.loops[len(c.loops)-1]
-		c.emit(lineOf(s), OpLoop, loop.continueTarget)
+		c.emit(lineOf(s), OpLoop, loop.start)
 		return nil
 
 	case *lang.ExprStmt:

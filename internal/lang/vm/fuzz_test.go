@@ -285,7 +285,8 @@ func FuzzStepLimit(f *testing.F) {
 
 // FuzzCompileSource asserts the front end is total: lexing, parsing,
 // annotating and compiling arbitrary text return (a module or an
-// error) without panicking or hanging.
+// error) without panicking or hanging, and every module that compiles
+// passes the VM's verifier and translates.
 func FuzzCompileSource(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s[0])
@@ -304,6 +305,11 @@ func FuzzCompileSource(f *testing.F) {
 		if compileErr == nil {
 			for _, fn := range append(mod.Functions, mod.TopLevel) {
 				_ = bytecode.Disassemble(fn)
+			}
+			// What the compiler emits, the verifier accepts: every
+			// path reaches each op at one stack depth.
+			if err := vm.Translate(mod); err != nil {
+				t.Fatalf("compiled module does not verify: %v\n%s", err, src)
 			}
 		}
 		// The annotator only parses; what it adds to a source that

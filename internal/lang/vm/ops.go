@@ -8,11 +8,10 @@ import (
 	"repro/internal/lang/bytecode"
 )
 
-// BinaryOp implements FaaSLang binary operator semantics on slots; every
-// step that applies an operator, fused or not, in either tier, calls it.
-// Two ints take the first switch, inline: the fast path of every
-// operator. Numeric operands never leave their slots, so int and float
-// arithmetic allocates nothing.
+// BinaryOp implements FaaSLang binary operator semantics on slots; VM.run
+// calls it for every operand pair its inline int paths do not take. Two
+// ints take the first switch. Numeric operands never leave their slots,
+// so int and float arithmetic allocates nothing.
 func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
 	if left.kind == lang.TInt && right.kind == lang.TInt {
 		a, b := int64(left.word), int64(right.word)
@@ -33,18 +32,8 @@ func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
 				return Slot{}, fmt.Errorf("modulo by zero")
 			}
 			return Int(a % b), nil
-		case bytecode.OpEq:
-			return Bool(a == b), nil
-		case bytecode.OpNeq:
-			return Bool(a != b), nil
-		case bytecode.OpLt:
-			return Bool(a < b), nil
-		case bytecode.OpLte:
-			return Bool(a <= b), nil
-		case bytecode.OpGt:
-			return Bool(a > b), nil
-		case bytecode.OpGte:
-			return Bool(a >= b), nil
+		case bytecode.OpEq, bytecode.OpNeq, bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
+			return Bool(compareInts(op, a, b)), nil
 		}
 		return Slot{}, fmt.Errorf("unsupported binary op %s", op)
 	}

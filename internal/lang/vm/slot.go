@@ -6,10 +6,11 @@ import (
 	"repro/internal/lang"
 )
 
-// Slot is one cell of an activation's operand stack or locals. Null, bool, int
-// and float values live inline in word, so arithmetic, comparisons and
-// loop counters allocate nothing; every other kind (string, list, map,
-// function, iterator) is a reference in ref. The zero Slot is null.
+// Slot is one register of an activation: a local, a constant or an
+// operand-stack position. Null, bool, int and float values live inline
+// in word, so arithmetic, comparisons and loop counters allocate
+// nothing; every other kind (string, list, map, function, iterator) is a
+// reference in ref. The zero Slot is null.
 //
 // Slots exist only inside the executor. Everything the rest
 // of the program can see — constants, globals, list and map elements,
@@ -46,6 +47,8 @@ func SlotOf(v lang.Value) Slot {
 		return Int(v)
 	case float64:
 		return Float(v)
+	case *lang.List: // a row of a nested list, indexed in hot loops
+		return Slot{kind: lang.TList, ref: v}
 	default:
 		return Slot{kind: lang.TypeOf(v), ref: v}
 	}
@@ -69,7 +72,7 @@ func (s Slot) Value() lang.Value {
 }
 
 // values boxes slots into a fresh slice: call arguments and container
-// literals leaving the operand stack for the heap.
+// literals leaving the registers for the heap.
 func values(slots []Slot) []lang.Value {
 	vals := make([]lang.Value, len(slots))
 	for i, s := range slots {
@@ -77,12 +80,6 @@ func values(slots []Slot) []lang.Value {
 	}
 	return vals
 }
-
-// IsInt reports whether the slot holds an int; Int64 then returns it.
-func (s Slot) IsInt() bool { return s.kind == lang.TInt }
-
-// Int64 returns the int an IsInt slot holds.
-func (s Slot) Int64() int64 { return int64(s.word) }
 
 // Truthy is lang.Truthy on the slot.
 func (s Slot) Truthy() bool {

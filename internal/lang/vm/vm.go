@@ -1,14 +1,14 @@
-// Package vm executes FaaSLang bytecode. A module is translated once,
-// when it loads, into basic blocks of direct-threaded Go closures (see
-// Program), and that one translation is the engine of both execution
-// tiers: the interpreter tier runs it unguarded and books its ops at
-// interpreter rates, the JIT tier runs it behind the entry type guards a
-// JIT backend compiled and books JIT rates, and a guard failure
-// de-optimizes the call to the interpreter tier of the same code. The
-// VM counts the ops both tiers execute and hands the counts to a cost
-// meter before anyone can read the clock (see Flush). It also collects
-// the runtime profile (call counts, loop back-edges, observed argument
-// types) that drives tier-up decisions in the JIT backend.
+// Package vm executes FaaSLang bytecode. A module is verified and
+// translated once, when it loads, into register instructions run by one
+// switch loop (see Program), and that one translation is the engine of
+// both execution tiers: the interpreter tier runs it unguarded and books
+// its ops at interpreter rates, the JIT tier runs it behind the entry
+// type guards a JIT backend compiled and books JIT rates, and a guard
+// failure de-optimizes the call to the interpreter tier of the same
+// code. The VM counts the ops both tiers execute and hands the counts to
+// a cost meter before anyone can read the clock (see Flush). It also
+// collects the runtime profile (call counts, loop back-edges, observed
+// argument types) that drives tier-up decisions in the JIT backend.
 package vm
 
 import (
@@ -85,7 +85,6 @@ type VM struct {
 	steps    int64
 	profiles map[*bytecode.Function]*Profile
 	depth    int
-	frames   []*frame // one per call depth, reused by every activation at it
 	// pending counts the ops executed since the last Flush.
 	pending [numTiers][bytecode.NumCategories]int
 }
@@ -110,20 +109,6 @@ func New(meter CostMeter) *VM {
 // Steps returns the total number of bytecode instructions executed so
 // far, in either tier.
 func (v *VM) Steps() int64 { return v.steps }
-
-// countStep books one op about to execute in tier: it counts against
-// the step limit and joins the pending counts that the next Flush
-// charges. The op that exceeds the limit is not booked. Blocks are
-// booked whole (see run); countStep books the ops of a block that would
-// cross the limit.
-func (v *VM) countStep(tier Tier, cat bytecode.Category) error {
-	v.steps++
-	if v.steps > v.MaxSteps {
-		return ErrTooManySteps
-	}
-	v.pending[tier][cat]++
-	return nil
-}
 
 // Flush charges the pending op counts to the meter, one Charge per
 // (tier, category) executed. The rule is that counts reach the clock
@@ -171,10 +156,16 @@ func (v *VM) Profile(fn *bytecode.Function) *Profile {
 	return p
 }
 
-// RunModule translates a module and executes its top level, defining
-// its functions and running its module-level statements.
+// RunModule verifies and translates a module and executes its top
+// level, defining its functions and running its module-level
+// statements. Bytecode that fails verification is an error; none of it
+// runs.
 func (v *VM) RunModule(mod *bytecode.Module) (lang.Value, error) {
-	v.Program = translateModule(mod)
+	p, err := translateModule(mod)
+	if err != nil {
+		return nil, err
+	}
+	v.Program = p
 	if err := v.enter(mod.TopLevel); err != nil {
 		return nil, err
 	}

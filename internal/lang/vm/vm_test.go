@@ -1,12 +1,15 @@
 package vm_test
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/lang"
 	"repro/internal/lang/bytecode"
 	"repro/internal/lang/vm"
+	"repro/internal/runtime"
+	"repro/internal/workloads"
 )
 
 // run compiles src, executes its module top level, and calls fn(args...)
@@ -344,4 +347,124 @@ func (m *countMeter) Charge(tier vm.Tier, cat bytecode.Category, n int) {
 	}
 	m.counts[cat] += n
 	m.tiers[tier] += n
+}
+
+// TestBreakOutOfForIn covers the one compiler output the verifier used
+// to reject: a break leaving a for-in must pop the iterator, as the
+// loop's exhausted NEXT does, so both paths reach the exit at one depth.
+func TestBreakOutOfForIn(t *testing.T) {
+	mod, err := bytecode.CompileSource(`func f(l) { for (x in l) { if (x > 2) { break } } return 1 }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Translate(mod); err != nil {
+		t.Fatalf("verifier rejects break out of for-in: %v", err)
+	}
+	// The popped iterator is garbage at once: breaking out of a loop
+	// 300k times allocates no more than running it to the end (the least
+	// of three runs each, which leaves out the test runner's own).
+	allocated := func(body string) (least uint64) {
+		mod, err := bytecode.CompileSource(`func f() { let i = 0; while (i < 300000) { i = i + 1; for (x in [1, 2, 3]) {` + body + `} } return i }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			v := vm.New(nil)
+			if _, err := v.RunModule(mod); err != nil {
+				t.Fatal(err)
+			}
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			if _, err := v.CallValue(v.Globals["f"], nil); err != nil {
+				t.Fatal(err)
+			}
+			goruntime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; run == 0 || n < least {
+				least = n
+			}
+		}
+		return least
+	}
+	withBreak, without := allocated("break"), allocated("")
+	if withBreak > without {
+		t.Fatalf("the loop with break allocated %d bytes, without %d", withBreak, without)
+	}
+}
+
+// TestVerifierRejects hands RunModule bad bytecode of each kind the
+// verifier knows; each must fail the load with an error, not a panic
+// or a run.
+func TestVerifierRejects(t *testing.T) {
+	type ins = bytecode.Instr
+	cases := []struct {
+		name string
+		code []ins
+		want string
+	}{
+		{"underflow", []ins{{Op: bytecode.OpAdd}, {Op: bytecode.OpReturn}}, "underflow"},
+		{"return from empty stack", []ins{{Op: bytecode.OpReturn}}, "underflow"},
+		{"mismatched join", []ins{
+			{Op: bytecode.OpTrue}, {Op: bytecode.OpJumpIfFalse, A: 3}, {Op: bytecode.OpNull},
+			{Op: bytecode.OpNull}, {Op: bytecode.OpReturn},
+		}, "different stack depths"},
+		{"loop that grows the stack", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpLoop, A: 0}}, "different stack depths"},
+		{"bad local", []ins{{Op: bytecode.OpLoadLocal, A: 1}, {Op: bytecode.OpReturn}}, "out of range"},
+		{"negative local", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpStoreLocal, A: -1}}, "out of range"},
+		{"bad const", []ins{{Op: bytecode.OpConst, A: 2}, {Op: bytecode.OpReturn}}, "out of range"},
+		{"global named by a non-string", []ins{{Op: bytecode.OpLoadGlobal, A: 0}, {Op: bytecode.OpReturn}}, "not a name"},
+		{"closure over a non-function", []ins{{Op: bytecode.OpClosure, A: 0}, {Op: bytecode.OpReturn}}, "not a function"},
+		{"bad jump", []ins{{Op: bytecode.OpJump, A: 9}}, "out of range"},
+		{"bad jump in dead code", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpReturn}, {Op: bytecode.OpJump, A: -1}}, "out of range"},
+		{"bad call count", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpCall, A: -1}}, "out of range"},
+		{"unknown op", []ins{{Op: 200}}, "unknown opcode"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fn := &bytecode.Function{Name: "bad", NumLocals: 1, Code: tc.code, Consts: []lang.Value{int64(1)}}
+			v := vm.New(nil)
+			_, err := v.RunModule(&bytecode.Module{TopLevel: fn})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			if v.Steps() != 0 {
+				t.Fatalf("%d ops ran", v.Steps())
+			}
+		})
+	}
+}
+
+// TestTranslationAllocs pins the allocations of loading a module (a new
+// VM, its translation, the top level run): installs translate on the
+// request path. The ceilings are the closure-threaded engine's.
+func TestTranslationAllocs(t *testing.T) {
+	churn := `
+func main(params) {
+  let k = 7;
+  let x = params.x;
+  if (x == null) { x = 1; }
+  http_respond(200, "churn k=" + k);
+  return x * 3 + k;
+}
+`
+	for _, tc := range []struct {
+		name, src string
+		ceiling   float64
+	}{
+		{"churn", churn, 41},
+		{"faas-fact", workloads.Fact(runtime.LangNode).Source, 94},
+		{"faas-matrix-mult", workloads.MatrixMult(runtime.LangNode).Source, 148},
+	} {
+		mod, err := bytecode.CompileSource(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := vm.New(nil).RunModule(mod); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.ceiling {
+			t.Errorf("%s: loading allocates %v times, ceiling %v", tc.name, allocs, tc.ceiling)
+		}
+	}
 }
