@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke fuzz-smoke trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline loc
+.PHONY: check vet build test race bench-smoke fuzz-smoke demo bench-gate bench-baseline loc
 
 # check is the tier-1 gate: everything must pass before a merge.
 check: vet build test race bench-smoke fuzz-smoke
@@ -45,14 +45,6 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 2s $$pkg || exit 1; \
 	done
 
-# trace-demo runs a faulted fwsim demo, dumps its event journal as
-# Chrome trace-event JSON, and sanity-checks that the dump parses and
-# carries events (cmd/tracecheck). The artifact is Perfetto-loadable.
-trace-demo:
-	$(GO) run ./cmd/fwsim -metrics text -nodes 3 -invocations 12 -faults seed=7,rate=0.05 -trace-dump trace-demo.json > /dev/null
-	$(GO) run ./cmd/tracecheck trace-demo.json
-	rm -f trace-demo.json
-
 # bench-gate runs the hot-path benchmarks and compares them against
 # the committed baseline (BENCH_simharness.json), failing on
 # regression. CI uses a short benchtime; see docs/benchmarking.md for
@@ -67,42 +59,22 @@ bench-gate:
 bench-baseline:
 	GOMAXPROCS=1 $(GO) run ./cmd/benchgate -write -benchtime 1s -count 2
 
-# insight-demo replays the chaos storm through the insight experiment,
-# writes the report and service-graph artifacts, and fails on any WARN
-# shape check (blame attribution, exemplar resolution, same-seed
-# byte-identical reports).
-insight-demo:
-	mkdir -p insight-demo-artifacts
-	$(GO) run ./cmd/fwbench -run insight -artifacts insight-demo-artifacts > insight-demo.log || { cat insight-demo.log; rm -f insight-demo.log; exit 1; }
-	cat insight-demo.log
-	! grep -q '\[WARN' insight-demo.log
-	grep -q 'digraph insight' insight-demo-artifacts/insight-servicegraph.dot
-	test -s insight-demo-artifacts/insight-report.json
-	rm -f insight-demo.log
+# demo writes the telemetry exports of a few fwcli runs into
+# demo-artifacts/, one directory per CI artifact: the memory-timeline
+# CSVs of a Fireworks and a cold-booted Firecracker run; the insight
+# report (blame tables and service-graph DOT) with the run's
+# Perfetto-loadable trace; and a tail-sampled run's NDJSON journal with
+# its coverage-annotated insight report. It asserts nothing: the
+# checks on these exports are tests (storm_test.go and the packages').
+DEMO = demo-artifacts
+DEMO_FWCLI = $(GO) run ./cmd/fwcli -builtin faas-fact-nodejs -repeat 20
 
-# telem-demo runs the tail-sampling experiment — the exposed chaos
-# storm with the telemetry governor armed — writes the sampled NDJSON
-# journal and coverage-annotated insight report, and fails on any WARN
-# shape check (>=5x byte reduction, 100% error/fault/DLQ retention,
-# same-seed byte-identical exports).
-telem-demo:
-	mkdir -p telem-demo-artifacts
-	$(GO) run ./cmd/fwbench -run telem -artifacts telem-demo-artifacts > telem-demo.log || { cat telem-demo.log; rm -f telem-demo.log; exit 1; }
-	cat telem-demo.log
-	! grep -q '\[WARN' telem-demo.log
-	test -s telem-demo-artifacts/telem-sampled.ndjson
-	test -s telem-demo-artifacts/telem-insight.json
-	rm -f telem-demo.log
-
-# mem-demo runs the memory-timeline experiment (Fig-10 methodology on a
-# scaled host), writes its CSV artifacts, and sanity-checks them with
-# cmd/memcheck: header shape, the mem_used_bytes series, and strictly
-# advancing virtual timestamps.
-mem-demo:
-	mkdir -p mem-demo-artifacts
-	$(GO) run ./cmd/fwbench -run memtl -artifacts mem-demo-artifacts
-	$(GO) run ./cmd/memcheck mem-demo-artifacts/memory-timeline-fireworks.csv
-	$(GO) run ./cmd/memcheck mem-demo-artifacts/memory-timeline-firecracker.csv
+demo:
+	mkdir -p $(DEMO)/memory-timeline $(DEMO)/insight-report $(DEMO)/telem-report
+	$(DEMO_FWCLI) -timeseries-dump $(DEMO)/memory-timeline/memory-timeline-fireworks.csv > /dev/null
+	$(DEMO_FWCLI) -platform firecracker -mode cold -timeseries-dump $(DEMO)/memory-timeline/memory-timeline-firecracker.csv > /dev/null
+	$(DEMO_FWCLI) -insight -trace-dump $(DEMO)/insight-report/insight-trace.json > $(DEMO)/insight-report/insight-report.txt
+	$(DEMO_FWCLI) -telem seed=7,rate=0.05 -trace-dump $(DEMO)/telem-report/telem-sampled.ndjson -insight > $(DEMO)/telem-report/telem-insight.txt
 
 # loc prints a PR's column of the table in DESIGN.md §6 — non-test .go
 # lines of tracked files per package, in the table's row order — so the

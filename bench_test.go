@@ -804,8 +804,8 @@ func benchStormJournal(j *events.Journal) {
 // BenchmarkTailSampling exports the storm journal as NDJSON with and
 // without the tail sampler armed, reporting the export size as
 // vbytes/op. benchgate derives tail_sampling_reduction = full/sampled
-// and enforces the >=5x byte-reduction claim of the telem experiment
-// at microbenchmark granularity.
+// and enforces the >=5x byte reduction that TestSeededStorm asserts
+// over the exposed storm, at microbenchmark granularity.
 func BenchmarkTailSampling(b *testing.B) {
 	run := func(b *testing.B, armed bool) {
 		var exported int

@@ -96,7 +96,7 @@ var manifest = []BenchEntry{
 
 	// Telemetry plane: gated, including the derived full-vs-sampled
 	// NDJSON byte ratio — the tail sampler must keep delivering the
-	// >=5x journal reduction the telem experiment claims.
+	// >=5x journal reduction TestSeededStorm asserts.
 	{Name: "BenchmarkTailSampling/full", Gate: true},
 	{Name: "BenchmarkTailSampling/sampled", Gate: true},
 }

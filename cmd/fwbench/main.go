@@ -7,14 +7,12 @@
 //	fwbench -run fig6          # one experiment
 //	fwbench -run all           # everything, in paper order
 //	fwbench -run fig6,fig7     # a comma-separated subset
-//	fwbench -run chaos -artifacts out/   # write emitted artifacts (traces) to out/
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -24,7 +22,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "all", "experiment id(s) to run: all, or comma-separated ids")
-	artifactDir := flag.String("artifacts", ".", "directory to write experiment artifacts into (e.g. the chaos run's Perfetto trace)")
 	flag.Parse()
 
 	if *list {
@@ -59,15 +56,6 @@ func main() {
 			continue
 		}
 		fmt.Print(res.Render())
-		for _, a := range res.Artifacts {
-			path := filepath.Join(*artifactDir, a.Name)
-			if err := os.WriteFile(path, a.Contents, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: artifact %s: %v\n", e.ID, a.Name, err)
-				failed++
-				continue
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
 		fmt.Printf("(%s wall time)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {

@@ -31,20 +31,11 @@ type Check struct {
 	Pass     bool
 }
 
-// Artifact is a file an experiment emits alongside its tables — e.g. a
-// Chrome trace of the run, loadable in Perfetto. fwbench writes each
-// one next to its report.
-type Artifact struct {
-	Name     string
-	Contents []byte
-}
-
 // Result is the output of one experiment.
 type Result struct {
-	ID        string
-	Tables    []Table
-	Checks    []Check
-	Artifacts []Artifact
+	ID     string
+	Tables []Table
+	Checks []Check
 }
 
 // MemoryReporter is implemented by platforms that expose the address
@@ -78,11 +69,6 @@ func All() []Experiment {
 		{"snapbudget", "Ablation: bounded snapshot store with LRU replacement + remote storage (§6)", RunAblationSnapBudget},
 		{"deopt", "Ablation: de-optimization under mismatched argument types (§6)", RunDeopt},
 		{"scale", "Extension: cluster-wide consolidation capacity scaling", RunScale},
-		{"chaos", "Extension: deterministic fault injection with retry + failover policies", RunChaos},
-		{"wfchain", "Extension: workflow DAGs, triggers, and DLQ replay under the chaos storm", RunWfchain},
-		{"insight", "Extension: critical-path blame, service graph, and exemplars over the chaos journal", RunInsight},
-		{"memtl", "Extension: memory timeline with PSS conservation and sharing lineage (Fig-10 methodology)", RunMemTimeline},
-		{"telem", "Extension: tail-based trace sampling with 100% error retention and layout-invariant exports", RunTelem},
 	}
 }
 
@@ -116,12 +102,6 @@ func (r *Result) Render() string {
 				status = "WARN"
 			}
 			fmt.Fprintf(&sb, "  [%s] %-42s paper: %-28s measured: %s\n", status, c.Name, c.Expected, c.Measured)
-		}
-	}
-	if len(r.Artifacts) > 0 {
-		sb.WriteString("Artifacts:\n")
-		for _, a := range r.Artifacts {
-			fmt.Fprintf(&sb, "  %s (%d bytes)\n", a.Name, len(a.Contents))
 		}
 	}
 	return sb.String()

@@ -9,7 +9,7 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	all := All()
 	want := []string{"table1", "table2", "snaptime", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12",
-		"wild", "reap", "snapbudget", "deopt", "scale", "chaos", "wfchain", "insight", "memtl", "telem"}
+		"wild", "reap", "snapbudget", "deopt", "scale"}
 	if len(all) != len(want) {
 		t.Fatalf("experiments = %d, want %d", len(all), len(want))
 	}
@@ -180,7 +180,7 @@ func TestExtensionExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension experiments in -short mode")
 	}
-	for _, id := range []string{"wild", "reap", "snapbudget", "deopt"} {
+	for _, id := range []string{"wild", "reap", "snapbudget", "deopt", "scale"} {
 		t.Run(id, func(t *testing.T) {
 			exp, err := ByID(id)
 			if err != nil {
@@ -197,34 +197,6 @@ func TestExtensionExperiments(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestMemTimelineChecks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("memory timeline experiment in -short mode")
-	}
-	res, err := RunMemTimeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Checks {
-		if !c.Pass {
-			t.Errorf("memtl check failed: %s (expected %s, measured %s)",
-				c.Name, c.Expected, c.Measured)
-		}
-	}
-	if len(res.Artifacts) != 2 {
-		t.Fatalf("memtl artifacts = %d, want 2 timeline CSVs", len(res.Artifacts))
-	}
-	for _, a := range res.Artifacts {
-		csv := string(a.Contents)
-		if !strings.HasPrefix(csv, "ts_ns,") {
-			t.Errorf("artifact %s is not a timeline CSV:\n%.120s", a.Name, csv)
-		}
-		if !strings.Contains(csv, "mem_used_bytes") {
-			t.Errorf("artifact %s has no mem_used_bytes series", a.Name)
-		}
 	}
 }
 

@@ -13,7 +13,7 @@
 // pure function of the workload and the seed.
 //
 // Determinism caveat: the plane draws from its PRNG in operation order.
-// Sequential workloads (the chaos experiment, fwbench) are exactly
+// Sequential workloads (the seeded storm test, fwbench) are exactly
 // reproducible; concurrent invocations interleave draws in goroutine
 // schedule order, so under concurrency the fault *rate* holds but the
 // per-operation schedule does not.
@@ -289,7 +289,7 @@ func (p Profile) spike() time.Duration {
 }
 
 // DefaultPlan builds the standard chaos configuration used by
-// `fwsim -faults` and the chaos experiment: every data-path site faults
+// `fwsim -faults` and the seeded storm test: every data-path site faults
 // at the given per-operation rate (split between errors, latency
 // spikes, and — on transfer sites — corruption), and the cluster site
 // crashes nodes at the same rate.

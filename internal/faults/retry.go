@@ -57,7 +57,7 @@ type RetryPolicy struct {
 	Permanent func(error) bool
 }
 
-// DefaultRetryPolicy is the policy the chaos experiment and
+// DefaultRetryPolicy is the policy the seeded storm test and
 // `fwsim -faults` enable: four attempts, 2 ms..50 ms exponential
 // backoff with 25% deterministic jitter, a 1 s per-attempt deadline
 // (above any healthy operation, below a latency spike), and a 4 s

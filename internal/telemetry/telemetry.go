@@ -478,7 +478,7 @@ type PolicyStats struct {
 }
 
 // Stats is the sampler's self-accounting: what /telemetry serves and
-// the telem experiment asserts over.
+// its tests assert over.
 type Stats struct {
 	PendingTraces int64         `json:"pending_traces"`
 	DecidedTraces int64         `json:"decided_traces"`

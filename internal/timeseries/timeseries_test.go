@@ -1,11 +1,15 @@
 package timeseries
 
 import (
+	"encoding/csv"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/metrics"
 )
 
@@ -146,6 +150,34 @@ func TestCSVExportDeterministicAndAligned(t *testing.T) {
 	}
 	if lines[1] != "1000000,1,100,1" {
 		t.Fatalf("CSV first row = %q", lines[1])
+	}
+
+	// The memory surface reaches the export: a host's mem_used_bytes
+	// gauge is a column, and virtual time rises strictly row by row.
+	reg := metrics.NewRegistry()
+	host := mem.NewHost(1<<30, 0.6)
+	host.Instrument(reg)
+	s := NewSampler(reg, 0)
+	sp := host.NewSpace("vm")
+	for i := 1; i <= 3; i++ {
+		sp.AllocPrivate(mem.KindHeap, 16)
+		s.Sample(ms(i))
+	}
+	var sb strings.Builder
+	if err := s.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil || len(rows) != 4 || rows[0][0] != "ts_ns" || !slices.Contains(rows[0], "mem_used_bytes") {
+		t.Fatalf("memory CSV (%v):\n%s", err, sb.String())
+	}
+	prev := int64(-1)
+	for _, row := range rows[1:] {
+		ts, err := strconv.ParseInt(row[0], 10, 64)
+		if err != nil || ts <= prev {
+			t.Fatalf("ts_ns %q does not rise past %d", row[0], prev)
+		}
+		prev = ts
 	}
 }
 

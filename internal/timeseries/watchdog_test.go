@@ -9,8 +9,8 @@ import (
 )
 
 // watchFixture builds a sampler fed by two loop counters plus a
-// watchdog with a journal, the shape the gateway and the chaos
-// experiment use.
+// watchdog with a journal, the shape the gateway and the seeded storm
+// test use.
 func watchFixture() (*metrics.Registry, *events.Journal, *Sampler, *Watchdog, *int, *int) {
 	reg := metrics.NewRegistry()
 	j := events.NewJournal(256)

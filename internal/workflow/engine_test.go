@@ -457,8 +457,8 @@ func TestDuplicateDeliveryIsCounted(t *testing.T) {
 }
 
 // dlqScenario runs a fixed multi-run scenario under a seeded fault
-// plane and returns the DLQ contents plus the full journal dump —
-// the determinism witnesses.
+// plane and returns the DLQ contents with the metrics dump, plus the
+// full journal dump — the determinism witnesses.
 func dlqScenario(t *testing.T, seed uint64) (string, []byte) {
 	t.Helper()
 	h := newHarness(t, workflow.Options{Retry: faults.RetryPolicy{
@@ -500,18 +500,22 @@ func dlqScenario(t *testing.T, seed uint64) (string, []byte) {
 		t.Fatal("fault storm produced no dead letters")
 	}
 	dump, _ := json.Marshal(recs)
+	var text strings.Builder
+	if err := h.reg.WriteText(&text); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
 	var nd bytes.Buffer
 	if err := events.WriteNDJSON(&nd, h.journal.Events()); err != nil {
 		t.Fatalf("WriteNDJSON: %v", err)
 	}
-	return string(dump), nd.Bytes()
+	return string(dump) + "\n" + text.String(), nd.Bytes()
 }
 
 func TestDLQRedeliveryDeterminism(t *testing.T) {
 	d1, n1 := dlqScenario(t, 42)
 	d2, n2 := dlqScenario(t, 42)
 	if d1 != d2 {
-		t.Fatalf("same seed produced different DLQ contents:\n%s\nvs\n%s", d1, d2)
+		t.Fatalf("same seed produced different DLQ contents or metrics:\n%s\nvs\n%s", d1, d2)
 	}
 	if !bytes.Equal(n1, n2) {
 		t.Fatal("same seed produced different event journals")
