@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke fuzz-smoke demo bench-gate bench-baseline loc
+.PHONY: check vet build test race bench-smoke fuzz-smoke demo contract-cover bench-gate bench-baseline loc
 
 # check is the tier-1 gate: everything must pass before a merge.
 check: vet build test race bench-smoke fuzz-smoke
@@ -67,7 +67,8 @@ bench-baseline:
 # its coverage-annotated insight report. It asserts nothing: the
 # checks on these exports are tests (storm_test.go and the packages').
 DEMO = demo-artifacts
-DEMO_FWCLI = $(GO) run ./cmd/fwcli -builtin faas-fact-nodejs -repeat 20
+DEMO_FWCLI_ARGS = -builtin faas-fact-nodejs -repeat 20
+DEMO_FWCLI = $(GO) run ./cmd/fwcli $(DEMO_FWCLI_ARGS)
 
 demo:
 	mkdir -p $(DEMO)/memory-timeline $(DEMO)/insight-report $(DEMO)/telem-report
@@ -75,6 +76,21 @@ demo:
 	$(DEMO_FWCLI) -platform firecracker -mode cold -timeseries-dump $(DEMO)/memory-timeline/memory-timeline-firecracker.csv > /dev/null
 	$(DEMO_FWCLI) -insight -trace-dump $(DEMO)/insight-report/insight-trace.json > $(DEMO)/insight-report/insight-report.txt
 	$(DEMO_FWCLI) -telem seed=7,rate=0.05 -trace-dump $(DEMO)/telem-report/telem-sampled.ndjson -insight > $(DEMO)/telem-report/telem-insight.txt
+
+# contract-cover prints the share of the module's statements that the
+# contract executes: fwbench's paper checks, the five examples and
+# demo's four fwcli runs, each built with coverage over the whole
+# module and run with GOCOVERDIR in a temporary directory. It is not
+# part of check; its figure is a row of DESIGN.md §6.
+contract-cover:
+	@dir=$$(mktemp -d) && trap 'rm -rf $$dir' EXIT && mkdir -p $$dir/bin $$dir/data && \
+	$(GO) build -cover -coverpkg=./... -o $$dir/bin/ ./cmd/fwbench ./cmd/fwcli ./examples/... && \
+	export GOCOVERDIR=$$dir/data && \
+	$$dir/bin/fwbench -run all > /dev/null && \
+	for ex in $$(ls examples); do $$dir/bin/$$ex > /dev/null || exit 1; done && \
+	$(MAKE) --no-print-directory demo DEMO=$$dir/demo DEMO_FWCLI="$$dir/bin/fwcli $(DEMO_FWCLI_ARGS)" > /dev/null && \
+	$(GO) tool covdata textfmt -i=$$dir/data -o $$dir/profile.txt && \
+	$(GO) tool cover -func=$$dir/profile.txt | tail -1
 
 # loc prints a PR's column of the table in DESIGN.md §6 — non-test .go
 # lines of tracked files per package, in the table's row order — so the

@@ -412,7 +412,7 @@ func BenchmarkRestoreDelta(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			clock := vclock.New()
-			snap, err := env.RemoteSnaps.Fetch(w.Name, clock)
+			snap, err := env.RemoteSnaps.FetchTraced(w.Name, nil, clock, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -499,7 +499,7 @@ func BenchmarkPSSAccounting(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		s := env.Mem.NewSpace("s")
 		s.MapRegion(region)
-		s.DirtyPages(region, i*8)
+		s.DirtyRange(region, 0, min(i*8, region.Pages()))
 		spaces = append(spaces, s)
 	}
 	b.ResetTimer()
@@ -538,7 +538,7 @@ func BenchmarkMetricsParallel(b *testing.B) {
 	reg := metrics.NewRegistry()
 	for i := range counterNames {
 		reg.Counter(counterNames[i]).Inc()
-		reg.Histogram(histNames[i]).ObserveDuration(time.Microsecond)
+		reg.Histogram(histNames[i]).Observe(float64(time.Microsecond))
 	}
 	var gid atomic.Int64
 	b.ResetTimer()
@@ -548,7 +548,7 @@ func BenchmarkMetricsParallel(b *testing.B) {
 			reg.Counter(counterNames[i%nodes]).Inc()
 			reg.Gauge(counterNames[(i+1)%nodes]).Add(1)
 			if i%8 == 0 {
-				reg.Histogram(histNames[i%nodes]).ObserveDuration(time.Duration(i))
+				reg.Histogram(histNames[i%nodes]).Observe(float64(time.Duration(i)))
 			}
 			i++
 		}
@@ -588,13 +588,13 @@ func BenchmarkSamplerSample(b *testing.B) {
 			}
 			for i := 0; i < fill.n; i++ {
 				for _, h := range hists {
-					h.ObserveDuration(next())
+					h.Observe(float64(next()))
 				}
 			}
 			s := timeseries.NewSampler(reg, timeseries.DefaultCapacity)
 			step := func(i int) {
 				for _, h := range hists {
-					h.ObserveDuration(next())
+					h.Observe(float64(next()))
 				}
 				s.Sample(time.Duration(i) * time.Millisecond)
 			}
@@ -639,7 +639,7 @@ func BenchmarkMsgbusBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			for k := 0; k < batch; k++ {
-				if _, _, err := broker.ProduceAt("t", "k", value, time.Duration(k)); err != nil {
+				if _, _, err := broker.ProduceTracedAt("t", "k", value, time.Duration(k), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -662,7 +662,7 @@ func BenchmarkMsgbusBatch(b *testing.B) {
 			if err := broker.CreateTopic("t", 1); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := broker.ProduceBatchAt("t", recs, 0); err != nil {
+			if _, err := broker.ProduceBatchTracedAt("t", recs, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 			if msgs, err := broker.ConsumeFrom("t", 0, 0, batch); err != nil || len(msgs) != batch {

@@ -9,7 +9,7 @@
 //	fwcli -file fn.fl -platform openwhisk -mode cold -repeat 3
 //	fwcli -builtin faas-fact-python -platform firecracker -mode cold
 //	fwcli -builtin faas-fact-python -repeat 5 -metrics text
-//	fwcli -builtin faas-fact-python -trace-dump trace.json -profile
+//	fwcli -builtin faas-fact-python -trace-dump trace.json
 //	fwcli -builtin faas-fact-python -repeat 5 -watch
 //	fwcli -builtin faas-fact-python -repeat 5 -insight
 //	fwcli -list-builtins
@@ -63,7 +63,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print the per-event accounting log")
 	metricsFmt := flag.String("metrics", "", `dump the host metrics snapshot after the run ("text" or "json")`)
 	traceDump := flag.String("trace-dump", "", `write the run's event journal to this file (Chrome trace-event JSON for *.json, NDJSON otherwise)`)
-	profile := flag.Bool("profile", false, "fold the run's event journal into virtual-time flame-stack lines on stderr")
 	watch := flag.Bool("watch", false, "print a memory-telemetry line per invocation and the smem-style memory report after the run")
 	tsDump := flag.String("timeseries-dump", "", "write the run's sampled telemetry series to this file as CSV")
 	insightFlag := flag.Bool("insight", false, "print the run's critical-path blame tables and service graph after the last invocation")
@@ -158,7 +157,7 @@ func main() {
 		}
 	}
 	// Drain the tail sampler before anything reads the journal, so the
-	// dumps, the profile, and -insight all see the sampled view.
+	// dumps and -insight both see the sampled view.
 	if tail != nil {
 		tail.FlushAll()
 		printTelemetry(tail.Stats())
@@ -180,11 +179,6 @@ func main() {
 	if *traceDump != "" {
 		if err := events.WriteFile(*traceDump, env.Events.Events()); err != nil {
 			fatal(fmt.Errorf("-trace-dump: %w", err))
-		}
-	}
-	if *profile {
-		if err := events.WriteProfile(os.Stderr, env.Events.Events()); err != nil {
-			fatal(fmt.Errorf("-profile: %w", err))
 		}
 	}
 	if *insightFlag {

@@ -56,11 +56,10 @@
 // snapshot (restore latencies, CoW faults, queue dwell, per-node
 // placement) to stdout, then exits. -trace-dump writes the demo's
 // event journal to a file (Chrome trace-event JSON when the name ends
-// in .json, NDJSON otherwise) and -profile folds it into virtual-time
-// flame-stack lines on stderr.
+// in .json, NDJSON otherwise).
 //
 //	fwsim -metrics text -nodes 3 -invocations 12
-//	fwsim -metrics text -trace-dump trace.json -profile
+//	fwsim -metrics text -trace-dump trace.json
 //
 // With -faults the deterministic fault-injection plane is armed
 // (internal/faults): the seed pins the fault schedule, the rate is the
@@ -282,7 +281,6 @@ func main() {
 	faultsSpec := flag.String("faults", "", `arm deterministic fault injection: "seed=N,rate=P" (rate is per-operation probability, e.g. 0.01)`)
 	telemSpec := flag.String("telem", "", `arm the telemetry governor: "seed=N,rate=P[,card=K]" (rate is the probabilistic keep fraction for boring traces, card a per-family label-value budget)`)
 	traceDump := flag.String("trace-dump", "", `in -metrics demo mode, write the event journal to this file (Chrome trace-event JSON for *.json, NDJSON otherwise)`)
-	profile := flag.Bool("profile", false, "in -metrics demo mode, fold the event journal into virtual-time flame-stack lines on stderr")
 	flag.Parse()
 
 	chaos, err := parseFaultsSpec(*faultsSpec)
@@ -301,9 +299,6 @@ func main() {
 			invocations: *invocations,
 			chaos:       chaos,
 			traceDump:   *traceDump,
-		}
-		if *profile {
-			cfg.profile = os.Stderr
 		}
 		if err := runMetricsDemo(os.Stdout, cfg); err != nil {
 			log.Fatal(err)
@@ -383,11 +378,7 @@ func (s *server) mux() http.Handler {
 	mux.HandleFunc("GET /events", s.handleEvents)
 	mux.HandleFunc("GET /events/stream", s.handleEventsStream)
 	mux.HandleFunc("GET /telemetry", s.handleTelemetry)
-	mux.HandleFunc("GET /insight/criticalpath/{trace}", s.handleInsightCriticalPath)
-	mux.HandleFunc("GET /insight/servicegraph", s.handleInsightServiceGraph)
-	mux.HandleFunc("GET /insight/slowest", s.handleInsightSlowest)
 	mux.HandleFunc("GET /insight/report", s.handleInsightReport)
-	mux.HandleFunc("POST /insight/diff", s.handleInsightDiff)
 	mux.HandleFunc("DELETE /functions/{name}", s.handleRemove)
 	mux.HandleFunc("GET /workflows", s.handleWorkflows)
 	mux.HandleFunc("POST /workflows", s.handleWorkflowRegister)
@@ -406,9 +397,6 @@ type demoConfig struct {
 	// traceDump, when non-empty, is the file the demo's event journal
 	// is written to after the workload (chrome for *.json, else ndjson).
 	traceDump string
-	// profile, when non-nil, receives the journal folded into
-	// virtual-time flame-stack lines.
-	profile io.Writer
 }
 
 // runMetricsDemo drives a built-in workload across a Fireworks cluster
@@ -461,11 +449,6 @@ func runMetricsDemo(w io.Writer, cfg demoConfig) error {
 	if cfg.traceDump != "" {
 		if err := events.WriteFile(cfg.traceDump, c.Journal().Events()); err != nil {
 			return fmt.Errorf("fwsim: -trace-dump: %w", err)
-		}
-	}
-	if cfg.profile != nil {
-		if err := events.WriteProfile(cfg.profile, c.Journal().Events()); err != nil {
-			return fmt.Errorf("fwsim: -profile: %w", err)
 		}
 	}
 	return nil
@@ -862,65 +845,8 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleInsightCriticalPath serves one trace's critical-path analysis:
-// the ranked blame table and the root→leaf path of dominant spans.
-func (s *server) handleInsightCriticalPath(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("trace"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("insight: trace id: %w", err))
-		return
-	}
-	ti, ok := insight.AnalyzeTrace(s.c.Journal().Trace(events.TraceID(id)))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("insight: trace %d: no events", id))
-		return
-	}
-	insight.CountReport(s.c.Metrics(), "criticalpath")
-	writeJSON(w, http.StatusOK, ti)
-}
-
-// handleInsightServiceGraph serves the component graph with per-edge
-// RED stats, as json (default), dot, or mermaid.
-func (s *server) handleInsightServiceGraph(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	contentType := "application/json"
-	if format == "dot" || format == "mermaid" {
-		contentType = "text/plain; charset=utf-8"
-	}
-	g := insight.Analyze(s.c.Journal().Events()).Graph
-	var buf strings.Builder
-	if err := g.WriteFormat(&buf, format); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	insight.CountReport(s.c.Metrics(), "servicegraph")
-	w.Header().Set("Content-Type", contentType)
-	_, _ = io.WriteString(w, buf.String())
-}
-
-// handleInsightSlowest serves the k slowest traces with their critical
-// paths — the tail-latency exemplar report.
-func (s *server) handleInsightSlowest(w http.ResponseWriter, r *http.Request) {
-	k := 5
-	if kStr := r.URL.Query().Get("k"); kStr != "" {
-		v, err := strconv.Atoi(kStr)
-		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("insight: bad k %q (want a positive integer)", kStr))
-			return
-		}
-		k = v
-	}
-	rep := insight.Analyze(s.c.Journal().Events())
-	insight.CountReport(s.c.Metrics(), "slowest")
-	writeJSON(w, http.StatusOK, rep.Slowest(k))
-}
-
-// handleInsightReport serves the full analysis — every trace's
-// critical path plus the service graph — the artifact /insight/diff
-// compares.
+// handleInsightReport serves the full analysis: every trace's
+// critical path plus the service graph.
 func (s *server) handleInsightReport(w http.ResponseWriter, r *http.Request) {
 	rep := insight.Analyze(s.c.Journal().Events())
 	if s.tail != nil {
@@ -930,26 +856,6 @@ func (s *server) handleInsightReport(w http.ResponseWriter, r *http.Request) {
 	}
 	insight.CountReport(s.c.Metrics(), "report")
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// handleInsightDiff compares two insight reports POSTed as
-// {"a": <report>, "b": <report>} and attributes the delta to blame
-// sites and graph edges.
-func (s *server) handleInsightDiff(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		A *insight.Report `json:"a"`
-		B *insight.Report `json:"b"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBodyError(w, fmt.Errorf("insight: diff body: %w", err))
-		return
-	}
-	if req.A == nil || req.B == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("insight: diff needs both \"a\" and \"b\" reports"))
-		return
-	}
-	insight.CountReport(s.c.Metrics(), "diff")
-	writeJSON(w, http.StatusOK, insight.Diff(req.A, req.B))
 }
 
 // writeEvents renders a slice of journal events per the request's

@@ -160,7 +160,7 @@ func readAll(t *testing.T, resp *http.Response) string {
 
 // An armed governor drops boring traces from the journal (404 on
 // /trace) while error traces stay resolvable — the causal-link
-// guarantee the telem experiment asserts fleet-wide.
+// guarantee TestSeededStorm asserts fleet-wide.
 func TestTelemetryGovernorOverHTTP(t *testing.T) {
 	ts := newTelemServer(t, 0)
 	if status, _ := post(t, ts.URL+"/install", installBody); status != http.StatusCreated {

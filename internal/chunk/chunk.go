@@ -72,7 +72,6 @@ func ID(class, kind string, ordinal, index int) uint64 {
 type Manifest struct {
 	chunks  []Chunk
 	regions []regionRange
-	total   uint64
 }
 
 type regionRange struct {
@@ -102,22 +101,12 @@ func Build(regions []Region) *Manifest {
 			remaining -= b
 		}
 		m.regions = append(m.regions, regionRange{start: start, count: len(m.chunks) - start})
-		m.total += reg.Bytes
 	}
 	return m
 }
 
 // Chunks returns the manifest's chunks in image layout order.
 func (m *Manifest) Chunks() []Chunk { return append([]Chunk(nil), m.chunks...) }
-
-// Len returns the chunk count.
-func (m *Manifest) Len() int { return len(m.chunks) }
-
-// TotalBytes returns the image size (the sum of all chunk sizes).
-func (m *Manifest) TotalBytes() uint64 { return m.total }
-
-// Regions returns how many content regions the manifest was built from.
-func (m *Manifest) Regions() int { return len(m.regions) }
 
 // RegionChunks returns the chunks of the i-th content region, in order.
 // The returned slice aliases the manifest; callers must not mutate it.
@@ -139,25 +128,6 @@ func (m *Manifest) UniqueBytes() uint64 {
 		total += c.Bytes
 	}
 	return total
-}
-
-// Delta returns the chunks of m not present in base — the bytes a store
-// already holding base would need to admit m.
-func (m *Manifest) Delta(base *Manifest) []Chunk {
-	if base == nil {
-		return m.Chunks()
-	}
-	in := make(map[uint64]struct{}, len(base.chunks))
-	for _, c := range base.chunks {
-		in[c.ID] = struct{}{}
-	}
-	var out []Chunk
-	for _, c := range m.chunks {
-		if _, ok := in[c.ID]; !ok {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // BytesOf sums the sizes of a chunk slice.

@@ -521,26 +521,6 @@ func (c *Cluster) Stats() []NodeStats {
 	return out
 }
 
-// ExpireIdle runs every node's idle-guest reaper at workload-timeline
-// position now, returning the fleet-wide count of terminated guests.
-func (c *Cluster) ExpireIdle(now time.Duration) int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.Platform.ExpireIdle(now)
-	}
-	return total
-}
-
-// WarmCount sums the idle warm guests pooled for a function across the
-// fleet.
-func (c *Cluster) WarmCount(name string) int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.Platform.WarmCount(name)
-	}
-	return total
-}
-
 // TotalInvocations sums lifetime invocations across nodes.
 func (c *Cluster) TotalInvocations() int64 {
 	var total int64

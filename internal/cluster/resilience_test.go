@@ -211,13 +211,15 @@ func TestExpireIdleDuringFailover(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
-			c.ExpireIdle(1 << 40)
+			for _, n := range c.Nodes() {
+				n.Platform.ExpireIdle(1 << 40)
+			}
 		}
 	}()
 	wg.Wait()
 	// Drain the pools; no VM may leak whatever interleavings happened.
-	c.ExpireIdle(1 << 40)
 	for _, n := range c.Nodes() {
+		n.Platform.ExpireIdle(1 << 40)
 		if pool := n.Platform.WarmCount(w.Name); pool != 0 {
 			t.Fatalf("%s still pools %d guests after final reap", n.Name, pool)
 		}

@@ -137,11 +137,14 @@ func TestIPPoolExhaustionFailsCleanly(t *testing.T) {
 	if env.HV.VMCount() != 2 {
 		t.Fatalf("VMs = %d, want the 2 healthy instances", env.HV.VMCount())
 	}
-	if err := fw.StopInstances(w.Name); err != nil {
+	if err := fw.Remove(w.Name); err != nil {
 		t.Fatal(err)
 	}
 	leakCheck(t, env)
 	// With capacity released, invocation works again.
+	if _, err := fw.Install(w.Function); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := fw.Invoke(w.Name, params, platform.InvokeOptions{}); err != nil {
 		t.Fatalf("post-recovery invoke: %v", err)
 	}

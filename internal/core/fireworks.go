@@ -927,21 +927,6 @@ func (f *Framework) Instances(name string) []*Instance {
 	return append([]*Instance{}, f.instances[name]...)
 }
 
-// StopInstances tears down all retained instances of a function.
-func (f *Framework) StopInstances(name string) error {
-	f.mu.Lock()
-	instances := f.instances[name]
-	delete(f.instances, name)
-	f.mu.Unlock()
-	for _, instance := range instances {
-		if err := instance.VM.Stop(); err != nil {
-			return err
-		}
-		f.env.Bus.DeleteTopic(instance.Topic)
-	}
-	return nil
-}
-
 // RegenerateSnapshot re-runs the install phase for a function,
 // replacing its snapshot image. The paper's §6 proposes periodic
 // regeneration to restore address-space layout entropy across clones.
@@ -953,15 +938,6 @@ func (f *Framework) RegenerateSnapshot(name string) (*platform.InstallReport, er
 		return nil, fmt.Errorf("fireworks: no function %q", name)
 	}
 	return f.Install(inst.fn)
-}
-
-// SnapshotInfo reports a function's snapshot size and sharer count.
-func (f *Framework) SnapshotInfo(name string) (bytes uint64, sharers int, err error) {
-	snap, err := f.env.Snaps.Get(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	return snap.TotalBytes(), snap.Sharers(), nil
 }
 
 // fireworksBridge holds the install/invoke host callbacks exposed to

@@ -268,12 +268,12 @@ func TestFailedInvocationLeaksNothing(t *testing.T) {
 		if env.HV.VMCount() != 2 {
 			t.Fatalf("VMs = %d, want the 2 retained", env.HV.VMCount())
 		}
-		if err := fw.StopInstances(w.Name); err != nil {
+		if err := fw.Remove(w.Name); err != nil {
 			t.Fatal(err)
 		}
 		leakCheck(t, env)
 		if busTopics(env) != 0 {
-			t.Fatalf("%d topics after StopInstances", busTopics(env))
+			t.Fatalf("%d topics after Remove", busTopics(env))
 		}
 	})
 	t.Run("snapshotEvicted", func(t *testing.T) {
@@ -373,7 +373,7 @@ func TestConcurrentWarmPoolInvocations(t *testing.T) {
 
 // TestConcurrentRetainInstances races parallel invokes with
 // RetainInstances on: every invocation must retain exactly one live
-// instance and keep its topic until StopInstances.
+// instance and keep its topic until Remove.
 func TestConcurrentRetainInstances(t *testing.T) {
 	env, fw := newFW(t, core.Options{RetainInstances: true})
 	w := workloads.Fact(runtime.LangNode)
@@ -405,12 +405,12 @@ func TestConcurrentRetainInstances(t *testing.T) {
 	if busTopics(env) != parallel {
 		t.Fatalf("topics = %d, want one per retained instance", busTopics(env))
 	}
-	if err := fw.StopInstances(w.Name); err != nil {
+	if err := fw.Remove(w.Name); err != nil {
 		t.Fatal(err)
 	}
 	leakCheck(t, env)
 	if busTopics(env) != 0 {
-		t.Fatalf("%d topics after StopInstances", busTopics(env))
+		t.Fatalf("%d topics after Remove", busTopics(env))
 	}
 }
 

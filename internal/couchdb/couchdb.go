@@ -124,21 +124,9 @@ type Database struct {
 	name      string
 	docs      map[string]Document
 	seq       int64
-	changes   []Change
 	listeners []func(Change)
 }
 
-// Name returns the database name.
-func (db *Database) Name() string { return db.name }
-
-// Len returns the number of live documents.
-func (db *Database) Len() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.docs)
-}
-
-// nextRev computes the successor revision of a document.
 func nextRev(prev string, doc Document) string {
 	gen := 1
 	if prev != "" {
@@ -182,7 +170,6 @@ func (db *Database) Put(doc Document) (Document, error) {
 	db.docs[id] = stored
 	db.seq++
 	change := Change{Seq: db.seq, ID: id, Rev: stored.Rev(), Doc: stored.clone()}
-	db.changes = append(db.changes, change)
 	listeners := append([]func(Change){}, db.listeners...)
 	db.mu.Unlock()
 	for _, fn := range listeners {
@@ -217,7 +204,6 @@ func (db *Database) Delete(id, rev string) error {
 	delete(db.docs, id)
 	db.seq++
 	change := Change{Seq: db.seq, ID: id, Rev: rev, Deleted: true}
-	db.changes = append(db.changes, change)
 	listeners := append([]func(Change){}, db.listeners...)
 	db.mu.Unlock()
 	for _, fn := range listeners {
@@ -251,29 +237,6 @@ func (db *Database) Find(selector map[string]any) []Document {
 		out[i] = db.docs[id].clone()
 	}
 	return out
-}
-
-// AllDocs returns every document ordered by _id.
-func (db *Database) AllDocs() []Document { return db.Find(nil) }
-
-// Changes returns the change feed entries with Seq > since.
-func (db *Database) Changes(since int64) []Change {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var out []Change
-	for _, c := range db.changes {
-		if c.Seq > since {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Seq returns the database's current sequence number.
-func (db *Database) Seq() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.seq
 }
 
 // Subscribe registers fn to run on every subsequent change — the

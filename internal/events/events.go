@@ -1,7 +1,7 @@
 // Package events is the causal event journal of the simulated stack:
 // a concurrency-safe, bounded ring buffer of timestamped events on the
-// virtual clock, from which per-request traces, Perfetto-loadable
-// Chrome trace files, and virtual-time flame profiles are derived.
+// virtual clock, from which per-request traces and Perfetto-loadable
+// Chrome trace files are derived.
 //
 // Every event carries a TraceID (one end-to-end request), a SpanID, and
 // the parent span it nests under; causal links can additionally cross
@@ -448,15 +448,6 @@ func (s *Scope) TraceID() TraceID {
 		return 0
 	}
 	return s.trace
-}
-
-// Current returns a Ref to the innermost open span — what a record
-// carries so a later consumer can link back to its producer.
-func (s *Scope) Current() Ref {
-	if s == nil || len(s.stack) == 0 {
-		return Ref{}
-	}
-	return Ref{Trace: s.trace, Span: s.stack[len(s.stack)-1]}
 }
 
 // SetNode attributes subsequent events to a cluster node (Perfetto

@@ -53,14 +53,6 @@ const (
 	SiteClusterNode = "cluster.node"
 )
 
-// Sites returns every known injection site.
-func Sites() []string {
-	return []string{
-		SiteVMMBoot, SiteVMMRestore, SiteRemoteFetch,
-		SiteBusProduce, SiteBusConsume, SiteNetTransfer, SiteClusterNode,
-	}
-}
-
 // Kind classifies what an injected fault does.
 type Kind string
 
@@ -129,7 +121,6 @@ func (p Profile) total() float64 {
 // hold and consult one unconditionally.
 type Plane struct {
 	mu       sync.Mutex
-	seed     uint64
 	rng      *vclock.Rand
 	profiles map[string]Profile
 	// script holds per-site queues of forced faults, consumed before
@@ -146,19 +137,10 @@ type Plane struct {
 // profiled ones).
 func NewPlane(seed uint64) *Plane {
 	return &Plane{
-		seed:     seed,
 		rng:      vclock.NewRand(seed),
 		profiles: make(map[string]Profile),
 		script:   make(map[string][]Kind),
 	}
-}
-
-// Seed returns the plane's PRNG seed.
-func (p *Plane) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
 }
 
 // Instrument attaches the plane to a metrics registry:
@@ -173,8 +155,7 @@ func (p *Plane) Instrument(reg *metrics.Registry) {
 }
 
 // SetProfile installs (or replaces) a site's fault profile. A zero
-// profile disarms the site without removing its draw — use
-// ClearProfile to also stop drawing.
+// profile disarms the site without removing its draw.
 func (p *Plane) SetProfile(site string, prof Profile) {
 	if p == nil {
 		return
@@ -184,24 +165,6 @@ func (p *Plane) SetProfile(site string, prof Profile) {
 	}
 	p.mu.Lock()
 	p.profiles[site] = prof
-	p.mu.Unlock()
-}
-
-// SetAll installs the same profile on every known site.
-func (p *Plane) SetAll(prof Profile) {
-	for _, site := range Sites() {
-		p.SetProfile(site, prof)
-	}
-}
-
-// ClearProfile removes a site's profile entirely; the site stops
-// drawing from the PRNG.
-func (p *Plane) ClearProfile(site string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	delete(p.profiles, site)
 	p.mu.Unlock()
 }
 

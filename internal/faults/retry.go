@@ -113,27 +113,18 @@ func (r *Retrier) Enabled() bool {
 	return r != nil && r.policy.MaxAttempts > 1
 }
 
-// Do runs op until it succeeds within the per-attempt deadline, fails
-// permanently, or the policy's attempts / budget run out.
-func (r *Retrier) Do(clock *vclock.Clock, op func() error) error {
-	return r.DoWithDiscardTraced(clock, nil, "", op, nil)
-}
-
-// DoTraced is Do under an event scope: each retry (and the final
-// give-up) emits a "retry" event named label.
+// DoTraced runs op until it succeeds within the per-attempt deadline,
+// fails permanently, or the policy's attempts / budget run out. Each
+// retry (and the final give-up) emits a "retry" event named label into
+// sc (nil records nothing).
 func (r *Retrier) DoTraced(clock *vclock.Clock, sc *events.Scope, label string, op func() error) error {
 	return r.DoWithDiscardTraced(clock, sc, label, op, nil)
 }
 
-// DoWithDiscard is Do for operations whose success leaves a resource
-// behind: when a successful attempt exceeds the per-attempt deadline
-// its result is unusable, and discard disposes of it before the retry
-// (stop the slow-restored VM, drop the stale image).
-func (r *Retrier) DoWithDiscard(clock *vclock.Clock, op func() error, discard func()) error {
-	return r.DoWithDiscardTraced(clock, nil, "", op, discard)
-}
-
-// DoWithDiscardTraced is DoWithDiscard under an event scope.
+// DoWithDiscardTraced is DoTraced for operations whose success leaves
+// a resource behind: when a successful attempt exceeds the per-attempt
+// deadline its result is unusable, and discard disposes of it before
+// the retry (stop the slow-restored VM, drop the stale image).
 func (r *Retrier) DoWithDiscardTraced(clock *vclock.Clock, sc *events.Scope, label string, op func() error, discard func()) error {
 	if !r.Enabled() {
 		return op()

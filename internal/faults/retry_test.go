@@ -39,7 +39,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRetrier(testPolicy(), reg)
 	clock := vclock.New()
-	if err := r.Do(clock, failN(clock, 2, time.Millisecond)); err != nil {
+	if err := r.DoTraced(clock, nil, "", failN(clock, 2, time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("retries_total").Value(); got != 2 {
@@ -55,7 +55,7 @@ func TestRetryExhaustion(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRetrier(testPolicy(), reg)
 	clock := vclock.New()
-	err := r.Do(clock, failN(clock, 100, time.Millisecond))
+	err := r.DoTraced(clock, nil, "", failN(clock, 100, time.Millisecond))
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want wrapped errBoom", err)
 	}
@@ -73,7 +73,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	r := NewRetrier(pol, metrics.NewRegistry())
 	clock := vclock.New()
 	calls := 0
-	err := r.Do(clock, func() error { calls++; return errBoom })
+	err := r.DoTraced(clock, nil, "", func() error { calls++; return errBoom })
 	if err != errBoom || calls != 1 {
 		t.Fatalf("err = %v after %d calls, want errBoom after 1", err, calls)
 	}
@@ -87,7 +87,7 @@ func TestAttemptTimeoutDiscardsSlowSuccess(t *testing.T) {
 	clock := vclock.New()
 	discarded := 0
 	slowOnce := true
-	err := r.DoWithDiscard(clock, func() error {
+	err := r.DoWithDiscardTraced(clock, nil, "", func() error {
 		if slowOnce {
 			slowOnce = false
 			clock.Advance(30 * time.Millisecond) // a latency spike
@@ -114,7 +114,7 @@ func TestBudgetCutsRetriesShort(t *testing.T) {
 	clock := vclock.New()
 	// Each attempt costs 2ms; after two attempts (4ms) the 4ms backoff
 	// would overrun the 5ms budget.
-	err := r.Do(clock, failN(clock, 100, 2*time.Millisecond))
+	err := r.DoTraced(clock, nil, "", failN(clock, 100, 2*time.Millisecond))
 	if !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", err)
 	}
@@ -127,7 +127,7 @@ func TestJitterIsDeterministic(t *testing.T) {
 	run := func() time.Duration {
 		r := NewRetrier(pol, metrics.NewRegistry())
 		clock := vclock.New()
-		_ = r.Do(clock, failN(clock, 100, time.Millisecond))
+		_ = r.DoTraced(clock, nil, "", failN(clock, 100, time.Millisecond))
 		return clock.Now()
 	}
 	if a, b := run(), run(); a != b {
@@ -138,12 +138,12 @@ func TestJitterIsDeterministic(t *testing.T) {
 func TestDisabledRetrierRunsOnce(t *testing.T) {
 	var r *Retrier
 	calls := 0
-	if err := r.Do(vclock.New(), func() error { calls++; return errBoom }); err != errBoom || calls != 1 {
+	if err := r.DoTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }); err != errBoom || calls != 1 {
 		t.Fatalf("nil retrier: err=%v calls=%d", err, calls)
 	}
 	r = NewRetrier(RetryPolicy{}, nil)
 	calls = 0
-	if err := r.Do(vclock.New(), func() error { calls++; return errBoom }); err != errBoom || calls != 1 {
+	if err := r.DoTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }); err != errBoom || calls != 1 {
 		t.Fatalf("zero-policy retrier: err=%v calls=%d", err, calls)
 	}
 	if r.Enabled() {

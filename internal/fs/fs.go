@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -21,18 +20,9 @@ import (
 // Errors returned by filesystem operations.
 var (
 	ErrNotExist = errors.New("fs: file does not exist")
-	ErrExist    = errors.New("fs: file already exists")
 	ErrIsDir    = errors.New("fs: is a directory")
 	ErrNotDir   = errors.New("fs: not a directory")
-	ErrReadOnly = errors.New("fs: read-only filesystem")
 )
-
-// FileInfo describes a file or directory.
-type FileInfo struct {
-	Name  string
-	Size  int64
-	IsDir bool
-}
 
 // FS is the interface implemented by both the plain in-memory filesystem
 // and the overlay filesystem.
@@ -44,14 +34,6 @@ type FS interface {
 	ReadFile(p string) ([]byte, error)
 	// Append appends data to the file at p, creating it if absent.
 	Append(p string, data []byte) error
-	// Stat describes the file or directory at p.
-	Stat(p string) (FileInfo, error)
-	// Remove deletes the file at p (not directories).
-	Remove(p string) error
-	// Mkdir creates the directory at p and any missing parents.
-	Mkdir(p string) error
-	// ReadDir lists the directory at p in lexical order.
-	ReadDir(p string) ([]FileInfo, error)
 }
 
 // node is a file or directory in a MemFS.
@@ -95,6 +77,14 @@ func (m *MemFS) lookup(parts []string) (*node, error) {
 		n = child
 	}
 	return n, nil
+}
+
+// missing reports whether nothing exists at p, without copying data.
+func (m *MemFS) missing(p string) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	_, err := m.lookup(splitPath(p))
+	return errors.Is(err, ErrNotExist)
 }
 
 // mkdirAll walks/creates directories for parts and returns the last dir.
@@ -174,83 +164,4 @@ func (m *MemFS) Append(p string, data []byte) error {
 	}
 	n.data = append(n.data, data...)
 	return nil
-}
-
-// Stat implements FS.
-func (m *MemFS) Stat(p string) (FileInfo, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n, err := m.lookup(splitPath(p))
-	if err != nil {
-		return FileInfo{}, fmt.Errorf("stat %s: %w", p, err)
-	}
-	return FileInfo{Name: n.name, Size: int64(len(n.data)), IsDir: n.isDir}, nil
-}
-
-// Remove implements FS.
-func (m *MemFS) Remove(p string) error {
-	parts := splitPath(p)
-	if len(parts) == 0 {
-		return ErrIsDir
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dir, err := m.lookup(parts[:len(parts)-1])
-	if err != nil {
-		return err
-	}
-	name := parts[len(parts)-1]
-	n, ok := dir.children[name]
-	if !ok {
-		return ErrNotExist
-	}
-	if n.isDir && len(n.children) > 0 {
-		return fmt.Errorf("remove %s: directory not empty", p)
-	}
-	delete(dir.children, name)
-	return nil
-}
-
-// Mkdir implements FS.
-func (m *MemFS) Mkdir(p string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, err := m.mkdirAll(splitPath(p))
-	return err
-}
-
-// ReadDir implements FS.
-func (m *MemFS) ReadDir(p string) ([]FileInfo, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n, err := m.lookup(splitPath(p))
-	if err != nil {
-		return nil, fmt.Errorf("readdir %s: %w", p, err)
-	}
-	if !n.isDir {
-		return nil, ErrNotDir
-	}
-	infos := make([]FileInfo, 0, len(n.children))
-	for _, c := range n.children {
-		infos = append(infos, FileInfo{Name: c.name, Size: int64(len(c.data)), IsDir: c.isDir})
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos, nil
-}
-
-// TotalBytes returns the sum of all file sizes, used to model disk usage
-// of snapshot files and container images.
-func (m *MemFS) TotalBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var total int64
-	var walk func(n *node)
-	walk = func(n *node) {
-		total += int64(len(n.data))
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(m.root)
-	return total
 }

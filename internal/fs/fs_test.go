@@ -54,7 +54,7 @@ func TestAppend(t *testing.T) {
 
 func TestWriteOverDirFails(t *testing.T) {
 	m := NewMemFS()
-	m.Mkdir("/dir")
+	m.WriteFile("/dir/f", []byte("x"))
 	if err := m.WriteFile("/dir", []byte("x")); !errors.Is(err, ErrIsDir) {
 		t.Fatalf("err = %v", err)
 	}
@@ -68,71 +68,6 @@ func TestFileAsDirFails(t *testing.T) {
 	m.WriteFile("/f", []byte("x"))
 	if err := m.WriteFile("/f/child", []byte("y")); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestStat(t *testing.T) {
-	m := NewMemFS()
-	m.WriteFile("/x/file", []byte("12345"))
-	info, err := m.Stat("/x/file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Name != "file" || info.Size != 5 || info.IsDir {
-		t.Fatalf("info = %+v", info)
-	}
-	dir, err := m.Stat("/x")
-	if err != nil || !dir.IsDir {
-		t.Fatalf("dir stat = %+v err %v", dir, err)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	m := NewMemFS()
-	m.WriteFile("/f", []byte("x"))
-	if err := m.Remove("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ReadFile("/f"); !errors.Is(err, ErrNotExist) {
-		t.Fatal("file still present")
-	}
-	if err := m.Remove("/f"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("double remove err = %v", err)
-	}
-	// Non-empty directory refuses removal.
-	m.WriteFile("/d/f", []byte("x"))
-	if err := m.Remove("/d"); err == nil {
-		t.Fatal("removed non-empty dir")
-	}
-}
-
-func TestReadDir(t *testing.T) {
-	m := NewMemFS()
-	m.WriteFile("/d/b", []byte("1"))
-	m.WriteFile("/d/a", []byte("22"))
-	m.Mkdir("/d/sub")
-	infos, err := m.ReadDir("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 3 {
-		t.Fatalf("entries = %d", len(infos))
-	}
-	// Lexical order.
-	if infos[0].Name != "a" || infos[1].Name != "b" || infos[2].Name != "sub" {
-		t.Fatalf("order: %+v", infos)
-	}
-	if !infos[2].IsDir {
-		t.Fatal("sub not a dir")
-	}
-}
-
-func TestTotalBytes(t *testing.T) {
-	m := NewMemFS()
-	m.WriteFile("/a", make([]byte, 100))
-	m.WriteFile("/d/b", make([]byte, 50))
-	if m.TotalBytes() != 150 {
-		t.Fatalf("TotalBytes = %d", m.TotalBytes())
 	}
 }
 

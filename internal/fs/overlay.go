@@ -1,69 +1,40 @@
 package fs
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-)
+import "errors"
 
 // Overlay is an overlayfs-style union filesystem: reads fall through from
 // a writable upper layer to a read-only lower layer; writes always go to
-// the upper layer (copy-up for appends); deletions of lower files are
-// recorded as whiteouts. This models how an OpenWhisk container layers a
-// writable scratch directory over the shared runtime image.
+// the upper layer (copy-up for appends). This models how an OpenWhisk
+// container layers a writable scratch directory over the shared runtime
+// image.
 type Overlay struct {
-	mu        sync.RWMutex
-	upper     *MemFS
-	lower     FS
-	whiteouts map[string]bool
+	upper *MemFS
+	lower FS
 }
 
 // NewOverlay returns an overlay with a fresh upper layer over lower.
 func NewOverlay(lower FS) *Overlay {
-	return &Overlay{
-		upper:     NewMemFS(),
-		lower:     lower,
-		whiteouts: make(map[string]bool),
-	}
+	return &Overlay{upper: NewMemFS(), lower: lower}
 }
-
-// Upper returns the writable upper layer (e.g. to measure how much
-// private data the container accumulated).
-func (o *Overlay) Upper() *MemFS { return o.upper }
 
 // WriteFile implements FS: writes always land in the upper layer.
 func (o *Overlay) WriteFile(p string, data []byte) error {
-	o.mu.Lock()
-	delete(o.whiteouts, normalize(p))
-	o.mu.Unlock()
 	return o.upper.WriteFile(p, data)
 }
 
 // ReadFile implements FS.
 func (o *Overlay) ReadFile(p string) ([]byte, error) {
-	if o.deleted(p) {
-		return nil, fmt.Errorf("read %s: %w", p, ErrNotExist)
-	}
 	data, err := o.upper.ReadFile(p)
-	if err == nil {
-		return data, nil
+	if errors.Is(err, ErrNotExist) {
+		return o.lower.ReadFile(p)
 	}
-	if !errors.Is(err, ErrNotExist) {
-		return nil, err
-	}
-	return o.lower.ReadFile(p)
+	return data, err
 }
 
 // Append implements FS, performing copy-up when the file only exists in
 // the lower layer.
 func (o *Overlay) Append(p string, data []byte) error {
-	if o.deleted(p) {
-		o.mu.Lock()
-		delete(o.whiteouts, normalize(p))
-		o.mu.Unlock()
-		return o.upper.WriteFile(p, data)
-	}
-	if _, err := o.upper.Stat(p); errors.Is(err, ErrNotExist) {
+	if o.upper.missing(p) {
 		if lowerData, lerr := o.lower.ReadFile(p); lerr == nil {
 			if werr := o.upper.WriteFile(p, lowerData); werr != nil {
 				return werr
@@ -71,100 +42,4 @@ func (o *Overlay) Append(p string, data []byte) error {
 		}
 	}
 	return o.upper.Append(p, data)
-}
-
-// Stat implements FS.
-func (o *Overlay) Stat(p string) (FileInfo, error) {
-	if o.deleted(p) {
-		return FileInfo{}, fmt.Errorf("stat %s: %w", p, ErrNotExist)
-	}
-	info, err := o.upper.Stat(p)
-	if err == nil {
-		return info, nil
-	}
-	if !errors.Is(err, ErrNotExist) {
-		return FileInfo{}, err
-	}
-	return o.lower.Stat(p)
-}
-
-// Remove implements FS. Removing a lower-layer file records a whiteout.
-func (o *Overlay) Remove(p string) error {
-	if o.deleted(p) {
-		return fmt.Errorf("remove %s: %w", p, ErrNotExist)
-	}
-	upperErr := o.upper.Remove(p)
-	_, lowerErr := o.lower.Stat(p)
-	if lowerErr == nil {
-		o.mu.Lock()
-		o.whiteouts[normalize(p)] = true
-		o.mu.Unlock()
-		return nil
-	}
-	if upperErr != nil {
-		return fmt.Errorf("remove %s: %w", p, ErrNotExist)
-	}
-	return nil
-}
-
-// Mkdir implements FS: directories are created in the upper layer.
-func (o *Overlay) Mkdir(p string) error { return o.upper.Mkdir(p) }
-
-// ReadDir implements FS, merging upper and lower entries (upper wins).
-func (o *Overlay) ReadDir(p string) ([]FileInfo, error) {
-	merged := make(map[string]FileInfo)
-	if lowerEntries, err := o.lower.ReadDir(p); err == nil {
-		for _, e := range lowerEntries {
-			if !o.deleted(normalize(p) + "/" + e.Name) {
-				merged[e.Name] = e
-			}
-		}
-	}
-	upperEntries, upperErr := o.upper.ReadDir(p)
-	if upperErr == nil {
-		for _, e := range upperEntries {
-			merged[e.Name] = e
-		}
-	}
-	if len(merged) == 0 && upperErr != nil {
-		if _, err := o.lower.Stat(p); err != nil {
-			return nil, upperErr
-		}
-	}
-	out := make([]FileInfo, 0, len(merged))
-	for _, e := range merged {
-		out = append(out, e)
-	}
-	sortFileInfos(out)
-	return out, nil
-}
-
-func (o *Overlay) deleted(p string) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.whiteouts[normalize(p)]
-}
-
-func normalize(p string) string {
-	parts := splitPath(p)
-	if len(parts) == 0 {
-		return "/"
-	}
-	return "/" + joinParts(parts)
-}
-
-func joinParts(parts []string) string {
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += "/" + p
-	}
-	return out
-}
-
-func sortFileInfos(infos []FileInfo) {
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].Name < infos[j-1].Name; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
 }

@@ -1,9 +1,6 @@
 package fs
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func newOverlayWithLower(t *testing.T) (*Overlay, *MemFS) {
 	t.Helper()
@@ -54,94 +51,5 @@ func TestOverlayCopyUpOnAppend(t *testing.T) {
 	base, _ := lower.ReadFile("/etc/conf")
 	if string(base) != "base-conf" {
 		t.Fatal("append leaked into lower layer")
-	}
-}
-
-func TestOverlayWhiteout(t *testing.T) {
-	o, lower := newOverlayWithLower(t)
-	if err := o.Remove("/etc/conf"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.ReadFile("/etc/conf"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("read after whiteout: %v", err)
-	}
-	if _, err := o.Stat("/etc/conf"); !errors.Is(err, ErrNotExist) {
-		t.Fatal("stat after whiteout")
-	}
-	// Lower file still exists underneath.
-	if _, err := lower.ReadFile("/etc/conf"); err != nil {
-		t.Fatal("lower file disappeared")
-	}
-	// Re-creating the file clears the whiteout.
-	o.WriteFile("/etc/conf", []byte("reborn"))
-	data, err := o.ReadFile("/etc/conf")
-	if err != nil || string(data) != "reborn" {
-		t.Fatalf("reborn read: %q %v", data, err)
-	}
-}
-
-func TestOverlayAppendAfterWhiteout(t *testing.T) {
-	o, _ := newOverlayWithLower(t)
-	o.Remove("/etc/conf")
-	// Append to a whiteout starts fresh, not from the lower content.
-	o.Append("/etc/conf", []byte("new"))
-	data, _ := o.ReadFile("/etc/conf")
-	if string(data) != "new" {
-		t.Fatalf("read %q", data)
-	}
-}
-
-func TestOverlayRemoveUpperOnly(t *testing.T) {
-	o, _ := newOverlayWithLower(t)
-	o.WriteFile("/tmp/scratch", []byte("x"))
-	if err := o.Remove("/tmp/scratch"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.ReadFile("/tmp/scratch"); !errors.Is(err, ErrNotExist) {
-		t.Fatal("upper file still readable")
-	}
-	if err := o.Remove("/tmp/scratch"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("double remove: %v", err)
-	}
-}
-
-func TestOverlayReadDirMerges(t *testing.T) {
-	o, _ := newOverlayWithLower(t)
-	o.WriteFile("/etc/local", []byte("upper"))
-	infos, err := o.ReadDir("/etc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 2 {
-		t.Fatalf("entries = %v", infos)
-	}
-	if infos[0].Name != "conf" || infos[1].Name != "local" {
-		t.Fatalf("order: %v", infos)
-	}
-	// Whiteouts hide lower entries from listings.
-	o.Remove("/etc/conf")
-	infos, _ = o.ReadDir("/etc")
-	if len(infos) != 1 || infos[0].Name != "local" {
-		t.Fatalf("after whiteout: %v", infos)
-	}
-}
-
-func TestOverlayUpperShadowsInReadDir(t *testing.T) {
-	o, _ := newOverlayWithLower(t)
-	o.WriteFile("/app/code.js", []byte("patched-module!"))
-	infos, err := o.ReadDir("/app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].Size != int64(len("patched-module!")) {
-		t.Fatalf("infos = %v", infos)
-	}
-}
-
-func TestOverlayStatFallsThrough(t *testing.T) {
-	o, _ := newOverlayWithLower(t)
-	info, err := o.Stat("/app/code.js")
-	if err != nil || info.Size != int64(len("module")) {
-		t.Fatalf("stat: %+v %v", info, err)
 	}
 }

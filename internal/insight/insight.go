@@ -2,22 +2,17 @@
 // journal: it turns raw internal/events streams into answers — where
 // did an invocation's latency go (critical-path analysis with a ranked
 // blame table), how do the components talk to each other (a service
-// graph with per-edge RED stats), which concrete traces sit in the
-// tail (slowest-K, joined to histogram exemplars), and what changed
-// between two runs (report diffing).
+// graph with per-edge RED stats).
 //
 // Everything here is a pure function of the journal contents: spans
 // are reconstructed from begin/end pairs, per-trace timestamps are
 // normalized with the same monotonic clamp the Chrome exporter applies
 // (failover attempts restart their invocation clocks at zero), and
 // every exported slice is sorted, so two same-seed runs produce
-// byte-identical JSON and DOT reports — the property the insight
-// experiment pins down.
+// byte-identical JSON and DOT reports.
 package insight
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 
 	"repro/internal/events"
@@ -70,53 +65,9 @@ func Analyze(evs []events.Event) *Report {
 	return r
 }
 
-// AnalyzeTrace builds the critical-path insight of a single trace from
-// its events (as returned by Journal.Trace). It returns the zero
-// TraceInsight and false when the events hold no spans.
-func AnalyzeTrace(evs []events.Event) (TraceInsight, bool) {
-	trees := buildTrees(evs)
-	if len(trees) == 0 {
-		return TraceInsight{}, false
-	}
-	return trees[0].insight(), true
-}
-
-// Slowest returns the k slowest traces of the report, by total
-// normalized duration descending (ties broken by trace ID ascending,
-// so the order is deterministic). k <= 0 or k beyond the trace count
-// returns everything, re-sorted.
-func (r *Report) Slowest(k int) []TraceInsight {
-	out := append([]TraceInsight(nil), r.Traces...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Trace < out[j].Trace
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// WriteJSON renders the report as indented JSON (byte-stable for a
-// given journal).
-func (r *Report) WriteJSON(w io.Writer) error {
-	return newIndentEncoder(w).Encode(r)
-}
-
-// newIndentEncoder returns the JSON encoder every insight export
-// shares (two-space indent), so all byte-stability tests pin one
-// encoding.
-func newIndentEncoder(w io.Writer) *json.Encoder {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc
-}
-
 // CountReport bumps the insight_reports_total counter for one served
-// analysis of the given kind (criticalpath, servicegraph, slowest,
-// diff, report). Nil-safe like every instrument.
+// analysis of the given kind (the gateway serves only "report").
+// Nil-safe like every instrument.
 func CountReport(reg *metrics.Registry, kind string) {
 	reg.Counter(metrics.Name("insight_reports_total", "kind", kind)).Inc()
 }

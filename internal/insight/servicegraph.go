@@ -223,38 +223,3 @@ func (g ServiceGraph) WriteDOT(w io.Writer) error {
 	_, err := fmt.Fprintln(w, "}")
 	return err
 }
-
-// WriteMermaid renders the graph as a Mermaid flowchart (graph LR),
-// nodes and edges in sorted order.
-func (g ServiceGraph) WriteMermaid(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "graph LR"); err != nil {
-		return err
-	}
-	ids := make(map[string]string, len(g.Nodes))
-	for i, n := range g.Nodes {
-		id := fmt.Sprintf("n%d", i)
-		ids[n.Name] = id
-		fmt.Fprintf(w, "  %s[\"%s (n=%d)\"]\n", id, n.Name, n.Count)
-	}
-	for _, e := range g.Edges {
-		fmt.Fprintf(w, "  %s -->|n=%d err=%d p99=%s| %s\n",
-			ids[e.From], e.Count, e.Errors, e.P99, ids[e.To])
-	}
-	return nil
-}
-
-// WriteFormat renders the graph in a named format: "json", "dot", or
-// "mermaid".
-func (g ServiceGraph) WriteFormat(w io.Writer, format string) error {
-	switch format {
-	case "json":
-		enc := newIndentEncoder(w)
-		return enc.Encode(g)
-	case "dot":
-		return g.WriteDOT(w)
-	case "mermaid":
-		return g.WriteMermaid(w)
-	default:
-		return fmt.Errorf("insight: unknown graph format %q (want json, dot, or mermaid)", format)
-	}
-}

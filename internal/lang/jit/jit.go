@@ -53,7 +53,6 @@ type Engine struct {
 	cache    map[*bytecode.Function][]lang.Type
 	codeSize int64
 	compiles int64
-	deopts   int64
 }
 
 // NewEngine returns an engine with the given policy.
@@ -74,19 +73,11 @@ func (e *Engine) CodeSize() int64 {
 	return e.codeSize
 }
 
-// Compiles returns how many functions the engine has compiled, and
-// Deopts how many guard bailouts occurred.
+// Compiles returns how many functions the engine has compiled.
 func (e *Engine) Compiles() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.compiles
-}
-
-// Deopts returns the number of de-optimization bailouts so far.
-func (e *Engine) Deopts() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.deopts
 }
 
 // CompiledFunctions returns the names of functions currently in the
@@ -125,9 +116,6 @@ func (e *Engine) OnLoopBack(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
 
 // OnDeopt implements vm.JITBackend.
 func (e *Engine) OnDeopt(v *vm.VM, fn *bytecode.Function) {
-	e.mu.Lock()
-	e.deopts++
-	e.mu.Unlock()
 	v.Profile(fn).Deopts++
 	if e.cfg.OnDeopt != nil {
 		v.Flush() // the hook charges the penalty to the clock
@@ -186,17 +174,6 @@ func (e *Engine) CloneWithCache(cfg Config) *Engine {
 	// travels with the cache.
 	clone.compiles = e.compiles
 	return clone
-}
-
-// Invalidate drops a function from the code cache (used when repeated
-// deopts make the specialization unprofitable).
-func (e *Engine) Invalidate(fn *bytecode.Function) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.cache[fn]; ok {
-		delete(e.cache, fn)
-		e.codeSize -= int64(len(fn.Code) * bytesPerInstr)
-	}
 }
 
 var _ vm.JITBackend = (*Engine)(nil)

@@ -177,9 +177,6 @@ func TestDeoptOnTypeGuardFailure(t *testing.T) {
 	if got != "abab" {
 		t.Fatalf("poly(\"ab\") = %v", got)
 	}
-	if engine.Deopts() != 1 {
-		t.Fatalf("Deopts = %d, want 1", engine.Deopts())
-	}
 	if v.Profile(fn.Fn).Deopts != 1 {
 		t.Fatalf("profile deopts = %d", v.Profile(fn.Fn).Deopts)
 	}
@@ -226,26 +223,6 @@ func TestForceCompile(t *testing.T) {
 	}
 	if engine.CodeSize() == 0 {
 		t.Fatal("CodeSize = 0 after compile")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	v, engine, _ := setup(t, hotSrc, jit.Config{CallThreshold: 1})
-	fn := v.Globals["hot"].(*bytecode.Closure)
-	for i := 0; i < 2; i++ {
-		if _, err := v.CallValue(fn, []lang.Value{int64(5)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, compiled := engine.Lookup(fn.Fn); !compiled {
-		t.Fatal("not compiled")
-	}
-	engine.Invalidate(fn.Fn)
-	if _, compiled := engine.Lookup(fn.Fn); compiled {
-		t.Fatal("still in cache after Invalidate")
-	}
-	if engine.CodeSize() != 0 {
-		t.Fatalf("CodeSize = %d after Invalidate", engine.CodeSize())
 	}
 }
 
@@ -310,7 +287,7 @@ func kitchenSink(n, s) {
 			return nil, err
 		}
 		if jitted {
-			engine.Compile(mod.Function("kitchenSink"), nil)
+			engine.Compile(v.Globals["kitchenSink"].(*bytecode.Closure).Fn, nil)
 		}
 		return v.CallValue(v.Globals["kitchenSink"], []lang.Value{n, s})
 	}
@@ -340,7 +317,7 @@ func kitchenSink(n, s) {
 	if _, err := v.RunModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	engine.Compile(mod.Function("f"), nil)
+	engine.Compile(v.Globals["f"].(*bytecode.Closure).Fn, nil)
 	if _, err := v.CallValue(v.Globals["f"], nil); err == nil ||
 		!strings.Contains(err.Error(), "undefined variable") {
 		t.Fatalf("jit undefined-global err = %v", err)
@@ -374,7 +351,7 @@ func TestJITRuntimeErrorsMatchInterpreter(t *testing.T) {
 				return err
 			}
 			if jitted {
-				engine.Compile(mod.Function("f"), nil)
+				engine.Compile(v.Globals["f"].(*bytecode.Closure).Fn, nil)
 			}
 			_, err = v.CallValue(v.Globals["f"], nil)
 			return err
@@ -444,7 +421,7 @@ func TestChargesArePerFlushNotPerOp(t *testing.T) {
 		}
 		wantTier := vm.TierInterp
 		if compiled {
-			engine.Compile(mod.Function("hot"), nil)
+			engine.Compile(v.Globals["hot"].(*bytecode.Closure).Fn, nil)
 			wantTier = vm.TierJIT
 		}
 		meter.calls = nil

@@ -167,8 +167,8 @@ func TestTypeOfAndTruthy(t *testing.T) {
 		{2.5, TFloat, true},
 		{"", TString, false},
 		{"x", TString, true},
-		{NewList(), TList, false},
-		{NewList(int64(1)), TList, true},
+		{&List{}, TList, false},
+		{newList(int64(1)), TList, true},
 		{NewMap(), TMap, false},
 		{&Native{Name: "f"}, TFunc, true},
 	}
@@ -183,8 +183,8 @@ func TestTypeOfAndTruthy(t *testing.T) {
 }
 
 func TestEqualStructural(t *testing.T) {
-	a := NewList(int64(1), "x", NewList(int64(2)))
-	b := NewList(int64(1), "x", NewList(int64(2)))
+	a := newList(int64(1), "x", newList(int64(2)))
+	b := newList(int64(1), "x", newList(int64(2)))
 	if !Equal(a, b) {
 		t.Fatal("structurally equal lists differ")
 	}
@@ -193,12 +193,12 @@ func TestEqualStructural(t *testing.T) {
 		t.Fatal("different lists equal")
 	}
 	m1, m2 := NewMap(), NewMap()
-	m1.Set("k", int64(1))
-	m2.Set("k", int64(1))
+	m1.Items["k"] = int64(1)
+	m2.Items["k"] = int64(1)
 	if !Equal(m1, m2) {
 		t.Fatal("equal maps differ")
 	}
-	m2.Set("extra", nil)
+	m2.Items["extra"] = nil
 	if Equal(m1, m2) {
 		t.Fatal("maps with different sizes equal")
 	}
@@ -212,8 +212,8 @@ func TestEqualStructural(t *testing.T) {
 
 func TestFormat(t *testing.T) {
 	m := NewMap()
-	m.Set("b", int64(2))
-	m.Set("a", "s")
+	m.Items["b"] = int64(2)
+	m.Items["a"] = "s"
 	cases := []struct {
 		v    Value
 		want string
@@ -223,7 +223,7 @@ func TestFormat(t *testing.T) {
 		{int64(-3), "-3"},
 		{2.5, "2.5"},
 		{"plain", "plain"},
-		{NewList(int64(1), "x"), `[1, "x"]`},
+		{newList(int64(1), "x"), `[1, "x"]`},
 		{m, `{"a": "s", "b": 2}`},
 	}
 	for _, tc := range cases {
@@ -235,14 +235,14 @@ func TestFormat(t *testing.T) {
 
 func TestDeepCopyIndependence(t *testing.T) {
 	m := NewMap()
-	inner := NewList(int64(1))
-	m.Set("l", inner)
+	inner := newList(int64(1))
+	m.Items["l"] = inner
 	c, err := DeepCopy(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inner.Items[0] = int64(99)
-	copied := c.(*Map).Get("l").(*List)
+	copied := c.(*Map).Items["l"].(*List)
 	if copied.Items[0] != int64(1) {
 		t.Fatal("copy shares mutable state")
 	}
@@ -250,7 +250,7 @@ func TestDeepCopyIndependence(t *testing.T) {
 
 func TestDeepCopyGlobalsSkipsNatives(t *testing.T) {
 	globals := map[string]Value{
-		"data":  NewList(int64(1)),
+		"data":  newList(int64(1)),
 		"print": &Native{Name: "print"},
 	}
 	copied, err := DeepCopyGlobals(globals, true)
@@ -273,7 +273,7 @@ func TestDeepCopyGlobalsSkipsNatives(t *testing.T) {
 }
 
 func TestDeepCopyCycleGuard(t *testing.T) {
-	l := NewList()
+	l := &List{}
 	l.Items = append(l.Items, l) // cycle
 	if _, err := DeepCopy(l); err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Fatalf("cycle err = %v", err)
@@ -283,18 +283,18 @@ func TestDeepCopyCycleGuard(t *testing.T) {
 // A guest builds these with push(l, l); walking one without a guard
 // overflows the Go stack and kills the process.
 func TestCyclicValuesFormatAndCompare(t *testing.T) {
-	l := NewList(int64(1))
+	l := newList(int64(1))
 	l.Items = append(l.Items, l, l)
 	if got := Format(l); got != "[1, [...], [...]]" {
 		t.Errorf("Format(cyclic list) = %s", got)
 	}
 	m := NewMap()
-	m.Set("self", m)
-	m.Set("l", l)
+	m.Items["self"] = m
+	m.Items["l"] = l
 	if got := Format(m); got != `{"l": [1, [...], [...]], "self": {...}}` {
 		t.Errorf("Format(cyclic map) = %s", got)
 	}
-	other := NewList(int64(1))
+	other := newList(int64(1))
 	other.Items = append(other.Items, other, other)
 	if !Equal(l, l) || !Equal(l, other) || !Equal(m, m) {
 		t.Error("cyclic values of the same shape compare unequal")
@@ -304,8 +304,8 @@ func TestCyclicValuesFormatAndCompare(t *testing.T) {
 		t.Error("cyclic lists with different elements compare equal")
 	}
 	// A container that merely appears twice is not a cycle.
-	shared := NewList("x")
-	if got := Format(NewList(shared, shared)); got != `[["x"], ["x"]]` {
+	shared := newList("x")
+	if got := Format(newList(shared, shared)); got != `[["x"], ["x"]]` {
 		t.Errorf("Format(shared sublist) = %s", got)
 	}
 }
@@ -313,17 +313,17 @@ func TestCyclicValuesFormatAndCompare(t *testing.T) {
 // Property: Equal(v, DeepCopy(v)) for generated scalar/list/map values.
 func TestDeepCopyEqualProperty(t *testing.T) {
 	f := func(ints []int64, strs []string) bool {
-		l := NewList()
+		l := &List{}
 		m := NewMap()
 		for i, n := range ints {
 			l.Items = append(l.Items, n)
 			if i < len(strs) {
-				m.Set(strs[i], n)
+				m.Items[strs[i]] = n
 			}
 		}
 		root := NewMap()
-		root.Set("l", l)
-		root.Set("m", m)
+		root.Items["l"] = l
+		root.Items["m"] = m
 		c, err := DeepCopy(root)
 		if err != nil {
 			return false
@@ -334,3 +334,5 @@ func TestDeepCopyEqualProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func newList(items ...Value) *List { return &List{Items: items} }

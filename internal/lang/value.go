@@ -28,9 +28,6 @@ type List struct {
 	Items []Value
 }
 
-// NewList returns a list holding items.
-func NewList(items ...Value) *List { return &List{Items: items} }
-
 // Map is a mutable string-keyed FaaSLang map.
 type Map struct {
 	Items map[string]Value
@@ -38,12 +35,6 @@ type Map struct {
 
 // NewMap returns an empty map.
 func NewMap() *Map { return &Map{Items: make(map[string]Value)} }
-
-// Get returns the value for key, or nil when absent.
-func (m *Map) Get(key string) Value { return m.Items[key] }
-
-// Set stores the value for key.
-func (m *Map) Set(key string, v Value) { m.Items[key] = v }
 
 // SortedKeys returns the map's keys in lexical order (deterministic
 // iteration for for-in loops and printing).

@@ -144,15 +144,26 @@ func runTiered(src string, params lang.Value, mode tierMode, maxSteps int64) (ou
 		out.err = err
 		return out, false
 	}
-	fns := rt.Module().Functions
-	if len(fns) == 0 {
+	// The source loaded, so it compiles; the compiled module gives the
+	// function names in declaration order, the globals the loaded code.
+	mod, err := bytecode.CompileSource(src)
+	if err != nil {
+		out.err = err
 		return out, false
 	}
-	entry := fns[len(fns)-1].Name
-	if rt.Module().Function("main") != nil {
-		entry = "main"
+	if len(mod.Functions) == 0 {
+		return out, false
 	}
-	for _, fn := range fns {
+	entry := mod.Functions[len(mod.Functions)-1].Name
+	for _, decl := range mod.Functions {
+		if decl.Name == "main" {
+			entry = "main"
+		}
+		cl, isClosure := rt.VM.Globals[decl.Name].(*bytecode.Closure)
+		if !isClosure {
+			continue
+		}
+		fn := cl.Fn
 		switch mode {
 		case modeJIT:
 			engine.Compile(fn, nil)
@@ -171,6 +182,23 @@ func runTiered(src string, params lang.Value, mode tierMode, maxSteps int64) (ou
 	out.result, out.err = rt.Call(entry, args...)
 	out.stdout = rt.Stdout.String()
 	return out, true
+}
+
+// TestRunTieredCyclicGlobals keeps programs whose globals are cyclic
+// inside the fuzz targets: runTiered finds the functions to compile
+// without copying the globals.
+func TestRunTieredCyclicGlobals(t *testing.T) {
+	src := `let l = []; push(l, l); func f(n) { push(l[0], n); return len(l); }`
+	for _, mode := range []tierMode{modeInterp, modeJIT, modeDeopted} {
+		params, err := runtime.DecodeJSON([]byte(`[2]`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, ok := runTiered(src, params, mode, fuzzMaxSteps)
+		if !ok || out.err != nil || out.result != int64(2) {
+			t.Errorf("mode %d: ok=%v result=%s err=%v, want ok=true result=2", mode, ok, lang.Format(out.result), out.err)
+		}
+	}
 }
 
 // fuzzParams skips oversized inputs and returns a decoder of the params
@@ -239,8 +267,7 @@ func FuzzTiers(f *testing.F) {
 // must run the same under MaxSteps = T, stop with the step-limit error
 // after exactly T-1 charged ops under MaxSteps = T-1, and after exactly
 // L under a limit L in [1, T) derived from the input — the op at which
-// a per-instruction meter would stop, whichever block it sits in and
-// however its block is fused.
+// a per-instruction meter would stop, whichever block it sits in.
 func FuzzStepLimit(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s[0], s[1])
@@ -303,9 +330,6 @@ func FuzzCompileSource(f *testing.F) {
 		}
 		mod, compileErr := bytecode.CompileSource(src)
 		if compileErr == nil {
-			for _, fn := range append(mod.Functions, mod.TopLevel) {
-				_ = bytecode.Disassemble(fn)
-			}
 			// What the compiler emits, the verifier accepts: every
 			// path reaches each op at one stack depth.
 			if err := vm.Translate(mod); err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 func TestBinaryOpSemantics(t *testing.T) {
-	l := lang.NewList(int64(1))
+	l := &lang.List{Items: []lang.Value{int64(1)}}
 	cases := []struct {
 		op    bytecode.Op
 		a, b  lang.Value
@@ -28,7 +28,7 @@ func TestBinaryOpSemantics(t *testing.T) {
 		{bytecode.OpAdd, "a", "b", "ab", false},
 		{bytecode.OpAdd, "n=", int64(7), "n=7", false},
 		{bytecode.OpAdd, "v=", true, "v=true", false},
-		{bytecode.OpAdd, lang.NewList(int64(1)), lang.NewList(int64(2)), nil, false}, // checked below
+		{bytecode.OpAdd, &lang.List{Items: []lang.Value{int64(1)}}, &lang.List{Items: []lang.Value{int64(2)}}, nil, false}, // checked below
 		{bytecode.OpAdd, int64(1), "s", nil, true},
 		{bytecode.OpAdd, nil, int64(1), nil, true},
 		// Subtraction/multiplication/division.
@@ -75,7 +75,7 @@ func TestBinaryOpSemantics(t *testing.T) {
 		}
 	}
 	// List concatenation produces a fresh list.
-	a, b := lang.NewList(int64(1)), lang.NewList(int64(2))
+	a, b := &lang.List{Items: []lang.Value{int64(1)}}, &lang.List{Items: []lang.Value{int64(2)}}
 	sum, err := vm.BinaryOp(bytecode.OpAdd, vm.SlotOf(a), vm.SlotOf(b))
 	if err != nil {
 		t.Fatal(err)
@@ -96,9 +96,9 @@ func positiveInf() float64 {
 }
 
 func TestIndexSemantics(t *testing.T) {
-	l := lang.NewList("a", "b", "c")
+	l := &lang.List{Items: []lang.Value{"a", "b", "c"}}
 	m := lang.NewMap()
-	m.Set("k", int64(7))
+	m.Items["k"] = int64(7)
 	cases := []struct {
 		container, key lang.Value
 		want           lang.Value
@@ -142,7 +142,7 @@ func TestSetIndexSemantics(t *testing.T) {
 	setIndex := func(container, key, value lang.Value) error {
 		return vm.SetIndex(vm.SlotOf(container), vm.SlotOf(key), vm.SlotOf(value))
 	}
-	l := lang.NewList(int64(1), int64(2))
+	l := &lang.List{Items: []lang.Value{int64(1), int64(2)}}
 	if err := setIndex(l, int64(-1), int64(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSetIndexSemantics(t *testing.T) {
 	if err := setIndex(m, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Get("k") != "v" {
+	if m.Items["k"] != "v" {
 		t.Fatal("map assignment lost")
 	}
 	if err := setIndex(m, int64(1), "v"); err == nil {
@@ -192,7 +192,7 @@ func TestTiersAgreeOnRandomPrograms(t *testing.T) {
 			if _, err := v.RunModule(mod); err != nil {
 				return nil, err
 			}
-			engine.Compile(mod.Function("f"), nil)
+			engine.Compile(v.Globals["f"].(*bytecode.Closure).Fn, nil)
 		} else {
 			if _, err := v.RunModule(mod); err != nil {
 				return nil, err

@@ -155,14 +155,14 @@ func joinKeys(m) {
   return out;
 }
 `
-	got := run(t, src, "sumList", lang.NewList(int64(1), int64(2), int64(3)))
+	got := run(t, src, "sumList", &lang.List{Items: []lang.Value{int64(1), int64(2), int64(3)}})
 	if got != int64(6) {
 		t.Errorf("sumList = %v", got)
 	}
 	m := lang.NewMap()
-	m.Set("b", int64(1))
-	m.Set("a", int64(2))
-	m.Set("c", int64(3))
+	m.Items["b"] = int64(1)
+	m.Items["a"] = int64(2)
+	m.Items["c"] = int64(3)
 	if got := run(t, src, "joinKeys", m); got != "abc" {
 		t.Errorf("joinKeys = %v (map iteration must be sorted)", got)
 	}

@@ -167,14 +167,6 @@ func (h *Host) Used() uint64 {
 	return h.usedPages * PageSize
 }
 
-// HighWater returns the highest usage (bytes) the host has ever reached
-// — the swap-pressure watermark the memory timeline reports.
-func (h *Host) HighWater() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.maxUsedPages * PageSize
-}
-
 // Swapping reports whether current usage has crossed the swap threshold.
 func (h *Host) Swapping() bool { return h.Used() > h.SwapThreshold() }
 
@@ -270,26 +262,9 @@ func (r *Region) residentLocked() int {
 	return resident
 }
 
-// Name returns the unique region name, Kind its content label, and Pages
-// its size in pages.
-func (r *Region) Name() string { return r.name }
-func (r *Region) Kind() Kind   { return r.kind }
-func (r *Region) Pages() int   { return r.pages }
-
-// Sharers returns the number of address spaces currently mapping the
-// region.
-func (r *Region) Sharers() int {
-	r.host.mu.Lock()
-	defer r.host.mu.Unlock()
-	return r.sharers
-}
-
-// Faults returns the lifetime CoW faults taken against this region.
-func (r *Region) Faults() uint64 {
-	r.host.mu.Lock()
-	defer r.host.mu.Unlock()
-	return r.faults
-}
+// Kind returns the region's content label, and Pages its size in pages.
+func (r *Region) Kind() Kind { return r.kind }
+func (r *Region) Pages() int { return r.pages }
 
 // Space is one address space (one microVM's guest-physical memory, or one
 // container's memory image).
@@ -333,13 +308,6 @@ func (h *Host) NewSpace(name string) *Space {
 	return s
 }
 
-// Spaces returns the live address spaces in creation order.
-func (h *Host) Spaces() []*Space {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.spacesLocked()
-}
-
 func (h *Host) spacesLocked() []*Space {
 	out := make([]*Space, 0, len(h.spaces))
 	for _, s := range h.spaces {
@@ -348,9 +316,6 @@ func (h *Host) spacesLocked() []*Space {
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
-
-// Name returns the space's name.
-func (s *Space) Name() string { return s.name }
 
 // MapRegion maps a shared region into this space. Mapping the same region
 // twice is an error in the simulated stack and panics.
@@ -370,20 +335,6 @@ func (s *Space) MapRegion(r *Region) {
 	r.sharers++
 	h.rssPages += uint64(r.pages)
 	h.adjustLocked(int64(r.residentLocked()-before), 0)
-}
-
-// DirtyPage CoW-splits one page of a mapped region: this space gets a
-// private copy. Dirtying an already-split page is a no-op (the private
-// copy is simply written again). It reports whether a CoW fault occurred.
-func (s *Space) DirtyPage(r *Region, page int) bool {
-	return s.DirtyRange(r, page, page+1) == 1
-}
-
-// DirtyPages CoW-splits the first n pages of the region (a convenient
-// stand-in for "the working set touched during execution") and returns
-// the number of actual faults.
-func (s *Space) DirtyPages(r *Region, n int) int {
-	return s.DirtyRange(r, 0, min(n, r.pages))
 }
 
 // DirtyRange CoW-splits pages [lo,hi) of a mapped region and returns the
@@ -458,20 +409,6 @@ func (s *Space) AllocPrivate(kind Kind, pages int) {
 	h.adjustLocked(int64(pages), int64(pages))
 }
 
-// FreePrivate releases n private pages of the given kind.
-func (s *Space) FreePrivate(kind Kind, pages int) {
-	h := s.host
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s.mustLive()
-	if s.private[kind] < pages {
-		panic(fmt.Sprintf("mem: freeing %d %s pages but only %d allocated", pages, kind, s.private[kind]))
-	}
-	s.private[kind] -= pages
-	h.rssPages -= uint64(pages)
-	h.adjustLocked(-int64(pages), -int64(pages))
-}
-
 // Free releases everything the space holds: region mappings (dropping
 // per-page split counts, reclaiming base frames that lost their last
 // referent) and private pages. The space's final PSS is observed into
@@ -513,13 +450,6 @@ func (s *Space) mustLive() {
 	if s.freed {
 		panic(fmt.Sprintf("mem: use of freed space %s", s.name))
 	}
-}
-
-// PrivatePages returns the number of private pages of one kind.
-func (s *Space) PrivatePages(kind Kind) int {
-	s.host.mu.Lock()
-	defer s.host.mu.Unlock()
-	return s.private[kind]
 }
 
 func (s *Space) privatePagesLocked() uint64 {
@@ -628,16 +558,6 @@ func (s *Space) ussLocked() uint64 {
 		})
 	}
 	return pages * PageSize
-}
-
-// BreakdownByKind returns this space's PSS decomposed by content kind,
-// used by the Figure 12 factor analysis.
-func (s *Space) BreakdownByKind() map[Kind]float64 {
-	h := s.host
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s.mustLive()
-	return s.breakdownLocked()
 }
 
 func (s *Space) breakdownLocked() map[Kind]float64 {

@@ -44,26 +44,10 @@ func TestPrivateAllocationAccounting(t *testing.T) {
 	if s.PSS() != 100*PageSize {
 		t.Fatalf("PSS = %v", s.PSS())
 	}
-	s.FreePrivate(KindHeap, 40)
-	if h.Used() != 60*PageSize {
-		t.Fatalf("Used after free = %d", h.Used())
-	}
 	s.Free()
 	if h.Used() != 0 {
 		t.Fatalf("Used after space free = %d", h.Used())
 	}
-}
-
-func TestOverFreePanics(t *testing.T) {
-	h := newTestHost()
-	s := h.NewSpace("a")
-	s.AllocPrivate(KindHeap, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on over-free")
-		}
-	}()
-	s.FreePrivate(KindHeap, 6)
 }
 
 func TestRegionSharing(t *testing.T) {
@@ -83,8 +67,8 @@ func TestRegionSharing(t *testing.T) {
 	if h.Used() != 1000*PageSize {
 		t.Fatalf("Used = %d after second map", h.Used())
 	}
-	if r.Sharers() != 2 {
-		t.Fatalf("sharers = %d", r.Sharers())
+	if regions := h.Report().Regions; len(regions) != 1 || regions[0].Sharers != 2 {
+		t.Fatalf("lineage = %+v, want one region with 2 sharers", regions)
 	}
 	// PSS splits evenly.
 	if a.PSS() != 500*PageSize || b.PSS() != 500*PageSize {
@@ -129,10 +113,10 @@ func TestCoWSplit(t *testing.T) {
 	a.MapRegion(r)
 	b.MapRegion(r)
 
-	if !a.DirtyPage(r, 0) {
+	if a.DirtyRange(r, 0, 1) != 1 {
 		t.Fatal("first write did not fault")
 	}
-	if a.DirtyPage(r, 0) {
+	if a.DirtyRange(r, 0, 1) != 0 {
 		t.Fatal("second write faulted again")
 	}
 	// One private copy materialized.
@@ -162,17 +146,17 @@ func TestDirtyPagesCount(t *testing.T) {
 	r := h.NewRegion("snap", KindHeap, 50)
 	a := h.NewSpace("a")
 	a.MapRegion(r)
-	if n := a.DirtyPages(r, 30); n != 30 {
+	if n := a.DirtyRange(r, 0, 30); n != 30 {
 		t.Fatalf("faults = %d", n)
 	}
-	if n := a.DirtyPages(r, 40); n != 10 {
+	if n := a.DirtyRange(r, 0, 40); n != 10 {
 		t.Fatalf("incremental faults = %d", n)
 	}
-	if n := a.DirtyPages(r, 500); n != 10 {
-		t.Fatalf("over-size dirty = %d new faults", n)
+	if n := a.DirtyRange(r, 0, 50); n != 10 {
+		t.Fatalf("whole-region dirty = %d new faults", n)
 	}
-	if a.PrivatePages(KindHeap) != 50 {
-		t.Fatalf("private heap pages = %d", a.PrivatePages(KindHeap))
+	if got := h.Report().Spaces[0].PrivateBytes; got != 50*PageSize {
+		t.Fatalf("private pages = %d", got/PageSize)
 	}
 }
 
@@ -185,7 +169,7 @@ func TestDirtyUnmappedPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	s.DirtyPage(r, 0)
+	s.DirtyRange(r, 0, 1)
 }
 
 func TestUseAfterFreePanics(t *testing.T) {
@@ -206,7 +190,7 @@ func TestBreakdownByKind(t *testing.T) {
 	s := h.NewSpace("a")
 	s.MapRegion(r)
 	s.AllocPrivate(KindHeap, 10)
-	bd := s.BreakdownByKind()
+	bd := h.Report().Spaces[0].ByKind
 	if bd[KindKernel] != 100*PageSize {
 		t.Fatalf("kernel share = %v", bd[KindKernel])
 	}
@@ -245,7 +229,7 @@ func TestPSSConservation(t *testing.T) {
 			if i > 200 {
 				break
 			}
-			spaces[int(d.Space)%n].DirtyPage(r, int(d.Page)%pages)
+			spaces[int(d.Space)%n].DirtyRange(r, int(d.Page)%pages, int(d.Page)%pages+1)
 		}
 		for i, p := range privates {
 			if i >= n {
@@ -275,7 +259,7 @@ func TestUsedNeverNegativeOnTeardown(t *testing.T) {
 		for i := range spaces {
 			spaces[i] = h.NewSpace("s")
 			spaces[i].MapRegion(r)
-			spaces[i].DirtyPages(r, int(dirtySeed)%65)
+			spaces[i].DirtyRange(r, 0, int(dirtySeed)%65)
 			spaces[i].AllocPrivate(KindAnon, i*3)
 		}
 		freed := make(map[int]bool)

@@ -51,13 +51,6 @@ type RegionLineage struct {
 	SharedFraction    float64 `json:"shared_fraction"`
 }
 
-// Lineage returns the region's current page lineage.
-func (r *Region) Lineage() RegionLineage {
-	r.host.mu.Lock()
-	defer r.host.mu.Unlock()
-	return r.lineageLocked()
-}
-
 func (r *Region) lineageLocked() RegionLineage {
 	l := RegionLineage{
 		Region:  r.name,

@@ -11,7 +11,7 @@ import (
 
 // reportFixture builds a host with one shared snapshot region mapped by
 // three spaces, CoW splits in various states, and a private allocation.
-func reportFixture() (*Host, *Region, []*Space) {
+func reportFixture() (*Host, []*Space) {
 	h := NewHost(1<<30, 0.6)
 	r := h.NewRegion("snap", KindRuntime, 100)
 	var spaces []*Space
@@ -20,15 +20,15 @@ func reportFixture() (*Host, *Region, []*Space) {
 		s.MapRegion(r)
 		spaces = append(spaces, s)
 	}
-	spaces[0].DirtyPages(r, 10) // pages 0-9 partial (a split)
-	spaces[1].DirtyPages(r, 5)  // pages 0-4 split by a and b
-	spaces[2].DirtyPages(r, 2)  // pages 0-1 split by everyone → reclaimed
+	spaces[0].DirtyRange(r, 0, 10) // pages 0-9 partial (a split)
+	spaces[1].DirtyRange(r, 0, 5)  // pages 0-4 split by a and b
+	spaces[2].DirtyRange(r, 0, 2)  // pages 0-1 split by everyone → reclaimed
 	spaces[0].AllocPrivate(KindHeap, 7)
-	return h, r, spaces
+	return h, spaces
 }
 
 func TestHostReportPSSConservation(t *testing.T) {
-	h, _, _ := reportFixture()
+	h, _ := reportFixture()
 	rep := h.Report()
 	if !rep.PSSPageExact {
 		t.Fatalf("PSS sum %v not page-exact vs used %d", rep.PSSSumBytes, rep.UsedBytes)
@@ -52,8 +52,8 @@ func TestHostReportPSSConservation(t *testing.T) {
 }
 
 func TestRegionLineage(t *testing.T) {
-	h, r, _ := reportFixture()
-	l := r.Lineage()
+	h, _ := reportFixture()
+	l := h.Report().Regions[0]
 	// Pages 0-1: all three split → reclaimed. Pages 2-4: a+b split →
 	// partial. Pages 5-9: only a split → partial. Pages 10-99: clean.
 	if l.ReclaimedPages != 2 || l.PartialPages != 8 || l.SharedPages != 90 {
@@ -81,7 +81,7 @@ func TestRegionLineage(t *testing.T) {
 }
 
 func TestReportUnregistersFreedSpaces(t *testing.T) {
-	h, _, spaces := reportFixture()
+	h, spaces := reportFixture()
 	spaces[1].Free()
 	rep := h.Report()
 	if len(rep.Spaces) != 2 {
@@ -112,7 +112,7 @@ func TestReportUnregistersFreedSpaces(t *testing.T) {
 }
 
 func TestReportWriteText(t *testing.T) {
-	h, _, _ := reportFixture()
+	h, _ := reportFixture()
 	var sb strings.Builder
 	if err := h.Report().WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -135,10 +135,11 @@ func TestBreakdownByKindWithSplits(t *testing.T) {
 	b := h.NewSpace("b")
 	a.MapRegion(r)
 	b.MapRegion(r)
-	a.DirtyPage(r, 0) // a holds a private copy; b alone references base
+	a.DirtyRange(r, 0, 1) // a holds a private copy; b alone references base
 	a.AllocPrivate(KindHeap, 3)
 
-	ba := a.BreakdownByKind()
+	rep := h.Report()
+	ba := rep.Spaces[0].ByKind
 	// a: 9 clean pages at 1/2 + 1 private copy + 3 heap pages.
 	if got, want := ba[KindRuntime], 9*float64(PageSize)/2+PageSize; got != want {
 		t.Fatalf("a runtime = %v, want %v", got, want)
@@ -146,7 +147,7 @@ func TestBreakdownByKindWithSplits(t *testing.T) {
 	if got := ba[KindHeap]; got != 3*PageSize {
 		t.Fatalf("a heap = %v", got)
 	}
-	bb := b.BreakdownByKind()
+	bb := rep.Spaces[1].ByKind
 	// b: 9 clean pages at 1/2 + sole referent of page 0's base frame.
 	if got, want := bb[KindRuntime], 9*float64(PageSize)/2+PageSize; got != want {
 		t.Fatalf("b runtime = %v, want %v", got, want)
@@ -174,8 +175,8 @@ func TestUnmapWithOpenCoWSplits(t *testing.T) {
 	a.MapRegion(r)
 	b.MapRegion(r)
 	// Both split page 0 → base frame reclaimed (8 base - 1 + 2 copies).
-	a.DirtyPage(r, 0)
-	b.DirtyPage(r, 0)
+	a.DirtyRange(r, 0, 1)
+	b.DirtyRange(r, 0, 1)
 	if got, want := h.Used(), uint64(9*PageSize); got != want {
 		t.Fatalf("used = %d, want %d", got, want)
 	}
@@ -205,7 +206,7 @@ func TestLastSharerPromotion(t *testing.T) {
 	b := h.NewSpace("b")
 	a.MapRegion(r)
 	b.MapRegion(r)
-	b.DirtyPage(r, 3) // b's copy exists; a alone references base of 3
+	b.DirtyRange(r, 3, 4) // b's copy exists; a alone references base of 3
 	if got := a.USS(); got != PageSize {
 		t.Fatalf("a USS with co-sharer = %d, want %d (sole referent of page 3)", got, PageSize)
 	}
@@ -220,7 +221,7 @@ func TestLastSharerPromotion(t *testing.T) {
 	if got, want := h.Used(), uint64(8*PageSize); got != want {
 		t.Fatalf("used = %d, want %d", got, want)
 	}
-	l := r.Lineage()
+	l := h.Report().Regions[0]
 	if l.Sharers != 1 || l.SharedPages != 8 || l.PartialPages != 0 || l.ReclaimedPages != 0 {
 		t.Fatalf("lineage after promotion = %+v", l)
 	}
@@ -234,7 +235,7 @@ func TestLastSharerPromotionRematerialize(t *testing.T) {
 	r := h.NewRegion("rt", KindRuntime, 4)
 	a := h.NewSpace("a")
 	a.MapRegion(r)
-	a.DirtyPage(r, 0) // sole sharer splits → base reclaimed
+	a.DirtyRange(r, 0, 1) // sole sharer splits → base reclaimed
 	if got, want := h.Used(), uint64(4*PageSize); got != want {
 		t.Fatalf("used = %d, want %d", got, want)
 	}
@@ -243,7 +244,7 @@ func TestLastSharerPromotionRematerialize(t *testing.T) {
 	if got, want := h.Used(), uint64(5*PageSize); got != want {
 		t.Fatalf("used after remap = %d, want %d", got, want)
 	}
-	if got := r.Lineage().ReclaimedPages; got != 0 {
+	if got := h.Report().Regions[0].ReclaimedPages; got != 0 {
 		t.Fatalf("reclaimed after remap = %d", got)
 	}
 	a.Free()
@@ -260,7 +261,7 @@ func TestInstrumentedGaugesAndPSSHistogram(t *testing.T) {
 	r := h.NewRegion("rt", KindRuntime, 10)
 	s := h.NewSpace("s")
 	s.MapRegion(r)
-	s.DirtyPage(r, 0)
+	s.DirtyRange(r, 0, 1)
 	s.AllocPrivate(KindHeap, 4)
 
 	if got := reg.Gauge("mem_private_frames").Value(); got != 5 {
@@ -283,12 +284,17 @@ func TestInstrumentedGaugesAndPSSHistogram(t *testing.T) {
 	// Teardown observes the space's final PSS into mem_pss_bytes.
 	wantPSS := s.PSS()
 	s.Free()
-	hist := reg.HistogramWith("mem_pss_bytes", "bytes", pssBuckets())
-	if hist.Count() != 1 {
-		t.Fatalf("mem_pss_bytes count = %d, want 1", hist.Count())
+	var hist metrics.HistSnapshot
+	for _, hs := range reg.Snapshot().Histograms {
+		if hs.Name == "mem_pss_bytes" {
+			hist = hs
+		}
 	}
-	if got := hist.Sum(); got != wantPSS {
-		t.Fatalf("mem_pss_bytes sum = %v, want %v", got, wantPSS)
+	if hist.Count != 1 {
+		t.Fatalf("mem_pss_bytes count = %d, want 1", hist.Count)
+	}
+	if hist.Sum != wantPSS {
+		t.Fatalf("mem_pss_bytes sum = %v, want %v", hist.Sum, wantPSS)
 	}
 	if got := reg.Gauge("mem_high_water_bytes").Value(); got != 14*PageSize {
 		t.Fatalf("high water after teardown = %d", got)
@@ -310,11 +316,10 @@ func TestSwappedFramesGauge(t *testing.T) {
 	if rep.SwappedBytes != 10*PageSize || !rep.Swapping {
 		t.Fatalf("report swap = %+v", rep)
 	}
-	s.FreePrivate(KindHeap, 20)
+	s.Free()
 	if got := reg.Gauge("mem_swapped_frames").Value(); got != 0 {
 		t.Fatalf("mem_swapped_frames after free = %d, want 0", got)
 	}
-	s.Free()
 }
 
 // TestConcurrentReportRace hammers Report while spaces churn — the
@@ -331,7 +336,7 @@ func TestConcurrentReportRace(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				s := h.NewSpace("s")
 				s.MapRegion(r)
-				s.DirtyPages(r, (g+1)*7%64)
+				s.DirtyRange(r, 0, (g+1)*7%64)
 				s.AllocPrivate(KindHeap, 3)
 				_ = s.PSS()
 				s.Free()

@@ -12,8 +12,9 @@ import (
 // slices are sorted by metric name so the text rendering and the JSON
 // encoding are byte-stable for a given simulated workload.
 type Snapshot struct {
-	// VirtualTimeNS is the registry clock's position when the snapshot
-	// was taken (0 without a clock).
+	// VirtualTimeNS is always 0: per-invocation clocks are independent,
+	// so a registry has no single virtual time to stamp. The field keeps
+	// the export format.
 	VirtualTimeNS int64             `json:"virtual_time_ns"`
 	Counters      []CounterSnapshot `json:"counters"`
 	Gauges        []GaugeSnapshot   `json:"gauges"`
@@ -133,7 +134,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	snap := Snapshot{VirtualTimeNS: int64(r.snapshotTime())}
+	var snap Snapshot
 	for _, c := range r.counters.load().byName {
 		snap.Counters = append(snap.Counters, CounterSnapshot{Name: c.name, Value: c.inst.Value()})
 	}
@@ -244,12 +245,6 @@ func (s Snapshot) WriteFormat(w io.Writer, format string) error {
 		return fmt.Errorf("unknown -metrics format %q (want text or json)", format)
 	}
 }
-
-// WriteText snapshots the registry and renders it as text.
-func (r *Registry) WriteText(w io.Writer) error { return r.Snapshot().WriteText(w) }
-
-// WriteJSON snapshots the registry and renders it as JSON.
-func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }
 
 // WriteFormat snapshots the registry and renders it in a named format.
 func (r *Registry) WriteFormat(w io.Writer, format string) error {

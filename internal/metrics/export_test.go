@@ -6,24 +6,21 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/vclock"
 )
 
 // goldenRegistry builds a deterministic registry exercising all three
 // instrument kinds.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	r.SetClock(vclock.NewAt(1500 * time.Millisecond))
 	r.Counter("mem_cow_faults_total").Add(4)
 	r.Counter(Name("cluster_node_invocations_total", "node", "node-00")).Add(7)
 	r.Gauge("msgbus_queue_depth").Set(2)
 	h := r.HistogramWith("snapshot_restore_duration", UnitDuration, []float64{
 		float64(10 * time.Millisecond), float64(100 * time.Millisecond),
 	})
-	h.ObserveDuration(12 * time.Millisecond)
-	h.ObserveDuration(14 * time.Millisecond)
-	h.ObserveDuration(250 * time.Millisecond)
+	h.Observe(float64(12 * time.Millisecond))
+	h.Observe(float64(14 * time.Millisecond))
+	h.Observe(float64(250 * time.Millisecond))
 	b := r.HistogramWith("queue_batch_size", "", []float64{1, 8})
 	b.Observe(1)
 	b.Observe(5)
@@ -33,7 +30,7 @@ func goldenRegistry() *Registry {
 // goldenText is the expected stable text rendering; a change here is a
 // breaking change to the exporter format and must be called out in
 // docs/observability.md.
-const goldenText = `# fireworks metrics snapshot (virtual time 1.5s)
+const goldenText = `# fireworks metrics snapshot (virtual time 0s)
 counter cluster_node_invocations_total{node="node-00"} 7
 counter mem_cow_faults_total 4
 gauge msgbus_queue_depth 2
@@ -49,7 +46,7 @@ histogram snapshot_restore_duration count=3 sum=276ms min=12ms p50=14ms p90=202.
 
 func TestTextExportGolden(t *testing.T) {
 	var sb strings.Builder
-	if err := goldenRegistry().WriteText(&sb); err != nil {
+	if err := goldenRegistry().WriteFormat(&sb, "text"); err != nil {
 		t.Fatal(err)
 	}
 	if sb.String() != goldenText {
@@ -60,10 +57,10 @@ func TestTextExportGolden(t *testing.T) {
 func TestTextExportIsStable(t *testing.T) {
 	var a, b strings.Builder
 	r := goldenRegistry()
-	if err := r.WriteText(&a); err != nil {
+	if err := r.WriteFormat(&a, "text"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteText(&b); err != nil {
+	if err := r.WriteFormat(&b, "text"); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -88,12 +85,12 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestJSONContainsLabeledNames(t *testing.T) {
 	var sb strings.Builder
-	if err := goldenRegistry().WriteJSON(&sb); err != nil {
+	if err := goldenRegistry().WriteFormat(&sb, "json"); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`"virtual_time_ns": 1500000000`,
+		`"virtual_time_ns": 0`,
 		`cluster_node_invocations_total{node=\"node-00\"}`,
 		`"unit": "ns"`,
 		`"le": null`,

@@ -35,8 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/vclock"
 )
 
 // UnitDuration marks a histogram whose observations are virtual-time
@@ -73,9 +71,6 @@ func DefaultLatencyBuckets() []float64 {
 // Instruments are created on first use and live for the registry's
 // lifetime. It holds locks, so share it by pointer (NewRegistry).
 type Registry struct {
-	clockMu sync.RWMutex
-	clock   *vclock.Clock
-
 	counters   table[Counter]
 	gauges     table[Gauge]
 	histograms table[Histogram]
@@ -159,17 +154,6 @@ func (t *table[T]) create(r *Registry, name string, mk func(name string) *T) *T 
 		r.noteOverflow(fam)
 	}
 	return v
-}
-
-// SetClock attaches a virtual clock; snapshots are stamped with its
-// current time. Safe to call at any point (including never).
-func (r *Registry) SetClock(c *vclock.Clock) {
-	if r == nil {
-		return
-	}
-	r.clockMu.Lock()
-	r.clock = c
-	r.clockMu.Unlock()
 }
 
 // Name builds a labeled metric name, e.g.
@@ -426,60 +410,10 @@ func (h *Histogram) ObserveExemplar(v float64, trace uint64, ts time.Duration) {
 	}
 }
 
-// ObserveDuration records a virtual-time duration.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d)) }
-
 // ObserveDurationExemplar records a virtual-time duration with an
 // exemplar trace (see ObserveExemplar).
 func (h *Histogram) ObserveDurationExemplar(d time.Duration, trace uint64, ts time.Duration) {
 	h.ObserveExemplar(float64(d), trace, ts)
-}
-
-// Exemplars returns a copy of the per-bucket exemplar slots
-// (len(bounds)+1; a zero Trace marks an empty slot). Nil when no
-// exemplar was ever captured.
-func (h *Histogram) Exemplars() []Exemplar {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.exemplars == nil {
-		return nil
-	}
-	return append([]Exemplar(nil), h.exemplars...)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Percentile returns the p-th percentile (0-100) over the retained
-// sample window: what internal/stats.Percentile computes over the
-// window's samples, read by rank instead of by sorting them.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.win.percentile(p)
 }
 
 // Summary returns the count, p50 and p99 under one lock: what a
@@ -505,15 +439,4 @@ func (h *Histogram) WindowWork() (blocksStepped, samplesMoved uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.win.stepped, h.win.moved
-}
-
-// snapshotTime returns the registry's virtual time, or 0 without a
-// clock.
-func (r *Registry) snapshotTime() time.Duration {
-	r.clockMu.RLock()
-	defer r.clockMu.RUnlock()
-	if r.clock == nil {
-		return 0
-	}
-	return r.clock.Now()
 }

@@ -102,7 +102,7 @@ func TestHistogramPercentilesMatchStats(t *testing.T) {
 	}
 	for _, p := range []float64{0, 25, 50, 90, 99, 100} {
 		want := stats.Percentile(raw, p)
-		if got := h.Percentile(p); got != want {
+		if got := h.win.percentile(p); got != want {
 			t.Errorf("p%g = %g, want %g", p, got, want)
 		}
 	}
@@ -114,11 +114,11 @@ func TestHistogramSampleWindowWraps(t *testing.T) {
 	for i := 0; i < maxSamples+100; i++ {
 		h.Observe(float64(i))
 	}
-	if h.Count() != maxSamples+100 {
-		t.Fatalf("count = %d", h.Count())
+	if histCount(h) != maxSamples+100 {
+		t.Fatalf("count = %d", histCount(h))
 	}
 	// Samples 0..99 were overwritten; the window minimum is 100.
-	if got := h.Percentile(0); got != 100 {
+	if got := h.win.percentile(0); got != 100 {
 		t.Fatalf("window min = %g, want 100", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 				r.Counter("shared_total").Inc()
 				r.Gauge("depth").Add(1)
 				r.Gauge("depth").Add(-1)
-				r.Histogram("lat").ObserveDuration(time.Duration(i) * time.Microsecond)
+				r.Histogram("lat").Observe(float64(time.Duration(i) * time.Microsecond))
 			}
 		}()
 	}
@@ -147,7 +147,7 @@ func TestRegistryConcurrentWriters(t *testing.T) {
 	if got := r.Gauge("depth").Value(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	if got := r.Histogram("lat").Count(); got != writers*perWriter {
+	if got := histCount(r.Histogram("lat")); got != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d", got, writers*perWriter)
 	}
 }
@@ -162,9 +162,8 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(-1)
 	h.Observe(4)
-	h.ObserveDuration(time.Second)
-	r.SetClock(vclock.New())
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Percentile(50) != 0 {
+	h.Observe(float64(time.Second))
+	if n, p50, _ := h.Summary(); c.Value() != 0 || g.Value() != 0 || n != 0 || p50 != 0 {
 		t.Fatal("nil instruments recorded something")
 	}
 	snap := r.Snapshot()
@@ -203,11 +202,8 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 	}
 }
 
-func TestSnapshotVirtualTime(t *testing.T) {
-	r := NewRegistry()
-	clock := vclock.NewAt(42 * time.Millisecond)
-	r.SetClock(clock)
-	if got := r.Snapshot().VirtualTimeNS; got != int64(42*time.Millisecond) {
-		t.Fatalf("virtual time = %d", got)
-	}
+// histCount returns h's observation count as the sampler reads it.
+func histCount(h *Histogram) uint64 {
+	n, _, _ := h.Summary()
+	return n
 }

@@ -54,7 +54,7 @@ func TestShardedNoLostUpdates(t *testing.T) {
 				name := counterNames[(g+i)%names]
 				reg.Counter(name).Inc()
 				reg.Gauge(name).Add(1)
-				reg.Histogram(name).ObserveDuration(time.Duration(i))
+				reg.Histogram(name).Observe(float64(time.Duration(i)))
 			}
 		}(g)
 	}
@@ -67,7 +67,7 @@ func TestShardedNoLostUpdates(t *testing.T) {
 	for _, name := range counterNames {
 		totalC += reg.Counter(name).Value()
 		totalG += reg.Gauge(name).Value()
-		totalH += reg.Histogram(name).Count()
+		totalH += histCount(reg.Histogram(name))
 	}
 	want := int64(goroutines * perG)
 	if totalC != want {

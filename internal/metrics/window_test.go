@@ -46,12 +46,12 @@ func checkWindow(t *testing.T, h *Histogram, step int) {
 	for _, q := range []struct {
 		p   float64
 		got float64
-	}{{50, snap.P50}, {90, snap.P90}, {99, snap.P99}, {99.9, snap.P999}, {0, h.Percentile(0)}, {100, h.Percentile(100)}, {37.5, h.Percentile(37.5)}} {
+	}{{50, snap.P50}, {90, snap.P90}, {99, snap.P99}, {99.9, snap.P999}, {0, h.win.percentile(0)}, {100, h.win.percentile(100)}, {37.5, h.win.percentile(37.5)}} {
 		if want := stats.Percentile(w.ring, q.p); !sameBits(q.got, want) {
 			t.Fatalf("step %d: p%v = %v (%#x), stats.Percentile over the ring = %v (%#x)",
 				step, q.p, q.got, math.Float64bits(q.got), want, math.Float64bits(want))
 		}
-		if got := h.Percentile(q.p); !sameBits(got, q.got) {
+		if got := h.win.percentile(q.p); !sameBits(got, q.got) {
 			t.Fatalf("step %d: Percentile(%v) = %v, snapshot %v", step, q.p, got, q.got)
 		}
 	}
@@ -110,13 +110,13 @@ func TestWindowNonFinite(t *testing.T) {
 		}
 		checkWindow(t, h, i)
 	}
-	if got := h.Percentile(0); !math.IsNaN(got) {
+	if got := h.win.percentile(0); !math.IsNaN(got) {
 		t.Fatalf("p0 with NaNs in the window = %v, want NaN (NaNs sort first)", got)
 	}
-	if got := h.Percentile(100); !math.IsInf(got, 1) {
+	if got := h.win.percentile(100); !math.IsInf(got, 1) {
 		t.Fatalf("p100 with +Inf in the window = %v, want +Inf", got)
 	}
-	if got, want := h.Count(), uint64(204); got != want {
+	if got, want := histCount(h), uint64(204); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
 	// Push the odd samples out of the window: every rank is finite again.
@@ -124,7 +124,7 @@ func TestWindowNonFinite(t *testing.T) {
 		h.Observe(float64(i % 11))
 	}
 	checkWindow(t, h, maxSamples)
-	if lo, hi := h.Percentile(0), h.Percentile(100); lo != 0 || hi != 10 {
+	if lo, hi := h.win.percentile(0), h.win.percentile(100); lo != 0 || hi != 10 {
 		t.Fatalf("after eviction p0, p100 = %v, %v; want 0, 10", lo, hi)
 	}
 }

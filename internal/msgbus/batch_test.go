@@ -29,7 +29,7 @@ func TestProduceBatchFIFO(t *testing.T) {
 	if err := b.CreateTopic("jobs", 1); err != nil {
 		t.Fatal(err)
 	}
-	offsets, err := b.ProduceBatchAt("jobs", batchOf(10, "k"), time.Millisecond)
+	offsets, err := b.ProduceBatchTracedAt("jobs", batchOf(10, "k"), time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestProduceBatchMultiPartition(t *testing.T) {
 	for i := range recs {
 		recs[i] = BatchRecord{Key: fmt.Sprintf("key-%d", i%8), Value: []byte(fmt.Sprintf("v%03d", i))}
 	}
-	offsets, err := b.ProduceBatch("jobs", recs)
+	offsets, err := b.ProduceBatchTracedAt("jobs", recs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestProduceBatchAllOrNothing(t *testing.T) {
 	b.AttachFaults(plane)
 	plane.Enqueue(faults.SiteBusProduce, faults.KindError)
 
-	if _, err := b.ProduceBatch("jobs", batchOf(8, "k")); err == nil {
+	if _, err := b.ProduceBatchTracedAt("jobs", batchOf(8, "k"), 0, nil); err == nil {
 		t.Fatal("batch with armed fault succeeded")
 	}
 	for part := 0; part < 2; part++ {
@@ -139,7 +139,7 @@ func TestProduceBatchAllOrNothing(t *testing.T) {
 		t.Errorf("produced counter = %d after failed batch, want 0", got)
 	}
 
-	offsets, err := b.ProduceBatch("jobs", batchOf(8, "k"))
+	offsets, err := b.ProduceBatchTracedAt("jobs", batchOf(8, "k"), 0, nil)
 	if err != nil {
 		t.Fatalf("batch after fault drained: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestConsumeFromBounds(t *testing.T) {
 	if err := b.CreateTopic("jobs", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ProduceBatch("jobs", batchOf(5, "k")); err != nil {
+	if _, err := b.ProduceBatchTracedAt("jobs", batchOf(5, "k"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	msgs, err := b.ConsumeFrom("jobs", 0, 5, 0)
@@ -199,7 +199,7 @@ func TestConcurrentBatchProducers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for n := 0; n < batches; n++ {
-				offs, err := b.ProduceBatchAt("jobs", batchOf(perBatch, "k"), time.Duration(n))
+				offs, err := b.ProduceBatchTracedAt("jobs", batchOf(perBatch, "k"), time.Duration(n), nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -289,7 +289,7 @@ func TestConsumeFromTracedAt(t *testing.T) {
 	if count != "4" {
 		t.Errorf("consume-batch count attr = %q, want 4", count)
 	}
-	if got := reg.Histogram("msgbus_dwell").Count(); got != 4 {
+	if got, _, _ := reg.Histogram("msgbus_dwell").Summary(); got != 4 {
 		t.Errorf("dwell observations = %d, want one per record", got)
 	}
 

@@ -5,8 +5,8 @@
 // (the paper shells out to `kafkacat -o -1 -c 1`).
 //
 // The broker supports multiple topics, partitioned append-only logs,
-// offset-based consumption, and blocking "latest" reads, which is the
-// subset of Kafka the platform depends on.
+// offset-based consumption, and "latest" reads, which is the subset of
+// Kafka the platform depends on.
 package msgbus
 
 import (
@@ -36,7 +36,7 @@ type Message struct {
 	Key       string
 	Value     []byte
 	// ProducedAt is the producer's virtual-clock position when the
-	// record was appended (see ProduceAt); stamped reports whether it
+	// record was appended (see ProduceTracedAt); stamped reports whether it
 	// was set, so dwell time is only measured for stamped records.
 	ProducedAt time.Duration
 	stamped    bool
@@ -72,7 +72,7 @@ func (b *Broker) AttachFaults(p *faults.Plane) {
 
 // Instrument attaches the broker to a metrics registry: queue depth
 // across all topics, produced/consumed counters, and the queue dwell
-// histogram (virtual time a record waits between ProduceAt and a
+// histogram (virtual time a record waits between ProduceTracedAt and a
 // stamped consume — the §3.6 parameter-passing cost the paper folds
 // into "others").
 func (b *Broker) Instrument(reg *metrics.Registry) {
@@ -91,14 +91,7 @@ type topic struct {
 
 type partition struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	records []Message
-}
-
-func newPartition() *partition {
-	p := &partition{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
 }
 
 // NewBroker returns an empty broker.
@@ -122,7 +115,7 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	}
 	t := &topic{name: name}
 	for i := 0; i < partitions; i++ {
-		t.partitions = append(t.partitions, newPartition())
+		t.partitions = append(t.partitions, &partition{})
 	}
 	b.topics[name] = t
 	return nil
@@ -150,14 +143,6 @@ func (b *Broker) TopicCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.topics)
-}
-
-// HasTopic reports whether the topic exists.
-func (b *Broker) HasTopic(name string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.topics[name]
-	return ok
 }
 
 func (b *Broker) topic(name string) (*topic, error) {
@@ -189,16 +174,12 @@ func (b *Broker) Produce(topicName, key string, value []byte) (partitionID int, 
 	return b.produce(topicName, key, value, 0, false, nil)
 }
 
-// ProduceAt is Produce with the producer's virtual-clock position; the
-// record is stamped so a later stamped consume can measure queue dwell
-// on the same clock.
-func (b *Broker) ProduceAt(topicName, key string, value []byte, at time.Duration) (partitionID int, offset int64, err error) {
-	return b.produce(topicName, key, value, at, true, nil)
-}
-
-// ProduceTracedAt is ProduceAt under an event scope: the append emits a
-// "produce" event and the record carries the event's journal reference,
-// so the eventual consumer's event links back to this produce.
+// ProduceTracedAt is Produce at the producer's virtual-clock position,
+// under an event scope. The record is stamped so a later stamped
+// consume can measure queue dwell on the same clock; the append emits
+// a "produce" event and the record carries the event's journal
+// reference, so the eventual consumer's event links back to this
+// produce.
 func (b *Broker) ProduceTracedAt(topicName, key string, value []byte, at time.Duration, sc *events.Scope) (partitionID int, offset int64, err error) {
 	return b.produce(topicName, key, value, at, true, sc)
 }
@@ -235,7 +216,6 @@ func (b *Broker) produce(topicName, key string, value []byte, at time.Duration, 
 	})
 	b.produced.Inc()
 	b.depth.Add(1)
-	p.cond.Broadcast()
 	return partitionID, offset, nil
 }
 
@@ -245,29 +225,13 @@ type BatchRecord struct {
 	Value []byte
 }
 
-// ProduceBatch appends a batch of records to one topic under a single
-// broker-lock acquisition and one lock acquisition per touched
-// partition (unstamped; see ProduceBatchAt).
-func (b *Broker) ProduceBatch(topicName string, recs []BatchRecord) (offsets []int64, err error) {
-	return b.produceBatch(topicName, recs, 0, false, nil)
-}
-
-// ProduceBatchAt is ProduceBatch with the producer's virtual-clock
-// position; every record in the batch is stamped with it.
-func (b *Broker) ProduceBatchAt(topicName string, recs []BatchRecord, at time.Duration) (offsets []int64, err error) {
-	return b.produceBatch(topicName, recs, at, true, nil)
-}
-
-// ProduceBatchTracedAt is ProduceBatchAt under an event scope: the
-// batch emits ONE "produce-batch" journal event (not one per record)
-// and every record carries its reference, so consumes still link back
-// causally while the journal cost is amortized across the batch.
-func (b *Broker) ProduceBatchTracedAt(topicName string, recs []BatchRecord, at time.Duration, sc *events.Scope) (offsets []int64, err error) {
-	return b.produceBatch(topicName, recs, at, true, sc)
-}
-
-// produceBatch amortizes lock acquisition across a batch while
-// preserving the unbatched path's semantics:
+// ProduceBatchTracedAt appends a batch of records to one topic under a
+// single broker-lock acquisition and one lock acquisition per touched
+// partition, every record stamped with the producer's virtual-clock
+// position at. The batch emits ONE "produce-batch" journal event (not
+// one per record) and every record carries its reference, so consumes
+// still link back causally while the journal cost is amortized across
+// the batch. It preserves the unbatched path's semantics:
 //
 //   - fault sites: the msgbus.produce site is consulted once per
 //     record (same seeded schedule as N single produces); any injected
@@ -276,7 +240,7 @@ func (b *Broker) ProduceBatchTracedAt(topicName string, recs []BatchRecord, at t
 //   - FIFO: records land in their partitions in batch order, and the
 //     whole batch appends atomically per partition — records of one
 //     batch are contiguous in each partition's log.
-func (b *Broker) produceBatch(topicName string, recs []BatchRecord, at time.Duration, stamped bool, sc *events.Scope) ([]int64, error) {
+func (b *Broker) ProduceBatchTracedAt(topicName string, recs []BatchRecord, at time.Duration, sc *events.Scope) (offsets []int64, err error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
@@ -302,7 +266,7 @@ func (b *Broker) produceBatch(topicName string, recs []BatchRecord, at time.Dura
 		p := t.partitionFor(rec.Key)
 		byPart[p] = append(byPart[p], i)
 	}
-	offsets := make([]int64, len(recs))
+	offsets = make([]int64, len(recs))
 	for _, p := range t.partitions {
 		idxs := byPart[p]
 		if len(idxs) == 0 {
@@ -319,11 +283,10 @@ func (b *Broker) produceBatch(topicName string, recs []BatchRecord, at time.Dura
 				Key:        recs[i].Key,
 				Value:      append([]byte(nil), recs[i].Value...),
 				ProducedAt: at,
-				stamped:    stamped,
+				stamped:    true,
 				Produced:   ref,
 			})
 		}
-		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
 	b.produced.Add(int64(len(recs)))
@@ -337,13 +300,6 @@ func (b *Broker) produceBatch(topicName string, recs []BatchRecord, at time.Dura
 // the log end (offset == len is an empty, error-free read).
 func (b *Broker) ConsumeFrom(topicName string, partitionID int, offset int64, max int) ([]Message, error) {
 	return b.consumeFrom(topicName, partitionID, offset, max, 0, false, nil)
-}
-
-// ConsumeFromAt is ConsumeFrom with the consumer's virtual-clock
-// position: queue dwell is recorded once per stamped record, exactly as
-// repeated single consumes would.
-func (b *Broker) ConsumeFromAt(topicName string, partitionID int, offset int64, max int, at time.Duration) ([]Message, error) {
-	return b.consumeFrom(topicName, partitionID, offset, max, at, true, nil)
 }
 
 // consumeFrom is the shared batch-read path. When sc is non-nil, dwell
@@ -378,13 +334,14 @@ func (b *Broker) consumeFrom(topicName string, partitionID int, offset int64, ma
 	return out, nil
 }
 
-// ConsumeFromTracedAt is ConsumeFromAt under an event scope, the
-// consume-side symmetry of ProduceBatchTracedAt: the msgbus.consume
-// fault site is consulted once for the whole batch (a consumer group
-// poll fails or succeeds as a unit), and a non-empty read emits ONE
-// "consume-batch" journal event — causally linked to the first
-// record's produce event — instead of one event per record. Queue
-// dwell is still recorded per stamped record.
+// ConsumeFromTracedAt is ConsumeFrom at the consumer's virtual-clock
+// position at, under an event scope: the consume-side symmetry of
+// ProduceBatchTracedAt. The msgbus.consume fault site is consulted
+// once for the whole batch (a consumer group poll fails or succeeds
+// as a unit), and a non-empty read emits ONE "consume-batch" journal
+// event — causally linked to the first record's produce event —
+// instead of one event per record. Queue dwell is still recorded per
+// stamped record.
 func (b *Broker) ConsumeFromTracedAt(topicName string, partitionID int, offset int64, max int, at time.Duration, sc *events.Scope) ([]Message, error) {
 	if err := b.faults.InjectTraced(faults.SiteBusConsume, nil, sc, at); err != nil {
 		return nil, fmt.Errorf("msgbus: consume from %q: %w", topicName, err)
@@ -445,16 +402,11 @@ func (b *Broker) consumeLatest(topicName string, at time.Duration, sc *events.Sc
 	return p.records[len(p.records)-1], nil
 }
 
-// ConsumeLatestAt is ConsumeLatest with the consumer's virtual-clock
-// position. When the returned record was produced with ProduceAt on
-// the same clock, the elapsed queue dwell is recorded.
-func (b *Broker) ConsumeLatestAt(topicName string, at time.Duration) (Message, error) {
-	return b.ConsumeLatestTracedAt(topicName, at, nil)
-}
-
-// ConsumeLatestTracedAt is ConsumeLatestAt under an event scope: the
-// read emits a "consume" event causally linked to the record's
-// "produce" event (when the producer was traced).
+// ConsumeLatestTracedAt is ConsumeLatest at the consumer's
+// virtual-clock position, under an event scope. When the returned
+// record was stamped by a produce on the same clock, the elapsed queue
+// dwell is recorded; the read emits a "consume" event causally linked
+// to the record's "produce" event (when the producer was traced).
 func (b *Broker) ConsumeLatestTracedAt(topicName string, at time.Duration, sc *events.Scope) (Message, error) {
 	msg, err := b.consumeLatest(topicName, at, sc)
 	if err != nil {
@@ -466,37 +418,4 @@ func (b *Broker) ConsumeLatestTracedAt(topicName string, at time.Duration, sc *e
 	sc.InstantLinked("msgbus", "consume", at, msg.Produced,
 		events.A("topic", topicName), events.A("offset", strconv.FormatInt(msg.Offset, 10)))
 	return msg, nil
-}
-
-// WaitLatest blocks until the partition has a record at or past minCount
-// records, then returns the newest. It is used when the resumed guest
-// can race the producer.
-func (b *Broker) WaitLatest(topicName string, minCount int) (Message, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return Message{}, err
-	}
-	p := t.partitions[0]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.records) < minCount {
-		p.cond.Wait()
-	}
-	b.consumed.Inc()
-	return p.records[len(p.records)-1], nil
-}
-
-// Len returns the number of records across all partitions of a topic.
-func (b *Broker) Len(topicName string) (int, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, p := range t.partitions {
-		p.mu.Lock()
-		total += len(p.records)
-		p.mu.Unlock()
-	}
-	return total, nil
 }

@@ -354,10 +354,10 @@ func main(params) {
 		t.Fatal(err)
 	}
 	m := inv.Result.(*lang.Map)
-	if m.Get("back") != "hello" || m.Get("full") != "hello!" {
+	if m.Items["back"] != "hello" || m.Items["full"] != "hello!" {
 		t.Fatalf("file ops: %v", lang.Format(m))
 	}
-	if m.Get("doc_v") != int64(42) || m.Get("found") != int64(1) {
+	if m.Items["doc_v"] != int64(42) || m.Items["found"] != int64(1) {
 		t.Fatalf("db ops: %v", lang.Format(m))
 	}
 	if inv.Response == nil || inv.Response.Status != 201 || inv.Response.Body != "hello" {

@@ -16,7 +16,7 @@ func evalBuiltin(t *testing.T, expr string) (lang.Value, error) {
 	if err := rt.LoadModule("func probe(a, b) { return " + expr + "; }"); err != nil {
 		t.Fatalf("load %q: %v", expr, err)
 	}
-	return rt.Call("probe", lang.NewList(int64(1), int64(2), int64(3)), "  padded  ")
+	return rt.Call("probe", &lang.List{Items: []lang.Value{int64(1), int64(2), int64(3)}}, "  padded  ")
 }
 
 func TestBuiltinHappyPaths(t *testing.T) {
@@ -146,7 +146,7 @@ func f() {
 		t.Fatal(err)
 	}
 	m := got.(*lang.Map)
-	if len(m.Items) != 1 || m.Get("b") != int64(2) {
+	if len(m.Items) != 1 || m.Items["b"] != int64(2) {
 		t.Fatalf("m = %v", lang.Format(m))
 	}
 }
@@ -200,7 +200,7 @@ func TestToGoRejectsFunctions(t *testing.T) {
 	if _, err := ToGo(&lang.Native{Name: "f"}); err == nil {
 		t.Fatal("native converted to host data")
 	}
-	v, err := ToGo(lang.NewList(int64(1), "a", true, nil))
+	v, err := ToGo(&lang.List{Items: []lang.Value{int64(1), "a", true, nil}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFromGoVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := v.(*lang.Map)
-	if m.Get("n") != int64(3) || m.Get("f") != 1.5 {
+	if m.Items["n"] != int64(3) || m.Items["f"] != 1.5 {
 		t.Fatalf("m = %v", lang.Format(m))
 	}
 	if _, err := FromGo(struct{}{}); err == nil {

@@ -89,9 +89,6 @@ func (r *Runtime) Boot() {
 	r.booted = true
 }
 
-// Booted reports whether Boot has run.
-func (r *Runtime) Booted() bool { return r.booted }
-
 // BootWarmProcess marks the runtime booted without charging the process
 // start cost — the V8-isolate model, where one long-running warm
 // process hosts many isolates and only isolate creation is paid.
@@ -125,9 +122,6 @@ func (r *Runtime) LoadModule(src string) error {
 	return nil
 }
 
-// Module returns the loaded module, or nil.
-func (r *Runtime) Module() *bytecode.Module { return r.module }
-
 // Call invokes a global function by name.
 func (r *Runtime) Call(name string, args ...lang.Value) (lang.Value, error) {
 	fn, ok := r.VM.Globals[name]
@@ -135,12 +129,6 @@ func (r *Runtime) Call(name string, args ...lang.Value) (lang.Value, error) {
 		return nil, fmt.Errorf("runtime: no function %q", name)
 	}
 	return r.VM.CallValue(fn, args)
-}
-
-// HasGlobal reports whether a global with the given name is defined.
-func (r *Runtime) HasGlobal(name string) bool {
-	_, ok := r.VM.Globals[name]
-	return ok
 }
 
 // ForceJITAll compiles every function of the loaded module that the

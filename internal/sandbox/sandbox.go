@@ -13,11 +13,7 @@
 // Gofer file relays (most expensive by far).
 package sandbox
 
-import (
-	"time"
-
-	"repro/internal/vclock"
-)
+import "time"
 
 // Isolation grades a sandbox's isolation strength as Table 1 does.
 type Isolation int
@@ -153,26 +149,6 @@ func Profiles(c Class) Profile {
 		}
 	default:
 		panic("sandbox: unknown class " + string(c))
-	}
-}
-
-// ChargeDiskOp charges one disk operation of the given size.
-func (p *Profile) ChargeDiskOp(clock *vclock.Clock, bytes int) {
-	kb := (bytes + 1023) / 1024
-	clock.Advance(p.DiskOpBase + time.Duration(kb)*p.DiskPerKB + p.SyscallOverhead)
-}
-
-// ChargeNetOp charges one network send or receive of the given size.
-func (p *Profile) ChargeNetOp(clock *vclock.Clock, bytes int) {
-	kb := (bytes + 1023) / 1024
-	clock.Advance(p.NetOpBase + time.Duration(kb)*p.NetPerKB + p.SyscallOverhead)
-}
-
-// ChargeSyscalls charges n intercepted syscalls (no-op for classes
-// without interception).
-func (p *Profile) ChargeSyscalls(clock *vclock.Clock, n int) {
-	if p.SyscallOverhead > 0 && n > 0 {
-		clock.Advance(time.Duration(n) * p.SyscallOverhead)
 	}
 }
 

@@ -2,8 +2,6 @@ package sandbox
 
 import (
 	"testing"
-
-	"repro/internal/vclock"
 )
 
 func TestProfilesExist(t *testing.T) {
@@ -47,11 +45,10 @@ func TestIsolationOrdering(t *testing.T) {
 // container disk I/O < microVM (virtio/9p) < gVisor (Sentry+Gofer).
 func TestIOCostOrdering(t *testing.T) {
 	const size = 10240 // the faas-diskio block size
+	// One disk op as the guest natives charge it.
 	cost := func(c Class) int64 {
-		clock := vclock.New()
 		p := Profiles(c)
-		p.ChargeDiskOp(clock, size)
-		return int64(clock.Now())
+		return int64(p.DiskOpBase + (size+1023)/1024*p.DiskPerKB + p.SyscallOverhead)
 	}
 	ct, fc, gv := cost(ClassContainer), cost(ClassFirecracker), cost(ClassGVisor)
 	if !(ct < fc && fc < gv) {
@@ -76,28 +73,23 @@ func TestColdCreateOrdering(t *testing.T) {
 	}
 }
 
+// TestChargeNetIncludesSize: every class charges network I/O by size
+// as well as per operation.
 func TestChargeNetIncludesSize(t *testing.T) {
-	p := Profiles(ClassContainer)
-	small, large := vclock.New(), vclock.New()
-	p.ChargeNetOp(small, 100)
-	p.ChargeNetOp(large, 100*1024)
-	if large.Now() <= small.Now() {
-		t.Fatal("net cost not size-dependent")
+	for _, c := range []Class{ClassContainer, ClassGVisor, ClassFirecracker} {
+		if p := Profiles(c); p.NetPerKB <= 0 || p.NetOpBase <= 0 {
+			t.Errorf("%s: net cost base %v per KB %v, want both positive", c, p.NetOpBase, p.NetPerKB)
+		}
 	}
 }
 
+// TestChargeSyscalls: only gVisor intercepts syscalls.
 func TestChargeSyscalls(t *testing.T) {
-	gv := Profiles(ClassGVisor)
-	clock := vclock.New()
-	gv.ChargeSyscalls(clock, 100)
-	if clock.Now() != 100*gv.SyscallOverhead {
-		t.Fatalf("syscall cost = %v", clock.Now())
+	if Profiles(ClassGVisor).SyscallOverhead <= 0 {
+		t.Fatal("gvisor charges no syscall interception")
 	}
-	ct := Profiles(ClassContainer)
-	clock2 := vclock.New()
-	ct.ChargeSyscalls(clock2, 100)
-	if clock2.Now() != 0 {
-		t.Fatal("container charged syscall interception")
+	if Profiles(ClassContainer).SyscallOverhead != 0 || Profiles(ClassFirecracker).SyscallOverhead != 0 {
+		t.Fatal("a class without interception charges syscall overhead")
 	}
 }
 

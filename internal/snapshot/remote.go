@@ -36,7 +36,6 @@ type Remote struct {
 	objects map[string]*vmm.Snapshot
 	pool    map[uint64]uint64 // chunk ID -> bytes resident remotely
 	fetches int
-	uploads int
 
 	// Observability (nil-safe; see Instrument).
 	fetchCtr     *metrics.Counter
@@ -104,14 +103,11 @@ func NewRemote() *Remote {
 	}
 }
 
-// Upload stores an image remotely, charging transfer time to clock.
-func (r *Remote) Upload(name string, snap *vmm.Snapshot, clock *vclock.Clock) {
-	r.UploadTraced(name, snap, clock, nil)
-}
-
-// UploadTraced is Upload under an event scope. Only chunks the remote
-// pool lacks are transferred; re-uploading an image whose content is
-// already resident short-circuits to a metadata write (base cost only).
+// UploadTraced stores an image remotely, charging transfer time to
+// clock and recording a "remote-upload" event into sc (nil records
+// nothing). Only chunks the remote pool lacks are transferred;
+// re-uploading an image whose content is already resident
+// short-circuits to a metadata write (base cost only).
 func (r *Remote) UploadTraced(name string, snap *vmm.Snapshot, clock *vclock.Clock, sc *events.Scope) {
 	chunks := manifestChunks(snap)
 	r.mu.Lock()
@@ -135,7 +131,6 @@ func (r *Remote) UploadTraced(name string, snap *vmm.Snapshot, clock *vclock.Clo
 		r.pool[c.ID] = c.Bytes
 	}
 	r.objects[name] = snap
-	r.uploads++
 	r.uploadCtr.Inc()
 	r.xferBytes.ObserveExemplar(float64(moved), uint64(sc.TraceID()), clock.Now())
 	r.objectsGauge.Set(int64(len(r.objects)))
@@ -146,14 +141,9 @@ func (r *Remote) UploadTraced(name string, snap *vmm.Snapshot, clock *vclock.Clo
 		events.A("bytes", fmt.Sprint(moved)))
 }
 
-// Fetch retrieves an image with no local pool to delta against — the
-// whole image is transferred. Cost is charged to clock.
-func (r *Remote) Fetch(name string, clock *vclock.Clock) (*vmm.Snapshot, error) {
-	return r.FetchTraced(name, nil, clock, nil)
-}
-
 // FetchTraced retrieves an image, transferring only the chunks missing
-// from the local store's pool (nil local means everything is missing).
+// from the local store's pool (nil local means everything is missing),
+// and charges the transfer to clock.
 // The transfer emits a "snapshot" event carrying the delta size, and
 // any injected fault emits its own at the remote-fetch site.
 func (r *Remote) FetchTraced(name string, local *Store, clock *vclock.Clock, sc *events.Scope) (*vmm.Snapshot, error) {
@@ -203,33 +193,11 @@ func (r *Remote) Delete(name string) {
 	r.objectsGauge.Set(int64(len(r.objects)))
 }
 
-// Has reports whether an image exists remotely.
-func (r *Remote) Has(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.objects[name]
-	return ok
-}
-
-// Objects returns how many images are resident remotely.
-func (r *Remote) Objects() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.objects)
-}
-
-// Fetches and Uploads report transfer counts (for the ablations).
+// Fetches reports how many images were fetched (for the ablations).
 func (r *Remote) Fetches() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.fetches
-}
-
-// Uploads reports how many images were uploaded.
-func (r *Remote) Uploads() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.uploads
 }
 
 func transferCost(bytes uint64) time.Duration {

@@ -14,16 +14,13 @@ func TestRemoteUploadFetch(t *testing.T) {
 	snap := makeSnap(t, hv, 100<<20)
 
 	up := vclock.New()
-	r.Upload("fn", snap, up)
+	r.UploadTraced("fn", snap, up, nil)
 	if up.Now() == 0 {
 		t.Fatal("upload free of charge")
 	}
-	if !r.Has("fn") || r.Uploads() != 1 {
-		t.Fatal("upload not recorded")
-	}
 
 	down := vclock.New()
-	got, err := r.Fetch("fn", down)
+	got, err := r.FetchTraced("fn", nil, down, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +40,13 @@ func TestRemoteUploadFetch(t *testing.T) {
 func TestRemoteFetchCostScalesWithSize(t *testing.T) {
 	hv := newHV()
 	r := NewRemote()
-	r.Upload("small", makeSnap(t, hv, 10<<20), vclock.New())
-	r.Upload("big", makeSnap(t, hv, 200<<20), vclock.New())
+	r.UploadTraced("small", makeSnap(t, hv, 10<<20), vclock.New(), nil)
+	r.UploadTraced("big", makeSnap(t, hv, 200<<20), vclock.New(), nil)
 	cs, cb := vclock.New(), vclock.New()
-	if _, err := r.Fetch("small", cs); err != nil {
+	if _, err := r.FetchTraced("small", nil, cs, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Fetch("big", cb); err != nil {
+	if _, err := r.FetchTraced("big", nil, cb, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cb.Now() <= cs.Now() {
@@ -59,14 +56,14 @@ func TestRemoteFetchCostScalesWithSize(t *testing.T) {
 
 func TestRemoteMissAndDelete(t *testing.T) {
 	r := NewRemote()
-	if _, err := r.Fetch("ghost", vclock.New()); !errors.Is(err, ErrNotFound) {
+	if _, err := r.FetchTraced("ghost", nil, vclock.New(), nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	hv := newHV()
-	r.Upload("fn", makeSnap(t, hv, 1<<20), vclock.New())
+	r.UploadTraced("fn", makeSnap(t, hv, 1<<20), vclock.New(), nil)
 	r.Delete("fn")
-	if r.Has("fn") {
-		t.Fatal("delete ineffective")
+	if _, err := r.FetchTraced("fn", nil, vclock.New(), nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("delete ineffective: %v", err)
 	}
 	r.Delete("fn") // idempotent
 }

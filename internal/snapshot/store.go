@@ -40,9 +40,8 @@ type Store struct {
 	pool    map[uint64]*poolChunk
 	// baseDeps[name] counts resident delta images whose BaseKey is
 	// name: a base-runtime image with live dependents is never evicted.
-	baseDeps      map[string]int
-	evictions     int
-	invalidations int
+	baseDeps  map[string]int
+	evictions int
 
 	// Observability (nil-safe; see Instrument).
 	hits          *metrics.Counter
@@ -136,7 +135,6 @@ func (s *Store) Put(name string, snap *vmm.Snapshot) error {
 	}
 	if old, ok := s.entries[name]; ok {
 		if old.snap.ContentKey != "" && old.snap.ContentKey != snap.ContentKey {
-			s.invalidations++
 			s.invalCnt.Inc()
 		}
 		s.removeLocked(name)
@@ -286,14 +284,6 @@ func (s *Store) Has(name string) bool {
 	return ok
 }
 
-// HasChunk reports whether a chunk is resident in the pool.
-func (s *Store) HasChunk(id uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.pool[id]
-	return ok
-}
-
 // MissingChunks filters a chunk list down to the chunks not resident in
 // the pool — what a remote fetch actually has to move. A nil store
 // (no local pool) misses everything.
@@ -334,22 +324,11 @@ func (s *Store) LogicalBytes() uint64 {
 	return total
 }
 
-// Budget returns the configured byte budget (0 = unbounded).
-func (s *Store) Budget() uint64 { return s.budget }
-
 // Evictions returns the number of LRU evictions performed.
 func (s *Store) Evictions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.evictions
-}
-
-// Invalidations returns how many stale images (ContentKey changed on
-// redeploy) were dropped.
-func (s *Store) Invalidations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.invalidations
 }
 
 // Names returns resident snapshot names in lexical order.

@@ -214,6 +214,9 @@ func TestChunkDedupAccounting(t *testing.T) {
 func TestContentKeyChangeCountsInvalidation(t *testing.T) {
 	hv := newHV()
 	s := NewStore(0)
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	invalidations := reg.Counter("snapshot_store_invalidations_total")
 	a := makeSnap(t, hv, 8<<20)
 	a.ContentKey = "fn_aaa"
 	if err := s.Put("fn", a); err != nil {
@@ -225,16 +228,16 @@ func TestContentKeyChangeCountsInvalidation(t *testing.T) {
 	if err := s.Put("fn", b); err != nil {
 		t.Fatal(err)
 	}
-	if s.Invalidations() != 0 {
-		t.Fatalf("invalidations = %d after same-key replace", s.Invalidations())
+	if invalidations.Value() != 0 {
+		t.Fatalf("invalidations = %d after same-key replace", invalidations.Value())
 	}
 	c := makeSnap(t, hv, 8<<20)
 	c.ContentKey = "fn_bbb"
 	if err := s.Put("fn", c); err != nil {
 		t.Fatal(err)
 	}
-	if s.Invalidations() != 1 {
-		t.Fatalf("invalidations = %d after code-hash change", s.Invalidations())
+	if invalidations.Value() != 1 {
+		t.Fatalf("invalidations = %d after code-hash change", invalidations.Value())
 	}
 }
 
@@ -341,8 +344,5 @@ func TestNamesSorted(t *testing.T) {
 	names := s.Names()
 	if len(names) != 3 || names[0] != "alpha" || names[2] != "zeta" {
 		t.Fatalf("names = %v", names)
-	}
-	if s.Budget() != 0 {
-		t.Fatalf("budget = %d", s.Budget())
 	}
 }

@@ -152,8 +152,8 @@ func TestAlertPromotesPendingTrace(t *testing.T) {
 	_, j, reg := newArmed(t, Config{Seed: 1, KeepRate: -1})
 	sc := j.NewScope("core", "invoke", 0)
 	// Watchdog names the still-open trace as alert evidence.
-	j.InstantLinked("slo", "alert", time.Millisecond,
-		events.Ref{Trace: sc.TraceID(), Span: sc.Current().Span}, events.A("rule", "p99"))
+	evidence := sc.Instant("core", "mark", 0)
+	j.InstantLinked("slo", "alert", time.Millisecond, evidence, events.A("rule", "p99"))
 	sc.Close(2 * time.Millisecond)
 	if len(j.Trace(sc.TraceID())) == 0 {
 		t.Fatal("alert-linked trace was dropped")

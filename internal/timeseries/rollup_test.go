@@ -7,7 +7,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// A tiered series keeps RateSince/Quantile answerable after the raw
+// A tiered series keeps DeltaSince/Quantile answerable after the raw
 // ring has wrapped: the window falls back to rollup buckets.
 func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 	// Raw ring of 16 points, 10s + 60s tiers: a 1000-sample storm at
@@ -23,16 +23,16 @@ func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 	if s.Len() != 16 {
 		t.Fatalf("raw ring holds %d, want 16", s.Len())
 	}
-	// Rate over the last 500s: the baseline at t=499s predates the raw
+	// Delta over the last 500s: the baseline at t=499s predates the raw
 	// ring (which starts at t=984s) and resolves via the 10s tier.
-	rate, ok := s.RateSince(499 * time.Second)
+	grown, ok := s.DeltaSince(499 * time.Second)
 	if !ok {
-		t.Fatal("RateSince unanswerable over tiered history")
+		t.Fatal("DeltaSince unanswerable over tiered history")
 	}
-	// Bucket baseline is (bucketStart, Min): exact slope 2/s within
-	// one bucket width of rounding.
-	if rate < 1.9 || rate > 2.1 {
-		t.Fatalf("tier-backed rate = %.3f, want ~2.0", rate)
+	// Bucket baseline is (bucketStart, Min): growth 2/s over ~500s,
+	// within one bucket width of rounding.
+	if grown < 2*490 || grown > 2*510 {
+		t.Fatalf("tier-backed delta = %.0f, want ~1000", grown)
 	}
 	// Delta over everything: baseline is the deepest tier's oldest
 	// bucket. The 60s tier retains 64 buckets = all 1000s of history,
@@ -57,16 +57,16 @@ func TestRollupBucketAggregates(t *testing.T) {
 	s.append(2*time.Second, 1)
 	s.append(9*time.Second, 3)
 	s.append(11*time.Second, 7) // next bucket
-	buckets := s.Rollup(10 * time.Second)
-	if len(buckets) != 2 {
-		t.Fatalf("buckets = %d, want 2", len(buckets))
+	tier := s.tiers[0]
+	if tier.n != 2 {
+		t.Fatalf("buckets = %d, want 2", tier.n)
 	}
-	b := buckets[0]
+	b := tier.bucketAt(0)
 	if b.Start != 0 || b.Min != 1 || b.Max != 5 || b.Sum != 9 || b.Count != 3 {
 		t.Fatalf("bucket 0 = %+v", b)
 	}
-	if buckets[1].Start != 10*time.Second || buckets[1].Count != 1 {
-		t.Fatalf("bucket 1 = %+v", buckets[1])
+	if b1 := tier.bucketAt(1); b1.Start != 10*time.Second || b1.Count != 1 {
+		t.Fatalf("bucket 1 = %+v", b1)
 	}
 	if s.TierBuckets() != 2 {
 		t.Fatalf("TierBuckets = %d", s.TierBuckets())
@@ -85,7 +85,7 @@ func TestUntieredSeriesUnchanged(t *testing.T) {
 	if !ok || d != 3 {
 		t.Fatalf("untiered delta = %.0f ok=%v, want 3", d, ok)
 	}
-	if s.TierBuckets() != 0 || s.Rollup(time.Second) != nil {
+	if s.TierBuckets() != 0 || len(s.tiers) != 0 {
 		t.Fatal("untiered series grew tiers")
 	}
 }
@@ -111,11 +111,5 @@ func TestSamplerSetRollups(t *testing.T) {
 	}
 	if d < 85 || d > 100 {
 		t.Fatalf("tiered delta = %.0f, want ~95", d)
-	}
-	if got := s.Rollup("ticks_total", 10*time.Second); len(got) == 0 {
-		t.Fatal("sampler Rollup empty")
-	}
-	if got := s.Rollup("ticks_total", 7*time.Second); got != nil {
-		t.Fatal("unknown tier width returned buckets")
 	}
 }

@@ -25,7 +25,6 @@ type probe struct {
 
 // binding ties one registry instrument to the series it feeds: a
 // counter's or gauge's value, or a histogram's .count, .p50 and .p99.
-// A nil series is one the filter drops.
 type binding struct {
 	c  *metrics.Counter
 	g  *metrics.Gauge
@@ -41,8 +40,7 @@ type binding struct {
 // wall time, so the series are as deterministic as the workload.
 //
 // Each instrument is bound to its series once, at the first Sample
-// after its creation (the filter applies then); a Sample reads the
-// bound instruments in place.
+// after its creation; a Sample reads the bound instruments in place.
 //
 // Safe for concurrent use.
 type Sampler struct {
@@ -51,7 +49,6 @@ type Sampler struct {
 	cap     int
 	series  map[string]*Series
 	probes  []probe
-	keep    func(name string) bool
 	rollups []RollupSpec
 	samples *metrics.Counter
 
@@ -73,17 +70,6 @@ func NewSampler(reg *metrics.Registry, capacity int) *Sampler {
 		series:  make(map[string]*Series),
 		samples: reg.Counter("timeseries_samples_total"),
 	}
-}
-
-// SetFilter restricts which registry metrics are recorded: only names
-// for which keep returns true get a series. Probes are always kept.
-// Call before the first Sample; a nil keep records everything. A later
-// call rebinds every instrument at the next Sample.
-func (s *Sampler) SetFilter(keep func(name string) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.keep = keep
-	s.bound, s.nc, s.ng, s.nh = nil, 0, 0, 0
 }
 
 // AddProbe samples a derived quantity under the given name on every
@@ -159,16 +145,12 @@ func (s *Sampler) bindLocked() {
 	s.nc, s.ng, s.nh = len(cs), len(gs), len(hs)
 }
 
-// bindOneLocked binds b to the series of the names the filter keeps.
+// bindOneLocked binds b to the series of names.
 func (s *Sampler) bindOneLocked(b binding, names ...string) {
 	for i, name := range names {
-		if s.keep == nil || s.keep(name) {
-			b.sr[i] = s.seriesLocked(name)
-		}
+		b.sr[i] = s.seriesLocked(name)
 	}
-	if b.sr != [3]*Series{} {
-		s.bound = append(s.bound, b)
-	}
+	s.bound = append(s.bound, b)
 }
 
 // seriesLocked returns the named series, creating it on first use.
@@ -226,14 +208,6 @@ func (s *Sampler) Stats() SamplerStats {
 		st.TierBuckets += sr.TierBuckets()
 	}
 	return st
-}
-
-// Rollup returns a copy of one series' rollup buckets at the given
-// tier width (nil when absent).
-func (s *Sampler) Rollup(name string, width time.Duration) []RollupBucket {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.series[name].Rollup(width)
 }
 
 // Names returns every series name, sorted.

@@ -96,7 +96,7 @@ func (t *rollupTier) fold(ts time.Duration, v float64) {
 //
 // A series may carry rollup tiers (finest first): every append also
 // folds into each tier, and the window reads — baselineBefore,
-// WindowValues, and therefore DeltaSince/RateSince/Quantile — fall
+// WindowValues, and therefore DeltaSince/Quantile — fall
 // back to tier buckets for the part of a window the raw ring no longer
 // covers. Tier reads are approximations with documented shape: a
 // bucket contributes its Min as the baseline value (exact for
@@ -138,29 +138,6 @@ func (s *Series) TierBuckets() int {
 	}
 	return total
 }
-
-// Rollup returns a copy of one tier's resident buckets, oldest first
-// (nil when the series has no tier of that width).
-func (s *Series) Rollup(width time.Duration) []RollupBucket {
-	if s == nil {
-		return nil
-	}
-	for _, t := range s.tiers {
-		if t.width != width {
-			continue
-		}
-		out := make([]RollupBucket, 0, t.n)
-		for i := 0; i < t.n; i++ {
-			out = append(out, t.bucketAt(i))
-		}
-		return out
-	}
-	return nil
-}
-
-// Name returns the series name (the registry metric name, a histogram
-// derivative like "invoke_latency.p99", or a probe name).
-func (s *Series) Name() string { return s.name }
 
 // Len reports how many points are resident.
 func (s *Series) Len() int {
@@ -270,21 +247,6 @@ func (s *Series) DeltaSince(from time.Duration) (float64, bool) {
 	}
 	base, _ := s.baselineBefore(from)
 	return last.Value - base.Value, true
-}
-
-// RateSince returns the average growth per (virtual) second between the
-// baseline at from and the newest point.
-func (s *Series) RateSince(from time.Duration) (float64, bool) {
-	last, ok := s.Last()
-	if !ok || s.Len() < 2 {
-		return 0, false
-	}
-	base, _ := s.baselineBefore(from)
-	dt := last.TS - base.TS
-	if dt <= 0 {
-		return 0, false
-	}
-	return (last.Value - base.Value) / dt.Seconds(), true
 }
 
 // WindowValues returns the values of every point with from < TS, oldest

@@ -68,13 +68,6 @@ func (c *Clock) Since(mark time.Duration) time.Duration {
 	return c.Now() - mark
 }
 
-// Span measures the virtual time consumed by fn on this clock.
-func (c *Clock) Span(fn func()) time.Duration {
-	start := c.Now()
-	fn()
-	return c.Since(start)
-}
-
 // Rand is a small deterministic pseudo-random source (SplitMix64). It is
 // used to add bounded jitter to modeled costs so repeated invocations are
 // not byte-identical while the experiment as a whole stays reproducible.

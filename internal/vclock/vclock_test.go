@@ -53,10 +53,6 @@ func TestSinceAndSpan(t *testing.T) {
 	if c.Since(mark) != 7*time.Millisecond {
 		t.Fatalf("Since = %v", c.Since(mark))
 	}
-	span := c.Span(func() { c.Advance(4 * time.Millisecond) })
-	if span != 4*time.Millisecond {
-		t.Fatalf("Span = %v", span)
-	}
 }
 
 func TestConcurrentAdvance(t *testing.T) {

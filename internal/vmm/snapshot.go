@@ -102,7 +102,6 @@ type Snapshot struct {
 
 	mu       sync.Mutex
 	regions  []*mem.Region
-	specs    []RegionSpec
 	total    uint64
 	host     *mem.Host
 	manifest *chunk.Manifest
@@ -124,9 +123,6 @@ type WorkingSetRecord struct {
 
 // TotalBytes returns the snapshot image size on disk.
 func (s *Snapshot) TotalBytes() uint64 { return s.total }
-
-// Specs returns the snapshot's region layout.
-func (s *Snapshot) Specs() []RegionSpec { return append([]RegionSpec(nil), s.specs...) }
 
 // Manifest returns the image's content-addressed chunk manifest.
 func (s *Snapshot) Manifest() *chunk.Manifest { return s.manifest }
@@ -191,31 +187,6 @@ func (s *Snapshot) RecordWorkingSet(v *MicroVM) *WorkingSetRecord {
 	return rec
 }
 
-// Sharers returns how many live address spaces currently map the
-// snapshot's first region (all regions share the same lifecycle).
-func (s *Snapshot) Sharers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.regions) == 0 {
-		return 0
-	}
-	return s.regions[0].Sharers()
-}
-
-// Lineage returns the page lineage of every region in the image — per
-// region, how many pages are still shared by every restored VM, split
-// by some, or fully reclaimed (see docs/memory.md). Regions appear in
-// image layout order.
-func (s *Snapshot) Lineage() []mem.RegionLineage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]mem.RegionLineage, 0, len(s.regions))
-	for _, r := range s.regions {
-		out = append(out, r.Lineage())
-	}
-	return out
-}
-
 // TakeSnapshot serializes a running VM's memory into a snapshot image.
 // The caller describes the guest memory layout (regions by kind) and the
 // resident working set; creation time is charged to clock. The source VM
@@ -254,7 +225,6 @@ func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, kind SnapshotKind, specs []R
 		GuestState:              guestState,
 		ResidentWorkingSetBytes: workingSet,
 		LayoutSeed:              layoutSeed("snap-" + v.ID),
-		specs:                   append([]RegionSpec(nil), specs...),
 		total:                   total,
 		host:                    h.Host,
 	}
@@ -318,15 +288,14 @@ func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *v
 	h.restoreDur.ObserveDurationExemplar(restoreCost, uint64(sc.TraceID()), clock.Now())
 
 	v := &MicroVM{
-		ID:           id,
-		Config:       snap.VMConfig,
-		FS:           nil, // set below: restored VMs see the snapshotted rootfs
-		hv:           h,
-		state:        StateRunning,
-		space:        h.Host.NewSpace(id),
-		mmds:         make(map[string]string),
-		booted:       true,
-		fromSnapshot: snap,
+		ID:     id,
+		Config: snap.VMConfig,
+		FS:     nil, // set below: restored VMs see the snapshotted rootfs
+		hv:     h,
+		state:  StateRunning,
+		space:  h.Host.NewSpace(id),
+		mmds:   make(map[string]string),
+		booted: true,
 	}
 	// A restored VM has its own (CoW at the block level in real
 	// Firecracker; independent here) view of the root filesystem.
@@ -345,11 +314,4 @@ func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *v
 	sc.Instant("vmm", "restore", clock.Now(),
 		events.A("vm", id), events.A("snapshot", snap.ID))
 	return v, nil
-}
-
-// ReadMMDSWithCost reads guest metadata charging the MMDS access cost,
-// the guest-side path used by resumed clones to learn their identity.
-func (v *MicroVM) ReadMMDSWithCost(key string, clock *vclock.Clock) (string, bool) {
-	clock.Advance(CostMMDSAccess)
-	return v.MMDS(key)
 }

@@ -136,8 +136,6 @@ type MicroVM struct {
 	// booted tracks whether the guest kernel has booted (fresh boot or
 	// via snapshot restore).
 	booted bool
-	// fromSnapshot records the snapshot this VM was restored from.
-	fromSnapshot *Snapshot
 	// regions maps content kinds to the snapshot regions this VM has
 	// mapped, so execution dirtying can CoW-split the right pages.
 	mapped []*mem.Region
@@ -152,9 +150,6 @@ func (v *MicroVM) State() State { return v.state }
 // Space exposes the VM's guest-physical address space for memory
 // accounting (PSS/RSS measurements by the experiment harness).
 func (v *MicroVM) Space() *mem.Space { return v.space }
-
-// RestoredFrom returns the snapshot this VM was resumed from, or nil.
-func (v *MicroVM) RestoredFrom() *Snapshot { return v.fromSnapshot }
 
 // CreateVM creates a stopped microVM shell (the Firecracker process and
 // API socket), charging the create cost to clock.

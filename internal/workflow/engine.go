@@ -3,7 +3,6 @@ package workflow
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -86,7 +85,7 @@ type Run struct {
 func (r *Run) TraceID() events.TraceID { return r.sc.TraceID() }
 
 // Result returns a completed step's recorded output. Read it after
-// Run/Drain/Tick returns — the engine mutates results only while
+// Run/Drain returns — the engine mutates results only while
 // driving the run.
 func (r *Run) Result(step string) (any, bool) {
 	v, ok := r.results[step]
@@ -140,8 +139,8 @@ type registered struct {
 }
 
 // Engine executes registered workflows over the message bus with
-// at-least-once step delivery. All entry points (Register, Run, Tick,
-// Drain, ReplayDLQ) serialize on one mutex: the simulation is
+// at-least-once step delivery. All entry points (Register, Run, Drain,
+// ReplayDLQ) serialize on one mutex: the simulation is
 // deterministic, so there is exactly one delivery order per seed.
 type Engine struct {
 	bus     *msgbus.Broker
@@ -173,9 +172,7 @@ type Engine struct {
 	// mid-step, while mu is held by the drive loop.
 	pendingMu sync.Mutex
 	pending   []firing
-	crons     []*cronTrigger
-	cronSeq   int
-	triggers  map[string]*metrics.Counter
+	triggers  *metrics.Counter // workflow_triggers_fired_total{source="changefeed"}
 }
 
 // New builds a workflow engine on the given bus, journal, registry,
@@ -199,7 +196,6 @@ func New(bus *msgbus.Broker, journal *events.Journal, reg *metrics.Registry, inv
 		duplicates:     reg.Counter(metrics.Name("workflow_duplicate_deliveries_total")),
 		dlqRedelivered: reg.Counter(metrics.Name("workflow_dlq_redelivered_total")),
 		runDuration:    reg.Histogram("workflow_run_duration"),
-		triggers:       make(map[string]*metrics.Counter),
 	}
 }
 
@@ -584,26 +580,6 @@ func (e *Engine) retire(id string) {
 		delete(e.runs, e.completed[0])
 		e.completed = e.completed[1:]
 	}
-}
-
-// Runs returns the runs the engine still holds — every stalled run and
-// the most recent completed ones — in start order.
-func (e *Engine) Runs() []*Run {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*Run, 0, len(e.runs))
-	for _, r := range e.runs {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// GetRun returns a run by ID (nil if unknown or no longer retained).
-func (e *Engine) GetRun(id string) *Run {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runs[id]
 }
 
 // DLQ lists every record currently parked on the workflow's

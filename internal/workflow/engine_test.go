@@ -501,8 +501,8 @@ func dlqScenario(t *testing.T, seed uint64) (string, []byte) {
 	}
 	dump, _ := json.Marshal(recs)
 	var text strings.Builder
-	if err := h.reg.WriteText(&text); err != nil {
-		t.Fatalf("WriteText: %v", err)
+	if err := h.reg.WriteFormat(&text, "text"); err != nil {
+		t.Fatalf("WriteFormat: %v", err)
 	}
 	var nd bytes.Buffer
 	if err := events.WriteNDJSON(&nd, h.journal.Events()); err != nil {
@@ -660,17 +660,10 @@ func TestCompletedRunsAreBounded(t *testing.T) {
 			first = run
 		}
 	}
-	runs := h.eng.Runs()
-	if len(runs) > 300 {
-		t.Fatalf("engine holds %d runs after 5000 completed, want a bounded few hundred", len(runs))
+	if n, ok := workflow.Retained(h.eng, stalled.ID); n > 300 || !ok {
+		t.Fatalf("engine holds %d runs after 5000 completed (stalled run kept: %v), want a bounded few hundred with the stalled one", n, ok)
 	}
-	if runs[0].ID != stalled.ID {
-		t.Fatalf("oldest retained run is %s, want the stalled run %s", runs[0].ID, stalled.ID)
-	}
-	if last := runs[len(runs)-1]; last.Status != workflow.RunCompleted {
-		t.Fatalf("newest retained run status %q", last.Status)
-	}
-	if h.eng.GetRun(first.ID) != nil {
+	if _, ok := workflow.Retained(h.eng, first.ID); ok {
 		t.Fatalf("first completed run %s still retained", first.ID)
 	}
 

@@ -140,9 +140,6 @@ func TestDeclarativeWageChainsOnCore(t *testing.T) {
 		t.Fatalf("ingest status %q, want completed", run.Status)
 	}
 	// The persist step's db_put queued an analysis firing.
-	if eng.PendingTriggers() == 0 {
-		t.Fatal("persist did not queue a change-feed firing")
-	}
 	triggered := eng.Drain(run.Invocation.Clock.Now())
 	if len(triggered) != 1 || triggered[0].Status != workflow.RunCompleted {
 		t.Fatalf("triggered analysis runs: %v", triggered)

@@ -1,100 +1,20 @@
 package workflow
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/couchdb"
 	"repro/internal/metrics"
 )
 
-// Trigger source labels (the workflow_triggers_fired_total label
-// values).
-const (
-	SourceCron       = "cron"
-	SourceChangeFeed = "changefeed"
-)
+// SourceChangeFeed is the trigger source label (the
+// workflow_triggers_fired_total label value) of change-feed firings.
+const SourceChangeFeed = "changefeed"
 
 // firing is one pending trigger activation awaiting Drain.
 type firing struct {
 	workflow string
-	source   string
 	input    map[string]any
-}
-
-// cronTrigger fires a workflow on a fixed virtual-clock period.
-type cronTrigger struct {
-	id       int
-	workflow string
-	every    time.Duration
-	next     time.Duration
-	input    map[string]any
-}
-
-// AddCron schedules a workflow to run every `every` of virtual time,
-// first at `offset`. Fire times are drift-free: the k-th firing is at
-// exactly offset + k*every regardless of how unevenly Tick is called.
-func (e *Engine) AddCron(workflow string, every, offset time.Duration, input map[string]any) {
-	e.pendingMu.Lock()
-	defer e.pendingMu.Unlock()
-	e.cronSeq++
-	e.crons = append(e.crons, &cronTrigger{
-		id:       e.cronSeq,
-		workflow: workflow,
-		every:    every,
-		next:     offset,
-		input:    input,
-	})
-}
-
-// Tick fires every cron trigger due at or before virtual time `now`.
-// Each firing runs at its exact scheduled time (not at `now`), in
-// (scheduled time, registration order) order, so delivery is
-// deterministic however coarsely the caller advances the clock. The
-// finished runs are returned in firing order.
-func (e *Engine) Tick(now time.Duration) []*Run {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []*Run
-	for {
-		e.pendingMu.Lock()
-		var due *cronTrigger
-		for _, c := range e.crons {
-			if c.next > now {
-				continue
-			}
-			if due == nil || c.next < due.next || (c.next == due.next && c.id < due.id) {
-				due = c
-			}
-		}
-		if due != nil {
-			due.next += due.every
-		}
-		e.pendingMu.Unlock()
-		if due == nil {
-			return out
-		}
-		e.triggerCounter(SourceCron).Inc()
-		run, err := e.runLocked(due.workflow, due.input, due.next-due.every)
-		if err == nil {
-			out = append(out, run)
-		}
-	}
-}
-
-// NextCron returns the earliest scheduled cron fire time (and false
-// when no cron is registered).
-func (e *Engine) NextCron() (time.Duration, bool) {
-	e.pendingMu.Lock()
-	defer e.pendingMu.Unlock()
-	var best time.Duration
-	found := false
-	for _, c := range e.crons {
-		if !found || c.next < best {
-			best, found = c.next, true
-		}
-	}
-	return best, found
 }
 
 // AddChangeFeed subscribes a workflow to a CouchDB database's change
@@ -120,7 +40,7 @@ func (e *Engine) AddChangeFeed(db *couchdb.Database, workflow string, filter fun
 			}
 		}
 		e.pendingMu.Lock()
-		e.pending = append(e.pending, firing{workflow: workflow, source: SourceChangeFeed, input: in})
+		e.pending = append(e.pending, firing{workflow: workflow, input: in})
 		e.pendingMu.Unlock()
 	})
 }
@@ -142,42 +62,16 @@ func (e *Engine) Drain(at time.Duration) []*Run {
 			return out
 		}
 		for _, f := range batch {
-			e.triggerCounter(f.source).Inc()
+			// Registered on the first firing, so an engine without
+			// change feeds exports no trigger series.
+			if e.triggers == nil {
+				e.triggers = e.reg.Counter(metrics.Name("workflow_triggers_fired_total", "source", SourceChangeFeed))
+			}
+			e.triggers.Inc()
 			run, err := e.runLocked(f.workflow, f.input, at)
 			if err == nil {
 				out = append(out, run)
 			}
 		}
 	}
-}
-
-// PendingTriggers reports how many change-feed firings await Drain.
-func (e *Engine) PendingTriggers() int {
-	e.pendingMu.Lock()
-	defer e.pendingMu.Unlock()
-	return len(e.pending)
-}
-
-// triggerCounter returns the per-source firing counter, cached so the
-// labeled name is composed once.
-func (e *Engine) triggerCounter(source string) *metrics.Counter {
-	c := e.triggers[source]
-	if c == nil {
-		c = e.reg.Counter(metrics.Name("workflow_triggers_fired_total", "source", source))
-		e.triggers[source] = c
-	}
-	return c
-}
-
-// cronSchedule returns all cron next-fire times in ascending order
-// (diagnostics).
-func (e *Engine) cronSchedule() []time.Duration {
-	e.pendingMu.Lock()
-	defer e.pendingMu.Unlock()
-	out := make([]time.Duration, 0, len(e.crons))
-	for _, c := range e.crons {
-		out = append(out, c.next)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -5,115 +5,8 @@ import (
 	"time"
 
 	"repro/internal/couchdb"
-	"repro/internal/timeseries"
 	"repro/internal/workflow"
 )
-
-// TestCronDriftAcrossSamplerWindows drives a cron trigger with
-// deliberately uneven Tick cadence while a timeseries.Sampler windows
-// the same virtual timeline, and asserts zero drift: the k-th firing
-// happens at exactly offset + k*every no matter how coarsely the owner
-// advances the clock, and the sampled run-counter series reconstructs
-// the exact schedule.
-func TestCronDriftAcrossSamplerWindows(t *testing.T) {
-	h := newHarness(t, workflow.Options{})
-	h.inv.handle("beat", func(in map[string]any) (any, error) { return "tick", nil })
-	spec := &workflow.Spec{Name: "heartbeat", Steps: []workflow.Step{{ID: "b", Function: "beat"}}}
-	if err := h.eng.Register(spec); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	const (
-		every  = 10 * time.Millisecond
-		offset = 3 * time.Millisecond
-	)
-	h.eng.AddCron("heartbeat", every, offset, map[string]any{"source": "cron"})
-
-	sampler := timeseries.NewSampler(h.reg, 0)
-	sampler.SetFilter(func(name string) bool {
-		return name == `workflow_runs_total{workflow="heartbeat"}`
-	})
-
-	// Uneven tick cadence: short, long (spanning three fire times),
-	// idle, long again. Sampler windows land between ticks.
-	var fired []*workflow.Run
-	ticks := []time.Duration{
-		7 * time.Millisecond,
-		29 * time.Millisecond,
-		31 * time.Millisecond,
-		60 * time.Millisecond,
-	}
-	for _, now := range ticks {
-		fired = append(fired, h.eng.Tick(now)...)
-		sampler.Sample(now)
-	}
-
-	want := []time.Duration{3, 13, 23, 33, 43, 53}
-	for i := range want {
-		want[i] *= time.Millisecond
-	}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d runs, want %d", len(fired), len(want))
-	}
-	for i, run := range fired {
-		if run.StartedAt != want[i] {
-			t.Fatalf("firing %d at %v, want %v (drift)", i, run.StartedAt, want[i])
-		}
-		if run.Status != workflow.RunCompleted {
-			t.Fatalf("firing %d status %q", i, run.Status)
-		}
-	}
-	if next, ok := h.eng.NextCron(); !ok || next != 63*time.Millisecond {
-		t.Fatalf("next cron at %v, want 63ms", next)
-	}
-
-	// The sampled series must reconstruct the schedule: cumulative
-	// firings at each window boundary.
-	var snap timeseries.SeriesSnapshot
-	found := false
-	for _, s := range sampler.Snapshot() {
-		if s.Name == `workflow_runs_total{workflow="heartbeat"}` {
-			snap, found = s, true
-		}
-	}
-	if !found {
-		t.Fatalf("sampler recorded no heartbeat run series (have %v)", sampler.Names())
-	}
-	wantCum := []float64{1, 3, 3, 6}
-	if len(snap.Points) != len(wantCum) {
-		t.Fatalf("series has %d points, want %d", len(snap.Points), len(wantCum))
-	}
-	for i, p := range snap.Points {
-		if p.TS != ticks[i] || p.Value != wantCum[i] {
-			t.Fatalf("window %d: sampled (%v, %v), want (%v, %v)", i, p.TS, p.Value, ticks[i], wantCum[i])
-		}
-	}
-	if got := h.counter(`workflow_triggers_fired_total{source="cron"}`); got != 6 {
-		t.Fatalf("cron triggers fired = %d, want 6", got)
-	}
-}
-
-// TestCronTieBreak: two crons due at the same instant fire in
-// registration order.
-func TestCronTieBreak(t *testing.T) {
-	h := newHarness(t, workflow.Options{})
-	h.inv.handle("f", func(in map[string]any) (any, error) { return "ok", nil })
-	for _, name := range []string{"first", "second"} {
-		spec := &workflow.Spec{Name: name, Steps: []workflow.Step{{ID: "s", Function: "f"}}}
-		if err := h.eng.Register(spec); err != nil {
-			t.Fatalf("Register: %v", err)
-		}
-	}
-	h.eng.AddCron("first", 10*time.Millisecond, 5*time.Millisecond, nil)
-	h.eng.AddCron("second", 10*time.Millisecond, 5*time.Millisecond, nil)
-	fired := h.eng.Tick(5 * time.Millisecond)
-	if len(fired) != 2 || fired[0].Workflow != "first" || fired[1].Workflow != "second" {
-		order := make([]string, len(fired))
-		for i, r := range fired {
-			order[i] = r.Workflow
-		}
-		t.Fatalf("tie fired in order %v, want [first second]", order)
-	}
-}
 
 func TestChangeFeedTrigger(t *testing.T) {
 	h := newHarness(t, workflow.Options{})
@@ -138,9 +31,6 @@ func TestChangeFeedTrigger(t *testing.T) {
 	if _, err := db.Put(couchdb.Document{"_id": "wage-2", "base": int64(200)}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if got := h.eng.PendingTriggers(); got != 2 {
-		t.Fatalf("pending triggers = %d, want 2 (activation must defer to Drain)", got)
-	}
 	if len(analyzed) != 0 {
 		t.Fatal("change feed ran the workflow synchronously inside Put")
 	}
@@ -161,8 +51,8 @@ func TestChangeFeedTrigger(t *testing.T) {
 	if analyzed[0]["id"] != "wage-1" || analyzed[1]["id"] != "wage-2" {
 		t.Fatalf("trigger inputs %v", analyzed)
 	}
-	if h.eng.PendingTriggers() != 0 {
-		t.Fatal("Drain left pending triggers")
+	if left := h.eng.Drain(45 * time.Millisecond); len(left) != 0 {
+		t.Fatalf("Drain left %d pending triggers", len(left))
 	}
 	if got := h.counter(`workflow_triggers_fired_total{source="changefeed"}`); got != 2 {
 		t.Fatalf("changefeed triggers fired = %d, want 2", got)
@@ -173,8 +63,8 @@ func TestChangeFeedTrigger(t *testing.T) {
 	if err := db.Delete("wage-1", doc.Rev()); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if got := h.eng.PendingTriggers(); got != 0 {
-		t.Fatalf("deletion queued a firing despite the filter (pending=%d)", got)
+	if got := h.eng.Drain(45 * time.Millisecond); len(got) != 0 {
+		t.Fatalf("deletion queued %d firings despite the filter", len(got))
 	}
 
 	// Custom input functions shape the run input.

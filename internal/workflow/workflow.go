@@ -14,8 +14,7 @@
 // spans → the platform's invoke-stage spans), exactly like the paper's
 // Figure 9 application chains.
 //
-// Runs start three ways: directly (Engine.Run), from cron-style timer
-// triggers on the virtual clock (AddCron + Tick), or from CouchDB
+// Runs start two ways: directly (Engine.Run), or from CouchDB
 // change-feed triggers (AddChangeFeed + Drain) — the dashed
 // "database-triggered chain" of Figure 8(b) as a first-class source.
 package workflow

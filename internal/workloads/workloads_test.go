@@ -143,8 +143,8 @@ func TestAlexaIntentDispatch(t *testing.T) {
 			t.Fatalf("%q: %v", tc.text, err)
 		}
 		m := inv.Result.(*lang.Map)
-		if m.Get("intent") != tc.intent {
-			t.Errorf("%q classified as %v, want %s", tc.text, m.Get("intent"), tc.intent)
+		if m.Items["intent"] != tc.intent {
+			t.Errorf("%q classified as %v, want %s", tc.text, m.Items["intent"], tc.intent)
 		}
 	}
 }

@@ -191,7 +191,7 @@ func testClusterStorm(t *testing.T) {
 	// The full metrics dump (every counter, gauge, bucket and quantile)
 	// is the most sensitive determinism witness. It is compared first:
 	// reading a counter below registers it.
-	if export(t, resilient.c.Metrics().WriteText) != export(t, replay.c.Metrics().WriteText) {
+	if export(t, resilient.c.Metrics().Snapshot().WriteText) != export(t, replay.c.Metrics().Snapshot().WriteText) {
 		t.Error("same seed diverged: metrics dumps differ")
 	}
 
@@ -280,21 +280,10 @@ func checkBlame(t *testing.T, journal *events.Journal) {
 	if spikedTraces == 0 {
 		t.Error("no latency-spiked traces in the storm")
 	}
-
-	top := rep.Slowest(5)
-	if len(top) == 0 {
-		t.Error("slowest-K report is empty")
-	}
-	for _, ti := range top {
-		single, ok := insight.AnalyzeTrace(journal.Trace(ti.Trace))
-		if !ok || single.Total != ti.Total || len(single.Path) != len(ti.Path) || len(single.Blame) != len(ti.Blame) {
-			t.Errorf("trace %d: per-trace analysis %+v disagrees with slowest-K %+v", ti.Trace, single, ti)
-		}
-	}
 }
 
 // testWorkflowStorm drives the workflow engine under a seeded storm:
-// the Alexa DAG on a cron trigger, wage analysis on a change feed, and
+// the Alexa DAG run directly, wage analysis on a change feed, and
 // a fan-out/fan-in pipeline whose poisoned branch parks on the DLQ
 // until the missing function is deployed and the DLQ replayed.
 func testWorkflowStorm(t *testing.T) {
@@ -326,16 +315,21 @@ func testWorkflowStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const cronEvery = 5 * time.Millisecond
-	eng.AddCron("alexa", cronEvery, time.Millisecond, map[string]any{"text": "remind me to check the storm", "action": "list"})
 	eng.AddChangeFeed(env.Couch.CreateDB("wages"), "wage-analysis",
 		func(c couchdb.Change) bool { return !c.Deleted && strings.HasPrefix(c.ID, "wage-e") },
 		func(c couchdb.Change) map[string]any { return map[string]any{"trigger": c.ID} })
 	plane.ApplyDefaultPlan(0.01)
 
-	// A wage ingest every 7 ms, every other one chased by a poisoned
-	// pipeline run. Run errors are part of the seeded schedule; the run
-	// statuses below are the judge.
+	// An Alexa run and a wage ingest every 7 ms, every other one chased
+	// by a poisoned pipeline run. Run errors are part of the seeded
+	// schedule; the run statuses below are the judge.
+	var runs []*workflow.Run
+	keep := func(r *workflow.Run, _ error) {
+		if r != nil {
+			runs = append(runs, r)
+		}
+	}
+	alexa := map[string]any{"text": "remind me to check the storm", "action": "list"}
 	var now time.Duration
 	for i, rec := range []map[string]any{
 		{"name": "ada", "id": "e1", "role": "Engineer", "base": 72000}, {"name": "grace", "id": "e2", "role": "Manager", "base": 95000},
@@ -343,18 +337,29 @@ func testWorkflowStorm(t *testing.T) {
 		{"name": "barbara", "id": "e5", "role": "Manager", "base": 120000},
 	} {
 		now = time.Duration(i+1) * 7 * time.Millisecond
-		eng.Tick(now)
-		_, _ = eng.Run("wage-ingest", rec, now)
-		eng.Drain(now)
+		keep(eng.Run("alexa", alexa, now))
+		keep(eng.Run("wage-ingest", rec, now))
+		runs = append(runs, eng.Drain(now)...)
 		if i%2 == 0 {
-			_, _ = eng.Run("pipeline", map[string]any{"text": "poisoned request"}, now)
+			keep(eng.Run("pipeline", map[string]any{"text": "poisoned request"}, now))
 		}
 	}
-	now += cronEvery
-	eng.Tick(now)
+
+	// Drain leaves out a triggered run that stalled at enqueue; the
+	// per-workflow run counters catch one that went missing.
+	reg := env.Metrics
+	started := map[string]int64{}
+	for _, r := range runs {
+		started[r.Workflow]++
+	}
+	for _, name := range eng.Workflows() {
+		if want := reg.Counter(metrics.Name("workflow_runs_total", "workflow", name)).Value(); started[name] != want {
+			t.Errorf("%s: checked %d runs, engine started %d", name, started[name], want)
+		}
+	}
 
 	healthy, poisoned := 0, 0
-	for _, r := range eng.Runs() {
+	for _, r := range runs {
 		switch {
 		case r.Workflow == "pipeline":
 			poisoned++
@@ -364,14 +369,11 @@ func testWorkflowStorm(t *testing.T) {
 			healthy++
 		}
 	}
-	reg := env.Metrics
 	if injected := faultsInjected(reg); healthy == 0 || poisoned == 0 || injected == 0 {
 		t.Errorf("storm ran %d healthy and %d poisoned runs with %d faults; want all > 0", healthy, poisoned, injected)
 	}
-	for _, src := range []string{workflow.SourceCron, workflow.SourceChangeFeed} {
-		if reg.Counter(metrics.Name("workflow_triggers_fired_total", "source", src)).Value() == 0 {
-			t.Errorf("%s trigger never fired", src)
-		}
+	if reg.Counter(metrics.Name("workflow_triggers_fired_total", "source", workflow.SourceChangeFeed)).Value() == 0 {
+		t.Error("change-feed trigger never fired")
 	}
 
 	// Recovery, under the same armed plane: every stalled run resumes
@@ -379,7 +381,7 @@ func testWorkflowStorm(t *testing.T) {
 	if _, err := fw.Install(missing); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := eng.ReplayDLQ("pipeline", now+cronEvery)
+	replayed, err := eng.ReplayDLQ("pipeline", now+5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
