@@ -120,39 +120,6 @@ func BenchmarkFireworksInvoke(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "host_ns/guest_op")
 }
 
-// BenchmarkFireworksWarmResumeInvoke measures the opt-in warm-pool
-// path: after the first request seeds the pool, every iteration
-// warm-resumes the same paused clone instead of restoring the snapshot
-// — the direct comparison point for BenchmarkFireworksInvoke's
-// restore-per-request default.
-func BenchmarkFireworksWarmResumeInvoke(b *testing.B) {
-	env := platform.NewEnv(platform.EnvConfig{})
-	fw := core.New(env, core.Options{WarmPool: true})
-	w := workloads.Fact(runtime.LangNode)
-	if _, err := fw.Install(w.Function); err != nil {
-		b.Fatal(err)
-	}
-	params := platform.MustParams(map[string]any{"n": 9999991, "rounds": 1})
-	// Seed the pool so every timed iteration hits the warm path.
-	if _, err := fw.Invoke(w.Name, params, platform.InvokeOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var virtual int64
-	for i := 0; i < b.N; i++ {
-		inv, err := fw.Invoke(w.Name, params, platform.InvokeOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		virtual += int64(inv.Breakdown.Total())
-	}
-	b.StopTimer()
-	if got := env.Metrics.Counter("fireworks_warm_resume_total").Value(); got < int64(b.N) {
-		b.Fatalf("warm resumes = %d, want >= %d (pool missed)", got, b.N)
-	}
-	b.ReportMetric(float64(virtual)/float64(b.N), "ns_virtual/op")
-}
-
 // BenchmarkFirecrackerColdInvoke is the baseline the 133x claim is
 // measured against.
 func BenchmarkFirecrackerColdInvoke(b *testing.B) {

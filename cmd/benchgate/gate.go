@@ -199,16 +199,16 @@ func defaultTolerances() Tolerances {
 			// would already break this.
 			"BenchmarkDirtyStop": 48,
 			// One request through the whole invoke path, its guest
-			// factoring a 7-digit prime (~54k ops): 191-194 / 104-106
-			// measured from 20 to 8,000 iterations (the histogram windows'
-			// and rings' amortized growth), nearly all of it outside the
-			// guest. The closure-threaded engine's per-call-depth frames
+			// factoring a 7-digit prime (~54k ops): 168-171 measured from
+			// 20 to 8,000 iterations (the histogram windows' and rings'
+			// amortized growth), nearly all of it outside the guest. The
+			// per-invoke stage closures of a pipeline builder read
+			// 190-193; the closure-threaded engine's per-call-depth frames
 			// and step closures read 197-200; naming the invocation
 			// instruments per request (62) and rebuilding the pure
-			// builtins per revival (~34) read 298 / 172; boxing one
-			// intermediate per loop iteration read 8,582 / 8,458.
-			"BenchmarkFireworksInvoke":           194,
-			"BenchmarkFireworksWarmResumeInvoke": 106,
+			// builtins per revival (~34) read 298; boxing one intermediate
+			// per loop iteration read 8,582.
+			"BenchmarkFireworksInvoke": 172,
 			// hot(1000) in either tier of the one engine: the activation's
 			// register file and the boxed result (2 measured). A second
 			// allocation per activation reads 3, one per iteration 1,000+.
@@ -227,9 +227,8 @@ func defaultTolerances() Tolerances {
 			"BenchmarkSamplerSample/fill=64k": 8,
 		},
 		Counted: map[string][]string{
-			"BenchmarkFireworksInvoke":           {"ns_virtual/op", "guest_ops/op"},
-			"BenchmarkFireworksWarmResumeInvoke": {"ns_virtual/op"},
-			"BenchmarkGuestComputeMix":           {"guest_ops/op", "ns_virtual/guest_op"},
+			"BenchmarkFireworksInvoke": {"ns_virtual/op", "guest_ops/op"},
+			"BenchmarkGuestComputeMix": {"guest_ops/op", "ns_virtual/guest_op"},
 			// Whether a full window costs what a near-empty one does is a
 			// count, not a timing: the blocks a rank lookup steps over and
 			// the samples an observe moves are bounded by blockCap, and a

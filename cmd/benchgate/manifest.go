@@ -46,7 +46,6 @@ var manifest = []BenchEntry{
 	// allocs/op ceiling and its counted metrics (virtual ns and guest ops
 	// per op) held equal to the baseline's.
 	{Name: "BenchmarkFireworksInvoke", Gate: true},
-	{Name: "BenchmarkFireworksWarmResumeInvoke", Gate: true},
 	{Name: "BenchmarkFirecrackerColdInvoke"},
 	// A 1,000-iteration integer loop in each FaaSLang tier: gated, with
 	// an absolute allocs/op ceiling — guarded integer code boxes nothing.

@@ -32,9 +32,11 @@ var stdlibCalls = map[string]bool{
 // (bench/ included) and fails on a function or method declared under
 // internal/ whose name no non-test file uses: code that only its own
 // tests reach is not part of the program. A declaration is not a use of
-// itself; an interface method name is a use. The check goes by name,
-// not by type, so a dead function sharing its name with a live one is
-// missed; that is the price of running without type checking.
+// itself, and neither is a method of an interface declared under
+// internal/: otherwise one uncalled interface method would keep every
+// implementation alive. The check goes by name, not by type, so a dead
+// function sharing its name with a live one is missed; that is the
+// price of running without type checking.
 func TestNoTestOnlyEntryPoints(t *testing.T) {
 	used := map[string]bool{}
 	type decl struct{ pos, name string }
@@ -57,6 +59,7 @@ func TestNoTestOnlyEntryPoints(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
 		declared := map[*ast.Ident]bool{}
 		for _, d := range file.Decls {
 			fn, ok := d.(*ast.FuncDecl)
@@ -64,13 +67,25 @@ func TestNoTestOnlyEntryPoints(t *testing.T) {
 				continue
 			}
 			declared[fn.Name] = true
-			if strings.HasPrefix(filepath.ToSlash(path), "internal/") && fn.Name.Name != "init" {
+			if internal && fn.Name.Name != "init" {
 				decls = append(decls, decl{fset.Position(fn.Pos()).String(), fn.Name.Name})
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				// Inspect visits the interface before its method names.
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						if internal {
+							declared[id] = true
+						}
+					}
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					used[n.Name] = true
+				}
 			}
 			return true
 		})

@@ -177,23 +177,14 @@ func TestRemoveRacesInvokeAndInstall(t *testing.T) {
 	}
 }
 
-// TestExpireIdleDuringFailover runs the idle reaper concurrently with
-// invocations that are actively failing over between warm-pooled
-// nodes.
-func TestExpireIdleDuringFailover(t *testing.T) {
+// TestFailoverLeaksNothing races invocations that fail over between
+// nodes under injected restore faults: whatever the interleaving, every
+// failed attempt must have unwound on its node, leaving no microVM and
+// no parameter topic behind.
+func TestFailoverLeaksNothing(t *testing.T) {
 	plane := faults.NewPlane(17)
-	c := New(3, RoundRobin, platform.EnvConfig{Faults: plane}, func(env *platform.Env) platform.Platform {
-		return core.New(env, core.Options{
-			WarmPool:      true,
-			PoolKeepAlive: 1,
-			Retry:         faults.DefaultRetryPolicy(),
-		})
-	})
-	c.SetFailover(FailoverPolicy{MaxFailovers: 2})
+	c := resilientCluster(t, 3, plane, faults.DefaultRetryPolicy(), FailoverPolicy{MaxFailovers: 2})
 	w := workloads.NetLatency(runtime.LangNode)
-	if err := c.Install(w.Function); err != nil {
-		t.Fatal(err)
-	}
 	params := platform.MustParams(nil)
 	// Everything from here on can fail and be retried/failed over.
 	plane.SetProfile(faults.SiteVMMRestore, faults.Profile{ErrorRate: 0.3})
@@ -207,21 +198,13 @@ func TestExpireIdleDuringFailover(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 30; i++ {
-			for _, n := range c.Nodes() {
-				n.Platform.ExpireIdle(1 << 40)
-			}
-		}
-	}()
 	wg.Wait()
-	// Drain the pools; no VM may leak whatever interleavings happened.
 	for _, n := range c.Nodes() {
-		n.Platform.ExpireIdle(1 << 40)
-		if pool := n.Platform.WarmCount(w.Name); pool != 0 {
-			t.Fatalf("%s still pools %d guests after final reap", n.Name, pool)
+		if vms := n.Env.HV.VMCount(); vms != 0 {
+			t.Errorf("%s: %d microVMs leaked", n.Name, vms)
+		}
+		if topics := n.Env.Bus.TopicCount(); topics != 0 {
+			t.Errorf("%s: %d topics leaked", n.Name, topics)
 		}
 	}
 }

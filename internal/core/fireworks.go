@@ -27,7 +27,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/lang"
-	"repro/internal/lifecycle"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/msgbus"
@@ -57,23 +56,7 @@ type Options struct {
 	// RetainInstances keeps restored microVMs alive after their
 	// invocation completes — required by the consolidation experiments
 	// (§5.4), which pack hundreds of live microVMs onto the host.
-	// When both RetainInstances and WarmPool are set, RetainInstances
-	// wins: instances are kept, not pooled.
 	RetainInstances bool
-	// WarmPool keeps the microVM of a finished invocation paused in
-	// the shared lifecycle pool and warm-resumes it for the next
-	// invocation of the same function instead of restoring the
-	// snapshot again. Off by default: the paper's §3.4 model is that
-	// every start is a snapshot resume — the pool is an opt-in
-	// optimization layered on top.
-	WarmPool bool
-	// PoolKeepAlive bounds how long a pooled VM stays warm on the
-	// workload timeline (InvokeOptions.At); zero keeps it forever.
-	// Only meaningful with WarmPool.
-	PoolKeepAlive time.Duration
-	// PoolCapacity bounds pooled VMs per function (zero = unbounded).
-	// Only meaningful with WarmPool.
-	PoolCapacity int
 	// Retry guards the invocation pipeline's fallible stages (remote
 	// fetch, parameter produce/consume, snapshot restore, install boot)
 	// against transient faults. The zero value keeps the paper's
@@ -89,11 +72,6 @@ type Framework struct {
 	env     *platform.Env
 	opts    Options
 	profile sandbox.Profile
-	// pool holds idle paused microVMs when Options.WarmPool is on.
-	pool *lifecycle.Pool[*Instance]
-	// warmResumes counts invocations served by a pooled VM resume
-	// instead of a snapshot restore.
-	warmResumes *metrics.Counter
 	// obs holds the platform's invocation instruments.
 	obs *platform.InvokeMetrics
 	// retrier guards fallible pipeline stages per Options.Retry; nil
@@ -124,13 +102,6 @@ type Instance struct {
 	Topic string
 	VM    *vmm.MicroVM
 	rt    *runtime.Runtime
-	// binding is the guest's host bridge; pooled reuse rebinds it to
-	// the next invocation instead of reinstalling from scratch.
-	binding *platform.NativeBinding
-	// heapDirtied records that the CoW heap/JIT dirtying of the shared
-	// snapshot image was already accounted for this VM; warm reruns
-	// redirty the same private pages.
-	heapDirtied bool
 }
 
 // SustainDirty models a long-running instance dirtying additional guest
@@ -148,13 +119,6 @@ func New(env *platform.Env, opts Options) *Framework {
 		fns:       make(map[string]*installed),
 		instances: make(map[string][]*Instance),
 	}
-	f.pool = lifecycle.NewPool(lifecycle.PoolConfig[*Instance]{
-		TTL:      opts.PoolKeepAlive,
-		Capacity: opts.PoolCapacity,
-		OnEvict:  f.discardInstance,
-	})
-	f.pool.Instrument(env.Metrics, "fireworks")
-	f.warmResumes = env.Metrics.Counter("fireworks_warm_resume_total")
 	f.obs = platform.NewInvokeMetrics(env.Metrics, f.PlatformName())
 	if opts.Retry.MaxAttempts > 1 {
 		pol := opts.Retry
@@ -391,20 +355,18 @@ func (f *Framework) classifyPutError(name string, err error) error {
 }
 
 // invokeStatePool recycles invokeState across invocations: the state
-// never escapes Invoke (stage and cleanup closures referencing it all
-// run inside Pipeline.Run), so it is reset and returned when the
-// pipeline settles.
+// never escapes Invoke (the stages and the undo closures referencing it
+// all run inside it), so it is reset and returned when Invoke returns.
 var invokeStatePool = sync.Pool{New: func() any { return new(invokeState) }}
 
 // invokeState threads one invocation's accumulating state through the
-// pipeline stages.
+// stages.
 type invokeState struct {
-	inst *installed
-	// snap is the local (or re-fetched) snapshot image; snapErr defers
-	// a lookup failure when a pooled warm VM might serve the request
-	// without the image.
-	snap    *vmm.Snapshot
-	snapErr error
+	name   string
+	params lang.Value
+	inv    *platform.Invocation
+	inst   *installed
+	snap   *vmm.Snapshot
 	// pinned marks that this invocation holds a Store pin on the
 	// image. The flag (not a bare Unpin) guards against double-release:
 	// pins are counted globally, so an extra Unpin would release
@@ -413,17 +375,21 @@ type invokeState struct {
 	fcID        string
 	topic       string
 	instance    *Instance
-	warm        bool
 	startupMark time.Duration
+	// undo holds the teardown of each resource a stage claimed (delete
+	// the topic, stop the VM, unpin the snapshot). A failure runs it
+	// in reverse, so it releases exactly the acquired set; on success
+	// the resources are left to the release stage.
+	undo []func()
 }
 
 // Invoke implements platform.Platform (Figure 2 steps 5-8). StartMode
-// is ignored: Fireworks always resumes the post-JIT snapshot (or, with
-// Options.WarmPool, warm-resumes a pooled paused clone).
+// is ignored: Fireworks always resumes the post-JIT snapshot.
 //
-// The flow is a lifecycle.Pipeline: each stage registers teardown for
-// the resources it created, so any failure unwinds exactly the
-// acquired set — no leaked topic, pin, or running microVM.
+// The stages run in table order, each inside a journal span named
+// after it. The first error stops the run, unwinds st.undo, counts
+// fireworks_stage_failures_total{stage} and is returned unwrapped — no
+// leaked topic, pin, or running microVM.
 func (f *Framework) Invoke(name string, params lang.Value, opts platform.InvokeOptions) (*platform.Invocation, error) {
 	f.mu.Lock()
 	inst, ok := f.fns[name]
@@ -460,55 +426,45 @@ func (f *Framework) Invoke(name string, params lang.Value, opts platform.InvokeO
 			sc.End(now, events.A("mode", inv.Mode.String()))
 		}
 	}
-	// traced wraps a pipeline stage in a journal span named after it.
-	traced := func(stageName string, fn func(cl *lifecycle.Cleanup) error) func(cl *lifecycle.Cleanup) error {
-		return func(cl *lifecycle.Cleanup) error {
-			sc.Begin("core", stageName, inv.Clock.Now())
-			err := fn(cl)
-			if err != nil {
-				sc.End(inv.Clock.Now(), events.A("error", err.Error()))
-			} else {
-				sc.End(inv.Clock.Now())
-			}
-			return err
-		}
-	}
 
 	st := invokeStatePool.Get().(*invokeState)
-	*st = invokeState{inst: inst}
+	*st = invokeState{name: name, params: params, inv: inv, inst: inst, undo: st.undo[:0]}
 	defer func() {
-		*st = invokeState{}
+		clear(st.undo)
+		*st = invokeState{undo: st.undo[:0]}
 		invokeStatePool.Put(st)
 	}()
-	pl := lifecycle.NewPipeline().
-		Stage("snapshot-get", traced("snapshot-get", func(cl *lifecycle.Cleanup) error {
-			return f.stageSnapshot(st, name, inv, cl)
-		})).
-		Stage("topic-produce", traced("topic-produce", func(cl *lifecycle.Cleanup) error {
-			return f.stageTopic(st, name, params, inv, cl)
-		})).
-		Stage("restore-or-reuse", traced("restore-or-reuse", func(cl *lifecycle.Cleanup) error {
-			return f.stageRestore(st, name, inv, opts, cl)
-		})).
-		Stage("netns", traced("netns", func(cl *lifecycle.Cleanup) error {
-			return f.stageNetns(st, inv, cl)
-		})).
-		Stage("runtime-revive", traced("runtime-revive", func(cl *lifecycle.Cleanup) error {
-			return f.stageRevive(st, inv, cl)
-		})).
-		Stage("execute", traced("execute", func(cl *lifecycle.Cleanup) error {
-			return f.stageExecute(st, name, inv, cl)
-		})).
-		Stage("release", traced("release", func(cl *lifecycle.Cleanup) error {
-			return f.stageRelease(st, name, inv, opts, cl)
-		}))
-	if err := pl.Run(); err != nil {
+	stages := [...]struct {
+		name string
+		run  func(*Framework, *invokeState) error
+	}{
+		{"snapshot-get", (*Framework).stageSnapshot},
+		{"topic-produce", (*Framework).stageTopic},
+		// Spans, failure labels and trace consumers key on this name,
+		// so it stays although every start restores.
+		{"restore-or-reuse", (*Framework).stageRestore},
+		{"netns", (*Framework).stageNetns},
+		{"runtime-revive", (*Framework).stageRevive},
+		{"execute", (*Framework).stageExecute},
+		{"release", (*Framework).stageRelease},
+	}
+	for _, stage := range stages {
+		sc.Begin("core", stage.name, inv.Clock.Now())
+		err := stage.run(f, st)
+		if err == nil {
+			sc.End(inv.Clock.Now())
+			continue
+		}
+		sc.End(inv.Clock.Now(), events.A("error", err.Error()))
+		for i := len(st.undo) - 1; i >= 0; i-- {
+			st.undo[i]()
+		}
 		f.obs.ObserveInvokeError()
-		f.env.Metrics.Counter(metrics.Name("fireworks_stage_failures_total", "stage", pl.Failed())).Inc()
+		f.env.Metrics.Counter(metrics.Name("fireworks_stage_failures_total", "stage", stage.name)).Inc()
 		finishScope(err)
 		// An execute (or release) failure still yields the invocation
 		// with its breakdown for diagnosis; start-up failures do not.
-		if failed := pl.Failed(); failed == "execute" || failed == "release" {
+		if stage.name == "execute" || stage.name == "release" {
 			return inv, err
 		}
 		return nil, err
@@ -524,8 +480,9 @@ func (f *Framework) Invoke(name string, params lang.Value, opts platform.InvokeO
 
 // stageSnapshot resolves the function's snapshot image, falling back to
 // remote storage after a local eviction, and pins it against eviction
-// for the rest of the pipeline.
-func (f *Framework) stageSnapshot(st *invokeState, name string, inv *platform.Invocation, cl *lifecycle.Cleanup) error {
+// for the rest of the invocation.
+func (f *Framework) stageSnapshot(st *invokeState) error {
+	name, inv := st.name, st.inv
 	snap, err := f.env.Snaps.Get(name)
 	if err != nil && f.env.RemoteSnaps != nil {
 		// Local eviction: pull the image from remote storage (charged
@@ -546,19 +503,12 @@ func (f *Framework) stageSnapshot(st *invokeState, name string, inv *platform.In
 		}
 	}
 	if err != nil {
-		err = fmt.Errorf("fireworks: %q: %w (reinstall to regenerate)", name, err)
-		if f.opts.WarmPool && !f.opts.RetainInstances && f.pool.Count(name) > 0 {
-			// A pooled warm VM may serve the request without the
-			// image; defer the failure to the restore stage.
-			st.snapErr = err
-			return nil
-		}
-		return err
+		return fmt.Errorf("fireworks: %q: %w (reinstall to regenerate)", name, err)
 	}
 	st.snap = snap
 	if perr := f.env.Snaps.Pin(name); perr == nil {
 		st.pinned = true
-		cl.Defer(func() {
+		st.undo = append(st.undo, func() {
 			if st.pinned {
 				st.pinned = false
 				f.env.Snaps.Unpin(name)
@@ -570,18 +520,19 @@ func (f *Framework) stageSnapshot(st *invokeState, name string, inv *platform.In
 
 // stageTopic creates the per-instance topic and produces the arguments
 // to it before the clone resumes (step ⑤).
-func (f *Framework) stageTopic(st *invokeState, name string, params lang.Value, inv *platform.Invocation, cl *lifecycle.Cleanup) error {
+func (f *Framework) stageTopic(st *invokeState) error {
+	inv := st.inv
 	f.mu.Lock()
 	f.nextFcID++
 	st.fcID = fmt.Sprintf("fc%06d", f.nextFcID)
 	f.mu.Unlock()
-	st.topic = fmt.Sprintf("fw-%s-%s", name, st.fcID)
+	st.topic = fmt.Sprintf("fw-%s-%s", st.name, st.fcID)
 	if err := f.env.Bus.CreateTopic(st.topic, 1); err != nil {
 		return err
 	}
 	topic := st.topic
-	cl.Defer(func() { f.env.Bus.DeleteTopic(topic) })
-	paramJSON, err := runtime.EncodeJSON(params)
+	st.undo = append(st.undo, func() { f.env.Bus.DeleteTopic(topic) })
+	paramJSON, err := runtime.EncodeJSON(st.params)
 	if err != nil {
 		return fmt.Errorf("fireworks: params: %w", err)
 	}
@@ -599,42 +550,12 @@ func (f *Framework) stageTopic(st *invokeState, name string, params lang.Value, 
 	return nil
 }
 
-// stageRestore provides the microVM: a warm resume of a pooled clone
-// when Options.WarmPool has one, otherwise a fresh snapshot restore
-// (step ⑦). On the fresh path the start-up interval runs from
-// st.startupMark across the netns and revive stages; stageRevive
-// charges it to the breakdown.
-func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Invocation, opts platform.InvokeOptions, cl *lifecycle.Cleanup) error {
+// stageRestore restores the snapshot into a fresh microVM (step ⑦).
+// The start-up interval runs from st.startupMark across the netns and
+// revive stages; stageRevive charges it to the breakdown.
+func (f *Framework) stageRestore(st *invokeState) error {
+	inv := st.inv
 	st.startupMark = inv.Clock.Now()
-	if f.opts.WarmPool && !f.opts.RetainInstances {
-		if pooled, ok := f.pool.Acquire(name, opts.At); ok {
-			cl.Defer(func() {
-				if pooled.VM.State() != vmm.StateStopped {
-					_ = pooled.VM.Stop()
-				}
-			})
-			inv.Trace.SetVM(pooled.VM.ID)
-			inv.StartSpan("core", "warm-resume")
-			err := pooled.VM.ResumeWarmTraced(inv.Clock, inv.Trace)
-			inv.FinishSpan()
-			if err != nil {
-				return err
-			}
-			pooled.FcID = st.fcID
-			pooled.Topic = st.topic
-			pooled.VM.SetMMDS("fcID", st.fcID)
-			pooled.VM.SetMMDS("topic", st.topic)
-			inv.Breakdown.Add(trace.PhaseStartup, "warm-resume", inv.Clock.Since(st.startupMark))
-			f.warmResumes.Inc()
-			st.instance = pooled
-			st.warm = true
-			return nil
-		}
-	}
-	if st.snapErr != nil {
-		// The image lookup failed and no pooled VM can cover for it.
-		return st.snapErr
-	}
 	inv.StartSpan("core", "vm-restore")
 	// A restore that exceeds the per-attempt deadline (a latency-spike
 	// fault) leaves a running clone behind; the discard hook stops it
@@ -667,7 +588,7 @@ func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Inv
 		return err
 	}
 	inv.Trace.SetVM(vm.ID)
-	cl.Defer(func() {
+	st.undo = append(st.undo, func() {
 		if vm.State() != vmm.StateStopped {
 			_ = vm.Stop()
 		}
@@ -677,12 +598,9 @@ func (f *Framework) stageRestore(st *invokeState, name string, inv *platform.Inv
 }
 
 // stageNetns joins the clone to its network namespace and publishes its
-// identity over MMDS (step ⑥). Pooled warm VMs keep their namespace —
-// part of the warm-resume win.
-func (f *Framework) stageNetns(st *invokeState, inv *platform.Invocation, cl *lifecycle.Cleanup) error {
-	if st.warm {
-		return nil
-	}
+// identity over MMDS (step ⑥).
+func (f *Framework) stageNetns(st *invokeState) error {
+	inv := st.inv
 	vm := st.instance.VM
 	inv.StartSpan("core", "netns-setup")
 	err := f.env.HV.SetupNetwork(vm, st.snap.GuestIP, inv.Clock)
@@ -695,18 +613,10 @@ func (f *Framework) stageNetns(st *invokeState, inv *platform.Invocation, cl *li
 	return nil
 }
 
-// stageRevive rebuilds (fresh restore) or rebinds (pooled reuse) the
-// guest runtime and its host bridge.
-func (f *Framework) stageRevive(st *invokeState, inv *platform.Invocation, cl *lifecycle.Cleanup) error {
-	if st.warm {
-		// The runtime survived inside the paused VM; rebind its host
-		// bridge to this invocation. The fireworks natives capture the
-		// invocation and VM, so they must be reinstalled.
-		st.instance.rt.SetClock(inv.Clock)
-		st.instance.binding.Rebind(inv)
-		f.installFireworksNatives(st.instance.rt, f.invokeBridge(st, inv))
-		return nil
-	}
+// stageRevive rebuilds the guest runtime from the snapshot's template
+// and binds its host bridge to this invocation.
+func (f *Framework) stageRevive(st *invokeState) error {
+	inv := st.inv
 	vm := st.instance.VM
 	template := st.snap.GuestState.(*runtime.SnapshotTemplate)
 	inv.StartSpan("core", "runtime-revive")
@@ -730,16 +640,15 @@ func (f *Framework) stageRevive(st *invokeState, inv *platform.Invocation, cl *l
 		},
 	}
 	binding.Install(rt)
-	f.installFireworksNatives(rt, f.invokeBridge(st, inv))
+	f.installFireworksNatives(rt, f.invokeBridge(st))
 	st.instance.rt = rt
-	st.instance.binding = binding
 	return nil
 }
 
 // invokeBridge builds the per-invocation guest bridge: the fetchParams
-// closure captures this invocation and VM (why pooled reuse reinstalls
-// the natives instead of keeping the old ones).
-func (f *Framework) invokeBridge(st *invokeState, inv *platform.Invocation) *fireworksBridge {
+// closure captures this invocation and VM.
+func (f *Framework) invokeBridge(st *invokeState) *fireworksBridge {
+	inv := st.inv
 	vm := st.instance.VM
 	return &fireworksBridge{
 		defaultParams: st.inst.fn.DefaultParams,
@@ -771,7 +680,8 @@ func (f *Framework) invokeBridge(st *invokeState, inv *platform.Invocation) *fir
 
 // stageExecute resumes the guest at the post-snapshot continuation
 // (step ⑧).
-func (f *Framework) stageExecute(st *invokeState, name string, inv *platform.Invocation, cl *lifecycle.Cleanup) error {
+func (f *Framework) stageExecute(st *invokeState) error {
+	inv := st.inv
 	rt := st.instance.rt
 	inv.StartSpan("core", "exec")
 	ops := rt.VM.Steps()
@@ -779,7 +689,7 @@ func (f *Framework) stageExecute(st *invokeState, name string, inv *platform.Inv
 	inv.GuestOps = rt.VM.Steps() - ops
 	inv.FinishSpan()
 	if err != nil {
-		return fmt.Errorf("fireworks: %s: %w", name, err)
+		return fmt.Errorf("fireworks: %s: %w", st.name, err)
 	}
 	inv.Result = result
 	inv.RespondDefault(result, f.profile)
@@ -791,25 +701,23 @@ func (f *Framework) stageExecute(st *invokeState, name string, inv *platform.Inv
 }
 
 // stageRelease accounts copy-on-write dirtying, drops the snapshot pin,
-// and disposes of the instance: retained, pooled for warm resume, or
-// stopped. The topic is deleted even when the stop fails — the fix for
-// the historical leak where a failed Stop left the topic behind.
-func (f *Framework) stageRelease(st *invokeState, name string, inv *platform.Invocation, opts platform.InvokeOptions, cl *lifecycle.Cleanup) error {
+// and disposes of the instance: retained, or stopped. The topic is
+// deleted even when the stop fails — the fix for the historical leak
+// where a failed Stop left the topic behind.
+func (f *Framework) stageRelease(st *invokeState) error {
+	name, inv := st.name, st.inv
 	instance := st.instance
 	vm := instance.VM
 	rt := instance.rt
-	if !instance.heapDirtied {
-		// Execution dirties the heap pages of the shared image (CoW).
-		vm.DirtyKind(mem.KindHeap, rt.Model.HeapPerInvokeBytes+st.inst.fn.DirtyBytesPerRun)
-		// Numba re-links its duplicated MCJIT modules on resume, CoW-
-		// splitting the JIT-code pages — the reason §5.5.2 sees no
-		// post-JIT memory win for Python.
-		if rt.Model.JITCodeDuplication > 1 {
-			vm.DirtyKind(mem.KindJITCode, rt.JITCodeBytes())
-		}
-		instance.heapDirtied = true
+	// Execution dirties the heap pages of the shared image (CoW).
+	vm.DirtyKind(mem.KindHeap, rt.Model.HeapPerInvokeBytes+st.inst.fn.DirtyBytesPerRun)
+	// Numba re-links its duplicated MCJIT modules on resume, CoW-
+	// splitting the JIT-code pages — the reason §5.5.2 sees no
+	// post-JIT memory win for Python.
+	if rt.Model.JITCodeDuplication > 1 {
+		vm.DirtyKind(mem.KindJITCode, rt.JITCodeBytes())
 	}
-	if f.opts.REAPPrefetch && !st.warm && st.snap != nil && st.snap.WorkingSet() == nil {
+	if f.opts.REAPPrefetch && st.snap.WorkingSet() == nil {
 		// First restored invocation of this snapshot: capture the REAP
 		// working-set record from the fault telemetry now that
 		// execution has dirtied its pages. Later restores replay it.
@@ -823,55 +731,19 @@ func (f *Framework) stageRelease(st *invokeState, name string, inv *platform.Inv
 		st.pinned = false
 		f.env.Snaps.Unpin(name)
 	}
-	switch {
-	case f.opts.RetainInstances:
+	if f.opts.RetainInstances {
 		f.mu.Lock()
 		f.instances[name] = append(f.instances[name], instance)
 		f.mu.Unlock()
-	case f.opts.WarmPool:
-		// The topic is per-invocation: delete it before pooling so an
-		// idle VM holds no queue. Pause, then park; a VM that cannot
-		// pause is broken and dropped.
-		f.env.Bus.DeleteTopic(instance.Topic)
-		instance.Topic = ""
-		if err := vm.Pause(); err != nil {
-			_ = vm.Stop()
-			return nil
-		}
-		inv.Trace.Instant("vmm", "pause", inv.Clock.Now(), events.A("vm", vm.ID))
-		f.pool.Release(name, instance, opts.At)
-	default:
-		stopErr := vm.Stop()
-		f.env.Bus.DeleteTopic(instance.Topic)
-		if stopErr != nil {
-			return stopErr
-		}
-		inv.Trace.Instant("vmm", "stop", inv.Clock.Now(), events.A("vm", vm.ID))
+		return nil
 	}
+	stopErr := vm.Stop()
+	f.env.Bus.DeleteTopic(instance.Topic)
+	if stopErr != nil {
+		return stopErr
+	}
+	inv.Trace.Instant("vmm", "stop", inv.Clock.Now(), events.A("vm", vm.ID))
 	return nil
-}
-
-// discardInstance is the pool's eviction teardown: stop the microVM and
-// delete any leftover topic.
-func (f *Framework) discardInstance(in *Instance) {
-	if in.VM.State() != vmm.StateStopped {
-		_ = in.VM.Stop()
-	}
-	if in.Topic != "" {
-		f.env.Bus.DeleteTopic(in.Topic)
-	}
-}
-
-// ExpireIdle implements platform.Platform: reap pooled VMs idle past
-// Options.PoolKeepAlive at workload-timeline position now.
-func (f *Framework) ExpireIdle(now time.Duration) int {
-	return f.pool.ExpireIdle(now)
-}
-
-// WarmCount implements platform.Platform: the idle pool size for a
-// function.
-func (f *Framework) WarmCount(name string) int {
-	return f.pool.Count(name)
 }
 
 // Remove implements platform.Platform.
@@ -888,14 +760,6 @@ func (f *Framework) Remove(name string) error {
 		f.env.Bus.DeleteTopic(instance.Topic)
 	}
 	delete(f.instances, name)
-	for _, pooled := range f.pool.DrainKey(name) {
-		if err := pooled.VM.Stop(); err != nil {
-			return err
-		}
-		if pooled.Topic != "" {
-			f.env.Bus.DeleteTopic(pooled.Topic)
-		}
-	}
 	f.env.Snaps.Remove(name)
 	if f.env.RemoteSnaps != nil {
 		f.env.RemoteSnaps.Delete(name)
@@ -904,18 +768,14 @@ func (f *Framework) Remove(name string) error {
 	return nil
 }
 
-// Spaces returns the address spaces of the function's retained and
-// pooled instances (implements the experiment harness's
-// MemoryReporter).
+// Spaces returns the address spaces of the function's retained
+// instances (implements the experiment harness's MemoryReporter).
 func (f *Framework) Spaces(name string) []*mem.Space {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []*mem.Space
 	for _, instance := range f.instances[name] {
 		out = append(out, instance.VM.Space())
-	}
-	for _, pooled := range f.pool.Guests(name) {
-		out = append(out, pooled.VM.Space())
 	}
 	return out
 }

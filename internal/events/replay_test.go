@@ -170,10 +170,9 @@ func TestSingleTraceSpansStack(t *testing.T) {
 			t.Errorf("trace missing %s:%s", want[0], want[1])
 		}
 	}
-	// A vmm start appears as either a snapshot restore or a warm-pool
-	// resume, depending on where in the run this request landed.
-	if !has("vmm", "restore") && !has("vmm", "warm-resume") {
-		t.Error("trace has no vmm restore or warm-resume")
+	// Every Fireworks start is a snapshot restore.
+	if !has("vmm", "restore") {
+		t.Error("trace has no vmm restore")
 	}
 
 	// The consume is causally linked to the produce that fed it, and

@@ -1,17 +1,14 @@
-// Package lifecycle is the shared guest-lifecycle layer behind every
-// platform in the evaluation: one generic warm pool (keep-alive TTL on
-// the virtual workload timeline, per-function capacity, atomic
-// acquire/release) and one staged invocation pipeline with a cleanup
-// stack that unwinds partial work exactly once on failure.
+// Package lifecycle is the warm pool the baseline platforms share: one
+// generic pool of idle guests with a keep-alive TTL on the virtual
+// workload timeline, a per-function capacity, and atomic
+// acquire/release. Fireworks keeps no pool: every start is a snapshot
+// resume (§3.4).
 //
 // Before this package, containers, firecracker, and isolate each kept a
 // private `warm map[string][]*guest` with hand-rolled acquire/release
-// and expiry, and the Fireworks Invoke carried five copies of its
-// error-teardown sequence. Ustiugov et al. (ASPLOS'21) show restore
-// cost is dominated by working-set re-faulting that reuse avoids, and
-// Tan et al. (EuroSys'21) show keep-alive policy dominates effective
-// cold-start rates — both argue for a first-class lifecycle layer
-// rather than four divergent copies.
+// and expiry. Tan et al. (EuroSys'21) show keep-alive policy dominates
+// effective cold-start rates, which argues for one first-class pool
+// rather than three divergent copies.
 package lifecycle
 
 import (
@@ -171,13 +168,6 @@ func (p *Pool[G]) ExpireIdle(now time.Duration) int {
 
 	p.evict(victims)
 	return len(victims)
-}
-
-// Count returns the number of idle guests pooled for key.
-func (p *Pool[G]) Count(key string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle[key])
 }
 
 // Guests returns a copy of the idle guests pooled for key, oldest

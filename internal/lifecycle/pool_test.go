@@ -25,7 +25,7 @@ func TestPoolAcquireReleaseLIFO(t *testing.T) {
 	a, b := &fakeGuest{id: 1}, &fakeGuest{id: 2}
 	p.Release("fn", a, 0)
 	p.Release("fn", b, 0)
-	if got := p.Count("fn"); got != 2 {
+	if got := len(p.Guests("fn")); got != 2 {
 		t.Fatalf("Count = %d, want 2", got)
 	}
 	g, ok := p.Acquire("fn", 0)
@@ -98,8 +98,8 @@ func TestPoolExpireIdleReapsInBackground(t *testing.T) {
 	if !guests[0].evicted.Load() || !guests[2].evicted.Load() {
 		t.Fatal("expired guests not evicted")
 	}
-	if p.Count("a") != 1 || p.Count("b") != 0 {
-		t.Fatalf("Count(a)=%d Count(b)=%d after reap", p.Count("a"), p.Count("b"))
+	if len(p.Guests("a")) != 1 || len(p.Guests("b")) != 0 {
+		t.Fatalf("Guests(a)=%d Guests(b)=%d after reap", len(p.Guests("a")), len(p.Guests("b")))
 	}
 }
 
@@ -129,7 +129,7 @@ func TestPoolCapacityRejectsAtomically(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := p.Count("fn"); got != 2 {
+	if got := len(p.Guests("fn")); got != 2 {
 		t.Fatalf("Count = %d, want exactly the capacity 2", got)
 	}
 	if got := rejected.Load(); got != 14 {
@@ -163,7 +163,7 @@ func TestPoolConcurrentAcquireNeverDoubleIssues(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := p.Count("fn"); got != guests {
+	if got := len(p.Guests("fn")); got != guests {
 		t.Fatalf("Count = %d, want %d after all holders released", got, guests)
 	}
 }
@@ -180,7 +180,7 @@ func TestPoolDrainKeySkipsOnEvict(t *testing.T) {
 	if evicted.Load() != 0 {
 		t.Fatal("DrainKey ran OnEvict; caller owns teardown")
 	}
-	if p.Count("fn") != 0 {
+	if len(p.Guests("fn")) != 0 {
 		t.Fatal("guests survived DrainKey")
 	}
 }
@@ -192,7 +192,7 @@ func TestPoolGuestsReturnsCopy(t *testing.T) {
 	if len(gs) != 1 || gs[0].id != 1 {
 		t.Fatalf("Guests = %v", gs)
 	}
-	if p.Count("fn") != 1 {
+	if len(p.Guests("fn")) != 1 {
 		t.Fatal("Guests consumed the pool")
 	}
 }

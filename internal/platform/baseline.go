@@ -261,15 +261,12 @@ func (b *baseline) startRuntime(g *guest, inv *Invocation, fsys fs.FS, warmProce
 	return g.rt.LoadModule(g.fn.Source)
 }
 
-// ExpireIdle implements Platform: terminate every pooled guest idle past
-// the keep-alive at timeline position now, releasing its memory. (Acquire
-// also expires lazily; this is the background reaper that reclaims
-// memory for functions that are never called again.) Only OpenWhisk is
-// ever given a keep-alive; the others reap nothing.
+// ExpireIdle terminates every pooled guest idle past the keep-alive at
+// timeline position now, releasing its memory, and returns how many it
+// terminated. (Acquire also expires lazily; this is the background
+// reaper that reclaims memory for functions that are never called
+// again.) Only OpenWhisk is ever given a keep-alive.
 func (b *baseline) ExpireIdle(now time.Duration) int { return b.pool.ExpireIdle(now) }
-
-// WarmCount implements Platform: the idle pool size for a function.
-func (b *baseline) WarmCount(name string) int { return b.pool.Count(name) }
 
 // Spaces returns the address spaces of the function's pooled guests
 // (implements the harness's MemoryReporter).

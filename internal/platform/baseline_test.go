@@ -35,9 +35,8 @@ func TestBaselineContract(t *testing.T) {
 			}
 			pooled := func(fn string, want int) {
 				t.Helper()
-				spaces := p.(interface{ Spaces(string) []*mem.Space }).Spaces(fn)
-				if p.WarmCount(fn) != want || len(spaces) != want {
-					t.Fatalf("WarmCount = %d, Spaces = %d, want %d", p.WarmCount(fn), len(spaces), want)
+				if n := len(p.(interface{ Spaces(string) []*mem.Space }).Spaces(fn)); n != want {
+					t.Fatalf("Spaces = %d, want %d pooled", n, want)
 				}
 			}
 			preInstall := env.Mem.Used()

@@ -48,7 +48,7 @@ func NewOpenWhisk(env *Env) Platform { return NewOpenWhiskKeepAlive(env, 0) }
 // warm containers expire after ttl on the workload timeline
 // (InvokeOptions.At), releasing their memory — the production policy
 // ("defer termination of the worker sandbox for a certain period", §2).
-func NewOpenWhiskKeepAlive(env *Env, ttl time.Duration) Platform {
+func NewOpenWhiskKeepAlive(env *Env, ttl time.Duration) *baseline {
 	b := newBaseline(env, "openwhisk", sandbox.ClassContainer, ttl,
 		containerKind{coldOverhead: costOWColdController, warmOverhead: costOWWarmController})
 	b.chains = true

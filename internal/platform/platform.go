@@ -202,13 +202,6 @@ type Platform interface {
 	Invoke(name string, params lang.Value, opts InvokeOptions) (*Invocation, error)
 	// Remove undeploys a function and releases its sandboxes.
 	Remove(name string) error
-	// ExpireIdle reaps warm guests idle past the platform's keep-alive
-	// at workload-timeline position now, returning how many were
-	// terminated. Platforms without a keep-alive policy return 0.
-	ExpireIdle(now time.Duration) int
-	// WarmCount reports how many idle warm guests are pooled for a
-	// function.
-	WarmCount(name string) int
 }
 
 // InstallReport describes one function installation.

@@ -107,8 +107,8 @@ func TestAutoModeReusesSandbox(t *testing.T) {
 	p := NewOpenWhisk(env).(*baseline)
 	p.Install(factFn("fact"))
 	p.Invoke("fact", MustParams(nil), InvokeOptions{})
-	if p.WarmCount("fact") != 1 {
-		t.Fatalf("pool = %d", p.WarmCount("fact"))
+	if len(p.pool.Guests("fact")) != 1 {
+		t.Fatalf("pool = %d", len(p.pool.Guests("fact")))
 	}
 	inv, err := p.Invoke("fact", MustParams(nil), InvokeOptions{})
 	if err != nil {
@@ -117,8 +117,8 @@ func TestAutoModeReusesSandbox(t *testing.T) {
 	if inv.Mode != ModeWarm {
 		t.Fatal("auto mode did not reuse the warm container")
 	}
-	if p.WarmCount("fact") != 1 {
-		t.Fatalf("pool grew to %d", p.WarmCount("fact"))
+	if len(p.pool.Guests("fact")) != 1 {
+		t.Fatalf("pool grew to %d", len(p.pool.Guests("fact")))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestGVisorSlowerColdThanOpenWhisk(t *testing.T) {
 
 func TestKeepAliveExpiry(t *testing.T) {
 	env := NewEnv(EnvConfig{})
-	p := NewOpenWhiskKeepAlive(env, 10*time.Minute).(*baseline)
+	p := NewOpenWhiskKeepAlive(env, 10*time.Minute)
 	p.Install(factFn("fact"))
 	params := MustParams(map[string]any{"n": 5})
 
@@ -188,7 +188,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 
 func TestExpireIdleReapsInBackground(t *testing.T) {
 	env := NewEnv(EnvConfig{})
-	p := NewOpenWhiskKeepAlive(env, time.Minute).(*baseline)
+	p := NewOpenWhiskKeepAlive(env, time.Minute)
 	p.Install(factFn("fact"))
 	if _, err := p.Invoke("fact", MustParams(nil), InvokeOptions{At: 0}); err != nil {
 		t.Fatal(err)

@@ -227,18 +227,12 @@ func (v *MicroVM) Pause() error {
 
 // ResumeWarm resumes a paused VM, charging the warm-start cost.
 func (v *MicroVM) ResumeWarm(clock *vclock.Clock) error {
-	return v.ResumeWarmTraced(clock, nil)
-}
-
-// ResumeWarmTraced is ResumeWarm under an event scope.
-func (v *MicroVM) ResumeWarmTraced(clock *vclock.Clock, sc *events.Scope) error {
 	if v.state != StatePaused {
 		return fmt.Errorf("%w: warm resume in %s", ErrBadState, v.state)
 	}
 	clock.Advance(CostWarmResume)
 	v.state = StateRunning
 	v.hv.warmResumes.Inc()
-	sc.Instant("vmm", "warm-resume", clock.Now(), events.A("vm", v.ID))
 	return nil
 }
 
