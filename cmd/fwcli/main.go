@@ -56,7 +56,7 @@ func main() {
 	name := flag.String("name", "fn", "function name")
 	lang := flag.String("lang", "nodejs", "runtime: nodejs or python")
 	params := flag.String("params", "{}", "invocation parameters (JSON object)")
-	platformName := flag.String("platform", "fireworks", "fireworks, openwhisk, gvisor, firecracker, firecracker+os-snapshot, isolate")
+	platformName := flag.String("platform", "fireworks", "fireworks, openwhisk, gvisor, firecracker, firecracker+os-snapshot")
 	mode := flag.String("mode", "auto", "start mode: auto, cold, warm")
 	repeat := flag.Int("repeat", 1, "number of invocations")
 	listBuiltins := flag.Bool("list-builtins", false, "list built-in workloads and exit")
@@ -66,7 +66,7 @@ func main() {
 	watch := flag.Bool("watch", false, "print a memory-telemetry line per invocation and the smem-style memory report after the run")
 	tsDump := flag.String("timeseries-dump", "", "write the run's sampled telemetry series to this file as CSV")
 	insightFlag := flag.Bool("insight", false, "print the run's critical-path blame tables and service graph after the last invocation")
-	telemSpec := flag.String("telem", "", `arm tail-based trace sampling on the run's journal: "seed=N,rate=P[,card=K]" (docs/telemetry.md); dumps and -insight see the sampled journal and the run ends with the keep/drop ledger`)
+	telemSpec := flag.String("telem", "", `arm tail-based trace sampling on the run's journal: "seed=N,rate=P" (docs/telemetry.md); dumps and -insight see the sampled journal and the run ends with the keep/drop ledger`)
 	flag.Parse()
 
 	if *listBuiltins {
@@ -187,14 +187,12 @@ func main() {
 }
 
 // armTelemetry parses the -telem spec and attaches a tail sampler to
-// the run's journal (and the spec's cardinality budget to its
-// registry). An empty spec leaves sampling off.
+// the run's journal. An empty spec leaves sampling off.
 func armTelemetry(spec string, env *platform.Env) (*telemetry.TailSampler, error) {
-	cfg, card, err := telemetry.ParseSpec(spec)
+	cfg, err := telemetry.ParseSpec(spec)
 	if cfg == nil {
 		return nil, err
 	}
-	env.Metrics.SetCardinalityLimit(card)
 	tail := telemetry.New(*cfg)
 	tail.Attach(env.Events, env.Metrics)
 	return tail, nil
@@ -304,8 +302,6 @@ func resolvePlatform(name string, env *platform.Env) (platform.Platform, error) 
 		return platform.NewFirecracker(env, platform.FCNoSnapshot), nil
 	case "firecracker+os-snapshot":
 		return platform.NewFirecracker(env, platform.FCOSSnapshot), nil
-	case "isolate":
-		return platform.NewIsolate(env), nil
 	default:
 		return nil, fmt.Errorf("unknown platform %q", name)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,7 +56,6 @@ func TestResolvePlatform(t *testing.T) {
 		"gvisor":                  "gvisor",
 		"firecracker":             "firecracker",
 		"firecracker+os-snapshot": "firecracker+os-snapshot",
-		"isolate":                 "isolate",
 	} {
 		p, err := resolvePlatform(name, env)
 		if err != nil {
@@ -65,8 +65,10 @@ func TestResolvePlatform(t *testing.T) {
 			t.Fatalf("%s -> %s", name, p.PlatformName())
 		}
 	}
-	if _, err := resolvePlatform("lambda", env); err == nil {
-		t.Fatal("unknown platform accepted")
+	for _, bad := range []string{"lambda", "isolate"} {
+		if _, err := resolvePlatform(bad, env); err == nil || err.Error() != fmt.Sprintf("unknown platform %q", bad) {
+			t.Fatalf("%s: err = %v", bad, err)
+		}
 	}
 }
 

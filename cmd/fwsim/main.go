@@ -51,33 +51,21 @@
 //	curl -s 'localhost:8080/events/stream?since=0&wait_ms=1000'
 //	curl -s localhost:8080/telemetry
 //
-// With -metrics the gateway is skipped entirely: fwsim drives a demo
-// workload across a simulated cluster and dumps the fleet-wide metrics
-// snapshot (restore latencies, CoW faults, queue dwell, per-node
-// placement) to stdout, then exits. -trace-dump writes the demo's
-// event journal to a file (Chrome trace-event JSON when the name ends
-// in .json, NDJSON otherwise).
-//
-//	fwsim -metrics text -nodes 3 -invocations 12
-//	fwsim -metrics text -trace-dump trace.json
-//
 // With -faults the deterministic fault-injection plane is armed
 // (internal/faults): the seed pins the fault schedule, the rate is the
 // per-operation fault probability, and the platform runs with its
 // default retry and failover policies so injected faults are mostly
 // absorbed rather than surfaced.
 //
-//	fwsim -metrics text -faults seed=7,rate=0.05
 //	fwsim -addr :8080 -faults seed=7,rate=0.01
 //
 // With -telem the telemetry governor is armed (docs/telemetry.md):
 // completed traces run through the tail-sampling policy chain (errors,
 // latency outliers, and DLQ runs always kept; the rest kept at the
-// given rate, seeded), the registry enforces a per-family cardinality
-// budget when card is set, and the timeseries sampler grows rollup
-// tiers. GET /telemetry reports the plane's own accounting.
+// given rate, seeded) and the timeseries sampler grows rollup tiers.
+// GET /telemetry reports the plane's own accounting.
 //
-//	fwsim -addr :8080 -telem seed=1,rate=0.05,card=64
+//	fwsim -addr :8080 -telem seed=1,rate=0.05
 package main
 
 import (
@@ -88,7 +76,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,7 +95,6 @@ import (
 	"repro/internal/timeseries"
 	"repro/internal/vclock"
 	"repro/internal/workflow"
-	"repro/internal/workloads"
 )
 
 type server struct {
@@ -151,9 +137,8 @@ type installRequest struct {
 // the fault plane arms immediately (the gateway is long-lived) and the
 // platform runs with its default retry and failover policies. With
 // telem non-nil the telemetry governor arms: tail-based trace sampling
-// over the journal, a cardinality budget on the registry, and rollup
-// tiers on the sampler.
-func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config, card int) *server {
+// over the journal and rollup tiers on the sampler.
+func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config) *server {
 	envCfg := platform.EnvConfig{}
 	opts := core.Options{}
 	if chaos != nil {
@@ -188,7 +173,6 @@ func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config, card int
 		// observer must see every trace from its first span.
 		s.tail = telemetry.New(*telem)
 		s.tail.Attach(c.Journal(), c.Metrics())
-		c.Metrics().SetCardinalityLimit(card)
 		s.sampler.SetRollups(timeseries.DefaultRollups())
 	}
 	// Both probes run on every request, so they read state that is
@@ -275,44 +259,27 @@ func (s *server) observe(latency time.Duration, failed bool) {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	metricsDump := flag.String("metrics", "", `dump mode: run a cluster demo and write the metrics snapshot to stdout ("text" or "json"), then exit`)
-	nodes := flag.Int("nodes", 3, "cluster size (gateway and -metrics demo)")
-	invocations := flag.Int("invocations", 12, "invocations to run in the -metrics demo")
+	nodes := flag.Int("nodes", 3, "cluster size")
 	faultsSpec := flag.String("faults", "", `arm deterministic fault injection: "seed=N,rate=P" (rate is per-operation probability, e.g. 0.01)`)
-	telemSpec := flag.String("telem", "", `arm the telemetry governor: "seed=N,rate=P[,card=K]" (rate is the probabilistic keep fraction for boring traces, card a per-family label-value budget)`)
-	traceDump := flag.String("trace-dump", "", `in -metrics demo mode, write the event journal to this file (Chrome trace-event JSON for *.json, NDJSON otherwise)`)
+	telemSpec := flag.String("telem", "", `arm the telemetry governor: "seed=N,rate=P" (rate is the probabilistic keep fraction for boring traces)`)
 	flag.Parse()
 
 	chaos, err := parseFaultsSpec(*faultsSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	telem, card, err := telemetry.ParseSpec(*telemSpec)
+	telem, err := telemetry.ParseSpec(*telemSpec)
 	if err != nil {
 		log.Fatalf("fwsim: %v", err)
-	}
-
-	if *metricsDump != "" {
-		cfg := demoConfig{
-			format:      *metricsDump,
-			nodes:       *nodes,
-			invocations: *invocations,
-			chaos:       chaos,
-			traceDump:   *traceDump,
-		}
-		if err := runMetricsDemo(os.Stdout, cfg); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if chaos != nil {
 		log.Printf("fault injection armed: seed=%d rate=%g", chaos.seed, chaos.rate)
 	}
 	if telem != nil {
-		log.Printf("telemetry governor armed: seed=%d rate=%g card=%d", telem.Seed, max(telem.KeepRate, 0), card)
+		log.Printf("telemetry governor armed: seed=%d rate=%g", telem.Seed, max(telem.KeepRate, 0))
 	}
-	s := newServer(*nodes, chaos, telem, card)
+	s := newServer(*nodes, chaos, telem)
 	log.Printf("fwsim gateway on http://%s (%d nodes)", *addr, *nodes)
 	log.Fatal(http.ListenAndServe(*addr, s.mux()))
 }
@@ -386,79 +353,6 @@ func (s *server) mux() http.Handler {
 	mux.HandleFunc("GET /workflows/{name}/dlq", s.handleWorkflowDLQ)
 	mux.HandleFunc("POST /workflows/{name}/dlq/replay", s.handleWorkflowDLQReplay)
 	return http.MaxBytesHandler(mux, maxBodyBytes)
-}
-
-// demoConfig parameterizes the -metrics demo run.
-type demoConfig struct {
-	format      string
-	nodes       int
-	invocations int
-	chaos       *faultsConfig
-	// traceDump, when non-empty, is the file the demo's event journal
-	// is written to after the workload (chrome for *.json, else ndjson).
-	traceDump string
-}
-
-// runMetricsDemo drives a built-in workload across a Fireworks cluster
-// behind the least-inflight placement policy, then writes the shared
-// registry's snapshot: restore counts and latency histograms, CoW
-// faults, queue dwell, and per-node placement counters. With chaos
-// non-nil the fault plane arms after the install (so the one-time
-// deploy cannot fail) and the demo runs with retry + failover on;
-// faulted invocations that still fail are counted, not fatal.
-func runMetricsDemo(w io.Writer, cfg demoConfig) error {
-	if cfg.nodes <= 0 || cfg.invocations <= 0 {
-		return fmt.Errorf("fwsim: -nodes and -invocations must be positive")
-	}
-	envCfg := platform.EnvConfig{}
-	opts := core.Options{}
-	var plane *faults.Plane
-	if cfg.chaos != nil {
-		plane = faults.NewPlane(cfg.chaos.seed)
-		envCfg.Faults = plane
-		opts.Retry = faults.DefaultRetryPolicy()
-	}
-	c := cluster.New(cfg.nodes, cluster.LeastInflight, envCfg,
-		func(env *platform.Env) platform.Platform {
-			return core.New(env, opts)
-		})
-	if cfg.chaos != nil {
-		c.SetFailover(cluster.FailoverPolicy{MaxFailovers: 2})
-	}
-	wl := workloads.NetLatency(rt.LangNode)
-	if err := c.Install(wl.Function); err != nil {
-		return err
-	}
-	plane.ApplyDefaultPlan(chaosRate(cfg.chaos))
-	params := platform.MustParams(nil)
-	failed := 0
-	for i := 0; i < cfg.invocations; i++ {
-		if _, _, err := c.Invoke(wl.Name, params, platform.InvokeOptions{}); err != nil {
-			if cfg.chaos == nil {
-				return err
-			}
-			failed++
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "fwsim: %d/%d invocations failed despite retry+failover\n", failed, cfg.invocations)
-	}
-	if err := c.Metrics().WriteFormat(w, cfg.format); err != nil {
-		return fmt.Errorf("fwsim: %w", err)
-	}
-	if cfg.traceDump != "" {
-		if err := events.WriteFile(cfg.traceDump, c.Journal().Events()); err != nil {
-			return fmt.Errorf("fwsim: -trace-dump: %w", err)
-		}
-	}
-	return nil
-}
-
-func chaosRate(chaos *faultsConfig) float64 {
-	if chaos == nil {
-		return 0
-	}
-	return chaos.rate
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -818,25 +712,14 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 
 // handleTelemetry serves the telemetry plane's self-accounting: the
 // tail sampler's keep/drop ledger (null when -telem is off), the
-// registry's cardinality audit (TopK families by live series), the
 // timeseries sampler's resident memory, and the journal's occupancy.
 func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	k := 10
-	if str := r.URL.Query().Get("k"); str != "" {
-		v, err := strconv.Atoi(str)
-		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("telemetry: bad k %q (want a positive integer)", str))
-			return
-		}
-		k = v
-	}
 	var tail any
 	if s.tail != nil {
 		tail = s.tail.Stats()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tail_sampling": tail,
-		"cardinality":   s.c.Metrics().CardinalityAudit(k),
 		"sampler":       s.sampler.Stats(),
 		"journal": map[string]any{
 			"events":  s.c.Journal().Len(),

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,7 +21,7 @@ import (
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s := newServer(2, nil, nil, 0)
+	s := newServer(2, nil, nil)
 	ts := httptest.NewServer(s.mux())
 	t.Cleanup(ts.Close)
 	return ts
@@ -420,80 +418,6 @@ func TestTraceAndEventsEndpoints(t *testing.T) {
 	}
 }
 
-func TestMetricsDemoDump(t *testing.T) {
-	var buf strings.Builder
-	if err := runMetricsDemo(&buf, demoConfig{format: "text", nodes: 3, invocations: 6}); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	// The acceptance surface of the dump: restore count + latency
-	// histogram, CoW faults, per-node placement, and queue dwell.
-	for _, want := range []string{
-		"counter vmm_snapshot_restores_total 6",
-		"histogram vmm_snapshot_restore_duration count=6",
-		"mem_cow_faults_total",
-		`cluster_node_invocations_total{node="node-00"}`,
-		`cluster_node_invocations_total{node="node-01"}`,
-		`cluster_node_invocations_total{node="node-02"}`,
-		"histogram msgbus_dwell count=6",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("demo dump missing %q:\n%s", want, text)
-		}
-	}
-
-	var jsonBuf strings.Builder
-	if err := runMetricsDemo(&jsonBuf, demoConfig{format: "json", nodes: 2, invocations: 2}); err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal([]byte(jsonBuf.String()), &snap); err != nil {
-		t.Fatalf("json dump does not parse: %v", err)
-	}
-
-	if err := runMetricsDemo(io.Discard, demoConfig{format: "yaml", nodes: 1, invocations: 1}); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-}
-
-func TestMetricsDemoTraceDump(t *testing.T) {
-	dir := t.TempDir()
-	chromePath := filepath.Join(dir, "trace.json")
-	cfg := demoConfig{format: "text", nodes: 2, invocations: 3, traceDump: chromePath}
-	if err := runMetricsDemo(io.Discard, cfg); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(chromePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &chrome); err != nil {
-		t.Fatalf("trace dump does not parse: %v", err)
-	}
-	if len(chrome.TraceEvents) == 0 {
-		t.Fatal("trace dump is empty")
-	}
-
-	// A non-.json name gets NDJSON.
-	ndPath := filepath.Join(dir, "trace.ndjson")
-	cfg = demoConfig{format: "text", nodes: 1, invocations: 1, traceDump: ndPath}
-	if err := runMetricsDemo(io.Discard, cfg); err != nil {
-		t.Fatal(err)
-	}
-	nd, err := os.ReadFile(ndPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first map[string]any
-	line, _, _ := strings.Cut(string(nd), "\n")
-	if err := json.Unmarshal([]byte(line), &first); err != nil {
-		t.Fatalf("ndjson dump first line does not parse: %v", err)
-	}
-}
-
 func TestParseFaultsSpec(t *testing.T) {
 	if cfg, err := parseFaultsSpec(""); cfg != nil || err != nil {
 		t.Fatalf("empty spec = %v, %v; want nil, nil", cfg, err)
@@ -513,15 +437,20 @@ func TestParseFaultsSpec(t *testing.T) {
 	}
 }
 
-func TestMetricsDemoWithFaults(t *testing.T) {
-	var buf strings.Builder
-	cfg := demoConfig{format: "text", nodes: 2, invocations: 20,
-		chaos: &faultsConfig{seed: 7, rate: 0.1}}
-	if err := runMetricsDemo(&buf, cfg); err != nil {
-		t.Fatal(err)
+// With -faults armed the gateway runs on the fault plane, and its
+// metrics dump counts what was injected.
+func TestMetricsEndpointWithFaults(t *testing.T) {
+	s := newServer(2, &faultsConfig{seed: 7, rate: 0.1}, nil)
+	ts := httptest.NewServer(s.mux())
+	t.Cleanup(ts.Close)
+	if status, out := post(t, ts.URL+"/install", installBody); status != http.StatusCreated {
+		t.Fatalf("install under faults = %d: %v", status, out)
 	}
-	if !strings.Contains(buf.String(), "faults_injected_total{") {
-		t.Fatalf("faulted demo dump has no injected faults:\n%s", buf.String())
+	for i := 0; i < 20; i++ {
+		post(t, ts.URL+"/invoke/hello", `{}`)
+	}
+	if _, body := get(t, ts.URL+"/metrics"); !strings.Contains(string(body), "faults_injected_total{") {
+		t.Fatalf("faulted gateway's dump has no injected faults:\n%s", body)
 	}
 }
 

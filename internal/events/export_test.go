@@ -3,6 +3,9 @@ package events
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -187,5 +190,38 @@ func TestChromeEndUsesBeginTrack(t *testing.T) {
 	}
 	if bTID != eTID {
 		t.Fatalf("E landed on tid %d, B on tid %d — B/E must share a track", eTID, bTID)
+	}
+}
+
+// WriteFile picks the format by extension: Chrome trace-event JSON for
+// *.json, NDJSON otherwise.
+func TestWriteFileFormatByExtension(t *testing.T) {
+	evs := buildChromeFixture()
+	dir := t.TempDir()
+	chromePath, ndPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "trace.ndjson")
+	for _, path := range []string{chromePath, ndPath} {
+		if err := WriteFile(path, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(chromePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("chrome dump: %v, %d events", err, len(doc.TraceEvents))
+	}
+	nd, err := os.ReadFile(ndPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(nd), "\n"), "\n")
+	if len(lines) != len(evs) {
+		t.Fatalf("ndjson dump has %d lines for %d events", len(lines), len(evs))
+	}
+	var first map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+		t.Fatalf("ndjson dump first line does not parse: %v", err)
 	}
 }

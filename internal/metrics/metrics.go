@@ -74,10 +74,6 @@ type Registry struct {
 	counters   table[Counter]
 	gauges     table[Gauge]
 	histograms table[Histogram]
-
-	// card is the cardinality governor (cardinality.go); its zero
-	// value leaves every family unbounded.
-	card cardinality
 }
 
 // NewRegistry returns an empty registry.
@@ -91,10 +87,9 @@ type table[T any] struct {
 	idx atomic.Pointer[index[T]]
 }
 
-// index is one published state of a table: every name, aliases
-// included (see cardinality.go), and each instrument once in creation
-// order and in name order. A create appends to created in place, past
-// the length any reader has loaded.
+// index is one published state of a table: every instrument by name,
+// in creation order and in name order. A create appends to created in
+// place, past the length any reader has loaded.
 type index[T any] struct {
 	byKey   map[string]*T
 	created []*T
@@ -117,42 +112,26 @@ func (t *table[T]) load() index[T] {
 func (t *table[T]) get(name string) *T { return t.load().byKey[name] }
 
 // create returns the named instrument, making it with mk on first use.
-// When the name's family is over its cardinality budget the name
-// becomes an alias of the family's shared overflow series, so repeat
-// lookups of a redirected name still hit the read index.
-func (t *table[T]) create(r *Registry, name string, mk func(name string) *T) *T {
+func (t *table[T]) create(name string, mk func(name string) *T) *T {
 	t.mu.Lock()
-	if v := t.get(name); v != nil {
+	defer t.mu.Unlock()
+	old := t.load()
+	if v := old.byKey[name]; v != nil {
 		// Created by a racing goroutine between our lookup and the lock.
-		t.mu.Unlock()
 		return v
 	}
-	fam, redirect := r.admitSeries(name)
-	target := name
-	if redirect {
-		target = OverflowName(fam)
-	}
-	old := t.load()
-	next := index[T]{byKey: make(map[string]*T, len(old.byKey)+2), created: old.created, byName: old.byName}
+	next := index[T]{byKey: make(map[string]*T, len(old.byKey)+1), created: old.created, byName: old.byName}
 	for k, inst := range old.byKey {
 		next.byKey[k] = inst
 	}
-	v := old.byKey[target]
-	if v == nil {
-		v = mk(target)
-		i, _ := slices.BinarySearchFunc(old.byName, target, func(e named[T], name string) int {
-			return strings.Compare(e.name, name)
-		})
-		next.created = append(old.created, v)
-		next.byName = slices.Insert(slices.Clip(old.byName), i, named[T]{target, v})
-	}
-	next.byKey[name], next.byKey[target] = v, v
+	v := mk(name)
+	i, _ := slices.BinarySearchFunc(old.byName, name, func(e named[T], name string) int {
+		return strings.Compare(e.name, name)
+	})
+	next.created = append(old.created, v)
+	next.byName = slices.Insert(slices.Clip(old.byName), i, named[T]{name, v})
+	next.byKey[name] = v
 	t.idx.Store(&next)
-	t.mu.Unlock()
-	if redirect {
-		// Outside the lock: the overflow counter lives in a table too.
-		r.noteOverflow(fam)
-	}
 	return v
 }
 
@@ -196,7 +175,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c := r.counters.get(name); c != nil {
 		return c
 	}
-	return r.counters.create(r, name, func(name string) *Counter { return &Counter{name: name} })
+	return r.counters.create(name, func(name string) *Counter { return &Counter{name: name} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -207,7 +186,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g := r.gauges.get(name); g != nil {
 		return g
 	}
-	return r.gauges.create(r, name, func(name string) *Gauge { return &Gauge{name: name} })
+	return r.gauges.create(name, func(name string) *Gauge { return &Gauge{name: name} })
 }
 
 // Histogram returns the named duration histogram (default latency
@@ -240,9 +219,7 @@ func (r *Registry) HistogramWith(name, unit string, bounds []float64) *Histogram
 			panic(fmt.Sprintf("metrics: histogram %s bounds not ascending: %v", name, bounds))
 		}
 	}
-	// A family's overflow histogram inherits the unit and bounds of the
-	// first create redirected to it — families share a shape.
-	return r.histograms.create(r, name, func(name string) *Histogram {
+	return r.histograms.create(name, func(name string) *Histogram {
 		return &Histogram{
 			name:   name,
 			unit:   unit,

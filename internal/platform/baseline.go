@@ -15,8 +15,8 @@ import (
 	"repro/internal/vmm"
 )
 
-// baseline drives every baseline platform — OpenWhisk, gVisor,
-// Firecracker, V8 isolates: function registry, warm pool, request and
+// baseline drives every baseline platform — OpenWhisk, gVisor and
+// Firecracker: function registry, warm pool, request and
 // response delivery, exec attribution and once-per-guest heap dirtying
 // are written here once, so all of them are charged by the same
 // accounting. What differs between them is behind kind. The driver is
@@ -51,7 +51,7 @@ type deployed struct {
 	osSnap *vmm.Snapshot
 }
 
-// guest is one sandbox (container, microVM or isolate) with a loaded
+// guest is one sandbox (container or microVM) with a loaded
 // runtime, running or parked in the pool.
 type guest struct {
 	id      string
@@ -242,9 +242,8 @@ func (b *baseline) newID() string {
 }
 
 // startRuntime gives g its language runtime: natives bound to inv over
-// fsys, the runtime booted (unless it joins an already warm process),
-// the function's module loaded.
-func (b *baseline) startRuntime(g *guest, inv *Invocation, fsys fs.FS, warmProcess bool) error {
+// fsys, the runtime booted, the function's module loaded.
+func (b *baseline) startRuntime(g *guest, inv *Invocation, fsys fs.FS) error {
 	g.rt = runtime.New(g.fn.Lang, inv.Clock)
 	g.binding = &NativeBinding{Profile: b.profile, FS: fsys, Couch: b.env.Couch, Inv: inv}
 	if b.chains {
@@ -253,11 +252,7 @@ func (b *baseline) startRuntime(g *guest, inv *Invocation, fsys fs.FS, warmProce
 		}
 	}
 	g.binding.Install(g.rt)
-	if warmProcess {
-		g.rt.BootWarmProcess()
-	} else {
-		g.rt.Boot()
-	}
+	g.rt.Boot()
 	return g.rt.LoadModule(g.fn.Source)
 }
 

@@ -18,7 +18,6 @@ var baselines = []struct {
 	{"gvisor", NewGVisor},
 	{"firecracker", func(env *Env) Platform { return NewFirecracker(env, FCNoSnapshot) }},
 	{"firecracker+os-snapshot", func(env *Env) Platform { return NewFirecracker(env, FCOSSnapshot) }},
-	{"isolate", NewIsolate},
 }
 
 // TestBaselineContract pins what the driver promises for every kind:

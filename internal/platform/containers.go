@@ -18,22 +18,9 @@ const (
 	costOWWarmController = 24 * time.Millisecond
 )
 
-// processGuest is the park/stop half of the kinds whose guest is a host
-// process-level sandbox owning one address space: it stays resident as
-// it is while pooled, and stopping it frees the space.
-type processGuest struct{}
-
-func (processGuest) park(*guest) error { return nil }
-
-func (processGuest) stop(g *guest) error {
-	g.space.Free()
-	return nil
-}
-
 // containerKind is the guest behind the OpenWhisk and gVisor baselines:
 // a pausable container with a private runtime image.
 type containerKind struct {
-	processGuest
 	// controller overheads; zero for bare-Docker gVisor.
 	coldOverhead time.Duration
 	warmOverhead time.Duration
@@ -77,7 +64,7 @@ func (k containerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 	g.space.AllocPrivate(mem.KindAnon, mem.PagesFor(b.profile.InfraBytes))
 
 	bootMark := inv.Clock.Now()
-	if err := b.startRuntime(g, inv, fs.NewOverlay(fs.NewMemFS()), false); err != nil {
+	if err := b.startRuntime(g, inv, fs.NewOverlay(fs.NewMemFS())); err != nil {
 		return err
 	}
 	inv.Breakdown.Add(trace.PhaseStartup, "runtime-boot+load", inv.Clock.Since(bootMark))
@@ -98,4 +85,13 @@ func (k containerKind) resume(b *baseline, g *guest, inv *Invocation) error {
 func (containerKind) dirty(g *guest) {
 	g.space.AllocPrivate(mem.KindHeap,
 		mem.PagesFor(g.rt.Model.HeapPerInvokeBytes+g.fn.DirtyBytesPerRun))
+}
+
+// park: a paused container stays resident as it is while pooled.
+func (containerKind) park(*guest) error { return nil }
+
+// stop frees the container's one address space.
+func (containerKind) stop(g *guest) error {
+	g.space.Free()
+	return nil
 }

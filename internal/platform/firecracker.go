@@ -109,7 +109,7 @@ func (k firecrackerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 			return err
 		}
 	}
-	if err := b.startRuntime(g, inv, g.vm.FS, false); err != nil {
+	if err := b.startRuntime(g, inv, g.vm.FS); err != nil {
 		return err
 	}
 	if err := g.vm.AllocGuest(mem.KindRuntime, g.rt.Model.RuntimeImageBytes); err != nil {

@@ -332,9 +332,8 @@ func NewEnv(cfg EnvConfig) *Env {
 // histograms plus total latency, and an error counter, all labeled by
 // platform. Each is resolved once and kept, at the first invocation
 // that records into it (per start mode for invoke_mode_total), not at
-// construction: a registry then lists exactly the instruments the
-// platform has recorded into, and the cardinality governor admits each
-// family's names in the order it always has.
+// construction: a registry then lists, and a dump shows, exactly the
+// instruments the platform has recorded into.
 type InvokeMetrics struct {
 	reg      *metrics.Registry
 	platform string

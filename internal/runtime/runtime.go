@@ -89,11 +89,6 @@ func (r *Runtime) Boot() {
 	r.booted = true
 }
 
-// BootWarmProcess marks the runtime booted without charging the process
-// start cost — the V8-isolate model, where one long-running warm
-// process hosts many isolates and only isolate creation is paid.
-func (r *Runtime) BootWarmProcess() { r.booted = true }
-
 // InstallNatives binds host-provided native functions (sandbox I/O, the
 // Fireworks snapshot/parameter bridge, database clients) into the guest
 // globals. Later bindings of the same name win.

@@ -1,10 +1,10 @@
-// Package sandbox models the execution sandboxes the paper compares:
-// Firecracker microVMs, plain containers (OpenWhisk/Docker), gVisor
-// sandboxes (Sentry/Gofer syscall interception), and V8-isolate style
-// runtime sandboxes (Cloudflare Workers). Each sandbox class carries a
-// calibrated cost profile — creation, warm resume, per-operation disk
-// and network I/O, per-syscall interception overhead — and the
-// qualitative traits behind Table 1.
+// Package sandbox models the execution sandboxes the paper measures:
+// Firecracker microVMs, plain containers (OpenWhisk/Docker) and gVisor
+// sandboxes (Sentry/Gofer syscall interception). Each sandbox class
+// carries a calibrated cost profile — creation, warm resume,
+// per-operation disk and network I/O, per-syscall interception
+// overhead. Table 1's qualitative traits also cover designs the paper
+// only compares in prose (V8 isolates, Catalyzer).
 //
 // The I/O cost asymmetries here are what reproduce the paper's
 // faas-diskio and faas-netlatency orderings: containers write through
@@ -45,7 +45,6 @@ const (
 	ClassFirecracker Class = "firecracker"
 	ClassContainer   Class = "container"
 	ClassGVisor      Class = "gvisor"
-	ClassIsolate     Class = "isolate"
 )
 
 // Profile is the calibrated cost model of one sandbox class.
@@ -133,19 +132,6 @@ func Profiles(c Class) Profile {
 			SyscallOverhead:    2200 * time.Nanosecond,
 			ExecOverheadFactor: 0.14,     // Sentry tax on the runtime's own syscalls
 			InfraBytes:         52 << 20, // Sentry + Gofer
-		}
-	case ClassIsolate:
-		return Profile{
-			Class:           ClassIsolate,
-			Isolation:       IsolationLow,
-			ColdCreate:      4 * time.Millisecond, // new V8 isolate in a warm process
-			WarmResume:      400 * time.Microsecond,
-			DiskOpBase:      15 * time.Microsecond,
-			DiskPerKB:       1100 * time.Nanosecond,
-			NetOpBase:       55 * time.Microsecond,
-			NetPerKB:        650 * time.Nanosecond,
-			SyscallOverhead: 0,
-			InfraBytes:      2 << 20,
 		}
 	default:
 		panic("sandbox: unknown class " + string(c))

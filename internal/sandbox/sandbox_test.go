@@ -5,7 +5,7 @@ import (
 )
 
 func TestProfilesExist(t *testing.T) {
-	for _, c := range []Class{ClassFirecracker, ClassContainer, ClassGVisor, ClassIsolate} {
+	for _, c := range []Class{ClassFirecracker, ClassContainer, ClassGVisor} {
 		p := Profiles(c)
 		if p.Class != c {
 			t.Errorf("profile for %s has class %s", c, p.Class)
@@ -26,15 +26,11 @@ func TestIsolationOrdering(t *testing.T) {
 	fc := Profiles(ClassFirecracker)
 	ct := Profiles(ClassContainer)
 	gv := Profiles(ClassGVisor)
-	iso := Profiles(ClassIsolate)
 	if fc.Isolation != IsolationHigh {
 		t.Error("firecracker not high isolation")
 	}
 	if ct.Isolation != IsolationMedium || gv.Isolation != IsolationMedium {
 		t.Error("containers not medium isolation")
-	}
-	if iso.Isolation != IsolationLow {
-		t.Error("isolate not low isolation")
 	}
 	if IsolationHigh.String() != "High (VM)" || IsolationLow.String() != "Low (runtime)" {
 		t.Error("isolation strings wrong")

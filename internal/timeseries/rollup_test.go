@@ -7,8 +7,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// A tiered series keeps DeltaSince/Quantile answerable after the raw
-// ring has wrapped: the window falls back to rollup buckets.
+// A tiered series keeps its all-history Delta exact after the raw ring
+// has wrapped: the baseline comes from the deepest tier.
 func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 	// Raw ring of 16 points, 10s + 60s tiers: a 1000-sample storm at
 	// 1s cadence retains only the last 16s raw.
@@ -23,31 +23,12 @@ func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 	if s.Len() != 16 {
 		t.Fatalf("raw ring holds %d, want 16", s.Len())
 	}
-	// Delta over the last 500s: the baseline at t=499s predates the raw
-	// ring (which starts at t=984s) and resolves via the 10s tier.
-	grown, ok := s.DeltaSince(499 * time.Second)
-	if !ok {
-		t.Fatal("DeltaSince unanswerable over tiered history")
-	}
-	// Bucket baseline is (bucketStart, Min): growth 2/s over ~500s,
-	// within one bucket width of rounding.
-	if grown < 2*490 || grown > 2*510 {
-		t.Fatalf("tier-backed delta = %.0f, want ~1000", grown)
-	}
-	// Delta over everything: baseline is the deepest tier's oldest
-	// bucket. The 60s tier retains 64 buckets = all 1000s of history,
-	// so the delta spans the whole run.
-	delta, ok := s.DeltaSince(-1)
+	// The baseline is the deepest tier's oldest bucket (Start, Min).
+	// The 60s tier retains 64 buckets = all 1000s of history, so the
+	// delta spans the whole run, though the raw ring starts at t=984s.
+	delta, ok := s.Delta()
 	if !ok || delta != 2*999 {
 		t.Fatalf("tier-backed delta = %.0f ok=%v, want %d", delta, ok, 2*999)
-	}
-	// Quantile over the long window draws on bucket min/max brackets.
-	q, ok := s.Quantile(400*time.Second, 50)
-	if !ok {
-		t.Fatal("Quantile unanswerable over tiered history")
-	}
-	if q < float64(2*400) || q > float64(2*999) {
-		t.Fatalf("tier-backed p50 = %.0f outside window value range", q)
 	}
 }
 
@@ -73,15 +54,14 @@ func TestRollupBucketAggregates(t *testing.T) {
 	}
 }
 
-// Without tiers, behavior is exactly the PR 5 semantics — the golden
-// tests pin the exports; this pins the window fallback staying off.
+// Without tiers the baseline is the raw ring's oldest point.
 func TestUntieredSeriesUnchanged(t *testing.T) {
 	s := newSeries("x", 4)
 	for i := 0; i < 10; i++ {
 		s.append(time.Duration(i)*time.Second, float64(i))
 	}
 	// Baseline clamps to the oldest resident point.
-	d, ok := s.DeltaSince(0)
+	d, ok := s.Delta()
 	if !ok || d != 3 {
 		t.Fatalf("untiered delta = %.0f ok=%v, want 3", d, ok)
 	}
@@ -103,13 +83,9 @@ func TestSamplerSetRollups(t *testing.T) {
 	if st.Series == 0 || st.Points == 0 || st.TierBuckets == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The raw ring (8 points) lost t<92s; the 10s tier answers a
-	// 90s-deep delta anyway.
-	d, ok := s.Delta("ticks_total", 5*time.Second)
-	if !ok {
-		t.Fatal("tiered sampler delta unanswerable")
-	}
-	if d < 85 || d > 100 {
-		t.Fatalf("tiered delta = %.0f, want ~95", d)
+	// The raw ring (8 points) lost t<92s; the 60s tier still holds the
+	// first sample, so the delta spans all 100 (1 → 100).
+	if d, ok := s.Delta("ticks_total"); !ok || d != 99 {
+		t.Fatalf("tiered delta = %.0f ok=%v, want 99", d, ok)
 	}
 }

@@ -241,19 +241,12 @@ func (s *Sampler) Snapshot() []SeriesSnapshot {
 	return out
 }
 
-// Delta returns the named series' growth since from (see
-// Series.DeltaSince).
-func (s *Sampler) Delta(name string, from time.Duration) (float64, bool) {
+// Delta returns the named series' growth over all retained history
+// (see Series.Delta).
+func (s *Sampler) Delta(name string) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.series[name].DeltaSince(from)
-}
-
-// Quantile returns the p-quantile of the named series after from.
-func (s *Sampler) Quantile(name string, from time.Duration, p float64) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.series[name].Quantile(from, p)
+	return s.series[name].Delta()
 }
 
 // Last returns the newest point of the named series.
@@ -261,15 +254,6 @@ func (s *Sampler) Last(name string) (Point, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.series[name].Last()
-}
-
-// windowStart converts a sliding window ending at now into the from
-// mark the Series methods take: window <= 0 means all of history.
-func windowStart(now, window time.Duration) time.Duration {
-	if window <= 0 {
-		return -1
-	}
-	return now - window
 }
 
 // String implements fmt.Stringer for debugging.

@@ -49,11 +49,8 @@ func TestProbeErrorsAreFencedAndCounted(t *testing.T) {
 // not exist are ok=false, not a panic.
 func TestSamplerUnknownSeries(t *testing.T) {
 	s := NewSampler(metrics.NewRegistry(), 16)
-	if _, ok := s.Delta("missing", 0); ok {
+	if _, ok := s.Delta("missing"); ok {
 		t.Fatal("Delta on unknown series reported ok")
-	}
-	if _, ok := s.Quantile("missing", 0, 99); ok {
-		t.Fatal("Quantile on unknown series reported ok")
 	}
 	if _, ok := s.Last("missing"); ok {
 		t.Fatal("Last on unknown series reported ok")

@@ -75,8 +75,7 @@ type modelSide struct {
 }
 
 // TestSamplerMatchesSnapshotModel runs seeded random sequences of
-// instrument creates (labelled names past a cardinality budget
-// included), observations, probes that panic or return NaN, and
+// instrument creates (labelled and unlabelled names), observations, probes that panic or return NaN, and
 // samples against the Sampler and the Snapshot-built reference, each
 // on its own registry, and requires identical series — names and
 // points — after every step, and identical registries at the end.
@@ -92,10 +91,8 @@ func TestSamplerMatchesSnapshotModel(t *testing.T) {
 
 func runSamplerModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	limit := rng.Intn(4) // 0: unbounded
 	newSide := func(real bool) *modelSide {
 		reg := metrics.NewRegistry()
-		reg.SetCardinalityLimit(limit)
 		var calls int
 		probes := []struct {
 			name string
@@ -133,7 +130,7 @@ func runSamplerModel(t *testing.T, seed int64) {
 	sides := [2]*modelSide{newSide(true), newSide(false)}
 
 	// name picks an instrument of one of three families, unlabelled or
-	// with one of six label values: past a budget the family redirects.
+	// with one of six label values.
 	name := func(kind string) string {
 		fam := []string{"fam_a", "fam_b", "fam_c"}[rng.Intn(3)] + kind
 		if rng.Intn(4) == 0 {

@@ -2,10 +2,10 @@
 // metrics registry: a Sampler periodically folds registry counters,
 // gauges, and histogram quantiles — plus caller-supplied probes for
 // derived quantities like sharing efficiency — into bounded ring-buffer
-// Series, from which deltas, rates, and sliding-window percentiles are
-// computed and CSV/JSON timelines exported. A Watchdog (watchdog.go)
-// evaluates declarative SLO rules over the same series on the same
-// clock and emits alert events into the causal journal.
+// Series, from which all-history deltas are computed and CSV/JSON
+// timelines exported. A Watchdog (watchdog.go) evaluates declarative
+// SLO rules over the same series on the same clock and emits alert
+// events into the causal journal.
 //
 // Everything here is a pure function of the workload: timestamps come
 // from virtual clocks and values from deterministic instruments, so a
@@ -16,8 +16,6 @@ package timeseries
 import (
 	"sort"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Point is one observation of a series.
@@ -29,8 +27,8 @@ type Point struct {
 // RollupSpec declares one downsampled retention tier of a series:
 // points fold into Width-wide buckets, of which Capacity are retained.
 // A 4096-point raw ring sampled once per virtual second plus 10s and
-// 60s tiers keeps an hour-long storm answerable in ~triple the memory
-// of the raw ring alone, instead of 3600x.
+// 60s tiers keeps an hour-long storm's first baseline in ~triple the
+// memory of the raw ring alone, instead of 3600x.
 type RollupSpec struct {
 	Width    time.Duration
 	Capacity int
@@ -95,13 +93,8 @@ func (t *rollupTier) fold(ts time.Duration, v float64) {
 // here assume the caller holds whatever lock guards the series.
 //
 // A series may carry rollup tiers (finest first): every append also
-// folds into each tier, and the window reads — baselineBefore,
-// WindowValues, and therefore DeltaSince/Quantile — fall
-// back to tier buckets for the part of a window the raw ring no longer
-// covers. Tier reads are approximations with documented shape: a
-// bucket contributes its Min as the baseline value (exact for
-// monotonic counters) and its Min and Max as window values (brackets
-// the true distribution).
+// folds into each tier, and Delta takes its baseline from the deepest
+// tier, which reaches back past what the raw ring still holds.
 type Series struct {
 	name  string
 	buf   []Point
@@ -185,134 +178,26 @@ func (s *Series) Last() (Point, bool) {
 	return s.at(s.n - 1), true
 }
 
-// baselineBefore returns the newest point with TS <= from. When the
-// window start predates the raw ring it consults the rollup tiers
-// (finest first) — a bucket's baseline is (Start, Min), exact for
-// monotonic counters — and only past all tier history falls back to
-// the oldest resident point.
-func (s *Series) baselineBefore(from time.Duration) (Point, bool) {
-	if s.Len() == 0 {
-		return Point{}, false
-	}
-	base := s.at(0)
-	if base.TS > from {
-		if p, ok := s.tierBaseline(from); ok {
-			return p, true
-		}
-	}
-	for i := 0; i < s.n; i++ {
-		p := s.at(i)
-		if p.TS > from {
-			break
-		}
-		base = p
-	}
-	return base, true
-}
-
-// tierBaseline finds the newest rollup bucket with Start <= from,
-// preferring finer tiers; when from predates every bucket it returns
-// the oldest bucket of the deepest tier with data.
-func (s *Series) tierBaseline(from time.Duration) (Point, bool) {
-	for _, t := range s.tiers {
-		if t.n == 0 || t.bucketAt(0).Start > from {
-			continue
-		}
-		best := t.bucketAt(0)
-		for i := 0; i < t.n; i++ {
-			b := t.bucketAt(i)
-			if b.Start > from {
-				break
-			}
-			best = b
-		}
-		return Point{TS: best.Start, Value: best.Min}, true
-	}
+// baseline returns the oldest retained value: the Min of the first
+// bucket of the deepest rollup tier holding data, which is exact for a
+// monotonic counter, or without tiers the raw ring's oldest point. The
+// series must not be empty.
+func (s *Series) baseline() float64 {
 	for i := len(s.tiers) - 1; i >= 0; i-- {
 		if t := s.tiers[i]; t.n > 0 {
-			b := t.bucketAt(0)
-			return Point{TS: b.Start, Value: b.Min}, true
+			return t.bucketAt(0).Min
 		}
 	}
-	return Point{}, false
+	return s.at(0).Value
 }
 
-// DeltaSince returns how much the series grew between the baseline at
-// (or before) from and the newest point — the burn-rate numerator for
-// counter-backed series. ok is false when fewer than two points exist.
-func (s *Series) DeltaSince(from time.Duration) (float64, bool) {
+// Delta returns how much the series grew from its baseline to the
+// newest point: the burn-rate numerator for counter-backed series over
+// all retained history. ok is false when fewer than two points exist.
+func (s *Series) Delta() (float64, bool) {
 	last, ok := s.Last()
 	if !ok || s.Len() < 2 {
 		return 0, false
 	}
-	base, _ := s.baselineBefore(from)
-	return last.Value - base.Value, true
-}
-
-// WindowValues returns the values of every point with from < TS, oldest
-// first (the whole series when from is negative). The part of the
-// window the raw ring no longer covers is filled from rollup tiers:
-// each contributing bucket adds its Min and Max, bracketing the true
-// values at 2 points per bucket.
-func (s *Series) WindowValues(from time.Duration) []float64 {
-	if s.Len() == 0 {
-		return nil
-	}
-	var out []float64
-	if oldest := s.at(0).TS; len(s.tiers) > 0 && oldest > from {
-		out = s.tierWindowValues(from, oldest)
-	}
-	for i := 0; i < s.n; i++ {
-		p := s.at(i)
-		if p.TS > from {
-			out = append(out, p.Value)
-		}
-	}
-	return out
-}
-
-// tierWindowValues covers (from, cut) from the rollup tiers: finer
-// tiers claim the newest part of the gap, coarser tiers only the span
-// finer ones no longer retain, so no region is double-counted.
-func (s *Series) tierWindowValues(from, cut time.Duration) []float64 {
-	limit := cut
-	var segs [][]float64
-	for _, t := range s.tiers {
-		if t.n == 0 {
-			continue
-		}
-		var vals []float64
-		earliest := limit
-		for i := 0; i < t.n; i++ {
-			b := t.bucketAt(i)
-			if b.Start <= from || b.Start >= limit {
-				continue
-			}
-			vals = append(vals, b.Min, b.Max)
-			if b.Start < earliest {
-				earliest = b.Start
-			}
-		}
-		if len(vals) > 0 {
-			segs = append(segs, vals)
-			limit = earliest
-		}
-	}
-	// Assemble oldest-first: the coarsest contributing tier holds the
-	// oldest span.
-	var out []float64
-	for i := len(segs) - 1; i >= 0; i-- {
-		out = append(out, segs[i]...)
-	}
-	return out
-}
-
-// Quantile returns the p-quantile (0..100) of the values observed after
-// from, using the same percentile math as the metrics histograms.
-func (s *Series) Quantile(from time.Duration, p float64) (float64, bool) {
-	vals := s.WindowValues(from)
-	if len(vals) == 0 {
-		return 0, false
-	}
-	return stats.Percentile(vals, p), true
+	return last.Value - s.baseline(), true
 }

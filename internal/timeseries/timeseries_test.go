@@ -2,7 +2,6 @@ package timeseries
 
 import (
 	"encoding/csv"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,20 +28,9 @@ func TestSeriesRingAndWindows(t *testing.T) {
 	if !ok || last.Value != 60 {
 		t.Fatalf("last = %v %v", last, ok)
 	}
-	d, ok := s.DeltaSince(ms(4))
-	if !ok || d != 20 { // baseline 40 at t=4ms → 60-40
-		t.Fatalf("delta = %v %v", d, ok)
-	}
-	d, ok = s.DeltaSince(-1) // whole history → 60-30
+	d, ok := s.Delta() // baseline is the oldest resident point → 60-30
 	if !ok || d != 30 {
-		t.Fatalf("full delta = %v %v", d, ok)
-	}
-	q, ok := s.Quantile(-1, 50)
-	if !ok || q != 45 {
-		t.Fatalf("p50 = %v %v", q, ok)
-	}
-	if vals := s.WindowValues(ms(5)); len(vals) != 1 || vals[0] != 60 {
-		t.Fatalf("window = %v", vals)
+		t.Fatalf("delta = %v %v", d, ok)
 	}
 }
 
@@ -54,12 +42,12 @@ func TestSeriesEmptyAndNil(t *testing.T) {
 	if _, ok := s.Last(); ok {
 		t.Fatal("nil last ok")
 	}
-	if _, ok := s.DeltaSince(0); ok {
+	if _, ok := s.Delta(); ok {
 		t.Fatal("nil delta ok")
 	}
 	one := newSeries("x", 4)
 	one.append(ms(1), 5)
-	if _, ok := one.DeltaSince(-1); ok {
+	if _, ok := one.Delta(); ok {
 		t.Fatal("single-point delta should need two points")
 	}
 }
@@ -79,7 +67,7 @@ func TestSamplerRecordsRegistryAndProbes(t *testing.T) {
 	ctr.Add(2)
 	s.Sample(ms(2))
 
-	if d, ok := s.Delta("requests_total", -1); !ok || d != 2 {
+	if d, ok := s.Delta("requests_total"); !ok || d != 2 {
 		t.Fatalf("counter delta = %v %v", d, ok)
 	}
 	if p, ok := s.Last("depth"); !ok || p.Value != 7 {
@@ -198,51 +186,5 @@ func TestJSONExportParsesAndMatchesFormat(t *testing.T) {
 	}
 	if err := s.WriteFormat(&sb, "yaml"); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-func TestSeriesQuantileEdgeCases(t *testing.T) {
-	// Empty series: no quantile, ok=false, value stays zero.
-	empty := newSeries("empty", 4)
-	if v, ok := empty.Quantile(-1, 99); ok || v != 0 {
-		t.Errorf("empty series quantile = %v, %v; want 0, false", v, ok)
-	}
-
-	s := newSeries("lat", 8)
-	s.append(ms(10), 100)
-	s.append(ms(20), 200)
-	s.append(ms(30), 300)
-
-	// Window entirely after the last sample: empty window, ok=false.
-	if v, ok := s.Quantile(ms(30), 99); ok || v != 0 {
-		t.Errorf("post-window quantile = %v, %v; want 0, false", v, ok)
-	}
-
-	// Single sample in the window: every quantile is that sample.
-	for _, p := range []float64{0, 50, 99, 100} {
-		if v, ok := s.Quantile(ms(20), p); !ok || v != 300 {
-			t.Errorf("single-sample p%v = %v, %v; want 300, true", p, v, ok)
-		}
-	}
-
-	// Window opening entirely before the first sample (including a
-	// negative from) covers the whole series.
-	for _, from := range []time.Duration{-1, 0, ms(5)} {
-		if v, ok := s.Quantile(from, 50); !ok || v != 200 {
-			t.Errorf("full-window (from=%v) p50 = %v, %v; want 200, true", from, v, ok)
-		}
-	}
-
-	// Out-of-range and NaN percentiles clamp instead of panicking:
-	// NaN used to fail both range guards and index the sorted slice
-	// with a garbage rank.
-	if v, ok := s.Quantile(-1, math.NaN()); !ok || v != 100 {
-		t.Errorf("NaN percentile = %v, %v; want min (100), true", v, ok)
-	}
-	if v, ok := s.Quantile(-1, -5); !ok || v != 100 {
-		t.Errorf("p(-5) = %v, %v; want min (100), true", v, ok)
-	}
-	if v, ok := s.Quantile(-1, 250); !ok || v != 300 {
-		t.Errorf("p250 = %v, %v; want max (300), true", v, ok)
 	}
 }

@@ -27,45 +27,37 @@ func (o Op) String() string {
 }
 
 // RatioSource measures a rule as the ratio of two series' deltas over
-// the rule's window — the burn-rate shape (errors/requests over the
-// last N virtual seconds). With Complement the measured value is
-// 1 - num/den, turning an error ratio into a success rate.
+// all retained history (errors/requests since the first sample). With
+// Complement the measured value is 1 - num/den, turning an error ratio
+// into a success rate.
 type RatioSource struct {
 	Num, Den   string
 	Complement bool
-	// MinDen suppresses evaluation until the denominator's window delta
+	// MinDen suppresses evaluation until the denominator's delta
 	// reaches this floor, so a rule never fires off two requests.
 	MinDen float64
 }
 
-// ValueSource measures a rule directly from one series: the newest
-// point, or (with Quantile > 0) a sliding-window percentile — p99
-// latency over the last minute, sharing efficiency right now.
+// ValueSource measures a rule directly from the newest point of one
+// series: the sampled p99 latency, sharing efficiency right now.
 type ValueSource struct {
-	Series   string
-	Quantile float64 // 0 = newest value; else percentile 0..100
+	Series string
 }
 
 // Rule is one declarative SLO: a measurement (exactly one of Ratio or
-// Value), an operator, a threshold, and a burn-rate window (<= 0 means
-// the entire retained history).
+// Value), an operator and a threshold.
 type Rule struct {
 	Name      string
 	Ratio     *RatioSource
 	Value     *ValueSource
 	Op        Op
 	Threshold float64
-	Window    time.Duration
 }
 
 // String renders the rule's contract, e.g.
-// "invoke-success-rate >= 0.99 over 2s".
+// "invoke-success-rate >= 0.99 over all history".
 func (r Rule) String() string {
-	w := "all history"
-	if r.Window > 0 {
-		w = r.Window.String()
-	}
-	return fmt.Sprintf("%s %s %s over %s", r.Name, r.Op, formatFloat(r.Threshold), w)
+	return fmt.Sprintf("%s %s %s over all history", r.Name, r.Op, formatFloat(r.Threshold))
 }
 
 // Alert is one firing of a rule.
@@ -184,7 +176,7 @@ func (w *Watchdog) Evaluate(now time.Duration) []Alert {
 	defer w.mu.Unlock()
 	var fired []Alert
 	for _, rs := range w.rules {
-		v, ok := w.measure(rs.rule, now)
+		v, ok := w.measure(rs.rule)
 		if !ok {
 			continue
 		}
@@ -225,14 +217,13 @@ func (w *Watchdog) Evaluate(now time.Duration) []Alert {
 
 // measure computes a rule's current value; ok is false when the
 // backing series do not yet hold enough data.
-func (w *Watchdog) measure(r Rule, now time.Duration) (float64, bool) {
-	from := windowStart(now, r.Window)
+func (w *Watchdog) measure(r Rule) (float64, bool) {
 	if r.Ratio != nil {
-		den, ok := w.sampler.Delta(r.Ratio.Den, from)
+		den, ok := w.sampler.Delta(r.Ratio.Den)
 		if !ok || den <= 0 || den < r.Ratio.MinDen {
 			return 0, false
 		}
-		num, ok := w.sampler.Delta(r.Ratio.Num, from)
+		num, ok := w.sampler.Delta(r.Ratio.Num)
 		if !ok {
 			return 0, false
 		}
@@ -241,9 +232,6 @@ func (w *Watchdog) measure(r Rule, now time.Duration) (float64, bool) {
 			v = 1 - v
 		}
 		return v, true
-	}
-	if r.Value.Quantile > 0 {
-		return w.sampler.Quantile(r.Value.Series, from, r.Value.Quantile)
 	}
 	p, ok := w.sampler.Last(r.Value.Series)
 	if !ok {

@@ -139,7 +139,9 @@ func TestWatchdogMinDenSuppression(t *testing.T) {
 	}
 }
 
-func TestWatchdogValueRuleWithWindow(t *testing.T) {
+// A value rule reads the newest point only: one bad sample fires it,
+// the next good one resolves it.
+func TestWatchdogValueRule(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := NewSampler(reg, 0)
 	lat := 0.0
@@ -147,10 +149,9 @@ func TestWatchdogValueRuleWithWindow(t *testing.T) {
 	w := NewWatchdog(s, nil, reg) // nil journal: alerts still recorded
 	w.AddRule(Rule{
 		Name:      "latency",
-		Value:     &ValueSource{Series: "p99_lat", Quantile: 99},
+		Value:     &ValueSource{Series: "p99_lat"},
 		Op:        AtMost,
 		Threshold: 100,
-		Window:    2 * time.Millisecond,
 	})
 	for i := 1; i <= 3; i++ {
 		lat = 50
@@ -162,16 +163,14 @@ func TestWatchdogValueRuleWithWindow(t *testing.T) {
 	lat = 500
 	s.Sample(ms(4))
 	fired := w.Evaluate(ms(4))
-	if len(fired) != 1 || fired[0].Value <= 100 {
+	if len(fired) != 1 || fired[0].Value != 500 {
 		t.Fatalf("fired = %+v", fired)
 	}
-	// The 500 sample ages out of the 2ms window.
 	lat = 50
 	s.Sample(ms(5))
-	s.Sample(ms(7))
-	w.Evaluate(ms(7))
+	w.Evaluate(ms(5))
 	if got := w.Firing(); len(got) != 0 {
-		t.Fatalf("still firing after window aged out: %v", got)
+		t.Fatalf("still firing after the value recovered: %v", got)
 	}
 }
 
@@ -209,11 +208,7 @@ func TestWatchdogAddRulePanicsOnBadSources(t *testing.T) {
 }
 
 func TestRuleString(t *testing.T) {
-	r := Rule{Name: "sr", Ratio: &RatioSource{}, Op: AtLeast, Threshold: 0.99, Window: 2 * time.Second}
-	if got := r.String(); got != "sr >= 0.99 over 2s" {
-		t.Fatalf("String = %q", got)
-	}
-	r.Window = 0
+	r := Rule{Name: "sr", Ratio: &RatioSource{}, Op: AtLeast, Threshold: 0.99}
 	if got := r.String(); got != "sr >= 0.99 over all history" {
 		t.Fatalf("String = %q", got)
 	}
