@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -249,5 +251,47 @@ func TestPolicyNames(t *testing.T) {
 	if RoundRobin.String() != "round-robin" || LeastMemory.String() != "least-memory" ||
 		LeastInflight.String() != "least-inflight" {
 		t.Fatal("policy names")
+	}
+}
+
+// TestRedeployReleasesRegions installs a function on three nodes,
+// redeploys changed code n times with invocations in between, and
+// removes it. Each redeploy replaces every node's post-JIT image, so
+// once the function is gone what each node's host still tracks must be
+// the same however many versions came and went.
+func TestRedeployReleasesRegions(t *testing.T) {
+	quiescent := func(n int) []int {
+		c := fireworksCluster(t, 3, RoundRobin, platform.EnvConfig{})
+		fn := workloads.NetLatency(runtime.LangNode).Function
+		params := platform.MustParams(nil)
+		for v := 0; v <= n; v++ {
+			if v > 0 {
+				fn.Source = fmt.Sprintf("%s\n// version %d\n", workloads.NetLatency(runtime.LangNode).Function.Source, v)
+				if err := c.Install(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 6; i++ {
+				if _, _, err := c.Invoke(fn.Name, params, platform.InvokeOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.Remove(fn.Name); err != nil {
+			t.Fatal(err)
+		}
+		var regions []int
+		for _, node := range c.Nodes() {
+			rep := node.Env.Mem.Report()
+			if rep.UsedBytes != 0 {
+				t.Fatalf("redeploys=%d: %s holds %d bytes at quiescence", n, node.Name, rep.UsedBytes)
+			}
+			regions = append(regions, len(rep.Regions))
+		}
+		return regions
+	}
+	once, many := quiescent(1), quiescent(5)
+	if !slices.Equal(once, many) {
+		t.Fatalf("lineage rows per node at quiescence: %v after 1 redeploy, %v after 5", once, many)
 	}
 }

@@ -6,56 +6,87 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
-// lineEvent is the NDJSON wire form of an Event. Fields marshal in
-// struct order with omitted zeros, so the dump is byte-stable for a
-// given journal.
-type lineEvent struct {
-	Seq       uint64            `json:"seq"`
-	TSNS      int64             `json:"ts_ns"`
-	Trace     TraceID           `json:"trace,omitempty"`
-	Span      SpanID            `json:"span"`
-	Parent    SpanID            `json:"parent,omitempty"`
-	Kind      Kind              `json:"kind"`
-	Component string            `json:"component,omitempty"`
-	Name      string            `json:"name,omitempty"`
-	Node      string            `json:"node,omitempty"`
-	VM        string            `json:"vm,omitempty"`
-	LinkTrace TraceID           `json:"link_trace,omitempty"`
-	LinkSpan  SpanID            `json:"link_span,omitempty"`
-	Attrs     map[string]string `json:"attrs,omitempty"`
-}
-
-func toLine(e Event) lineEvent {
-	le := lineEvent{
-		Seq: e.Seq, TSNS: int64(e.TS), Trace: e.Trace, Span: e.Span,
-		Parent: e.Parent, Kind: e.Kind, Component: e.Component,
-		Name: e.Name, Node: e.Node, VM: e.VM,
-		LinkTrace: e.Link.Trace, LinkSpan: e.Link.Span,
+// appendLine appends e's NDJSON line, newline included: the fields in a
+// fixed order with zero-valued optional ones left out, and the attrs as
+// one object with sorted keys where a repeated key keeps its last value
+// — the bytes encoding/json writes for that form, so the dump is
+// byte-stable for a given journal.
+func appendLine(buf []byte, e Event) []byte {
+	buf = strconv.AppendUint(append(buf, `{"seq":`...), e.Seq, 10)
+	buf = strconv.AppendInt(append(buf, `,"ts_ns":`...), int64(e.TS), 10)
+	if e.Trace != 0 {
+		buf = strconv.AppendUint(append(buf, `,"trace":`...), uint64(e.Trace), 10)
 	}
-	if len(e.Attrs) > 0 {
-		le.Attrs = make(map[string]string, len(e.Attrs))
-		for _, a := range e.Attrs {
-			le.Attrs[a.Key] = a.Value
+	buf = strconv.AppendUint(append(buf, `,"span":`...), uint64(e.Span), 10)
+	if e.Parent != 0 {
+		buf = strconv.AppendUint(append(buf, `,"parent":`...), uint64(e.Parent), 10)
+	}
+	buf = appendJSONString(append(buf, `,"kind":`...), string(e.Kind))
+	for _, f := range [...]struct{ name, v string }{
+		{`,"component":`, e.Component}, {`,"name":`, e.Name}, {`,"node":`, e.Node}, {`,"vm":`, e.VM},
+	} {
+		if f.v != "" {
+			buf = appendJSONString(append(buf, f.name...), f.v)
 		}
 	}
-	return le
+	if e.Link.Trace != 0 {
+		buf = strconv.AppendUint(append(buf, `,"link_trace":`...), uint64(e.Link.Trace), 10)
+	}
+	if e.Link.Span != 0 {
+		buf = strconv.AppendUint(append(buf, `,"link_span":`...), uint64(e.Link.Span), 10)
+	}
+	// Attrs are few: pick each next key in order, its last value winning.
+	sep, prev := byte('{'), ""
+	for first := true; ; first = false {
+		k := -1
+		for i, a := range e.Attrs {
+			if (first || a.Key > prev) && (k < 0 || a.Key <= e.Attrs[k].Key) {
+				k = i
+			}
+		}
+		if k < 0 {
+			break
+		}
+		if first {
+			buf = append(buf, `,"attrs":`...)
+		}
+		buf = appendJSONString(append(buf, sep), e.Attrs[k].Key)
+		buf = appendJSONString(append(buf, ':'), e.Attrs[k].Value)
+		sep, prev = ',', e.Attrs[k].Key
+	}
+	if sep == ',' {
+		buf = append(buf, '}')
+	}
+	return append(buf, "}\n"...)
 }
 
-// WriteNDJSON renders events one JSON object per line. The encoding is
-// deterministic (ordered struct fields; attr maps are small and Go's
-// encoder sorts map keys), so two same-seed runs dump identical bytes —
-// the property the replay test pins down.
+// appendJSONString appends s as a JSON string. A string of plain ASCII
+// needs no escaping; any other goes through encoding/json, whose
+// HTML-safe escaping and invalid-UTF-8 replacement the lines keep.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			q, _ := json.Marshal(s)
+			return append(buf, q...)
+		}
+	}
+	return append(append(append(buf, '"'), s...), '"')
+}
+
+// WriteNDJSON renders events one JSON object per line (see appendLine),
+// so two same-seed runs dump identical bytes — the property the replay
+// test pins down.
 func WriteNDJSON(w io.Writer, evs []Event) error {
+	var buf []byte
 	for _, e := range evs {
-		b, err := json.Marshal(toLine(e))
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
+		buf = appendLine(buf[:0], e)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
@@ -67,11 +98,8 @@ func WriteNDJSON(w io.Writer, evs []Event) error {
 // dropped-bytes accounting, so "bytes saved" matches what an export
 // would actually have written.
 func EncodedSize(e Event) int {
-	b, err := json.Marshal(toLine(e))
-	if err != nil {
-		return 0
-	}
-	return len(b) + 1
+	var scratch [512]byte
+	return len(appendLine(scratch[:0], e))
 }
 
 // chromeEvent is one entry of the Chrome trace-event format
@@ -198,7 +226,7 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 		if e.Component != "" {
 			name = e.Component + ":" + e.Name
 		}
-		args := attrArgs(e)
+		args := AttrMap(e.Attrs)
 		switch e.Kind {
 		case KindBegin:
 			spanTrack[e.Span] = track{p, t}
@@ -234,12 +262,24 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 	}{out})
 }
 
-func attrArgs(e Event) map[string]string {
-	if len(e.Attrs) == 0 {
+// AttrValue returns the value of the first attr with the given key.
+func AttrValue(attrs []Attr, key string) (string, bool) {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// AttrMap returns attrs as a map, a repeated key keeping its last
+// value, or nil when there are none.
+func AttrMap(attrs []Attr) map[string]string {
+	if len(attrs) == 0 {
 		return nil
 	}
-	m := make(map[string]string, len(e.Attrs))
-	for _, a := range e.Attrs {
+	m := make(map[string]string, len(attrs))
+	for _, a := range attrs {
 		m[a.Key] = a.Value
 	}
 	return m

@@ -3,6 +3,7 @@ package events
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -223,5 +224,100 @@ func TestWriteFileFormatByExtension(t *testing.T) {
 	var first map[string]any
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("ndjson dump first line does not parse: %v", err)
+	}
+}
+
+// refLine is the NDJSON wire form as encoding/json renders it: the
+// reference the hand-written line encoder must match byte for byte.
+type refLine struct {
+	Seq       uint64            `json:"seq"`
+	TSNS      int64             `json:"ts_ns"`
+	Trace     TraceID           `json:"trace,omitempty"`
+	Span      SpanID            `json:"span"`
+	Parent    SpanID            `json:"parent,omitempty"`
+	Kind      Kind              `json:"kind"`
+	Component string            `json:"component,omitempty"`
+	Name      string            `json:"name,omitempty"`
+	Node      string            `json:"node,omitempty"`
+	VM        string            `json:"vm,omitempty"`
+	LinkTrace TraceID           `json:"link_trace,omitempty"`
+	LinkSpan  SpanID            `json:"link_span,omitempty"`
+	Attrs     map[string]string `json:"attrs,omitempty"`
+}
+
+func refEncode(t *testing.T, e Event) []byte {
+	t.Helper()
+	le := refLine{
+		Seq: e.Seq, TSNS: int64(e.TS), Trace: e.Trace, Span: e.Span,
+		Parent: e.Parent, Kind: e.Kind, Component: e.Component,
+		Name: e.Name, Node: e.Node, VM: e.VM,
+		LinkTrace: e.Link.Trace, LinkSpan: e.Link.Span,
+	}
+	if len(e.Attrs) > 0 {
+		le.Attrs = make(map[string]string, len(e.Attrs))
+		for _, a := range e.Attrs {
+			le.Attrs[a.Key] = a.Value
+		}
+	}
+	b, err := json.Marshal(le)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// TestLineEncoderMatchesEncodingJSON encodes seeded events whose
+// strings draw on every case encoding/json escapes — quotes,
+// backslashes, the short and \u00XX control escapes, HTML-sensitive
+// bytes, U+2028/U+2029, invalid UTF-8 — and whose attrs repeat and
+// reorder keys, and compares each line with encoding/json's.
+func TestLineEncoderMatchesEncodingJSON(t *testing.T) {
+	pieces := []string{
+		"", "a", "vm-7", `"`, `\`, "\b", "\f", "\n", "\r", "\t", "\x00", "\x01", "\x1f", "\x7f",
+		"<", ">", "&", "\u2028", "\u2029", "\xff", "\xc3", "\xe2\x80", "\u00e9", "\u65e5\u672c", "\ufffd", "\U0001f600", " ", "/",
+	}
+	rng := rand.New(rand.NewSource(3))
+	str := func() string {
+		var sb strings.Builder
+		for n := rng.Intn(5); n > 0; n-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return sb.String()
+	}
+	id := func() uint64 {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return rng.Uint64() >> uint(rng.Intn(64))
+	}
+	var buf bytes.Buffer
+	var evs []Event
+	for i := 0; i < 3000; i++ {
+		e := Event{
+			Seq: id(), TS: time.Duration(int64(id()) - int64(id())), Trace: TraceID(id()),
+			Span: SpanID(id()), Parent: SpanID(id()), Kind: Kind(str()),
+			Component: str(), Name: str(), Node: str(), VM: str(),
+			Link: Ref{Trace: TraceID(id()), Span: SpanID(id())},
+		}
+		keys := []string{"k", "a", "", "z", str()}
+		for n := rng.Intn(6); n > 0; n-- {
+			e.Attrs = append(e.Attrs, Attr{Key: keys[rng.Intn(len(keys))], Value: str()})
+		}
+		want := refEncode(t, e)
+		if got := appendLine(nil, e); !bytes.Equal(got, want) {
+			t.Fatalf("event %d: %+v\n got  %s\n want %s", i, e, got, want)
+		}
+		if got := EncodedSize(e); got != len(want) {
+			t.Fatalf("event %d: EncodedSize = %d, want %d", i, got, len(want))
+		}
+		buf.Write(want)
+		evs = append(evs, e)
+	}
+	var nd bytes.Buffer
+	if err := WriteNDJSON(&nd, evs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(nd.Bytes(), buf.Bytes()) {
+		t.Fatal("WriteNDJSON differs from encoding/json line by line")
 	}
 }

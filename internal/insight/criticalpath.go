@@ -86,7 +86,7 @@ func buildTrees(evs []events.Event) []*traceTree {
 				component: e.Component, name: e.Name,
 				node: e.Node, vm: e.VM,
 				start: n, end: n,
-				attrs: attrMap(e.Attrs),
+				attrs: events.AttrMap(e.Attrs),
 			}
 			t.spans[e.Span] = s
 			t.order = append(t.order, s)
@@ -94,7 +94,7 @@ func buildTrees(evs []events.Event) []*traceTree {
 			if s := t.spans[e.Span]; s != nil {
 				s.end = n
 				s.closed = true
-				if msg, ok := attrValue(e.Attrs, "error"); ok {
+				if msg, ok := events.AttrValue(e.Attrs, "error"); ok {
 					s.errMsg = msg
 				}
 			}
@@ -106,7 +106,7 @@ func buildTrees(evs []events.Event) []*traceTree {
 			}
 			t.instants = append(t.instants, instant{
 				parent: e.Parent, component: e.Component, name: e.Name,
-				ts: n, link: e.Link, attrs: attrMap(e.Attrs),
+				ts: n, link: e.Link, attrs: events.AttrMap(e.Attrs),
 			})
 		}
 	}
@@ -264,24 +264,4 @@ func (t *traceTree) insight() TraceInsight {
 		return ti.Blame[i].Site < ti.Blame[j].Site
 	})
 	return ti
-}
-
-func attrMap(attrs []events.Attr) map[string]string {
-	if len(attrs) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(attrs))
-	for _, a := range attrs {
-		m[a.Key] = a.Value
-	}
-	return m
-}
-
-func attrValue(attrs []events.Attr, key string) (string, bool) {
-	for _, a := range attrs {
-		if a.Key == key {
-			return a.Value, true
-		}
-	}
-	return "", false
 }

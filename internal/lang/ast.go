@@ -3,8 +3,10 @@ package lang
 // Node is the interface implemented by every AST node.
 type Node interface {
 	node()
-	// Pos returns the "line:col" position of the node's first token.
+	// Pos returns the "line:col" position of the node's first token,
+	// and Line its line.
 	Pos() string
+	Line() int
 }
 
 // Stmt is a statement node; Expr an expression node.
@@ -22,6 +24,7 @@ type base struct{ Tok Token }
 
 func (b base) node()       {}
 func (b base) Pos() string { return b.Tok.Pos() }
+func (b base) Line() int   { return b.Tok.Line }
 
 // Program is a parsed FaaSLang module: an ordered list of top-level
 // statements. Function declarations define globals; other statements run

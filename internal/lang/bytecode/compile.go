@@ -20,8 +20,8 @@ func Compile(prog *lang.Program) (*Module, error) {
 			mod.Functions = append(mod.Functions, fn)
 			// Top-level code binds the function into the globals.
 			idx := c.constant(fn)
-			c.emit(lineOf(fd), OpClosure, idx)
-			c.emit(lineOf(fd), OpStoreGlobal, c.constant(fd.Name))
+			c.emit(fd.Line(), OpClosure, idx)
+			c.emit(fd.Line(), OpStoreGlobal, c.constant(fd.Name))
 			continue
 		}
 		if err := c.stmt(stmt); err != nil {
@@ -77,14 +77,6 @@ type compiler struct {
 	maxLocals  int
 	loops      []*loopCtx
 	inFunction bool
-}
-
-func lineOf(n lang.Node) int {
-	// Positions are "line:col" strings; we only keep line numbers in
-	// bytecode for error messages, parsed lazily here.
-	var line int
-	fmt.Sscanf(n.Pos(), "%d", &line)
-	return line
 }
 
 func (c *compiler) emit(line int, op Op, a int) int {
@@ -162,9 +154,9 @@ func (c *compiler) stmt(s lang.Stmt) error {
 		}
 		if c.inFunction {
 			slot := c.declareLocal(s.Name)
-			c.emit(lineOf(s), OpStoreLocal, slot)
+			c.emit(s.Line(), OpStoreLocal, slot)
 		} else {
-			c.emit(lineOf(s), OpStoreGlobal, c.constant(s.Name))
+			c.emit(s.Line(), OpStoreGlobal, c.constant(s.Name))
 		}
 		return nil
 
@@ -175,9 +167,9 @@ func (c *compiler) stmt(s lang.Stmt) error {
 				return err
 			}
 			if slot := c.resolve(target.Name); slot >= 0 {
-				c.emit(lineOf(s), OpStoreLocal, slot)
+				c.emit(s.Line(), OpStoreLocal, slot)
 			} else {
-				c.emit(lineOf(s), OpStoreGlobal, c.constant(target.Name))
+				c.emit(s.Line(), OpStoreGlobal, c.constant(target.Name))
 			}
 			return nil
 		case *lang.IndexExpr:
@@ -190,7 +182,7 @@ func (c *compiler) stmt(s lang.Stmt) error {
 			if err := c.expr(s.Value); err != nil {
 				return err
 			}
-			c.emit(lineOf(s), OpSetIndex, 0)
+			c.emit(s.Line(), OpSetIndex, 0)
 			return nil
 		default:
 			return fmt.Errorf("bytecode: %s: invalid assignment target", s.Pos())
@@ -200,12 +192,12 @@ func (c *compiler) stmt(s lang.Stmt) error {
 		if err := c.expr(s.Cond); err != nil {
 			return err
 		}
-		jumpElse := c.emit(lineOf(s), OpJumpIfFalse, -1)
+		jumpElse := c.emit(s.Line(), OpJumpIfFalse, -1)
 		if err := c.stmt(s.Then); err != nil {
 			return err
 		}
 		if s.Else != nil {
-			jumpEnd := c.emit(lineOf(s), OpJump, -1)
+			jumpEnd := c.emit(s.Line(), OpJump, -1)
 			c.patch(jumpElse, c.here())
 			if err := c.stmt(s.Else); err != nil {
 				return err
@@ -223,11 +215,11 @@ func (c *compiler) stmt(s lang.Stmt) error {
 		if err := c.expr(s.Cond); err != nil {
 			return err
 		}
-		exit := c.emit(lineOf(s), OpJumpIfFalse, -1)
+		exit := c.emit(s.Line(), OpJumpIfFalse, -1)
 		if err := c.stmt(s.Body); err != nil {
 			return err
 		}
-		c.emit(lineOf(s), OpLoop, start)
+		c.emit(s.Line(), OpLoop, start)
 		c.patch(exit, c.here())
 		for _, at := range loop.breakPatches {
 			c.patch(at, c.here())
@@ -239,24 +231,24 @@ func (c *compiler) stmt(s lang.Stmt) error {
 		if err := c.expr(s.Iterable); err != nil {
 			return err
 		}
-		c.emit(lineOf(s), OpIterNew, 0)
+		c.emit(s.Line(), OpIterNew, 0)
 		start := c.here()
 		loop := &loopCtx{start: start, forIn: true}
 		c.loops = append(c.loops, loop)
-		next := c.emit(lineOf(s), OpIterNext, -1)
+		next := c.emit(s.Line(), OpIterNext, -1)
 		c.pushScope()
 		var slot int
 		if c.inFunction {
 			slot = c.declareLocal(s.Var)
-			c.emit(lineOf(s), OpStoreLocal, slot)
+			c.emit(s.Line(), OpStoreLocal, slot)
 		} else {
-			c.emit(lineOf(s), OpStoreGlobal, c.constant(s.Var))
+			c.emit(s.Line(), OpStoreGlobal, c.constant(s.Var))
 		}
 		if err := c.stmt(s.Body); err != nil {
 			return err
 		}
 		c.popScope()
-		c.emit(lineOf(s), OpLoop, start)
+		c.emit(s.Line(), OpLoop, start)
 		c.patch(next, c.here())
 		for _, at := range loop.breakPatches {
 			c.patch(at, c.here())
@@ -273,9 +265,9 @@ func (c *compiler) stmt(s lang.Stmt) error {
 				return err
 			}
 		} else {
-			c.emit(lineOf(s), OpNull, 0)
+			c.emit(s.Line(), OpNull, 0)
 		}
-		c.emit(lineOf(s), OpReturn, 0)
+		c.emit(s.Line(), OpReturn, 0)
 		return nil
 
 	case *lang.BreakStmt:
@@ -284,9 +276,9 @@ func (c *compiler) stmt(s lang.Stmt) error {
 		}
 		loop := c.loops[len(c.loops)-1]
 		if loop.forIn {
-			c.emit(lineOf(s), OpPop, 0) // the iterator, as NEXT pops it at the end
+			c.emit(s.Line(), OpPop, 0) // the iterator, as NEXT pops it at the end
 		}
-		loop.breakPatches = append(loop.breakPatches, c.emit(lineOf(s), OpJump, -1))
+		loop.breakPatches = append(loop.breakPatches, c.emit(s.Line(), OpJump, -1))
 		return nil
 
 	case *lang.ContinueStmt:
@@ -294,14 +286,14 @@ func (c *compiler) stmt(s lang.Stmt) error {
 			return fmt.Errorf("bytecode: %s: continue outside loop", s.Pos())
 		}
 		loop := c.loops[len(c.loops)-1]
-		c.emit(lineOf(s), OpLoop, loop.start)
+		c.emit(s.Line(), OpLoop, loop.start)
 		return nil
 
 	case *lang.ExprStmt:
 		if err := c.expr(s.X); err != nil {
 			return err
 		}
-		c.emit(lineOf(s), OpPop, 0)
+		c.emit(s.Line(), OpPop, 0)
 		return nil
 
 	case *lang.FuncDecl:
@@ -310,12 +302,12 @@ func (c *compiler) stmt(s lang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		c.emit(lineOf(s), OpClosure, c.constant(fn))
+		c.emit(s.Line(), OpClosure, c.constant(fn))
 		if c.inFunction {
 			slot := c.declareLocal(s.Name)
-			c.emit(lineOf(s), OpStoreLocal, slot)
+			c.emit(s.Line(), OpStoreLocal, slot)
 		} else {
-			c.emit(lineOf(s), OpStoreGlobal, c.constant(s.Name))
+			c.emit(s.Line(), OpStoreGlobal, c.constant(s.Name))
 		}
 		return nil
 
@@ -329,24 +321,24 @@ func (c *compiler) stmt(s lang.Stmt) error {
 func (c *compiler) expr(e lang.Expr) error {
 	switch e := e.(type) {
 	case *lang.IntLit:
-		c.emit(lineOf(e), OpConst, c.constant(e.Value))
+		c.emit(e.Line(), OpConst, c.constant(e.Value))
 	case *lang.FloatLit:
-		c.emit(lineOf(e), OpConst, c.constant(e.Value))
+		c.emit(e.Line(), OpConst, c.constant(e.Value))
 	case *lang.StringLit:
-		c.emit(lineOf(e), OpConst, c.constant(e.Value))
+		c.emit(e.Line(), OpConst, c.constant(e.Value))
 	case *lang.BoolLit:
 		if e.Value {
-			c.emit(lineOf(e), OpTrue, 0)
+			c.emit(e.Line(), OpTrue, 0)
 		} else {
-			c.emit(lineOf(e), OpFalse, 0)
+			c.emit(e.Line(), OpFalse, 0)
 		}
 	case *lang.NullLit:
-		c.emit(lineOf(e), OpNull, 0)
+		c.emit(e.Line(), OpNull, 0)
 	case *lang.Ident:
 		if slot := c.resolve(e.Name); slot >= 0 {
-			c.emit(lineOf(e), OpLoadLocal, slot)
+			c.emit(e.Line(), OpLoadLocal, slot)
 		} else {
-			c.emit(lineOf(e), OpLoadGlobal, c.constant(e.Name))
+			c.emit(e.Line(), OpLoadGlobal, c.constant(e.Name))
 		}
 	case *lang.ListLit:
 		for _, item := range e.Items {
@@ -354,7 +346,7 @@ func (c *compiler) expr(e lang.Expr) error {
 				return err
 			}
 		}
-		c.emit(lineOf(e), OpMakeList, len(e.Items))
+		c.emit(e.Line(), OpMakeList, len(e.Items))
 	case *lang.MapLit:
 		for i := range e.Keys {
 			if err := c.expr(e.Keys[i]); err != nil {
@@ -364,16 +356,16 @@ func (c *compiler) expr(e lang.Expr) error {
 				return err
 			}
 		}
-		c.emit(lineOf(e), OpMakeMap, len(e.Keys))
+		c.emit(e.Line(), OpMakeMap, len(e.Keys))
 	case *lang.UnaryExpr:
 		if err := c.expr(e.X); err != nil {
 			return err
 		}
 		switch e.Op {
 		case lang.TokenMinus:
-			c.emit(lineOf(e), OpNeg, 0)
+			c.emit(e.Line(), OpNeg, 0)
 		case lang.TokenBang:
-			c.emit(lineOf(e), OpNot, 0)
+			c.emit(e.Line(), OpNot, 0)
 		default:
 			return fmt.Errorf("bytecode: %s: bad unary op %s", e.Pos(), e.Op)
 		}
@@ -384,9 +376,9 @@ func (c *compiler) expr(e lang.Expr) error {
 			if err := c.expr(e.Left); err != nil {
 				return err
 			}
-			c.emit(lineOf(e), OpDup, 0)
-			end := c.emit(lineOf(e), OpJumpIfFalse, -1)
-			c.emit(lineOf(e), OpPop, 0)
+			c.emit(e.Line(), OpDup, 0)
+			end := c.emit(e.Line(), OpJumpIfFalse, -1)
+			c.emit(e.Line(), OpPop, 0)
 			if err := c.expr(e.Right); err != nil {
 				return err
 			}
@@ -396,9 +388,9 @@ func (c *compiler) expr(e lang.Expr) error {
 			if err := c.expr(e.Left); err != nil {
 				return err
 			}
-			c.emit(lineOf(e), OpDup, 0)
-			end := c.emit(lineOf(e), OpJumpIfTrue, -1)
-			c.emit(lineOf(e), OpPop, 0)
+			c.emit(e.Line(), OpDup, 0)
+			end := c.emit(e.Line(), OpJumpIfTrue, -1)
+			c.emit(e.Line(), OpPop, 0)
 			if err := c.expr(e.Right); err != nil {
 				return err
 			}
@@ -422,7 +414,7 @@ func (c *compiler) expr(e lang.Expr) error {
 		if !ok {
 			return fmt.Errorf("bytecode: %s: bad binary op %s", e.Pos(), e.Op)
 		}
-		c.emit(lineOf(e), op, 0)
+		c.emit(e.Line(), op, 0)
 	case *lang.IndexExpr:
 		if err := c.expr(e.X); err != nil {
 			return err
@@ -430,7 +422,7 @@ func (c *compiler) expr(e lang.Expr) error {
 		if err := c.expr(e.Index); err != nil {
 			return err
 		}
-		c.emit(lineOf(e), OpIndex, 0)
+		c.emit(e.Line(), OpIndex, 0)
 	case *lang.CallExpr:
 		if err := c.expr(e.Fn); err != nil {
 			return err
@@ -440,13 +432,13 @@ func (c *compiler) expr(e lang.Expr) error {
 				return err
 			}
 		}
-		c.emit(lineOf(e), OpCall, len(e.Args))
+		c.emit(e.Line(), OpCall, len(e.Args))
 	case *lang.FuncLit:
 		fn, err := compileFunction("<anon>", e.Params, e.Body, nil)
 		if err != nil {
 			return err
 		}
-		c.emit(lineOf(e), OpClosure, c.constant(fn))
+		c.emit(e.Line(), OpClosure, c.constant(fn))
 	default:
 		return fmt.Errorf("bytecode: %s: unsupported expression %T", e.Pos(), e)
 	}

@@ -19,7 +19,8 @@
 // swappiness threshold, reproducing the "launch microVMs until swapping
 // starts" methodology of §5.4. It also tracks every live Space and
 // Region, from which Report derives the smem-style fleet table and the
-// per-region page lineage (see report.go and docs/memory.md).
+// per-region page lineage (see report.go and docs/memory.md). A region
+// lives until its owner releases it and no space maps it.
 //
 // All Space and Region state is guarded by the owning Host's mutex, so
 // a fleet report can walk every address space concurrently with the
@@ -56,11 +57,12 @@ type Host struct {
 	capacity     uint64 // bytes of physical memory
 	swappiness   float64
 	usedPages    uint64
-	privatePages uint64         // pages not backed by a shared region frame
-	maxUsedPages uint64         // high-water mark of usedPages
-	rssPages     uint64         // sum of every live space's RSS, in pages
-	regions      []*Region      // every region ever created, in creation order
-	spaces       map[int]*Space // live address spaces by creation seq
+	privatePages uint64          // pages not backed by a shared region frame
+	maxUsedPages uint64          // high-water mark of usedPages
+	rssPages     uint64          // sum of every live space's RSS, in pages
+	regions      map[int]*Region // live regions by creation seq
+	spaces       map[int]*Space  // live address spaces by creation seq
+	nextRegion   int
 	nextSpace    int
 
 	// Observability (nil-safe; see Instrument).
@@ -88,6 +90,7 @@ func NewHost(capacity uint64, swappiness float64) *Host {
 	return &Host{
 		capacity:   capacity,
 		swappiness: swappiness,
+		regions:    make(map[int]*Region),
 		spaces:     make(map[int]*Space),
 	}
 }
@@ -210,31 +213,47 @@ func (h *Host) adjustLocked(pages, private int64) {
 
 // NewRegion creates a shareable region of pages on this host. The
 // region's frames occupy physical memory only while at least one address
-// space maps it.
+// space maps it, and the host tracks it until Release.
 func (h *Host) NewRegion(name string, kind Kind, pages int) *Region {
 	if pages < 0 {
 		panic("mem: negative region size")
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.nextRegion++
 	r := &Region{
 		host:  h,
-		name:  fmt.Sprintf("%s#%d", name, len(h.regions)+1),
+		seq:   h.nextRegion,
+		name:  fmt.Sprintf("%s#%d", name, h.nextRegion),
 		kind:  kind,
 		pages: pages,
 	}
-	h.regions = append(h.regions, r)
+	h.regions[r.seq] = r
 	return r
+}
+
+// Release tells the host the region's owner (its snapshot image) is
+// gone; the host drops the region once no space maps it either.
+func (r *Region) Release() {
+	h := r.host
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	r.released = true
+	if r.sharers == 0 {
+		delete(h.regions, r.seq)
+	}
 }
 
 // Region is a named group of pages shared CoW among address spaces.
 type Region struct {
-	host    *Host
-	name    string
-	kind    Kind
-	pages   int
-	sharers int
-	faults  uint64 // lifetime CoW faults attributed to this region
+	host     *Host
+	seq      int // creation order, for deterministic reports
+	name     string
+	kind     Kind
+	pages    int
+	sharers  int
+	released bool   // the owner is done with it; see Release
+	faults   uint64 // lifetime CoW faults attributed to this region
 	// split counts, per page, the sharers that CoW-split it and therefore
 	// no longer reference the base frame; pages outside every run have
 	// none. A page every current sharer has split has no referent left:
@@ -308,12 +327,17 @@ func (h *Host) NewSpace(name string) *Space {
 	return s
 }
 
-func (h *Host) spacesLocked() []*Space {
-	out := make([]*Space, 0, len(h.spaces))
-	for _, s := range h.spaces {
-		out = append(out, s)
+// bySeq returns a host's live spaces or regions in creation order.
+func bySeq[T any](m map[int]T) []T {
+	seqs := make([]int, 0, len(m))
+	for seq := range m {
+		seqs = append(seqs, seq)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	sort.Ints(seqs)
+	out := make([]T, len(seqs))
+	for i, seq := range seqs {
+		out[i] = m[seq]
+	}
 	return out
 }
 
@@ -328,6 +352,7 @@ func (s *Space) MapRegion(r *Region) {
 		panic(fmt.Sprintf("mem: region %s mapped twice into %s", r.name, s.name))
 	}
 	s.refs = append(s.refs, &regionRef{region: r})
+	h.regions[r.seq] = r // a released region is live again while mapped
 	// Frames materialize on first mapping, and a new sharer re-references
 	// base frames that were reclaimed when every previous sharer had
 	// split them.
@@ -436,6 +461,9 @@ func (s *Space) Free() {
 		}
 		r.sharers--
 		base += int64(r.residentLocked() - before)
+		if r.sharers == 0 && r.released {
+			delete(h.regions, r.seq)
+		}
 	}
 	// s.private holds the CoW copies as well as the anonymous pages.
 	private := int64(s.privatePagesLocked())

@@ -85,11 +85,12 @@ func TestRunUncovered(t *testing.T) {
 // from scratch on every question. It is slow and obviously right, which
 // is its whole job.
 type modelRegion struct {
-	r      *Region
-	name   string // as the host's report names it
-	kind   Kind
-	pages  int
-	faults uint64
+	r        *Region
+	name     string // as the host's report names it
+	kind     Kind
+	pages    int
+	faults   uint64
+	released bool
 }
 
 type modelSpace struct {
@@ -153,9 +154,27 @@ func (m *model) used() (n int) {
 	return n
 }
 
+// live reports whether the host must still track r: its owner has not
+// released it, or some space maps it.
+func (m *model) live(r *modelRegion) bool { return !r.released || m.sharers(r) > 0 }
+
 // check compares every observable of the host against the model.
 func (m *model) check(t *testing.T, h *Host, reg *metrics.Registry, step string) {
 	t.Helper()
+	var live, tracked []string
+	for _, r := range m.regions {
+		if m.live(r) {
+			live = append(live, r.name)
+		}
+	}
+	h.mu.Lock()
+	for _, r := range bySeq(h.regions) {
+		tracked = append(tracked, r.name)
+	}
+	h.mu.Unlock()
+	if !slices.Equal(tracked, live) {
+		t.Fatalf("%s: host tracks regions %v, model holds or maps %v", step, tracked, live)
+	}
 	used := m.used()
 	m.highWater = max(m.highWater, used)
 	if got := h.Used(); got != uint64(used)*PageSize {
@@ -232,8 +251,10 @@ func (m *model) check(t *testing.T, h *Host, reg *metrics.Registry, step string)
 				want.SharedFraction = float64(want.BaseResidentPages) / float64(r.pages)
 			}
 		}
-		// The report leaves out dormant regions that never faulted.
-		if got, ok := regions[r.name]; ok != (want.Sharers > 0 || want.Faults > 0) || ok && got != want {
+		// The report leaves out released regions nothing maps, and
+		// dormant regions that never faulted.
+		reported := m.live(r) && (want.Sharers > 0 || want.Faults > 0)
+		if got, ok := regions[r.name]; ok != reported || ok && got != want {
 			t.Fatalf("%s: lineage (reported %v)\n got  %+v\n want %+v", step, ok, got, want)
 		}
 	}
@@ -282,6 +303,7 @@ func TestAgainstPerPageModel(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			newRegion()
 		}
+		released := 0
 		// dirty books pages [lo,hi) of r in the model and returns the
 		// faults the host must report.
 		dirty := func(s *modelSpace, r *modelRegion, lo, hi int) (faults int) {
@@ -312,8 +334,17 @@ func TestAgainstPerPageModel(t *testing.T) {
 			case s == nil || (op == 0 && len(m.spaces) < 6):
 				name := fmt.Sprintf("vm-%d-%d", seed, step)
 				m.spaces = append(m.spaces, &modelSpace{s: h.NewSpace(name), name: name, dirty: map[*modelRegion][]bool{}, private: map[Kind]int{}})
-			case op == 1 && len(m.regions) < 8:
+			case op == 1 && len(m.regions) < 8+released:
 				newRegion()
+			case op == 8 && rng.Intn(2) == 0:
+				// The owner lets go of a region, mapped or not. Spaces
+				// may map it again afterwards, as an in-flight restore
+				// of a replaced image does.
+				if cand := m.regions[rng.Intn(len(m.regions))]; !cand.released {
+					cand.r.Release()
+					cand.released = true
+					released++
+				}
 			case op <= 3 || r == nil:
 				cand := m.regions[rng.Intn(len(m.regions))]
 				if s.dirty[cand] == nil {
@@ -358,6 +389,16 @@ func TestAgainstPerPageModel(t *testing.T) {
 		}
 		if h.Used() != 0 {
 			t.Fatalf("seed %d: %d bytes used after every space was freed", seed, h.Used())
+		}
+		for _, r := range m.regions {
+			if !r.released {
+				r.r.Release()
+				r.released = true
+			}
+		}
+		m.check(t, h, reg, fmt.Sprintf("seed %d release", seed))
+		if len(h.regions) != 0 {
+			t.Fatalf("seed %d: host tracks %d regions after every one was released and unmapped", seed, len(h.regions))
 		}
 	}
 }

@@ -111,8 +111,9 @@ type HostReport struct {
 
 // Report computes the fleet memory report. The whole report is derived
 // under one lock acquisition, so its invariants hold even while spaces
-// are concurrently created, dirtied, and freed. Dormant regions that
-// never faulted are omitted.
+// are concurrently created, dirtied, and freed. Only live regions are
+// walked (see Region.Release), and dormant ones that never faulted are
+// omitted.
 func (h *Host) Report() HostReport {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -128,7 +129,7 @@ func (h *Host) Report() HostReport {
 	}
 	rep.Swapping = rep.UsedBytes > rep.SwapThresholdBytes
 
-	for _, s := range h.spacesLocked() {
+	for _, s := range bySeq(h.spaces) {
 		sr := SpaceReport{
 			Name:         s.name,
 			RSSBytes:     s.rssPagesLocked() * PageSize,
@@ -143,7 +144,7 @@ func (h *Host) Report() HostReport {
 		rep.Spaces = append(rep.Spaces, sr)
 	}
 
-	for _, r := range h.regions {
+	for _, r := range bySeq(h.regions) {
 		if r.sharers > 0 || r.faults > 0 {
 			rep.Regions = append(rep.Regions, r.lineageLocked())
 		}

@@ -29,6 +29,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -44,7 +45,8 @@ const UnitDuration = "ns"
 // maxSamples bounds the raw-sample window a histogram retains for
 // exact percentiles. Past the bound the window wraps (a deterministic
 // ring), so quantiles describe the most recent maxSamples
-// observations (see window.go).
+// observations. Its sorted side holds each distinct value once, with a
+// count (see window.go).
 const maxSamples = 1 << 16
 
 // DefaultLatencyBuckets are the fixed upper bounds (in nanoseconds)
@@ -348,7 +350,14 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // observeLocked records v and returns the bucket index it landed in.
+// It records zeros as +0 and NaNs as math.NaN(), so that samples the
+// window counts as one value are one bit pattern.
 func (h *Histogram) observeLocked(v float64) int {
+	if v == 0 {
+		v = 0
+	} else if v != v {
+		v = math.NaN()
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++
 	if h.count == 0 || v < h.min {

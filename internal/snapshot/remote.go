@@ -130,6 +130,10 @@ func (r *Remote) UploadTraced(name string, snap *vmm.Snapshot, clock *vclock.Clo
 	for _, c := range missing {
 		r.pool[c.ID] = c.Bytes
 	}
+	snap.Hold()
+	if old, ok := r.objects[name]; ok {
+		old.Release()
+	}
 	r.objects[name] = snap
 	r.uploadCtr.Inc()
 	r.xferBytes.ObserveExemplar(float64(moved), uint64(sc.TraceID()), clock.Now())
@@ -182,13 +186,16 @@ func (r *Remote) FetchTraced(name string, local *Store, clock *vclock.Clock, sc 
 	return snap, nil
 }
 
-// Delete removes an image's metadata from remote storage. Its chunks
-// stay in the content pool (other manifests may reference them; the
-// pool is append-only, like a real content-addressed blob store
-// between garbage-collection passes).
+// Delete removes an image's metadata, and its hold on the image, from
+// remote storage. Its chunks stay in the content pool (other manifests
+// may reference them; the pool is append-only, like a real
+// content-addressed blob store between garbage-collection passes).
 func (r *Remote) Delete(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if snap, ok := r.objects[name]; ok {
+		snap.Release()
+	}
 	delete(r.objects, name)
 	r.objectsGauge.Set(int64(len(r.objects)))
 }

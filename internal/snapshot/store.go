@@ -133,6 +133,7 @@ func (s *Store) Put(name string, snap *vmm.Snapshot) error {
 	if s.budget > 0 && uniqueBytes(chunks) > s.budget {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, uniqueBytes(chunks), s.budget)
 	}
+	snap.Hold() // before dropping the entry it replaces: it may be this image
 	if old, ok := s.entries[name]; ok {
 		if old.snap.ContentKey != "" && old.snap.ContentKey != snap.ContentKey {
 			s.invalCnt.Inc()
@@ -149,6 +150,7 @@ func (s *Store) Put(name string, snap *vmm.Snapshot) error {
 			s.unrefChunkLocked(c.ID)
 		}
 		s.usedGauge.Set(int64(s.used))
+		snap.Release()
 		return err
 	}
 	s.seq++
@@ -183,7 +185,7 @@ func (s *Store) unrefChunkLocked(id uint64) {
 	}
 }
 
-// removeLocked drops an entry and releases its chunk references.
+// removeLocked drops an entry, its chunk references and its image hold.
 func (s *Store) removeLocked(name string) {
 	e, ok := s.entries[name]
 	if !ok {
@@ -198,6 +200,7 @@ func (s *Store) removeLocked(name string) {
 		}
 	}
 	delete(s.entries, name)
+	e.snap.Release()
 }
 
 // evictToFitLocked frees space until the pool fits the budget, evicting

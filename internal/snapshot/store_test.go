@@ -3,9 +3,9 @@ package snapshot
 import (
 	"errors"
 	"fmt"
-	"testing"
-
+	"slices"
 	"sync"
+	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -344,5 +344,65 @@ func TestNamesSorted(t *testing.T) {
 	names := s.Names()
 	if len(names) != 3 || names[0] != "alpha" || names[2] != "zeta" {
 		t.Fatalf("names = %v", names)
+	}
+}
+
+// TestReleasedImageKeepsRegionsWhileMapped follows one image's regions
+// on the host: they stay while any store holds the image, and a
+// replaced, deleted image keeps them until the last microVM restored
+// from it stops.
+func TestReleasedImageKeepsRegionsWhileMapped(t *testing.T) {
+	hv := newHV()
+	local, remote := NewStore(0), NewRemote()
+	clock := vclock.New()
+	lineage := func() (names []string) {
+		for _, l := range hv.Host.Report().Regions {
+			names = append(names, l.Region)
+		}
+		return names
+	}
+	run := func(snap *vmm.Snapshot) *vmm.MicroVM {
+		v, err := hv.Restore(snap, vmm.RestoreOptions{}, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.DirtyDuringExecution(1 << 20)
+		return v
+	}
+	a := makeSnap(t, hv, 10<<20)
+	if err := local.Put("fn", a); err != nil {
+		t.Fatal(err)
+	}
+	remote.UploadTraced("fn", a, clock, nil)
+	v := run(a)
+	want := lineage()
+	if len(want) != 1 {
+		t.Fatalf("lineage with one restored image = %v, want its one region", want)
+	}
+
+	// Replaced locally, the image is still held remotely: its faulted
+	// region stays even with nothing mapping it.
+	if err := local.Put("fn", makeSnap(t, hv, 20<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lineage(); !slices.Equal(got, want) {
+		t.Fatalf("lineage while the remote holds the image = %v, want %v", got, want)
+	}
+
+	// No store holds it any more, but a VM restored from it still maps
+	// it: the region stays until that VM stops.
+	v = run(a)
+	remote.Delete("fn")
+	if got := lineage(); !slices.Equal(got, want) {
+		t.Fatalf("lineage while a VM maps the released image = %v, want %v", got, want)
+	}
+	if err := v.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lineage(); len(got) != 0 {
+		t.Fatalf("lineage after the last mapper stopped = %v, want none", got)
 	}
 }

@@ -1,14 +1,9 @@
 // Package telemetry is the scale governor of the observability plane:
-// it decides, after the fact, which traces are worth keeping.
-//
-// PRs 1–9 built full-fidelity telemetry — every span of every invoke
-// lands in the journal, every label value gets a metric series. That
-// is the right default for a 300-invocation chaos storm and exactly
-// wrong for a million-user one: the measurement machinery must not
-// cost more than the thing it measures. The TailSampler here buffers
-// per-trace state until a trace completes (its root span ends, or a
-// virtual-clock timeout expires) and then applies an ordered policy
-// chain:
+// it decides, after the fact, which traces are worth keeping, so that
+// the measurement machinery does not cost more than the thing it
+// measures. The TailSampler buffers per-trace state until a trace
+// completes (its root span ends, or a virtual-clock timeout expires)
+// and then applies an ordered policy chain:
 //
 //  1. error — always keep traces that carried an error attr, had a
 //     fault injected, or were named as the causal evidence of an SLO
@@ -30,12 +25,13 @@
 //
 // The sampler also installs an eviction guard on the journal: under
 // ring pressure the journal evicts decided traces before the spans of
-// traces still awaiting their decision, closing the PR 6 caveat where
-// a full ring could silently drop the begin of an open trace.
+// traces still awaiting their decision, so a full ring cannot silently
+// drop the begin of an open trace.
 package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,9 +152,10 @@ type traceState struct {
 // siteRing is a bounded ring of root latencies for one site, from
 // which the latency policy derives its threshold.
 type siteRing struct {
-	buf   []time.Duration
-	start int
-	n     int
+	buf    []time.Duration
+	start  int
+	n      int
+	sorted []time.Duration // quantile's scratch
 }
 
 func (s *siteRing) push(d time.Duration) {
@@ -176,23 +173,22 @@ func (s *siteRing) quantile(q float64) time.Duration {
 	if s.n == 0 {
 		return 0
 	}
-	vals := make([]time.Duration, s.n)
-	for i := 0; i < s.n; i++ {
-		vals[i] = s.buf[(s.start+i)%len(s.buf)]
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+	s.sorted = append(s.sorted[:0], s.buf[:s.n]...) // the values, in any order
+	slices.Sort(s.sorted)
 	idx := int(float64(s.n-1)*q/100 + 0.5)
 	if idx >= s.n {
 		idx = s.n - 1
 	}
-	return vals[idx]
+	return s.sorted[idx]
 }
 
-// policyCounts is the per-policy ledger behind Stats.
+// policyCounts is the per-policy ledger behind Stats, and the policy's
+// counters, each resolved on its first use.
 type policyCounts struct {
-	kept, dropped int64
-	droppedEvents int64
-	droppedBytes  int64
+	kept, dropped           int64
+	droppedEvents           int64
+	droppedBytes            int64
+	keptC, droppedC, bytesC *metrics.Counter
 }
 
 // TailSampler buffers per-trace state from a journal and applies the
@@ -294,10 +290,8 @@ func (t *TailSampler) ObserveEvent(e events.Event) {
 		st.lastTS = e.TS
 	}
 	st.events++
-	for _, a := range e.Attrs {
-		if a.Key == "error" {
-			st.errored = true
-		}
+	if _, ok := events.AttrValue(e.Attrs, "error"); ok {
+		st.errored = true
 	}
 	var done *decision
 	switch e.Kind {
@@ -392,21 +386,22 @@ func (t *TailSampler) execute(d decision) {
 	}
 	if d.keep {
 		pc.kept++
+		if pc.keptC == nil {
+			pc.keptC = t.reg.Counter(metrics.Name("telemetry_traces_total", "decision", "keep", "policy", d.policy))
+		}
+		pc.keptC.Inc()
 	} else {
 		pc.dropped++
 		pc.droppedEvents += int64(removed)
 		pc.droppedBytes += bytes
+		if pc.droppedC == nil {
+			pc.droppedC = t.reg.Counter(metrics.Name("telemetry_traces_total", "decision", "drop", "policy", d.policy))
+			pc.bytesC = t.reg.Counter(metrics.Name("telemetry_dropped_bytes_total", "policy", d.policy))
+		}
+		pc.droppedC.Inc()
+		pc.bytesC.Add(bytes)
 	}
-	reg := t.reg
 	t.mu.Unlock()
-	dec := "keep"
-	if !d.keep {
-		dec = "drop"
-	}
-	reg.Counter(metrics.Name("telemetry_traces_total", "decision", dec, "policy", d.policy)).Inc()
-	if !d.keep {
-		reg.Counter(metrics.Name("telemetry_dropped_bytes_total", "policy", d.policy)).Add(bytes)
-	}
 }
 
 // Flush force-decides every pending trace whose last event is at least

@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -254,9 +253,4 @@ func (s *Sampler) Last(name string) (Point, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.series[name].Last()
-}
-
-// String implements fmt.Stringer for debugging.
-func (s *Sampler) String() string {
-	return fmt.Sprintf("timeseries.Sampler(%d series)", len(s.Names()))
 }

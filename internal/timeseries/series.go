@@ -43,14 +43,12 @@ func DefaultRollups() []RollupSpec {
 	}
 }
 
-// RollupBucket is one downsampled bucket: min/max/sum/count of the
-// points whose timestamps fell in [Start, Start+Width).
+// RollupBucket is one downsampled bucket: the least of the points
+// whose timestamps fell in [Start, Start+Width), which is all a delta's
+// baseline reads.
 type RollupBucket struct {
 	Start time.Duration
 	Min   float64
-	Max   float64
-	Sum   float64
-	Count int64
 }
 
 // rollupTier is one bounded ring of rollup buckets.
@@ -71,11 +69,6 @@ func (t *rollupTier) fold(ts time.Duration, v float64) {
 			if v < last.Min {
 				last.Min = v
 			}
-			if v > last.Max {
-				last.Max = v
-			}
-			last.Sum += v
-			last.Count++
 			return
 		}
 	}
@@ -83,7 +76,7 @@ func (t *rollupTier) fold(ts time.Duration, v float64) {
 		t.start = (t.start + 1) % len(t.buf)
 		t.n--
 	}
-	t.buf[(t.start+t.n)%len(t.buf)] = RollupBucket{Start: bs, Min: v, Max: v, Sum: v, Count: 1}
+	t.buf[(t.start+t.n)%len(t.buf)] = RollupBucket{Start: bs, Min: v}
 	t.n++
 }
 

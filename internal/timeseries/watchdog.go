@@ -110,15 +110,8 @@ func NewWatchdog(s *Sampler, journal *events.Journal, reg *metrics.Registry) *Wa
 // an alert (the failure closest to the SLO breach).
 func LastErrorEvidence(j *events.Journal) events.Ref {
 	e, _ := j.Newest(func(e *events.Event) bool {
-		if e.Trace == 0 {
-			return false
-		}
-		for _, a := range e.Attrs {
-			if a.Key == "error" {
-				return true
-			}
-		}
-		return false
+		_, errored := events.AttrValue(e.Attrs, "error")
+		return e.Trace != 0 && errored
 	})
 	return events.Ref{Trace: e.Trace, Span: e.Span}
 }

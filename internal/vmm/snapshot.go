@@ -102,6 +102,7 @@ type Snapshot struct {
 
 	mu       sync.Mutex
 	regions  []*mem.Region
+	holds    int // stores holding the image; see Hold
 	total    uint64
 	host     *mem.Host
 	manifest *chunk.Manifest
@@ -119,6 +120,27 @@ type WorkingSetRecord struct {
 	Pages int
 	// Bytes is the byte extent of the recorded chunks.
 	Bytes uint64
+}
+
+// Hold records that a store keeps the image. The snapshot owns its
+// regions: when the last holder lets go (Release) it releases them to
+// the host, which drops each once no microVM maps it. An image no store
+// ever held keeps its regions.
+func (s *Snapshot) Hold() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.holds++
+}
+
+// Release drops one Hold.
+func (s *Snapshot) Release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.holds--; s.holds == 0 {
+		for _, r := range s.regions {
+			r.Release()
+		}
+	}
 }
 
 // TotalBytes returns the snapshot image size on disk.
