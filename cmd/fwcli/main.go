@@ -60,7 +60,7 @@ func main() {
 	mode := flag.String("mode", "auto", "start mode: auto, cold, warm")
 	repeat := flag.Int("repeat", 1, "number of invocations")
 	listBuiltins := flag.Bool("list-builtins", false, "list built-in workloads and exit")
-	verbose := flag.Bool("v", false, "print the per-event accounting log")
+	verbose := flag.Bool("v", false, "print each invocation's ledger: virtual time per (phase, label)")
 	metricsFmt := flag.String("metrics", "", `dump the host metrics snapshot after the run ("text" or "json")`)
 	traceDump := flag.String("trace-dump", "", `write the run's event journal to this file (Chrome trace-event JSON for *.json, NDJSON otherwise)`)
 	watch := flag.Bool("watch", false, "print a memory-telemetry line per invocation and the smem-style memory report after the run")
@@ -151,8 +151,8 @@ func main() {
 			fmt.Printf("   logs: %s", inv.Logs)
 		}
 		if *verbose {
-			for _, ev := range inv.Breakdown.Events() {
-				fmt.Printf("   %-10s %-18s %v\n", ev.Phase, ev.Label, ev.Cost)
+			for _, e := range inv.Clock.Ledger() {
+				fmt.Printf("   %-10s %-18s %v\n", e.Phase, e.Label, e.Total)
 			}
 		}
 	}

@@ -27,15 +27,7 @@ var wallClockSites = map[string]bool{
 func TestDeterminismStatic(t *testing.T) {
 	seen := map[string]bool{}
 	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			fset := token.NewFileSet()
-			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
+		walkSources(t, root, func(path string, fset *token.FileSet, file *ast.File) {
 			timeName := ""
 			for _, imp := range file.Imports {
 				switch p, _ := strconv.Unquote(imp.Path.Value); p {
@@ -49,10 +41,10 @@ func TestDeterminismStatic(t *testing.T) {
 				}
 			}
 			if timeName == "" {
-				return nil
+				return
 			}
 			for _, decl := range file.Decls {
-				site := filepath.ToSlash(path) + ":"
+				site := path + ":"
 				if fn, ok := decl.(*ast.FuncDecl); ok {
 					site += fn.Name.Name
 				}
@@ -71,15 +63,56 @@ func TestDeterminismStatic(t *testing.T) {
 					return true
 				})
 			}
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	for site := range wallClockSites {
 		if !seen[site] {
 			t.Errorf("allowed wall-clock site %s no longer reads the clock; drop it from the list", site)
 		}
+	}
+}
+
+// TestVirtualTimeIsCharged fails on a call of a method named Advance or
+// AdvanceTo in non-test code under internal/ outside internal/vclock:
+// simulated work moves an invocation's clock only through a labelled
+// Charge, so every slice of virtual time is in the clock's ledger.
+// Clock.Advance is a bookless timeline step for cmd/'s request
+// timelines.
+func TestVirtualTimeIsCharged(t *testing.T) {
+	walkSources(t, "internal", func(path string, fset *token.FileSet, file *ast.File) {
+		if strings.HasPrefix(path, "internal/vclock/") {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Advance" || sel.Sel.Name == "AdvanceTo") {
+				t.Errorf("%s: %s moves virtual time without a label; use Charge", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// walkSources parses every non-test .go file under root and hands it to
+// visit with its slash-separated path.
+func walkSources(t *testing.T, root string, visit func(path string, fset *token.FileSet, file *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), fset, file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

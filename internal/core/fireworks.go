@@ -34,7 +34,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/sandbox"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/vmm"
 )
@@ -149,7 +148,10 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 		return nil, err
 	}
 
-	clock := vclock.New()
+	// The install runs on an invocation of its own, so that chains the
+	// priming run makes nest under the install trace.
+	installInv := platform.NewInvocation(fn.Name)
+	clock := installInv.Clock
 	sc := f.env.Events.NewScope("core", "install", clock.Now(), events.A("function", fn.Name))
 	// Close ends every span still open, so early-return error paths
 	// leave no dangling journal spans.
@@ -168,7 +170,7 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	rt.Boot()
 	// Package installation (npm/pip) dominates install time for
 	// Node.js (§5.1).
-	clock.Advance(rt.Model.PackageInstall)
+	clock.Charge("package-install", rt.Model.PackageInstall)
 	sc.End(clock.Now())
 
 	// Host bridge for the install phase: priming mode suppresses
@@ -176,9 +178,6 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	// guest at the exact point §3.3 specifies.
 	report := &platform.InstallReport{Function: fn.Name}
 	inst := &installed{fn: fn, annotated: ann, report: report}
-	installInv := platform.NewInvocation(fn.Name)
-	installInv.Clock = clock
-	// Chain invocations run during priming nest under the install trace.
 	installInv.Trace = sc
 	binding := &platform.NativeBinding{
 		Profile: f.profile,
@@ -371,11 +370,14 @@ type invokeState struct {
 	// image. The flag (not a bare Unpin) guards against double-release:
 	// pins are counted globally, so an extra Unpin would release
 	// another invocation's pin.
-	pinned      bool
-	fcID        string
-	topic       string
-	instance    *Instance
-	startupMark time.Duration
+	pinned   bool
+	fcID     string
+	topic    string
+	instance *Instance
+	// restoreStart is when the restore stage began: the restore, netns
+	// and revive stages together are the restore the
+	// fireworks_restore_duration histogram observes.
+	restoreStart time.Duration
 	// undo holds the teardown of each resource a stage claimed (delete
 	// the topic, stop the VM, unpin the snapshot). A failure runs it
 	// in reverse, so it releases exactly the acquired set; on success
@@ -463,13 +465,13 @@ func (f *Framework) Invoke(name string, params lang.Value, opts platform.InvokeO
 		f.env.Metrics.Counter(metrics.Name("fireworks_stage_failures_total", "stage", stage.name)).Inc()
 		finishScope(err)
 		// An execute (or release) failure still yields the invocation
-		// with its breakdown for diagnosis; start-up failures do not.
+		// with its ledger for diagnosis; start-up failures do not.
 		if stage.name == "execute" || stage.name == "release" {
 			return inv, err
 		}
 		return nil, err
 	}
-	// Chained child invocations accumulate into the parent's breakdown;
+	// Chained child invocations accumulate into the parent's clock;
 	// only the top-level request is a platform invocation.
 	if opts.Parent == nil {
 		f.obs.ObserveInvocation(inv)
@@ -488,7 +490,7 @@ func (f *Framework) stageSnapshot(st *invokeState) error {
 		// Local eviction: pull the image from remote storage (charged
 		// to this invocation's start-up) and repopulate the cache.
 		inv.Trace.Instant("snapshot", "store-miss", inv.Clock.Now(), events.A("image", name))
-		fetchMark := inv.Clock.Now()
+		defer inv.Clock.SetPhase(inv.Clock.SetPhase(vclock.Startup))
 		err = f.retrier.DoTraced(inv.Clock, inv.Trace, "remote-fetch", func() error {
 			var ferr error
 			snap, ferr = f.env.RemoteSnaps.FetchTraced(name, f.env.Snaps, inv.Clock, inv.Trace)
@@ -496,7 +498,6 @@ func (f *Framework) stageSnapshot(st *invokeState) error {
 		})
 		if err == nil {
 			f.env.Metrics.Counter("fireworks_remote_fetch_total").Inc()
-			inv.Breakdown.Add(trace.PhaseStartup, "snapshot-remote-fetch", inv.Clock.Since(fetchMark))
 			if perr := f.env.Snaps.Put(name, snap); perr != nil {
 				return f.classifyPutError(name, perr)
 			}
@@ -546,16 +547,16 @@ func (f *Framework) stageTopic(st *invokeState) error {
 	}); err != nil {
 		return err
 	}
-	inv.ChargeOther("param-queue", f.profile.NetOpBase+platform.PerKB(f.profile, len(paramJSON)))
+	inv.Clock.ChargeIn(vclock.Others, "param-queue", f.profile.NetOpBase+platform.PerKB(f.profile, len(paramJSON)))
 	return nil
 }
 
 // stageRestore restores the snapshot into a fresh microVM (step ⑦).
-// The start-up interval runs from st.startupMark across the netns and
-// revive stages; stageRevive charges it to the breakdown.
+// It, stageNetns and stageRevive are the invocation's start-up.
 func (f *Framework) stageRestore(st *invokeState) error {
 	inv := st.inv
-	st.startupMark = inv.Clock.Now()
+	defer inv.Clock.SetPhase(inv.Clock.SetPhase(vclock.Startup))
+	st.restoreStart = inv.Clock.Now()
 	inv.StartSpan("core", "vm-restore")
 	// A restore that exceeds the per-attempt deadline (a latency-spike
 	// fault) leaves a running clone behind; the discard hook stops it
@@ -602,6 +603,7 @@ func (f *Framework) stageRestore(st *invokeState) error {
 func (f *Framework) stageNetns(st *invokeState) error {
 	inv := st.inv
 	vm := st.instance.VM
+	defer inv.Clock.SetPhase(inv.Clock.SetPhase(vclock.Startup))
 	inv.StartSpan("core", "netns-setup")
 	err := f.env.HV.SetupNetwork(vm, st.snap.GuestIP, inv.Clock)
 	inv.FinishSpan()
@@ -619,16 +621,15 @@ func (f *Framework) stageRevive(st *invokeState) error {
 	inv := st.inv
 	vm := st.instance.VM
 	template := st.snap.GuestState.(*runtime.SnapshotTemplate)
+	defer inv.Clock.SetPhase(inv.Clock.SetPhase(vclock.Startup))
 	inv.StartSpan("core", "runtime-revive")
 	rt, err := runtime.NewFromSnapshot(template, inv.Clock)
 	inv.FinishSpan()
 	if err != nil {
 		return err
 	}
-	restoreSpan := inv.Clock.Since(st.startupMark)
-	inv.Breakdown.Add(trace.PhaseStartup, "snapshot-restore", restoreSpan)
 	f.env.Metrics.Histogram("fireworks_restore_duration").
-		ObserveDurationExemplar(restoreSpan, uint64(inv.Trace.TraceID()), inv.Clock.Now())
+		ObserveDurationExemplar(inv.Clock.Since(st.restoreStart), uint64(inv.Trace.TraceID()), inv.Clock.Now())
 
 	binding := &platform.NativeBinding{
 		Profile: f.profile,
@@ -655,7 +656,7 @@ func (f *Framework) invokeBridge(st *invokeState) *fireworksBridge {
 		fetchParams: func() (lang.Value, error) {
 			// The resumed clone identifies itself via MMDS, then reads
 			// exactly one message from its topic (kafkacat -o -1 -c 1).
-			inv.ChargeOther("mmds", vmm.CostMMDSAccess)
+			inv.Clock.ChargeIn(vclock.Others, "mmds", vmm.CostMMDSAccess)
 			topicName, ok := vm.MMDS("topic")
 			if !ok {
 				return nil, fmt.Errorf("fireworks: MMDS has no topic")
@@ -672,7 +673,7 @@ func (f *Framework) invokeBridge(st *invokeState) *fireworksBridge {
 			if err != nil {
 				return nil, err
 			}
-			inv.ChargeOther("param-fetch", f.profile.NetOpBase+platform.PerKB(f.profile, len(msg.Value)))
+			inv.Clock.ChargeIn(vclock.Others, "param-fetch", f.profile.NetOpBase+platform.PerKB(f.profile, len(msg.Value)))
 			return runtime.DecodeJSON(msg.Value)
 		},
 	}

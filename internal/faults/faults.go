@@ -205,7 +205,7 @@ func (p *Plane) InjectTraced(site string, clock *vclock.Clock, sc *events.Scope,
 	reg.Counter(metrics.Name("faults_injected_total", "site", site, "kind", string(kind))).Inc()
 	if kind == KindLatency {
 		if clock != nil {
-			clock.Advance(spike)
+			clock.Charge("fault-spike", spike)
 			at = clock.Now()
 		}
 		sc.Instant("faults", site, at,

@@ -163,7 +163,7 @@ func (r *Retrier) DoWithDiscardTraced(clock *vclock.Clock, sc *events.Scope, lab
 				events.A("outcome", "budget-exhausted"), events.A("attempts", strconv.Itoa(attempt)))
 			return fmt.Errorf("%w after %d attempts: %v", ErrRetryBudget, attempt, lastErr)
 		}
-		clock.Advance(backoff)
+		clock.Charge("retry-backoff", backoff)
 		r.retries.Inc()
 		r.backoffH.ObserveDurationExemplar(backoff, uint64(sc.TraceID()), clock.Now())
 		sc.Instant("retry", label, clock.Now(),

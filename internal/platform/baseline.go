@@ -11,7 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/runtime"
 	"repro/internal/sandbox"
-	"repro/internal/trace"
+	"repro/internal/vclock"
 	"repro/internal/vmm"
 )
 
@@ -152,7 +152,7 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 		inv = NewInvocation(name)
 	}
 	// Request delivery: frontend (-> controller) -> sandbox.
-	inv.ChargeOther("param-deliver", b.profile.NetOpBase+PerKB(b.profile, encodedSize(params)))
+	inv.Clock.ChargeIn(vclock.Others, "param-deliver", b.profile.NetOpBase+PerKB(b.profile, encodedSize(params)))
 
 	g, err := b.acquire(fn, opts.Mode, inv, opts.At)
 	if err != nil {
@@ -172,8 +172,7 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 	// during computation (gVisor), taxing pure execution.
 	if b.profile.ExecOverheadFactor > 0 && exec > 0 {
 		tax := time.Duration(float64(exec) * b.profile.ExecOverheadFactor)
-		inv.Clock.Advance(tax)
-		inv.Breakdown.Add(trace.PhaseExec, "syscall-interception", tax)
+		inv.Clock.ChargeIn(vclock.Exec, "syscall-interception", tax)
 	}
 	if err != nil {
 		b.release(g, opts.At)
@@ -198,8 +197,9 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 
 // acquire returns a running guest for fn — a pooled one still inside its
 // keep-alive at timeline position at, else a cold start — and records
-// the start path taken on inv.
+// the start path taken on inv. Whatever either path charges is start-up.
 func (b *baseline) acquire(fn *deployed, mode StartMode, inv *Invocation, at time.Duration) (*guest, error) {
+	defer inv.Clock.SetPhase(inv.Clock.SetPhase(vclock.Startup))
 	if mode != ModeCold {
 		if g, ok := b.pool.Acquire(fn.Name, at); ok {
 			if err := b.kind.resume(b, g, inv); err != nil {

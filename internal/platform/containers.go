@@ -6,7 +6,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/mem"
 	"repro/internal/sandbox"
-	"repro/internal/trace"
 )
 
 // OpenWhisk controller costs (authentication, action lookup, Kafka
@@ -55,19 +54,17 @@ func (containerKind) install(*baseline, *deployed, *InstallReport) error { retur
 // application load.
 func (k containerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 	if k.coldOverhead > 0 {
-		inv.ChargeStartup("controller", k.coldOverhead)
+		inv.Clock.Charge("controller", k.coldOverhead)
 	}
-	inv.ChargeStartup("container-create", b.profile.ColdCreate)
+	inv.Clock.Charge("container-create", b.profile.ColdCreate)
 
 	g.id = b.newID()
 	g.space = b.env.Mem.NewSpace(g.id)
 	g.space.AllocPrivate(mem.KindAnon, mem.PagesFor(b.profile.InfraBytes))
 
-	bootMark := inv.Clock.Now()
 	if err := b.startRuntime(g, inv, fs.NewOverlay(fs.NewMemFS())); err != nil {
 		return err
 	}
-	inv.Breakdown.Add(trace.PhaseStartup, "runtime-boot+load", inv.Clock.Since(bootMark))
 	g.space.AllocPrivate(mem.KindRuntime, mem.PagesFor(g.rt.Model.RuntimeImageBytes))
 	g.space.AllocPrivate(mem.KindLibrary, mem.PagesFor(g.rt.Model.LibraryBytes))
 	return nil
@@ -75,9 +72,9 @@ func (k containerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 
 func (k containerKind) resume(b *baseline, g *guest, inv *Invocation) error {
 	if k.warmOverhead > 0 {
-		inv.ChargeStartup("controller", k.warmOverhead)
+		inv.Clock.Charge("controller", k.warmOverhead)
 	}
-	inv.ChargeStartup("container-unpause", b.profile.WarmResume)
+	inv.Clock.Charge("container-unpause", b.profile.WarmResume)
 	return nil
 }
 

@@ -3,7 +3,6 @@ package platform
 import (
 	"repro/internal/mem"
 	"repro/internal/sandbox"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/vmm"
 )
@@ -85,7 +84,6 @@ func (k firecrackerKind) install(b *baseline, fn *deployed, report *InstallRepor
 // cold restores the OS snapshot or boots a fresh kernel, then boots the
 // runtime and loads the function inside the VM.
 func (k firecrackerKind) cold(b *baseline, g *guest, inv *Invocation) error {
-	startMark := inv.Clock.Now()
 	hv := b.env.HV
 	if snap := g.fn.osSnap; snap != nil {
 		vm, err := hv.Restore(snap, vmm.RestoreOptions{}, inv.Clock)
@@ -115,20 +113,11 @@ func (k firecrackerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 	if err := g.vm.AllocGuest(mem.KindRuntime, g.rt.Model.RuntimeImageBytes); err != nil {
 		return err
 	}
-	if err := g.vm.AllocGuest(mem.KindLibrary, g.rt.Model.LibraryBytes); err != nil {
-		return err
-	}
-	inv.Breakdown.Add(trace.PhaseStartup, "vm-boot+runtime", inv.Clock.Since(startMark))
-	return nil
+	return g.vm.AllocGuest(mem.KindLibrary, g.rt.Model.LibraryBytes)
 }
 
 func (firecrackerKind) resume(_ *baseline, g *guest, inv *Invocation) error {
-	warmMark := inv.Clock.Now()
-	if err := g.vm.ResumeWarm(inv.Clock); err != nil {
-		return err
-	}
-	inv.Breakdown.Add(trace.PhaseStartup, "vm-resume", inv.Clock.Since(warmMark))
-	return nil
+	return g.vm.ResumeWarm(inv.Clock)
 }
 
 func (firecrackerKind) park(g *guest) error { return g.vm.Pause() }

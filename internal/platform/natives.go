@@ -9,6 +9,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/runtime"
 	"repro/internal/sandbox"
+	"repro/internal/vclock"
 )
 
 // CostDBProcess is the database-side processing latency per CouchDB
@@ -18,7 +19,7 @@ const CostDBProcess = 260 * time.Microsecond
 // NativeBinding assembles the host-bridge natives a guest sees: disk
 // and network I/O charged at the sandbox's rates, CouchDB access, HTTP
 // responses, and same-platform chain invocation. A binding is installed
-// per invocation so that charges land on the right clock/breakdown and
+// per invocation so that charges land on the right clock and
 // responses reach the right caller.
 type NativeBinding struct {
 	// Profile prices the guest's I/O.
@@ -223,8 +224,8 @@ func (b *NativeBinding) Install(rt *runtime.Runtime) {
 	rt.InstallNatives(natives)
 }
 
-// chargeDisk advances the clock without marking the "others" phase:
-// disk time spent inside the function call is attributed to execution,
+// chargeDisk charges into the caller's phase, not "others": disk time
+// spent inside the function call is attributed to execution,
 // matching the paper's reading of faas-diskio ("the execution time in
 // I/O-intensive workloads is mostly determined by the I/O efficiency of
 // the sandbox mechanism used").
@@ -234,7 +235,7 @@ func (b *NativeBinding) chargeDisk(bytes int) {
 	}
 	kb := (bytes + 1023) / 1024
 	d := b.Profile.DiskOpBase + time.Duration(kb)*b.Profile.DiskPerKB + b.Profile.SyscallOverhead
-	b.Inv.Clock.Advance(d)
+	b.Inv.Clock.Charge("disk-io", d)
 }
 
 func (b *NativeBinding) chargeNet(bytes int) {
@@ -243,7 +244,7 @@ func (b *NativeBinding) chargeNet(bytes int) {
 	}
 	kb := (bytes + 1023) / 1024
 	d := b.Profile.NetOpBase + time.Duration(kb)*b.Profile.NetPerKB + b.Profile.SyscallOverhead
-	b.Inv.ChargeOther("net-io", d)
+	b.Inv.Clock.ChargeIn(vclock.Others, "net-io", d)
 }
 
 func (b *NativeBinding) chargeDB(bytes int) {
@@ -252,5 +253,5 @@ func (b *NativeBinding) chargeDB(bytes int) {
 	}
 	kb := (bytes + 1023) / 1024
 	d := b.Profile.NetOpBase + time.Duration(kb)*b.Profile.NetPerKB + b.Profile.SyscallOverhead + CostDBProcess
-	b.Inv.ChargeOther("db-io", d)
+	b.Inv.Clock.ChargeIn(vclock.Others, "db-io", d)
 }

@@ -1,6 +1,6 @@
 // Package platform implements the generic serverless-platform machinery
 // shared by every system in the paper's evaluation: function registry,
-// invocation accounting (latency breakdowns on a virtual clock), guest
+// invocation accounting (the phase ledger of a virtual clock), guest
 // host-bridge natives (disk, network, database, chain invocation), and
 // the three baseline platforms — OpenWhisk (containers + controller
 // overhead), gVisor (runsc sandboxes), and Firecracker (microVMs with
@@ -25,7 +25,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/sandbox"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/vmm"
 )
@@ -90,13 +89,16 @@ type Response struct {
 }
 
 // Invocation carries the accounting context of one end-to-end request.
-// Chained function calls share the parent's clock and breakdown, so an
-// application chain reports one combined latency exactly as the paper's
-// Figure 9 does.
+// Chained function calls share the parent's clock, so an application
+// chain reports one combined latency exactly as the paper's Figure 9
+// does.
 type Invocation struct {
-	Function  string
-	Clock     *vclock.Clock
-	Breakdown *trace.Breakdown
+	Function string
+	Clock    *vclock.Clock
+	// Breakdown is Clock under the name its readers use: its Startup,
+	// Exec, Others and Total are the paper's phase split, a view over
+	// the charges that moved the clock rather than a second book.
+	Breakdown *vclock.Clock
 	Response  *Response
 	Result    lang.Value
 	Logs      string
@@ -111,41 +113,27 @@ type Invocation struct {
 	Trace *events.Scope
 }
 
-// NewInvocation returns a fresh accounting context.
-func NewInvocation(function string) *Invocation {
-	return &Invocation{
-		Function:  function,
-		Clock:     vclock.New(),
-		Breakdown: &trace.Breakdown{},
-	}
+// NewInvocation returns a fresh accounting context at virtual time 0.
+func NewInvocation(function string) *Invocation { return NewInvocationAt(function, 0) }
+
+// NewInvocationAt returns a fresh accounting context whose clock starts
+// at virtual time at.
+func NewInvocationAt(function string, at time.Duration) *Invocation {
+	clock := vclock.NewAt(at)
+	return &Invocation{Function: function, Clock: clock, Breakdown: clock}
 }
 
-// ChargeStartup advances the clock by d and attributes it to start-up.
-func (inv *Invocation) ChargeStartup(label string, d time.Duration) {
-	inv.Clock.Advance(d)
-	inv.Breakdown.Add(trace.PhaseStartup, label, d)
-}
-
-// ChargeOther advances the clock by d and attributes it to "others"
-// (network, disk, queueing) — the phase the paper separates from pure
-// function execution.
-func (inv *Invocation) ChargeOther(label string, d time.Duration) {
-	inv.Clock.Advance(d)
-	inv.Breakdown.Add(trace.PhaseOthers, label, d)
-}
-
-// ChargeExec runs a guest call and attributes the function's own
-// execution time: the measured span minus whatever the call itself
-// charged to explicit phases (host-native "others" charges, and the
-// full breakdown of chained child invocations). It returns the call's
-// result and the exec time it charged.
+// ChargeExec runs a guest call inside an exec phase scope: what the
+// call charges without naming a phase (guest ops, in-run JIT, disk) is
+// execution, while host-native "others" charges and a chained child's
+// start-up keep their own phases. It returns the call's result and the
+// exec time it booked.
 func (inv *Invocation) ChargeExec(call func() (lang.Value, error)) (lang.Value, time.Duration, error) {
-	attributedBefore := inv.Breakdown.Total()
-	mark := inv.Clock.Now()
+	before := inv.Clock.Exec()
+	prev := inv.Clock.SetPhase(vclock.Exec)
 	result, err := call()
-	exec := inv.Clock.Since(mark) - (inv.Breakdown.Total() - attributedBefore)
-	inv.Breakdown.Add(trace.PhaseExec, "exec", exec)
-	return result, exec, err
+	inv.Clock.SetPhase(prev)
+	return result, inv.Clock.Exec() - before, err
 }
 
 // RespondDefault delivers result as the response — status 200, the
@@ -156,12 +144,12 @@ func (inv *Invocation) RespondDefault(result lang.Value, p sandbox.Profile) {
 		return
 	}
 	body := lang.Format(result)
-	inv.ChargeOther("response", p.NetOpBase+PerKB(p, len(body)))
+	inv.Clock.ChargeIn(vclock.Others, "response", p.NetOpBase+PerKB(p, len(body)))
 	inv.Response = &Response{Status: 200, Body: body}
 }
 
 // Total returns the end-to-end latency recorded so far.
-func (inv *Invocation) Total() time.Duration { return inv.Breakdown.Total() }
+func (inv *Invocation) Total() time.Duration { return inv.Clock.Total() }
 
 // StartSpan opens a span in the event journal at the invocation's
 // current virtual time. Close it with FinishSpan.
@@ -178,7 +166,7 @@ func (inv *Invocation) FinishSpan(attrs ...events.Attr) {
 type InvokeOptions struct {
 	Mode StartMode
 	// Parent, when set, makes this invocation part of an ongoing one
-	// (function chain): clock and breakdown are shared.
+	// (function chain): the clock and its ledger are shared.
 	Parent *Invocation
 	// At positions the request on a workload timeline (trace replay).
 	// Platforms with a keep-alive policy use it to expire idle warm
@@ -355,16 +343,16 @@ func NewInvokeMetrics(reg *metrics.Registry, platformName string) *InvokeMetrics
 }
 
 // ObserveInvocation records a completed top-level invocation. Chained
-// child invocations (opts.Parent != nil) share the parent's breakdown
-// and must not be recorded again; callers skip them.
+// child invocations (opts.Parent != nil) share the parent's clock and
+// must not be recorded again; callers skip them.
 func (m *InvokeMetrics) ObserveInvocation(inv *Invocation) {
 	if inv == nil {
 		return
 	}
 	m.once.Do(func() {
 		m.total = m.reg.Counter(metrics.Name("invoke_total", "platform", m.platform))
-		for i, ph := range [3]trace.Phase{trace.PhaseStartup, trace.PhaseExec, trace.PhaseOthers} {
-			m.phases[i] = m.reg.Histogram(metrics.Name("invoke_phase_duration", "phase", string(ph), "platform", m.platform))
+		for i, ph := range [3]vclock.Phase{vclock.Startup, vclock.Exec, vclock.Others} {
+			m.phases[i] = m.reg.Histogram(metrics.Name("invoke_phase_duration", "phase", ph.String(), "platform", m.platform))
 		}
 		m.latency = m.reg.Histogram(metrics.Name("invoke_latency", "platform", m.platform))
 	})

@@ -49,7 +49,7 @@ func (m *meter) Charge(tier vm.Tier, cat bytecode.Category, n int) {
 	if tier == vm.TierJIT {
 		costs = &m.rt.Model.JITCost
 	}
-	m.rt.Clock.Advance(costs[cat] * time.Duration(n))
+	m.rt.Clock.Charge("guest-ops", costs[cat]*time.Duration(n))
 }
 
 // New creates a runtime of the given language charging time to clock.
@@ -63,10 +63,10 @@ func New(l Lang, clock *vclock.Clock) *Runtime {
 		LoopThreshold: model.LoopThreshold,
 		AnnotatedOnly: model.AnnotatedOnly,
 		OnCompile: func(fn *bytecode.Function, instrs int) {
-			r.Clock.Advance(r.Model.CompilePerInstr * time.Duration(instrs))
+			r.Clock.Charge("jit-compile", r.Model.CompilePerInstr*time.Duration(instrs))
 		},
 		OnDeopt: func(fn *bytecode.Function) {
-			r.Clock.Advance(r.Model.DeoptPenalty)
+			r.Clock.Charge("jit-deopt", r.Model.DeoptPenalty)
 		},
 	})
 	r.VM.JIT = r.Engine
@@ -85,7 +85,7 @@ func (r *Runtime) Boot() {
 	if r.booted {
 		return
 	}
-	r.Clock.Advance(r.Model.RuntimeBoot)
+	r.Clock.Charge("runtime-boot", r.Model.RuntimeBoot)
 	r.booted = true
 }
 
@@ -108,7 +108,7 @@ func (r *Runtime) LoadModule(src string) error {
 	if err != nil {
 		return fmt.Errorf("runtime: load: %w", err)
 	}
-	r.Clock.Advance(r.Model.ModuleLoadPerInstr * time.Duration(mod.TotalInstructions()))
+	r.Clock.Charge("module-load", r.Model.ModuleLoadPerInstr*time.Duration(mod.TotalInstructions()))
 	if _, err := r.VM.RunModule(mod); err != nil {
 		return fmt.Errorf("runtime: module init: %w", err)
 	}
@@ -217,10 +217,10 @@ func NewFromSnapshot(t *SnapshotTemplate, clock *vclock.Clock) (*Runtime, error)
 		LoopThreshold: model.LoopThreshold,
 		AnnotatedOnly: model.AnnotatedOnly,
 		OnCompile: func(fn *bytecode.Function, instrs int) {
-			r.Clock.Advance(r.Model.CompilePerInstr * time.Duration(instrs))
+			r.Clock.Charge("jit-compile", r.Model.CompilePerInstr*time.Duration(instrs))
 		},
 		OnDeopt: func(fn *bytecode.Function) {
-			r.Clock.Advance(r.Model.DeoptPenalty)
+			r.Clock.Charge("jit-deopt", r.Model.DeoptPenalty)
 		},
 	})
 	r.VM.JIT = r.Engine

@@ -124,7 +124,7 @@ func (r *Remote) UploadTraced(name string, snap *vmm.Snapshot, clock *vclock.Clo
 	if moved > 0 {
 		cost += transferCost(moved)
 	}
-	clock.Advance(cost)
+	clock.Charge("remote-upload", cost)
 
 	r.mu.Lock()
 	for _, c := range missing {
@@ -173,7 +173,7 @@ func (r *Remote) FetchTraced(name string, local *Store, clock *vclock.Clock, sc 
 	if moved > 0 {
 		cost += transferCost(moved)
 	}
-	clock.Advance(cost)
+	clock.Charge("remote-fetch", cost)
 	r.mu.Lock()
 	r.chunksFetch.Add(int64(len(missing)))
 	r.xferBytes.ObserveExemplar(float64(moved), uint64(sc.TraceID()), clock.Now())

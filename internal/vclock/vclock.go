@@ -7,6 +7,10 @@
 // This makes every experiment fully deterministic and independent of the
 // host the simulation runs on: latencies are a pure function of the
 // workload and the calibrated cost model.
+//
+// A charge names its cost and lands in the clock's phase ledger, so the
+// paper's split of a request into start-up, exec and "others" is a view
+// over the same charges that moved the clock, not a second book.
 package vclock
 
 import (
@@ -15,15 +19,50 @@ import (
 	"time"
 )
 
+// Phase is the slice of an invocation's latency a charge belongs to.
+type Phase uint8
+
+// The paper's three phases (Figures 6, 7 and 9), plus Unphased for time
+// charged outside every phase scope, such as a retry's backoff between
+// pipeline stages: it moves the clock but is in no phase total.
+const (
+	Unphased Phase = iota
+	Startup        // sandbox/VM/runtime initialization, snapshot load
+	Exec           // user function execution (incl. in-run JIT)
+	Others         // network, disk I/O, queueing, parameter fetch
+)
+
+var phaseNames = [...]string{"unphased", "start-up", "exec", "others"}
+
+// String returns the phase's name as the paper's figures label it.
+func (p Phase) String() string { return phaseNames[p] }
+
+// Entry is one (phase, label) total of a clock's ledger.
+type Entry struct {
+	Phase Phase
+	Label string
+	Total time.Duration
+}
+
+// inlineEntries covers the distinct (phase, label) pairs of one
+// invocation, so charging allocates nothing on the common paths.
+const inlineEntries = 12
+
 // Clock is a monotonically advancing virtual clock. The zero value is a
-// valid clock positioned at virtual time zero.
+// valid clock positioned at virtual time zero, outside every phase.
 //
 // A Clock is safe for concurrent use. In practice each simulated
 // invocation owns its own Clock, but shared components (e.g. a host-wide
 // timeline) may be advanced from several goroutines.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
+	mu     sync.Mutex
+	now    time.Duration
+	phase  Phase
+	totals [4]time.Duration // per phase, Unphased included
+	n      int              // entries in use, inline first
+	last   int              // entry the previous charge hit
+	inline [inlineEntries]Entry
+	more   []Entry
 }
 
 // New returns a clock positioned at virtual time zero.
@@ -39,7 +78,15 @@ func (c *Clock) Now() time.Duration {
 	return c.now
 }
 
-// Advance moves the clock forward by d and returns the new current time.
+// Since reports the virtual time elapsed since the given mark.
+func (c *Clock) Since(mark time.Duration) time.Duration {
+	return c.Now() - mark
+}
+
+// Advance moves the clock forward by d and returns the new current time,
+// booking nothing. It is a timeline step for the gateway's and the
+// command-line tools' request timelines, which are not invocations;
+// simulated work charges an invocation's clock with Charge instead.
 // Advancing by a negative duration panics: virtual time never rewinds.
 func (c *Clock) Advance(d time.Duration) time.Duration {
 	if d < 0 {
@@ -51,21 +98,116 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	return c.now
 }
 
-// AdvanceTo moves the clock forward to time t. If t is earlier than the
-// current time the clock is left unchanged; a clock never rewinds. It
-// returns the resulting current time.
-func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
+// Charge moves the clock forward by d and books it under label in the
+// clock's current phase (see SetPhase). It returns the new current time.
+func (c *Clock) Charge(label string, d time.Duration) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	return c.bookLocked(c.phase, label, d)
+}
+
+// ChargeIn is Charge into an explicit phase, whatever scope is open.
+func (c *Clock) ChargeIn(p Phase, label string, d time.Duration) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bookLocked(p, label, d)
+}
+
+// WaitUntil moves the clock forward to time t, booking the wait as an
+// unphased charge under label. If t is not later than the current time
+// nothing moves: a clock never rewinds. It returns the current time.
+func (c *Clock) WaitUntil(label string, t time.Duration) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t <= c.now {
+		return c.now
 	}
+	return c.bookLocked(Unphased, label, t-c.now)
+}
+
+func (c *Clock) bookLocked(p Phase, label string, d time.Duration) time.Duration {
+	if d < 0 {
+		panic(fmt.Sprintf("vclock: negative charge %v for %s/%s", d, p, label))
+	}
+	c.now += d
+	c.totals[p] += d
+	if e := c.entryLocked(c.last); e != nil && e.Phase == p && e.Label == label {
+		e.Total += d
+		return c.now
+	}
+	for i := 0; i < c.n; i++ {
+		if e := c.entryLocked(i); e.Phase == p && e.Label == label {
+			e.Total += d
+			c.last = i
+			return c.now
+		}
+	}
+	if c.n < inlineEntries {
+		c.inline[c.n] = Entry{p, label, d}
+	} else {
+		c.more = append(c.more, Entry{p, label, d})
+	}
+	c.last = c.n
+	c.n++
 	return c.now
 }
 
-// Since reports the virtual time elapsed since the given mark.
-func (c *Clock) Since(mark time.Duration) time.Duration {
-	return c.Now() - mark
+// entryLocked returns ledger entry i, or nil when i is not in use.
+func (c *Clock) entryLocked(i int) *Entry {
+	switch {
+	case i >= c.n:
+		return nil
+	case i < inlineEntries:
+		return &c.inline[i]
+	}
+	return &c.more[i-inlineEntries]
+}
+
+// SetPhase makes p the phase that Charge books into and returns the
+// phase it replaces. A caller opens a phase scope and restores the
+// enclosing one on every exit:
+//
+//	defer clock.SetPhase(clock.SetPhase(vclock.Startup))
+//
+// Code that sets no phase charges into its caller's.
+func (c *Clock) SetPhase(p Phase) Phase {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	prev := c.phase
+	c.phase = p
+	return prev
+}
+
+// PhaseTotal returns the time booked into one phase so far.
+func (c *Clock) PhaseTotal(p Phase) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.totals[p]
+}
+
+// Startup, Exec and Others are the paper's three phase totals.
+func (c *Clock) Startup() time.Duration { return c.PhaseTotal(Startup) }
+func (c *Clock) Exec() time.Duration    { return c.PhaseTotal(Exec) }
+func (c *Clock) Others() time.Duration  { return c.PhaseTotal(Others) }
+
+// Total returns the end-to-end latency the paper reports: the sum of
+// the three phases. Unphased time moves the clock but is not in it.
+func (c *Clock) Total() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.totals[Startup] + c.totals[Exec] + c.totals[Others]
+}
+
+// Ledger returns a copy of the per-(phase, label) totals in the order
+// each pair was first charged.
+func (c *Clock) Ledger() []Entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]Entry, c.n)
+	for i := range out {
+		out[i] = *c.entryLocked(i)
+	}
+	return out
 }
 
 // Rand is a small deterministic pseudo-random source (SplitMix64). It is

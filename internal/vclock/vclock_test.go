@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -34,16 +35,77 @@ func TestNegativeAdvancePanics(t *testing.T) {
 	New().Advance(-1)
 }
 
-func TestAdvanceToNeverRewinds(t *testing.T) {
+func TestWaitUntilNeverRewinds(t *testing.T) {
 	c := NewAt(10 * time.Millisecond)
-	c.AdvanceTo(5 * time.Millisecond)
-	if c.Now() != 10*time.Millisecond {
-		t.Fatalf("clock rewound to %v", c.Now())
+	c.WaitUntil("wait", 5*time.Millisecond)
+	if c.Now() != 10*time.Millisecond || len(c.Ledger()) != 0 {
+		t.Fatalf("clock rewound to %v, ledger %v", c.Now(), c.Ledger())
 	}
-	c.AdvanceTo(25 * time.Millisecond)
+	c.SetPhase(Exec)
+	c.WaitUntil("wait", 25*time.Millisecond)
 	if c.Now() != 25*time.Millisecond {
-		t.Fatalf("AdvanceTo landed at %v", c.Now())
+		t.Fatalf("WaitUntil landed at %v", c.Now())
 	}
+	if got := c.Ledger(); len(got) != 1 || got[0] != (Entry{Unphased, "wait", 15 * time.Millisecond}) || c.Total() != 0 {
+		t.Fatalf("ledger %v, total %v: a wait is unphased", got, c.Total())
+	}
+}
+
+func TestZeroClockLedgerEmpty(t *testing.T) {
+	var c Clock
+	if c.Total() != 0 || c.Startup() != 0 || len(c.Ledger()) != 0 {
+		t.Fatal("zero clock has a ledger")
+	}
+	c.Charge("boot", time.Millisecond)
+	if c.Total() != 0 || c.PhaseTotal(Unphased) != time.Millisecond {
+		t.Fatalf("a charge outside every scope is unphased: total %v", c.Total())
+	}
+}
+
+func TestChargeCoalescesByPhaseAndLabel(t *testing.T) {
+	c := New()
+	prev := c.SetPhase(Startup)
+	c.Charge("boot", 10*time.Millisecond)
+	c.Charge("load", 5*time.Millisecond)
+	c.ChargeIn(Others, "net", 2*time.Millisecond)
+	c.Charge("boot", time.Millisecond)
+	c.SetPhase(prev)
+	c.Charge("boot", 3*time.Millisecond)
+	// Past the inline entries, pairs spill and still coalesce.
+	for i := 0; i < 2*inlineEntries; i++ {
+		c.ChargeIn(Exec, fmt.Sprint("op", i%(inlineEntries+3)), time.Microsecond)
+	}
+	if c.Startup() != 16*time.Millisecond || c.Others() != 2*time.Millisecond {
+		t.Fatalf("Startup = %v, Others = %v", c.Startup(), c.Others())
+	}
+	if c.Total() != 18*time.Millisecond+2*inlineEntries*time.Microsecond {
+		t.Fatalf("Total = %v", c.Total())
+	}
+	ledger := c.Ledger()
+	want := []Entry{{Startup, "boot", 11 * time.Millisecond}, {Startup, "load", 5 * time.Millisecond},
+		{Others, "net", 2 * time.Millisecond}, {Unphased, "boot", 3 * time.Millisecond}}
+	if len(ledger) != len(want)+inlineEntries+3 {
+		t.Fatalf("ledger has %d entries", len(ledger))
+	}
+	var sum time.Duration
+	for i, e := range ledger {
+		if i < len(want) && e != want[i] {
+			t.Errorf("entry %d = %v, want %v", i, e, want[i])
+		}
+		sum += e.Total
+	}
+	if sum != c.Now() {
+		t.Fatalf("ledger sums to %v, clock reads %v", sum, c.Now())
+	}
+}
+
+func TestNegativeChargePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for negative charge")
+		}
+	}()
+	New().Charge("bad", -time.Millisecond)
 }
 
 func TestSinceAndSpan(t *testing.T) {

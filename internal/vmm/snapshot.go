@@ -235,7 +235,7 @@ func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, kind SnapshotKind, specs []R
 		return nil, fmt.Errorf("vmm: snapshot regions (%d bytes) exceed guest memory (%d bytes)", total, v.Config.MemBytes)
 	}
 	captureCost := CostSnapshotBase + time.Duration(total)*CostSnapshotPerByte
-	clock.Advance(captureCost)
+	clock.Charge("snapshot-capture", captureCost)
 	h.snapshots.Inc()
 	h.snapshotDur.ObserveDurationExemplar(captureCost, uint64(sc.TraceID()), clock.Now())
 
@@ -305,7 +305,7 @@ func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *v
 		pages = rec.Pages
 	}
 	restoreCost := CostRestoreBase + time.Duration(pages)*perPage
-	clock.Advance(restoreCost)
+	clock.Charge("vm-restore", restoreCost)
 	h.restores.Inc()
 	h.restoreDur.ObserveDurationExemplar(restoreCost, uint64(sc.TraceID()), clock.Now())
 

@@ -162,7 +162,7 @@ func (h *Hypervisor) CreateVM(cfg Config, clock *vclock.Clock) (*MicroVM, error)
 	id := fmt.Sprintf("fc-%04d", h.nextID)
 	h.mu.Unlock()
 
-	clock.Advance(CostVMCreate)
+	clock.Charge("vm-create", CostVMCreate)
 	v := &MicroVM{
 		ID:     id,
 		Config: cfg,
@@ -196,7 +196,7 @@ func (v *MicroVM) BootKernelTraced(clock *vclock.Clock, sc *events.Scope) error 
 	if err := v.hv.faults.InjectTraced(faults.SiteVMMBoot, clock, sc, 0); err != nil {
 		return fmt.Errorf("vmm: boot of %s: %w", v.ID, err)
 	}
-	clock.Advance(CostKernelBoot)
+	clock.Charge("kernel-boot", CostKernelBoot)
 	v.hv.boots.Inc()
 	v.hv.bootDur.ObserveDurationExemplar(CostKernelBoot, uint64(sc.TraceID()), clock.Now())
 	v.space.AllocPrivate(mem.KindKernel, mem.PagesFor(CostKernelBytes))
@@ -230,7 +230,7 @@ func (v *MicroVM) ResumeWarm(clock *vclock.Clock) error {
 	if v.state != StatePaused {
 		return fmt.Errorf("%w: warm resume in %s", ErrBadState, v.state)
 	}
-	clock.Advance(CostWarmResume)
+	clock.Charge("vm-warm-resume", CostWarmResume)
 	v.state = StateRunning
 	v.hv.warmResumes.Inc()
 	return nil
@@ -282,7 +282,7 @@ func (h *Hypervisor) SetupNetwork(v *MicroVM, guestIP netsim.Addr, clock *vclock
 	if v.Namespace != nil {
 		return fmt.Errorf("vmm: %s already has a namespace", v.ID)
 	}
-	clock.Advance(CostNetNSSetup)
+	clock.Charge("netns-setup", CostNetNSSetup)
 	ns, err := h.Router.CreateNamespace("ns-" + v.ID)
 	if err != nil {
 		return err

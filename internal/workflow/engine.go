@@ -270,8 +270,7 @@ func (e *Engine) runLocked(name string, input map[string]any, at time.Duration) 
 	}
 	e.runSeq++
 	runID := fmt.Sprintf("r%06d", e.runSeq)
-	inv := platform.NewInvocation("workflow:" + name)
-	inv.Clock = vclock.NewAt(at)
+	inv := platform.NewInvocationAt("workflow:"+name, at)
 	sc := e.journal.NewScope("workflow", "run", at,
 		events.A("workflow", name), events.A("run", runID))
 	inv.Trace = sc
@@ -654,7 +653,7 @@ func (e *Engine) ReplayDLQ(name string, at time.Duration) ([]*Run, error) {
 				events.A("workflow", name), events.A("run", run.ID))
 			run.sc = sc
 			run.Invocation.Trace = sc
-			run.Invocation.Clock.AdvanceTo(at)
+			run.Invocation.Clock.WaitUntil("dlq-replay", at)
 			run.done = false
 		}
 		st.Status = StepPending
