@@ -150,31 +150,39 @@ type traceState struct {
 }
 
 // siteRing is a bounded ring of root latencies for one site, from
-// which the latency policy derives its threshold.
+// which the latency policy derives its threshold. sorted holds the
+// ring's values in ascending order, kept up to date on push, so a
+// threshold is an index rather than a sort per decision.
 type siteRing struct {
 	buf    []time.Duration
 	start  int
 	n      int
-	sorted []time.Duration // quantile's scratch
+	sorted []time.Duration
+}
+
+func newSiteRing() *siteRing {
+	return &siteRing{buf: make([]time.Duration, siteWindow), sorted: make([]time.Duration, 0, siteWindow)}
 }
 
 func (s *siteRing) push(d time.Duration) {
 	if s.n == len(s.buf) {
+		i, _ := slices.BinarySearch(s.sorted, s.buf[s.start])
+		s.sorted = slices.Delete(s.sorted, i, i+1)
 		s.start = (s.start + 1) % len(s.buf)
 		s.n--
 	}
 	s.buf[(s.start+s.n)%len(s.buf)] = d
 	s.n++
+	i, _ := slices.BinarySearch(s.sorted, d)
+	s.sorted = slices.Insert(s.sorted, i, d)
 }
 
 // quantile returns the q-th percentile (0–100) of the ring, nearest-
-// rank over a sorted copy — deterministic for a deterministic ring.
+// rank over its sorted values — deterministic for a deterministic ring.
 func (s *siteRing) quantile(q float64) time.Duration {
 	if s.n == 0 {
 		return 0
 	}
-	s.sorted = append(s.sorted[:0], s.buf[:s.n]...) // the values, in any order
-	slices.Sort(s.sorted)
 	idx := int(float64(s.n-1)*q/100 + 0.5)
 	if idx >= s.n {
 		idx = s.n - 1
@@ -347,7 +355,7 @@ func (t *TailSampler) decideLocked(id events.TraceID, st *traceState) decision {
 	if st.site != "" {
 		ring := t.sites[st.site]
 		if ring == nil {
-			ring = &siteRing{buf: make([]time.Duration, siteWindow)}
+			ring = newSiteRing()
 			t.sites[st.site] = ring
 		}
 		ring.push(latency)

@@ -2,11 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/events"
 	"repro/internal/metrics"
+	"repro/internal/vclock"
 )
 
 func newArmed(t *testing.T, cfg Config) (*TailSampler, *events.Journal, *metrics.Registry) {
@@ -284,4 +286,28 @@ func TestNilSampler(t *testing.T) {
 	ts.Flush(0)
 	ts.FlushAll()
 	_ = ts.Stats()
+}
+
+// TestSiteRingQuantileMatchesSort feeds a ring seeded latencies, with
+// repeats and past the window's wrap, and compares every threshold with
+// nearest-rank over a sorted copy of the values the ring holds.
+func TestSiteRingQuantileMatchesSort(t *testing.T) {
+	rng := vclock.NewRand(11)
+	ring := newSiteRing()
+	var window []time.Duration
+	for i := 0; i < 3*siteWindow+17; i++ {
+		d := time.Duration(rng.Intn(400)) * time.Microsecond // repeats are common
+		ring.push(d)
+		if window = append(window, d); len(window) > siteWindow {
+			window = window[1:]
+		}
+		sorted := slices.Clone(window)
+		slices.Sort(sorted)
+		for _, q := range []float64{0, 50, 90, latencyQuantile, 100} {
+			idx := min(int(float64(len(sorted)-1)*q/100+0.5), len(sorted)-1)
+			if got := ring.quantile(q); got != sorted[idx] {
+				t.Fatalf("push %d: p%v = %v, sort says %v", i, q, got, sorted[idx])
+			}
+		}
+	}
 }
