@@ -112,9 +112,9 @@ contract-cover:
 # loc prints a PR's column of the table in DESIGN.md §6 — non-test .go
 # lines of tracked files per package, in the table's row order — so the
 # column is generated rather than hand-counted.
-LOC_OBSERVABILITY = internal/metrics internal/timeseries internal/events internal/insight internal/telemetry internal/trace
+LOC_OBSERVABILITY = internal/metrics internal/timeseries internal/events internal/insight internal/telemetry
 LOC_MECHANISM = internal/core internal/vmm internal/snapshot internal/mem internal/chunk
-LOC_OTHER = internal/lang internal/runtime internal/platform internal/experiments internal/workflow internal/cluster internal/stats cmd/fwsim cmd/fwcli cmd/benchgate
+LOC_OTHER = internal/lang internal/runtime internal/vclock internal/platform internal/experiments internal/workflow internal/cluster internal/stats cmd/fwsim cmd/fwcli cmd/benchgate
 
 loc:
 	@lines() { grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l; }; \

@@ -374,9 +374,8 @@ type invokeState struct {
 	fcID     string
 	topic    string
 	instance *Instance
-	// restoreStart is when the restore stage began: the restore, netns
-	// and revive stages together are the restore the
-	// fireworks_restore_duration histogram observes.
+	// restoreStart opens the interval fireworks_restore_duration
+	// observes: the restore, netns and revive stages.
 	restoreStart time.Duration
 	// undo holds the teardown of each resource a stage claimed (delete
 	// the topic, stop the VM, unpin the snapshot). A failure runs it

@@ -415,9 +415,8 @@ func (j *Journal) InstantLinked(component, name string, ts time.Duration, link R
 
 // Scope is one request's handle into the journal: it owns a TraceID
 // and a stack of open spans, so emission sites only name what happened
-// and the scope supplies trace, parent, node, and VM context. Like
-// trace.Breakdown it is owned by a single invocation and is not safe
-// for concurrent use. A nil *Scope is valid and records nothing.
+// and the scope supplies trace, parent, node, and VM context. It is
+// owned by a single invocation and is not safe for concurrent use. A nil *Scope is valid and records nothing.
 type Scope struct {
 	j     *Journal
 	trace TraceID

@@ -148,9 +148,6 @@ func (inv *Invocation) RespondDefault(result lang.Value, p sandbox.Profile) {
 	inv.Response = &Response{Status: 200, Body: body}
 }
 
-// Total returns the end-to-end latency recorded so far.
-func (inv *Invocation) Total() time.Duration { return inv.Clock.Total() }
-
 // StartSpan opens a span in the event journal at the invocation's
 // current virtual time. Close it with FinishSpan.
 func (inv *Invocation) StartSpan(component, name string, attrs ...events.Attr) {

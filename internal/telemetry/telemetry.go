@@ -160,10 +160,6 @@ type siteRing struct {
 	sorted []time.Duration
 }
 
-func newSiteRing() *siteRing {
-	return &siteRing{buf: make([]time.Duration, siteWindow), sorted: make([]time.Duration, 0, siteWindow)}
-}
-
 func (s *siteRing) push(d time.Duration) {
 	if s.n == len(s.buf) {
 		i, _ := slices.BinarySearch(s.sorted, s.buf[s.start])
@@ -355,7 +351,7 @@ func (t *TailSampler) decideLocked(id events.TraceID, st *traceState) decision {
 	if st.site != "" {
 		ring := t.sites[st.site]
 		if ring == nil {
-			ring = newSiteRing()
+			ring = &siteRing{buf: make([]time.Duration, siteWindow), sorted: make([]time.Duration, 0, siteWindow)}
 			t.sites[st.site] = ring
 		}
 		ring.push(latency)

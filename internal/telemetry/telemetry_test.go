@@ -293,7 +293,7 @@ func TestNilSampler(t *testing.T) {
 // nearest-rank over a sorted copy of the values the ring holds.
 func TestSiteRingQuantileMatchesSort(t *testing.T) {
 	rng := vclock.NewRand(11)
-	ring := newSiteRing()
+	ring := &siteRing{buf: make([]time.Duration, siteWindow)}
 	var window []time.Duration
 	for i := 0; i < 3*siteWindow+17; i++ {
 		d := time.Duration(rng.Intn(400)) * time.Microsecond // repeats are common

@@ -15,6 +15,7 @@ package vclock
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -59,10 +60,8 @@ type Clock struct {
 	now    time.Duration
 	phase  Phase
 	totals [4]time.Duration // per phase, Unphased included
-	n      int              // entries in use, inline first
-	last   int              // entry the previous charge hit
+	ledger []Entry          // in first-charge order, backed by inline until it outgrows it
 	inline [inlineEntries]Entry
-	more   []Entry
 }
 
 // New returns a clock positioned at virtual time zero.
@@ -99,68 +98,47 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 }
 
 // Charge moves the clock forward by d and books it under label in the
-// clock's current phase (see SetPhase). It returns the new current time.
-func (c *Clock) Charge(label string, d time.Duration) time.Duration {
+// clock's current phase (see SetPhase).
+func (c *Clock) Charge(label string, d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bookLocked(c.phase, label, d)
+	c.bookLocked(c.phase, label, d)
 }
 
 // ChargeIn is Charge into an explicit phase, whatever scope is open.
-func (c *Clock) ChargeIn(p Phase, label string, d time.Duration) time.Duration {
+func (c *Clock) ChargeIn(p Phase, label string, d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bookLocked(p, label, d)
+	c.bookLocked(p, label, d)
 }
 
 // WaitUntil moves the clock forward to time t, booking the wait as an
 // unphased charge under label. If t is not later than the current time
-// nothing moves: a clock never rewinds. It returns the current time.
-func (c *Clock) WaitUntil(label string, t time.Duration) time.Duration {
+// nothing moves: a clock never rewinds.
+func (c *Clock) WaitUntil(label string, t time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t <= c.now {
-		return c.now
+	if t > c.now {
+		c.bookLocked(Unphased, label, t-c.now)
 	}
-	return c.bookLocked(Unphased, label, t-c.now)
 }
 
-func (c *Clock) bookLocked(p Phase, label string, d time.Duration) time.Duration {
+func (c *Clock) bookLocked(p Phase, label string, d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative charge %v for %s/%s", d, p, label))
 	}
 	c.now += d
 	c.totals[p] += d
-	if e := c.entryLocked(c.last); e != nil && e.Phase == p && e.Label == label {
-		e.Total += d
-		return c.now
-	}
-	for i := 0; i < c.n; i++ {
-		if e := c.entryLocked(i); e.Phase == p && e.Label == label {
+	for i := range c.ledger {
+		if e := &c.ledger[i]; e.Phase == p && e.Label == label {
 			e.Total += d
-			c.last = i
-			return c.now
+			return
 		}
 	}
-	if c.n < inlineEntries {
-		c.inline[c.n] = Entry{p, label, d}
-	} else {
-		c.more = append(c.more, Entry{p, label, d})
+	if c.ledger == nil {
+		c.ledger = c.inline[:0]
 	}
-	c.last = c.n
-	c.n++
-	return c.now
-}
-
-// entryLocked returns ledger entry i, or nil when i is not in use.
-func (c *Clock) entryLocked(i int) *Entry {
-	switch {
-	case i >= c.n:
-		return nil
-	case i < inlineEntries:
-		return &c.inline[i]
-	}
-	return &c.more[i-inlineEntries]
+	c.ledger = append(c.ledger, Entry{p, label, d})
 }
 
 // SetPhase makes p the phase that Charge books into and returns the
@@ -178,17 +156,17 @@ func (c *Clock) SetPhase(p Phase) Phase {
 	return prev
 }
 
-// PhaseTotal returns the time booked into one phase so far.
-func (c *Clock) PhaseTotal(p Phase) time.Duration {
+// phaseTotal returns the time booked into one phase so far.
+func (c *Clock) phaseTotal(p Phase) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.totals[p]
 }
 
 // Startup, Exec and Others are the paper's three phase totals.
-func (c *Clock) Startup() time.Duration { return c.PhaseTotal(Startup) }
-func (c *Clock) Exec() time.Duration    { return c.PhaseTotal(Exec) }
-func (c *Clock) Others() time.Duration  { return c.PhaseTotal(Others) }
+func (c *Clock) Startup() time.Duration { return c.phaseTotal(Startup) }
+func (c *Clock) Exec() time.Duration    { return c.phaseTotal(Exec) }
+func (c *Clock) Others() time.Duration  { return c.phaseTotal(Others) }
 
 // Total returns the end-to-end latency the paper reports: the sum of
 // the three phases. Unphased time moves the clock but is not in it.
@@ -203,11 +181,7 @@ func (c *Clock) Total() time.Duration {
 func (c *Clock) Ledger() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Entry, c.n)
-	for i := range out {
-		out[i] = *c.entryLocked(i)
-	}
-	return out
+	return slices.Clone(c.ledger)
 }
 
 // Rand is a small deterministic pseudo-random source (SplitMix64). It is

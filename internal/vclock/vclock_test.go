@@ -57,7 +57,7 @@ func TestZeroClockLedgerEmpty(t *testing.T) {
 		t.Fatal("zero clock has a ledger")
 	}
 	c.Charge("boot", time.Millisecond)
-	if c.Total() != 0 || c.PhaseTotal(Unphased) != time.Millisecond {
+	if c.Total() != 0 || c.phaseTotal(Unphased) != time.Millisecond {
 		t.Fatalf("a charge outside every scope is unphased: total %v", c.Total())
 	}
 }

@@ -544,7 +544,7 @@ func (e *Engine) finalize(wf *registered, run *Run) {
 	run.Status = status
 	run.done = true
 	now := run.Invocation.Clock.Now()
-	e.runDuration.ObserveDurationExemplar(run.Invocation.Total(),
+	e.runDuration.ObserveDurationExemplar(run.Invocation.Breakdown.Total(),
 		uint64(run.sc.TraceID()), now)
 	// The terminal workflow:done event carries the per-run step tally,
 	// so a DAG critical path closes on one event instead of scanning
