@@ -3,9 +3,9 @@
 // hypervisor, and Fireworks framework, behind a placement policy. The
 // paper evaluates a single machine (§5.1, following prior work); this
 // package is the natural multi-host extension — API-gateway requests are
-// routed to a backend chosen round-robin, by least memory pressure, or
-// by least in-flight load, and hosts that have started swapping are
-// avoided entirely.
+// routed to a backend chosen by least memory pressure or by least
+// in-flight load, and hosts that have started swapping are avoided
+// entirely.
 //
 // Function snapshots are installed on every node, which also models the
 // §6 remark that snapshot images can live in remote storage and be
@@ -51,10 +51,8 @@ type Policy int
 
 // Placement policies.
 const (
-	// RoundRobin cycles through non-swapping nodes.
-	RoundRobin Policy = iota
 	// LeastMemory picks the node with the lowest memory usage.
-	LeastMemory
+	LeastMemory Policy = iota
 	// LeastInflight picks the node with the fewest in-flight
 	// invocations.
 	LeastInflight
@@ -62,14 +60,10 @@ const (
 
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case LeastMemory:
-		return "least-memory"
-	case LeastInflight:
+	if p == LeastInflight {
 		return "least-inflight"
-	default:
-		return "round-robin"
 	}
+	return "least-memory"
 }
 
 // ErrClusterFull is returned when every node is under memory pressure.
@@ -80,9 +74,19 @@ var ErrClusterFull = errors.New("cluster: all nodes swapping")
 // request.
 var ErrNoHealthyNode = errors.New("cluster: no healthy node available")
 
-// probeTicks is how often placement canaries a probation node when
-// healthy nodes are also available.
-const probeTicks = 4
+// Node health thresholds. Ticks advance on every placement, including
+// failed ones, so recovery cannot deadlock.
+const (
+	// probeTicks is how often placement canaries a probation node when
+	// healthy nodes are also available.
+	probeTicks = 4
+	// probationThreshold is how many consecutive transient failures
+	// put a node on probation.
+	probationThreshold = 3
+	// downTicks is how many placement ticks a crashed node stays down
+	// before re-entering service on probation.
+	downTicks = 25
+)
 
 // Node is one backend server.
 type Node struct {
@@ -128,14 +132,6 @@ type FailoverPolicy struct {
 	// MaxFailovers is how many additional placements one request may
 	// try after a transient failure; 0 disables failover entirely.
 	MaxFailovers int
-	// ProbationThreshold is how many consecutive transient failures
-	// put a node on probation (default 3).
-	ProbationThreshold int
-	// DownTicks is how many placement ticks a crashed node stays down
-	// before re-entering service on probation (default 25). Ticks
-	// advance on every placement, including failed ones, so recovery
-	// cannot deadlock.
-	DownTicks int
 }
 
 // Cluster is a set of backend nodes behind one placement policy.
@@ -188,7 +184,6 @@ func New(n int, policy Policy, envCfg platform.EnvConfig,
 		rejections: reg.Counter("cluster_rejections_total"),
 		failovers:  reg.Counter("failovers_total"),
 		crashes:    reg.Counter("cluster_node_crashes_total"),
-		failover:   FailoverPolicy{ProbationThreshold: 3, DownTicks: 25},
 	}
 	for i := 0; i < n; i++ {
 		env := platform.NewEnv(envCfg)
@@ -206,20 +201,11 @@ func New(n int, policy Policy, envCfg platform.EnvConfig,
 }
 
 // SetFailover configures cluster-level failover: how many re-placements
-// one request gets after a transient failure, and the health-state
-// thresholds. Zero-valued fields keep their defaults (probation after
-// 3 consecutive transient failures, 25-tick crash recovery) except
-// MaxFailovers, which stays as given — SetFailover(FailoverPolicy{})
-// turns failover off while keeping crash bookkeeping.
+// one request gets after a transient failure. SetFailover(FailoverPolicy{})
+// turns failover off; node health bookkeeping runs either way.
 func (c *Cluster) SetFailover(p FailoverPolicy) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p.ProbationThreshold <= 0 {
-		p.ProbationThreshold = 3
-	}
-	if p.DownTicks <= 0 {
-		p.DownTicks = 25
-	}
 	c.failover = p
 }
 
@@ -299,7 +285,7 @@ func (c *Cluster) pick(exclude map[*Node]bool, sc *events.Scope, now time.Durati
 		if ferr := c.faults.InjectTraced(faults.SiteClusterNode, nil, sc, now); ferr != nil {
 			c.crashes.Inc()
 			best.setHealth(Down)
-			best.recoverAt = c.ticks + uint64(c.failover.DownTicks)
+			best.recoverAt = c.ticks + downTicks
 			sc.Instant("cluster", "node-crash", now, events.A("node", best.Name))
 			continue
 		}
@@ -378,7 +364,7 @@ func (c *Cluster) recordFailure(n *Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n.consecutive++
-	if n.consecutive >= c.failover.ProbationThreshold && n.Health() == Healthy {
+	if n.consecutive >= probationThreshold && n.Health() == Healthy {
 		n.setHealth(Probation)
 	}
 }

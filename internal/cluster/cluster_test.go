@@ -28,7 +28,7 @@ func fireworksCluster(t *testing.T, n int, policy Policy, cfg platform.EnvConfig
 func invokeName() string { return workloads.NetLatency(runtime.LangNode).Name }
 
 func TestInstallEverywhere(t *testing.T) {
-	c := fireworksCluster(t, 3, RoundRobin, platform.EnvConfig{})
+	c := fireworksCluster(t, 3, LeastInflight, platform.EnvConfig{})
 	for _, n := range c.Nodes() {
 		if !n.Env.Snaps.Has(invokeName()) {
 			t.Errorf("%s missing snapshot", n.Name)
@@ -36,8 +36,10 @@ func TestInstallEverywhere(t *testing.T) {
 	}
 }
 
-func TestRoundRobinBalances(t *testing.T) {
-	c := fireworksCluster(t, 4, RoundRobin, platform.EnvConfig{})
+// TestPlacementTakesTurns places sequential requests, so no node ever
+// has one in flight: the policy's rotating offset alone spreads them.
+func TestPlacementTakesTurns(t *testing.T) {
+	c := fireworksCluster(t, 4, LeastInflight, platform.EnvConfig{})
 	params := platform.MustParams(nil)
 	for i := 0; i < 40; i++ {
 		if _, _, err := c.Invoke(invokeName(), params, platform.InvokeOptions{}); err != nil {
@@ -74,8 +76,8 @@ func TestLeastMemoryAvoidsLoadedNode(t *testing.T) {
 func TestSwappingNodesAreSkipped(t *testing.T) {
 	// Tiny hosts: a single ballast allocation pushes a node past its
 	// swap threshold.
-	cfg := platform.EnvConfig{MemBytes: 8 << 30, Swappiness: 0.6}
-	c := fireworksCluster(t, 2, RoundRobin, cfg)
+	cfg := platform.EnvConfig{MemBytes: 8 << 30}
+	c := fireworksCluster(t, 2, LeastInflight, cfg)
 	drowned := c.Nodes()[1]
 	drowned.Env.Mem.NewSpace("ballast").AllocPrivate("anon", (6<<30)/4096)
 	if !drowned.Env.Mem.Swapping() {
@@ -96,36 +98,6 @@ func TestSwappingNodesAreSkipped(t *testing.T) {
 	_, _, err := c.Invoke(invokeName(), params, platform.InvokeOptions{})
 	if !errors.Is(err, ErrClusterFull) {
 		t.Fatalf("err = %v, want ErrClusterFull", err)
-	}
-}
-
-func TestLeastInflightUnderConcurrency(t *testing.T) {
-	c := fireworksCluster(t, 3, LeastInflight, platform.EnvConfig{})
-	params := platform.MustParams(nil)
-	var wg sync.WaitGroup
-	errs := make(chan error, 60)
-	for i := 0; i < 60; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := c.Invoke(invokeName(), params, platform.InvokeOptions{}); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if c.TotalInvocations() != 60 {
-		t.Fatalf("total = %d", c.TotalInvocations())
-	}
-	// No node should have been starved completely.
-	for _, s := range c.Stats() {
-		if s.Invocations == 0 {
-			t.Errorf("%s served nothing", s.Name)
-		}
 	}
 }
 
@@ -162,8 +134,8 @@ func invokeConcurrently(t *testing.T, c *Cluster) {
 	}
 }
 
-func TestRoundRobinUnderConcurrency(t *testing.T) {
-	c := fireworksCluster(t, 3, RoundRobin, platform.EnvConfig{})
+func TestLeastInflightUnderConcurrency(t *testing.T) {
+	c := fireworksCluster(t, 3, LeastInflight, platform.EnvConfig{})
 	invokeConcurrently(t, c)
 }
 
@@ -173,7 +145,7 @@ func TestLeastMemoryUnderConcurrency(t *testing.T) {
 }
 
 func TestClusterSharedMetrics(t *testing.T) {
-	c := fireworksCluster(t, 2, RoundRobin, platform.EnvConfig{})
+	c := fireworksCluster(t, 2, LeastInflight, platform.EnvConfig{})
 	params := platform.MustParams(nil)
 	for i := 0; i < 4; i++ {
 		if _, _, err := c.Invoke(invokeName(), params, platform.InvokeOptions{}); err != nil {
@@ -186,7 +158,7 @@ func TestClusterSharedMetrics(t *testing.T) {
 		counters[cs.Name] = cs.Value
 	}
 	// Placements and per-node invocations come from the cluster layer.
-	if got := counters[`cluster_placements_total{policy="round-robin"}`]; got != 4 {
+	if got := counters[`cluster_placements_total{policy="least-inflight"}`]; got != 4 {
 		t.Errorf("placements = %d, want 4", got)
 	}
 	for _, node := range []string{"node-00", "node-01"} {
@@ -214,8 +186,8 @@ func TestClusterSharedMetrics(t *testing.T) {
 }
 
 func TestRejectionCounted(t *testing.T) {
-	cfg := platform.EnvConfig{MemBytes: 8 << 30, Swappiness: 0.6}
-	c := fireworksCluster(t, 1, RoundRobin, cfg)
+	cfg := platform.EnvConfig{MemBytes: 8 << 30}
+	c := fireworksCluster(t, 1, LeastInflight, cfg)
 	c.Nodes()[0].Env.Mem.NewSpace("ballast").AllocPrivate("anon", (6<<30)/4096)
 	_, _, err := c.Invoke(invokeName(), platform.MustParams(nil), platform.InvokeOptions{})
 	if !errors.Is(err, ErrClusterFull) {
@@ -233,7 +205,7 @@ func TestRejectionCounted(t *testing.T) {
 }
 
 func TestRemoveEverywhere(t *testing.T) {
-	c := fireworksCluster(t, 2, RoundRobin, platform.EnvConfig{})
+	c := fireworksCluster(t, 2, LeastInflight, platform.EnvConfig{})
 	if err := c.Remove(invokeName()); err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +220,7 @@ func TestRemoveEverywhere(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	if RoundRobin.String() != "round-robin" || LeastMemory.String() != "least-memory" ||
-		LeastInflight.String() != "least-inflight" {
+	if LeastMemory.String() != "least-memory" || LeastInflight.String() != "least-inflight" {
 		t.Fatal("policy names")
 	}
 }
@@ -261,7 +232,7 @@ func TestPolicyNames(t *testing.T) {
 // the same however many versions came and went.
 func TestRedeployReleasesRegions(t *testing.T) {
 	quiescent := func(n int) []int {
-		c := fireworksCluster(t, 3, RoundRobin, platform.EnvConfig{})
+		c := fireworksCluster(t, 3, LeastInflight, platform.EnvConfig{})
 		fn := workloads.NetLatency(runtime.LangNode).Function
 		params := platform.MustParams(nil)
 		for v := 0; v <= n; v++ {

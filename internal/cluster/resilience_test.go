@@ -19,7 +19,7 @@ import (
 // after install.
 func resilientCluster(t *testing.T, n int, plane *faults.Plane, retry faults.RetryPolicy, failover FailoverPolicy) *Cluster {
 	t.Helper()
-	c := New(n, RoundRobin, platform.EnvConfig{Faults: plane}, func(env *platform.Env) platform.Platform {
+	c := New(n, LeastInflight, platform.EnvConfig{Faults: plane}, func(env *platform.Env) platform.Platform {
 		return core.New(env, core.Options{Retry: retry})
 	})
 	c.SetFailover(failover)
@@ -65,7 +65,7 @@ func TestPermanentErrorDoesNotFailOver(t *testing.T) {
 
 func TestCrashedNodeRecoversAfterDownTicks(t *testing.T) {
 	plane := faults.NewPlane(3)
-	c := resilientCluster(t, 2, plane, faults.RetryPolicy{}, FailoverPolicy{MaxFailovers: 1, DownTicks: 4})
+	c := resilientCluster(t, 2, plane, faults.RetryPolicy{}, FailoverPolicy{MaxFailovers: 1})
 	params := platform.MustParams(nil)
 	// The next placement draw crashes the chosen node.
 	plane.Enqueue(faults.SiteClusterNode, faults.KindCrash)
@@ -75,22 +75,33 @@ func TestCrashedNodeRecoversAfterDownTicks(t *testing.T) {
 	if got := c.Metrics().Counter("cluster_node_crashes_total").Value(); got != 1 {
 		t.Fatalf("crashes = %d, want 1", got)
 	}
-	downs := 0
+	var crashed *Node
 	for _, n := range c.Nodes() {
 		if n.Health() == Down {
-			downs++
+			if crashed != nil {
+				t.Fatal("two nodes down, want 1")
+			}
+			crashed = n
 		}
 	}
-	if downs != 1 {
-		t.Fatalf("%d nodes down, want 1", downs)
+	if crashed == nil {
+		t.Fatal("no node down, want 1")
 	}
-	// Enough placements tick the crashed node back into service (on
-	// probation), and a success there restores it to Healthy.
-	for i := 0; i < 10; i++ {
-		if _, _, err := c.Invoke(invokeName(), params, platform.InvokeOptions{}); err != nil {
-			t.Fatal(err)
+	// The crash was placement tick 1: the node stays down for 25 ticks,
+	// then re-enters on probation, and the next canary placement (every
+	// 4th tick) succeeds there and restores it to Healthy.
+	invoke := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := c.Invoke(invokeName(), params, platform.InvokeOptions{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	invoke(24) // ticks 2..25
+	if crashed.Health() != Down {
+		t.Fatalf("%s %s at tick 25, want down until tick 26", crashed.Name, crashed.Health())
+	}
+	invoke(3) // tick 26 recovers it, tick 28 canaries it
 	for _, n := range c.Nodes() {
 		if n.Health() != Healthy {
 			t.Fatalf("%s still %s after recovery window", n.Name, n.Health())
@@ -102,7 +113,7 @@ func TestRepeatedTransientFailuresPutNodeOnProbation(t *testing.T) {
 	plane := faults.NewPlane(3)
 	// Single node: every transient failure lands on it; no failover
 	// budget so each Invoke fails once.
-	c := resilientCluster(t, 1, plane, faults.RetryPolicy{}, FailoverPolicy{ProbationThreshold: 3})
+	c := resilientCluster(t, 1, plane, faults.RetryPolicy{}, FailoverPolicy{})
 	params := platform.MustParams(nil)
 	node := c.Nodes()[0]
 	for i := 0; i < 3; i++ {
@@ -129,7 +140,7 @@ func TestRepeatedTransientFailuresPutNodeOnProbation(t *testing.T) {
 
 func TestAllNodesDownSurfacesNoHealthyNode(t *testing.T) {
 	plane := faults.NewPlane(3)
-	c := resilientCluster(t, 2, plane, faults.RetryPolicy{}, FailoverPolicy{MaxFailovers: 0, DownTicks: 1000})
+	c := resilientCluster(t, 2, plane, faults.RetryPolicy{}, FailoverPolicy{})
 	plane.Enqueue(faults.SiteClusterNode, faults.KindCrash, faults.KindCrash)
 	_, _, err := c.Invoke(invokeName(), platform.MustParams(nil), platform.InvokeOptions{})
 	if !errors.Is(err, ErrNoHealthyNode) {

@@ -22,6 +22,27 @@ func leakCheck(t *testing.T, env *platform.Env) {
 	}
 }
 
+// holdExternalIPs takes all but free of the host's 4096 external
+// addresses into one namespace, so the pool runs out after free more
+// microVMs. The returned func gives them back.
+func holdExternalIPs(t *testing.T, env *platform.Env, free int) func() {
+	t.Helper()
+	ns, err := env.Router.CreateNamespace("held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4096-free; i++ {
+		if _, err := env.Router.AllocExternal(ns, "192.168.0.2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return func() {
+		if err := env.Router.DeleteNamespace("held"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestGuestCrashCleansUp(t *testing.T) {
 	env, fw := newFW(t, core.Options{})
 	if _, err := fw.Install(platform.Function{
@@ -114,10 +135,11 @@ func TestInstallFailuresLeaveNoResidue(t *testing.T) {
 }
 
 func TestIPPoolExhaustionFailsCleanly(t *testing.T) {
-	// A pool of 2 external IPs: the third concurrent instance cannot
-	// get a namespace; the invoke must fail without leaking its VM,
-	// its topic, or the queue message.
-	env := platform.NewEnv(platform.EnvConfig{ExternalIPPool: 2})
+	// Two external IPs left: the third concurrent instance cannot get a
+	// namespace; the invoke must fail without leaking its VM, its
+	// topic, or the queue message.
+	env := platform.NewEnv(platform.EnvConfig{})
+	release := holdExternalIPs(t, env, 2)
 	fw := core.New(env, core.Options{RetainInstances: true})
 	w := workloads.NetLatency(runtime.LangNode)
 	if _, err := fw.Install(w.Function); err != nil {
@@ -140,6 +162,7 @@ func TestIPPoolExhaustionFailsCleanly(t *testing.T) {
 	if err := fw.Remove(w.Name); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	leakCheck(t, env)
 	// With capacity released, invocation works again.
 	if _, err := fw.Install(w.Function); err != nil {

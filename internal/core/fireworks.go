@@ -119,15 +119,14 @@ func New(env *platform.Env, opts Options) *Framework {
 		instances: make(map[string][]*Instance),
 	}
 	f.obs = platform.NewInvokeMetrics(env.Metrics, f.PlatformName())
-	if opts.Retry.MaxAttempts > 1 {
+	if opts.Retry.Enabled() {
 		pol := opts.Retry
 		if pol.Permanent == nil {
 			pol.Permanent = func(err error) bool { return !faults.IsTransient(err) }
 		}
 		f.retrier = faults.NewRetrier(pol, env.Metrics)
 		bootPol := pol
-		bootPol.AttemptTimeout = 0
-		bootPol.Budget = 0
+		bootPol.AttemptTimeout, bootPol.Budget = 0, 0
 		f.bootRetrier = faults.NewRetrier(bootPol, env.Metrics)
 	}
 	return f
@@ -158,12 +157,9 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	defer func() { sc.Close(clock.Now()) }()
 	// ① Create a microVM ready for a runtime.
 	sc.Begin("core", "boot", clock.Now())
-	vm, err := f.env.HV.CreateVM(vmm.DefaultConfig(), clock)
-	if err != nil {
-		return nil, err
-	}
+	vm := f.env.HV.CreateVM(clock)
 	sc.SetVM(vm.ID)
-	if err := f.bootRetrier.DoTraced(clock, sc, "kernel-boot", func() error { return vm.BootKernelTraced(clock, sc) }); err != nil {
+	if err := f.bootRetrier.DoWithDiscardTraced(clock, sc, "kernel-boot", func() error { return vm.BootKernelTraced(clock, sc) }, nil); err != nil {
 		return nil, err
 	}
 	rt := runtime.New(fn.Lang, clock)
@@ -490,11 +486,11 @@ func (f *Framework) stageSnapshot(st *invokeState) error {
 		// to this invocation's start-up) and repopulate the cache.
 		inv.Trace.Instant("snapshot", "store-miss", inv.Clock.Now(), events.A("image", name))
 		defer inv.Clock.SetPhase(inv.Clock.SetPhase(vclock.Startup))
-		err = f.retrier.DoTraced(inv.Clock, inv.Trace, "remote-fetch", func() error {
+		err = f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "remote-fetch", func() error {
 			var ferr error
 			snap, ferr = f.env.RemoteSnaps.FetchTraced(name, f.env.Snaps, inv.Clock, inv.Trace)
 			return ferr
-		})
+		}, nil)
 		if err == nil {
 			f.env.Metrics.Counter("fireworks_remote_fetch_total").Inc()
 			if perr := f.env.Snaps.Put(name, snap); perr != nil {
@@ -540,10 +536,10 @@ func (f *Framework) stageTopic(st *invokeState) error {
 	// stamped consume after restore measures queue dwell (§3.6), and
 	// with the trace scope so the consume event links back to the
 	// produce across the restore boundary.
-	if err := f.retrier.DoTraced(inv.Clock, inv.Trace, "param-produce", func() error {
+	if err := f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "param-produce", func() error {
 		_, _, perr := f.env.Bus.ProduceTracedAt(st.topic, st.fcID, paramJSON, inv.Clock.Now(), inv.Trace)
 		return perr
-	}); err != nil {
+	}, nil); err != nil {
 		return err
 	}
 	inv.Clock.ChargeIn(vclock.Others, "param-queue", f.profile.NetOpBase+platform.PerKB(f.profile, len(paramJSON)))
@@ -661,14 +657,14 @@ func (f *Framework) invokeBridge(st *invokeState) *fireworksBridge {
 				return nil, fmt.Errorf("fireworks: MMDS has no topic")
 			}
 			var msg msgbus.Message
-			err := f.retrier.DoTraced(inv.Clock, inv.Trace, "param-fetch", func() error {
+			err := f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "param-fetch", func() error {
 				m, cerr := f.env.Bus.ConsumeLatestTracedAt(topicName, inv.Clock.Now(), inv.Trace)
 				if cerr != nil {
 					return cerr
 				}
 				msg = m
 				return nil
-			})
+			}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -91,9 +91,10 @@ func TestFailedInvocationLeaksNothing(t *testing.T) {
 		}
 	})
 	t.Run("netnsExhausted", func(t *testing.T) {
-		// Two retained instances hold the only external IPs; the third
+		// Two retained instances hold the last external IPs; the third
 		// invocation fails at netns setup after its topic was created.
-		env := platform.NewEnv(platform.EnvConfig{ExternalIPPool: 2})
+		env := platform.NewEnv(platform.EnvConfig{})
+		release := holdExternalIPs(t, env, 2)
 		fw := core.New(env, core.Options{RetainInstances: true})
 		w := workloads.NetLatency(runtime.LangNode)
 		if _, err := fw.Install(w.Function); err != nil {
@@ -122,6 +123,7 @@ func TestFailedInvocationLeaksNothing(t *testing.T) {
 		if err := fw.Remove(w.Name); err != nil {
 			t.Fatal(err)
 		}
+		release()
 		leakCheck(t, env)
 		if busTopics(env) != 0 {
 			t.Fatalf("%d topics after Remove", busTopics(env))

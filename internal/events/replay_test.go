@@ -35,7 +35,7 @@ const (
 func runSeeded(t *testing.T, journal *events.Journal, tail *telemetry.TailSampler) ([]byte, *cluster.Cluster, []events.TraceID) {
 	t.Helper()
 	plane := faults.NewPlane(replaySeed)
-	c := cluster.New(3, cluster.RoundRobin, platform.EnvConfig{Faults: plane, Events: journal},
+	c := cluster.New(3, cluster.LeastInflight, platform.EnvConfig{Faults: plane, Events: journal},
 		func(env *platform.Env) platform.Platform {
 			return core.New(env, core.Options{Retry: faults.DefaultRetryPolicy()})
 		})

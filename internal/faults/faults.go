@@ -31,7 +31,7 @@ import (
 )
 
 // Injection sites. Each names one fragile operation in the stack; a
-// component checks its site via Plane.Inject at the top of the
+// component checks its site via Plane.InjectTraced at the top of the
 // operation.
 const (
 	// SiteVMMBoot is a guest kernel boot (the install / cold path).
@@ -101,15 +101,12 @@ type Profile struct {
 	LatencyRate    float64
 	CorruptionRate float64
 	CrashRate      float64
-	// LatencySpike is the virtual time a latency fault charges
-	// (DefaultLatencySpike when zero).
-	LatencySpike time.Duration
 }
 
-// DefaultLatencySpike is long enough to blow a Retrier's per-attempt
-// deadline, so latency faults exercise the timeout path rather than
-// just shifting the tail.
-const DefaultLatencySpike = 1500 * time.Millisecond
+// latencySpike is the virtual time a latency fault charges: long
+// enough to blow a Retrier's per-attempt deadline, so latency faults
+// exercise the timeout path rather than just shifting the tail.
+const latencySpike = 1500 * time.Millisecond
 
 func (p Profile) total() float64 {
 	return p.ErrorRate + p.LatencyRate + p.CorruptionRate + p.CrashRate
@@ -179,24 +176,20 @@ func (p *Plane) Enqueue(site string, kinds ...Kind) {
 	p.mu.Unlock()
 }
 
-// Inject consults the plane at a site: at most one fault is selected
-// per call. Latency faults charge their spike to clock (when non-nil)
-// and return nil — the operation succeeds, slowly. Error, corruption,
-// and crash faults return a *Fault the operation must propagate.
-// A nil plane, or a site without profile or script, injects nothing.
-func (p *Plane) Inject(site string, clock *vclock.Clock) error {
-	return p.InjectTraced(site, clock, nil, 0)
-}
-
-// InjectTraced is Inject under an event scope: every injected fault
-// additionally emits a "faults" event at its site, timestamped with
-// the clock (or with `at` for clockless sites like the message bus).
+// InjectTraced consults the plane at a site: at most one fault is
+// selected per call. Latency faults charge their spike to clock (when
+// non-nil) and return nil — the operation succeeds, slowly. Error,
+// corruption, and crash faults return a *Fault the operation must
+// propagate. Every injected fault emits a "faults" event at its site
+// into sc (nil records nothing), timestamped with the clock (or with
+// `at` for clockless sites like the message bus). A nil plane, or a
+// site without profile or script, injects nothing.
 func (p *Plane) InjectTraced(site string, clock *vclock.Clock, sc *events.Scope, at time.Duration) error {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
-	kind, spike, ok := p.drawLocked(site)
+	kind, ok := p.drawLocked(site)
 	reg := p.reg
 	p.mu.Unlock()
 	if !ok {
@@ -205,11 +198,11 @@ func (p *Plane) InjectTraced(site string, clock *vclock.Clock, sc *events.Scope,
 	reg.Counter(metrics.Name("faults_injected_total", "site", site, "kind", string(kind))).Inc()
 	if kind == KindLatency {
 		if clock != nil {
-			clock.Charge("fault-spike", spike)
+			clock.Charge("fault-spike", latencySpike)
 			at = clock.Now()
 		}
 		sc.Instant("faults", site, at,
-			events.A("kind", string(kind)), events.A("spike", spike.String()))
+			events.A("kind", string(kind)), events.A("spike", latencySpike.String()))
 		return nil
 	}
 	if clock != nil {
@@ -220,35 +213,27 @@ func (p *Plane) InjectTraced(site string, clock *vclock.Clock, sc *events.Scope,
 }
 
 // drawLocked picks the fault for one operation; caller holds p.mu.
-func (p *Plane) drawLocked(site string) (Kind, time.Duration, bool) {
-	prof := p.profiles[site]
+func (p *Plane) drawLocked(site string) (Kind, bool) {
 	if q := p.script[site]; len(q) > 0 {
-		kind := q[0]
 		p.script[site] = q[1:]
-		return kind, prof.spike(), true
+		return q[0], true
 	}
+	prof := p.profiles[site]
 	if prof.total() == 0 {
-		return "", 0, false
+		return "", false
 	}
 	r := p.rng.Float64()
 	switch {
 	case r < prof.ErrorRate:
-		return KindError, 0, true
+		return KindError, true
 	case r < prof.ErrorRate+prof.LatencyRate:
-		return KindLatency, prof.spike(), true
+		return KindLatency, true
 	case r < prof.ErrorRate+prof.LatencyRate+prof.CorruptionRate:
-		return KindCorruption, 0, true
+		return KindCorruption, true
 	case r < prof.total():
-		return KindCrash, 0, true
+		return KindCrash, true
 	}
-	return "", 0, false
-}
-
-func (p Profile) spike() time.Duration {
-	if p.LatencySpike > 0 {
-		return p.LatencySpike
-	}
-	return DefaultLatencySpike
+	return "", false
 }
 
 // DefaultPlan builds the standard chaos configuration used by

@@ -14,7 +14,7 @@ import (
 func schedule(p *Plane, site string, n int, clock *vclock.Clock) []string {
 	var out []string
 	for i := 0; i < n; i++ {
-		err := p.Inject(site, clock)
+		err := p.InjectTraced(site, clock, nil, 0)
 		switch {
 		case err == nil:
 			out = append(out, "ok")
@@ -69,16 +69,16 @@ func TestSameSeedSameSchedule(t *testing.T) {
 
 func TestLatencyFaultChargesClock(t *testing.T) {
 	p := NewPlane(1)
-	p.SetProfile(SiteRemoteFetch, Profile{LatencyRate: 1, LatencySpike: 40 * time.Millisecond})
+	p.SetProfile(SiteRemoteFetch, Profile{LatencyRate: 1})
 	clock := vclock.New()
-	if err := p.Inject(SiteRemoteFetch, clock); err != nil {
+	if err := p.InjectTraced(SiteRemoteFetch, clock, nil, 0); err != nil {
 		t.Fatalf("latency fault returned error %v", err)
 	}
-	if clock.Now() != 40*time.Millisecond {
-		t.Fatalf("clock = %v, want 40ms", clock.Now())
+	if clock.Now() != 1500*time.Millisecond {
+		t.Fatalf("clock = %v, want the 1.5 s spike", clock.Now())
 	}
 	// A nil clock is counted but uncharged, never a panic.
-	if err := p.Inject(SiteRemoteFetch, nil); err != nil {
+	if err := p.InjectTraced(SiteRemoteFetch, nil, nil, 0); err != nil {
 		t.Fatalf("nil-clock latency fault returned %v", err)
 	}
 }
@@ -86,7 +86,7 @@ func TestLatencyFaultChargesClock(t *testing.T) {
 func TestErrInjectedMatchesThroughWrapping(t *testing.T) {
 	p := NewPlane(1)
 	p.SetProfile(SiteBusProduce, Profile{ErrorRate: 1})
-	err := p.Inject(SiteBusProduce, nil)
+	err := p.InjectTraced(SiteBusProduce, nil, nil, 0)
 	if err == nil {
 		t.Fatal("rate-1 profile injected nothing")
 	}
@@ -104,7 +104,7 @@ func TestUnprofiledSiteDoesNotDraw(t *testing.T) {
 	a.SetProfile(SiteVMMBoot, prof)
 	b.SetProfile(SiteVMMBoot, prof)
 	for i := 0; i < 100; i++ {
-		if err := a.Inject(SiteNetTransfer, nil); err != nil {
+		if err := a.InjectTraced(SiteNetTransfer, nil, nil, 0); err != nil {
 			t.Fatalf("unprofiled site injected %v", err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestUnprofiledSiteDoesNotDraw(t *testing.T) {
 
 func TestNilPlaneIsInert(t *testing.T) {
 	var p *Plane
-	if err := p.Inject(SiteVMMRestore, vclock.New()); err != nil {
+	if err := p.InjectTraced(SiteVMMRestore, vclock.New(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	p.SetProfile(SiteVMMBoot, Profile{ErrorRate: 1})
@@ -130,9 +130,9 @@ func TestNilPlaneIsInert(t *testing.T) {
 func TestEnqueueForcesFaults(t *testing.T) {
 	p := NewPlane(1) // no profile on the site: only the script fires
 	p.Enqueue(SiteVMMRestore, KindError, KindCorruption)
-	err1 := p.Inject(SiteVMMRestore, nil)
-	err2 := p.Inject(SiteVMMRestore, nil)
-	err3 := p.Inject(SiteVMMRestore, nil)
+	err1 := p.InjectTraced(SiteVMMRestore, nil, nil, 0)
+	err2 := p.InjectTraced(SiteVMMRestore, nil, nil, 0)
+	err3 := p.InjectTraced(SiteVMMRestore, nil, nil, 0)
 	var f1, f2 *Fault
 	if !errors.As(err1, &f1) || f1.Kind != KindError {
 		t.Fatalf("first scripted fault = %v", err1)
@@ -151,7 +151,7 @@ func TestInjectionMetrics(t *testing.T) {
 	p.Instrument(reg)
 	p.Enqueue(SiteVMMRestore, KindError, KindError, KindLatency)
 	for i := 0; i < 3; i++ {
-		_ = p.Inject(SiteVMMRestore, vclock.New())
+		_ = p.InjectTraced(SiteVMMRestore, vclock.New(), nil, 0)
 	}
 	if got := reg.Counter(metrics.Name("faults_injected_total", "site", SiteVMMRestore, "kind", "error")).Value(); got != 2 {
 		t.Fatalf("error count = %d, want 2", got)

@@ -25,58 +25,53 @@ var (
 
 // RetryPolicy tunes a Retrier. The zero value disables retries
 // entirely (single attempt, no deadline, no backoff) — resilience is
-// opt-in, preserving the paper's fail-fast baseline.
+// opt-in, preserving the paper's fail-fast baseline. An enabled policy
+// (DefaultRetryPolicy) retries on one fixed schedule: retryAttempts
+// attempts, exponential backoff from retryBaseBackoff to
+// retryMaxBackoff, each wait jittered by retryJitter.
 type RetryPolicy struct {
-	// MaxAttempts caps total attempts; <= 1 means a single attempt.
-	MaxAttempts int
-	// BaseBackoff is the wait before the first retry; each further
-	// retry multiplies it by Multiplier, capped at MaxBackoff. All
-	// backoff is charged to the invocation's virtual clock.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	Multiplier  float64
-	// Jitter perturbs each backoff by at most this fraction, drawn from
-	// the Retrier's own seeded PRNG — decorrelated retries that are
-	// still bit-reproducible run to run.
-	Jitter float64
 	// AttemptTimeout is the per-attempt deadline: an attempt whose
 	// virtual-time cost exceeds it counts as a failure even if the
 	// operation returned success (the discard hook cleans up).
 	// Zero disables deadlines.
 	AttemptTimeout time.Duration
-	// Budget caps the total virtual time one Do call may spend across
+	// Budget caps the total virtual time one call may spend across
 	// attempts and backoff; zero disables the cap.
 	Budget time.Duration
-	// Seed seeds the jitter PRNG (a fixed default when zero), kept
-	// separate from the fault plane's PRNG so retry jitter never
-	// perturbs the fault schedule.
-	Seed uint64
 	// Permanent, when non-nil, marks errors that retrying cannot fix
 	// (bad request, image permanently gone, store wedged by pins);
-	// Do returns them immediately.
+	// the Retrier returns them immediately.
 	Permanent func(error) bool
+
+	// enabled turns the schedule on; only DefaultRetryPolicy sets it.
+	enabled bool
 }
 
+// The retry schedule of every enabled policy. All backoff is charged to
+// the operation's virtual clock, and the jitter is drawn from the
+// Retrier's own PRNG, seeded with retrySeed apart from the fault
+// plane's so retry jitter never perturbs the fault schedule:
+// decorrelated retries that are still bit-reproducible run to run.
+const (
+	retryAttempts    = 4
+	retryBaseBackoff = 2 * time.Millisecond
+	retryMaxBackoff  = 50 * time.Millisecond
+	retryMultiplier  = 2
+	retryJitter      = 0.25
+	retrySeed        = 0x5ee0f0a11ed
+)
+
 // DefaultRetryPolicy is the policy the seeded storm test and
-// `fwsim -faults` enable: four attempts, 2 ms..50 ms exponential
-// backoff with 25% deterministic jitter, a 1 s per-attempt deadline
-// (above any healthy operation, below a latency spike), and a 4 s
-// total budget.
+// `fwsim -faults` enable: the fixed retry schedule, a 1 s per-attempt
+// deadline (above any healthy operation, below a latency spike), and a
+// 4 s total budget.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:    4,
-		BaseBackoff:    2 * time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         0.25,
-		AttemptTimeout: time.Second,
-		Budget:         4 * time.Second,
-	}
+	return RetryPolicy{AttemptTimeout: time.Second, Budget: 4 * time.Second, enabled: true}
 }
 
 // Retrier executes operations under a RetryPolicy, charging every
 // backoff to the operation's virtual clock. A nil Retrier (or one with
-// a single-attempt policy) runs the operation once, unguarded.
+// a disabled policy) runs the operation once, unguarded.
 type Retrier struct {
 	policy RetryPolicy
 	rng    *vclock.Rand
@@ -91,16 +86,9 @@ type Retrier struct {
 // retry_backoff_seconds, retry_exhausted_total, and
 // retry_attempt_timeouts_total on reg (nil reg = uninstrumented).
 func NewRetrier(policy RetryPolicy, reg *metrics.Registry) *Retrier {
-	if policy.Multiplier <= 0 {
-		policy.Multiplier = 2
-	}
-	seed := policy.Seed
-	if seed == 0 {
-		seed = 0x5ee0f0a11ed
-	}
 	return &Retrier{
 		policy:    policy,
-		rng:       vclock.NewRand(seed),
+		rng:       vclock.NewRand(retrySeed),
 		retries:   reg.Counter("retries_total"),
 		backoffH:  reg.Histogram("retry_backoff_seconds"),
 		exhausted: reg.Counter("retry_exhausted_total"),
@@ -108,25 +96,18 @@ func NewRetrier(policy RetryPolicy, reg *metrics.Registry) *Retrier {
 	}
 }
 
-// Enabled reports whether the Retrier will ever retry.
-func (r *Retrier) Enabled() bool {
-	return r != nil && r.policy.MaxAttempts > 1
-}
+// Enabled reports whether the policy ever retries.
+func (p RetryPolicy) Enabled() bool { return p.enabled }
 
-// DoTraced runs op until it succeeds within the per-attempt deadline,
-// fails permanently, or the policy's attempts / budget run out. Each
+// DoWithDiscardTraced runs op until it succeeds within the per-attempt
+// deadline, fails permanently, or the attempts / budget run out. Each
 // retry (and the final give-up) emits a "retry" event named label into
-// sc (nil records nothing).
-func (r *Retrier) DoTraced(clock *vclock.Clock, sc *events.Scope, label string, op func() error) error {
-	return r.DoWithDiscardTraced(clock, sc, label, op, nil)
-}
-
-// DoWithDiscardTraced is DoTraced for operations whose success leaves
-// a resource behind: when a successful attempt exceeds the per-attempt
-// deadline its result is unusable, and discard disposes of it before
-// the retry (stop the slow-restored VM, drop the stale image).
+// sc (nil records nothing). For operations whose success leaves a
+// resource behind, discard (nil for none) disposes of a result that
+// arrived past the deadline before the retry (stop the slow-restored
+// VM, drop the stale image).
 func (r *Retrier) DoWithDiscardTraced(clock *vclock.Clock, sc *events.Scope, label string, op func() error, discard func()) error {
-	if !r.Enabled() {
+	if r == nil || !r.policy.enabled {
 		return op()
 	}
 	start := clock.Now()
@@ -150,7 +131,7 @@ func (r *Retrier) DoWithDiscardTraced(clock *vclock.Clock, sc *events.Scope, lab
 			return err
 		}
 		lastErr = err
-		if attempt >= r.policy.MaxAttempts {
+		if attempt >= retryAttempts {
 			r.exhausted.Inc()
 			sc.Instant("retry", label, clock.Now(),
 				events.A("outcome", "exhausted"), events.A("attempts", strconv.Itoa(attempt)))
@@ -174,19 +155,11 @@ func (r *Retrier) DoWithDiscardTraced(clock *vclock.Clock, sc *events.Scope, lab
 // backoff computes the wait before retry number attempt (1-based),
 // exponential with deterministic jitter.
 func (r *Retrier) backoff(attempt int) time.Duration {
-	d := float64(r.policy.BaseBackoff)
-	for i := 1; i < attempt; i++ {
-		d *= r.policy.Multiplier
-		if r.policy.MaxBackoff > 0 && d > float64(r.policy.MaxBackoff) {
-			d = float64(r.policy.MaxBackoff)
-			break
-		}
+	d := retryBaseBackoff
+	for i := 1; i < attempt && d < retryMaxBackoff; i++ {
+		d *= retryMultiplier
 	}
-	out := time.Duration(d)
-	if r.policy.MaxBackoff > 0 && out > r.policy.MaxBackoff {
-		out = r.policy.MaxBackoff
-	}
-	return r.rng.Jitter(out, r.policy.Jitter)
+	return r.rng.Jitter(min(d, retryMaxBackoff), retryJitter)
 }
 
 // IsTransient reports whether an error chain is worth a failover:

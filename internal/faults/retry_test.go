@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,28 +27,24 @@ func failN(clock *vclock.Clock, n int, cost time.Duration) func() error {
 	}
 }
 
+// testPolicy is the fixed retry schedule without deadline or budget.
 func testPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: 2 * time.Millisecond,
-		MaxBackoff:  50 * time.Millisecond,
-		Multiplier:  2,
-	}
+	return RetryPolicy{enabled: true}
 }
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRetrier(testPolicy(), reg)
 	clock := vclock.New()
-	if err := r.DoTraced(clock, nil, "", failN(clock, 2, time.Millisecond)); err != nil {
+	if err := r.DoWithDiscardTraced(clock, nil, "", failN(clock, 2, time.Millisecond), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("retries_total").Value(); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
-	// 3 attempts x 1ms, backoffs 2ms + 4ms (no jitter).
-	if clock.Now() != 9*time.Millisecond {
-		t.Fatalf("clock = %v, want 9ms", clock.Now())
+	// 3 attempts x 1ms, backoffs 2ms + 4ms, each jittered by at most 25%.
+	if now := clock.Now(); now < 7500*time.Microsecond || now > 10500*time.Microsecond {
+		t.Fatalf("clock = %v, want 9ms ± 1.5ms", now)
 	}
 }
 
@@ -55,7 +52,7 @@ func TestRetryExhaustion(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRetrier(testPolicy(), reg)
 	clock := vclock.New()
-	err := r.DoTraced(clock, nil, "", failN(clock, 100, time.Millisecond))
+	err := r.DoWithDiscardTraced(clock, nil, "", failN(clock, 100, time.Millisecond), nil)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want wrapped errBoom", err)
 	}
@@ -73,7 +70,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	r := NewRetrier(pol, metrics.NewRegistry())
 	clock := vclock.New()
 	calls := 0
-	err := r.DoTraced(clock, nil, "", func() error { calls++; return errBoom })
+	err := r.DoWithDiscardTraced(clock, nil, "", func() error { calls++; return errBoom }, nil)
 	if err != errBoom || calls != 1 {
 		t.Fatalf("err = %v after %d calls, want errBoom after 1", err, calls)
 	}
@@ -109,45 +106,51 @@ func TestAttemptTimeoutDiscardsSlowSuccess(t *testing.T) {
 
 func TestBudgetCutsRetriesShort(t *testing.T) {
 	pol := testPolicy()
-	pol.Budget = 5 * time.Millisecond
+	pol.Budget = 8 * time.Millisecond
 	r := NewRetrier(pol, metrics.NewRegistry())
 	clock := vclock.New()
-	// Each attempt costs 2ms; after two attempts (4ms) the 4ms backoff
-	// would overrun the 5ms budget.
-	err := r.DoTraced(clock, nil, "", failN(clock, 100, 2*time.Millisecond))
+	// Each attempt costs 2ms; after two attempts and one 2ms±25%
+	// backoff (5.5-6.5ms) the next 4ms±25% backoff would overrun the
+	// 8ms budget.
+	err := r.DoWithDiscardTraced(clock, nil, "", failN(clock, 100, 2*time.Millisecond), nil)
 	if !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", err)
+	}
+	if !strings.Contains(err.Error(), "after 2 attempts") {
+		t.Fatalf("err = %v, want the budget to stop the third attempt", err)
 	}
 }
 
 func TestJitterIsDeterministic(t *testing.T) {
-	pol := testPolicy()
-	pol.Jitter = 0.25
-	pol.Seed = 99
 	run := func() time.Duration {
-		r := NewRetrier(pol, metrics.NewRegistry())
+		r := NewRetrier(testPolicy(), metrics.NewRegistry())
 		clock := vclock.New()
-		_ = r.DoTraced(clock, nil, "", failN(clock, 100, time.Millisecond))
+		_ = r.DoWithDiscardTraced(clock, nil, "", failN(clock, 100, time.Millisecond), nil)
 		return clock.Now()
 	}
-	if a, b := run(), run(); a != b {
+	a, b := run(), run()
+	if a != b {
 		t.Fatalf("jittered retry timing diverged: %v vs %v", a, b)
+	}
+	// 4 attempts x 1ms plus backoffs of 2, 4 and 8ms: jitter moved them.
+	if a == 18*time.Millisecond {
+		t.Fatal("backoffs carry no jitter")
 	}
 }
 
 func TestDisabledRetrierRunsOnce(t *testing.T) {
 	var r *Retrier
 	calls := 0
-	if err := r.DoTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }); err != errBoom || calls != 1 {
+	if err := r.DoWithDiscardTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }, nil); err != errBoom || calls != 1 {
 		t.Fatalf("nil retrier: err=%v calls=%d", err, calls)
 	}
 	r = NewRetrier(RetryPolicy{}, nil)
 	calls = 0
-	if err := r.DoTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }); err != errBoom || calls != 1 {
+	if err := r.DoWithDiscardTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }, nil); err != errBoom || calls != 1 {
 		t.Fatalf("zero-policy retrier: err=%v calls=%d", err, calls)
 	}
-	if r.Enabled() {
-		t.Fatal("zero policy reports enabled")
+	if (RetryPolicy{}).Enabled() || !DefaultRetryPolicy().Enabled() {
+		t.Fatal("only the default policy should report enabled")
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package lifecycle is the warm pool the baseline platforms share: one
 // generic pool of idle guests with a keep-alive TTL on the virtual
-// workload timeline, a per-function capacity, and atomic
-// acquire/release. Fireworks keeps no pool: every start is a snapshot
+// workload timeline and atomic acquire/release. Fireworks keeps no pool: every start is a snapshot
 // resume (§3.4).
 //
 // Before this package, containers, firecracker, and isolate each kept a
@@ -25,12 +24,9 @@ type PoolConfig[G any] struct {
 	// ExpireIdle). Zero keeps guests forever — the right model for
 	// untimed measurements.
 	TTL time.Duration
-	// Capacity bounds the number of idle guests pooled per key; a
-	// Release beyond it evicts the guest instead. Zero is unbounded.
-	Capacity int
-	// OnEvict tears down a guest the pool decided to drop (expired,
-	// over capacity). It is called without the pool lock held and must
-	// not be nil if guests own external resources.
+	// OnEvict tears down a guest the pool decided to drop (expired).
+	// It is called without the pool lock held and must not be nil if
+	// guests own external resources.
 	OnEvict func(g G)
 }
 
@@ -46,11 +42,10 @@ type Pool[G any] struct {
 	idle map[string][]poolEntry[G]
 
 	// Observability (nil-safe; see Instrument).
-	size     *metrics.Gauge
-	hits     *metrics.Counter
-	misses   *metrics.Counter
-	expired  *metrics.Counter
-	rejected *metrics.Counter
+	size    *metrics.Gauge
+	hits    *metrics.Counter
+	misses  *metrics.Counter
+	expired *metrics.Counter
 }
 
 type poolEntry[G any] struct {
@@ -67,8 +62,9 @@ func NewPool[G any](cfg PoolConfig[G]) *Pool[G] {
 
 // Instrument attaches the pool to a metrics registry, labeling every
 // instrument with the owning platform: pool occupancy, acquire
-// hits/misses (hit rate = hits / (hits+misses)), keep-alive expiries,
-// and capacity rejections.
+// hits/misses (hit rate = hits / (hits+misses)) and keep-alive
+// expiries. The pool has no size bound, so lifecycle_pool_rejected_total
+// is registered only to keep the series every export lists, and stays 0.
 func (p *Pool[G]) Instrument(reg *metrics.Registry, platformName string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -76,7 +72,7 @@ func (p *Pool[G]) Instrument(reg *metrics.Registry, platformName string) {
 	p.hits = reg.Counter(metrics.Name("lifecycle_pool_hits_total", "platform", platformName))
 	p.misses = reg.Counter(metrics.Name("lifecycle_pool_misses_total", "platform", platformName))
 	p.expired = reg.Counter(metrics.Name("lifecycle_pool_expired_total", "platform", platformName))
-	p.rejected = reg.Counter(metrics.Name("lifecycle_pool_rejected_total", "platform", platformName))
+	reg.Counter(metrics.Name("lifecycle_pool_rejected_total", "platform", platformName))
 }
 
 // expiredLocked reports whether an entry's keep-alive lapsed before
@@ -124,22 +120,11 @@ func (p *Pool[G]) Acquire(key string, now time.Duration) (G, bool) {
 }
 
 // Release returns an idle guest to the pool at timeline position now.
-// When the per-key capacity is already full the guest is evicted
-// instead and Release reports false. The capacity check and the append
-// are one atomic step, so concurrent releases can never overshoot the
-// bound.
-func (p *Pool[G]) Release(key string, g G, now time.Duration) bool {
+func (p *Pool[G]) Release(key string, g G, now time.Duration) {
 	p.mu.Lock()
-	if p.cfg.Capacity > 0 && len(p.idle[key]) >= p.cfg.Capacity {
-		p.rejected.Inc()
-		p.mu.Unlock()
-		p.evict([]G{g})
-		return false
-	}
+	defer p.mu.Unlock()
 	p.idle[key] = append(p.idle[key], poolEntry[G]{guest: g, releasedAt: now})
 	p.size.Add(1)
-	p.mu.Unlock()
-	return true
 }
 
 // ExpireIdle evicts every pooled guest idle past the keep-alive at

@@ -114,29 +114,6 @@ func TestPoolZeroTTLNeverExpires(t *testing.T) {
 	}
 }
 
-func TestPoolCapacityRejectsAtomically(t *testing.T) {
-	var rejected atomic.Int64
-	p := NewPool(PoolConfig[*fakeGuest]{
-		Capacity: 2,
-		OnEvict:  func(g *fakeGuest) { rejected.Add(1); g.evicted.Store(true) },
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p.Release("fn", &fakeGuest{id: i}, 0)
-		}(i)
-	}
-	wg.Wait()
-	if got := len(p.Guests("fn")); got != 2 {
-		t.Fatalf("Count = %d, want exactly the capacity 2", got)
-	}
-	if got := rejected.Load(); got != 14 {
-		t.Fatalf("rejected = %d, want 14", got)
-	}
-}
-
 func TestPoolConcurrentAcquireNeverDoubleIssues(t *testing.T) {
 	p := NewPool(PoolConfig[*fakeGuest]{})
 	const guests, workers, rounds = 4, 16, 200
@@ -199,15 +176,15 @@ func TestPoolGuestsReturnsCopy(t *testing.T) {
 
 func TestPoolInstrumentCountsHitsMissesExpiriesRejections(t *testing.T) {
 	reg := metrics.NewRegistry()
-	p := NewPool(PoolConfig[*fakeGuest]{TTL: time.Minute, Capacity: 1})
+	p := NewPool(PoolConfig[*fakeGuest]{TTL: time.Minute})
 	p.Instrument(reg, "testplat")
 
 	p.Acquire("fn", 0)                    // miss
 	p.Release("fn", &fakeGuest{id: 1}, 0) // size 1
-	p.Release("fn", &fakeGuest{id: 2}, 0) // rejected (capacity 1)
-	p.Acquire("fn", 0)                    // hit, size 0
-	p.Release("fn", &fakeGuest{id: 3}, 0) // size 1
-	p.ExpireIdle(2 * time.Minute)         // expired, size 0
+	p.Release("fn", &fakeGuest{id: 2}, 0) // size 2: the pool has no bound
+	p.Acquire("fn", 0)                    // hit, size 1
+	p.Release("fn", &fakeGuest{id: 3}, 0) // size 2
+	p.ExpireIdle(2 * time.Minute)         // 2 expired, size 0
 	p.Release("fn", &fakeGuest{id: 4}, 3*time.Minute)
 
 	get := func(name string) int64 {
@@ -219,11 +196,11 @@ func TestPoolInstrumentCountsHitsMissesExpiriesRejections(t *testing.T) {
 	if got := get("lifecycle_pool_misses_total"); got != 1 {
 		t.Errorf("misses = %d, want 1", got)
 	}
-	if got := get("lifecycle_pool_expired_total"); got != 1 {
-		t.Errorf("expired = %d, want 1", got)
+	if got := get("lifecycle_pool_expired_total"); got != 2 {
+		t.Errorf("expired = %d, want 2", got)
 	}
-	if got := get("lifecycle_pool_rejected_total"); got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
+	if got := get("lifecycle_pool_rejected_total"); got != 0 {
+		t.Errorf("rejected = %d, want 0", got)
 	}
 	size := reg.Gauge(metrics.Name("lifecycle_pool_size", "platform", "testplat"))
 	if got := size.Value(); got != 1 {

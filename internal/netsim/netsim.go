@@ -164,7 +164,7 @@ func (r *Router) AllocExternal(ns *Namespace, guest Addr) (Addr, error) {
 // namespace's NAT translates the destination to the guest IP and the
 // matching tap delivers it. This is the host→guest path of Figure 5.
 func (r *Router) Send(pkt Packet) error {
-	if err := r.faults.Inject(faults.SiteNetTransfer, nil); err != nil {
+	if err := r.faults.InjectTraced(faults.SiteNetTransfer, nil, nil, 0); err != nil {
 		return fmt.Errorf("netsim: send to %s: %w", pkt.Dst, err)
 	}
 	r.mu.Lock()

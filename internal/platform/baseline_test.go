@@ -97,10 +97,20 @@ func TestBaselineContract(t *testing.T) {
 // install that fails part-way must stop the microVM it created.
 func TestFirecrackerFailedStartLeaksNothing(t *testing.T) {
 	for _, mode := range []FirecrackerMode{FCNoSnapshot, FCOSSnapshot} {
-		// The only external IP is held by the parked first VM, so the
-		// second cold start fails in SetupNetwork, after its VM exists.
+		// The last free external IP is held by the parked first VM, so
+		// the second cold start fails in SetupNetwork, after its VM
+		// exists.
 		t.Run(mode.String()+"/network", func(t *testing.T) {
-			env := NewEnv(EnvConfig{ExternalIPPool: 1})
+			env := NewEnv(EnvConfig{})
+			held, err := env.Router.CreateNamespace("held")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4095; i++ {
+				if _, err := env.Router.AllocExternal(held, "192.168.0.2"); err != nil {
+					t.Fatal(err)
+				}
+			}
 			p := NewFirecracker(env, mode)
 			if _, err := p.Install(factFn("fact")); err != nil {
 				t.Fatal(err)
@@ -110,7 +120,7 @@ func TestFirecrackerFailedStartLeaksNothing(t *testing.T) {
 			}
 			vms, used := env.HV.VMCount(), env.Mem.Used()
 			if _, err := p.Invoke("fact", MustParams(nil), InvokeOptions{Mode: ModeCold}); err == nil {
-				t.Fatal("second cold start got an external IP from a pool of one")
+				t.Fatal("second cold start got an external IP from an exhausted pool")
 			}
 			if env.HV.VMCount() != vms || env.Mem.Used() != used {
 				t.Fatalf("failed cold start leaked: VMs %d -> %d, mem %d -> %d",

@@ -57,15 +57,13 @@ func (k firecrackerKind) install(b *baseline, fn *deployed, report *InstallRepor
 		return nil
 	}
 	clock := vclock.New()
-	vm, err := b.env.HV.CreateVM(vmm.DefaultConfig(), clock)
-	if err != nil {
-		return err
-	}
+	vm := b.env.HV.CreateVM(clock)
 	var snap *vmm.Snapshot
-	if err = vm.BootKernel(clock); err == nil {
-		snap, err = b.env.HV.TakeSnapshot(vm, vmm.SnapOSOnly,
+	err := vm.BootKernelTraced(clock, nil)
+	if err == nil {
+		snap, err = b.env.HV.TakeSnapshotTraced(vm, vmm.SnapOSOnly,
 			[]vmm.RegionSpec{{Kind: mem.KindKernel, Bytes: vmm.CostKernelBytes}},
-			osSnapshotWorkingSet, nil, clock)
+			osSnapshotWorkingSet, nil, clock, nil)
 	}
 	// The install VM exists only to be imaged: it goes whether or not
 	// the capture worked.
@@ -95,12 +93,9 @@ func (k firecrackerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 			return err
 		}
 	} else {
-		vm, err := hv.CreateVM(vmm.DefaultConfig(), inv.Clock)
-		if err != nil {
-			return err
-		}
+		vm := hv.CreateVM(inv.Clock)
 		g.vm, g.id, g.space = vm, vm.ID, vm.Space()
-		if err := vm.BootKernel(inv.Clock); err != nil {
+		if err := vm.BootKernelTraced(inv.Clock, nil); err != nil {
 			return err
 		}
 		if err := hv.SetupNetwork(vm, "192.168.0.2", inv.Clock); err != nil {

@@ -233,15 +233,10 @@ type EnvConfig struct {
 	// MemBytes is host physical memory (default 128 GiB, the paper's
 	// testbed).
 	MemBytes uint64
-	// Swappiness is the swap threshold fraction (default 0.6,
-	// vm.swappiness=60 as in §5.4).
-	Swappiness float64
 	// SnapshotDiskBudget bounds snapshot storage (0 = unbounded).
 	SnapshotDiskBudget uint64
 	// RemoteSnapshotStorage enables the remote snapshot tier.
 	RemoteSnapshotStorage bool
-	// ExternalIPPool sizes the NAT pool (default 4096).
-	ExternalIPPool int
 	// Metrics, when non-nil, is the registry this host reports into —
 	// a cluster passes one shared registry to every node so restores,
 	// CoW faults, and queue dwell aggregate fleet-wide. Nil creates a
@@ -259,16 +254,18 @@ type EnvConfig struct {
 	Events *events.Journal
 }
 
+// The paper's testbed host (§5.4): the kernel starts swapping at
+// vm.swappiness=60, i.e. once 60% of memory is in use, and each host
+// has a pool of 4096 external addresses for its clones' NAT rules.
+const (
+	hostSwappiness     = 0.6
+	hostExternalIPPool = 4096
+)
+
 // NewEnv creates a host environment.
 func NewEnv(cfg EnvConfig) *Env {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 128 << 30
-	}
-	if cfg.Swappiness == 0 {
-		cfg.Swappiness = 0.6
-	}
-	if cfg.ExternalIPPool == 0 {
-		cfg.ExternalIPPool = 4096
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -278,8 +275,8 @@ func NewEnv(cfg EnvConfig) *Env {
 	if journal == nil {
 		journal = events.NewJournal(0)
 	}
-	host := mem.NewHost(cfg.MemBytes, cfg.Swappiness)
-	router := netsim.NewRouter(cfg.ExternalIPPool)
+	host := mem.NewHost(cfg.MemBytes, hostSwappiness)
+	router := netsim.NewRouter(hostExternalIPPool)
 	env := &Env{
 		Mem:     host,
 		Router:  router,

@@ -18,15 +18,12 @@ import (
 func makeSnap(t *testing.T, hv *vmm.Hypervisor, bytes uint64) *vmm.Snapshot {
 	t.Helper()
 	clock := vclock.New()
-	v, err := hv.CreateVM(vmm.DefaultConfig(), clock)
-	if err != nil {
+	v := hv.CreateVM(clock)
+	if err := v.BootKernelTraced(clock, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.BootKernel(clock); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := hv.TakeSnapshot(v, vmm.SnapPostJIT,
-		[]vmm.RegionSpec{{Kind: mem.KindHeap, Bytes: bytes}}, bytes/4, nil, clock)
+	snap, err := hv.TakeSnapshotTraced(v, vmm.SnapPostJIT,
+		[]vmm.RegionSpec{{Kind: mem.KindHeap, Bytes: bytes}}, bytes/4, nil, clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +158,11 @@ func TestPinPreventsEviction(t *testing.T) {
 func makeChunkedSnap(t *testing.T, hv *vmm.Hypervisor, regions []vmm.RegionSpec) *vmm.Snapshot {
 	t.Helper()
 	clock := vclock.New()
-	v, err := hv.CreateVM(vmm.DefaultConfig(), clock)
-	if err != nil {
+	v := hv.CreateVM(clock)
+	if err := v.BootKernelTraced(clock, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.BootKernel(clock); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := hv.TakeSnapshot(v, vmm.SnapPostJIT, regions, 8<<20, nil, clock)
+	snap, err := hv.TakeSnapshotTraced(v, vmm.SnapPostJIT, regions, 8<<20, nil, clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

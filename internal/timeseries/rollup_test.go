@@ -12,10 +12,7 @@ import (
 func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 	// Raw ring of 16 points, 10s + 60s tiers: a 1000-sample storm at
 	// 1s cadence retains only the last 16s raw.
-	s := newSeriesTiered("reqs", 16, []RollupSpec{
-		{Width: 10 * time.Second, Capacity: 64},
-		{Width: 60 * time.Second, Capacity: 64},
-	})
+	s := newSeriesTiered("reqs", 16, DefaultRollups())
 	for i := 0; i < 1000; i++ {
 		// A counter growing by 2 per virtual second.
 		s.append(time.Duration(i)*time.Second, float64(2*i))
@@ -24,8 +21,8 @@ func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 		t.Fatalf("raw ring holds %d, want 16", s.Len())
 	}
 	// The baseline is the deepest tier's oldest bucket (Start, Min).
-	// The 60s tier retains 64 buckets = all 1000s of history, so the
-	// delta spans the whole run, though the raw ring starts at t=984s.
+	// The 60s tier retains all 1000s of history, so the delta spans the
+	// whole run, though the raw ring starts at t=984s.
 	delta, ok := s.Delta()
 	if !ok || delta != 2*999 {
 		t.Fatalf("tier-backed delta = %.0f ok=%v, want %d", delta, ok, 2*999)
@@ -33,7 +30,7 @@ func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 }
 
 func TestRollupBucketAggregates(t *testing.T) {
-	s := newSeriesTiered("lat", 8, []RollupSpec{{Width: 10 * time.Second, Capacity: 8}})
+	s := newSeriesTiered("lat", 8, []RollupSpec{{Width: 10 * time.Second}})
 	s.append(1*time.Second, 5)
 	s.append(2*time.Second, 1)
 	s.append(9*time.Second, 3)
@@ -51,6 +48,25 @@ func TestRollupBucketAggregates(t *testing.T) {
 	}
 	if s.TierBuckets() != 2 {
 		t.Fatalf("TierBuckets = %d", s.TierBuckets())
+	}
+}
+
+// A tier keeps its last 4096 buckets: once it wraps, the baseline is
+// the oldest bucket still resident.
+func TestRollupTierWraps(t *testing.T) {
+	s := newSeriesTiered("reqs", 16, []RollupSpec{{Width: 10 * time.Second}})
+	// 5000 ten-second buckets at 1s cadence: the first 904 fall off.
+	for i := 0; i < 50000; i++ {
+		s.append(time.Duration(i)*time.Second, float64(2*i))
+	}
+	if got := s.TierBuckets(); got != 4096 {
+		t.Fatalf("tier holds %d buckets, want 4096", got)
+	}
+	if b := s.tiers[0].bucketAt(0); b.Start != 9040*time.Second || b.Min != 2*9040 {
+		t.Fatalf("oldest bucket = %+v, want the one at 9040s", b)
+	}
+	if delta, ok := s.Delta(); !ok || delta != 2*(49999-9040) {
+		t.Fatalf("delta = %.0f ok=%v, want %d", delta, ok, 2*(49999-9040))
 	}
 }
 

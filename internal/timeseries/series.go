@@ -25,22 +25,21 @@ type Point struct {
 }
 
 // RollupSpec declares one downsampled retention tier of a series:
-// points fold into Width-wide buckets, of which Capacity are retained.
-// A 4096-point raw ring sampled once per virtual second plus 10s and
-// 60s tiers keeps an hour-long storm's first baseline in ~triple the
-// memory of the raw ring alone, instead of 3600x.
+// points fold into Width-wide buckets, of which rollupCapacity are
+// retained. A 4096-point raw ring sampled once per virtual second plus
+// 10s and 60s tiers keeps an hour-long storm's first baseline in
+// ~triple the memory of the raw ring alone, instead of 3600x.
 type RollupSpec struct {
-	Width    time.Duration
-	Capacity int
+	Width time.Duration
 }
 
-// DefaultRollups is the 1s→10s→60s tiering of the ISSUE: the raw ring
-// is the finest tier, these two coarsen it.
+// rollupCapacity is how many buckets every rollup tier retains.
+const rollupCapacity = 4096
+
+// DefaultRollups is the 1s→10s→60s tiering: the raw ring is the finest
+// tier, these two coarsen it.
 func DefaultRollups() []RollupSpec {
-	return []RollupSpec{
-		{Width: 10 * time.Second, Capacity: 4096},
-		{Width: 60 * time.Second, Capacity: 4096},
-	}
+	return []RollupSpec{{Width: 10 * time.Second}, {Width: 60 * time.Second}}
 }
 
 // RollupBucket is one downsampled bucket: the least of the points
@@ -103,10 +102,10 @@ func newSeries(name string, capacity int) *Series {
 func newSeriesTiered(name string, capacity int, specs []RollupSpec) *Series {
 	s := newSeries(name, capacity)
 	for _, sp := range specs {
-		if sp.Width <= 0 || sp.Capacity <= 0 {
+		if sp.Width <= 0 {
 			continue
 		}
-		s.tiers = append(s.tiers, &rollupTier{width: sp.Width, buf: make([]RollupBucket, sp.Capacity)})
+		s.tiers = append(s.tiers, &rollupTier{width: sp.Width, buf: make([]RollupBucket, rollupCapacity)})
 	}
 	sort.Slice(s.tiers, func(i, j int) bool { return s.tiers[i].width < s.tiers[j].width })
 	return s

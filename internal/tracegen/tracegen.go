@@ -28,16 +28,19 @@ type Config struct {
 	Duration time.Duration
 	// Seed makes the trace reproducible (default 1).
 	Seed uint64
-	// PopularFraction is the share of functions in the popular class
-	// (default 0.186, the ATC'20 measurement).
-	PopularFraction float64
-	// PopularRatePerMin is the popular class's mean invocation rate
-	// (default 2.0/min — comfortably above once a minute).
-	PopularRatePerMin float64
-	// RareMeanInterval is the rare class's mean time between
-	// invocations (default 25 min — well below once a minute).
-	RareMeanInterval time.Duration
 }
+
+// The two popularity classes of the ATC'20 measurement.
+const (
+	// popularFraction is the share of functions in the popular class.
+	popularFraction = 0.186
+	// popularRatePerMin is the popular class's mean invocation rate,
+	// comfortably above once a minute.
+	popularRatePerMin = 2.0
+	// rareMeanInterval is the rare class's mean time between
+	// invocations, well below once a minute.
+	rareMeanInterval = 25 * time.Minute
+)
 
 func (c *Config) applyDefaults() {
 	if c.Functions == 0 {
@@ -48,15 +51,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.PopularFraction == 0 {
-		c.PopularFraction = 0.186
-	}
-	if c.PopularRatePerMin == 0 {
-		c.PopularRatePerMin = 2.0
-	}
-	if c.RareMeanInterval == 0 {
-		c.RareMeanInterval = 25 * time.Minute
 	}
 }
 
@@ -94,7 +88,7 @@ type Trace struct {
 func Generate(cfg Config) *Trace {
 	cfg.applyDefaults()
 	rng := vclock.NewRand(cfg.Seed)
-	nPopular := int(math.Round(float64(cfg.Functions) * cfg.PopularFraction))
+	nPopular := int(math.Round(float64(cfg.Functions) * popularFraction))
 	if nPopular < 1 {
 		nPopular = 1
 	}
@@ -103,7 +97,7 @@ func Generate(cfg Config) *Trace {
 	}
 
 	tr := &Trace{Config: cfg}
-	popularInterval := time.Duration(float64(time.Minute) / cfg.PopularRatePerMin)
+	popularInterval := time.Duration(float64(time.Minute) / popularRatePerMin)
 	for i := 0; i < cfg.Functions; i++ {
 		spec := FunctionSpec{Name: fmt.Sprintf("fn-%03d", i)}
 		if i < nPopular {
@@ -111,7 +105,7 @@ func Generate(cfg Config) *Trace {
 			spec.MeanInterval = popularInterval
 		} else {
 			spec.Class = ClassRare
-			spec.MeanInterval = cfg.RareMeanInterval
+			spec.MeanInterval = rareMeanInterval
 		}
 		tr.Functions = append(tr.Functions, spec)
 

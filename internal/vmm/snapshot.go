@@ -72,9 +72,8 @@ type RegionSpec struct {
 // framework layer uses to reconstruct the language runtime at the
 // resume point.
 type Snapshot struct {
-	ID       string
-	Kind     SnapshotKind
-	VMConfig Config
+	ID   string
+	Kind SnapshotKind
 	// GuestIP is the snapshotted guest's network identity; every clone
 	// wakes up with this same address (§3.5).
 	GuestIP netsim.Addr
@@ -209,17 +208,12 @@ func (s *Snapshot) RecordWorkingSet(v *MicroVM) *WorkingSetRecord {
 	return rec
 }
 
-// TakeSnapshot serializes a running VM's memory into a snapshot image.
-// The caller describes the guest memory layout (regions by kind) and the
-// resident working set; creation time is charged to clock. The source VM
-// keeps running (Firecracker pauses and resumes it around serialization,
-// which is inside the charged cost).
-func (h *Hypervisor) TakeSnapshot(v *MicroVM, kind SnapshotKind, specs []RegionSpec, workingSet uint64, guestState any, clock *vclock.Clock) (*Snapshot, error) {
-	return h.TakeSnapshotTraced(v, kind, specs, workingSet, guestState, clock, nil)
-}
-
-// TakeSnapshotTraced is TakeSnapshot under an event scope: the capture
-// cost histogram carries the scope's trace as its exemplar.
+// TakeSnapshotTraced serializes a running VM's memory into a snapshot
+// image. The caller describes the guest memory layout (regions by kind)
+// and the resident working set; creation time is charged to clock, and
+// the capture cost histogram carries sc's trace (nil for none) as its
+// exemplar. The source VM keeps running (Firecracker pauses and resumes
+// it around serialization, which is inside the charged cost).
 func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, kind SnapshotKind, specs []RegionSpec, workingSet uint64, guestState any, clock *vclock.Clock, sc *events.Scope) (*Snapshot, error) {
 	if v.state != StateRunning && v.state != StatePaused {
 		return nil, fmt.Errorf("%w: snapshot in %s", ErrBadState, v.state)
@@ -231,8 +225,8 @@ func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, kind SnapshotKind, specs []R
 	if total == 0 {
 		return nil, fmt.Errorf("vmm: snapshot of %s has no memory regions", v.ID)
 	}
-	if total > v.Config.MemBytes {
-		return nil, fmt.Errorf("vmm: snapshot regions (%d bytes) exceed guest memory (%d bytes)", total, v.Config.MemBytes)
+	if total > guestMemBytes {
+		return nil, fmt.Errorf("vmm: snapshot regions (%d bytes) exceed guest memory (%d bytes)", total, guestMemBytes)
 	}
 	captureCost := CostSnapshotBase + time.Duration(total)*CostSnapshotPerByte
 	clock.Charge("snapshot-capture", captureCost)
@@ -242,7 +236,6 @@ func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, kind SnapshotKind, specs []R
 	snap := &Snapshot{
 		ID:                      "snap-" + v.ID,
 		Kind:                    kind,
-		VMConfig:                v.Config,
 		GuestIP:                 "192.168.0.2", // the canonical guest address baked into every image
 		GuestState:              guestState,
 		ResidentWorkingSetBytes: workingSet,
@@ -311,7 +304,6 @@ func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *v
 
 	v := &MicroVM{
 		ID:     id,
-		Config: snap.VMConfig,
 		FS:     nil, // set below: restored VMs see the snapshotted rootfs
 		hv:     h,
 		state:  StateRunning,

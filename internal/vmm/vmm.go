@@ -49,18 +49,11 @@ var (
 	ErrNoVM     = errors.New("vmm: no such microVM")
 )
 
-// Config sizes a microVM; the defaults follow the paper's evaluation
-// setup (1 vCPU, 512 MiB memory, 2 GiB disk).
-type Config struct {
-	VCPUs     int
-	MemBytes  uint64
-	DiskBytes uint64
-}
-
-// DefaultConfig is the paper's microVM configuration.
-func DefaultConfig() Config {
-	return Config{VCPUs: 1, MemBytes: 512 << 20, DiskBytes: 2 << 30}
-}
+// guestMemBytes is the guest memory of every microVM: the paper's
+// testbed (§5.4) runs each function in a 1-vCPU microVM with 512 MiB of
+// memory and a 2 GiB disk. Only the memory size bounds anything here —
+// a snapshot's regions must fit in it.
+const guestMemBytes = 512 << 20
 
 // Hypervisor manages microVMs on one host.
 type Hypervisor struct {
@@ -118,9 +111,8 @@ func (h *Hypervisor) AttachFaults(p *faults.Plane) {
 
 // MicroVM is one simulated Firecracker microVM.
 type MicroVM struct {
-	ID     string
-	Config Config
-	FS     *fs.MemFS
+	ID string
+	FS *fs.MemFS
 
 	hv    *Hypervisor
 	state State
@@ -153,10 +145,7 @@ func (v *MicroVM) Space() *mem.Space { return v.space }
 
 // CreateVM creates a stopped microVM shell (the Firecracker process and
 // API socket), charging the create cost to clock.
-func (h *Hypervisor) CreateVM(cfg Config, clock *vclock.Clock) (*MicroVM, error) {
-	if cfg.VCPUs <= 0 || cfg.MemBytes == 0 {
-		return nil, fmt.Errorf("vmm: invalid config %+v", cfg)
-	}
+func (h *Hypervisor) CreateVM(clock *vclock.Clock) *MicroVM {
 	h.mu.Lock()
 	h.nextID++
 	id := fmt.Sprintf("fc-%04d", h.nextID)
@@ -164,13 +153,12 @@ func (h *Hypervisor) CreateVM(cfg Config, clock *vclock.Clock) (*MicroVM, error)
 
 	clock.Charge("vm-create", CostVMCreate)
 	v := &MicroVM{
-		ID:     id,
-		Config: cfg,
-		FS:     fs.NewMemFS(),
-		hv:     h,
-		state:  StateCreated,
-		space:  h.Host.NewSpace(id),
-		mmds:   make(map[string]string),
+		ID:    id,
+		FS:    fs.NewMemFS(),
+		hv:    h,
+		state: StateCreated,
+		space: h.Host.NewSpace(id),
+		mmds:  make(map[string]string),
 	}
 	// VMM process overhead (Firecracker process + virtio queues).
 	v.space.AllocPrivate(mem.KindAnon, mem.PagesFor(CostVMMOverheadBytes))
@@ -178,17 +166,13 @@ func (h *Hypervisor) CreateVM(cfg Config, clock *vclock.Clock) (*MicroVM, error)
 	h.vms[id] = v
 	h.mu.Unlock()
 	h.liveVMs.Add(1)
-	return v, nil
+	return v
 }
 
-// BootKernel boots the guest kernel in a freshly created VM (the cold
-// path), charging boot time and allocating the kernel's private pages.
-func (v *MicroVM) BootKernel(clock *vclock.Clock) error {
-	return v.BootKernelTraced(clock, nil)
-}
-
-// BootKernelTraced is BootKernel under an event scope: the boot emits a
-// "vmm" event (and any injected fault emits its own at the boot site).
+// BootKernelTraced boots the guest kernel in a freshly created VM (the
+// cold path), charging boot time and allocating the kernel's private
+// pages. The boot emits a "vmm" event into sc (nil records nothing),
+// and any injected fault emits its own at the boot site.
 func (v *MicroVM) BootKernelTraced(clock *vclock.Clock, sc *events.Scope) error {
 	if v.state != StateCreated {
 		return fmt.Errorf("%w: boot in %s", ErrBadState, v.state)

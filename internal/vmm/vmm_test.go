@@ -17,17 +17,14 @@ func newHV() *Hypervisor {
 func TestVMLifecycle(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
-	v, err := hv.CreateVM(DefaultConfig(), clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := hv.CreateVM(clock)
 	if v.State() != StateCreated {
 		t.Fatalf("state = %v", v.State())
 	}
 	if clock.Now() != CostVMCreate {
 		t.Fatalf("create cost = %v", clock.Now())
 	}
-	if err := v.BootKernel(clock); err != nil {
+	if err := v.BootKernelTraced(clock, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v.State() != StateRunning {
@@ -60,15 +57,15 @@ func TestVMLifecycle(t *testing.T) {
 func TestStateMachineRejectsBadTransitions(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
-	v, _ := hv.CreateVM(DefaultConfig(), clock)
+	v := hv.CreateVM(clock)
 	if err := v.Pause(); !errors.Is(err, ErrBadState) {
 		t.Fatalf("pause before boot: %v", err)
 	}
 	if err := v.ResumeWarm(clock); !errors.Is(err, ErrBadState) {
 		t.Fatalf("resume before pause: %v", err)
 	}
-	v.BootKernel(clock)
-	if err := v.BootKernel(clock); !errors.Is(err, ErrBadState) {
+	v.BootKernelTraced(clock, nil)
+	if err := v.BootKernelTraced(clock, nil); !errors.Is(err, ErrBadState) {
 		t.Fatalf("double boot: %v", err)
 	}
 	v.Stop()
@@ -77,19 +74,12 @@ func TestStateMachineRejectsBadTransitions(t *testing.T) {
 	}
 }
 
-func TestInvalidConfig(t *testing.T) {
-	hv := newHV()
-	if _, err := hv.CreateVM(Config{}, vclock.New()); err == nil {
-		t.Fatal("zero config accepted")
-	}
-}
-
 func TestKernelBootAllocatesMemory(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
-	v, _ := hv.CreateVM(DefaultConfig(), clock)
+	v := hv.CreateVM(clock)
 	before := hv.Host.Used()
-	v.BootKernel(clock)
+	v.BootKernelTraced(clock, nil)
 	grown := hv.Host.Used() - before
 	if grown != uint64(mem.PagesFor(CostKernelBytes))*mem.PageSize {
 		t.Fatalf("kernel pages = %d bytes", grown)
@@ -106,7 +96,7 @@ func TestKernelBootAllocatesMemory(t *testing.T) {
 func TestMMDS(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
-	v, _ := hv.CreateVM(DefaultConfig(), clock)
+	v := hv.CreateVM(clock)
 	v.SetMMDS("fcID", "fc42")
 	got, ok := v.MMDS("fcID")
 	if !ok || got != "fc42" {
@@ -120,8 +110,8 @@ func TestMMDS(t *testing.T) {
 func TestSetupNetwork(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
-	v, _ := hv.CreateVM(DefaultConfig(), clock)
-	v.BootKernel(clock)
+	v := hv.CreateVM(clock)
+	v.BootKernelTraced(clock, nil)
 	if err := hv.SetupNetwork(v, "192.168.0.2", clock); err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +130,13 @@ func TestSetupNetwork(t *testing.T) {
 
 func takeTestSnapshot(t *testing.T, hv *Hypervisor, clock *vclock.Clock) *Snapshot {
 	t.Helper()
-	v, _ := hv.CreateVM(DefaultConfig(), clock)
-	v.BootKernel(clock)
-	snap, err := hv.TakeSnapshot(v, SnapPostJIT, []RegionSpec{
+	v := hv.CreateVM(clock)
+	v.BootKernelTraced(clock, nil)
+	snap, err := hv.TakeSnapshotTraced(v, SnapPostJIT, []RegionSpec{
 		{Kind: mem.KindHeap, Bytes: 8 << 20},
 		{Kind: mem.KindKernel, Bytes: CostKernelBytes},
 		{Kind: mem.KindRuntime, Bytes: 64 << 20},
-	}, 32<<20, "guest-state", clock)
+	}, 32<<20, "guest-state", clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +169,14 @@ func TestSnapshotCreation(t *testing.T) {
 func TestSnapshotRejectsOversize(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
-	v, _ := hv.CreateVM(Config{VCPUs: 1, MemBytes: 64 << 20, DiskBytes: 1 << 30}, clock)
-	v.BootKernel(clock)
-	_, err := hv.TakeSnapshot(v, SnapOSOnly,
-		[]RegionSpec{{Kind: mem.KindKernel, Bytes: 128 << 20}}, 0, nil, clock)
+	v := hv.CreateVM(clock)
+	v.BootKernelTraced(clock, nil)
+	_, err := hv.TakeSnapshotTraced(v, SnapOSOnly,
+		[]RegionSpec{{Kind: mem.KindKernel, Bytes: 513 << 20}}, 0, nil, clock, nil)
 	if err == nil {
 		t.Fatal("snapshot larger than guest memory accepted")
 	}
-	if _, err := hv.TakeSnapshot(v, SnapOSOnly, nil, 0, nil, clock); err == nil {
+	if _, err := hv.TakeSnapshotTraced(v, SnapOSOnly, nil, 0, nil, clock, nil); err == nil {
 		t.Fatal("empty snapshot accepted")
 	}
 }
@@ -346,10 +336,10 @@ func TestDirtyDuringExecutionAccumulates(t *testing.T) {
 func TestSnapshotInBadStateFails(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
-	v, _ := hv.CreateVM(DefaultConfig(), clock)
+	v := hv.CreateVM(clock)
 	// Not booted yet.
-	_, err := hv.TakeSnapshot(v, SnapOSOnly,
-		[]RegionSpec{{Kind: mem.KindKernel, Bytes: 1 << 20}}, 0, nil, clock)
+	_, err := hv.TakeSnapshotTraced(v, SnapOSOnly,
+		[]RegionSpec{{Kind: mem.KindKernel, Bytes: 1 << 20}}, 0, nil, clock, nil)
 	if !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v", err)
 	}

@@ -26,8 +26,8 @@ type Invoker interface {
 
 // Options tunes an Engine.
 type Options struct {
-	// Retry is the per-step retry policy (a step's own Retry field
-	// overrides it). The zero policy fails fast on the first error.
+	// Retry is every step's retry policy. The zero policy fails fast
+	// on the first error.
 	Retry faults.RetryPolicy
 }
 
@@ -226,12 +226,7 @@ func (e *Engine) Register(spec *Spec) error {
 		return fmt.Errorf("workflow %q: %w", spec.Name, err)
 	}
 	for i := range spec.Steps {
-		st := &spec.Steps[i]
-		policy := e.opts.Retry
-		if st.Retry != nil {
-			policy = *st.Retry
-		}
-		wf.retriers[st.ID] = faults.NewRetrier(policy, e.reg)
+		wf.retriers[spec.Steps[i].ID] = faults.NewRetrier(e.opts.Retry, e.reg)
 	}
 	e.workflows[spec.Name] = wf
 	e.names = append(e.names, spec.Name)
@@ -322,10 +317,10 @@ func (e *Engine) enqueueReady(wf *registered, run *Run) error {
 		return nil
 	}
 	clock := run.Invocation.Clock
-	return e.busRetrier.DoTraced(clock, run.sc, "wf-enqueue", func() error {
+	return e.busRetrier.DoWithDiscardTraced(clock, run.sc, "wf-enqueue", func() error {
 		_, err := e.bus.ProduceBatchTracedAt(wf.stepsTopic, recs, clock.Now(), run.sc)
 		return err
-	})
+	}, nil)
 }
 
 // ready reports whether every dependency of step id is terminal-OK.
@@ -354,11 +349,11 @@ func (e *Engine) drive(wf *registered) {
 		// message where possible; fall back to a journal-less poll
 		// position when the topic is empty.
 		clock, sc := e.pollContext(wf)
-		err := e.busRetrier.DoTraced(clock, sc, "wf-poll", func() error {
+		err := e.busRetrier.DoWithDiscardTraced(clock, sc, "wf-poll", func() error {
 			var cerr error
 			msgs, cerr = e.bus.ConsumeFromTracedAt(wf.stepsTopic, 0, wf.offset, stepBatch, clock.Now(), sc)
 			return cerr
-		})
+		}, nil)
 		if err != nil || len(msgs) == 0 {
 			return
 		}
@@ -449,7 +444,7 @@ func (e *Engine) deliver(wf *registered, run *Run, stepID string) {
 		events.A("run", run.ID))
 	attempts := 0
 	var out *platform.Invocation
-	err := wf.retriers[stepID].DoTraced(clock, run.sc, "step:"+stepID, func() error {
+	err := wf.retriers[stepID].DoWithDiscardTraced(clock, run.sc, "step:"+stepID, func() error {
 		attempts++
 		var ierr error
 		out, ierr = e.inv.Invoke(spec.Function, params, platform.InvokeOptions{
@@ -457,7 +452,7 @@ func (e *Engine) deliver(wf *registered, run *Run, stepID string) {
 			At:     clock.Now(),
 		})
 		return ierr
-	})
+	}, nil)
 	st.Attempts += attempts
 	if attempts > 1 {
 		e.stepsRetried.Add(int64(attempts - 1))
@@ -501,10 +496,10 @@ func (e *Engine) deadLetter(wf *registered, run *Run, st *StepState, cause error
 		Error:    cause.Error(),
 	}
 	body, _ := json.Marshal(rec)
-	perr := e.busRetrier.DoTraced(clock, run.sc, "wf-dlq", func() error {
+	perr := e.busRetrier.DoWithDiscardTraced(clock, run.sc, "wf-dlq", func() error {
 		_, _, err := e.bus.ProduceTracedAt(wf.dlqTopic, run.ID, body, clock.Now(), run.sc)
 		return err
-	})
+	}, nil)
 	e.stepsDead.Inc()
 	wf.dlqDepth.Add(1)
 	attrs := []events.Attr{

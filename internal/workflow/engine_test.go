@@ -312,12 +312,7 @@ func TestSkipCascade(t *testing.T) {
 }
 
 func TestRetryThenComplete(t *testing.T) {
-	h := newHarness(t, workflow.Options{Retry: faults.RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		Multiplier:  2,
-	}})
+	h := newHarness(t, workflow.Options{Retry: faults.DefaultRetryPolicy()})
 	tries := 0
 	h.inv.handle("flaky", func(in map[string]any) (any, error) {
 		tries++
@@ -346,12 +341,7 @@ func TestRetryThenComplete(t *testing.T) {
 }
 
 func TestFanInWithDeadBranchAndReplay(t *testing.T) {
-	h := newHarness(t, workflow.Options{Retry: faults.RetryPolicy{
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Multiplier:  2,
-	}})
+	h := newHarness(t, workflow.Options{Retry: faults.DefaultRetryPolicy()})
 	broken := true
 	h.inv.handle("split", func(in map[string]any) (any, error) { return "ok", nil })
 	h.inv.handle("good", func(in map[string]any) (any, error) { return "ok", nil })
@@ -390,7 +380,7 @@ func TestFanInWithDeadBranchAndReplay(t *testing.T) {
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("DLQ = %v, %v; want one record", recs, err)
 	}
-	if recs[0].Step != "bad" || recs[0].Attempts != 2 {
+	if recs[0].Step != "bad" || recs[0].Attempts != 4 {
 		t.Fatalf("DLQ record %+v", recs[0])
 	}
 	if got := h.reg.Gauge(metrics.Name("workflow_dlq_depth", "workflow", "frag")).Value(); got != 1 {
@@ -461,13 +451,7 @@ func TestDuplicateDeliveryIsCounted(t *testing.T) {
 // full journal dump — the determinism witnesses.
 func dlqScenario(t *testing.T, seed uint64) (string, []byte) {
 	t.Helper()
-	h := newHarness(t, workflow.Options{Retry: faults.RetryPolicy{
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Multiplier:  2,
-		Seed:        seed,
-	}})
+	h := newHarness(t, workflow.Options{Retry: faults.DefaultRetryPolicy()})
 	plane := faults.NewPlane(seed)
 	plane.SetProfile(faults.SiteBusProduce, faults.Profile{ErrorRate: 0.2})
 	plane.SetProfile(faults.SiteBusConsume, faults.Profile{ErrorRate: 0.2})
@@ -628,9 +612,7 @@ func TestDoneEventCarriesStepCounts(t *testing.T) {
 // stalled run never is, and a late duplicate for a forgotten run is
 // dropped without executing anything.
 func TestCompletedRunsAreBounded(t *testing.T) {
-	h := newHarness(t, workflow.Options{Retry: faults.RetryPolicy{
-		MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, Multiplier: 1,
-	}})
+	h := newHarness(t, workflow.Options{})
 	broken := true
 	h.inv.handle("f", func(in map[string]any) (any, error) {
 		if broken {

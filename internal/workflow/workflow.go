@@ -23,8 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-
-	"repro/internal/faults"
 )
 
 // Condition gates a step on another step's output.
@@ -66,9 +64,6 @@ type Step struct {
 	// as-is, the way an imperative chain passes its result along.
 	// Takes precedence over Input.
 	InputFrom string `json:"input_from,omitempty"`
-	// Retry overrides the engine's per-step retry policy for this step
-	// (programmatic specs only; not part of the JSON format).
-	Retry *faults.RetryPolicy `json:"-"`
 }
 
 // Spec is a declarative workflow: a named DAG of steps.

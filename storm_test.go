@@ -91,7 +91,7 @@ func runStorm(t *testing.T, budget uint64, arm stormArm) *storm {
 	if arm.resilient {
 		retry, failover.MaxFailovers = faults.DefaultRetryPolicy(), 2
 	}
-	c := cluster.New(stormNodes, cluster.RoundRobin, env, func(env *platform.Env) platform.Platform {
+	c := cluster.New(stormNodes, cluster.LeastInflight, env, func(env *platform.Env) platform.Platform {
 		return core.New(env, core.Options{Retry: retry})
 	})
 	c.SetFailover(failover)
