@@ -14,11 +14,15 @@ type tierMeter struct {
 	perTier map[vm.Tier]int
 }
 
-func (m *tierMeter) Charge(tier vm.Tier, cat bytecode.Category, n int) {
+func (m *tierMeter) Charge(counts *vm.OpCounts) {
 	if m.perTier == nil {
 		m.perTier = make(map[vm.Tier]int)
 	}
-	m.perTier[tier] += n
+	for tier, cats := range counts {
+		for _, n := range cats {
+			m.perTier[vm.Tier(tier)] += n
+		}
+	}
 }
 
 func setup(t *testing.T, src string, cfg jit.Config) (*vm.VM, *jit.Engine, *tierMeter) {
@@ -383,29 +387,27 @@ func TestRecursionInJITTedCode(t *testing.T) {
 
 // chargeLog records every Charge call the VM makes.
 type chargeLog struct {
-	calls []charge
+	calls []vm.OpCounts
 }
 
-type charge struct {
-	tier vm.Tier
-	cat  bytecode.Category
-	n    int
-}
-
-func (m *chargeLog) Charge(tier vm.Tier, cat bytecode.Category, n int) {
-	m.calls = append(m.calls, charge{tier, cat, n})
+func (m *chargeLog) Charge(counts *vm.OpCounts) {
+	m.calls = append(m.calls, *counts)
 }
 
 func (m *chargeLog) total() (n int64) {
 	for _, c := range m.calls {
-		n += int64(c.n)
+		for _, cats := range c {
+			for _, k := range cats {
+				n += int64(k)
+			}
+		}
 	}
 	return n
 }
 
 // TestChargesArePerFlushNotPerOp: a call that reaches no native and no
 // tier change hands its ops to the meter once, when it returns — one
-// Charge per (tier, category) it touched, together worth every step.
+// Charge, in one tier, worth every step.
 func TestChargesArePerFlushNotPerOp(t *testing.T) {
 	for _, compiled := range []bool{false, true} {
 		mod, err := bytecode.CompileSource(hotSrc)
@@ -430,18 +432,15 @@ func TestChargesArePerFlushNotPerOp(t *testing.T) {
 		if err != nil || got != wantHot(1000) {
 			t.Fatalf("compiled=%v: hot(1000) = %v, %v", compiled, got, err)
 		}
-		seen := map[bytecode.Category]bool{}
-		for _, c := range meter.calls {
-			if c.tier != wantTier {
-				t.Errorf("compiled=%v: charge in tier %s", compiled, c.tier)
-			}
-			if seen[c.cat] {
-				t.Errorf("compiled=%v: category %d charged twice: %+v", compiled, c.cat, meter.calls)
-			}
-			seen[c.cat] = true
+		if len(meter.calls) != 1 {
+			t.Fatalf("compiled=%v: %d charges, want 1", compiled, len(meter.calls))
 		}
-		if !seen[bytecode.CatArith] || !seen[bytecode.CatOther] {
-			t.Errorf("compiled=%v: charges %+v miss a category the loop executes", compiled, meter.calls)
+		counts := meter.calls[0]
+		if counts[1-wantTier] != [bytecode.NumCategories]int{} {
+			t.Errorf("compiled=%v: charge outside tier %s: %+v", compiled, wantTier, counts)
+		}
+		if counts[wantTier][bytecode.CatArith] == 0 || counts[wantTier][bytecode.CatOther] == 0 {
+			t.Errorf("compiled=%v: charge %+v misses a category the loop executes", compiled, counts)
 		}
 		if steps := v.Steps() - before; meter.total() != steps || steps < 10_000 {
 			t.Errorf("compiled=%v: charged %d ops, executed %d", compiled, meter.total(), steps)

@@ -75,9 +75,15 @@ const (
 
 // opCounts are the op counts the VM handed to the meter, per (tier,
 // category).
-type opCounts [2][bytecode.NumCategories]int
+type opCounts vm.OpCounts
 
-func (c *opCounts) Charge(tier vm.Tier, cat bytecode.Category, n int) { c[tier][cat] += n }
+func (c *opCounts) Charge(counts *vm.OpCounts) {
+	for tier, cats := range counts {
+		for cat, n := range cats {
+			c[tier][cat] += n
+		}
+	}
+}
 
 // perCategory sums the tiers away: what executed, wherever it executed.
 func (c *opCounts) perCategory() (sum [bytecode.NumCategories]int) {

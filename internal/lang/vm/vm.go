@@ -37,18 +37,22 @@ func (t Tier) String() string {
 	return "interp"
 }
 
-// CostMeter receives the virtual cost of executed instructions: n ops
-// of one (tier, category) pair per call, handed over by VM.Flush. The
-// runtime layer maps the pairs to calibrated virtual durations.
+// OpCounts counts executed ops per (tier, category).
+type OpCounts [numTiers][bytecode.NumCategories]int
+
+// CostMeter receives the virtual cost of executed instructions: every
+// op count since the last VM.Flush in one call, at least one of them
+// non-zero. The runtime layer maps the counts to calibrated virtual
+// durations.
 type CostMeter interface {
-	Charge(tier Tier, cat bytecode.Category, n int)
+	Charge(counts *OpCounts)
 }
 
 // NopMeter discards all charges (used by unit tests of pure semantics).
 type NopMeter struct{}
 
 // Charge implements CostMeter.
-func (NopMeter) Charge(Tier, bytecode.Category, int) {}
+func (NopMeter) Charge(*OpCounts) {}
 
 // JITBackend is the optimizing tier's hook into the VM.
 type JITBackend interface {
@@ -86,7 +90,7 @@ type VM struct {
 	profiles map[*bytecode.Function]*Profile
 	depth    int
 	// pending counts the ops executed since the last Flush.
-	pending [numTiers][bytecode.NumCategories]int
+	pending OpCounts
 }
 
 // maxCallDepth bounds recursion in guest code, whichever tier runs it.
@@ -110,21 +114,17 @@ func New(meter CostMeter) *VM {
 // far, in either tier.
 func (v *VM) Steps() int64 { return v.steps }
 
-// Flush charges the pending op counts to the meter, one Charge per
-// (tier, category) executed. The rule is that counts reach the clock
+// Flush charges the pending op counts to the meter in one Charge, if
+// any op executed since the last Flush. The rule is that counts reach the clock
 // before anyone can read it: the VM flushes before a native runs and
 // when the outermost call returns (value or error), and the JIT backend
 // flushes before its compile and deopt hooks charge. Between those
 // points nothing can observe the clock, so every reading is the one a
 // per-instruction meter would have produced.
 func (v *VM) Flush() {
-	for tier := range v.pending {
-		for cat, n := range v.pending[tier] {
-			if n != 0 {
-				v.pending[tier][cat] = 0
-				v.Meter.Charge(Tier(tier), bytecode.Category(cat), n)
-			}
-		}
+	if v.pending != (OpCounts{}) {
+		v.Meter.Charge(&v.pending)
+		v.pending = OpCounts{}
 	}
 }
 

@@ -340,13 +340,17 @@ type countMeter struct {
 	tiers  map[vm.Tier]int
 }
 
-func (m *countMeter) Charge(tier vm.Tier, cat bytecode.Category, n int) {
+func (m *countMeter) Charge(counts *vm.OpCounts) {
 	if m.counts == nil {
 		m.counts = make(map[bytecode.Category]int)
 		m.tiers = make(map[vm.Tier]int)
 	}
-	m.counts[cat] += n
-	m.tiers[tier] += n
+	for tier, cats := range counts {
+		for cat, n := range cats {
+			m.counts[bytecode.Category(cat)] += n
+			m.tiers[vm.Tier(tier)] += n
+		}
+	}
 }
 
 // TestBreakOutOfForIn covers the one compiler output the verifier used

@@ -43,13 +43,17 @@ type meter struct {
 	rt *Runtime
 }
 
-// Charge implements vm.CostMeter.
-func (m *meter) Charge(tier vm.Tier, cat bytecode.Category, n int) {
-	costs := &m.rt.Model.InterpCost
-	if tier == vm.TierJIT {
-		costs = &m.rt.Model.JITCost
+// Charge implements vm.CostMeter: one guest-ops charge per flush, worth
+// every op the flush hands over.
+func (m *meter) Charge(counts *vm.OpCounts) {
+	var d time.Duration
+	for cat, n := range counts[vm.TierInterp] {
+		d += m.rt.Model.InterpCost[cat] * time.Duration(n)
 	}
-	m.rt.Clock.Charge("guest-ops", costs[cat]*time.Duration(n))
+	for cat, n := range counts[vm.TierJIT] {
+		d += m.rt.Model.JITCost[cat] * time.Duration(n)
+	}
+	m.rt.Clock.Charge("guest-ops", d)
 }
 
 // New creates a runtime of the given language charging time to clock.
