@@ -213,12 +213,6 @@ type TailSampler struct {
 	sites   map[string]*siteRing
 	policy  map[string]*policyCounts
 	decided int64
-
-	// active mirrors "trace has undecided state" lock-free for the
-	// journal's eviction guard, which runs under the journal's lock and
-	// must not take t.mu (the sampler holds t.mu while calling DropTrace,
-	// which takes that lock — the mirror breaks the cycle).
-	active sync.Map // events.TraceID -> struct{}
 }
 
 // New returns a detached sampler; call Attach to arm it on a journal.
@@ -233,7 +227,10 @@ func New(cfg Config) *TailSampler {
 
 // Attach arms the sampler: it becomes the journal's observer and
 // eviction guard and registers its counters on reg (a private registry
-// when nil, so callers without one still get Stats).
+// when nil, so callers without one still get Stats). The guard runs
+// under the journal's lock and takes t.mu, so no path may hold t.mu
+// while it takes the journal's lock: DropTrace runs unlocked (execute),
+// and ObserveEvent runs after the journal released its lock.
 func (t *TailSampler) Attach(j *events.Journal, reg *metrics.Registry) {
 	if t == nil || j == nil {
 		return
@@ -246,8 +243,9 @@ func (t *TailSampler) Attach(j *events.Journal, reg *metrics.Registry) {
 	t.reg = reg
 	t.mu.Unlock()
 	j.SetEvictionGuard(func(id events.TraceID) bool {
-		_, ok := t.active.Load(id)
-		return ok
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.traces[id] != nil
 	})
 	j.SetObserver(t)
 }
@@ -288,7 +286,6 @@ func (t *TailSampler) ObserveEvent(e events.Event) {
 		}
 		t.traces[e.Trace] = st
 		t.order = append(t.order, e.Trace)
-		t.active.Store(e.Trace, struct{}{})
 	}
 	if e.TS > st.lastTS {
 		st.lastTS = e.TS
@@ -374,9 +371,8 @@ func (t *TailSampler) latencyOutlierLocked(site string, latency time.Duration) b
 
 // execute applies one decision: account it, and for drops physically
 // remove the trace from the journal. Runs without t.mu held (DropTrace
-// takes the journal's lock; the eviction guard takes none).
+// takes the journal's lock, under which the eviction guard takes t.mu).
 func (t *TailSampler) execute(d decision) {
-	t.active.Delete(d.id)
 	var removed int
 	var bytes int64
 	if !d.keep {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -277,6 +278,49 @@ func TestArmedSamplerGuardsPendingTraces(t *testing.T) {
 	}
 	if got := len(j.Trace(open.TraceID())); got != 2 {
 		t.Fatalf("pending trace lost events under pressure: %d, want 2", got)
+	}
+}
+
+// TestConcurrentTracesUnderRingPressure appends traces from several
+// goroutines into a 64-slot ring while the sampler decides them, every
+// tenth left open until the final drain. The eviction guard takes the
+// sampler's lock under the journal's, so any path holding the sampler's
+// lock while taking the journal's would deadlock here; run it with
+// -race.
+func TestConcurrentTracesUnderRingPressure(t *testing.T) {
+	const goroutines, perG = 4, 400
+	j := events.NewJournal(64)
+	ts := New(Config{Seed: 1, KeepRate: 0.5})
+	ts.Attach(j, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				at := time.Duration(i) * time.Millisecond
+				sc := j.NewScope("core", "invoke", at)
+				sc.Begin("vmm", "restore", at)
+				sc.End(at + time.Microsecond)
+				if i%10 != 0 {
+					sc.Close(at + time.Millisecond)
+				}
+				if i%50 == 0 {
+					ts.Flush(at)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("appenders still running after a minute: deadlock")
+	}
+	ts.FlushAll()
+	if st := ts.Stats(); st.DecidedTraces != goroutines*perG || st.PendingTraces != 0 {
+		t.Fatalf("stats = %+v, want all %d traces decided", st, goroutines*perG)
 	}
 }
 
