@@ -37,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -51,62 +52,71 @@ import (
 )
 
 func main() {
-	file := flag.String("file", "", "FaaSLang source file of the function")
-	builtin := flag.String("builtin", "", "use a built-in workload by name (see -list-builtins)")
-	name := flag.String("name", "fn", "function name")
-	lang := flag.String("lang", "nodejs", "runtime: nodejs or python")
-	params := flag.String("params", "{}", "invocation parameters (JSON object)")
-	platformName := flag.String("platform", "fireworks", "fireworks, openwhisk, gvisor, firecracker, firecracker+os-snapshot")
-	mode := flag.String("mode", "auto", "start mode: auto, cold, warm")
-	repeat := flag.Int("repeat", 1, "number of invocations")
-	listBuiltins := flag.Bool("list-builtins", false, "list built-in workloads and exit")
-	verbose := flag.Bool("v", false, "print each invocation's ledger: virtual time per (phase, label)")
-	metricsFmt := flag.String("metrics", "", `dump the host metrics snapshot after the run ("text" or "json")`)
-	traceDump := flag.String("trace-dump", "", `write the run's event journal to this file (Chrome trace-event JSON for *.json, NDJSON otherwise)`)
-	watch := flag.Bool("watch", false, "print a memory-telemetry line per invocation and the smem-style memory report after the run")
-	tsDump := flag.String("timeseries-dump", "", "write the run's sampled telemetry series to this file as CSV")
-	insightFlag := flag.Bool("insight", false, "print the run's critical-path blame tables and service graph after the last invocation")
-	telemSpec := flag.String("telem", "", `arm tail-based trace sampling on the run's journal: "seed=N,rate=P" (docs/telemetry.md); dumps and -insight see the sampled journal and the run ends with the keep/drop ledger`)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "fwcli:", err)
+		os.Exit(1)
+	}
+}
+
+// run is fwcli on args (without the program name), printing to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("fwcli", flag.ExitOnError)
+	file := flags.String("file", "", "FaaSLang source file of the function")
+	builtin := flags.String("builtin", "", "use a built-in workload by name (see -list-builtins)")
+	name := flags.String("name", "fn", "function name")
+	lang := flags.String("lang", "nodejs", "runtime: nodejs or python")
+	params := flags.String("params", "{}", "invocation parameters (JSON object)")
+	platformName := flags.String("platform", "fireworks", "fireworks, openwhisk, gvisor, firecracker, firecracker+os-snapshot")
+	mode := flags.String("mode", "auto", "start mode: auto, cold, warm")
+	repeat := flags.Int("repeat", 1, "number of invocations")
+	listBuiltins := flags.Bool("list-builtins", false, "list built-in workloads and exit")
+	verbose := flags.Bool("v", false, "print each invocation's ledger: virtual time per (phase, label)")
+	metricsFmt := flags.String("metrics", "", `dump the host metrics snapshot after the run ("text" or "json")`)
+	traceDump := flags.String("trace-dump", "", `write the run's event journal to this file (Chrome trace-event JSON for *.json, NDJSON otherwise)`)
+	watch := flags.Bool("watch", false, "print a memory-telemetry line per invocation and the smem-style memory report after the run")
+	tsDump := flags.String("timeseries-dump", "", "write the run's sampled telemetry series to this file as CSV")
+	insightFlag := flags.Bool("insight", false, "print the run's critical-path blame tables and service graph after the last invocation")
+	telemSpec := flags.String("telem", "", `arm tail-based trace sampling on the run's journal: "seed=N,rate=P" (docs/telemetry.md); dumps and -insight see the sampled journal and the run ends with the keep/drop ledger`)
+	_ = flags.Parse(args) // ExitOnError: a bad flag exits
 
 	if *listBuiltins {
 		for _, w := range workloads.All() {
-			fmt.Printf("%-24s %-16s %s\n", w.Name, w.Suite, w.Description)
+			fmt.Fprintf(stdout, "%-24s %-16s %s\n", w.Name, w.Suite, w.Description)
 		}
-		return
+		return nil
 	}
 
 	fn, err := resolveFunction(*file, *builtin, *name, *lang)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	env := platform.NewEnv(platform.EnvConfig{})
 	p, err := resolvePlatform(*platformName, env)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tail, err := armTelemetry(*telemSpec, env)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	startMode, err := resolveMode(*mode)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	report, err := p.Install(fn)
 	if err != nil {
-		fatal(fmt.Errorf("install: %w", err))
+		return fmt.Errorf("install: %w", err)
 	}
-	fmt.Printf("installed %q on %s", fn.Name, p.PlatformName())
+	fmt.Fprintf(stdout, "installed %q on %s", fn.Name, p.PlatformName())
 	if report.Duration > 0 {
-		fmt.Printf(" in %v (snapshot %.0f MiB)", report.Duration, float64(report.SnapshotBytes)/(1<<20))
+		fmt.Fprintf(stdout, " in %v (snapshot %.0f MiB)", report.Duration, float64(report.SnapshotBytes)/(1<<20))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	paramValue, err := rt.DecodeJSON([]byte(*params))
 	if err != nil {
-		fatal(fmt.Errorf("params: %w", err))
+		return fmt.Errorf("params: %w", err)
 	}
 	// The watch timeline: one sample per invocation, advanced by each
 	// request's virtual latency, so the dumped series is a pure function
@@ -127,9 +137,9 @@ func main() {
 	for i := 0; i < *repeat; i++ {
 		inv, err := p.Invoke(fn.Name, paramValue, platform.InvokeOptions{Mode: startMode})
 		if err != nil {
-			fatal(fmt.Errorf("invoke: %w", err))
+			return fmt.Errorf("invoke: %w", err)
 		}
-		fmt.Printf("#%d [%s] start-up=%v exec=%v others=%v total=%v\n",
+		fmt.Fprintf(stdout, "#%d [%s] start-up=%v exec=%v others=%v total=%v\n",
 			i+1, inv.Mode, inv.Breakdown.Startup(), inv.Breakdown.Exec(),
 			inv.Breakdown.Others(), inv.Breakdown.Total())
 		if sampler != nil {
@@ -137,7 +147,7 @@ func main() {
 			sampler.Sample(now)
 			if *watch {
 				rep := env.Mem.Report()
-				fmt.Printf("   mem: used=%.1fMiB pss-sum=%.1fMiB cow-faults=%s live-vms=%s sharing=%.2f swapping=%v\n",
+				fmt.Fprintf(stdout, "   mem: used=%.1fMiB pss-sum=%.1fMiB cow-faults=%s live-vms=%s sharing=%.2f swapping=%v\n",
 					float64(rep.UsedBytes)/(1<<20), rep.PSSSumBytes/(1<<20),
 					lastValue(sampler, "mem_cow_faults_total"),
 					lastValue(sampler, "vmm_live_vms"),
@@ -145,14 +155,14 @@ func main() {
 			}
 		}
 		if inv.Response != nil {
-			fmt.Printf("   HTTP %d: %s\n", inv.Response.Status, inv.Response.Body)
+			fmt.Fprintf(stdout, "   HTTP %d: %s\n", inv.Response.Status, inv.Response.Body)
 		}
 		if inv.Logs != "" {
-			fmt.Printf("   logs: %s", inv.Logs)
+			fmt.Fprintf(stdout, "   logs: %s", inv.Logs)
 		}
 		if *verbose {
 			for _, e := range inv.Clock.Ledger() {
-				fmt.Printf("   %-10s %-18s %v\n", e.Phase, e.Label, e.Total)
+				fmt.Fprintf(stdout, "   %-10s %-18s %v\n", e.Phase, e.Label, e.Total)
 			}
 		}
 	}
@@ -160,30 +170,31 @@ func main() {
 	// dumps and -insight both see the sampled view.
 	if tail != nil {
 		tail.FlushAll()
-		printTelemetry(tail.Stats())
+		printTelemetry(stdout, tail.Stats())
 	}
 	if *watch {
-		fmt.Println()
-		env.Mem.Report().WriteText(os.Stdout)
+		fmt.Fprintln(stdout)
+		env.Mem.Report().WriteText(stdout)
 	}
 	if *tsDump != "" {
 		if err := dumpTimeseries(*tsDump, sampler); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *metricsFmt != "" {
-		if err := env.Metrics.WriteFormat(os.Stdout, *metricsFmt); err != nil {
-			fatal(err)
+		if err := env.Metrics.WriteFormat(stdout, *metricsFmt); err != nil {
+			return err
 		}
 	}
 	if *traceDump != "" {
 		if err := events.WriteFile(*traceDump, env.Events.Events()); err != nil {
-			fatal(fmt.Errorf("-trace-dump: %w", err))
+			return fmt.Errorf("-trace-dump: %w", err)
 		}
 	}
 	if *insightFlag {
-		printInsight(env.Events.Events(), tail)
+		return printInsight(stdout, env.Events.Events(), tail)
 	}
+	return nil
 }
 
 // armTelemetry parses the -telem spec and attaches a tail sampler to
@@ -199,50 +210,51 @@ func armTelemetry(spec string, env *platform.Env) (*telemetry.TailSampler, error
 }
 
 // printTelemetry renders the tail sampler's keep/drop ledger.
-func printTelemetry(st telemetry.Stats) {
-	fmt.Printf("\ntelemetry: kept %d/%d traces, dropped %d events (%d bytes)\n",
+func printTelemetry(stdout io.Writer, st telemetry.Stats) {
+	fmt.Fprintf(stdout, "\ntelemetry: kept %d/%d traces, dropped %d events (%d bytes)\n",
 		st.KeptTraces, st.DecidedTraces, st.DroppedEvents, st.DroppedBytes)
 	for _, p := range st.Policies {
-		fmt.Printf("   %-14s kept=%-4d dropped=%d\n", p.Policy, p.Kept, p.Dropped)
+		fmt.Fprintf(stdout, "   %-14s kept=%-4d dropped=%d\n", p.Policy, p.Kept, p.Dropped)
 	}
 }
 
 // printInsight analyzes the run's journal and prints each trace's
 // blame table plus the service graph in DOT. With tail sampling armed
 // the journal is partial; the header says by how much.
-func printInsight(evs []events.Event, tail *telemetry.TailSampler) {
+func printInsight(stdout io.Writer, evs []events.Event, tail *telemetry.TailSampler) error {
 	rep := insight.Analyze(evs)
 	if tail != nil {
 		st := tail.Stats()
 		rep.AnnotateCoverage(int(st.KeptTraces), int(st.DecidedTraces))
 	}
-	fmt.Printf("\ninsight: %d events, %d traces\n", rep.EventCount, rep.TraceCount)
+	fmt.Fprintf(stdout, "\ninsight: %d events, %d traces\n", rep.EventCount, rep.TraceCount)
 	if rep.Coverage != nil {
-		fmt.Printf("coverage: %d/%d traces kept by tail sampling\n",
+		fmt.Fprintf(stdout, "coverage: %d/%d traces kept by tail sampling\n",
 			rep.Coverage.KeptTraces, rep.Coverage.TotalTraces)
 	}
 	for _, ti := range rep.Traces {
-		fmt.Printf("trace %d (%s) total=%v spans=%d", ti.Trace, ti.Root, ti.Total, ti.Spans)
+		fmt.Fprintf(stdout, "trace %d (%s) total=%v spans=%d", ti.Trace, ti.Root, ti.Total, ti.Spans)
 		if ti.Faults > 0 {
-			fmt.Printf(" faults=%d", ti.Faults)
+			fmt.Fprintf(stdout, " faults=%d", ti.Faults)
 		}
 		if ti.Errors > 0 {
-			fmt.Printf(" errors=%d", ti.Errors)
+			fmt.Fprintf(stdout, " errors=%d", ti.Errors)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, b := range ti.Blame {
-			fmt.Printf("   %-28s self=%-12v total=%-12v share=%d.%d%%",
+			fmt.Fprintf(stdout, "   %-28s self=%-12v total=%-12v share=%d.%d%%",
 				b.Site, b.Self, b.Total, b.ShareMilli/10, b.ShareMilli%10)
 			if b.Faults > 0 {
-				fmt.Printf(" faults=%d", b.Faults)
+				fmt.Fprintf(stdout, " faults=%d", b.Faults)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
-	fmt.Println()
-	if err := rep.Graph.WriteDOT(os.Stdout); err != nil {
-		fatal(fmt.Errorf("-insight: %w", err))
+	fmt.Fprintln(stdout)
+	if err := rep.Graph.WriteDOT(stdout); err != nil {
+		return fmt.Errorf("-insight: %w", err)
 	}
+	return nil
 }
 
 // lastValue renders a series' newest sample for the -watch line.
@@ -318,9 +330,4 @@ func resolveMode(mode string) (platform.StartMode, error) {
 	default:
 		return 0, fmt.Errorf("unknown mode %q", mode)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fwcli:", err)
-	os.Exit(1)
 }
