@@ -221,8 +221,11 @@ func TestNoTestOnlyOptions(t *testing.T) {
 				return e.Name == "true" || e.Name == "false" || e.Name == "nil" || consts[src.dir+"."+e.Name]
 			case *ast.SelectorExpr:
 				pkg, ok := e.X.(*ast.Ident)
-				path := src.imports[pkg.Name]
-				return ok && (consts[path+"."+e.Sel.Name] || stdlibConsts[path+"."+e.Sel.Name])
+				if !ok {
+					return false
+				}
+				name := src.imports[pkg.Name] + "." + e.Sel.Name
+				return consts[name] || stdlibConsts[name]
 			case *ast.ParenExpr:
 				return isConst(e.X)
 			case *ast.UnaryExpr:

@@ -115,12 +115,12 @@ func New(meter CostMeter) *VM {
 func (v *VM) Steps() int64 { return v.steps }
 
 // Flush charges the pending op counts to the meter in one Charge, if
-// any op executed since the last Flush. The rule is that counts reach the clock
-// before anyone can read it: the VM flushes before a native runs and
-// when the outermost call returns (value or error), and the JIT backend
-// flushes before its compile and deopt hooks charge. Between those
-// points nothing can observe the clock, so every reading is the one a
-// per-instruction meter would have produced.
+// any op executed since the last Flush. The rule is that counts reach
+// the clock before anyone can read it: the VM flushes before a native
+// runs and when the outermost call returns (value or error), and the
+// JIT backend flushes before its compile and deopt hooks charge.
+// Between those points nothing can observe the clock, so every reading
+// is the one a per-instruction meter would have produced.
 func (v *VM) Flush() {
 	if v.pending != (OpCounts{}) {
 		v.Meter.Charge(&v.pending)

@@ -1,7 +1,7 @@
 // Package lifecycle is the warm pool the baseline platforms share: one
 // generic pool of idle guests with a keep-alive TTL on the virtual
-// workload timeline and atomic acquire/release. Fireworks keeps no pool: every start is a snapshot
-// resume (§3.4).
+// workload timeline and atomic acquire/release. Fireworks keeps no
+// pool: every start is a snapshot resume (§3.4).
 //
 // Before this package, containers, firecracker, and isolate each kept a
 // private `warm map[string][]*guest` with hand-rolled acquire/release
