@@ -2,10 +2,13 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -389,10 +392,11 @@ func hasOptionSuffix(typeName string) bool {
 }
 
 // eachNonTestFile parses every non-test .go file of the repo (bench/
-// included; hidden and testdata directories skipped) and calls visit
-// with it, saying whether it lies under internal/.
+// included; hidden and testdata directories skipped) into one file set
+// and calls visit with it, saying whether it lies under internal/.
 func eachNonTestFile(t *testing.T, visit func(fset *token.FileSet, file *ast.File, internal bool)) {
 	t.Helper()
+	fset := token.NewFileSet() // one for the whole walk, so positions can be type-checked
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -406,7 +410,6 @@ func eachNonTestFile(t *testing.T, visit func(fset *token.FileSet, file *ast.Fil
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		fset := token.NewFileSet()
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -417,4 +420,293 @@ func eachNonTestFile(t *testing.T, visit func(fset *token.FileSet, file *ast.Fil
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeOnlyAllowed names the fields TestNoWriteOnlyFields lets stand
+// unread by the program, each with its reason.
+var writeOnlyAllowed = map[string]string{
+	"vmm.Snapshot.LayoutSeed": "ROADMAP item 19: restore-time layout randomization reads it",
+	"netsim.Tap.MAC":          "ROADMAP item 14: the Fig 5 NAT path's ARP step reads it",
+	"experiments.Table.ID":    "TestContractDigest keys every table's rows by it in testdata/contract.digest",
+}
+
+// TestNoWriteOnlyFields type-checks every non-test .go file of the repo
+// (bench/ included) and fails on a field of a named struct type
+// declared under internal/ or cmd/ that no non-test code reads: state
+// that is only ever written is state nothing uses. A read is a selector
+// x.f, resolved by type (so a field sharing its name with a read one is
+// still caught), anywhere but as the target of a plain assignment (=);
+// a composite-literal key is a write, x.f++ and x.f += v read. Every field of a struct
+// with a json tag counts as read, as encoding/json reads it. Embedded
+// fields are not checked.
+func TestNoWriteOnlyFields(t *testing.T) {
+	var fset *token.FileSet
+	byDir := map[string][]*ast.File{}
+	eachNonTestFile(t, func(fs *token.FileSet, file *ast.File, _ bool) {
+		fset = fs
+		path := fs.Position(file.Package).Filename
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), filepath.Base(path)); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			byDir[filepath.Dir(path)] = append(byDir[filepath.Dir(path)], file)
+		}
+	})
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{}, Types: map[ast.Expr]types.TypeAndValue{},
+		Instances: map[*ast.Ident]types.Instance{}}
+	im := &repoImporter{t: t, fset: fset, byDir: byDir, info: info, std: importer.ForCompiler(fset, "gc", nil), done: map[string]*types.Package{}}
+	for dir := range byDir {
+		im.Import(path.Join("repro", filepath.ToSlash(dir)))
+	}
+
+	type field struct {
+		v         *types.Var
+		pos, name string
+	}
+	var fields []field
+	read := map[*types.Var]bool{}
+	for dir, files := range byDir {
+		checks := strings.HasPrefix(filepath.ToSlash(dir), "internal/") || strings.HasPrefix(filepath.ToSlash(dir), "cmd/")
+		for _, file := range files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || !checks {
+						return true
+					}
+					tagged := jsonTagged(st)
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							if tagged && id.IsExported() {
+								continue // encoding/json reads it
+							}
+							name := file.Name.Name + "." + n.Name.Name + "." + id.Name
+							fields = append(fields, field{info.Defs[id].(*types.Var), fset.Position(id.Pos()).String(), name})
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.ASSIGN {
+						break // x.f op= v and := read or declare
+					}
+					visit := func(e ast.Node) {
+						ast.Inspect(e, func(n ast.Node) bool { markRead(info, read, n); return true })
+					}
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							visit(sel.X) // x.f is written; what x reads is read
+						} else {
+							visit(lhs)
+						}
+					}
+					for _, rhs := range n.Rhs {
+						visit(rhs)
+					}
+					return false
+				}
+				markRead(info, read, n)
+				return true
+			})
+		}
+	}
+	// encoding/json reads every field of what it encodes; a map key, a
+	// compared struct and a comparable type argument (slices.Contains
+	// compares it) are read field by field too.
+	seen := map[types.Type]bool{} // by what json reads; compared types by value only
+	var readAll func(typ types.Type, json bool)
+	readAll = func(typ types.Type, json bool) {
+		if typ == nil || json && seen[typ] {
+			return
+		}
+		seen[typ] = seen[typ] || json
+		switch u := typ.Underlying().(type) {
+		case *types.Pointer:
+			if json {
+				readAll(u.Elem(), json)
+			}
+		case *types.Slice:
+			if json {
+				readAll(u.Elem(), json)
+			}
+		case *types.Map:
+			if json {
+				readAll(u.Key(), json)
+				readAll(u.Elem(), json)
+			}
+		case *types.Array:
+			readAll(u.Elem(), json)
+		case *types.Struct:
+			for i := range u.NumFields() {
+				if f := u.Field(i); !json || f.Exported() {
+					read[f.Origin()] = true
+					readAll(f.Type(), json)
+				}
+			}
+		}
+	}
+	var encoded func(ast.Expr)
+	encoded = func(e ast.Expr) { // e is encoded: its type, or its elements if it is a literal of interfaces
+		lit, ok := ast.Unparen(e).(*ast.CompositeLit)
+		if !ok {
+			readAll(info.Types[e].Type, true)
+			return
+		}
+		for _, elt := range lit.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			encoded(elt)
+		}
+	}
+	// sinks are the functions that encode one of their parameters (by
+	// index): encoding/json's, and the repo's that hand a parameter to one.
+	sinks := map[types.Object]int{}
+	isSink := func(call *ast.CallExpr) (int, bool) {
+		var obj types.Object
+		switch fn := ast.Unparen(call.Fun).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[fn]; sel != nil {
+				obj = sel.Obj()
+			} else {
+				obj = info.Uses[fn.Sel]
+			}
+		case *ast.Ident:
+			obj = info.Uses[fn]
+		}
+		if obj == nil {
+			return 0, false
+		}
+		if obj.Pkg() != nil && obj.Pkg().Path() == "encoding/json" && (obj.Name() == "Marshal" || obj.Name() == "MarshalIndent" || obj.Name() == "Encode") {
+			return 0, true
+		}
+		i, ok := sinks[obj]
+		return i, ok
+	}
+	eachCall := func(visit func(fn *ast.FuncDecl, call *ast.CallExpr)) {
+		for _, files := range byDir {
+			for _, file := range files {
+				for _, d := range file.Decls {
+					if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
+						ast.Inspect(fn.Body, func(n ast.Node) bool {
+							if call, ok := n.(*ast.CallExpr); ok {
+								visit(fn, call)
+							}
+							return true
+						})
+					}
+				}
+			}
+		}
+	}
+	eachCall(func(fn *ast.FuncDecl, call *ast.CallExpr) {
+		if i, ok := isSink(call); ok && i < len(call.Args) {
+			if id, ok := ast.Unparen(call.Args[i]).(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && types.IsInterface(v.Type()) {
+					params := info.Defs[fn.Name].(*types.Func).Type().(*types.Signature).Params()
+					for j := range params.Len() {
+						if params.At(j) == v {
+							sinks[info.Defs[fn.Name]] = j
+						}
+					}
+				}
+			}
+		}
+	})
+	eachCall(func(_ *ast.FuncDecl, call *ast.CallExpr) {
+		if i, ok := isSink(call); ok && i < len(call.Args) {
+			encoded(call.Args[i])
+		}
+	})
+	for id, inst := range info.Instances {
+		var tparams *types.TypeParamList
+		switch obj := info.Uses[id].(type) {
+		case *types.Func:
+			tparams = obj.Origin().Type().(*types.Signature).TypeParams()
+		case *types.TypeName:
+			tparams = obj.Type().(*types.Named).Origin().TypeParams()
+		}
+		for i := range inst.TypeArgs.Len() {
+			if tparams != nil && tparams.At(i).Constraint().Underlying().(*types.Interface).IsComparable() {
+				readAll(inst.TypeArgs.At(i), false)
+			}
+		}
+	}
+	for _, files := range byDir {
+		for _, file := range files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if e, ok := n.(ast.Expr); ok {
+					if m, ok := info.Types[e].Type.(*types.Map); ok {
+						readAll(m.Key(), false)
+					}
+				}
+				if b, ok := n.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+					readAll(info.Types[b.X].Type, false)
+				}
+				return true
+			})
+		}
+	}
+
+	sort.Slice(fields, func(i, j int) bool { return fields[i].pos < fields[j].pos })
+	for _, f := range fields {
+		switch allowed := writeOnlyAllowed[f.name] != ""; {
+		case read[f.v] && allowed:
+			t.Errorf("allowlisted %s is read by non-test code; drop it from the list", f.name)
+		case !read[f.v] && !allowed:
+			t.Errorf("%s: %s is written but read by no non-test code; delete it", f.pos, f.name)
+		}
+	}
+}
+
+// markRead records the field a selector n reads, if it is one.
+func markRead(info *types.Info, read map[*types.Var]bool, n ast.Node) {
+	if sel, ok := n.(*ast.SelectorExpr); ok {
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			read[s.Obj().(*types.Var).Origin()] = true
+		}
+	}
+}
+
+// jsonTagged reports whether any field of st carries a json tag.
+func jsonTagged(st *ast.StructType) bool {
+	for _, f := range st.Fields.List {
+		if f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`) {
+			return true
+		}
+	}
+	return false
+}
+
+// repoImporter type-checks the repo's packages from the parsed files
+// (an import path repro/x is directory x) and imports the standard
+// library's from export data, recording every package's definitions and
+// selections in info.
+type repoImporter struct {
+	t     *testing.T
+	fset  *token.FileSet
+	byDir map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	done  map[string]*types.Package
+}
+
+func (im *repoImporter) Import(importPath string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(importPath, "repro")
+	if !ok || dir != "" && dir[0] != '/' {
+		return im.std.Import(importPath)
+	}
+	if pkg := im.done[importPath]; pkg != nil {
+		return pkg, nil
+	}
+	dir = strings.TrimPrefix(dir, "/")
+	if dir == "" {
+		dir = "."
+	}
+	conf := types.Config{Importer: im}
+	pkg, err := conf.Check(importPath, im.fset, im.byDir[filepath.FromSlash(dir)], im.info)
+	if err != nil {
+		im.t.Fatalf("type-checking %s: %v", importPath, err)
+	}
+	im.done[importPath] = pkg
+	return pkg, nil
 }

@@ -37,9 +37,7 @@ type Options struct {
 
 // Result is the annotated source plus what the annotator did.
 type Result struct {
-	Source         string
-	Entry          string
-	AnnotatedFuncs []string // functions that received a @jit decorator
+	Source string
 }
 
 // Annotate transforms user source per the Fireworks install procedure.
@@ -71,7 +69,6 @@ func Annotate(src string, opts Options) (*Result, error) {
 	// function declaration, line-based so the user's source text is
 	// otherwise preserved byte for byte.
 	needJit := make(map[int]bool) // line number of the `func` keyword
-	var annotated []string
 	for _, fn := range prog.Functions() {
 		if fn.HasAnnotation("jit") {
 			continue
@@ -79,7 +76,6 @@ func Annotate(src string, opts Options) (*Result, error) {
 		var line int
 		fmt.Sscanf(fn.Pos(), "%d", &line)
 		needJit[line] = true
-		annotated = append(annotated, fn.Name)
 	}
 	lines := strings.Split(src, "\n")
 	var out strings.Builder
@@ -112,7 +108,7 @@ func Annotate(src string, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("annotate: function %q missed its @jit annotation", fn.Name)
 		}
 	}
-	return &Result{Source: annotatedSrc, Entry: entry, AnnotatedFuncs: annotated}, nil
+	return &Result{Source: annotatedSrc}, nil
 }
 
 // driverSource generates the appended Fireworks driver, a FaaSLang

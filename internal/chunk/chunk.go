@@ -30,9 +30,6 @@ type Chunk struct {
 	// Bytes is the chunk length: Size, except for the last chunk of a
 	// region.
 	Bytes uint64
-	// Class is the content class the chunk was cut from (e.g.
-	// "base:kernel" or "fn:hello_d1fa5c"), kept for observability.
-	Class string
 }
 
 // Region describes one contiguous content run of an image to chunk: a
@@ -96,7 +93,6 @@ func Build(regions []Region) *Manifest {
 			m.chunks = append(m.chunks, Chunk{
 				ID:    ID(reg.Class, reg.Kind, ordinal, index),
 				Bytes: b,
-				Class: reg.Class,
 			})
 			remaining -= b
 		}

@@ -1,6 +1,9 @@
 package chunk
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestBuildSizesSumExactly(t *testing.T) {
 	m := Build([]Region{
@@ -67,9 +70,8 @@ func TestDeltaOverBase(t *testing.T) {
 	if got := BytesOf(delta); got != 12<<20 {
 		t.Fatalf("delta = %d bytes, want the 12 MiB function heap", got)
 	}
-	for _, c := range delta {
-		if c.Class != "fn:hello_ab" {
-			t.Fatalf("delta contains base chunk of class %q", c.Class)
-		}
+	heap := Build([]Region{{Class: "fn:hello_ab", Kind: "heap", Bytes: 12 << 20}}).Chunks()
+	if !slices.Equal(delta, heap) {
+		t.Fatalf("delta holds chunks of another class: %v, want the heap's %v", delta, heap)
 	}
 }

@@ -486,7 +486,6 @@ type NodeStats struct {
 	Name        string
 	MemUsed     uint64
 	Swapping    bool
-	Health      Health
 	MicroVMs    int
 	Invocations int64
 }
@@ -499,7 +498,6 @@ func (c *Cluster) Stats() []NodeStats {
 			Name:        n.Name,
 			MemUsed:     n.Env.Mem.Used(),
 			Swapping:    n.Env.Mem.Swapping(),
-			Health:      n.Health(),
 			MicroVMs:    n.Env.HV.VMCount(),
 			Invocations: n.Invocations(),
 		})

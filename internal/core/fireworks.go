@@ -88,16 +88,14 @@ type Framework struct {
 }
 
 type installed struct {
-	fn        platform.Function
-	annotated *annotate.Result
-	template  *runtime.SnapshotTemplate
-	report    *platform.InstallReport
+	fn       platform.Function
+	template *runtime.SnapshotTemplate
+	report   *platform.InstallReport
 }
 
 // Instance is one live microVM serving (or having served) an
 // invocation.
 type Instance struct {
-	FcID  string
 	Topic string
 	VM    *vmm.MicroVM
 	rt    *runtime.Runtime
@@ -173,7 +171,7 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	// externally visible effects; the snapshot request captures the
 	// guest at the exact point §3.3 specifies.
 	report := &platform.InstallReport{Function: fn.Name}
-	inst := &installed{fn: fn, annotated: ann, report: report}
+	inst := &installed{fn: fn, report: report}
 	installInv.Trace = sc
 	binding := &platform.NativeBinding{
 		Profile: f.profile,
@@ -287,7 +285,7 @@ func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.R
 	// state), whose chunks every later function snapshot dedups
 	// against.
 	if !f.env.Snaps.Has(baseName) {
-		base, berr := f.env.HV.TakeSnapshotTraced(vm, vmm.SnapPostLoad, baseSpecs, snapshotWorkingSetBytes, nil, clock, sc)
+		base, berr := f.env.HV.TakeSnapshotTraced(vm, baseSpecs, snapshotWorkingSetBytes, nil, clock, sc)
 		if berr != nil {
 			return berr
 		}
@@ -312,7 +310,7 @@ func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.R
 	if foot.JITCode > 0 {
 		specs = append(specs, vmm.RegionSpec{Kind: mem.KindJITCode, Bytes: foot.JITCode, Content: "fn:" + contentKey})
 	}
-	snap, err := f.env.HV.TakeSnapshotTraced(vm, vmm.SnapPostJIT, specs, snapshotWorkingSetBytes, template, clock, sc)
+	snap, err := f.env.HV.TakeSnapshotTraced(vm, specs, snapshotWorkingSetBytes, template, clock, sc)
 	if err != nil {
 		return err
 	}
@@ -589,7 +587,7 @@ func (f *Framework) stageRestore(st *invokeState) error {
 			_ = vm.Stop()
 		}
 	})
-	st.instance = &Instance{FcID: st.fcID, Topic: st.topic, VM: vm}
+	st.instance = &Instance{Topic: st.topic, VM: vm}
 	return nil
 }
 
@@ -680,9 +678,7 @@ func (f *Framework) stageExecute(st *invokeState) error {
 	inv := st.inv
 	rt := st.instance.rt
 	inv.StartSpan("core", "exec")
-	ops := rt.VM.Steps()
 	result, _, err := inv.ChargeExec(func() (lang.Value, error) { return rt.Call("__fireworks_continue") })
-	inv.GuestOps = rt.VM.Steps() - ops
 	inv.FinishSpan()
 	if err != nil {
 		return fmt.Errorf("fireworks: %s: %w", st.name, err)

@@ -67,9 +67,7 @@ func cloneAny(v any) any {
 type Change struct {
 	Seq     int64
 	ID      string
-	Rev     string
 	Deleted bool
-	Doc     Document
 }
 
 // Server holds named databases.
@@ -169,7 +167,7 @@ func (db *Database) Put(doc Document) (Document, error) {
 	stored["_rev"] = nextRev(doc.Rev(), stored)
 	db.docs[id] = stored
 	db.seq++
-	change := Change{Seq: db.seq, ID: id, Rev: stored.Rev(), Doc: stored.clone()}
+	change := Change{Seq: db.seq, ID: id}
 	listeners := append([]func(Change){}, db.listeners...)
 	db.mu.Unlock()
 	for _, fn := range listeners {
@@ -203,7 +201,7 @@ func (db *Database) Delete(id, rev string) error {
 	}
 	delete(db.docs, id)
 	db.seq++
-	change := Change{Seq: db.seq, ID: id, Rev: rev, Deleted: true}
+	change := Change{Seq: db.seq, ID: id, Deleted: true}
 	listeners := append([]func(Change){}, db.listeners...)
 	db.mu.Unlock()
 	for _, fn := range listeners {

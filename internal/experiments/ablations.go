@@ -21,7 +21,7 @@ import (
 // capacity gain the content-addressed chunk store extracts from
 // base-image dedup. Registered as "reap".
 func RunAblationREAP() (*Result, error) {
-	res := &Result{ID: "reap"}
+	res := &Result{}
 	t := Table{
 		ID:    "reap",
 		Title: "Ablation: snapshot restore — demand paging vs REAP-style record-and-replay",
@@ -136,7 +136,7 @@ func RunAblationREAP() (*Result, error) {
 // snapshots resident) with a worst-case round-robin scan. Registered as
 // "snapbudget".
 func RunAblationSnapBudget() (*Result, error) {
-	res := &Result{ID: "snapbudget"}
+	res := &Result{}
 	const (
 		nFunctions = 12
 		// The budget holds the whole popular set (6 functions) plus one

@@ -41,7 +41,7 @@ func main(params) {
 
 // RunDeopt is registered as experiment id "deopt".
 func RunDeopt() (*Result, error) {
-	res := &Result{ID: "deopt"}
+	res := &Result{}
 
 	env := newEnv()
 	fw := core.New(env, core.Options{})

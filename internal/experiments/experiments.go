@@ -33,7 +33,6 @@ type Check struct {
 
 // Result is the output of one experiment.
 type Result struct {
-	ID     string
 	Tables []Table
 	Checks []Check
 }

@@ -17,7 +17,7 @@ import (
 // the end-to-end speedup each factor contributes, per benchmark and
 // language.
 func RunFig11() (*Result, error) {
-	res := &Result{ID: "fig11"}
+	res := &Result{}
 	t := Table{
 		ID:    "fig11",
 		Title: "Figure 11: performance impact of Fireworks optimizations (end-to-end, cold path)",

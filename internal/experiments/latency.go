@@ -105,7 +105,7 @@ func find(cells []cell, platformName, mode string) cell {
 
 // runLatencyFigure is the shared body of Figures 6 and 7.
 func runLatencyFigure(id string, lang runtime.Lang) (*Result, error) {
-	res := &Result{ID: id}
+	res := &Result{}
 	suite := workloads.FaaSdom(lang)
 	letters := []string{"a", "b", "c", "d"}
 	grids := make(map[string][]cell, len(suite))

@@ -28,7 +28,7 @@ var lightFactParams = map[string]any{"n": 101, "rounds": 1}
 // threshold), for Fireworks (shared post-JIT snapshot) and Firecracker
 // (independent VMs).
 func RunFig10() (*Result, error) {
-	res := &Result{ID: "fig10"}
+	res := &Result{}
 	w := workloads.Fact(runtime.LangNode)
 
 	series := Table{
@@ -133,7 +133,7 @@ const fig12VMs = 10
 // (1) baseline Firecracker, (2) +VM-level OS snapshot, (3) +post-JIT
 // snapshot (Fireworks), for every FaaSdom benchmark and language.
 func RunFig12() (*Result, error) {
-	res := &Result{ID: "fig12"}
+	res := &Result{}
 	t := Table{
 		ID:    "fig12",
 		Title: "Figure 12: per-microVM PSS with 10 concurrent microVMs",

@@ -21,7 +21,7 @@ func RunTable1() (*Result, error) {
 	for _, row := range sandbox.Table1() {
 		t.Rows = append(t.Rows, []string{row.Platform, row.Isolation, row.Performance, row.MemoryEfficiency})
 	}
-	return &Result{ID: "table1", Tables: []Table{t}}, nil
+	return &Result{Tables: []Table{t}}, nil
 }
 
 // RunTable2 regenerates the tested-applications table from the workload
@@ -45,7 +45,7 @@ func RunTable2() (*Result, error) {
 		}
 		t.Rows = append(t.Rows, []string{w.Suite + ": " + baseName(w.Name), w.Description, langs})
 	}
-	return &Result{ID: "table2", Tables: []Table{t}}, nil
+	return &Result{Tables: []Table{t}}, nil
 }
 
 func baseName(name string) string {
@@ -68,7 +68,7 @@ func RunSnapshotTime() (*Result, error) {
 		Header: []string{"Function", "Language", "Snapshot size", "Snapshot time",
 			"Full install (incl. npm/pip + JIT)"},
 	}
-	res := &Result{ID: "snaptime", Tables: nil}
+	res := &Result{Tables: nil}
 	var nodeMin, nodeMax, pyMin, pyMax time.Duration
 	for _, lang := range []runtime.Lang{runtime.LangNode, runtime.LangPython} {
 		for _, w := range workloads.FaaSdom(lang) {

@@ -70,7 +70,7 @@ func runSequence(p platform.Platform, entry string, requests []map[string]any) (
 // RunFig9 regenerates the real-world application comparison (Fireworks
 // vs OpenWhisk — the only two platforms able to run function chains).
 func RunFig9() (*Result, error) {
-	res := &Result{ID: "fig9"}
+	res := &Result{}
 
 	type config struct {
 		name string

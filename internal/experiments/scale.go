@@ -27,7 +27,7 @@ const scaleSustainedDirty = fireworksSustainedDirtyBytes
 
 // RunScale is registered as experiment id "scale".
 func RunScale() (*Result, error) {
-	res := &Result{ID: "scale"}
+	res := &Result{}
 	w := workloads.Fact(runtime.LangNode)
 	params := platform.MustParams(lightFactParams)
 

@@ -34,7 +34,7 @@ var wildConfig = tracegen.Config{
 
 // RunWild replays the trace. Registered as experiment id "wild".
 func RunWild() (*Result, error) {
-	res := &Result{ID: "wild"}
+	res := &Result{}
 	trace := tracegen.Generate(wildConfig)
 	ts := trace.Summarize()
 

@@ -38,7 +38,6 @@ type FS interface {
 
 // node is a file or directory in a MemFS.
 type node struct {
-	name     string
 	isDir    bool
 	data     []byte
 	children map[string]*node
@@ -52,7 +51,7 @@ type MemFS struct {
 
 // NewMemFS returns an empty filesystem with a root directory.
 func NewMemFS() *MemFS {
-	return &MemFS{root: &node{name: "/", isDir: true, children: make(map[string]*node)}}
+	return &MemFS{root: &node{isDir: true, children: make(map[string]*node)}}
 }
 
 // clean normalizes p to a rooted, slash-separated path and splits it.
@@ -96,7 +95,7 @@ func (m *MemFS) mkdirAll(parts []string) (*node, error) {
 		}
 		child, ok := n.children[part]
 		if !ok {
-			child = &node{name: part, isDir: true, children: make(map[string]*node)}
+			child = &node{isDir: true, children: make(map[string]*node)}
 			n.children[part] = child
 		}
 		n = child
@@ -123,7 +122,7 @@ func (m *MemFS) WriteFile(p string, data []byte) error {
 	if existing, ok := dir.children[name]; ok && existing.isDir {
 		return ErrIsDir
 	}
-	dir.children[name] = &node{name: name, data: append([]byte(nil), data...)}
+	dir.children[name] = &node{data: append([]byte(nil), data...)}
 	return nil
 }
 
@@ -156,7 +155,7 @@ func (m *MemFS) Append(p string, data []byte) error {
 	name := parts[len(parts)-1]
 	n, ok := dir.children[name]
 	if !ok {
-		n = &node{name: name}
+		n = &node{}
 		dir.children[name] = n
 	}
 	if n.isDir {

@@ -33,8 +33,6 @@ type instant struct {
 	parent    events.SpanID
 	component string
 	name      string
-	ts        time.Duration
-	link      events.Ref
 	attrs     map[string]string
 }
 
@@ -106,7 +104,7 @@ func buildTrees(evs []events.Event) []*traceTree {
 			}
 			t.instants = append(t.instants, instant{
 				parent: e.Parent, component: e.Component, name: e.Name,
-				ts: n, link: e.Link, attrs: events.AttrMap(e.Attrs),
+				attrs: events.AttrMap(e.Attrs),
 			})
 		}
 	}

@@ -1,9 +1,9 @@
 // Package jit is FaaSLang's optimizing tier: the policy and accounting
 // of tier-up, not a second executor. Compiling a function records the
 // entry type guards derived from its runtime profile; the VM then runs
-// the function's one translation (vm.Program) in the JIT tier whenever
-// the arguments pass those guards, and de-optimizes the call to the
-// interpreter tier of the same translation when they do not — the
+// the function's one compiled form (vm.Function) in the JIT tier
+// whenever the arguments pass those guards, and de-optimizes the call to
+// the interpreter tier of the same code when they do not — the
 // V8/Numba behaviour the paper's §6 discusses.
 //
 // The engine implements vm.JITBackend: the VM reports calls and
@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 	"repro/internal/lang/vm"
 )
 
@@ -36,12 +35,12 @@ type Config struct {
 	// @jit — the Numba model used for the Python runtime personality.
 	AnnotatedOnly bool
 	// OnCompile is invoked when a function is compiled, with its
-	// bytecode instruction count (the basis for virtual compile time
+	// op count (the basis for virtual compile time
 	// and machine-code size accounting). May be nil.
-	OnCompile func(fn *bytecode.Function, instructions int)
+	OnCompile func(fn *vm.Function, instructions int)
 	// OnDeopt is invoked when compiled code bails out to the
 	// interpreter. May be nil.
-	OnDeopt func(fn *bytecode.Function)
+	OnDeopt func(fn *vm.Function)
 }
 
 // Engine is a per-guest JIT compiler. Its code cache maps each compiled
@@ -50,19 +49,18 @@ type Engine struct {
 	cfg Config
 
 	mu       sync.Mutex
-	cache    map[*bytecode.Function][]lang.Type
+	cache    map[*vm.Function][]lang.Type
 	codeSize int64
 	compiles int64
 }
 
 // NewEngine returns an engine with the given policy.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{cfg: cfg, cache: make(map[*bytecode.Function][]lang.Type)}
+	return &Engine{cfg: cfg, cache: make(map[*vm.Function][]lang.Type)}
 }
 
-// bytesPerInstr models the machine-code expansion factor of one bytecode
-// instruction (x86-64 TurboFan/Numba output averages tens of bytes per
-// bytecode op).
+// bytesPerInstr models the machine-code expansion factor of one op
+// (x86-64 TurboFan/Numba output averages tens of bytes per bytecode op).
 const bytesPerInstr = 48
 
 // CodeSize returns the total bytes of simulated machine code resident in
@@ -93,7 +91,7 @@ func (e *Engine) CompiledFunctions() []string {
 }
 
 // Lookup implements vm.JITBackend.
-func (e *Engine) Lookup(fn *bytecode.Function) ([]lang.Type, bool) {
+func (e *Engine) Lookup(fn *vm.Function) ([]lang.Type, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	guards, ok := e.cache[fn]
@@ -101,21 +99,21 @@ func (e *Engine) Lookup(fn *bytecode.Function) ([]lang.Type, bool) {
 }
 
 // OnCall implements vm.JITBackend: tier up when the call threshold hits.
-func (e *Engine) OnCall(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
+func (e *Engine) OnCall(v *vm.VM, fn *vm.Function, prof *vm.Profile) {
 	if e.cfg.CallThreshold > 0 && prof.Calls >= e.cfg.CallThreshold {
 		e.compile(v, fn, prof)
 	}
 }
 
 // OnLoopBack implements vm.JITBackend: tier up on hot loops.
-func (e *Engine) OnLoopBack(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
+func (e *Engine) OnLoopBack(v *vm.VM, fn *vm.Function, prof *vm.Profile) {
 	if e.cfg.LoopThreshold > 0 && prof.LoopBackEdges >= e.cfg.LoopThreshold {
 		e.compile(v, fn, prof)
 	}
 }
 
 // OnDeopt implements vm.JITBackend.
-func (e *Engine) OnDeopt(v *vm.VM, fn *bytecode.Function) {
+func (e *Engine) OnDeopt(v *vm.VM, fn *vm.Function) {
 	v.Profile(fn).Deopts++
 	if e.cfg.OnDeopt != nil {
 		v.Flush() // the hook charges the penalty to the clock
@@ -126,11 +124,11 @@ func (e *Engine) OnDeopt(v *vm.VM, fn *bytecode.Function) {
 // Compile compiles fn (idempotently) with guards from the profile. It is
 // called directly by __fireworks_jit to force compilation at install
 // time, from the host, while no guest code is running.
-func (e *Engine) Compile(fn *bytecode.Function, prof *vm.Profile) { e.compile(nil, fn, prof) }
+func (e *Engine) Compile(fn *vm.Function, prof *vm.Profile) { e.compile(nil, fn, prof) }
 
 // compile is Compile on behalf of v, whose running guest code crossed a
 // tier-up threshold (nil when the host asks).
-func (e *Engine) compile(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
+func (e *Engine) compile(v *vm.VM, fn *vm.Function, prof *vm.Profile) {
 	if e.cfg.AnnotatedOnly && !fn.HasAnnotation("jit") {
 		return
 	}
@@ -146,14 +144,14 @@ func (e *Engine) compile(v *vm.VM, fn *bytecode.Function, prof *vm.Profile) {
 		guards = append([]lang.Type(nil), prof.ArgTypes...)
 	}
 	e.cache[fn] = guards
-	e.codeSize += int64(len(fn.Code) * bytesPerInstr)
+	e.codeSize += int64(fn.Ops() * bytesPerInstr)
 	e.compiles++
 	e.mu.Unlock()
 	if e.cfg.OnCompile != nil {
 		if v != nil {
 			v.Flush() // the hook charges compile time to the clock
 		}
-		e.cfg.OnCompile(fn, len(fn.Code))
+		e.cfg.OnCompile(fn, fn.Ops())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 	"repro/internal/lang/jit"
 	"repro/internal/lang/vm"
 )
@@ -27,7 +26,7 @@ func (m *tierMeter) Charge(counts *vm.OpCounts) {
 
 func setup(t *testing.T, src string, cfg jit.Config) (*vm.VM, *jit.Engine, *tierMeter) {
 	t.Helper()
-	mod, err := bytecode.CompileSource(src)
+	mod, err := vm.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func wantHot(n int64) int64 {
 
 func TestTierUpByCallCount(t *testing.T) {
 	v, engine, meter := setup(t, hotSrc, jit.Config{CallThreshold: 3})
-	fn := v.Globals["hot"].(*bytecode.Closure)
+	fn := v.Globals["hot"].(*vm.Closure)
 	for i := 0; i < 5; i++ {
 		got, err := v.CallValue(fn, []lang.Value{int64(50)})
 		if err != nil {
@@ -83,7 +82,7 @@ func TestTierUpByCallCount(t *testing.T) {
 
 func TestTierUpByLoopThreshold(t *testing.T) {
 	v, engine, _ := setup(t, hotSrc, jit.Config{LoopThreshold: 100})
-	fn := v.Globals["hot"].(*bytecode.Closure)
+	fn := v.Globals["hot"].(*vm.Closure)
 	// One long-running call crosses the loop threshold mid-execution;
 	// the compiled code is used from the *next* call (no OSR).
 	if _, err := v.CallValue(fn, []lang.Value{int64(500)}); err != nil {
@@ -162,7 +161,7 @@ func slow(n) { return n * 2; }
 func TestDeoptOnTypeGuardFailure(t *testing.T) {
 	src := `func poly(x) { return x + x; }`
 	v, engine, _ := setup(t, src, jit.Config{CallThreshold: 1})
-	fn := v.Globals["poly"].(*bytecode.Closure)
+	fn := v.Globals["poly"].(*vm.Closure)
 	// Warm up with ints: profile is monomorphic [int], guards are [int].
 	for i := 0; i < 3; i++ {
 		if _, err := v.CallValue(fn, []lang.Value{int64(i)}); err != nil {
@@ -188,7 +187,7 @@ func TestDeoptOnTypeGuardFailure(t *testing.T) {
 
 func TestForceCompile(t *testing.T) {
 	// __fireworks_jit-style forced compilation: compile before any call.
-	mod, err := bytecode.CompileSource(hotSrc)
+	mod, err := vm.CompileSource(hotSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestForceCompile(t *testing.T) {
 	v := vm.New(meter)
 	var compiled []string
 	engine := jit.NewEngine(jit.Config{
-		OnCompile: func(fn *bytecode.Function, instrs int) {
+		OnCompile: func(fn *vm.Function, instrs int) {
 			compiled = append(compiled, fn.Name)
 			if instrs <= 0 {
 				t.Errorf("OnCompile instrs = %d", instrs)
@@ -207,7 +206,7 @@ func TestForceCompile(t *testing.T) {
 	if _, err := v.RunModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	fn := v.Globals["hot"].(*bytecode.Closure)
+	fn := v.Globals["hot"].(*vm.Closure)
 	engine.Compile(fn.Fn, nil) // generic compile, no guards
 	if len(compiled) != 1 || compiled[0] != "hot" {
 		t.Fatalf("compiled = %v", compiled)
@@ -280,7 +279,7 @@ func kitchenSink(n, s) {
 }
 `
 	check := func(jitted bool, n int64, s string) (any, error) {
-		mod, err := bytecode.CompileSource(src)
+		mod, err := vm.CompileSource(src)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +290,7 @@ func kitchenSink(n, s) {
 			return nil, err
 		}
 		if jitted {
-			engine.Compile(v.Globals["kitchenSink"].(*bytecode.Closure).Fn, nil)
+			engine.Compile(v.Globals["kitchenSink"].(*vm.Closure).Fn, nil)
 		}
 		return v.CallValue(v.Globals["kitchenSink"], []lang.Value{n, s})
 	}
@@ -311,7 +310,7 @@ func kitchenSink(n, s) {
 		}
 	}
 	// With "len" absent, the compiled global load must fail identically.
-	mod, err := bytecode.CompileSource(`func f() { return missingGlobal; }`)
+	mod, err := vm.CompileSource(`func f() { return missingGlobal; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func kitchenSink(n, s) {
 	if _, err := v.RunModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	engine.Compile(v.Globals["f"].(*bytecode.Closure).Fn, nil)
+	engine.Compile(v.Globals["f"].(*vm.Closure).Fn, nil)
 	if _, err := v.CallValue(v.Globals["f"], nil); err == nil ||
 		!strings.Contains(err.Error(), "undefined variable") {
 		t.Fatalf("jit undefined-global err = %v", err)
@@ -344,7 +343,7 @@ func TestJITRuntimeErrorsMatchInterpreter(t *testing.T) {
 	}
 	for _, src := range cases {
 		run := func(jitted bool) error {
-			mod, err := bytecode.CompileSource(src)
+			mod, err := vm.CompileSource(src)
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
@@ -355,7 +354,7 @@ func TestJITRuntimeErrorsMatchInterpreter(t *testing.T) {
 				return err
 			}
 			if jitted {
-				engine.Compile(v.Globals["f"].(*bytecode.Closure).Fn, nil)
+				engine.Compile(v.Globals["f"].(*vm.Closure).Fn, nil)
 			}
 			_, err = v.CallValue(v.Globals["f"], nil)
 			return err
@@ -372,7 +371,7 @@ func TestJITRuntimeErrorsMatchInterpreter(t *testing.T) {
 func TestRecursionInJITTedCode(t *testing.T) {
 	src := `func fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }`
 	v, engine, _ := setup(t, src, jit.Config{CallThreshold: 2})
-	fn := v.Globals["fib"].(*bytecode.Closure)
+	fn := v.Globals["fib"].(*vm.Closure)
 	got, err := v.CallValue(fn, []lang.Value{int64(15)})
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +409,7 @@ func (m *chargeLog) total() (n int64) {
 // Charge, in one tier, worth every step.
 func TestChargesArePerFlushNotPerOp(t *testing.T) {
 	for _, compiled := range []bool{false, true} {
-		mod, err := bytecode.CompileSource(hotSrc)
+		mod, err := vm.CompileSource(hotSrc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +422,7 @@ func TestChargesArePerFlushNotPerOp(t *testing.T) {
 		}
 		wantTier := vm.TierInterp
 		if compiled {
-			engine.Compile(v.Globals["hot"].(*bytecode.Closure).Fn, nil)
+			engine.Compile(v.Globals["hot"].(*vm.Closure).Fn, nil)
 			wantTier = vm.TierJIT
 		}
 		meter.calls = nil
@@ -436,10 +435,10 @@ func TestChargesArePerFlushNotPerOp(t *testing.T) {
 			t.Fatalf("compiled=%v: %d charges, want 1", compiled, len(meter.calls))
 		}
 		counts := meter.calls[0]
-		if counts[1-wantTier] != [bytecode.NumCategories]int{} {
+		if counts[1-wantTier] != [vm.NumCategories]int{} {
 			t.Errorf("compiled=%v: charge outside tier %s: %+v", compiled, wantTier, counts)
 		}
-		if counts[wantTier][bytecode.CatArith] == 0 || counts[wantTier][bytecode.CatOther] == 0 {
+		if counts[wantTier][vm.CatArith] == 0 || counts[wantTier][vm.CatOther] == 0 {
 			t.Errorf("compiled=%v: charge %+v misses a category the loop executes", compiled, counts)
 		}
 		if steps := v.Steps() - before; meter.total() != steps || steps < 10_000 {
@@ -457,7 +456,7 @@ func bad(n) { let i = 0; while (i < n) { i = i + 1; } return i - "x"; }
 func outer(n) { return bad(n) + 1; }
 `
 	for _, compiled := range []bool{false, true} {
-		mod, err := bytecode.CompileSource(src)
+		mod, err := vm.CompileSource(src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,28 +6,41 @@ import (
 )
 
 // Parser builds an AST from a token stream using recursive descent with
-// Pratt-style operator precedence for expressions.
+// Pratt-style operator precedence for expressions. The first syntax
+// error unwinds the descent (fail) to Parse, which returns it.
 type Parser struct {
 	toks []Token
 	pos  int
 }
 
+// parseError carries a syntax error from fail to Parse.
+type parseError struct{ err error }
+
 // Parse parses a complete FaaSLang module.
-func Parse(src string) (*Program, error) {
+func Parse(src string) (prog *Program, err error) {
 	toks, err := Tokenize(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
-	prog := &Program{}
-	for !p.at(TokenEOF) {
-		stmt, err := p.statement()
-		if err != nil {
-			return nil, err
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(parseError)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, pe.err
 		}
-		prog.Stmts = append(prog.Stmts, stmt)
+	}()
+	p := &Parser{toks: toks}
+	prog = &Program{}
+	for !p.at(TokenEOF) {
+		prog.Stmts = append(prog.Stmts, p.statement())
 	}
 	return prog, nil
+}
+
+func (p *Parser) fail(format string, args ...any) {
+	panic(parseError{fmt.Errorf("lang: "+format, args...)})
 }
 
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
@@ -35,55 +48,66 @@ func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *Parser) at(t TokenType) bool { return p.cur().Type == t }
 
-func (p *Parser) expect(t TokenType) (Token, error) {
+func (p *Parser) expect(t TokenType) Token {
 	if !p.at(t) {
-		return Token{}, fmt.Errorf("lang: %s: expected %s, found %s %q",
-			p.cur().Pos(), t, p.cur().Type, p.cur().Literal)
+		p.fail("%s: expected %s, found %s %q", p.cur().Pos(), t, p.cur().Type, p.cur().Literal)
 	}
-	return p.next(), nil
+	return p.next()
 }
 
-// eatSemi consumes an optional statement-terminating semicolon.
-func (p *Parser) eatSemi() {
-	if p.at(TokenSemi) {
+// eat consumes an optional token of type t (a statement-terminating
+// semicolon, a list's comma) and reports whether it was there.
+func (p *Parser) eat(t TokenType) bool {
+	if p.at(t) {
 		p.next()
+		return true
 	}
+	return false
 }
 
 // ---- Statements ----
 
-func (p *Parser) statement() (Stmt, error) {
-	switch p.cur().Type {
+func (p *Parser) statement() Stmt {
+	switch tok := p.cur(); tok.Type {
 	case TokenAt, TokenFunc:
 		return p.funcDecl()
 	case TokenLet:
-		return p.letStmt()
+		p.next()
+		name := p.expect(TokenIdent).Literal
+		p.expect(TokenAssign)
+		val := p.expression()
+		p.eat(TokenSemi)
+		return &LetStmt{base: base{tok}, Name: name, Value: val}
 	case TokenIf:
 		return p.ifStmt()
 	case TokenWhile:
-		return p.whileStmt()
+		p.next()
+		cond := p.condition()
+		return &WhileStmt{base: base{tok}, Cond: cond, Body: p.block()}
 	case TokenFor:
-		return p.forInStmt()
+		p.next()
+		p.expect(TokenLParen)
+		name := p.expect(TokenIdent).Literal
+		p.expect(TokenIn)
+		iter := p.expression()
+		p.expect(TokenRParen)
+		return &ForInStmt{base: base{tok}, Var: name, Iterable: iter, Body: p.block()}
 	case TokenReturn:
-		tok := p.next()
+		p.next()
 		var val Expr
 		if !p.at(TokenSemi) && !p.at(TokenRBrace) && !p.at(TokenEOF) {
-			var err error
-			val, err = p.expression()
-			if err != nil {
-				return nil, err
-			}
+			val = p.expression()
 		}
-		p.eatSemi()
-		return &ReturnStmt{base: base{tok}, Value: val}, nil
+		p.eat(TokenSemi)
+		return &ReturnStmt{base: base{tok}, Value: val}
 	case TokenBreak:
-		tok := p.next()
-		p.eatSemi()
-		return &BreakStmt{base{tok}}, nil
+		p.next()
+		p.eat(TokenSemi)
+		return &BreakStmt{base{tok}}
 	case TokenContinue:
-		tok := p.next()
-		p.eatSemi()
-		return &ContinueStmt{base{tok}}, nil
+		p.next()
+		p.eat(TokenSemi)
+		return &ContinueStmt{base{tok}}
 	case TokenLBrace:
 		return p.block()
 	default:
@@ -93,237 +117,98 @@ func (p *Parser) statement() (Stmt, error) {
 
 // simpleStmt parses either an assignment (x = e, c[i] = e) or a bare
 // expression statement.
-func (p *Parser) simpleStmt() (Stmt, error) {
+func (p *Parser) simpleStmt() Stmt {
 	tok := p.cur()
-	lhs, err := p.expression()
-	if err != nil {
-		return nil, err
+	lhs := p.expression()
+	if !p.eat(TokenAssign) {
+		p.eat(TokenSemi)
+		return &ExprStmt{base: base{tok}, X: lhs}
 	}
-	if p.at(TokenAssign) {
-		p.next()
-		switch lhs.(type) {
-		case *Ident, *IndexExpr:
-		default:
-			return nil, fmt.Errorf("lang: %s: invalid assignment target", tok.Pos())
-		}
-		rhs, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		p.eatSemi()
-		return &AssignStmt{base: base{tok}, Target: lhs, Value: rhs}, nil
+	switch lhs.(type) {
+	case *Ident, *IndexExpr:
+	default:
+		p.fail("%s: invalid assignment target", tok.Pos())
 	}
-	p.eatSemi()
-	return &ExprStmt{base: base{tok}, X: lhs}, nil
+	rhs := p.expression()
+	p.eat(TokenSemi)
+	return &AssignStmt{base: base{tok}, Target: lhs, Value: rhs}
 }
 
-func (p *Parser) annotations() ([]Annotation, error) {
+func (p *Parser) annotations() []Annotation {
 	var anns []Annotation
-	for p.at(TokenAt) {
-		p.next()
-		nameTok, err := p.expect(TokenIdent)
-		if err != nil {
-			return nil, err
-		}
-		ann := Annotation{Name: nameTok.Literal, Args: map[string]string{}}
-		if p.at(TokenLParen) {
-			p.next()
+	for p.eat(TokenAt) {
+		ann := Annotation{Name: p.expect(TokenIdent).Literal, Args: map[string]string{}}
+		if p.eat(TokenLParen) {
 			for !p.at(TokenRParen) {
-				keyTok, err := p.expect(TokenIdent)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(TokenAssign); err != nil {
-					return nil, err
-				}
+				key := p.expect(TokenIdent).Literal
+				p.expect(TokenAssign)
 				valTok := p.next()
 				switch valTok.Type {
 				case TokenTrue, TokenFalse, TokenInt, TokenFloat, TokenString, TokenIdent:
-					ann.Args[keyTok.Literal] = valTok.Literal
+					ann.Args[key] = valTok.Literal
 				default:
-					return nil, fmt.Errorf("lang: %s: bad annotation value %q", valTok.Pos(), valTok.Literal)
+					p.fail("%s: bad annotation value %q", valTok.Pos(), valTok.Literal)
 				}
-				if p.at(TokenComma) {
-					p.next()
-				}
+				p.eat(TokenComma)
 			}
-			if _, err := p.expect(TokenRParen); err != nil {
-				return nil, err
-			}
+			p.expect(TokenRParen)
 		}
 		anns = append(anns, ann)
 	}
-	return anns, nil
+	return anns
 }
 
-func (p *Parser) funcDecl() (Stmt, error) {
-	anns, err := p.annotations()
-	if err != nil {
-		return nil, err
-	}
-	tok, err := p.expect(TokenFunc)
-	if err != nil {
-		return nil, err
-	}
-	nameTok, err := p.expect(TokenIdent)
-	if err != nil {
-		return nil, err
-	}
-	params, err := p.paramList()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	return &FuncDecl{
-		base:        base{tok},
-		Name:        nameTok.Literal,
-		Params:      params,
-		Body:        body,
-		Annotations: anns,
-	}, nil
+func (p *Parser) funcDecl() Stmt {
+	anns := p.annotations()
+	tok := p.expect(TokenFunc)
+	name := p.expect(TokenIdent).Literal
+	params := p.paramList()
+	return &FuncDecl{base: base{tok}, Name: name, Params: params, Body: p.block(), Annotations: anns}
 }
 
-func (p *Parser) paramList() ([]string, error) {
-	if _, err := p.expect(TokenLParen); err != nil {
-		return nil, err
-	}
+func (p *Parser) paramList() []string {
+	p.expect(TokenLParen)
 	var params []string
 	for !p.at(TokenRParen) {
-		tok, err := p.expect(TokenIdent)
-		if err != nil {
-			return nil, err
-		}
-		params = append(params, tok.Literal)
-		if p.at(TokenComma) {
-			p.next()
-		} else {
+		params = append(params, p.expect(TokenIdent).Literal)
+		if !p.eat(TokenComma) {
 			break
 		}
 	}
-	if _, err := p.expect(TokenRParen); err != nil {
-		return nil, err
-	}
-	return params, nil
+	p.expect(TokenRParen)
+	return params
 }
 
-func (p *Parser) letStmt() (Stmt, error) {
-	tok := p.next() // let
-	nameTok, err := p.expect(TokenIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokenAssign); err != nil {
-		return nil, err
-	}
-	val, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	p.eatSemi()
-	return &LetStmt{base: base{tok}, Name: nameTok.Literal, Value: val}, nil
+// condition parses the parenthesized condition of an if or a while.
+func (p *Parser) condition() Expr {
+	p.expect(TokenLParen)
+	cond := p.expression()
+	p.expect(TokenRParen)
+	return cond
 }
 
-func (p *Parser) ifStmt() (Stmt, error) {
+func (p *Parser) ifStmt() Stmt {
 	tok := p.next() // if
-	if _, err := p.expect(TokenLParen); err != nil {
-		return nil, err
-	}
-	cond, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokenRParen); err != nil {
-		return nil, err
-	}
-	then, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	stmt := &IfStmt{base: base{tok}, Cond: cond, Then: then}
+	cond := p.condition()
+	stmt := &IfStmt{base: base{tok}, Cond: cond, Then: p.block()}
 	if p.at(TokenElse) {
 		elseTok := p.next()
 		if p.at(TokenIf) {
-			inner, err := p.ifStmt()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Else = &Block{base: base{elseTok}, Stmts: []Stmt{inner}}
+			stmt.Else = &Block{base: base{elseTok}, Stmts: []Stmt{p.ifStmt()}}
 		} else {
-			blk, err := p.block()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Else = blk
+			stmt.Else = p.block()
 		}
 	}
-	return stmt, nil
+	return stmt
 }
 
-func (p *Parser) whileStmt() (Stmt, error) {
-	tok := p.next() // while
-	if _, err := p.expect(TokenLParen); err != nil {
-		return nil, err
-	}
-	cond, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokenRParen); err != nil {
-		return nil, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	return &WhileStmt{base: base{tok}, Cond: cond, Body: body}, nil
-}
-
-func (p *Parser) forInStmt() (Stmt, error) {
-	tok := p.next() // for
-	if _, err := p.expect(TokenLParen); err != nil {
-		return nil, err
-	}
-	varTok, err := p.expect(TokenIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokenIn); err != nil {
-		return nil, err
-	}
-	iter, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokenRParen); err != nil {
-		return nil, err
-	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	return &ForInStmt{base: base{tok}, Var: varTok.Literal, Iterable: iter, Body: body}, nil
-}
-
-func (p *Parser) block() (*Block, error) {
-	tok, err := p.expect(TokenLBrace)
-	if err != nil {
-		return nil, err
-	}
-	blk := &Block{base: base{tok}}
+func (p *Parser) block() *Block {
+	blk := &Block{base: base{p.expect(TokenLBrace)}}
 	for !p.at(TokenRBrace) && !p.at(TokenEOF) {
-		stmt, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		blk.Stmts = append(blk.Stmts, stmt)
+		blk.Stmts = append(blk.Stmts, p.statement())
 	}
-	if _, err := p.expect(TokenRBrace); err != nil {
-		return nil, err
-	}
-	return blk, nil
+	p.expect(TokenRBrace)
+	return blk
 }
 
 // ---- Expressions (Pratt) ----
@@ -360,182 +245,98 @@ var precedences = map[TokenType]int{
 	TokenDot:      precCall,
 }
 
-func (p *Parser) expression() (Expr, error) { return p.parseExpr(precLowest) }
+func (p *Parser) expression() Expr { return p.parseExpr(precLowest) }
 
-func (p *Parser) parseExpr(minPrec int) (Expr, error) {
-	left, err := p.prefix()
-	if err != nil {
-		return nil, err
-	}
+func (p *Parser) parseExpr(minPrec int) Expr {
+	left := p.prefix()
 	for {
 		prec, ok := precedences[p.cur().Type]
 		if !ok || prec <= minPrec {
-			return left, nil
+			return left
 		}
-		left, err = p.infix(left)
-		if err != nil {
-			return nil, err
-		}
+		left = p.infix(left)
 	}
 }
 
-func (p *Parser) prefix() (Expr, error) {
-	tok := p.cur()
+// exprList parses expressions separated by commas up to the closing
+// token, which it consumes.
+func (p *Parser) exprList(close TokenType) []Expr {
+	var list []Expr
+	for !p.at(close) {
+		list = append(list, p.expression())
+		if !p.eat(TokenComma) {
+			break
+		}
+	}
+	p.expect(close)
+	return list
+}
+
+func (p *Parser) prefix() Expr {
+	tok := p.next()
 	switch tok.Type {
 	case TokenIdent:
-		p.next()
-		return &Ident{base: base{tok}, Name: tok.Literal}, nil
+		return &Ident{base: base{tok}, Name: tok.Literal}
 	case TokenInt:
-		p.next()
 		v, err := strconv.ParseInt(tok.Literal, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("lang: %s: bad int literal %q: %v", tok.Pos(), tok.Literal, err)
+			p.fail("%s: bad int literal %q: %v", tok.Pos(), tok.Literal, err)
 		}
-		return &IntLit{base: base{tok}, Value: v}, nil
+		return &IntLit{base: base{tok}, Value: v}
 	case TokenFloat:
-		p.next()
 		v, err := strconv.ParseFloat(tok.Literal, 64)
 		if err != nil {
-			return nil, fmt.Errorf("lang: %s: bad float literal %q: %v", tok.Pos(), tok.Literal, err)
+			p.fail("%s: bad float literal %q: %v", tok.Pos(), tok.Literal, err)
 		}
-		return &FloatLit{base: base{tok}, Value: v}, nil
+		return &FloatLit{base: base{tok}, Value: v}
 	case TokenString:
-		p.next()
-		return &StringLit{base: base{tok}, Value: tok.Literal}, nil
+		return &StringLit{base: base{tok}, Value: tok.Literal}
 	case TokenTrue, TokenFalse:
-		p.next()
-		return &BoolLit{base: base{tok}, Value: tok.Type == TokenTrue}, nil
+		return &BoolLit{base: base{tok}, Value: tok.Type == TokenTrue}
 	case TokenNull:
-		p.next()
-		return &NullLit{base{tok}}, nil
+		return &NullLit{base{tok}}
 	case TokenMinus, TokenBang:
-		p.next()
-		x, err := p.parseExpr(precUnary)
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{base: base{tok}, Op: tok.Type, X: x}, nil
+		return &UnaryExpr{base: base{tok}, Op: tok.Type, X: p.parseExpr(precUnary)}
 	case TokenLParen:
-		p.next()
-		x, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokenRParen); err != nil {
-			return nil, err
-		}
-		return x, nil
+		x := p.expression()
+		p.expect(TokenRParen)
+		return x
 	case TokenLBracket:
-		p.next()
-		lit := &ListLit{base: base{tok}}
-		for !p.at(TokenRBracket) {
-			item, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			lit.Items = append(lit.Items, item)
-			if p.at(TokenComma) {
-				p.next()
-			} else {
-				break
-			}
-		}
-		if _, err := p.expect(TokenRBracket); err != nil {
-			return nil, err
-		}
-		return lit, nil
+		return &ListLit{base: base{tok}, Items: p.exprList(TokenRBracket)}
 	case TokenLBrace:
-		p.next()
 		lit := &MapLit{base: base{tok}}
 		for !p.at(TokenRBrace) {
-			key, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokenColon); err != nil {
-				return nil, err
-			}
-			val, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			lit.Keys = append(lit.Keys, key)
-			lit.Values = append(lit.Values, val)
-			if p.at(TokenComma) {
-				p.next()
-			} else {
+			lit.Keys = append(lit.Keys, p.expression())
+			p.expect(TokenColon)
+			lit.Values = append(lit.Values, p.expression())
+			if !p.eat(TokenComma) {
 				break
 			}
 		}
-		if _, err := p.expect(TokenRBrace); err != nil {
-			return nil, err
-		}
-		return lit, nil
+		p.expect(TokenRBrace)
+		return lit
 	case TokenFunc:
-		p.next()
-		params, err := p.paramList()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.block()
-		if err != nil {
-			return nil, err
-		}
-		return &FuncLit{base: base{tok}, Params: params, Body: body}, nil
+		params := p.paramList()
+		return &FuncLit{base: base{tok}, Params: params, Body: p.block()}
 	}
-	return nil, fmt.Errorf("lang: %s: unexpected %s %q in expression", tok.Pos(), tok.Type, tok.Literal)
+	p.fail("%s: unexpected %s %q in expression", tok.Pos(), tok.Type, tok.Literal)
+	return nil
 }
 
-func (p *Parser) infix(left Expr) (Expr, error) {
-	tok := p.cur()
+func (p *Parser) infix(left Expr) Expr {
+	tok := p.next()
 	switch tok.Type {
 	case TokenLParen:
-		p.next()
-		call := &CallExpr{base: base{tok}, Fn: left}
-		for !p.at(TokenRParen) {
-			arg, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			call.Args = append(call.Args, arg)
-			if p.at(TokenComma) {
-				p.next()
-			} else {
-				break
-			}
-		}
-		if _, err := p.expect(TokenRParen); err != nil {
-			return nil, err
-		}
-		return call, nil
+		return &CallExpr{base: base{tok}, Fn: left, Args: p.exprList(TokenRParen)}
 	case TokenLBracket:
-		p.next()
-		idx, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokenRBracket); err != nil {
-			return nil, err
-		}
-		return &IndexExpr{base: base{tok}, X: left, Index: idx}, nil
+		idx := p.expression()
+		p.expect(TokenRBracket)
+		return &IndexExpr{base: base{tok}, X: left, Index: idx}
 	case TokenDot:
-		p.next()
-		field, err := p.expect(TokenIdent)
-		if err != nil {
-			return nil, err
-		}
 		// m.field is sugar for m["field"].
-		return &IndexExpr{
-			base:  base{tok},
-			X:     left,
-			Index: &StringLit{base: base{field}, Value: field.Literal},
-		}, nil
+		field := p.expect(TokenIdent)
+		return &IndexExpr{base: base{tok}, X: left, Index: &StringLit{base: base{field}, Value: field.Literal}}
 	default:
-		p.next()
-		right, err := p.parseExpr(precedences[tok.Type])
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{base: base{tok}, Op: tok.Type, Left: left, Right: right}, nil
+		return &BinaryExpr{base: base{tok}, Op: tok.Type, Left: left, Right: p.parseExpr(precedences[tok.Type])}
 	}
 }

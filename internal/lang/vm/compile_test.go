@@ -1,6 +1,7 @@
-package bytecode
+package vm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +15,32 @@ func compileOne(t *testing.T, src string) *Module {
 		t.Fatal(err)
 	}
 	return mod
+}
+
+// function returns mod's function named name, or nil.
+func function(mod *Module, name string) *Function {
+	for _, f := range mod.Functions {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
+}
+
+func categories(f *Function) []Category {
+	out := make([]Category, len(f.ops))
+	for i, o := range f.ops {
+		out[i] = o.cat
+	}
+	return out
+}
+
+func rops(f *Function) []rop {
+	out := make([]rop, len(f.instrs))
+	for i, in := range f.instrs {
+		out[i] = in.op
+	}
+	return out
 }
 
 func TestCompileFunctionShape(t *testing.T) {
@@ -31,42 +58,21 @@ func main(params) { return add(1, 2); }
 	if len(add.Params) != 2 || add.NumLocals < 2 {
 		t.Fatalf("add shape: params=%v locals=%d", add.Params, add.NumLocals)
 	}
-	// add body: LOADL 0, LOADL 1, ADD, RET + implicit null/RET.
-	ops := opsOf(add)
-	want := []Op{OpLoadLocal, OpLoadLocal, OpAdd, OpReturn, OpNull, OpReturn}
-	if !equalOps(ops, want) {
-		t.Fatalf("add code = %v, want %v", ops, want)
+	// add's ops: LOADL 0, LOADL 1, ADD, RET, then the implicit null and
+	// RET, which nothing reaches. Its code: one block, the add straight
+	// from the two locals, the return of its result.
+	if got, want := categories(add), []Category{CatOther, CatOther, CatArith, CatOther, CatOther, CatOther}; !slices.Equal(got, want) {
+		t.Fatalf("add ops = %v, want %v", got, want)
 	}
-}
-
-// function returns mod's function named name, or nil.
-func function(mod *Module, name string) *Function {
-	for _, f := range mod.Functions {
-		if f.Name == name {
-			return f
-		}
+	if got, want := rops(add), []rop{opBlock, opBin, opRet}; !slices.Equal(got, want) {
+		t.Fatalf("add code = %v, want %v", got, want)
 	}
-	return nil
-}
-
-func opsOf(f *Function) []Op {
-	out := make([]Op, len(f.Code))
-	for i, ins := range f.Code {
-		out[i] = ins.Op
+	if in := add.instrs[1]; in.sub != OpAdd || in.b != 0 || in.c != 1 || add.instrs[2].b != in.a {
+		t.Fatalf("add code = %+v", add.instrs)
 	}
-	return out
-}
-
-func equalOps(a, b []Op) bool {
-	if len(a) != len(b) {
-		return false
+	if b := add.blocks; len(b) != 1 || b[0].start != 0 || b[0].end != 4 {
+		t.Fatalf("add blocks = %+v, want ops 0 to 4", b)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestConstantDeduplication(t *testing.T) {
@@ -87,11 +93,11 @@ func TestLoopCompilesBackEdge(t *testing.T) {
 	mod := compileOne(t, `func f() { let i = 0; while (i < 3) { i = i + 1; } }`)
 	f := function(mod, "f")
 	hasLoop := false
-	for _, ins := range f.Code {
-		if ins.Op == OpLoop {
+	for _, in := range f.instrs {
+		if in.op == opLoop {
 			hasLoop = true
-			if ins.A < 0 || ins.A >= len(f.Code) {
-				t.Fatalf("loop target %d out of range", ins.A)
+			if in.a < 0 || int(in.a) >= len(f.instrs) || f.instrs[in.a].op != opBlock {
+				t.Fatalf("loop target %d is not a block start", in.a)
 			}
 		}
 	}
@@ -113,14 +119,8 @@ func f(n) {
   return acc;
 }
 `)
-	f := function(mod, "f")
-	for pc, ins := range f.Code {
-		switch ins.Op {
-		case OpJump, OpJumpIfFalse, OpJumpIfTrue, OpLoop, OpIterNext:
-			if ins.A < 0 || ins.A > len(f.Code) {
-				t.Fatalf("pc %d: %s target %d out of [0,%d]", pc, ins.Op, ins.A, len(f.Code))
-			}
-		}
+	if err := verify(function(mod, "f")); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -153,31 +153,33 @@ func cold() { return 2; }
 	}
 }
 
+// TestTotalInstructions: a module's op count, which module-load time
+// and the module's memory are charged by, is its functions' summed.
 func TestTotalInstructions(t *testing.T) {
 	mod := compileOne(t, `func f() { return 1; } let x = f();`)
-	if mod.TotalInstructions() <= 0 {
-		t.Fatal("no instructions counted")
-	}
-	sum := len(mod.TopLevel.Code)
+	sum := mod.TopLevel.Ops()
 	for _, f := range mod.Functions {
-		sum += len(f.Code)
+		sum += f.Ops()
 	}
-	if mod.TotalInstructions() != sum {
-		t.Fatalf("TotalInstructions = %d, want %d", mod.TotalInstructions(), sum)
+	if sum <= 0 || mod.Ops() != sum {
+		t.Fatalf("Ops = %d, want %d", mod.Ops(), sum)
 	}
 }
 
+// TestCategoryOf pins the cost category each kind of op is booked at.
 func TestCategoryOf(t *testing.T) {
-	cases := map[Op]Category{
-		OpAdd: CatArith, OpLt: CatArith, OpNeg: CatArith,
-		OpIndex: CatIndex, OpMakeMap: CatIndex,
-		OpCall:      CatCall,
-		OpLoadLocal: CatOther, OpJump: CatOther, OpReturn: CatOther,
-	}
-	for op, want := range cases {
-		if got := CategoryOf(op); got != want {
-			t.Errorf("CategoryOf(%s) = %v, want %v", op, got, want)
-		}
+	f := function(compileOne(t, `func f(a, m) { return g(-a < 1, !a, m["k"], [a], {}); }`), "f")
+	const (
+		o = CatOther
+		a = CatArith
+		x = CatIndex
+		c = CatCall
+	)
+	// LOADG g; LOADL a, NEG, CONST, LT; LOADL a, NOT; LOADL m, CONST,
+	// INDEX; LOADL a, MKLIST; MKMAP; CALL; RET; NULL, RET.
+	want := []Category{o, o, a, o, a, o, o, o, o, x, o, x, x, c, o, o, o}
+	if got := categories(f); !slices.Equal(got, want) {
+		t.Fatalf("ops = %v, want %v", got, want)
 	}
 }
 

@@ -1,9 +1,14 @@
 package vm
 
-import "repro/internal/lang/bytecode"
-
-// Translate verifies and translates mod without running it.
-func Translate(mod *bytecode.Module) error {
-	_, err := translateModule(mod)
-	return err
+// Verify checks the register code of every function of mod (see verify).
+func Verify(mod *Module) error {
+	for _, fn := range append([]*Function{mod.TopLevel}, mod.Functions...) {
+		if err := verify(fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
+
+// ErrLabelDepth is the compiler's stack-depth assertion.
+var ErrLabelDepth = errLabelDepth

@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/couchdb"
 	"repro/internal/fs"
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 	"repro/internal/lang/jit"
 	"repro/internal/lang/vm"
 	"repro/internal/platform"
@@ -86,7 +86,7 @@ func (c *opCounts) Charge(counts *vm.OpCounts) {
 }
 
 // perCategory sums the tiers away: what executed, wherever it executed.
-func (c *opCounts) perCategory() (sum [bytecode.NumCategories]int) {
+func (c *opCounts) perCategory() (sum [vm.NumCategories]int) {
 	for _, tier := range c {
 		for cat, n := range tier {
 			sum[cat] += n
@@ -152,7 +152,7 @@ func runTiered(src string, params lang.Value, mode tierMode, maxSteps int64) (ou
 	}
 	// The source loaded, so it compiles; the compiled module gives the
 	// function names in declaration order, the globals the loaded code.
-	mod, err := bytecode.CompileSource(src)
+	mod, err := vm.CompileSource(src)
 	if err != nil {
 		out.err = err
 		return out, false
@@ -165,7 +165,7 @@ func runTiered(src string, params lang.Value, mode tierMode, maxSteps int64) (ou
 		if decl.Name == "main" {
 			entry = "main"
 		}
-		cl, isClosure := rt.VM.Globals[decl.Name].(*bytecode.Closure)
+		cl, isClosure := rt.VM.Globals[decl.Name].(*vm.Closure)
 		if !isClosure {
 			continue
 		}
@@ -236,7 +236,7 @@ func FuzzTiers(f *testing.F) {
 		if !ok {
 			t.Skip("source does not load")
 		}
-		if want.counts[vm.TierJIT] != [bytecode.NumCategories]int{} {
+		if want.counts[vm.TierJIT] != [vm.NumCategories]int{} {
 			t.Fatalf("JIT-tier ops charged without a JIT: %v", want.counts)
 		}
 		for _, mode := range []tierMode{modeJIT, modeDeopted} {
@@ -318,8 +318,9 @@ func FuzzStepLimit(f *testing.F) {
 
 // FuzzCompileSource asserts the front end is total: lexing, parsing,
 // annotating and compiling arbitrary text return (a module or an
-// error) without panicking or hanging, and every module that compiles
-// passes the VM's verifier and translates.
+// error) without panicking or hanging, every module that compiles
+// passes the register-code verifier, and no source trips the
+// compiler's stack-depth assertion.
 func FuzzCompileSource(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s[0])
@@ -334,18 +335,18 @@ func FuzzCompileSource(f *testing.F) {
 		if _, err := lang.Tokenize(src); err != nil {
 			return
 		}
-		mod, compileErr := bytecode.CompileSource(src)
-		if compileErr == nil {
-			// What the compiler emits, the verifier accepts: every
-			// path reaches each op at one stack depth.
-			if err := vm.Translate(mod); err != nil {
+		mod, compileErr := vm.CompileSource(src)
+		if errors.Is(compileErr, vm.ErrLabelDepth) {
+			t.Fatalf("compiler: %v\n%s", compileErr, src)
+		} else if compileErr == nil {
+			if err := vm.Verify(mod); err != nil {
 				t.Fatalf("compiled module does not verify: %v\n%s", err, src)
 			}
 		}
 		// The annotator only parses; what it adds to a source that
 		// compiles must compile too.
 		if ann, err := annotate.Annotate(src, annotate.Options{}); err == nil && compileErr == nil {
-			if _, err := bytecode.CompileSource(ann.Source); err != nil {
+			if _, err := vm.CompileSource(ann.Source); err != nil {
 				t.Fatalf("annotated source does not compile: %v\n%s", err, ann.Source)
 			}
 		}

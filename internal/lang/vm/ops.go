@@ -5,34 +5,57 @@ import (
 	"strings"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 )
+
+// Op is a binary operator: the sub-op of an arithmetic or comparison
+// instruction.
+type Op uint8
+
+// Binary operators, arithmetic then comparisons.
+const (
+	OpAdd Op = iota
+	OpSub
+	OpMul
+	OpDiv
+	OpMod
+	OpEq
+	OpNeq
+	OpLt
+	OpLte
+	OpGt
+	OpGte
+)
+
+var opSymbols = [...]string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">="}
+
+// String returns the operator's source symbol.
+func (o Op) String() string { return opSymbols[o] }
 
 // BinaryOp implements FaaSLang binary operator semantics on slots; VM.run
 // calls it for every operand pair its inline int paths do not take. Two
 // ints take the first switch. Numeric operands never leave their slots,
 // so int and float arithmetic allocates nothing.
-func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
+func BinaryOp(op Op, left, right Slot) (Slot, error) {
 	if left.kind == lang.TInt && right.kind == lang.TInt {
 		a, b := int64(left.word), int64(right.word)
 		switch op {
-		case bytecode.OpAdd:
+		case OpAdd:
 			return Int(a + b), nil
-		case bytecode.OpSub:
+		case OpSub:
 			return Int(a - b), nil
-		case bytecode.OpMul:
+		case OpMul:
 			return Int(a * b), nil
-		case bytecode.OpDiv:
+		case OpDiv:
 			if b == 0 {
 				return Slot{}, fmt.Errorf("division by zero")
 			}
 			return Int(a / b), nil
-		case bytecode.OpMod:
+		case OpMod:
 			if b == 0 {
 				return Slot{}, fmt.Errorf("modulo by zero")
 			}
 			return Int(a % b), nil
-		case bytecode.OpEq, bytecode.OpNeq, bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
+		case OpEq, OpNeq, OpLt, OpLte, OpGt, OpGte:
 			return Bool(compareInts(op, a, b)), nil
 		}
 		return Slot{}, fmt.Errorf("unsupported binary op %s", op)
@@ -43,11 +66,11 @@ func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
 		}
 	}
 	switch op {
-	case bytecode.OpEq:
+	case OpEq:
 		return Bool(equal(left, right)), nil
-	case bytecode.OpNeq:
+	case OpNeq:
 		return Bool(!equal(left, right)), nil
-	case bytecode.OpAdd:
+	case OpAdd:
 		switch l := left.ref.(type) {
 		case string:
 			// String concatenation coerces the right side, matching the
@@ -71,7 +94,7 @@ func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
 				return Slot{kind: lang.TList, ref: &lang.List{Items: items}}, nil
 			}
 		}
-	case bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
+	case OpLt, OpLte, OpGt, OpGte:
 		l, lok := left.ref.(string)
 		r, rok := right.ref.(string)
 		if !lok || !rok {
@@ -79,10 +102,7 @@ func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
 		}
 		return ordered(op, strings.Compare(l, r)), nil
 	}
-	if int(op) < len(opSymbols) && opSymbols[op] != "" {
-		return Slot{}, fmt.Errorf("unsupported operand types for %s: %s and %s", opSymbols[op], left.kind, right.kind)
-	}
-	return Slot{}, fmt.Errorf("unsupported binary op %s", op)
+	return Slot{}, fmt.Errorf("unsupported operand types for %s: %s and %s", op, left.kind, right.kind)
 }
 
 // maxConcat caps the bytes one + may produce (the repeat builtin's
@@ -90,30 +110,25 @@ func BinaryOp(op bytecode.Op, left, right Slot) (Slot, error) {
 // no step limit keeps from exhausting the host's memory.
 const maxConcat = 64 << 20
 
-// opSymbols names the arithmetic operators in type errors.
-var opSymbols = [...]string{
-	bytecode.OpAdd: "+", bytecode.OpSub: "-", bytecode.OpMul: "*", bytecode.OpDiv: "/", bytecode.OpMod: "%",
-}
-
 // floatOp is the mixed int/float and float/float path: an int operand
 // has already been widened.
-func floatOp(op bytecode.Op, a, b float64) (Slot, error) {
+func floatOp(op Op, a, b float64) (Slot, error) {
 	switch op {
-	case bytecode.OpAdd:
+	case OpAdd:
 		return Float(a + b), nil
-	case bytecode.OpSub:
+	case OpSub:
 		return Float(a - b), nil
-	case bytecode.OpMul:
+	case OpMul:
 		return Float(a * b), nil
-	case bytecode.OpDiv:
+	case OpDiv:
 		return Float(a / b), nil
-	case bytecode.OpMod:
+	case OpMod:
 		return Slot{}, fmt.Errorf("modulo of floats")
-	case bytecode.OpEq:
+	case OpEq:
 		return Bool(a == b), nil
-	case bytecode.OpNeq:
+	case OpNeq:
 		return Bool(a != b), nil
-	case bytecode.OpLt, bytecode.OpLte, bytecode.OpGt, bytecode.OpGte:
+	case OpLt, OpLte, OpGt, OpGte:
 		// Three-way first: a NaN operand orders as equal, so NaN <= x
 		// holds while NaN < x does not.
 		cmp := 0
@@ -130,13 +145,13 @@ func floatOp(op bytecode.Op, a, b float64) (Slot, error) {
 
 // ordered turns a three-way comparison into the result of a relational
 // operator.
-func ordered(op bytecode.Op, cmp int) Slot {
+func ordered(op Op, cmp int) Slot {
 	switch op {
-	case bytecode.OpLt:
+	case OpLt:
 		return Bool(cmp < 0)
-	case bytecode.OpLte:
+	case OpLte:
 		return Bool(cmp <= 0)
-	case bytecode.OpGt:
+	case OpGt:
 		return Bool(cmp > 0)
 	default:
 		return Bool(cmp >= 0)

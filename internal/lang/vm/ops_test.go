@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 	"repro/internal/lang/jit"
 	"repro/internal/lang/vm"
 )
@@ -15,47 +14,47 @@ import (
 func TestBinaryOpSemantics(t *testing.T) {
 	l := &lang.List{Items: []lang.Value{int64(1)}}
 	cases := []struct {
-		op    bytecode.Op
+		op    vm.Op
 		a, b  lang.Value
 		want  lang.Value
 		isErr bool
 	}{
 		// Addition across types.
-		{bytecode.OpAdd, int64(2), int64(3), int64(5), false},
-		{bytecode.OpAdd, int64(2), 0.5, 2.5, false},
-		{bytecode.OpAdd, 0.5, int64(2), 2.5, false},
-		{bytecode.OpAdd, 1.5, 2.5, 4.0, false},
-		{bytecode.OpAdd, "a", "b", "ab", false},
-		{bytecode.OpAdd, "n=", int64(7), "n=7", false},
-		{bytecode.OpAdd, "v=", true, "v=true", false},
-		{bytecode.OpAdd, &lang.List{Items: []lang.Value{int64(1)}}, &lang.List{Items: []lang.Value{int64(2)}}, nil, false}, // checked below
-		{bytecode.OpAdd, int64(1), "s", nil, true},
-		{bytecode.OpAdd, nil, int64(1), nil, true},
+		{vm.OpAdd, int64(2), int64(3), int64(5), false},
+		{vm.OpAdd, int64(2), 0.5, 2.5, false},
+		{vm.OpAdd, 0.5, int64(2), 2.5, false},
+		{vm.OpAdd, 1.5, 2.5, 4.0, false},
+		{vm.OpAdd, "a", "b", "ab", false},
+		{vm.OpAdd, "n=", int64(7), "n=7", false},
+		{vm.OpAdd, "v=", true, "v=true", false},
+		{vm.OpAdd, &lang.List{Items: []lang.Value{int64(1)}}, &lang.List{Items: []lang.Value{int64(2)}}, nil, false}, // checked below
+		{vm.OpAdd, int64(1), "s", nil, true},
+		{vm.OpAdd, nil, int64(1), nil, true},
 		// Subtraction/multiplication/division.
-		{bytecode.OpSub, int64(7), 0.5, 6.5, false},
-		{bytecode.OpSub, "a", "b", nil, true},
-		{bytecode.OpMul, 1.5, int64(4), 6.0, false},
-		{bytecode.OpMul, l, int64(2), nil, true},
-		{bytecode.OpDiv, int64(7), int64(2), int64(3), false},
-		{bytecode.OpDiv, 7.0, 2.0, 3.5, false},
-		{bytecode.OpDiv, int64(7), 2.0, 3.5, false},
-		{bytecode.OpDiv, int64(1), int64(0), nil, true},
-		{bytecode.OpDiv, 1.0, 0.0, positiveInf(), false}, // IEEE semantics for floats
-		{bytecode.OpMod, int64(7), int64(3), int64(1), false},
-		{bytecode.OpMod, int64(7), int64(0), nil, true},
-		{bytecode.OpMod, 7.5, 2.0, nil, true},
+		{vm.OpSub, int64(7), 0.5, 6.5, false},
+		{vm.OpSub, "a", "b", nil, true},
+		{vm.OpMul, 1.5, int64(4), 6.0, false},
+		{vm.OpMul, l, int64(2), nil, true},
+		{vm.OpDiv, int64(7), int64(2), int64(3), false},
+		{vm.OpDiv, 7.0, 2.0, 3.5, false},
+		{vm.OpDiv, int64(7), 2.0, 3.5, false},
+		{vm.OpDiv, int64(1), int64(0), nil, true},
+		{vm.OpDiv, 1.0, 0.0, positiveInf(), false}, // IEEE semantics for floats
+		{vm.OpMod, int64(7), int64(3), int64(1), false},
+		{vm.OpMod, int64(7), int64(0), nil, true},
+		{vm.OpMod, 7.5, 2.0, nil, true},
 		// Comparisons.
-		{bytecode.OpLt, int64(1), 1.5, true, false},
-		{bytecode.OpLt, 1.5, int64(1), false, false},
-		{bytecode.OpGte, 2.0, 2.0, true, false},
-		{bytecode.OpLte, "abc", "abd", true, false},
-		{bytecode.OpGt, "b", "a", true, false},
-		{bytecode.OpLt, "a", int64(1), nil, true},
-		{bytecode.OpLt, true, false, nil, true},
+		{vm.OpLt, int64(1), 1.5, true, false},
+		{vm.OpLt, 1.5, int64(1), false, false},
+		{vm.OpGte, 2.0, 2.0, true, false},
+		{vm.OpLte, "abc", "abd", true, false},
+		{vm.OpGt, "b", "a", true, false},
+		{vm.OpLt, "a", int64(1), nil, true},
+		{vm.OpLt, true, false, nil, true},
 		// Equality never errors.
-		{bytecode.OpEq, int64(1), "1", false, false},
-		{bytecode.OpNeq, nil, nil, false, false},
-		{bytecode.OpEq, true, true, true, false},
+		{vm.OpEq, int64(1), "1", false, false},
+		{vm.OpNeq, nil, nil, false, false},
+		{vm.OpEq, true, true, true, false},
 	}
 	for _, tc := range cases {
 		slot, err := vm.BinaryOp(tc.op, vm.SlotOf(tc.a), vm.SlotOf(tc.b))
@@ -76,7 +75,7 @@ func TestBinaryOpSemantics(t *testing.T) {
 	}
 	// List concatenation produces a fresh list.
 	a, b := &lang.List{Items: []lang.Value{int64(1)}}, &lang.List{Items: []lang.Value{int64(2)}}
-	sum, err := vm.BinaryOp(bytecode.OpAdd, vm.SlotOf(a), vm.SlotOf(b))
+	sum, err := vm.BinaryOp(vm.OpAdd, vm.SlotOf(a), vm.SlotOf(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestTiersAgreeOnRandomPrograms(t *testing.T) {
 		FltRaw uint8
 	}
 	run := func(src string, jitted bool, args ...lang.Value) (lang.Value, error) {
-		mod, err := bytecode.CompileSource(src)
+		mod, err := vm.CompileSource(src)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +191,7 @@ func TestTiersAgreeOnRandomPrograms(t *testing.T) {
 			if _, err := v.RunModule(mod); err != nil {
 				return nil, err
 			}
-			engine.Compile(v.Globals["f"].(*bytecode.Closure).Fn, nil)
+			engine.Compile(v.Globals["f"].(*vm.Closure).Fn, nil)
 		} else {
 			if _, err := v.RunModule(mod); err != nil {
 				return nil, err

@@ -1,14 +1,14 @@
-// Package vm executes FaaSLang bytecode. A module is verified and
-// translated once, when it loads, into register instructions run by one
-// switch loop (see Program), and that one translation is the engine of
-// both execution tiers: the interpreter tier runs it unguarded and books
-// its ops at interpreter rates, the JIT tier runs it behind the entry
-// type guards a JIT backend compiled and books JIT rates, and a guard
-// failure de-optimizes the call to the interpreter tier of the same
-// code. The VM counts the ops both tiers execute and hands the counts to
-// a cost meter before anyone can read the clock (see Flush). It also
-// collects the runtime profile (call counts, loop back-edges, observed
-// argument types) that drives tier-up decisions in the JIT backend.
+// Package vm compiles and executes FaaSLang. The compiler lowers a
+// module's AST straight to register instructions run by one switch loop
+// (see Function), and that one compiled form is the engine of both
+// execution tiers: the interpreter tier runs it unguarded and books its
+// ops at interpreter rates, the JIT tier runs it behind the entry type
+// guards a JIT backend compiled and books JIT rates, and a guard failure
+// de-optimizes the call to the interpreter tier of the same code. The VM
+// counts the ops both tiers execute and hands the counts to a cost meter
+// before anyone can read the clock (see Flush). It also collects the
+// runtime profile (call counts, loop back-edges, observed argument
+// types) that drives tier-up decisions in the JIT backend.
 package vm
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 )
 
 // Tier identifies which execution tier is charging cost.
@@ -38,7 +37,7 @@ func (t Tier) String() string {
 }
 
 // OpCounts counts executed ops per (tier, category).
-type OpCounts [numTiers][bytecode.NumCategories]int
+type OpCounts [numTiers][NumCategories]int
 
 // CostMeter receives the virtual cost of executed instructions: every
 // op count since the last VM.Flush in one call, at least one of them
@@ -58,16 +57,16 @@ func (NopMeter) Charge(*OpCounts) {}
 type JITBackend interface {
 	// Lookup reports whether fn is compiled and, if so, the entry type
 	// guards its code is specialized for (nil: generic code).
-	Lookup(fn *bytecode.Function) (guards []lang.Type, compiled bool)
+	Lookup(fn *Function) (guards []lang.Type, compiled bool)
 	// OnCall is invoked on every function entry with the current
 	// profile, letting the backend trigger compilation.
-	OnCall(v *VM, fn *bytecode.Function, prof *Profile)
+	OnCall(v *VM, fn *Function, prof *Profile)
 	// OnLoopBack is invoked on every loop back-edge.
-	OnLoopBack(v *VM, fn *bytecode.Function, prof *Profile)
+	OnLoopBack(v *VM, fn *Function, prof *Profile)
 	// OnDeopt is invoked when a call fails its entry guards and runs in
 	// the interpreter tier instead, letting the backend charge the
 	// de-optimization penalty and update its caches.
-	OnDeopt(v *VM, fn *bytecode.Function)
+	OnDeopt(v *VM, fn *Function)
 }
 
 // ErrTooManySteps guards against runaway guest code.
@@ -82,12 +81,9 @@ type VM struct {
 	Meter    CostMeter
 	JIT      JITBackend
 	MaxSteps int64
-	// Program is the translation of the loaded module. RunModule builds
-	// it; a VM revived from a snapshot is handed its template's.
-	Program *Program
 
 	steps    int64
-	profiles map[*bytecode.Function]*Profile
+	profiles map[*Function]*Profile
 	depth    int
 	// pending counts the ops executed since the last Flush.
 	pending OpCounts
@@ -106,12 +102,12 @@ func New(meter CostMeter) *VM {
 		Globals:  make(map[string]lang.Value),
 		Meter:    meter,
 		MaxSteps: DefaultMaxSteps,
-		profiles: make(map[*bytecode.Function]*Profile),
+		profiles: make(map[*Function]*Profile),
 	}
 }
 
-// Steps returns the total number of bytecode instructions executed so
-// far, in either tier.
+// Steps returns the total number of ops executed so far, in either
+// tier.
 func (v *VM) Steps() int64 { return v.steps }
 
 // Flush charges the pending op counts to the meter in one Charge, if
@@ -131,7 +127,7 @@ func (v *VM) Flush() {
 // enter and leave bracket one activation (a closure call or a module's
 // top level): enter enforces the depth limit for both tiers, leave
 // flushes when the outermost activation returns.
-func (v *VM) enter(fn *bytecode.Function) error {
+func (v *VM) enter(fn *Function) error {
 	if v.depth >= maxCallDepth {
 		return fmt.Errorf("vm: call depth limit (%d) exceeded in %s", maxCallDepth, fn.Name)
 	}
@@ -147,7 +143,7 @@ func (v *VM) leave() {
 }
 
 // Profile returns (creating if needed) the profile of fn.
-func (v *VM) Profile(fn *bytecode.Function) *Profile {
+func (v *VM) Profile(fn *Function) *Profile {
 	p, ok := v.profiles[fn]
 	if !ok {
 		p = &Profile{}
@@ -156,21 +152,14 @@ func (v *VM) Profile(fn *bytecode.Function) *Profile {
 	return p
 }
 
-// RunModule verifies and translates a module and executes its top
-// level, defining its functions and running its module-level
-// statements. Bytecode that fails verification is an error; none of it
-// runs.
-func (v *VM) RunModule(mod *bytecode.Module) (lang.Value, error) {
-	p, err := translateModule(mod)
-	if err != nil {
-		return nil, err
-	}
-	v.Program = p
+// RunModule executes a module's top level, defining its functions and
+// running its module-level statements.
+func (v *VM) RunModule(mod *Module) (lang.Value, error) {
 	if err := v.enter(mod.TopLevel); err != nil {
 		return nil, err
 	}
 	defer v.leave()
-	return v.run(v.Program.lookup(mod.TopLevel), TierInterp, v.Profile(mod.TopLevel), nil)
+	return v.run(mod.TopLevel, TierInterp, v.Profile(mod.TopLevel), nil)
 }
 
 // CallValue calls any callable FaaSLang value with args. It is the
@@ -184,21 +173,17 @@ func (v *VM) CallValue(fnVal lang.Value, args []lang.Value) (lang.Value, error) 
 		}
 		v.Flush() // a native may read the clock
 		return fn.Fn(args)
-	case *bytecode.Closure:
+	case *Closure:
 		return v.callClosure(fn, args)
 	default:
 		return nil, fmt.Errorf("vm: value of type %s is not callable", lang.TypeOf(fnVal))
 	}
 }
 
-func (v *VM) callClosure(cl *bytecode.Closure, args []lang.Value) (lang.Value, error) {
+func (v *VM) callClosure(cl *Closure, args []lang.Value) (lang.Value, error) {
 	fn := cl.Fn
 	if len(args) != len(fn.Params) {
 		return nil, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, len(fn.Params), len(args))
-	}
-	c := v.Program.lookup(fn)
-	if c == nil {
-		return nil, fmt.Errorf("vm: %s is not part of a loaded module", fn.Name)
 	}
 	if err := v.enter(fn); err != nil {
 		return nil, err
@@ -217,7 +202,7 @@ func (v *VM) callClosure(cl *bytecode.Closure, args []lang.Value) (lang.Value, e
 			}
 		}
 	}
-	return v.run(c, tier, prof, args)
+	return v.run(fn, tier, prof, args)
 }
 
 // guardsHold reports whether args pass compiled code's entry type

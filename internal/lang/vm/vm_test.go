@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 	"repro/internal/lang/vm"
 	"repro/internal/runtime"
 	"repro/internal/workloads"
@@ -25,7 +24,7 @@ func run(t *testing.T, src, fn string, args ...lang.Value) lang.Value {
 }
 
 func tryRun(src, fn string, args ...lang.Value) (*vm.VM, lang.Value, error) {
-	mod, err := bytecode.CompileSource(src)
+	mod, err := vm.CompileSource(src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,7 +196,7 @@ func f() {
 }
 
 func TestNativeFunctions(t *testing.T) {
-	mod, err := bytecode.CompileSource(`func f(x) { return add1(x) * 2; }`)
+	mod, err := vm.CompileSource(`func f(x) { return add1(x) * 2; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestRecursionDepthLimit(t *testing.T) {
 }
 
 func TestStepLimit(t *testing.T) {
-	mod, err := bytecode.CompileSource(`func f() { while (true) {} }`)
+	mod, err := vm.CompileSource(`func f() { while (true) {} }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,7 @@ func TestStepLimit(t *testing.T) {
 }
 
 func TestProfileCollection(t *testing.T) {
-	mod, err := bytecode.CompileSource(`
+	mod, err := vm.CompileSource(`
 func hot(x) {
   let i = 0;
   while (i < 10) { i = i + 1; }
@@ -289,7 +288,7 @@ func hot(x) {
 	if _, err := v.RunModule(mod); err != nil {
 		t.Fatal(err)
 	}
-	cl := v.Globals["hot"].(*bytecode.Closure)
+	cl := v.Globals["hot"].(*vm.Closure)
 	for i := 0; i < 5; i++ {
 		if _, err := v.CallValue(cl, []lang.Value{int64(i)}); err != nil {
 			t.Fatal(err)
@@ -315,7 +314,7 @@ func hot(x) {
 }
 
 func TestMeterCharges(t *testing.T) {
-	mod, err := bytecode.CompileSource(`func f() { let t = 0; let i = 0; while (i < 100) { i = i + 1; t = t + i; } return t; }`)
+	mod, err := vm.CompileSource(`func f() { let t = 0; let i = 0; while (i < 100) { i = i + 1; t = t + i; } return t; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +326,7 @@ func TestMeterCharges(t *testing.T) {
 	if _, err := v.CallValue(v.Globals["f"], nil); err != nil {
 		t.Fatal(err)
 	}
-	if meter.counts[bytecode.CatArith] == 0 || meter.counts[bytecode.CatOther] == 0 {
+	if meter.counts[vm.CatArith] == 0 || meter.counts[vm.CatOther] == 0 {
 		t.Fatalf("meter not charged: %+v", meter.counts)
 	}
 	if meter.tiers[vm.TierJIT] != 0 {
@@ -336,39 +335,40 @@ func TestMeterCharges(t *testing.T) {
 }
 
 type countMeter struct {
-	counts map[bytecode.Category]int
+	counts map[vm.Category]int
 	tiers  map[vm.Tier]int
 }
 
 func (m *countMeter) Charge(counts *vm.OpCounts) {
 	if m.counts == nil {
-		m.counts = make(map[bytecode.Category]int)
+		m.counts = make(map[vm.Category]int)
 		m.tiers = make(map[vm.Tier]int)
 	}
 	for tier, cats := range counts {
 		for cat, n := range cats {
-			m.counts[bytecode.Category(cat)] += n
+			m.counts[vm.Category(cat)] += n
 			m.tiers[vm.Tier(tier)] += n
 		}
 	}
 }
 
-// TestBreakOutOfForIn covers the one compiler output the verifier used
-// to reject: a break leaving a for-in must pop the iterator, as the
-// loop's exhausted NEXT does, so both paths reach the exit at one depth.
+// TestBreakOutOfForIn covers the one compiler output the stack-depth
+// check used to reject: a break leaving a for-in must pop the iterator,
+// as the loop's exhausted NEXT does, so both paths reach the exit at one
+// depth.
 func TestBreakOutOfForIn(t *testing.T) {
-	mod, err := bytecode.CompileSource(`func f(l) { for (x in l) { if (x > 2) { break } } return 1 }`)
+	mod, err := vm.CompileSource(`func f(l) { for (x in l) { if (x > 2) { break } } return 1 }`)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("break out of for-in: %v", err)
 	}
-	if err := vm.Translate(mod); err != nil {
+	if err := vm.Verify(mod); err != nil {
 		t.Fatalf("verifier rejects break out of for-in: %v", err)
 	}
 	// The popped iterator is garbage at once: breaking out of a loop
 	// 300k times allocates no more than running it to the end (the least
 	// of three runs each, which leaves out the test runner's own).
 	allocated := func(body string) (least uint64) {
-		mod, err := bytecode.CompileSource(`func f() { let i = 0; while (i < 300000) { i = i + 1; for (x in [1, 2, 3]) {` + body + `} } return i }`)
+		mod, err := vm.CompileSource(`func f() { let i = 0; while (i < 300000) { i = i + 1; for (x in [1, 2, 3]) {` + body + `} } return i }`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,51 +395,11 @@ func TestBreakOutOfForIn(t *testing.T) {
 	}
 }
 
-// TestVerifierRejects hands RunModule bad bytecode of each kind the
-// verifier knows; each must fail the load with an error, not a panic
-// or a run.
-func TestVerifierRejects(t *testing.T) {
-	type ins = bytecode.Instr
-	cases := []struct {
-		name string
-		code []ins
-		want string
-	}{
-		{"underflow", []ins{{Op: bytecode.OpAdd}, {Op: bytecode.OpReturn}}, "underflow"},
-		{"return from empty stack", []ins{{Op: bytecode.OpReturn}}, "underflow"},
-		{"mismatched join", []ins{
-			{Op: bytecode.OpTrue}, {Op: bytecode.OpJumpIfFalse, A: 3}, {Op: bytecode.OpNull},
-			{Op: bytecode.OpNull}, {Op: bytecode.OpReturn},
-		}, "different stack depths"},
-		{"loop that grows the stack", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpLoop, A: 0}}, "different stack depths"},
-		{"bad local", []ins{{Op: bytecode.OpLoadLocal, A: 1}, {Op: bytecode.OpReturn}}, "out of range"},
-		{"negative local", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpStoreLocal, A: -1}}, "out of range"},
-		{"bad const", []ins{{Op: bytecode.OpConst, A: 2}, {Op: bytecode.OpReturn}}, "out of range"},
-		{"global named by a non-string", []ins{{Op: bytecode.OpLoadGlobal, A: 0}, {Op: bytecode.OpReturn}}, "not a name"},
-		{"closure over a non-function", []ins{{Op: bytecode.OpClosure, A: 0}, {Op: bytecode.OpReturn}}, "not a function"},
-		{"bad jump", []ins{{Op: bytecode.OpJump, A: 9}}, "out of range"},
-		{"bad jump in dead code", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpReturn}, {Op: bytecode.OpJump, A: -1}}, "out of range"},
-		{"bad call count", []ins{{Op: bytecode.OpNull}, {Op: bytecode.OpCall, A: -1}}, "out of range"},
-		{"unknown op", []ins{{Op: 200}}, "unknown opcode"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fn := &bytecode.Function{Name: "bad", NumLocals: 1, Code: tc.code, Consts: []lang.Value{int64(1)}}
-			v := vm.New(nil)
-			_, err := v.RunModule(&bytecode.Module{TopLevel: fn})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want %q", err, tc.want)
-			}
-			if v.Steps() != 0 {
-				t.Fatalf("%d ops ran", v.Steps())
-			}
-		})
-	}
-}
-
-// TestTranslationAllocs pins the allocations of loading a module (a new
-// VM, its translation, the top level run): installs translate on the
-// request path. The ceilings are the closure-threaded engine's.
+// TestTranslationAllocs pins the allocations of turning source into a
+// loaded module (parse, compile to register code, a new VM, the top
+// level run): every install does this on the request path, once per
+// node. The ceilings are the parent engine's, which built a stack
+// bytecode and then translated it.
 func TestTranslationAllocs(t *testing.T) {
 	churn := `
 func main(params) {
@@ -454,15 +414,15 @@ func main(params) {
 		name, src string
 		ceiling   float64
 	}{
-		{"churn", churn, 41},
-		{"faas-fact", workloads.Fact(runtime.LangNode).Source, 94},
-		{"faas-matrix-mult", workloads.MatrixMult(runtime.LangNode).Source, 148},
+		{"churn", churn, 134},
+		{"faas-fact", workloads.Fact(runtime.LangNode).Source, 356},
+		{"faas-matrix-mult", workloads.MatrixMult(runtime.LangNode).Source, 524},
 	} {
-		mod, err := bytecode.CompileSource(tc.src)
-		if err != nil {
-			t.Fatal(err)
-		}
 		allocs := testing.AllocsPerRun(20, func() {
+			mod, err := vm.CompileSource(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if _, err := vm.New(nil).RunModule(mod); err != nil {
 				t.Fatal(err)
 			}

@@ -63,8 +63,7 @@ func NewPool[G any](cfg PoolConfig[G]) *Pool[G] {
 // Instrument attaches the pool to a metrics registry, labeling every
 // instrument with the owning platform: pool occupancy, acquire
 // hits/misses (hit rate = hits / (hits+misses)) and keep-alive
-// expiries. The pool has no size bound, so lifecycle_pool_rejected_total
-// is registered only to keep the series every export lists, and stays 0.
+// expiries.
 func (p *Pool[G]) Instrument(reg *metrics.Registry, platformName string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -72,7 +71,6 @@ func (p *Pool[G]) Instrument(reg *metrics.Registry, platformName string) {
 	p.hits = reg.Counter(metrics.Name("lifecycle_pool_hits_total", "platform", platformName))
 	p.misses = reg.Counter(metrics.Name("lifecycle_pool_misses_total", "platform", platformName))
 	p.expired = reg.Counter(metrics.Name("lifecycle_pool_expired_total", "platform", platformName))
-	reg.Counter(metrics.Name("lifecycle_pool_rejected_total", "platform", platformName))
 }
 
 // expiredLocked reports whether an entry's keep-alive lapsed before

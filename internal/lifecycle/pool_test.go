@@ -199,9 +199,6 @@ func TestPoolInstrumentCountsHitsMissesExpiriesRejections(t *testing.T) {
 	if got := get("lifecycle_pool_expired_total"); got != 2 {
 		t.Errorf("expired = %d, want 2", got)
 	}
-	if got := get("lifecycle_pool_rejected_total"); got != 0 {
-		t.Errorf("rejected = %d, want 0", got)
-	}
 	size := reg.Gauge(metrics.Name("lifecycle_pool_size", "platform", "testplat"))
 	if got := size.Value(); got != 1 {
 		t.Errorf("size gauge = %d, want 1", got)

@@ -30,11 +30,8 @@ var (
 
 // Message is one record in a topic partition.
 type Message struct {
-	Topic     string
-	Partition int
-	Offset    int64
-	Key       string
-	Value     []byte
+	Offset int64
+	Value  []byte
 	// ProducedAt is the producer's virtual-clock position when the
 	// record was appended (see ProduceTracedAt); stamped reports whether it
 	// was set, so dwell time is only measured for stamped records.
@@ -85,7 +82,6 @@ func (b *Broker) Instrument(reg *metrics.Registry) {
 }
 
 type topic struct {
-	name       string
 	partitions []*partition
 }
 
@@ -113,7 +109,7 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 		}
 		return nil
 	}
-	t := &topic{name: name}
+	t := &topic{}
 	for i := 0; i < partitions; i++ {
 		t.partitions = append(t.partitions, &partition{})
 	}
@@ -205,10 +201,7 @@ func (b *Broker) produce(topicName, key string, value []byte, at time.Duration, 
 	ref := sc.Instant("msgbus", "produce", at,
 		events.A("topic", topicName), events.A("offset", strconv.FormatInt(offset, 10)))
 	p.records = append(p.records, Message{
-		Topic:      topicName,
-		Partition:  partitionID,
 		Offset:     offset,
-		Key:        key,
 		Value:      append([]byte(nil), value...),
 		ProducedAt: at,
 		stamped:    stamped,
@@ -277,10 +270,7 @@ func (b *Broker) ProduceBatchTracedAt(topicName string, recs []BatchRecord, at t
 		for k, i := range idxs {
 			offsets[i] = base + int64(k)
 			p.records = append(p.records, Message{
-				Topic:      topicName,
-				Partition:  partIdx[p],
 				Offset:     offsets[i],
-				Key:        recs[i].Key,
 				Value:      append([]byte(nil), recs[i].Value...),
 				ProducedAt: at,
 				stamped:    true,

@@ -163,7 +163,7 @@ func TestProduceConsumeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return string(msg.Value) == string(value) && msg.Key == key
+		return string(msg.Value) == string(value) && msg.Offset == off
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

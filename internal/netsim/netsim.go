@@ -31,9 +31,8 @@ type Addr string
 
 // Packet is the unit of simulated traffic.
 type Packet struct {
-	Src     Addr
-	Dst     Addr
-	Payload []byte
+	Src Addr
+	Dst Addr
 }
 
 // Tap is a tap device inside a namespace, attached to one guest address.

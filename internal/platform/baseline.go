@@ -163,11 +163,9 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 	g.rt.SetClock(inv.Clock)
 	g.binding.Rebind(inv)
 
-	ops := g.rt.VM.Steps()
 	result, exec, err := inv.ChargeExec(func() (lang.Value, error) {
 		return g.rt.Call(fn.EntryName(), params)
 	})
-	inv.GuestOps = g.rt.VM.Steps() - ops
 	// Sentry-style sandboxes intercept the runtime's own syscalls
 	// during computation (gVisor), taxing pure execution.
 	if b.profile.ExecOverheadFactor > 0 && exec > 0 {

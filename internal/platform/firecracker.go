@@ -61,8 +61,7 @@ func (k firecrackerKind) install(b *baseline, fn *deployed, report *InstallRepor
 	var snap *vmm.Snapshot
 	err := vm.BootKernelTraced(clock, nil)
 	if err == nil {
-		snap, err = b.env.HV.TakeSnapshotTraced(vm, vmm.SnapOSOnly,
-			[]vmm.RegionSpec{{Kind: mem.KindKernel, Bytes: vmm.CostKernelBytes}},
+		snap, err = b.env.HV.TakeSnapshotTraced(vm, []vmm.RegionSpec{{Kind: mem.KindKernel, Bytes: vmm.CostKernelBytes}},
 			osSnapshotWorkingSet, nil, clock, nil)
 	}
 	// The install VM exists only to be imaged: it goes whether or not

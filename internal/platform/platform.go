@@ -93,8 +93,7 @@ type Response struct {
 // chain reports one combined latency exactly as the paper's Figure 9
 // does.
 type Invocation struct {
-	Function string
-	Clock    *vclock.Clock
+	Clock *vclock.Clock
 	// Breakdown is Clock under the name its readers use: its Startup,
 	// Exec, Others and Total are the paper's phase split, a view over
 	// the charges that moved the clock rather than a second book.
@@ -105,22 +104,21 @@ type Invocation struct {
 	SandboxID string
 	// Mode records which start path actually ran (cold/warm).
 	Mode StartMode
-	// GuestOps counts the guest ops the function's own call executed;
-	// a chained child's ops count in the child's invocation.
-	GuestOps int64
 	// Trace is the invocation's handle into the event journal. Nil when
 	// the deployment records no events; every emission site is nil-safe.
 	Trace *events.Scope
 }
 
-// NewInvocation returns a fresh accounting context at virtual time 0.
+// NewInvocation returns a fresh accounting context at virtual time 0
+// for a call of the named function. The name is the caller's label:
+// nothing reads it back, so the context does not keep it.
 func NewInvocation(function string) *Invocation { return NewInvocationAt(function, 0) }
 
 // NewInvocationAt returns a fresh accounting context whose clock starts
 // at virtual time at.
-func NewInvocationAt(function string, at time.Duration) *Invocation {
+func NewInvocationAt(_ string, at time.Duration) *Invocation {
 	clock := vclock.NewAt(at)
-	return &Invocation{Function: function, Clock: clock, Breakdown: clock}
+	return &Invocation{Clock: clock, Breakdown: clock}
 }
 
 // ChargeExec runs a guest call inside an exec phase scope: what the
@@ -220,9 +218,6 @@ type Env struct {
 	// component of this host (and, in a cluster, can be shared across
 	// hosts for a fleet-wide view). Always non-nil from NewEnv.
 	Metrics *metrics.Registry
-	// Faults is the fault-injection plane armed on this host's
-	// components (nil when the host runs fault-free).
-	Faults *faults.Plane
 	// Events is the host's causal event journal. Always non-nil from
 	// NewEnv; in a cluster one shared journal spans every node.
 	Events *events.Journal
@@ -297,7 +292,6 @@ func NewEnv(cfg EnvConfig) *Env {
 		env.RemoteSnaps.Instrument(reg)
 	}
 	if cfg.Faults != nil {
-		env.Faults = cfg.Faults
 		cfg.Faults.Instrument(reg)
 		env.HV.AttachFaults(cfg.Faults)
 		env.Bus.AttachFaults(cfg.Faults)

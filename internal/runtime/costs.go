@@ -3,7 +3,7 @@ package runtime
 import (
 	"time"
 
-	"repro/internal/lang/bytecode"
+	"repro/internal/lang/vm"
 )
 
 // CostModel calibrates one language runtime's virtual-time behaviour.
@@ -17,13 +17,13 @@ import (
 // while an I/O workload's execution time is dominated by the sandbox I/O
 // costs instead — exactly the behaviour Figures 6, 7, and 11 show.
 type CostModel struct {
-	// InterpCost and JITCost are per-bytecode-op costs, indexed by
-	// bytecode.Category.
-	InterpCost [bytecode.NumCategories]time.Duration
-	JITCost    [bytecode.NumCategories]time.Duration
+	// InterpCost and JITCost are per-op costs, indexed by
+	// vm.Category.
+	InterpCost [vm.NumCategories]time.Duration
+	JITCost    [vm.NumCategories]time.Duration
 
-	// CompilePerInstr is the JIT compilation cost per bytecode
-	// instruction; DeoptPenalty is charged on each guard bailout.
+	// CompilePerInstr is the JIT compilation cost per op (see
+	// vm.Function); DeoptPenalty is charged on each guard bailout.
 	CompilePerInstr time.Duration
 	DeoptPenalty    time.Duration
 
@@ -34,7 +34,7 @@ type CostModel struct {
 
 	// RuntimeBoot is the cost of starting the language runtime process
 	// (node / python binary start to REPL-ready). ModuleLoadPerInstr
-	// models parsing+loading the application per bytecode instruction,
+	// models parsing+loading the application per op,
 	// and PackageInstall the npm/pip step paid once at function
 	// install time.
 	RuntimeBoot        time.Duration
@@ -85,17 +85,17 @@ func ModelFor(l Lang) CostModel {
 	switch l {
 	case LangNode:
 		return CostModel{
-			InterpCost: [bytecode.NumCategories]time.Duration{
-				bytecode.CatArith: 14 * time.Nanosecond,
-				bytecode.CatIndex: 22 * time.Nanosecond,
-				bytecode.CatCall:  90 * time.Nanosecond,
-				bytecode.CatOther: 9 * time.Nanosecond,
+			InterpCost: [vm.NumCategories]time.Duration{
+				vm.CatArith: 14 * time.Nanosecond,
+				vm.CatIndex: 22 * time.Nanosecond,
+				vm.CatCall:  90 * time.Nanosecond,
+				vm.CatOther: 9 * time.Nanosecond,
 			},
-			JITCost: [bytecode.NumCategories]time.Duration{
-				bytecode.CatArith: 4 * time.Nanosecond,
-				bytecode.CatIndex: 7 * time.Nanosecond,
-				bytecode.CatCall:  35 * time.Nanosecond,
-				bytecode.CatOther: 3 * time.Nanosecond,
+			JITCost: [vm.NumCategories]time.Duration{
+				vm.CatArith: 4 * time.Nanosecond,
+				vm.CatIndex: 7 * time.Nanosecond,
+				vm.CatCall:  35 * time.Nanosecond,
+				vm.CatOther: 3 * time.Nanosecond,
 			},
 			CompilePerInstr:        2 * time.Microsecond,
 			DeoptPenalty:           25 * time.Microsecond,
@@ -114,17 +114,17 @@ func ModelFor(l Lang) CostModel {
 		}
 	case LangPython:
 		return CostModel{
-			InterpCost: [bytecode.NumCategories]time.Duration{
-				bytecode.CatArith: 110 * time.Nanosecond,
-				bytecode.CatIndex: 230 * time.Nanosecond,
-				bytecode.CatCall:  550 * time.Nanosecond,
-				bytecode.CatOther: 55 * time.Nanosecond,
+			InterpCost: [vm.NumCategories]time.Duration{
+				vm.CatArith: 110 * time.Nanosecond,
+				vm.CatIndex: 230 * time.Nanosecond,
+				vm.CatCall:  550 * time.Nanosecond,
+				vm.CatOther: 55 * time.Nanosecond,
 			},
-			JITCost: [bytecode.NumCategories]time.Duration{
-				bytecode.CatArith: 3 * time.Nanosecond,
-				bytecode.CatIndex: 1 * time.Nanosecond,
-				bytecode.CatCall:  40 * time.Nanosecond,
-				bytecode.CatOther: 2 * time.Nanosecond,
+			JITCost: [vm.NumCategories]time.Duration{
+				vm.CatArith: 3 * time.Nanosecond,
+				vm.CatIndex: 1 * time.Nanosecond,
+				vm.CatCall:  40 * time.Nanosecond,
+				vm.CatOther: 2 * time.Nanosecond,
 			},
 			CompilePerInstr:        45 * time.Microsecond,
 			DeoptPenalty:           60 * time.Microsecond,

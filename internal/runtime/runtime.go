@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
 	"repro/internal/lang/jit"
 	"repro/internal/lang/vm"
 	"repro/internal/vclock"
@@ -30,7 +29,7 @@ type Runtime struct {
 	// Stdout collects guest print output.
 	Stdout bytes.Buffer
 
-	module      *bytecode.Module
+	module      *vm.Module
 	booted      bool
 	moduleBytes uint64
 }
@@ -66,10 +65,10 @@ func New(l Lang, clock *vclock.Clock) *Runtime {
 		CallThreshold: model.CallThreshold,
 		LoopThreshold: model.LoopThreshold,
 		AnnotatedOnly: model.AnnotatedOnly,
-		OnCompile: func(fn *bytecode.Function, instrs int) {
+		OnCompile: func(fn *vm.Function, instrs int) {
 			r.Clock.Charge("jit-compile", r.Model.CompilePerInstr*time.Duration(instrs))
 		},
-		OnDeopt: func(fn *bytecode.Function) {
+		OnDeopt: func(fn *vm.Function) {
 			r.Clock.Charge("jit-deopt", r.Model.DeoptPenalty)
 		},
 	})
@@ -108,16 +107,16 @@ func (r *Runtime) LoadModule(src string) error {
 	if !r.booted {
 		return fmt.Errorf("runtime: LoadModule before Boot")
 	}
-	mod, err := bytecode.CompileSource(src)
+	mod, err := vm.CompileSource(src)
 	if err != nil {
 		return fmt.Errorf("runtime: load: %w", err)
 	}
-	r.Clock.Charge("module-load", r.Model.ModuleLoadPerInstr*time.Duration(mod.TotalInstructions()))
+	r.Clock.Charge("module-load", r.Model.ModuleLoadPerInstr*time.Duration(mod.Ops()))
 	if _, err := r.VM.RunModule(mod); err != nil {
 		return fmt.Errorf("runtime: module init: %w", err)
 	}
 	r.module = mod
-	r.moduleBytes = uint64(mod.TotalInstructions()) * 40 // bytecode + AST footprint
+	r.moduleBytes = uint64(mod.Ops()) * 40 // compiled code + AST footprint
 	return nil
 }
 
@@ -170,15 +169,14 @@ func (r *Runtime) JITCodeBytes() uint64 {
 // SnapshotTemplate is the language-level guest state captured inside a
 // VM snapshot: the globals (natives excluded — the host re-binds them on
 // restore, just as a resumed clone re-reads MMDS), the JIT engine whose
-// code cache records what was compiled, the loaded module, and its
-// translation — the post-JIT code every revival runs, built once per
+// code cache records what was compiled, and the loaded module, whose
+// compiled code is the post-JIT code every revival runs, built once per
 // installed code version and shared by all of them.
 type SnapshotTemplate struct {
 	Lang        Lang
 	Globals     map[string]lang.Value
 	Engine      *jit.Engine
-	Module      *bytecode.Module
-	Program     *vm.Program
+	Module      *vm.Module
 	ModuleBytes uint64
 }
 
@@ -195,7 +193,6 @@ func (r *Runtime) SnapshotTemplate() (*SnapshotTemplate, error) {
 		Globals:     globals,
 		Engine:      r.Engine,
 		Module:      r.module,
-		Program:     r.VM.Program,
 		ModuleBytes: r.moduleBytes,
 	}, nil
 }
@@ -206,7 +203,7 @@ func (r *Runtime) SnapshotTemplate() (*SnapshotTemplate, error) {
 // memory snapshot pays only the restore cost (charged by the
 // hypervisor), not boot/load/JIT costs. Each restored runtime gets its
 // own copy-on-write view of the globals and its own engine, and shares
-// the template's translated code.
+// the template's compiled code.
 func NewFromSnapshot(t *SnapshotTemplate, clock *vclock.Clock) (*Runtime, error) {
 	model := ModelFor(t.Lang)
 	r := &Runtime{Lang: t.Lang, Model: model, Clock: clock, booted: true,
@@ -215,15 +212,14 @@ func NewFromSnapshot(t *SnapshotTemplate, clock *vclock.Clock) (*Runtime, error)
 	// Room for the builtins, the template's globals and a host's natives
 	// (a dozen), so a revival's inserts do not regrow the map.
 	r.VM.Globals = make(map[string]lang.Value, len(pureBuiltins)+2+len(t.Globals)+16)
-	r.VM.Program = t.Program
 	r.Engine = t.Engine.CloneWithCache(jit.Config{
 		CallThreshold: model.CallThreshold,
 		LoopThreshold: model.LoopThreshold,
 		AnnotatedOnly: model.AnnotatedOnly,
-		OnCompile: func(fn *bytecode.Function, instrs int) {
+		OnCompile: func(fn *vm.Function, instrs int) {
 			r.Clock.Charge("jit-compile", r.Model.CompilePerInstr*time.Duration(instrs))
 		},
-		OnDeopt: func(fn *bytecode.Function) {
+		OnDeopt: func(fn *vm.Function) {
 			r.Clock.Charge("jit-deopt", r.Model.DeoptPenalty)
 		},
 	})

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/lang"
-	"repro/internal/lang/bytecode"
+	"repro/internal/lang/vm"
 	"repro/internal/vclock"
 )
 
@@ -281,7 +281,7 @@ func TestDeoptChargesPenalty(t *testing.T) {
 	if cost < rt.Model.DeoptPenalty {
 		t.Fatalf("deopt call cost %v < penalty %v", cost, rt.Model.DeoptPenalty)
 	}
-	poly := rt.VM.Globals["poly"].(*bytecode.Closure).Fn
+	poly := rt.VM.Globals["poly"].(*vm.Closure).Fn
 	if got := rt.VM.Profile(poly).Deopts; got != 1 {
 		t.Fatalf("deopts = %d", got)
 	}
@@ -409,7 +409,7 @@ func TestRecursionDepthLimitEveryTier(t *testing.T) {
 				t.Fatalf("err = %v, want the call depth limit", err)
 			}
 			// The recursion ran in the tier the case is named for.
-			deopts := rt.VM.Profile(rt.VM.Globals["f"].(*bytecode.Closure).Fn).Deopts
+			deopts := rt.VM.Profile(rt.VM.Globals["f"].(*vm.Closure).Fn).Deopts
 			switch tc.name {
 			case "interpreter":
 				if rt.Engine.Compiles() != 0 {
@@ -434,9 +434,9 @@ func TestRecursionDepthLimitEveryTier(t *testing.T) {
 
 // TestClockReadingsMatchPerInstructionMeter: ops are counted and charged
 // in batches, but a guest that reads the clock on every loop iteration
-// must see exactly what a meter charging each instruction as it executes
-// would show. The expected readings are computed from the bytecode and
-// the cost arrays.
+// must see exactly what a meter charging each op as it executes would
+// show. The expected readings are computed from probe's ops, written out
+// below in evaluation order, and the cost arrays.
 func TestClockReadingsMatchPerInstructionMeter(t *testing.T) {
 	const src = `
 func probe(n) {
@@ -448,6 +448,20 @@ func probe(n) {
   }
   return out;
 }`
+	const (
+		o = vm.CatOther
+		a = vm.CatArith
+		x = vm.CatIndex
+		c = vm.CatCall
+	)
+	var (
+		head  = []vm.Category{x, o, o, o}       // let out = []; let i = 0;
+		test  = []vm.Category{o, o, a, o}       // i < n, the exit branch
+		call  = []vm.Category{o, o, o, c}       // push, out, now_ns, its call
+		body  = []vm.Category{c, o, o, o, a, o} // push's call, pop; i = i + 1;
+		exit  = []vm.Category{o, o}             // return out;
+		trail = 3                               // LOOP, then the implicit null and return
+	)
 	const n = 50
 	for _, tc := range []struct {
 		name  string
@@ -474,29 +488,19 @@ func probe(n) {
 				rt.ForceJITAll()
 				costs = rt.Model.JITCost
 			}
-			// probe's code is a straight line up to the now_ns call (the
-			// first OpCall) and one straight-line loop body ending in
-			// the OpLoop back-edge.
-			probe := rt.VM.Globals["probe"].(*bytecode.Closure).Fn
-			code := probe.Code
-			firstCall, loopEnd, loopStart := -1, -1, -1
-			for pc, ins := range code {
-				if ins.Op == bytecode.OpCall && firstCall < 0 {
-					firstCall = pc
-				}
-				if ins.Op == bytecode.OpLoop {
-					loopEnd, loopStart = pc, ins.A
-				}
+			probe := rt.VM.Globals["probe"].(*vm.Closure).Fn
+			if ops := len(head) + len(test) + len(call) + len(body) + len(exit) + trail; probe.Ops() != ops {
+				t.Fatalf("probe compiles to %d ops, the list here has %d", probe.Ops(), ops)
 			}
-			if firstCall < 0 || loopEnd < 0 {
-				t.Fatalf("unexpected bytecode: %v", probe.Code)
-			}
-			span := func(lo, hi int) (d time.Duration) {
-				for _, ins := range code[lo : hi+1] {
-					d += costs[bytecode.CategoryOf(ins.Op)]
+			span := func(parts ...[]vm.Category) (d time.Duration) {
+				for _, part := range parts {
+					for _, cat := range part {
+						d += costs[cat]
+					}
 				}
 				return d
 			}
+			loop := []vm.Category{o} // the back-edge
 			start := clock.Now()
 			got, err := rt.Call("probe", int64(n))
 			if err != nil {
@@ -506,27 +510,17 @@ func probe(n) {
 			if len(readings) != n {
 				t.Fatalf("%d readings, want %d", len(readings), n)
 			}
-			want := start + span(0, firstCall)
+			want := start + span(head, test, call)
 			for i, r := range readings {
 				if r != int64(want) {
 					t.Fatalf("reading %d = %v, want %d", i, r, int64(want))
 				}
-				want += span(loopStart, loopEnd)
+				want += span(body, loop, test, call)
 			}
 			// When the call returns, the rest of the run is on the clock
 			// too: the tail of the last iteration, the loop test that
 			// fails, and the exit path up to the return.
-			testEnd := loopStart
-			for code[testEnd].Op != bytecode.OpJumpIfFalse {
-				testEnd++
-			}
-			exit := code[testEnd].A
-			ret := exit
-			for code[ret].Op != bytecode.OpReturn {
-				ret++
-			}
-			want += span(firstCall+1, loopEnd) - span(loopStart, loopEnd) // want had moved one whole iteration on
-			want += span(loopStart, testEnd) + span(exit, ret)
+			want += span(body, loop, test, exit) - span(body, loop, test, call)
 			if clock.Now() != want {
 				t.Fatalf("clock after return = %v, want %v", clock.Now(), want)
 			}

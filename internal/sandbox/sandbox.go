@@ -49,9 +49,6 @@ const (
 
 // Profile is the calibrated cost model of one sandbox class.
 type Profile struct {
-	Class     Class
-	Isolation Isolation
-
 	// ColdCreate is sandbox creation from nothing (runc start, runsc +
 	// Sentry boot, ...). For Firecracker the vmm package owns the
 	// VM-create and kernel-boot costs instead.
@@ -90,8 +87,6 @@ func Profiles(c Class) Profile {
 	switch c {
 	case ClassFirecracker:
 		return Profile{
-			Class:      ClassFirecracker,
-			Isolation:  IsolationHigh,
 			ColdCreate: 0, // owned by vmm: CostVMCreate + CostKernelBoot
 			WarmResume: 0, // owned by vmm: CostWarmResume
 			// virtio-blk/9p boundary: pricier than a host syscall,
@@ -105,8 +100,6 @@ func Profiles(c Class) Profile {
 		}
 	case ClassContainer:
 		return Profile{
-			Class:           ClassContainer,
-			Isolation:       IsolationMedium,
 			ColdCreate:      430 * time.Millisecond, // runc + image setup
 			WarmResume:      18 * time.Millisecond,
 			DiskOpBase:      16 * time.Microsecond, // OverlayFS -> host page cache
@@ -118,8 +111,6 @@ func Profiles(c Class) Profile {
 		}
 	case ClassGVisor:
 		return Profile{
-			Class:     ClassGVisor,
-			Isolation: IsolationMedium,
 			// runsc + Sentry boot + platform security checks: slower
 			// than plain runc, faster than a full VM boot (Fig. 6).
 			ColdCreate: 1080 * time.Millisecond,

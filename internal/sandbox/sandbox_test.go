@@ -5,11 +5,13 @@ import (
 )
 
 func TestProfilesExist(t *testing.T) {
+	seen := map[Profile]Class{}
 	for _, c := range []Class{ClassFirecracker, ClassContainer, ClassGVisor} {
 		p := Profiles(c)
-		if p.Class != c {
-			t.Errorf("profile for %s has class %s", c, p.Class)
+		if other, ok := seen[p]; ok {
+			t.Errorf("%s has the profile of %s", c, other)
 		}
+		seen[p] = c
 	}
 }
 
@@ -23,13 +25,14 @@ func TestUnknownClassPanics(t *testing.T) {
 }
 
 func TestIsolationOrdering(t *testing.T) {
-	fc := Profiles(ClassFirecracker)
-	ct := Profiles(ClassContainer)
-	gv := Profiles(ClassGVisor)
-	if fc.Isolation != IsolationHigh {
-		t.Error("firecracker not high isolation")
+	grade := map[string]string{}
+	for _, r := range Table1() {
+		grade[r.Platform] = r.Isolation
 	}
-	if ct.Isolation != IsolationMedium || gv.Isolation != IsolationMedium {
+	if grade["Firecracker (Amazon)"] != IsolationHigh.String() || grade["Fireworks"] != IsolationHigh.String() {
+		t.Error("VM sandboxes not high isolation")
+	}
+	if grade["OpenWhisk (IBM)"] != IsolationMedium.String() || grade["gVisor (Google)"] != IsolationMedium.String() {
 		t.Error("containers not medium isolation")
 	}
 	if IsolationHigh.String() != "High (VM)" || IsolationLow.String() != "Low (runtime)" {

@@ -22,8 +22,7 @@ func makeSnap(t *testing.T, hv *vmm.Hypervisor, bytes uint64) *vmm.Snapshot {
 	if err := v.BootKernelTraced(clock, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := hv.TakeSnapshotTraced(v, vmm.SnapPostJIT,
-		[]vmm.RegionSpec{{Kind: mem.KindHeap, Bytes: bytes}}, bytes/4, nil, clock, nil)
+	snap, err := hv.TakeSnapshotTraced(v, []vmm.RegionSpec{{Kind: mem.KindHeap, Bytes: bytes}}, bytes/4, nil, clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +161,7 @@ func makeChunkedSnap(t *testing.T, hv *vmm.Hypervisor, regions []vmm.RegionSpec)
 	if err := v.BootKernelTraced(clock, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := hv.TakeSnapshotTraced(v, vmm.SnapPostJIT, regions, 8<<20, nil, clock, nil)
+	snap, err := hv.TakeSnapshotTraced(v, regions, 8<<20, nil, clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

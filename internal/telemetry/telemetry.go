@@ -32,7 +32,6 @@ package telemetry
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,13 +130,14 @@ func ParseSpec(spec string) (*Config, error) {
 
 // traceState is what the sampler buffers per in-flight trace: not the
 // events themselves (the journal already holds those) but the few bits
-// the policy chain needs.
+// the policy chain needs. The sampler keeps them in one slab and reuses
+// a decided trace's entry for the next trace.
 type traceState struct {
 	// since is the Seq of the trace's root begin — where DropTrace may
 	// start looking — or 0 for a trace first seen mid-flight.
 	since   uint64
 	root    events.SpanID
-	site    string
+	site    *siteRing // the root span's site, nil until its begin
 	firstTS time.Duration
 	lastTS  time.Duration
 	open    int
@@ -148,6 +148,9 @@ type traceState struct {
 	alerted bool
 	dlq     bool
 }
+
+// siteKey is a site: the component and name of a trace's root span.
+type siteKey struct{ component, name string }
 
 // siteRing is a bounded ring of root latencies for one site, from
 // which the latency policy derives its threshold. sorted holds the
@@ -173,6 +176,13 @@ func (s *siteRing) push(d time.Duration) {
 	s.sorted = slices.Insert(s.sorted, i, d)
 }
 
+// outlier reports whether latency exceeds the site's armed threshold.
+// Sites with fewer than minSiteSamples completed roots have no
+// threshold yet.
+func (s *siteRing) outlier(latency time.Duration) bool {
+	return s != nil && s.n >= minSiteSamples && latency > s.quantile(latencyQuantile)
+}
+
 // quantile returns the q-th percentile (0–100) of the ring, nearest-
 // rank over its sorted values — deterministic for a deterministic ring.
 func (s *siteRing) quantile(q float64) time.Duration {
@@ -185,6 +195,17 @@ func (s *siteRing) quantile(q float64) time.Duration {
 	}
 	return s.sorted[idx]
 }
+
+// policies names the policies in the order Stats lists them, by name;
+// a decision's policy is an index into it.
+var policies = [...]string{PolicyDLQ, PolicyError, PolicyLatency, PolicyProbabilistic}
+
+const (
+	policyDLQ = iota
+	policyError
+	policyLatency
+	policyProbabilistic
+)
 
 // policyCounts is the per-policy ledger behind Stats, and the policy's
 // counters, each resolved on its first use.
@@ -208,10 +229,12 @@ type TailSampler struct {
 	reg *metrics.Registry
 
 	mu      sync.Mutex
-	traces  map[events.TraceID]*traceState
+	traces  map[events.TraceID]int32 // pending traces, by index into states
+	states  []traceState
+	free    []int32          // indexes of states whose traces were decided
 	order   []events.TraceID // pending traces, first-seen order (deterministic flush)
-	sites   map[string]*siteRing
-	policy  map[string]*policyCounts
+	sites   map[siteKey]*siteRing
+	policy  [len(policies)]policyCounts
 	decided int64
 }
 
@@ -219,9 +242,8 @@ type TailSampler struct {
 func New(cfg Config) *TailSampler {
 	return &TailSampler{
 		cfg:    cfg.withDefaults(),
-		traces: make(map[events.TraceID]*traceState),
-		sites:  make(map[string]*siteRing),
-		policy: make(map[string]*policyCounts),
+		traces: make(map[events.TraceID]int32),
+		sites:  make(map[siteKey]*siteRing),
 	}
 }
 
@@ -245,7 +267,8 @@ func (t *TailSampler) Attach(j *events.Journal, reg *metrics.Registry) {
 	j.SetEvictionGuard(func(id events.TraceID) bool {
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		return t.traces[id] != nil
+		_, pending := t.traces[id]
+		return pending
 	})
 	j.SetObserver(t)
 }
@@ -254,7 +277,7 @@ func (t *TailSampler) Attach(j *events.Journal, reg *metrics.Registry) {
 type decision struct {
 	id     events.TraceID
 	since  uint64
-	policy string
+	policy int // an index into policies
 	keep   bool
 }
 
@@ -270,23 +293,29 @@ func (t *TailSampler) ObserveEvent(e events.Event) {
 		// evidence trace to always-keep while that trace is pending.
 		if e.Kind == events.KindInstant && e.Component == "slo" && e.Link.Trace != 0 {
 			t.mu.Lock()
-			if st := t.traces[e.Link.Trace]; st != nil {
-				st.alerted = true
+			if i, ok := t.traces[e.Link.Trace]; ok {
+				t.states[i].alerted = true
 			}
 			t.mu.Unlock()
 		}
 		return
 	}
 	t.mu.Lock()
-	st := t.traces[e.Trace]
-	if st == nil {
-		st = &traceState{firstTS: e.TS, lastTS: e.TS}
-		if e.Kind == events.KindBegin && e.Parent == 0 {
-			st.since = e.Seq
+	i, ok := t.traces[e.Trace]
+	if !ok {
+		if n := len(t.free); n > 0 {
+			i, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			i, t.states = int32(len(t.states)), append(t.states, traceState{})
 		}
-		t.traces[e.Trace] = st
+		t.states[i] = traceState{firstTS: e.TS, lastTS: e.TS}
+		if e.Kind == events.KindBegin && e.Parent == 0 {
+			t.states[i].since = e.Seq
+		}
+		t.traces[e.Trace] = i
 		t.order = append(t.order, e.Trace)
 	}
+	st := &t.states[i]
 	if e.TS > st.lastTS {
 		st.lastTS = e.TS
 	}
@@ -294,22 +323,26 @@ func (t *TailSampler) ObserveEvent(e events.Event) {
 	if _, ok := events.AttrValue(e.Attrs, "error"); ok {
 		st.errored = true
 	}
-	var done *decision
+	var done decision // a decision once its id is set
 	switch e.Kind {
 	case events.KindBegin:
 		st.open++
 		if !st.started {
 			st.started = true
 			st.root = e.Span
-			st.site = e.Component + ":" + e.Name
+			key := siteKey{e.Component, e.Name}
+			if st.site = t.sites[key]; st.site == nil {
+				mem := make([]time.Duration, 2*siteWindow)
+				st.site = &siteRing{buf: mem[:siteWindow], sorted: mem[siteWindow:siteWindow]}
+				t.sites[key] = st.site
+			}
 		}
 	case events.KindEnd:
 		if st.open > 0 {
 			st.open--
 		}
 		if st.started && e.Span == st.root {
-			d := t.decideLocked(e.Trace, st)
-			done = &d
+			done = t.decideLocked(e.Trace, i)
 		}
 	case events.KindInstant:
 		switch {
@@ -320,53 +353,39 @@ func (t *TailSampler) ObserveEvent(e events.Event) {
 		}
 	}
 	t.mu.Unlock()
-	if done != nil {
-		t.execute(*done)
+	if done.id != 0 {
+		t.execute(done)
 	}
 }
 
-// decideLocked runs the policy chain for a completed trace, retires
-// its state, and feeds the site latency ring. Caller holds t.mu; the
-// returned decision is executed after unlock (DropTrace takes the
-// journal's lock).
-func (t *TailSampler) decideLocked(id events.TraceID, st *traceState) decision {
+// decideLocked runs the policy chain for a completed trace (its state
+// is states[i]), retires its state, and feeds the site latency ring.
+// Caller holds t.mu; the returned decision is executed after unlock
+// (DropTrace takes the journal's lock).
+func (t *TailSampler) decideLocked(id events.TraceID, i int32) decision {
+	st := &t.states[i]
 	latency := st.lastTS - st.firstTS
 	d := decision{id: id, since: st.since}
 	switch {
 	case st.errored || st.faulted || st.alerted:
-		d.policy, d.keep = PolicyError, true
-	case t.latencyOutlierLocked(st.site, latency):
-		d.policy, d.keep = PolicyLatency, true
+		d.policy, d.keep = policyError, true
+	case st.site.outlier(latency):
+		d.policy, d.keep = policyLatency, true
 	case st.dlq:
-		d.policy, d.keep = PolicyDLQ, true
+		d.policy, d.keep = policyDLQ, true
 	default:
-		d.policy = PolicyProbabilistic
+		d.policy = policyProbabilistic
 		d.keep = keepFraction(uint64(id), t.cfg.Seed) < t.cfg.KeepRate
 	}
 	// Feed the site ring after the check: a spike must not raise its
 	// own bar. Error traces contribute too — their latency is real.
-	if st.site != "" {
-		ring := t.sites[st.site]
-		if ring == nil {
-			ring = &siteRing{buf: make([]time.Duration, siteWindow), sorted: make([]time.Duration, 0, siteWindow)}
-			t.sites[st.site] = ring
-		}
-		ring.push(latency)
+	if st.site != nil {
+		st.site.push(latency)
 	}
 	delete(t.traces, id)
+	t.free = append(t.free, i)
 	t.decided++
 	return d
-}
-
-// latencyOutlierLocked reports whether latency exceeds the site's
-// armed threshold. Sites with fewer than minSiteSamples completed
-// roots have no threshold yet.
-func (t *TailSampler) latencyOutlierLocked(site string, latency time.Duration) bool {
-	ring := t.sites[site]
-	if ring == nil || ring.n < minSiteSamples {
-		return false
-	}
-	return latency > ring.quantile(latencyQuantile)
 }
 
 // execute applies one decision: account it, and for drops physically
@@ -379,15 +398,11 @@ func (t *TailSampler) execute(d decision) {
 		removed, bytes = t.j.DropTrace(d.id, d.since)
 	}
 	t.mu.Lock()
-	pc := t.policy[d.policy]
-	if pc == nil {
-		pc = &policyCounts{}
-		t.policy[d.policy] = pc
-	}
+	pc, name := &t.policy[d.policy], policies[d.policy]
 	if d.keep {
 		pc.kept++
 		if pc.keptC == nil {
-			pc.keptC = t.reg.Counter(metrics.Name("telemetry_traces_total", "decision", "keep", "policy", d.policy))
+			pc.keptC = t.reg.Counter(metrics.Name("telemetry_traces_total", "decision", "keep", "policy", name))
 		}
 		pc.keptC.Inc()
 	} else {
@@ -395,8 +410,8 @@ func (t *TailSampler) execute(d decision) {
 		pc.droppedEvents += int64(removed)
 		pc.droppedBytes += bytes
 		if pc.droppedC == nil {
-			pc.droppedC = t.reg.Counter(metrics.Name("telemetry_traces_total", "decision", "drop", "policy", d.policy))
-			pc.bytesC = t.reg.Counter(metrics.Name("telemetry_dropped_bytes_total", "policy", d.policy))
+			pc.droppedC = t.reg.Counter(metrics.Name("telemetry_traces_total", "decision", "drop", "policy", name))
+			pc.bytesC = t.reg.Counter(metrics.Name("telemetry_dropped_bytes_total", "policy", name))
 		}
 		pc.droppedC.Inc()
 		pc.bytesC.Add(bytes)
@@ -426,12 +441,12 @@ func (t *TailSampler) flush(due func(*traceState) bool) {
 	var done []decision
 	live := t.order[:0]
 	for _, id := range t.order {
-		st := t.traces[id]
-		if st == nil {
+		i, ok := t.traces[id]
+		if !ok {
 			continue // already decided
 		}
-		if due(st) {
-			done = append(done, t.decideLocked(id, st))
+		if due(&t.states[i]) {
+			done = append(done, t.decideLocked(id, i))
 			continue
 		}
 		live = append(live, id)
@@ -487,13 +502,11 @@ func (t *TailSampler) Stats() Stats {
 	defer t.mu.Unlock()
 	s.PendingTraces = int64(len(t.traces))
 	s.DecidedTraces = t.decided
-	names := make([]string, 0, len(t.policy))
-	for name := range t.policy {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pc := t.policy[name]
+	for i, name := range policies {
+		pc := &t.policy[i]
+		if pc.kept+pc.dropped == 0 {
+			continue // never decided a trace
+		}
 		s.Policies = append(s.Policies, PolicyStats{
 			Policy: name, Kept: pc.kept, Dropped: pc.dropped,
 			DroppedEvents: pc.droppedEvents, DroppedBytes: pc.droppedBytes,

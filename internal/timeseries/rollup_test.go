@@ -12,7 +12,7 @@ import (
 func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 	// Raw ring of 16 points, 10s + 60s tiers: a 1000-sample storm at
 	// 1s cadence retains only the last 16s raw.
-	s := newSeriesTiered("reqs", 16, DefaultRollups())
+	s := newSeriesTiered(16, DefaultRollups())
 	for i := 0; i < 1000; i++ {
 		// A counter growing by 2 per virtual second.
 		s.append(time.Duration(i)*time.Second, float64(2*i))
@@ -30,7 +30,7 @@ func TestRollupKeepsLongWindowsAnswerable(t *testing.T) {
 }
 
 func TestRollupBucketAggregates(t *testing.T) {
-	s := newSeriesTiered("lat", 8, []RollupSpec{{Width: 10 * time.Second}})
+	s := newSeriesTiered(8, []RollupSpec{{Width: 10 * time.Second}})
 	s.append(1*time.Second, 5)
 	s.append(2*time.Second, 1)
 	s.append(9*time.Second, 3)
@@ -54,7 +54,7 @@ func TestRollupBucketAggregates(t *testing.T) {
 // A tier keeps its last 4096 buckets: once it wraps, the baseline is
 // the oldest bucket still resident.
 func TestRollupTierWraps(t *testing.T) {
-	s := newSeriesTiered("reqs", 16, []RollupSpec{{Width: 10 * time.Second}})
+	s := newSeriesTiered(16, []RollupSpec{{Width: 10 * time.Second}})
 	// 5000 ten-second buckets at 1s cadence: the first 904 fall off.
 	for i := 0; i < 50000; i++ {
 		s.append(time.Duration(i)*time.Second, float64(2*i))
@@ -72,7 +72,7 @@ func TestRollupTierWraps(t *testing.T) {
 
 // Without tiers the baseline is the raw ring's oldest point.
 func TestUntieredSeriesUnchanged(t *testing.T) {
-	s := newSeries("x", 4)
+	s := newSeries(4)
 	for i := 0; i < 10; i++ {
 		s.append(time.Duration(i)*time.Second, float64(i))
 	}

@@ -156,7 +156,7 @@ func (s *Sampler) bindOneLocked(b binding, names ...string) {
 func (s *Sampler) seriesLocked(name string) *Series {
 	sr := s.series[name]
 	if sr == nil {
-		sr = newSeriesTiered(name, s.cap, s.rollups)
+		sr = newSeriesTiered(s.cap, s.rollups)
 		s.series[name] = sr
 	}
 	return sr

@@ -88,19 +88,18 @@ func (t *rollupTier) fold(ts time.Duration, v float64) {
 // folds into each tier, and Delta takes its baseline from the deepest
 // tier, which reaches back past what the raw ring still holds.
 type Series struct {
-	name  string
 	buf   []Point
 	start int
 	n     int
 	tiers []*rollupTier // finest first; nil without rollups
 }
 
-func newSeries(name string, capacity int) *Series {
-	return &Series{name: name, buf: make([]Point, capacity)}
+func newSeries(capacity int) *Series {
+	return &Series{buf: make([]Point, capacity)}
 }
 
-func newSeriesTiered(name string, capacity int, specs []RollupSpec) *Series {
-	s := newSeries(name, capacity)
+func newSeriesTiered(capacity int, specs []RollupSpec) *Series {
+	s := newSeries(capacity)
 	for _, sp := range specs {
 		if sp.Width <= 0 {
 			continue

@@ -15,7 +15,7 @@ import (
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestSeriesRingAndWindows(t *testing.T) {
-	s := newSeries("x", 4)
+	s := newSeries(4)
 	for i := 1; i <= 6; i++ {
 		s.append(ms(i), float64(i*10))
 	}
@@ -45,7 +45,7 @@ func TestSeriesEmptyAndNil(t *testing.T) {
 	if _, ok := s.Delta(); ok {
 		t.Fatal("nil delta ok")
 	}
-	one := newSeries("x", 4)
+	one := newSeries(4)
 	one.append(ms(1), 5)
 	if _, ok := one.Delta(); ok {
 		t.Fatal("single-point delta should need two points")

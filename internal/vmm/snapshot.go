@@ -35,24 +35,6 @@ func layoutSeed(id string) uint64 {
 	return h ^ (h >> 31)
 }
 
-// SnapshotKind distinguishes what the snapshot captured, for the
-// paper's §5.5 factor analysis.
-type SnapshotKind string
-
-// Snapshot kinds.
-const (
-	// SnapOSOnly is taken right after the guest OS boots (the "VM-level
-	// OS snapshot" factor): kernel pages are in the image, the language
-	// runtime is not.
-	SnapOSOnly SnapshotKind = "os-only"
-	// SnapPostLoad is taken after the runtime booted and the function
-	// loaded, but before any JIT compilation.
-	SnapPostLoad SnapshotKind = "post-load"
-	// SnapPostJIT is the Fireworks snapshot: runtime loaded, function
-	// loaded, and all user code JIT-compiled.
-	SnapPostJIT SnapshotKind = "post-jit"
-)
-
 // RegionSpec sizes one shared memory region of a snapshot image.
 type RegionSpec struct {
 	Kind  mem.Kind
@@ -72,8 +54,7 @@ type RegionSpec struct {
 // framework layer uses to reconstruct the language runtime at the
 // resume point.
 type Snapshot struct {
-	ID   string
-	Kind SnapshotKind
+	ID string
 	// GuestIP is the snapshotted guest's network identity; every clone
 	// wakes up with this same address (§3.5).
 	GuestIP netsim.Addr
@@ -103,7 +84,6 @@ type Snapshot struct {
 	regions  []*mem.Region
 	holds    int // stores holding the image; see Hold
 	total    uint64
-	host     *mem.Host
 	manifest *chunk.Manifest
 	ws       *WorkingSetRecord
 }
@@ -214,7 +194,7 @@ func (s *Snapshot) RecordWorkingSet(v *MicroVM) *WorkingSetRecord {
 // the capture cost histogram carries sc's trace (nil for none) as its
 // exemplar. The source VM keeps running (Firecracker pauses and resumes
 // it around serialization, which is inside the charged cost).
-func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, kind SnapshotKind, specs []RegionSpec, workingSet uint64, guestState any, clock *vclock.Clock, sc *events.Scope) (*Snapshot, error) {
+func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, specs []RegionSpec, workingSet uint64, guestState any, clock *vclock.Clock, sc *events.Scope) (*Snapshot, error) {
 	if v.state != StateRunning && v.state != StatePaused {
 		return nil, fmt.Errorf("%w: snapshot in %s", ErrBadState, v.state)
 	}
@@ -235,13 +215,11 @@ func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, kind SnapshotKind, specs []R
 
 	snap := &Snapshot{
 		ID:                      "snap-" + v.ID,
-		Kind:                    kind,
 		GuestIP:                 "192.168.0.2", // the canonical guest address baked into every image
 		GuestState:              guestState,
 		ResidentWorkingSetBytes: workingSet,
 		LayoutSeed:              layoutSeed("snap-" + v.ID),
 		total:                   total,
-		host:                    h.Host,
 	}
 	contents := make([]chunk.Region, 0, len(specs))
 	for _, spec := range specs {
@@ -303,13 +281,12 @@ func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *v
 	h.restoreDur.ObserveDurationExemplar(restoreCost, uint64(sc.TraceID()), clock.Now())
 
 	v := &MicroVM{
-		ID:     id,
-		FS:     nil, // set below: restored VMs see the snapshotted rootfs
-		hv:     h,
-		state:  StateRunning,
-		space:  h.Host.NewSpace(id),
-		mmds:   make(map[string]string),
-		booted: true,
+		ID:    id,
+		FS:    nil, // set below: restored VMs see the snapshotted rootfs
+		hv:    h,
+		state: StateRunning,
+		space: h.Host.NewSpace(id),
+		mmds:  make(map[string]string),
 	}
 	// A restored VM has its own (CoW at the block level in real
 	// Firecracker; independent here) view of the root filesystem.

@@ -121,13 +121,7 @@ type MicroVM struct {
 
 	// Network plumbing (nil until SetupNetwork).
 	Namespace *netsim.Namespace
-	Tap       *netsim.Tap
-	External  netsim.Addr
-	GuestIP   netsim.Addr
 
-	// booted tracks whether the guest kernel has booted (fresh boot or
-	// via snapshot restore).
-	booted bool
 	// regions maps content kinds to the snapshot regions this VM has
 	// mapped, so execution dirtying can CoW-split the right pages.
 	mapped []*mem.Region
@@ -184,7 +178,6 @@ func (v *MicroVM) BootKernelTraced(clock *vclock.Clock, sc *events.Scope) error 
 	v.hv.boots.Inc()
 	v.hv.bootDur.ObserveDurationExemplar(CostKernelBoot, uint64(sc.TraceID()), clock.Now())
 	v.space.AllocPrivate(mem.KindKernel, mem.PagesFor(CostKernelBytes))
-	v.booted = true
 	v.state = StateRunning
 	sc.Instant("vmm", "boot", clock.Now(), events.A("vm", v.ID))
 	return nil
@@ -276,17 +269,13 @@ func (h *Hypervisor) SetupNetwork(v *MicroVM, guestIP netsim.Addr, clock *vclock
 		_ = h.Router.DeleteNamespace(ns.Name())
 		return err
 	}
-	ext, err := h.Router.AllocExternal(ns, guestIP)
-	if err != nil {
+	if _, err := h.Router.AllocExternal(ns, guestIP); err != nil {
 		// Release the half-built namespace; the caller only tears down
 		// network state it was actually handed.
 		_ = h.Router.DeleteNamespace(ns.Name())
 		return err
 	}
 	v.Namespace = ns
-	v.Tap = tap
-	v.External = ext
-	v.GuestIP = guestIP
 	// Conntrack and tap buffers are host-side but attributed to the VM.
 	v.space.AllocPrivate(mem.KindAnon, mem.PagesFor(CostNetOverheadBytes))
 	return nil

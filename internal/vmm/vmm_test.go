@@ -115,7 +115,7 @@ func TestSetupNetwork(t *testing.T) {
 	if err := hv.SetupNetwork(v, "192.168.0.2", clock); err != nil {
 		t.Fatal(err)
 	}
-	if v.External == "" || v.Namespace == nil || v.Tap == nil {
+	if v.Namespace == nil || hv.Router.NamespaceCount() != 1 {
 		t.Fatalf("network incomplete: %+v", v)
 	}
 	if err := hv.SetupNetwork(v, "192.168.0.2", clock); err == nil {
@@ -132,7 +132,7 @@ func takeTestSnapshot(t *testing.T, hv *Hypervisor, clock *vclock.Clock) *Snapsh
 	t.Helper()
 	v := hv.CreateVM(clock)
 	v.BootKernelTraced(clock, nil)
-	snap, err := hv.TakeSnapshotTraced(v, SnapPostJIT, []RegionSpec{
+	snap, err := hv.TakeSnapshotTraced(v, []RegionSpec{
 		{Kind: mem.KindHeap, Bytes: 8 << 20},
 		{Kind: mem.KindKernel, Bytes: CostKernelBytes},
 		{Kind: mem.KindRuntime, Bytes: 64 << 20},
@@ -171,12 +171,11 @@ func TestSnapshotRejectsOversize(t *testing.T) {
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
 	v.BootKernelTraced(clock, nil)
-	_, err := hv.TakeSnapshotTraced(v, SnapOSOnly,
-		[]RegionSpec{{Kind: mem.KindKernel, Bytes: 513 << 20}}, 0, nil, clock, nil)
+	_, err := hv.TakeSnapshotTraced(v, []RegionSpec{{Kind: mem.KindKernel, Bytes: 513 << 20}}, 0, nil, clock, nil)
 	if err == nil {
 		t.Fatal("snapshot larger than guest memory accepted")
 	}
-	if _, err := hv.TakeSnapshotTraced(v, SnapOSOnly, nil, 0, nil, clock, nil); err == nil {
+	if _, err := hv.TakeSnapshotTraced(v, nil, 0, nil, clock, nil); err == nil {
 		t.Fatal("empty snapshot accepted")
 	}
 }
@@ -338,8 +337,7 @@ func TestSnapshotInBadStateFails(t *testing.T) {
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
 	// Not booted yet.
-	_, err := hv.TakeSnapshotTraced(v, SnapOSOnly,
-		[]RegionSpec{{Kind: mem.KindKernel, Bytes: 1 << 20}}, 0, nil, clock, nil)
+	_, err := hv.TakeSnapshotTraced(v, []RegionSpec{{Kind: mem.KindKernel, Bytes: 1 << 20}}, 0, nil, clock, nil)
 	if !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v", err)
 	}

@@ -60,7 +60,6 @@ type StepState struct {
 	Attempts int    `json:"attempts"`
 	Error    string `json:"error,omitempty"`
 
-	output   any
 	enqueued bool
 }
 
@@ -70,7 +69,6 @@ type Run struct {
 	ID         string
 	Workflow   string
 	Status     string
-	StartedAt  time.Duration
 	Input      map[string]any
 	Invocation *platform.Invocation
 
@@ -272,7 +270,6 @@ func (e *Engine) runLocked(name string, input map[string]any, at time.Duration) 
 	run := &Run{
 		ID:         runID,
 		Workflow:   name,
-		StartedAt:  at,
 		Input:      input,
 		Invocation: inv,
 		steps:      make(map[string]*StepState, len(wf.spec.Steps)),
@@ -464,7 +461,6 @@ func (e *Engine) deliver(wf *registered, run *Run, stepID string) {
 	}
 	if res, cerr := runtime.ToGo(out.Result); cerr == nil {
 		run.results[stepID] = res
-		st.output = res
 	}
 	st.Status = StepCompleted
 	st.Error = ""
