@@ -25,8 +25,9 @@
 //	curl -s localhost:8080/metrics
 //	curl -s 'localhost:8080/metrics?format=json'
 //
-//	# telemetry: per-request virtual-time series, the smem-style fleet
-//	# memory report, and the SLO watchdog's alert state
+//	# telemetry: the virtual-time series (one row per virtual second
+//	# of traffic), the smem-style fleet memory report, and the SLO
+//	# watchdog's alert state
 //	curl -s localhost:8080/timeseries > series.csv
 //	curl -s 'localhost:8080/timeseries?format=json'
 //	curl -s localhost:8080/memory
@@ -115,6 +116,11 @@ type server struct {
 	requests *metrics.Counter
 	failures *metrics.Counter
 
+	// tickMu orders the grid ticks: lastTick is the newest tick the
+	// sampler and the watchdog ran at.
+	tickMu   sync.Mutex
+	lastTick time.Duration
+
 	// tail is the tail-based trace sampler (nil unless -telem armed):
 	// it buffers per-trace state and, once a trace completes, either
 	// keeps it or physically drops it from the journal
@@ -175,10 +181,9 @@ func newServer(nodes int, chaos *faultsConfig, telem *telemetry.Config) *server 
 		s.tail.Attach(c.Journal(), c.Metrics())
 		s.sampler.SetRollups(timeseries.DefaultRollups())
 	}
-	// Both probes run on every request, so they read state that is
-	// already current: the node_state gauge /healthz derives the same
-	// count from mirrors Node.Health(), and each host keeps the two
-	// totals Report() would sum.
+	// Both probes read state that is already current: the node_state
+	// gauge /healthz derives the same count from mirrors Node.Health(),
+	// and each host keeps the two totals Report() would sum.
 	s.sampler.AddProbe("fleet_down_nodes", func() float64 {
 		down := 0
 		for _, n := range c.Nodes() {
@@ -236,10 +241,15 @@ func (s *server) sharingEfficiency() float64 {
 	return rss / used
 }
 
+// samplePeriod is the grid the gateway samples its timeline on: the
+// sampler and the watchdog run once per virtual second the timeline
+// crosses, not once per request.
+const samplePeriod = time.Second
+
 // observe folds one finished gateway request into the telemetry layer:
-// the timeline advances by the request's virtual latency, the sampler
-// snapshots the registry at the new time, and the watchdog evaluates
-// every SLO rule there.
+// the timeline advances by the request's virtual latency and, when it
+// crossed a grid tick, the sampler snapshots the registry at the tick
+// and the watchdog evaluates every SLO rule there.
 func (s *server) observe(latency time.Duration, failed bool) {
 	s.requests.Inc()
 	if failed {
@@ -249,12 +259,26 @@ func (s *server) observe(latency time.Duration, failed bool) {
 		latency = time.Microsecond // failures still move the timeline
 	}
 	now := s.timeline.Advance(latency)
-	s.sampler.Sample(now)
-	s.watchdog.Evaluate(now)
+	s.tick(now)
 	// Decide traces that stalled without closing their root span; the
 	// watchdog ran first so a just-fired alert still promotes its
 	// evidence trace.
 	s.tail.Flush(now)
+}
+
+// tick runs the sampler and the watchdog at the last grid tick at or
+// before now, unless an earlier request already has: a request that
+// crossed several ticks records one point, at the last. Holding tickMu
+// across both keeps the ticks in order whatever order concurrent
+// handlers get here in.
+func (s *server) tick(now time.Duration) {
+	s.tickMu.Lock()
+	defer s.tickMu.Unlock()
+	if t := now - now%samplePeriod; t > s.lastTick {
+		s.lastTick = t
+		s.sampler.Sample(t)
+		s.watchdog.Evaluate(t)
+	}
 }
 
 func main() {
@@ -355,12 +379,41 @@ func (s *server) mux() http.Handler {
 	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
 
+// writeJSON answers with v as one line of compact JSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// latency is an invocation's paper phase split as a reply carries it.
+// Its fields, like those of every reply struct, are in key order: the
+// body reads as the sorted-key map it replaced.
+type latency struct {
+	Exec    string `json:"exec"`
+	Others  string `json:"others"`
+	StartUp string `json:"start-up"`
+	Total   string `json:"total"`
+}
+
+func latencyOf(b *vclock.Clock) latency {
+	return latency{
+		Exec:    b.Exec().String(),
+		Others:  b.Others().String(),
+		StartUp: b.Startup().String(),
+		Total:   b.Total().String(),
+	}
+}
+
+// invokeReply is POST /invoke's answer.
+type invokeReply struct {
+	Latency  latency            `json:"latency"`
+	Logs     string             `json:"logs"`
+	Node     string             `json:"node"`
+	Response *platform.Response `json:"response"`
+	Result   json.RawMessage    `json:"result"`
+	Sandbox  string             `json:"sandbox"`
+	TraceID  uint64             `json:"trace_id"`
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -454,19 +507,14 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		resultJSON = []byte("null")
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"result":   json.RawMessage(resultJSON),
-		"response": inv.Response,
-		"latency": map[string]string{
-			"start-up": inv.Breakdown.Startup().String(),
-			"exec":     inv.Breakdown.Exec().String(),
-			"others":   inv.Breakdown.Others().String(),
-			"total":    inv.Breakdown.Total().String(),
-		},
-		"sandbox":  inv.SandboxID,
-		"node":     node.Name,
-		"trace_id": uint64(sc.TraceID()),
-		"logs":     inv.Logs,
+	writeJSON(w, http.StatusOK, invokeReply{
+		Latency:  latencyOf(inv.Breakdown),
+		Logs:     inv.Logs,
+		Node:     node.Name,
+		Response: inv.Response,
+		Result:   resultJSON,
+		Sandbox:  inv.SandboxID,
+		TraceID:  uint64(sc.TraceID()),
 	})
 }
 
@@ -546,8 +594,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleTimeseries dumps the gateway sampler's full history: every
 // registry counter/gauge (plus histogram count/p50/p99 derivatives and
-// the fleet probes) sampled once per completed request on the virtual
-// timeline. CSV by default, ?format=json for the JSON shape.
+// the fleet probes) sampled once per virtual second of the timeline
+// that requests crossed. CSV by default, ?format=json for the JSON
+// shape.
 func (s *server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	format := "csv"
 	contentType := "text/csv; charset=utf-8"
@@ -818,35 +867,30 @@ func (s *server) handleWorkflowRegister(w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-// runSummary renders one workflow run for an HTTP response: status,
-// per-step delivery state, and the trace id of the run's single
-// end-to-end journal trace.
-func (s *server) runSummary(run *workflow.Run) map[string]any {
-	steps := make([]map[string]any, 0)
-	for _, st := range run.Steps(s.wf) {
-		entry := map[string]any{
-			"id":       st.ID,
-			"function": st.Function,
-			"status":   st.Status,
-			"attempts": st.Attempts,
-		}
-		if st.Error != "" {
-			entry["error"] = st.Error
-		}
-		steps = append(steps, entry)
+// runSummary is one workflow run as an HTTP response renders it:
+// status, per-step delivery state, and the trace id of the run's
+// single end-to-end journal trace.
+type runSummary struct {
+	Latency  latency               `json:"latency"`
+	Run      string                `json:"run"`
+	Status   string                `json:"status"`
+	Steps    []*workflow.StepState `json:"steps"`
+	TraceID  uint64                `json:"trace_id"`
+	Workflow string                `json:"workflow"`
+}
+
+func (s *server) runSummary(run *workflow.Run) runSummary {
+	steps := run.Steps(s.wf)
+	if steps == nil {
+		steps = []*workflow.StepState{}
 	}
-	return map[string]any{
-		"run":      run.ID,
-		"workflow": run.Workflow,
-		"status":   run.Status,
-		"steps":    steps,
-		"trace_id": uint64(run.TraceID()),
-		"latency": map[string]string{
-			"start-up": run.Invocation.Breakdown.Startup().String(),
-			"exec":     run.Invocation.Breakdown.Exec().String(),
-			"others":   run.Invocation.Breakdown.Others().String(),
-			"total":    run.Invocation.Breakdown.Total().String(),
-		},
+	return runSummary{
+		Latency:  latencyOf(run.Invocation.Breakdown),
+		Run:      run.ID,
+		Status:   run.Status,
+		Steps:    steps,
+		TraceID:  uint64(run.TraceID()),
+		Workflow: run.Workflow,
 	}
 }
 
@@ -909,7 +953,7 @@ func (s *server) handleWorkflowDLQReplay(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadGateway, err)
 		return
 	}
-	out := make([]map[string]any, 0, len(runs))
+	out := make([]runSummary, 0, len(runs))
 	for _, run := range runs {
 		s.observe(run.Invocation.Breakdown.Total(), run.Status != workflow.RunCompleted)
 		out = append(out, s.runSummary(run))

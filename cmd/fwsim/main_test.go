@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -202,20 +203,40 @@ func TestHealthzStates(t *testing.T) {
 	}
 }
 
+// The gateway samples on a one-second grid of its timeline: the
+// baseline row at 0, then one row per request that crossed a tick,
+// stamped at the last tick it crossed.
 func TestTimeseriesEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	s := newServer(2, nil, nil)
+	ts := httptest.NewServer(s.mux())
+	t.Cleanup(ts.Close)
 	post(t, ts.URL+"/install", installBody)
-	post(t, ts.URL+"/invoke/hello", `{"who": "a"}`)
-	post(t, ts.URL+"/invoke/hello", `{"who": "b"}`)
+
+	crossed := 0 // requests that crossed at least one tick
+	step := func(request func()) {
+		before := s.timeline.Now()
+		request()
+		if s.timeline.Now()/samplePeriod > before/samplePeriod {
+			crossed++
+		}
+	}
+	invoke := func() { post(t, ts.URL+"/invoke/hello", `{"who": "a"}`) }
+	step(invoke)
+	step(invoke)
+	step(func() { s.observe(2500*time.Millisecond, false) }) // crosses 1 s and 2 s: one row, at 2 s
+	step(func() { s.observe(600*time.Millisecond, false) })  // crosses 3 s
+	step(invoke)                                             // milliseconds: no tick
+	if crossed != 2 {
+		t.Fatalf("%d requests crossed a tick, want 2 (timeline at %v)", crossed, s.timeline.Now())
+	}
 
 	status, body := get(t, ts.URL+"/timeseries")
 	if status != http.StatusOK {
 		t.Fatalf("timeseries status = %d", status)
 	}
 	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	// Baseline sample at t=0 plus one sample per invocation.
-	if len(lines) != 4 {
-		t.Fatalf("timeseries rows = %d:\n%s", len(lines), body)
+	if want := 1 + 1 + crossed; len(lines) != want { // header, baseline, one row per crossing
+		t.Fatalf("timeseries rows = %d, want %d:\n%s", len(lines), want, body)
 	}
 	header := lines[0]
 	// Labeled names are CSV-quoted in the header ("" escapes quotes).
@@ -242,11 +263,14 @@ func TestTimeseriesEndpoint(t *testing.T) {
 		t.Fatalf("timeseries json does not parse: %v", err)
 	}
 	found := false
-	for _, s := range dump.Series {
-		if s.Name == "gateway_requests_total" {
+	for _, sr := range dump.Series {
+		if sr.Name == "gateway_requests_total" {
 			found = true
-			if len(s.Points) != 3 || s.Points[2][1] != "2" {
-				t.Fatalf("gateway_requests_total points = %v", s.Points)
+			// The fifth request crossed no tick, so the last row holds the
+			// four counted by the time the 3 s tick was sampled.
+			want := [][]string{{"0", "0"}, {"2000000000", "3"}, {"3000000000", "4"}}
+			if fmt.Sprint(sr.Points) != fmt.Sprint(want) {
+				t.Fatalf("gateway_requests_total points = %v, want %v", sr.Points, want)
 			}
 		}
 	}
@@ -607,8 +631,12 @@ func TestWorkflowDLQOverHTTP(t *testing.T) {
 	if len(replayed) != 1 || replayed[0].(map[string]any)["status"] != "completed" {
 		t.Fatalf("replayed runs: %v", replayed)
 	}
-	if _, body := get(t, ts.URL+"/workflows/frail/dlq"); !strings.Contains(string(body), `"depth": 0`) {
-		t.Fatalf("dlq not drained:\n%s", body)
+	_, body = get(t, ts.URL+"/workflows/frail/dlq")
+	var drained struct {
+		Depth *int `json:"depth"`
+	}
+	if err := json.Unmarshal(body, &drained); err != nil || drained.Depth == nil || *drained.Depth != 0 {
+		t.Fatalf("dlq not drained (%v):\n%s", err, body)
 	}
 }
 

@@ -135,13 +135,13 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	var snap Snapshot
-	for _, c := range r.counters.load().byName {
+	for _, c := range r.counters.byName() {
 		snap.Counters = append(snap.Counters, CounterSnapshot{Name: c.name, Value: c.inst.Value()})
 	}
-	for _, g := range r.gauges.load().byName {
+	for _, g := range r.gauges.byName() {
 		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: g.name, Value: g.inst.Value()})
 	}
-	for _, h := range r.histograms.load().byName {
+	for _, h := range r.histograms.byName() {
 		snap.Histograms = append(snap.Histograms, h.inst.snapshot())
 	}
 	return snap

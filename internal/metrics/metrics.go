@@ -18,17 +18,18 @@
 // therefore record unconditionally and stay zero-cost when a host is
 // built without a registry.
 //
-// Lookups resolve through a frozen copy-on-write read index: one
-// atomic pointer load plus a map access, no lock traffic at all —
-// instruments are created once and live forever, which is exactly the
-// read-mostly shape that layout serves. A create takes the kind's one
-// mutex and publishes a copy of the index with the new name added; the
-// index also lists the instruments in name order, which exports walk,
-// and in creation order, which a sampler walks (Instruments).
+// Lookups probe an append-only open-addressed index with no lock
+// traffic at all — instruments are created once and live forever,
+// which is exactly the read-mostly shape it serves. A create takes the
+// kind's one mutex, fills one slot (doubling the index when it is half
+// full) and appends the instrument to the creation-order list a
+// sampler walks (Instruments). Exports walk a name-order view sorted
+// when they find new names.
 package metrics
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -82,20 +83,17 @@ type Registry struct {
 func NewRegistry() *Registry { return &Registry{} }
 
 // table is the name space of one instrument kind. Instruments are
-// created once and live forever, so a create (serialized by mu)
-// publishes a new immutable index, and readers never lock.
+// created once and live forever, so lookups probe an index that a
+// create (serialized by mu) only ever adds to: a reader takes no lock,
+// and registering n instruments copies O(n) slots in all, not one map
+// per create. Creation order, which a sampler walks, and the name
+// order exports walk are kept beside it under mu.
 type table[T any] struct {
-	mu  sync.Mutex
-	idx atomic.Pointer[index[T]]
-}
-
-// index is one published state of a table: every instrument by name,
-// in creation order and in name order. A create appends to created in
-// place, past the length any reader has loaded.
-type index[T any] struct {
-	byKey   map[string]*T
-	created []*T
-	byName  []named[T]
+	mu      sync.Mutex
+	idx     atomic.Pointer[index[T]]
+	created []*T       // creation order; appended in place
+	names   []string   // names[i] is created[i]'s name
+	sorted  []named[T] // the first len(sorted) created, in name order
 }
 
 type named[T any] struct {
@@ -103,38 +101,95 @@ type named[T any] struct {
 	inst *T
 }
 
-func (t *table[T]) load() index[T] {
-	if x := t.idx.Load(); x != nil {
-		return *x
+// index is an open-addressed hash set of instruments by name. Each slot
+// goes from nil to its entry once, so a reader probing from the name's
+// hash either finds the entry or meets a nil slot and misses. A create
+// that would fill it past half publishes a copy twice as large instead.
+type index[T any] struct {
+	seed  maphash.Seed
+	slots []atomic.Pointer[named[T]]
+}
+
+// insert adds e; the caller holds the table's mu.
+func (x *index[T]) insert(e *named[T]) {
+	mask := uint64(len(x.slots) - 1)
+	i := maphash.String(x.seed, e.name) & mask
+	for x.slots[i].Load() != nil {
+		i = (i + 1) & mask
 	}
-	return index[T]{}
+	x.slots[i].Store(e)
 }
 
 // get returns the named instrument, or nil when it does not exist yet.
-func (t *table[T]) get(name string) *T { return t.load().byKey[name] }
+func (t *table[T]) get(name string) *T {
+	x := t.idx.Load()
+	if x == nil {
+		return nil
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := maphash.String(x.seed, name) & mask; ; i = (i + 1) & mask {
+		e := x.slots[i].Load()
+		if e == nil {
+			return nil
+		}
+		if e.name == name {
+			return e.inst
+		}
+	}
+}
 
 // create returns the named instrument, making it with mk on first use.
 func (t *table[T]) create(name string, mk func(name string) *T) *T {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.load()
-	if v := old.byKey[name]; v != nil {
+	if v := t.get(name); v != nil {
 		// Created by a racing goroutine between our lookup and the lock.
 		return v
 	}
-	next := index[T]{byKey: make(map[string]*T, len(old.byKey)+1), created: old.created, byName: old.byName}
-	for k, inst := range old.byKey {
-		next.byKey[k] = inst
+	x := t.idx.Load()
+	if x == nil || 2*(len(t.created)+1) > len(x.slots) {
+		grown := &index[T]{seed: maphash.MakeSeed(), slots: make([]atomic.Pointer[named[T]], max(16, 4*len(t.created)))}
+		if x != nil {
+			for i := range x.slots {
+				if e := x.slots[i].Load(); e != nil {
+					grown.insert(e)
+				}
+			}
+		}
+		t.idx.Store(grown)
+		x = grown
 	}
 	v := mk(name)
-	i, _ := slices.BinarySearchFunc(old.byName, name, func(e named[T], name string) int {
-		return strings.Compare(e.name, name)
-	})
-	next.created = append(old.created, v)
-	next.byName = slices.Insert(slices.Clip(old.byName), i, named[T]{name, v})
-	next.byKey[name] = v
-	t.idx.Store(&next)
+	t.created = append(t.created, v)
+	t.names = append(t.names, name)
+	x.insert(&named[T]{name, v})
 	return v
+}
+
+// list returns every instrument in creation order. Creates append past
+// the returned length, so the slice stays valid and unchanged.
+func (t *table[T]) list() []*T {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.created
+}
+
+// byName returns every instrument in name order. A call that finds new
+// instruments sorts them into a fresh slice, so a slice already handed
+// out is never written again.
+func (t *table[T]) byName() []named[T] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.sorted) < len(t.created) {
+		next := make([]named[T], len(t.sorted), len(t.created))
+		copy(next, t.sorted)
+		for i := len(t.sorted); i < len(t.created); i++ {
+			next = append(next, named[T]{t.names[i], t.created[i]})
+		}
+		slices.SortFunc(next, func(a, b named[T]) int { return strings.Compare(a.name, b.name) })
+		t.sorted = next
+	}
+	return t.sorted
 }
 
 // Name builds a labeled metric name, e.g.
@@ -239,7 +294,7 @@ func (r *Registry) Instruments() (counters []*Counter, gauges []*Gauge, histogra
 	if r == nil {
 		return nil, nil, nil
 	}
-	return r.counters.load().created, r.gauges.load().created, r.histograms.load().created
+	return r.counters.list(), r.gauges.list(), r.histograms.list()
 }
 
 // Counter is a monotonically increasing count. Safe for concurrent

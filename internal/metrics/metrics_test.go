@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -206,4 +208,46 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 func histCount(h *Histogram) uint64 {
 	n, _, _ := h.Summary()
 	return n
+}
+
+// Registering thousands of names in shuffled order grows the index many
+// times over: every name still resolves to its one instrument, the
+// creation-order list keeps creation order, and the export walks names
+// in sorted order — also after names arrive between two exports.
+func TestRegistryIndexGrows(t *testing.T) {
+	reg := NewRegistry()
+	const n = 5000
+	names := make([]string, n)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+		names[i] = Name("grow_total", "id", strconv.Itoa(j))
+	}
+	made := make([]*Counter, n)
+	for i, name := range names {
+		made[i] = reg.Counter(name)
+		made[i].Add(int64(i))
+		if i == n/2 {
+			checkSorted(t, reg.Snapshot(), i+1)
+		}
+	}
+	for i, name := range names {
+		if reg.Counter(name) != made[i] {
+			t.Fatalf("%s resolves to a second instrument", name)
+		}
+	}
+	if cs, _, _ := reg.Instruments(); len(cs) != n || cs[0] != made[0] || cs[n-1] != made[n-1] {
+		t.Fatalf("Instruments lists %d counters, not the %d created in order", len(cs), n)
+	}
+	checkSorted(t, reg.Snapshot(), n)
+}
+
+func checkSorted(t *testing.T, snap Snapshot, n int) {
+	t.Helper()
+	if len(snap.Counters) != n {
+		t.Fatalf("snapshot has %d counters, want %d", len(snap.Counters), n)
+	}
+	for i := 1; i < n; i++ {
+		if snap.Counters[i-1].Name >= snap.Counters[i].Name {
+			t.Fatalf("snapshot out of name order at %d: %s, %s", i, snap.Counters[i-1].Name, snap.Counters[i].Name)
+		}
+	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestShardedNoLostUpdates hammers counters, gauges, and histograms
-// from many goroutines — through the name-resolution path, so creates
-// and the copy-on-write read index are both exercised — while
+// from many goroutines — through the name-resolution path, so creates,
+// lookups and the index's growth are all exercised — while
 // another goroutine keeps exporting snapshots. Every update must land.
 // Run under -race this also proves the lookup fast path is clean.
 func TestShardedNoLostUpdates(t *testing.T) {

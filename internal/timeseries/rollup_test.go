@@ -39,11 +39,11 @@ func TestRollupBucketAggregates(t *testing.T) {
 	if tier.n != 2 {
 		t.Fatalf("buckets = %d, want 2", tier.n)
 	}
-	b := tier.bucketAt(0)
+	b := tier.at(0)
 	if b.Start != 0 || b.Min != 1 {
 		t.Fatalf("bucket 0 = %+v", b)
 	}
-	if b1 := tier.bucketAt(1); b1.Start != 10*time.Second || b1.Min != 7 {
+	if b1 := tier.at(1); b1.Start != 10*time.Second || b1.Min != 7 {
 		t.Fatalf("bucket 1 = %+v", b1)
 	}
 	if s.TierBuckets() != 2 {
@@ -62,7 +62,7 @@ func TestRollupTierWraps(t *testing.T) {
 	if got := s.TierBuckets(); got != 4096 {
 		t.Fatalf("tier holds %d buckets, want 4096", got)
 	}
-	if b := s.tiers[0].bucketAt(0); b.Start != 9040*time.Second || b.Min != 2*9040 {
+	if b := s.tiers[0].at(0); b.Start != 9040*time.Second || b.Min != 2*9040 {
 		t.Fatalf("oldest bucket = %+v, want the one at 9040s", b)
 	}
 	if delta, ok := s.Delta(); !ok || delta != 2*(49999-9040) {

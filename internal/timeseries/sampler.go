@@ -1,25 +1,30 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/metrics"
 )
 
-// DefaultCapacity is the per-series ring size: at one sample per
-// invocation it holds the telemetry of thousands of requests.
-const DefaultCapacity = 4096
+// DefaultCapacity is the per-series ring size RingBudgetBytes buys:
+// 4,096 points, which at the gateway's one sample per virtual second
+// is over an hour of its timeline.
+const DefaultCapacity = RingBudgetBytes / int(unsafe.Sizeof(Point{}))
 
 // probe is a caller-supplied derived quantity sampled alongside the
 // registry (sharing efficiency, fleet down-node count, …). errors is
-// resolved at its first error, so a healthy probe adds no counter.
+// resolved at its first error, so a healthy probe adds no counter;
+// lastErr is what its most recent failure was.
 type probe struct {
-	name   string
-	fn     func() float64
-	errors *metrics.Counter
+	name    string
+	fn      func() float64
+	errors  *metrics.Counter
+	lastErr string
 }
 
 // binding ties one registry instrument to the series it feeds: a
@@ -96,7 +101,8 @@ func (s *Sampler) SetRollups(specs []RollupSpec) {
 // Probes are fenced: a panicking probe, or one returning NaN/Inf, is
 // skipped for that sample and counted as
 // timeseries_probe_errors_total{probe} — one bad derived quantity must
-// not take the telemetry plane down or poison the CSV timelines.
+// not take the telemetry plane down or poison the CSV timelines. What
+// it failed with last is kept for Stats.
 func (s *Sampler) Sample(now time.Duration) {
 	s.samples.Inc()
 	s.mu.Lock()
@@ -118,7 +124,8 @@ func (s *Sampler) Sample(now time.Duration) {
 	}
 	for i := range s.probes {
 		p := &s.probes[i]
-		if v, ok := runProbe(p.fn); ok {
+		v, fault := runProbe(p.fn)
+		if fault == "" {
 			s.seriesLocked(p.name).append(now, v)
 			continue
 		}
@@ -126,6 +133,7 @@ func (s *Sampler) Sample(now time.Duration) {
 			p.errors = s.reg.Counter(metrics.Name("timeseries_probe_errors_total", "probe", p.name))
 		}
 		p.errors.Inc()
+		p.lastErr = fault
 	}
 }
 
@@ -170,30 +178,45 @@ func (s *Sampler) Walked() int64 {
 	return s.walked
 }
 
-// runProbe calls one probe fn, converting panics and non-finite
-// results into ok=false.
-func runProbe(fn func() float64) (v float64, ok bool) {
+// runProbe calls one probe fn. fault is empty when it returned a
+// finite value, and otherwise says what went wrong: the recovered
+// panic value, or the non-finite result.
+func runProbe(fn func() float64) (v float64, fault string) {
 	defer func() {
-		if recover() != nil {
-			v, ok = 0, false
+		if r := recover(); r != nil {
+			v, fault = 0, fmt.Sprintf("panic: %v", r)
 		}
 	}()
 	v = fn()
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, false
+		return 0, fmt.Sprintf("non-finite result %v", v)
 	}
-	return v, true
+	return v, ""
 }
 
-// SamplerStats is the sampler's own memory accounting, reported by
-// /telemetry: how much history the plane itself is holding.
+// SamplerStats is the sampler's own accounting, reported by
+// /telemetry: how much history the plane itself is holding, in bytes
+// against what its rings are allocated (RingBudgetBytes per ring), and
+// which probes have failed.
 type SamplerStats struct {
-	Series      int `json:"series"`
-	Points      int `json:"points"`
-	TierBuckets int `json:"tier_buckets"`
+	Series        int          `json:"series"`
+	Points        int          `json:"points"`
+	TierBuckets   int          `json:"tier_buckets"`
+	ResidentBytes int          `json:"resident_bytes"`
+	BudgetBytes   int          `json:"budget_bytes"`
+	ProbeErrors   []ProbeError `json:"probe_errors,omitempty"`
 }
 
-// Stats reports resident series, points, and rollup buckets.
+// ProbeError is one failing probe: its error counter, the counter's
+// value, and what the probe failed with last.
+type ProbeError struct {
+	Counter string `json:"counter"`
+	Count   int64  `json:"count"`
+	Last    string `json:"last"`
+}
+
+// Stats reports resident series, points, rollup buckets and ring
+// bytes, and every probe that has failed.
 func (s *Sampler) Stats() SamplerStats {
 	var st SamplerStats
 	if s == nil {
@@ -205,6 +228,14 @@ func (s *Sampler) Stats() SamplerStats {
 	for _, sr := range s.series {
 		st.Points += sr.Len()
 		st.TierBuckets += sr.TierBuckets()
+		resident, budget := sr.bytes()
+		st.ResidentBytes += resident
+		st.BudgetBytes += budget
+	}
+	for _, p := range s.probes {
+		if p.errors != nil {
+			st.ProbeErrors = append(st.ProbeErrors, ProbeError{Counter: p.errors.Name(), Count: p.errors.Value(), Last: p.lastErr})
+		}
 	}
 	return st
 }

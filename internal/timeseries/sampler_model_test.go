@@ -49,7 +49,7 @@ func (r *refSampler) Sample(now time.Duration) {
 		record(h.Name+".p99", h.P99)
 	}
 	for _, p := range r.probes {
-		if v, ok := runProbe(p.fn); ok {
+		if v, fault := runProbe(p.fn); fault == "" {
 			r.series[p.name] = append(r.series[p.name], Point{now, v})
 		} else {
 			r.reg.Counter(metrics.Name("timeseries_probe_errors_total", "probe", p.name)).Inc()

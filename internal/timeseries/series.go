@@ -16,6 +16,7 @@ package timeseries
 import (
 	"sort"
 	"time"
+	"unsafe"
 )
 
 // Point is one observation of a series.
@@ -25,16 +26,23 @@ type Point struct {
 }
 
 // RollupSpec declares one downsampled retention tier of a series:
-// points fold into Width-wide buckets, of which rollupCapacity are
-// retained. A 4096-point raw ring sampled once per virtual second plus
-// 10s and 60s tiers keeps an hour-long storm's first baseline in
-// ~triple the memory of the raw ring alone, instead of 3600x.
+// points fold into Width-wide buckets, of which one ring's worth
+// (RingBudgetBytes) is retained. A 4096-point raw ring sampled once per
+// virtual second plus 10s and 60s tiers keeps an hour-long storm's
+// first baseline in ~triple the memory of the raw ring alone, instead
+// of 3600x.
 type RollupSpec struct {
 	Width time.Duration
 }
 
+// RingBudgetBytes is what one ring holds: a series' raw points, or the
+// buckets of one of its rollup tiers. A ring is allocated whole when
+// its series is made, so a sampler's memory grows with its series
+// count, never with the request count, and never while it serves.
+const RingBudgetBytes = 64 << 10
+
 // rollupCapacity is how many buckets every rollup tier retains.
-const rollupCapacity = 4096
+const rollupCapacity = RingBudgetBytes / int(unsafe.Sizeof(RollupBucket{}))
 
 // DefaultRollups is the 1s→10s→60s tiering: the raw ring is the finest
 // tier, these two coarsen it.
@@ -50,33 +58,58 @@ type RollupBucket struct {
 	Min   float64
 }
 
-// rollupTier is one bounded ring of rollup buckets.
-type rollupTier struct {
-	width time.Duration
-	buf   []RollupBucket
+// ring is a FIFO over a buffer allocated whole that drops its oldest
+// entry when full.
+type ring[T any] struct {
+	buf   []T
 	start int
 	n     int
 }
 
-func (t *rollupTier) bucketAt(i int) RollupBucket { return t.buf[(t.start+i)%len(t.buf)] }
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
+
+// push appends v, dropping the oldest entry when the ring is full.
+func (r *ring[T]) push(v T) {
+	if r.n < len(r.buf) {
+		r.buf[(r.start+r.n)%len(r.buf)] = v
+		r.n++
+		return
+	}
+	r.buf[r.start] = v
+	r.start = (r.start + 1) % len(r.buf)
+}
+
+// at returns the i-th oldest entry.
+func (r *ring[T]) at(i int) T { return r.buf[(r.start+i)%len(r.buf)] }
+
+// newest returns the newest entry in place; the ring must not be empty.
+func (r *ring[T]) newest() *T { return &r.buf[(r.start+r.n-1)%len(r.buf)] }
+
+// bytes reports the bytes of the entries the ring holds now and of its
+// whole buffer, the most it can hold.
+func (r *ring[T]) bytes() (resident, budget int) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	return r.n * size, len(r.buf) * size
+}
+
+// rollupTier is one bounded ring of rollup buckets.
+type rollupTier struct {
+	width time.Duration
+	ring[RollupBucket]
+}
 
 func (t *rollupTier) fold(ts time.Duration, v float64) {
 	bs := ts - ts%t.width
 	if t.n > 0 {
-		last := &t.buf[(t.start+t.n-1)%len(t.buf)]
-		if last.Start == bs {
+		if last := t.newest(); last.Start == bs {
 			if v < last.Min {
 				last.Min = v
 			}
 			return
 		}
 	}
-	if t.n == len(t.buf) {
-		t.start = (t.start + 1) % len(t.buf)
-		t.n--
-	}
-	t.buf[(t.start+t.n)%len(t.buf)] = RollupBucket{Start: bs, Min: v}
-	t.n++
+	t.push(RollupBucket{Start: bs, Min: v})
 }
 
 // Series is a bounded ring of points in ascending timestamp order.
@@ -88,14 +121,12 @@ func (t *rollupTier) fold(ts time.Duration, v float64) {
 // folds into each tier, and Delta takes its baseline from the deepest
 // tier, which reaches back past what the raw ring still holds.
 type Series struct {
-	buf   []Point
-	start int
-	n     int
+	ring[Point]
 	tiers []*rollupTier // finest first; nil without rollups
 }
 
 func newSeries(capacity int) *Series {
-	return &Series{buf: make([]Point, capacity)}
+	return &Series{ring: newRing[Point](capacity)}
 }
 
 func newSeriesTiered(capacity int, specs []RollupSpec) *Series {
@@ -104,7 +135,7 @@ func newSeriesTiered(capacity int, specs []RollupSpec) *Series {
 		if sp.Width <= 0 {
 			continue
 		}
-		s.tiers = append(s.tiers, &rollupTier{width: sp.Width, buf: make([]RollupBucket, rollupCapacity)})
+		s.tiers = append(s.tiers, &rollupTier{width: sp.Width, ring: newRing[RollupBucket](rollupCapacity)})
 	}
 	sort.Slice(s.tiers, func(i, j int) bool { return s.tiers[i].width < s.tiers[j].width })
 	return s
@@ -123,6 +154,17 @@ func (s *Series) TierBuckets() int {
 	return total
 }
 
+// bytes reports the bytes of the entries the series' rings hold now
+// and of their whole buffers.
+func (s *Series) bytes() (resident, budget int) {
+	resident, budget = s.ring.bytes()
+	for _, t := range s.tiers {
+		r, b := t.ring.bytes()
+		resident, budget = resident+r, budget+b
+	}
+	return resident, budget
+}
+
 // Len reports how many points are resident.
 func (s *Series) Len() int {
 	if s == nil {
@@ -136,18 +178,11 @@ func (s *Series) append(ts time.Duration, v float64) {
 	if s == nil {
 		return
 	}
-	if s.n == len(s.buf) {
-		s.start = (s.start + 1) % len(s.buf)
-		s.n--
-	}
-	s.buf[(s.start+s.n)%len(s.buf)] = Point{TS: ts, Value: v}
-	s.n++
+	s.push(Point{TS: ts, Value: v})
 	for _, t := range s.tiers {
 		t.fold(ts, v)
 	}
 }
-
-func (s *Series) at(i int) Point { return s.buf[(s.start+i)%len(s.buf)] }
 
 // Points returns a copy of the resident points, oldest first.
 func (s *Series) Points() []Point {
@@ -166,7 +201,7 @@ func (s *Series) Last() (Point, bool) {
 	if s.Len() == 0 {
 		return Point{}, false
 	}
-	return s.at(s.n - 1), true
+	return *s.newest(), true
 }
 
 // baseline returns the oldest retained value: the Min of the first
@@ -176,7 +211,7 @@ func (s *Series) Last() (Point, bool) {
 func (s *Series) baseline() float64 {
 	for i := len(s.tiers) - 1; i >= 0; i-- {
 		if t := s.tiers[i]; t.n > 0 {
-			return t.bucketAt(0).Min
+			return t.at(0).Min
 		}
 	}
 	return s.at(0).Value

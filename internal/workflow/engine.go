@@ -52,13 +52,15 @@ const (
 	RunStalled = "stalled"
 )
 
-// StepState is the delivery record of one step within one run.
+// StepState is the delivery record of one step within one run. Its
+// fields are in JSON key order, so the gateway's run reply encodes it
+// as the sorted-key object it always sent.
 type StepState struct {
-	ID       string `json:"id"`
-	Function string `json:"function"`
-	Status   string `json:"status"`
 	Attempts int    `json:"attempts"`
 	Error    string `json:"error,omitempty"`
+	Function string `json:"function"`
+	ID       string `json:"id"`
+	Status   string `json:"status"`
 
 	enqueued bool
 }
