@@ -175,6 +175,45 @@ func BenchmarkFirecrackerColdInvoke(b *testing.B) {
 	b.ReportMetric(float64(virtual)/float64(b.N), "ns_virtual/op")
 }
 
+// churnSource is the function the end-to-end benchmark's install-churn
+// workload redeploys (bench/workloads.go): k makes every version's code
+// hash and answer differ.
+const churnSource = `
+func main(params) {
+  let k = %d;
+  let x = params.x;
+  if (x == null) { x = 1; }
+  http_respond(200, "churn k=" + k);
+  return x * 3 + k;
+}
+`
+
+// BenchmarkFireworksInstall measures one Fireworks install — validate,
+// annotate, compile, boot, prime, JIT, snapshot — of a new version of
+// install-churn's function, alternating Node and Python as that
+// workload's redeploys do. Its allocs/op are the host garbage of the
+// install front end and the snapshot capture.
+func BenchmarkFireworksInstall(b *testing.B) {
+	env := platform.NewEnv(platform.EnvConfig{})
+	fw := core.New(env, core.Options{})
+	langs := []runtime.Lang{runtime.LangNode, runtime.LangPython}
+	install := func(i int) {
+		fn := platform.Function{Name: "churn", Lang: langs[i%2], Source: fmt.Sprintf(churnSource, i)}
+		if _, err := fw.Install(fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first install of each language registers its base image and
+	// the install instruments; outside the timer, so allocs/op does not
+	// depend on b.N.
+	install(0)
+	install(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		install(i + 2)
+	}
+}
+
 // BenchmarkInterpreterTier and BenchmarkJITTier run the same hot loop
 // in each tier of the one FaaSLang engine (real wall-clock speed of the
 // simulator itself); they differ only in the tier the ops are charged to.

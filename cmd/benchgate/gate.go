@@ -209,6 +209,15 @@ func defaultTolerances() Tolerances {
 			// builtins per revival (~34) read 298; boxing one intermediate
 			// per loop iteration read 8,582.
 			"BenchmarkFireworksInvoke": 172,
+			// One Firecracker cold start: boot, runtime, loading the module
+			// compiled at install, one fact run (102 measured). Re-parsing
+			// and re-compiling the source per cold start read 381.
+			"BenchmarkFirecrackerColdInvoke": 120,
+			// One Fireworks install of a redeployed version: a parse of the
+			// source and one of the driver, one compile, priming, JIT and
+			// snapshot capture (455 measured, 49 KB). Parsing the source
+			// twice and the annotated text twice more read 653 (85 KB).
+			"BenchmarkFireworksInstall": 480,
 			// hot(1000) in either tier of the one engine: the activation's
 			// register file and the boxed result (2 measured). A second
 			// allocation per activation reads 3, one per iteration 1,000+.
@@ -227,8 +236,9 @@ func defaultTolerances() Tolerances {
 			"BenchmarkSamplerSample/fill=64k": 8,
 		},
 		Counted: map[string][]string{
-			"BenchmarkFireworksInvoke": {"ns_virtual/op", "guest_ops/op"},
-			"BenchmarkGuestComputeMix": {"guest_ops/op", "ns_virtual/guest_op"},
+			"BenchmarkFireworksInvoke":       {"ns_virtual/op", "guest_ops/op"},
+			"BenchmarkFirecrackerColdInvoke": {"ns_virtual/op"},
+			"BenchmarkGuestComputeMix":       {"guest_ops/op", "ns_virtual/guest_op"},
 			// Whether a full window costs what a near-empty one does is a
 			// count, not a timing: the blocks a rank lookup steps over and
 			// the samples an observe moves are bounded by blockCap, and a

@@ -43,9 +43,10 @@ func sampleReport() *Report {
 	// result, under the tiers' absolute ceilings.
 	r.result("BenchmarkInterpreterTier").AllocsOp = 2
 	r.result("BenchmarkJITTier").AllocsOp = 2
-	// Counted metrics: the invoke's virtual latency, and the guest
+	// Counted metrics: the invokes' virtual latency, and the guest
 	// benchmark's op count and virtual ns per op.
 	r.result("BenchmarkFireworksInvoke").Custom = map[string]float64{"ns_virtual/op": 12598878, "guest_ops/op": 53825, "host_ns/guest_op": 5.8}
+	r.result("BenchmarkFirecrackerColdInvoke").Custom = map[string]float64{"ns_virtual/op": 1512397274}
 	r.result("BenchmarkGuestComputeMix").Custom = map[string]float64{"guest_ops/op": 2793072, "host_ns/guest_op": 4.1, "ns_virtual/guest_op": 22.9}
 	derive(r)
 	return r

@@ -46,7 +46,12 @@ var manifest = []BenchEntry{
 	// allocs/op ceiling and its counted metrics (virtual ns and guest ops
 	// per op) held equal to the baseline's.
 	{Name: "BenchmarkFireworksInvoke", Gate: true},
-	{Name: "BenchmarkFirecrackerColdInvoke"},
+	// One cold start of the Firecracker baseline and one Fireworks
+	// install of a redeployed version: gated, with absolute allocs/op
+	// ceilings — neither re-parses nor re-compiles what install already
+	// compiled.
+	{Name: "BenchmarkFirecrackerColdInvoke", Gate: true},
+	{Name: "BenchmarkFireworksInstall", Gate: true},
 	// A 1,000-iteration integer loop in each FaaSLang tier: gated, with
 	// an absolute allocs/op ceiling — guarded integer code boxes nothing.
 	{Name: "BenchmarkInterpreterTier", Gate: true},

@@ -114,7 +114,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 
-	paramValue, err := rt.DecodeJSON([]byte(*params))
+	paramValue, err := rt.ParseJSON([]byte(*params))
 	if err != nil {
 		return fmt.Errorf("params: %w", err)
 	}

@@ -434,11 +434,15 @@ func writeBodyError(w http.ResponseWriter, err error) {
 func (s *server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	var req installRequest
 	// UseNumber keeps integer default_params integers (platform's
-	// FromGo conversion maps json.Number exactly as rt.DecodeJSON does
+	// FromGo conversion maps json.Number exactly as rt.ParseJSON does
 	// for /invoke), so priming runs the guest on the types it will see.
 	dec := json.NewDecoder(r.Body)
 	dec.UseNumber()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		err = rt.EndOfJSON(dec)
+	}
+	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
@@ -478,7 +482,7 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if len(body) == 0 {
 		body = []byte("{}")
 	}
-	params, err := rt.DecodeJSON(body)
+	params, err := rt.ParseJSON(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("params: %w", err))
 		return
@@ -903,8 +907,14 @@ func (s *server) handleWorkflowRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("workflow %q: not registered", name))
 		return
 	}
+	// An empty body runs the workflow with no input.
 	var input map[string]any
-	if err := json.NewDecoder(r.Body).Decode(&input); err != nil && err != io.EOF {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(&input)
+	if err == nil {
+		err = rt.EndOfJSON(dec)
+	}
+	if err != nil && err != io.EOF {
 		writeBodyError(w, fmt.Errorf("input: %w", err))
 		return
 	}

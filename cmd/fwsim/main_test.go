@@ -834,6 +834,31 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestTrailingJSONRejected: every JSON-reading route takes exactly one
+// value — anything but whitespace after it is a 400, not a request
+// served on its first value — and a workflow run still takes no body.
+func TestTrailingJSONRejected(t *testing.T) {
+	h := newServer(2, nil, nil).mux()
+	mustServe(t, h, http.StatusCreated, "POST", "/install", installBody)
+	mustServe(t, h, http.StatusCreated, "POST", "/workflows", `{"name": "wf", "steps": [{"id": "a", "function": "hello"}]}`)
+	for _, route := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/install", installBody, http.StatusCreated},
+		{"/invoke/hello", `{"who": "x"}`, http.StatusOK},
+		{"/workflows/wf/run", `{}`, http.StatusOK},
+	} {
+		for _, trailer := range []string{" x", "{}", " }"} {
+			if rec := serve(t, h, "POST", route.path, route.body+trailer); rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s %q: status = %d, want 400: %s", route.path, route.body+trailer, rec.Code, rec.Body)
+			}
+		}
+		mustServe(t, h, route.ok, "POST", route.path, route.body+" \n")
+	}
+	mustServe(t, h, http.StatusOK, "POST", "/workflows/wf/run", nil)
+}
+
 // TestFunctionsListDuringChurn lists the functions from several clients
 // while another installs and removes one: every listing must be a
 // complete 200. (The handler used to collect names under one lock

@@ -1,7 +1,7 @@
 // Package annotate implements Fireworks' automatic source code
-// annotator (§3.2 of the paper). Given a user-provided serverless
-// function, it produces the instrumented source the platform actually
-// installs:
+// annotator (§3.2 of the paper). At install it rewrites the parsed
+// user function — the tree platform.Validate returns — into the program
+// the platform compiles and snapshots:
 //
 //  1. every top-level function gains a @jit(cache=true) decorator, so
 //     the runtime's JIT (Numba for Python; V8's equivalent hooks for
@@ -16,6 +16,10 @@
 //     after every snapshot restore — fetches the real invocation
 //     parameters from the per-instance message queue and calls the
 //     original entry point.
+//
+// The rewrite works on the tree, so the user's declarations keep their
+// source lines and guest errors name them. Annotate renders the same
+// decisions as source text, for readers who want to see the program.
 //
 // The host-bridge functions (__fireworks_default_params,
 // __fireworks_snapshot_request, __fireworks_fetch_params) are natives
@@ -35,80 +39,91 @@ type Options struct {
 	Entry string
 }
 
+func (o Options) entry() string {
+	if o.Entry == "" {
+		return "main"
+	}
+	return o.Entry
+}
+
 // Result is the annotated source plus what the annotator did.
 type Result struct {
 	Source string
 }
 
-// Annotate transforms user source per the Fireworks install procedure.
-// It fails if the source does not parse or lacks the entry function.
-func Annotate(src string, opts Options) (*Result, error) {
-	entry := opts.Entry
-	if entry == "" {
-		entry = "main"
+// reserved prefixes the names of the functions the annotator appends.
+const reserved = "__fireworks_"
+
+// drivers are the functions driverSource declares.
+var drivers = []string{"__fireworks_jit", "__fireworks_snapshot", "__fireworks_continue", "__fireworks_main"}
+
+// Tree annotates a parsed user program in place: it decorates every
+// top-level function lacking @jit with @jit(cache=true) and appends the
+// Fireworks drivers, which call opts.Entry. It returns the declarations
+// it decorated, in source order. The entry's existence and arity are
+// platform.Validate's to check; on error prog must be discarded.
+func Tree(prog *lang.Program, opts Options) ([]*lang.FuncDecl, error) {
+	var decorated []*lang.FuncDecl
+	for _, fn := range prog.Functions() {
+		if strings.HasPrefix(fn.Name, reserved) {
+			return nil, fmt.Errorf("annotate: user source defines reserved function %q", fn.Name)
+		}
+		if !fn.HasAnnotation("jit") {
+			fn.Annotations = append(fn.Annotations, lang.Annotation{Name: "jit", Args: map[string]string{"cache": "true"}})
+			decorated = append(decorated, fn)
+		}
 	}
+	driver, err := lang.Parse(driverSource(opts.entry()))
+	if err != nil {
+		return nil, fmt.Errorf("annotate: driver for entry %q: %w", opts.entry(), err)
+	}
+	prog.Stmts = append(prog.Stmts, driver.Stmts...)
+
+	// The installed program must expose the Fireworks entry points and
+	// leave no user function without its @jit.
+	for _, name := range drivers {
+		if prog.Function(name) == nil {
+			return nil, fmt.Errorf("annotate: installed program lacks %q", name)
+		}
+	}
+	for _, fn := range prog.Functions() {
+		if !strings.HasPrefix(fn.Name, reserved) && !fn.HasAnnotation("jit") {
+			return nil, fmt.Errorf("annotate: function %q missed its @jit annotation", fn.Name)
+		}
+	}
+	return decorated, nil
+}
+
+// Annotate parses user source, annotates it as Tree does, and renders
+// the result as source text: a @jit(cache=true) line before each
+// decorated declaration, indented like the line it precedes, then the
+// drivers. It fails if the source does not parse or Tree fails.
+func Annotate(src string, opts Options) (*Result, error) {
 	prog, err := lang.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("annotate: user source: %w", err)
 	}
-	entryFn := prog.Function(entry)
-	if entryFn == nil {
-		return nil, fmt.Errorf("annotate: entry function %q not found", entry)
+	decorated, err := Tree(prog, opts)
+	if err != nil {
+		return nil, err
 	}
-	if len(entryFn.Params) != 1 {
-		return nil, fmt.Errorf("annotate: entry %q must take exactly one params argument, has %d",
-			entry, len(entryFn.Params))
-	}
-	for _, fn := range prog.Functions() {
-		if strings.HasPrefix(fn.Name, "__fireworks_") {
-			return nil, fmt.Errorf("annotate: user source defines reserved function %q", fn.Name)
-		}
-	}
-
-	// Insert @jit(cache=true) before every un-annotated top-level
-	// function declaration, line-based so the user's source text is
-	// otherwise preserved byte for byte.
-	needJit := make(map[int]bool) // line number of the `func` keyword
-	for _, fn := range prog.Functions() {
-		if fn.HasAnnotation("jit") {
-			continue
-		}
-		var line int
-		fmt.Sscanf(fn.Pos(), "%d", &line)
-		needJit[line] = true
-	}
-	lines := strings.Split(src, "\n")
 	var out strings.Builder
-	for i, text := range lines {
-		if needJit[i+1] {
-			indent := text[:len(text)-len(strings.TrimLeft(text, " \t"))]
-			out.WriteString(indent)
+	next := 0
+	for i, text := range strings.Split(src, "\n") {
+		indent := text[:len(text)-len(strings.TrimLeft(text, " \t"))]
+		done := 0
+		for ; next < len(decorated) && decorated[next].Line() == i+1; next++ {
+			at := decorated[next].Tok.Col - 1 // the `func` keyword
+			out.WriteString(text[done:at])
 			out.WriteString("@jit(cache=true)\n")
+			out.WriteString(indent)
+			done = at
 		}
-		out.WriteString(text)
+		out.WriteString(text[done:])
 		out.WriteByte('\n')
 	}
-
-	out.WriteString(driverSource(entry))
-	annotatedSrc := out.String()
-
-	// The annotated source must still parse and must now expose the
-	// Fireworks entry points.
-	check, err := lang.Parse(annotatedSrc)
-	if err != nil {
-		return nil, fmt.Errorf("annotate: generated source does not parse: %w", err)
-	}
-	for _, required := range []string{"__fireworks_jit", "__fireworks_snapshot", "__fireworks_continue", "__fireworks_main", entry} {
-		if check.Function(required) == nil {
-			return nil, fmt.Errorf("annotate: generated source lacks %q", required)
-		}
-	}
-	for _, fn := range check.Functions() {
-		if !strings.HasPrefix(fn.Name, "__fireworks_") && !fn.HasAnnotation("jit") {
-			return nil, fmt.Errorf("annotate: function %q missed its @jit annotation", fn.Name)
-		}
-	}
-	return &Result{Source: annotatedSrc}, nil
+	out.WriteString(driverSource(opts.entry()))
+	return &Result{Source: out.String()}, nil
 }
 
 // driverSource generates the appended Fireworks driver, a FaaSLang

@@ -86,8 +86,6 @@ func TestAnnotateErrors(t *testing.T) {
 		name, src, entry, sub string
 	}{
 		{"syntax", "func main(", "", "user source"},
-		{"noEntry", "func other(p) { return p; }", "", `entry function "main" not found`},
-		{"badArity", "func main(a, b) { return a; }", "", "exactly one params argument"},
 		{"reserved", "func __fireworks_jit() {} func main(p) { return p; }", "", "reserved function"},
 	}
 	for _, tc := range cases {
@@ -112,5 +110,35 @@ func TestAnnotateIndentedFunctions(t *testing.T) {
 	// module functions).
 	if strings.Count(res.Source, "@jit") != 1 || !strings.HasPrefix(res.Source, "@jit(cache=true)\nfunc main") {
 		t.Fatalf("annotated:\n%s", res.Source)
+	}
+}
+
+// TestTreeKeepsUserLines: the installed tree decorates the user's
+// declarations where they are — nothing moves, so guest errors name the
+// user's own lines — and appends the drivers after them.
+func TestTreeKeepsUserLines(t *testing.T) {
+	prog, err := lang.Parse(userSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decorated, err := Tree(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns := prog.Functions()
+	if len(decorated) != 2 || len(fns) != 6 {
+		t.Fatalf("%d decorated, %d functions; want 2 and 2 + 4 drivers", len(decorated), len(fns))
+	}
+	for i, want := range []struct {
+		name string
+		line int
+	}{{"helper", 3}, {"main", 7}} {
+		if fn := fns[i]; fn.Name != want.name || fn.Line() != want.line || !fn.HasAnnotation("jit") {
+			t.Errorf("function %d: %s on line %d, jit %v; want %s on line %d with jit",
+				i, fn.Name, fn.Line(), fn.HasAnnotation("jit"), want.name, want.line)
+		}
+	}
+	if fns[2].Name != "__fireworks_jit" || fns[5].Name != "__fireworks_main" || fns[5].HasAnnotation("jit") {
+		t.Errorf("drivers: %s .. %s", fns[2].Name, fns[5].Name)
 	}
 }

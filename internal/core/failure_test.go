@@ -67,6 +67,39 @@ func TestGuestCrashCleansUp(t *testing.T) {
 	leakCheck(t, env)
 }
 
+// TestGuestErrorLinesMatchUserSource faults a function on its own line
+// 12 on Fireworks and on OpenWhisk: the annotator decorates the tree,
+// inserting nothing above user code, so both name the user's line.
+func TestGuestErrorLinesMatchUserSource(t *testing.T) {
+	src := `func half(x) {
+  return x / 2;
+}
+
+func twice(x) {
+  return x * 2;
+}
+
+func main(params) {
+  let d = params.d;
+  let q = twice(half(8));
+  return q / d;
+}
+`
+	fn := platform.Function{Name: "faulty", Source: src, Lang: runtime.LangNode, DefaultParams: map[string]any{"d": 1}}
+	const want = "vm: line 12:"
+	_, fw := newFW(t, core.Options{})
+	ow := platform.NewOpenWhisk(platform.NewEnv(platform.EnvConfig{}))
+	for _, p := range []platform.Platform{fw, ow} {
+		if _, err := p.Install(fn); err != nil {
+			t.Fatal(err)
+		}
+		_, err := p.Invoke(fn.Name, platform.MustParams(map[string]any{"d": 0}), platform.InvokeOptions{})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", p.PlatformName(), err, want)
+		}
+	}
+}
+
 func TestChainChildCrashCleansUpBothVMs(t *testing.T) {
 	env, fw := newFW(t, core.Options{})
 	if _, err := fw.Install(platform.Function{

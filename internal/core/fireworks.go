@@ -27,6 +27,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/lang"
+	"repro/internal/lang/vm"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/msgbus"
@@ -137,12 +138,16 @@ func (f *Framework) PlatformName() string { return "fireworks" }
 // snapshot (Figure 2 steps 1-4). The report's Duration is the paper's
 // §5.1 "post-JIT snapshot creation time" plus package installation.
 func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, error) {
-	if err := platform.Validate(&fn); err != nil {
-		return nil, err
-	}
-	ann, err := annotate.Annotate(fn.Source, annotate.Options{Entry: fn.EntryName()})
+	prog, err := platform.Validate(&fn)
 	if err != nil {
 		return nil, err
+	}
+	if _, err := annotate.Tree(prog, annotate.Options{Entry: fn.EntryName()}); err != nil {
+		return nil, err
+	}
+	mod, err := vm.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("fireworks: %q: %w", fn.Name, err)
 	}
 
 	// The install runs on an invocation of its own, so that chains the
@@ -195,7 +200,7 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 
 	// ② ③ Load the annotated module and run the JIT driver.
 	sc.Begin("core", "jit-prime", clock.Now())
-	if err := rt.LoadModule(ann.Source); err != nil {
+	if err := rt.Load(mod); err != nil {
 		_ = vm.Stop()
 		return nil, err
 	}
@@ -655,19 +660,15 @@ func (f *Framework) invokeBridge(st *invokeState) *fireworksBridge {
 				return nil, fmt.Errorf("fireworks: MMDS has no topic")
 			}
 			var msg msgbus.Message
-			err := f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "param-fetch", func() error {
-				m, cerr := f.env.Bus.ConsumeLatestTracedAt(topicName, inv.Clock.Now(), inv.Trace)
-				if cerr != nil {
-					return cerr
-				}
-				msg = m
-				return nil
+			err := f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "param-fetch", func() (cerr error) {
+				msg, cerr = f.env.Bus.ConsumeLatestTracedAt(topicName, inv.Clock.Now(), inv.Trace)
+				return cerr
 			}, nil)
 			if err != nil {
 				return nil, err
 			}
 			inv.Clock.ChargeIn(vclock.Others, "param-fetch", f.profile.NetOpBase+platform.PerKB(f.profile, len(msg.Value)))
-			return runtime.DecodeJSON(msg.Value)
+			return runtime.ParseJSON(msg.Value)
 		},
 	}
 }

@@ -182,54 +182,10 @@ func (l *Lexer) Next() (Token, error) {
 			return mk(TokenOr, "||")
 		}
 		return Token{}, fmt.Errorf("lang: %d:%d: unexpected '|'", line, col)
-	case '+':
+	}
+	if t, ok := punct[ch]; ok {
 		l.advance()
-		return mk(TokenPlus, "+")
-	case '-':
-		l.advance()
-		return mk(TokenMinus, "-")
-	case '*':
-		l.advance()
-		return mk(TokenStar, "*")
-	case '/':
-		l.advance()
-		return mk(TokenSlash, "/")
-	case '%':
-		l.advance()
-		return mk(TokenPercent, "%")
-	case '(':
-		l.advance()
-		return mk(TokenLParen, "(")
-	case ')':
-		l.advance()
-		return mk(TokenRParen, ")")
-	case '{':
-		l.advance()
-		return mk(TokenLBrace, "{")
-	case '}':
-		l.advance()
-		return mk(TokenRBrace, "}")
-	case '[':
-		l.advance()
-		return mk(TokenLBracket, "[")
-	case ']':
-		l.advance()
-		return mk(TokenRBracket, "]")
-	case ',':
-		l.advance()
-		return mk(TokenComma, ",")
-	case ';':
-		l.advance()
-		return mk(TokenSemi, ";")
-	case ':':
-		l.advance()
-		return mk(TokenColon, ":")
-	case '.':
-		l.advance()
-		return mk(TokenDot, ".")
-	case '@':
-		l.advance()
-		return mk(TokenAt, "@")
+		return mk(t, tokenNames[t])
 	}
 	return Token{}, fmt.Errorf("lang: %d:%d: unexpected character %q", line, col, ch)
 }

@@ -1,7 +1,7 @@
 // Package lang implements FaaSLang, the small dynamic language that
 // simulated serverless functions are written in. It provides the lexer,
-// parser, AST, and runtime values; bytecode compilation and execution
-// live in the lang/bytecode, lang/vm, and lang/jit subpackages.
+// parser, AST, and runtime values; compilation and execution live in
+// the lang/vm and lang/jit subpackages.
 //
 // FaaSLang exists because the paper's core claim — snapshotting a VM
 // *after* JIT compilation — needs a runtime in which interpreted and
@@ -25,7 +25,7 @@ const (
 	TokenFloat
 	TokenString
 
-	// Keywords.
+	// Keywords, TokenFunc through TokenNull.
 	TokenFunc
 	TokenLet
 	TokenIf
@@ -124,21 +124,28 @@ func (t TokenType) String() string {
 	return fmt.Sprintf("token(%d)", int(t))
 }
 
-var keywords = map[string]TokenType{
-	"func":     TokenFunc,
-	"let":      TokenLet,
-	"if":       TokenIf,
-	"else":     TokenElse,
-	"while":    TokenWhile,
-	"for":      TokenFor,
-	"in":       TokenIn,
-	"return":   TokenReturn,
-	"break":    TokenBreak,
-	"continue": TokenContinue,
-	"true":     TokenTrue,
-	"false":    TokenFalse,
-	"null":     TokenNull,
-}
+// keywords maps each keyword's text, as tokenNames spells it, to its
+// token.
+var keywords = func() map[string]TokenType {
+	m := make(map[string]TokenType, TokenNull-TokenFunc+1)
+	for t := TokenFunc; t <= TokenNull; t++ {
+		m[tokenNames[t]] = t
+	}
+	return m
+}()
+
+// punct maps each one-character operator or punctuation token to its
+// type; the lexer reads = ! < > first, as they may start two-character
+// tokens.
+var punct = func() map[byte]TokenType {
+	m := make(map[byte]TokenType)
+	for t := TokenAssign; t <= TokenAt; t++ {
+		if name := tokenNames[t]; len(name) == 1 {
+			m[name[0]] = t
+		}
+	}
+	return m
+}()
 
 // Token is one lexical token with its source position.
 type Token struct {

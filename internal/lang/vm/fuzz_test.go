@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -146,13 +147,12 @@ func runTiered(src string, params lang.Value, mode tierMode, maxSteps int64) (ou
 		rt.VM.JIT = nil
 	}
 	defer func() { out.steps = rt.VM.Steps() }()
-	if err := rt.LoadModule(src); err != nil {
-		out.err = err
-		return out, false
-	}
-	// The source loaded, so it compiles; the compiled module gives the
-	// function names in declaration order, the globals the loaded code.
+	// The compiled module gives the function names in declaration order,
+	// the globals the loaded code.
 	mod, err := vm.CompileSource(src)
+	if err == nil {
+		err = rt.Load(mod)
+	}
 	if err != nil {
 		out.err = err
 		return out, false
@@ -325,7 +325,9 @@ func FuzzCompileSource(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s[0])
 	}
-	for _, s := range []string{"", "func", "func f(", "@jit(cache=", `"unterminated`, "let x = 1 +;", "func f() { return 1 }}", "/* open", "1e999", "a.b.c[d](e)(f)"} {
+	for _, s := range []string{"", "func", "func f(", "@jit(cache=", `"unterminated`, "let x = 1 +;", "func f() { return 1 }}", "/* open", "1e999", "a.b.c[d](e)(f)",
+		// Declarations the annotated text decorates mid-line.
+		"func a(p) { return p; } func main(p) { return a(p); }", "let x = 1; @pure func main(p) { return x; }"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -343,12 +345,59 @@ func FuzzCompileSource(f *testing.F) {
 				t.Fatalf("compiled module does not verify: %v\n%s", err, src)
 			}
 		}
-		// The annotator only parses; what it adds to a source that
-		// compiles must compile too.
-		if ann, err := annotate.Annotate(src, annotate.Options{}); err == nil && compileErr == nil {
-			if _, err := vm.CompileSource(ann.Source); err != nil {
-				t.Fatalf("annotated source does not compile: %v\n%s", err, ann.Source)
-			}
+		if compileErr == nil {
+			checkAnnotated(t, src, mod)
 		}
 	})
+}
+
+// checkAnnotated holds the annotator to its postconditions on a source
+// that compiles to plain: the tree Fireworks installs compiles and
+// verifies, keeps every user function's ops and adds its @jit, and
+// gains the four drivers; Annotate's text compiles to the same
+// functions, annotations and op counts.
+func checkAnnotated(t *testing.T, src string, plain *vm.Module) {
+	ann, err := annotate.Annotate(src, annotate.Options{})
+	if err != nil {
+		return // a reserved name
+	}
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatalf("source compiles but does not parse: %v\n%s", err, src)
+	}
+	if _, err := annotate.Tree(prog, annotate.Options{}); err != nil {
+		t.Fatalf("Annotate succeeds but Tree fails: %v\n%s", err, src)
+	}
+	installed, err := vm.Compile(prog)
+	if err != nil {
+		t.Fatalf("installed tree does not compile: %v\n%s", err, src)
+	}
+	if err := vm.Verify(installed); err != nil {
+		t.Fatalf("installed module does not verify: %v\n%s", err, src)
+	}
+	user := len(plain.Functions)
+	if len(installed.Functions) != user+4 {
+		t.Fatalf("installed %d functions, want %d user + 4 drivers\n%s", len(installed.Functions), user, src)
+	}
+	for i, fn := range installed.Functions {
+		if i < user && (fn.Name != plain.Functions[i].Name || !fn.HasAnnotation("jit") || fn.Ops() != plain.Functions[i].Ops()) {
+			t.Fatalf("user function %s: jit %v, %d ops; plain %s has %d\n%s",
+				fn.Name, fn.HasAnnotation("jit"), fn.Ops(), plain.Functions[i].Name, plain.Functions[i].Ops(), src)
+		}
+		if want := []string{"__fireworks_jit", "__fireworks_snapshot", "__fireworks_continue", "__fireworks_main"}; i >= user && fn.Name != want[i-user] {
+			t.Fatalf("driver %d is %s, want %s\n%s", i-user, fn.Name, want[i-user], src)
+		}
+	}
+	rendered, err := vm.CompileSource(ann.Source)
+	if err != nil {
+		t.Fatalf("annotated source does not compile: %v\n%s", err, ann.Source)
+	}
+	same := len(rendered.Functions) == len(installed.Functions) && rendered.TopLevel.Ops() == installed.TopLevel.Ops()
+	for i := 0; same && i < len(installed.Functions); i++ {
+		r, in := rendered.Functions[i], installed.Functions[i]
+		same = r.Name == in.Name && r.Ops() == in.Ops() && reflect.DeepEqual(r.Annotations, in.Annotations)
+	}
+	if !same {
+		t.Fatalf("annotated source and installed tree compile differently\n%s\n--- annotated:\n%s", src, ann.Source)
+	}
 }

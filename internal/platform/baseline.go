@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fs"
 	"repro/internal/lang"
+	"repro/internal/lang/vm"
 	"repro/internal/lifecycle"
 	"repro/internal/mem"
 	"repro/internal/runtime"
@@ -46,6 +47,9 @@ type baseline struct {
 // install time.
 type deployed struct {
 	Function
+	// module is the function's compiled code, loaded by every cold
+	// start.
+	module *vm.Module
 	// osSnap is the post-OS-boot image Firecracker's OS-snapshot mode
 	// restores on a cold start.
 	osSnap *vmm.Snapshot
@@ -107,10 +111,15 @@ func (b *baseline) PlatformName() string { return b.name }
 // Install implements Platform. Guests are created lazily at the first
 // invocation; only the kind's install-time work happens here.
 func (b *baseline) Install(fn Function) (*InstallReport, error) {
-	if err := Validate(&fn); err != nil {
+	prog, err := Validate(&fn)
+	if err != nil {
 		return nil, err
 	}
-	d := &deployed{Function: fn}
+	mod, err := vm.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("platform: function %q: %w", fn.Name, err)
+	}
+	d := &deployed{Function: fn, module: mod}
 	report := &InstallReport{Function: fn.Name}
 	if err := b.kind.install(b, d, report); err != nil {
 		return nil, err
@@ -251,7 +260,7 @@ func (b *baseline) startRuntime(g *guest, inv *Invocation, fsys fs.FS) error {
 	}
 	g.binding.Install(g.rt)
 	g.rt.Boot()
-	return g.rt.LoadModule(g.fn.Source)
+	return g.rt.Load(g.fn.module)
 }
 
 // ExpireIdle terminates every pooled guest idle past the keep-alive at

@@ -49,21 +49,26 @@ func (b *NativeBinding) Install(rt *runtime.Runtime) {
 		natives[name] = &lang.Native{Name: name, Arity: arity, Fn: fn}
 	}
 
-	reg("file_write", 2, func(args []lang.Value) (lang.Value, error) {
-		path, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("file_write: path must be string")
-		}
-		data, ok := args[1].(string)
-		if !ok {
-			return nil, fmt.Errorf("file_write: data must be string")
-		}
-		b.chargeDisk(len(data))
-		if err := b.FS.WriteFile(path, []byte(data)); err != nil {
-			return nil, err
-		}
-		return int64(len(data)), nil
-	})
+	// file_write and file_append differ only in the file operation.
+	write := func(name string, op func(path string, data []byte) error) {
+		reg(name, 2, func(args []lang.Value) (lang.Value, error) {
+			path, ok := args[0].(string)
+			if !ok {
+				return nil, fmt.Errorf("%s: path must be string", name)
+			}
+			data, ok := args[1].(string)
+			if !ok {
+				return nil, fmt.Errorf("%s: data must be string", name)
+			}
+			b.chargeDisk(len(data))
+			if err := op(path, []byte(data)); err != nil {
+				return nil, err
+			}
+			return int64(len(data)), nil
+		})
+	}
+	write("file_write", func(path string, data []byte) error { return b.FS.WriteFile(path, data) })
+	write("file_append", func(path string, data []byte) error { return b.FS.Append(path, data) })
 
 	reg("file_read", 1, func(args []lang.Value) (lang.Value, error) {
 		path, ok := args[0].(string)
@@ -76,22 +81,6 @@ func (b *NativeBinding) Install(rt *runtime.Runtime) {
 		}
 		b.chargeDisk(len(data))
 		return string(data), nil
-	})
-
-	reg("file_append", 2, func(args []lang.Value) (lang.Value, error) {
-		path, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("file_append: path must be string")
-		}
-		data, ok := args[1].(string)
-		if !ok {
-			return nil, fmt.Errorf("file_append: data must be string")
-		}
-		b.chargeDisk(len(data))
-		if err := b.FS.Append(path, []byte(data)); err != nil {
-			return nil, err
-		}
-		return int64(len(data)), nil
 	})
 
 	reg("http_respond", 2, func(args []lang.Value) (lang.Value, error) {
@@ -239,19 +228,18 @@ func (b *NativeBinding) chargeDisk(bytes int) {
 }
 
 func (b *NativeBinding) chargeNet(bytes int) {
-	if b.Inv == nil {
-		return
+	if b.Inv != nil {
+		b.Inv.Clock.ChargeIn(vclock.Others, "net-io", b.netCost(bytes))
 	}
-	kb := (bytes + 1023) / 1024
-	d := b.Profile.NetOpBase + time.Duration(kb)*b.Profile.NetPerKB + b.Profile.SyscallOverhead
-	b.Inv.Clock.ChargeIn(vclock.Others, "net-io", d)
 }
 
 func (b *NativeBinding) chargeDB(bytes int) {
-	if b.Inv == nil {
-		return
+	if b.Inv != nil {
+		b.Inv.Clock.ChargeIn(vclock.Others, "db-io", b.netCost(bytes)+CostDBProcess)
 	}
-	kb := (bytes + 1023) / 1024
-	d := b.Profile.NetOpBase + time.Duration(kb)*b.Profile.NetPerKB + b.Profile.SyscallOverhead + CostDBProcess
-	b.Inv.Clock.ChargeIn(vclock.Others, "db-io", d)
+}
+
+// netCost is one guest network operation moving bytes.
+func (b *NativeBinding) netCost(bytes int) time.Duration {
+	return b.Profile.NetOpBase + PerKB(b.Profile, bytes) + b.Profile.SyscallOverhead
 }

@@ -384,14 +384,7 @@ func PerKB(p sandbox.Profile, bytes int) time.Duration {
 // ParamsValue converts plain Go data — a Function's default params, or
 // a harness's static inputs — into the FaaSLang params map for Invoke.
 func ParamsValue(params map[string]any) (lang.Value, error) {
-	if params == nil {
-		return lang.NewMap(), nil
-	}
-	goMap := make(map[string]any, len(params))
-	for k, v := range params {
-		goMap[k] = v
-	}
-	return runtime.FromGo(goMap)
+	return runtime.FromGo(params)
 }
 
 // MustParams is ParamsValue for static inputs in tests and examples.
@@ -403,26 +396,27 @@ func MustParams(params map[string]any) lang.Value {
 	return v
 }
 
-// Validate compiles and sanity-checks a function definition at
-// registration time; every platform (including Fireworks in
-// internal/core) calls it from Install.
-func Validate(fn *Function) error {
+// Validate parses and sanity-checks a function definition at
+// registration time and returns the parsed program. Every platform
+// (including Fireworks in internal/core) calls it from Install, and it
+// is the only parse of fn.Source: the platform compiles what it returns.
+func Validate(fn *Function) (*lang.Program, error) {
 	if fn.Name == "" {
-		return fmt.Errorf("platform: function needs a name")
+		return nil, fmt.Errorf("platform: function needs a name")
 	}
 	if fn.Lang != runtime.LangNode && fn.Lang != runtime.LangPython {
-		return fmt.Errorf("platform: function %q has unknown language %q", fn.Name, fn.Lang)
+		return nil, fmt.Errorf("platform: function %q has unknown language %q", fn.Name, fn.Lang)
 	}
 	prog, err := lang.Parse(fn.Source)
 	if err != nil {
-		return fmt.Errorf("platform: function %q: %w", fn.Name, err)
+		return nil, fmt.Errorf("platform: function %q: %w", fn.Name, err)
 	}
 	entry := prog.Function(fn.EntryName())
 	if entry == nil {
-		return fmt.Errorf("platform: function %q lacks entry %q", fn.Name, fn.EntryName())
+		return nil, fmt.Errorf("platform: function %q lacks entry %q", fn.Name, fn.EntryName())
 	}
 	if len(entry.Params) != 1 {
-		return fmt.Errorf("platform: function %q entry must take one params argument", fn.Name)
+		return nil, fmt.Errorf("platform: function %q entry must take one params argument", fn.Name)
 	}
-	return nil
+	return prog, nil
 }

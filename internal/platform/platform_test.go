@@ -44,14 +44,14 @@ func TestValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := Validate(&tc.fn)
+			_, err := Validate(&tc.fn)
 			if err == nil || !strings.Contains(err.Error(), tc.sub) {
 				t.Fatalf("err = %v, want %q", err, tc.sub)
 			}
 		})
 	}
 	ok := factFn("good")
-	if err := Validate(&ok); err != nil {
+	if _, err := Validate(&ok); err != nil {
 		t.Fatalf("valid function rejected: %v", err)
 	}
 }

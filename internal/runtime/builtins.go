@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -358,7 +361,7 @@ func newPureBuiltins() []*lang.Native {
 		if !ok {
 			return nil, fmt.Errorf("json_decode: arg must be string")
 		}
-		return DecodeJSON([]byte(s))
+		return ParseJSON([]byte(s))
 	})
 	return natives
 }
@@ -484,16 +487,40 @@ func FromGo(v any) (lang.Value, error) {
 	}
 }
 
-// DecodeJSON parses JSON bytes into FaaSLang values, preserving integers
-// as int64.
-func DecodeJSON(data []byte) (lang.Value, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+// ParseJSON parses a JSON document — one value, nothing but whitespace
+// after it — into FaaSLang values, preserving integers as int64.
+func ParseJSON(data []byte) (lang.Value, error) { return decodeJSON(data, true) }
+
+// DecodeJSON is ParseJSON that ignores what follows the first value. The
+// engine's recorded fuzz corpora were decoded so; requests and guest
+// text go through ParseJSON.
+func DecodeJSON(data []byte) (lang.Value, error) { return decodeJSON(data, false) }
+
+func decodeJSON(data []byte, whole bool) (lang.Value, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	var raw any
-	if err := dec.Decode(&raw); err != nil {
+	err := dec.Decode(&raw)
+	if err == nil && whole {
+		err = EndOfJSON(dec)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("json_decode: %w", err)
 	}
 	return FromGo(raw)
+}
+
+// EndOfJSON fails unless only whitespace follows the value dec last
+// decoded: a second value, stray text or a read error.
+func EndOfJSON(dec *json.Decoder) error {
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("trailing data after the JSON value")
+	default:
+		return err
+	}
 }
 
 // EncodeJSON renders a FaaSLang value as JSON bytes.

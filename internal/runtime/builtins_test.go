@@ -120,6 +120,9 @@ func TestBuiltinErrorPaths(t *testing.T) {
 		{`sqrt("x")`, "unsupported"},
 		{`json_decode(1)`, "must be string"},
 		{`json_decode("{bad")`, "json_decode"},
+		{`json_decode("{}{}")`, "trailing data"},
+		{`json_decode("[1] x")`, "invalid character 'x'"},
+		{`json_decode("{} }")`, "invalid character '}'"},
 	}
 	for _, tc := range cases {
 		_, err := evalBuiltin(t, tc.expr)

@@ -58,23 +58,28 @@ func (m *meter) Charge(counts *vm.OpCounts) {
 // New creates a runtime of the given language charging time to clock.
 // The runtime is not booted yet; call Boot.
 func New(l Lang, clock *vclock.Clock) *Runtime {
-	model := ModelFor(l)
-	r := &Runtime{Lang: l, Model: model, Clock: clock}
+	r := &Runtime{Lang: l, Model: ModelFor(l), Clock: clock}
 	r.VM = vm.New(&meter{rt: r})
-	r.Engine = jit.NewEngine(jit.Config{
-		CallThreshold: model.CallThreshold,
-		LoopThreshold: model.LoopThreshold,
-		AnnotatedOnly: model.AnnotatedOnly,
+	r.Engine = jit.NewEngine(r.jitConfig())
+	r.VM.JIT = r.Engine
+	r.installBuiltins()
+	return r
+}
+
+// jitConfig is the language's tier-up policy, charging compiles and
+// deopts to the runtime's current clock.
+func (r *Runtime) jitConfig() jit.Config {
+	return jit.Config{
+		CallThreshold: r.Model.CallThreshold,
+		LoopThreshold: r.Model.LoopThreshold,
+		AnnotatedOnly: r.Model.AnnotatedOnly,
 		OnCompile: func(fn *vm.Function, instrs int) {
 			r.Clock.Charge("jit-compile", r.Model.CompilePerInstr*time.Duration(instrs))
 		},
 		OnDeopt: func(fn *vm.Function) {
 			r.Clock.Charge("jit-deopt", r.Model.DeoptPenalty)
 		},
-	})
-	r.VM.JIT = r.Engine
-	r.installBuiltins()
-	return r
+	}
 }
 
 // SetClock redirects all further charges to a new clock. Warm sandboxes
@@ -101,15 +106,21 @@ func (r *Runtime) InstallNatives(natives map[string]*lang.Native) {
 	}
 }
 
-// LoadModule parses, compiles, and executes the top level of a FaaSLang
-// module, charging module-load time proportional to code size.
+// LoadModule compiles FaaSLang source text and loads it (see Load).
 func (r *Runtime) LoadModule(src string) error {
-	if !r.booted {
-		return fmt.Errorf("runtime: LoadModule before Boot")
-	}
 	mod, err := vm.CompileSource(src)
 	if err != nil {
 		return fmt.Errorf("runtime: load: %w", err)
+	}
+	return r.Load(mod)
+}
+
+// Load executes the top level of a compiled module, charging module-load
+// time proportional to code size. The module is only read, so every
+// guest of one installed function loads the same one.
+func (r *Runtime) Load(mod *vm.Module) error {
+	if !r.booted {
+		return fmt.Errorf("runtime: Load before Boot")
 	}
 	r.Clock.Charge("module-load", r.Model.ModuleLoadPerInstr*time.Duration(mod.Ops()))
 	if _, err := r.VM.RunModule(mod); err != nil {
@@ -205,24 +216,13 @@ func (r *Runtime) SnapshotTemplate() (*SnapshotTemplate, error) {
 // own copy-on-write view of the globals and its own engine, and shares
 // the template's compiled code.
 func NewFromSnapshot(t *SnapshotTemplate, clock *vclock.Clock) (*Runtime, error) {
-	model := ModelFor(t.Lang)
-	r := &Runtime{Lang: t.Lang, Model: model, Clock: clock, booted: true,
+	r := &Runtime{Lang: t.Lang, Model: ModelFor(t.Lang), Clock: clock, booted: true,
 		module: t.Module, moduleBytes: t.ModuleBytes}
 	r.VM = vm.New(&meter{rt: r})
 	// Room for the builtins, the template's globals and a host's natives
 	// (a dozen), so a revival's inserts do not regrow the map.
 	r.VM.Globals = make(map[string]lang.Value, len(pureBuiltins)+2+len(t.Globals)+16)
-	r.Engine = t.Engine.CloneWithCache(jit.Config{
-		CallThreshold: model.CallThreshold,
-		LoopThreshold: model.LoopThreshold,
-		AnnotatedOnly: model.AnnotatedOnly,
-		OnCompile: func(fn *vm.Function, instrs int) {
-			r.Clock.Charge("jit-compile", r.Model.CompilePerInstr*time.Duration(instrs))
-		},
-		OnDeopt: func(fn *vm.Function) {
-			r.Clock.Charge("jit-deopt", r.Model.DeoptPenalty)
-		},
-	})
+	r.Engine = t.Engine.CloneWithCache(r.jitConfig())
 	r.VM.JIT = r.Engine
 	r.installBuiltins()
 	globals, err := lang.DeepCopyGlobals(t.Globals, false)

@@ -18,7 +18,7 @@ func TestAllWorkloadsValidate(t *testing.T) {
 	}
 	for _, w := range all {
 		fn := w.Function
-		if err := platform.Validate(&fn); err != nil {
+		if _, err := platform.Validate(&fn); err != nil {
 			t.Errorf("%s: %v", w.Name, err)
 		}
 		if w.Description == "" || w.Suite == "" {
