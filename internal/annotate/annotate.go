@@ -61,7 +61,7 @@ var drivers = []string{"__fireworks_jit", "__fireworks_snapshot", "__fireworks_c
 // top-level function lacking @jit with @jit(cache=true) and appends the
 // Fireworks drivers, which call opts.Entry. It returns the declarations
 // it decorated, in source order. The entry's existence and arity are
-// platform.Validate's to check; on error prog must be discarded.
+// platform.Validate's or Annotate's to check; on error discard prog.
 func Tree(prog *lang.Program, opts Options) ([]*lang.FuncDecl, error) {
 	var decorated []*lang.FuncDecl
 	for _, fn := range prog.Functions() {
@@ -97,11 +97,16 @@ func Tree(prog *lang.Program, opts Options) ([]*lang.FuncDecl, error) {
 // Annotate parses user source, annotates it as Tree does, and renders
 // the result as source text: a @jit(cache=true) line before each
 // decorated declaration, indented like the line it precedes, then the
-// drivers. It fails if the source does not parse or Tree fails.
+// drivers. It fails on a parse error, a bad entry, or an error from Tree.
 func Annotate(src string, opts Options) (*Result, error) {
 	prog, err := lang.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("annotate: user source: %w", err)
+	}
+	if e := prog.Function(opts.entry()); e == nil {
+		return nil, fmt.Errorf("annotate: entry function %q not found", opts.entry())
+	} else if len(e.Params) != 1 {
+		return nil, fmt.Errorf("annotate: entry %q must take exactly one params argument, has %d", opts.entry(), len(e.Params))
 	}
 	decorated, err := Tree(prog, opts)
 	if err != nil {

@@ -86,6 +86,8 @@ func TestAnnotateErrors(t *testing.T) {
 		name, src, entry, sub string
 	}{
 		{"syntax", "func main(", "", "user source"},
+		{"noEntry", "func other(p) { return p; }", "", `entry function "main" not found`},
+		{"badArity", "func main(a, b) { return a; }", "", "exactly one params argument"},
 		{"reserved", "func __fireworks_jit() {} func main(p) { return p; }", "", "reserved function"},
 	}
 	for _, tc := range cases {

@@ -411,11 +411,9 @@ func Validate(fn *Function) (*lang.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platform: function %q: %w", fn.Name, err)
 	}
-	entry := prog.Function(fn.EntryName())
-	if entry == nil {
+	if entry := prog.Function(fn.EntryName()); entry == nil {
 		return nil, fmt.Errorf("platform: function %q lacks entry %q", fn.Name, fn.EntryName())
-	}
-	if len(entry.Params) != 1 {
+	} else if len(entry.Params) != 1 {
 		return nil, fmt.Errorf("platform: function %q entry must take one params argument", fn.Name)
 	}
 	return prog, nil
