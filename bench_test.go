@@ -443,7 +443,7 @@ func BenchmarkRestoreDelta(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			clock := vclock.New()
-			snap, err := env.RemoteSnaps.FetchTraced(w.Name, nil, clock, nil)
+			snap, err := env.RemoteSnaps.Fetch(w.Name, nil, clock)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -460,7 +460,7 @@ func BenchmarkRestoreDelta(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			clock := vclock.New()
-			snap, err := env.RemoteSnaps.FetchTraced(w.Name, env.Snaps, clock, nil)
+			snap, err := env.RemoteSnaps.Fetch(w.Name, env.Snaps, clock)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -857,6 +858,28 @@ func TestTrailingJSONRejected(t *testing.T) {
 		mustServe(t, h, route.ok, "POST", route.path, route.body+" \n")
 	}
 	mustServe(t, h, http.StatusOK, "POST", "/workflows/wf/run", nil)
+}
+
+// TestInstallReportsJITInOneOrder installs one body several times: the
+// functions the install force-compiled are listed the same way each
+// time (the code cache is a map; the reply lists it in name order).
+func TestInstallReportsJITInOneOrder(t *testing.T) {
+	h := newServer(1, nil, nil).mux()
+	var first []string
+	for i := 0; i < 6; i++ {
+		var reply struct {
+			JIT []string `json:"jit_compiled"`
+		}
+		if err := json.Unmarshal(mustServe(t, h, http.StatusCreated, "POST", "/install", installBody).Body.Bytes(), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = reply.JIT
+		}
+		if len(reply.JIT) < 2 || !slices.Equal(reply.JIT, first) {
+			t.Fatalf("install %d lists jit_compiled %v, the first listed %v", i, reply.JIT, first)
+		}
+	}
 }
 
 // TestFunctionsListDuringChurn lists the functions from several clients

@@ -2,10 +2,15 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,5 +119,103 @@ func walkSources(t *testing.T, root string, visit func(path string, fset *token.
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// clockAndScope names the one function under internal/ that may take
+// both an invocation clock and an event scope: fault injection also
+// serves clockless sites (the message bus, cluster placement), which
+// stamp their events with a time of their own.
+var clockAndScope = map[string]bool{"(*repro/internal/faults.Plane).InjectTraced": true}
+
+// chargedSeries are the instruments that only repeat a labelled charge:
+// the clock's ledger records them, through internal/vclock's one
+// label-to-instrument binding.
+var chargedSeries = []string{
+	"vmm_kernel_boots_total", "vmm_kernel_boot_duration",
+	"vmm_snapshot_restores_total", "vmm_snapshot_restore_duration",
+	"vmm_snapshots_taken_total", "vmm_snapshot_capture_duration",
+	"vmm_warm_resumes_total", "retries_total", "retry_backoff_seconds",
+}
+
+// TestOneRecordPerCharge type-checks the non-test code under internal/
+// and fails on a function that takes both a *vclock.Clock and an
+// *events.Scope outside clockAndScope — the clock carries its
+// invocation's scope, so a second parameter is a second record that can
+// disagree with it — and on any chargedSeries name written in non-test
+// code under internal/ or cmd/ anywhere but once, in
+// internal/vclock/vclock.go: each is registered and recorded by the
+// binding alone.
+func TestOneRecordPerCharge(t *testing.T) {
+	var fset *token.FileSet
+	byDir := map[string][]*ast.File{}
+	named := map[string][]string{}
+	eachNonTestFile(t, func(fs *token.FileSet, file *ast.File, internal bool) {
+		fset = fs
+		path := fs.Position(file.Package).Filename
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), filepath.Base(path)); err != nil {
+			t.Fatal(err)
+		} else if ok && internal {
+			byDir[filepath.Dir(path)] = append(byDir[filepath.Dir(path)], file)
+		}
+		if !internal && !strings.HasPrefix(filepath.ToSlash(path), "cmd/") {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && slices.Contains(chargedSeries, s) {
+					named[s] = append(named[s], fs.Position(lit.Pos()).String())
+				}
+			}
+			return true
+		})
+	})
+	for _, name := range chargedSeries {
+		if at := named[name]; len(at) != 1 || !strings.HasPrefix(filepath.ToSlash(at[0]), "internal/vclock/vclock.go:") {
+			t.Errorf("%s is named at %v; only internal/vclock/vclock.go's binding may name it, once", name, at)
+		}
+	}
+
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{}, Types: map[ast.Expr]types.TypeAndValue{},
+		Instances: map[*ast.Ident]types.Instance{}}
+	im := &repoImporter{t: t, fset: fset, byDir: byDir, info: info, std: importer.ForCompiler(fset, "gc", nil), done: map[string]*types.Package{}}
+	is := func(typ types.Type, pkg, name string) bool {
+		p, ok := typ.(*types.Pointer)
+		if !ok {
+			return false
+		}
+		n, ok := p.Elem().(*types.Named)
+		return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkg && n.Obj().Name() == name
+	}
+	seen := map[string]bool{}
+	for dir, files := range byDir {
+		im.Import(path.Join("repro", filepath.ToSlash(dir)))
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				var clock, scope bool
+				params := fn.Type().(*types.Signature).Params()
+				for i := range params.Len() {
+					clock = clock || is(params.At(i).Type(), "repro/internal/vclock", "Clock")
+					scope = scope || is(params.At(i).Type(), "repro/internal/events", "Scope")
+				}
+				if clock && scope {
+					seen[fn.FullName()] = true
+					if !clockAndScope[fn.FullName()] {
+						t.Errorf("%s: %s takes a clock and a scope; read the scope from the clock", fset.Position(fd.Pos()), fn.FullName())
+					}
+				}
+			}
+		}
+	}
+	for name := range clockAndScope {
+		if !seen[name] {
+			t.Errorf("allowlisted %s no longer takes a clock and a scope; drop it from the list", name)
+		}
 	}
 }

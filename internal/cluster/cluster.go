@@ -399,19 +399,32 @@ func (c *Cluster) Invoke(name string, params lang.Value, opts platform.InvokeOpt
 	// Every request gets one trace: either nested under the caller's
 	// scope (an API-gateway span) or rooted here. Placement, failover
 	// hops, and node crashes all land in it; each attempt's invocation
-	// clock restarts at zero, which the exporters normalize.
-	sc := opts.Trace
-	if sc == nil {
-		sc = c.journal.NewScope("cluster", "request", 0, events.A("function", name))
-	} else {
-		sc.Begin("cluster", "request", 0, events.A("function", name))
-	}
-	opts.Trace = sc
+	// clock restarts at zero, which the exporters normalize. A chained
+	// call (a workflow step) runs on its parent's clock, in its trace,
+	// and every attempt moves that clock, even one that fails in
+	// start-up and returns no invocation.
 	var now time.Duration
-	finish := func(inv *platform.Invocation, node *Node, ferr error) {
+	stamp := func(inv *platform.Invocation) {
+		if opts.Parent != nil {
+			inv = opts.Parent
+		}
 		if inv != nil {
 			now = inv.Clock.Now()
 		}
+	}
+	stamp(nil)
+	if opts.Parent != nil && opts.Trace == nil {
+		opts.Trace = opts.Parent.Clock.Scope()
+	}
+	sc := opts.Trace
+	if sc == nil {
+		sc = c.journal.NewScope("cluster", "request", now, events.A("function", name))
+	} else {
+		sc.Begin("cluster", "request", now, events.A("function", name))
+	}
+	opts.Trace = sc
+	finish := func(inv *platform.Invocation, node *Node, ferr error) {
+		stamp(inv)
 		attrs := make([]events.Attr, 0, 2)
 		if node != nil {
 			attrs = append(attrs, events.A("node", node.Name))
@@ -449,9 +462,7 @@ func (c *Cluster) Invoke(name string, params lang.Value, opts platform.InvokeOpt
 			return inv, node, werr
 		}
 		c.recordFailure(node)
-		if inv != nil {
-			now = inv.Clock.Now()
-		}
+		stamp(inv)
 		if attempt >= maxFailovers {
 			werr := fmt.Errorf("cluster: %s: %w", node.Name, err)
 			finish(inv, node, werr)

@@ -155,6 +155,7 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	installInv := platform.NewInvocation(fn.Name)
 	clock := installInv.Clock
 	sc := f.env.Events.NewScope("core", "install", clock.Now(), events.A("function", fn.Name))
+	clock.Observe(f.env.Metrics, sc)
 	// Close ends every span still open, so early-return error paths
 	// leave no dangling journal spans.
 	defer func() { sc.Close(clock.Now()) }()
@@ -162,7 +163,7 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	sc.Begin("core", "boot", clock.Now())
 	vm := f.env.HV.CreateVM(clock)
 	sc.SetVM(vm.ID)
-	if err := f.bootRetrier.DoWithDiscardTraced(clock, sc, "kernel-boot", func() error { return vm.BootKernelTraced(clock, sc) }, nil); err != nil {
+	if err := f.bootRetrier.DoWithDiscard(clock, "kernel-boot", func() error { return vm.BootKernel(clock) }, nil); err != nil {
 		return nil, err
 	}
 	rt := runtime.New(fn.Lang, clock)
@@ -177,7 +178,6 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	// guest at the exact point §3.3 specifies.
 	report := &platform.InstallReport{Function: fn.Name}
 	inst := &installed{fn: fn, report: report}
-	installInv.Trace = sc
 	binding := &platform.NativeBinding{
 		Profile: f.profile,
 		FS:      vm.FS,
@@ -194,7 +194,7 @@ func (f *Framework) Install(fn platform.Function) (*platform.InstallReport, erro
 	f.installFireworksNatives(rt, &fireworksBridge{
 		defaultParams: fn.DefaultParams,
 		snapshotRequest: func() error {
-			return f.takeSnapshot(inst, vm, rt, clock, sc)
+			return f.takeSnapshot(inst, vm, rt, clock)
 		},
 	})
 
@@ -271,7 +271,8 @@ func BaseImageName(lang runtime.Lang) string { return "base/" + string(lang) }
 // language, so the pool holds them once per language; only the
 // function's private heap/JIT chunks — keyed {function_id}_{code_hash}
 // — add bytes).
-func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.Runtime, clock *vclock.Clock, sc *events.Scope) error {
+func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.Runtime, clock *vclock.Clock) error {
+	sc := clock.Scope()
 	template, err := rt.SnapshotTemplate()
 	if err != nil {
 		return err
@@ -290,7 +291,7 @@ func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.R
 	// state), whose chunks every later function snapshot dedups
 	// against.
 	if !f.env.Snaps.Has(baseName) {
-		base, berr := f.env.HV.TakeSnapshotTraced(vm, baseSpecs, snapshotWorkingSetBytes, nil, clock, sc)
+		base, berr := f.env.HV.TakeSnapshot(vm, baseSpecs, snapshotWorkingSetBytes, nil, clock)
 		if berr != nil {
 			return berr
 		}
@@ -301,7 +302,7 @@ func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.R
 			return f.classifyPutError(baseName, perr)
 		}
 		if f.env.RemoteSnaps != nil {
-			f.env.RemoteSnaps.UploadTraced(baseName, base, clock, sc)
+			f.env.RemoteSnaps.Upload(baseName, base, clock)
 		}
 	}
 	// Region order matters: execution dirties heap pages first. The
@@ -315,7 +316,7 @@ func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.R
 	if foot.JITCode > 0 {
 		specs = append(specs, vmm.RegionSpec{Kind: mem.KindJITCode, Bytes: foot.JITCode, Content: "fn:" + contentKey})
 	}
-	snap, err := f.env.HV.TakeSnapshotTraced(vm, specs, snapshotWorkingSetBytes, template, clock, sc)
+	snap, err := f.env.HV.TakeSnapshot(vm, specs, snapshotWorkingSetBytes, template, clock)
 	if err != nil {
 		return err
 	}
@@ -331,7 +332,7 @@ func (f *Framework) takeSnapshot(inst *installed, vm *vmm.MicroVM, rt *runtime.R
 	// reinstall (§6). Base chunks are already remote (uploaded above),
 	// so this transfer moves only the function's delta.
 	if f.env.RemoteSnaps != nil {
-		f.env.RemoteSnaps.UploadTraced(inst.fn.Name, snap, clock, sc)
+		f.env.RemoteSnaps.Upload(inst.fn.Name, snap, clock)
 	}
 	inst.template = template
 	inst.report.SnapshotBytes = snap.TotalBytes()
@@ -400,15 +401,15 @@ func (f *Framework) Invoke(name string, params lang.Value, opts platform.InvokeO
 	inv := opts.Parent
 	if inv == nil {
 		inv = platform.NewInvocation(name)
-		inv.Trace = opts.Trace
+		inv.Clock.Observe(f.env.Metrics, opts.Trace)
 	}
 	// Trace context: nest under the caller's scope (gateway, cluster,
 	// or a chain parent) when one is open, else root a fresh trace.
-	sc := inv.Trace
+	sc := inv.Clock.Scope()
 	var entryDepth int
 	if sc == nil {
 		sc = f.env.Events.NewScope("core", "invoke", inv.Clock.Now(), events.A("function", name))
-		inv.Trace = sc
+		inv.Clock.Observe(f.env.Metrics, sc)
 	} else {
 		entryDepth = sc.OpenSpans()
 		sc.Begin("core", "invoke", inv.Clock.Now(), events.A("function", name))
@@ -487,11 +488,11 @@ func (f *Framework) stageSnapshot(st *invokeState) error {
 	if err != nil && f.env.RemoteSnaps != nil {
 		// Local eviction: pull the image from remote storage (charged
 		// to this invocation's start-up) and repopulate the cache.
-		inv.Trace.Instant("snapshot", "store-miss", inv.Clock.Now(), events.A("image", name))
+		inv.Clock.Scope().Instant("snapshot", "store-miss", inv.Clock.Now(), events.A("image", name))
 		defer inv.Clock.SetPhase(inv.Clock.SetPhase(vclock.Startup))
-		err = f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "remote-fetch", func() error {
+		err = f.retrier.DoWithDiscard(inv.Clock, "remote-fetch", func() error {
 			var ferr error
-			snap, ferr = f.env.RemoteSnaps.FetchTraced(name, f.env.Snaps, inv.Clock, inv.Trace)
+			snap, ferr = f.env.RemoteSnaps.Fetch(name, f.env.Snaps, inv.Clock)
 			return ferr
 		}, nil)
 		if err == nil {
@@ -539,8 +540,8 @@ func (f *Framework) stageTopic(st *invokeState) error {
 	// stamped consume after restore measures queue dwell (§3.6), and
 	// with the trace scope so the consume event links back to the
 	// produce across the restore boundary.
-	if err := f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "param-produce", func() error {
-		_, _, perr := f.env.Bus.ProduceTracedAt(st.topic, st.fcID, paramJSON, inv.Clock.Now(), inv.Trace)
+	if err := f.retrier.DoWithDiscard(inv.Clock, "param-produce", func() error {
+		_, _, perr := f.env.Bus.ProduceTracedAt(st.topic, st.fcID, paramJSON, inv.Clock.Now(), inv.Clock.Scope())
 		return perr
 	}, nil); err != nil {
 		return err
@@ -569,8 +570,8 @@ func (f *Framework) stageRestore(st *invokeState) error {
 		}
 	}
 	var vm *vmm.MicroVM
-	err := f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "vm-restore", func() error {
-		restored, rerr := f.env.HV.RestoreTraced(st.snap, ropts, inv.Clock, inv.Trace)
+	err := f.retrier.DoWithDiscard(inv.Clock, "vm-restore", func() error {
+		restored, rerr := f.env.HV.Restore(st.snap, ropts, inv.Clock)
 		if rerr != nil {
 			return rerr
 		}
@@ -586,7 +587,7 @@ func (f *Framework) stageRestore(st *invokeState) error {
 	if err != nil {
 		return err
 	}
-	inv.Trace.SetVM(vm.ID)
+	inv.Clock.Scope().SetVM(vm.ID)
 	st.undo = append(st.undo, func() {
 		if vm.State() != vmm.StateStopped {
 			_ = vm.Stop()
@@ -627,7 +628,7 @@ func (f *Framework) stageRevive(st *invokeState) error {
 		return err
 	}
 	f.env.Metrics.Histogram("fireworks_restore_duration").
-		ObserveDurationExemplar(inv.Clock.Since(st.restoreStart), uint64(inv.Trace.TraceID()), inv.Clock.Now())
+		ObserveDurationExemplar(inv.Clock.Since(st.restoreStart), uint64(inv.Clock.Scope().TraceID()), inv.Clock.Now())
 
 	binding := &platform.NativeBinding{
 		Profile: f.profile,
@@ -660,8 +661,8 @@ func (f *Framework) invokeBridge(st *invokeState) *fireworksBridge {
 				return nil, fmt.Errorf("fireworks: MMDS has no topic")
 			}
 			var msg msgbus.Message
-			err := f.retrier.DoWithDiscardTraced(inv.Clock, inv.Trace, "param-fetch", func() (cerr error) {
-				msg, cerr = f.env.Bus.ConsumeLatestTracedAt(topicName, inv.Clock.Now(), inv.Trace)
+			err := f.retrier.DoWithDiscard(inv.Clock, "param-fetch", func() (cerr error) {
+				msg, cerr = f.env.Bus.ConsumeLatestTracedAt(topicName, inv.Clock.Now(), inv.Clock.Scope())
 				return cerr
 			}, nil)
 			if err != nil {
@@ -715,7 +716,7 @@ func (f *Framework) stageRelease(st *invokeState) error {
 		// working-set record from the fault telemetry now that
 		// execution has dirtied its pages. Later restores replay it.
 		rec := st.snap.RecordWorkingSet(vm)
-		inv.Trace.Instant("snapshot", "ws-record", inv.Clock.Now(),
+		inv.Clock.Scope().Instant("snapshot", "ws-record", inv.Clock.Now(),
 			events.A("image", name),
 			events.A("chunks", fmt.Sprint(len(rec.ChunkIDs))),
 			events.A("bytes", fmt.Sprint(rec.Bytes)))
@@ -735,7 +736,7 @@ func (f *Framework) stageRelease(st *invokeState) error {
 	if stopErr != nil {
 		return stopErr
 	}
-	inv.Trace.Instant("vmm", "stop", inv.Clock.Now(), events.A("vm", vm.ID))
+	inv.Clock.Scope().Instant("vmm", "stop", inv.Clock.Now(), events.A("vm", vm.ID))
 	return nil
 }
 

@@ -404,7 +404,7 @@ func TestRemoteStorageServesEvictedSnapshots(t *testing.T) {
 	if err := fw.Remove(a.Name); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.RemoteSnaps.FetchTraced(a.Name, nil, vclock.New(), nil); !errors.Is(err, snapshot.ErrNotFound) {
+	if _, err := env.RemoteSnaps.Fetch(a.Name, nil, vclock.New()); !errors.Is(err, snapshot.ErrNotFound) {
 		t.Fatalf("remote copy survived Remove: %v", err)
 	}
 }

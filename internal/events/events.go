@@ -138,6 +138,7 @@ type Journal struct {
 
 	recorded atomic.Pointer[metrics.Counter]
 	droppedC atomic.Pointer[metrics.Counter]
+	reg      atomic.Pointer[metrics.Registry] // for the span check's counter
 
 	obs   atomic.Pointer[Observer]
 	guard atomic.Pointer[func(TraceID) bool]
@@ -187,6 +188,7 @@ func (j *Journal) Instrument(reg *metrics.Registry) {
 	}
 	j.recorded.Store(reg.Counter("events_recorded_total"))
 	j.droppedC.Store(reg.Counter("events_dropped_total"))
+	j.reg.Store(reg)
 }
 
 // SetObserver installs (or, with nil, removes) the journal's single
@@ -420,12 +422,18 @@ func (j *Journal) InstantLinked(component, name string, ts time.Duration, link R
 type Scope struct {
 	j     *Journal
 	trace TraceID
-	stack []SpanID
+	stack []frame
 	node  string
 	vm    string
 	// stackBuf inlines the open-span stack for typical nesting depths,
 	// so a scope costs one allocation instead of two.
-	stackBuf [4]SpanID
+	stackBuf [4]frame
+}
+
+// frame is an open span: its begin, and the time it has accounted for.
+type frame struct {
+	id         SpanID
+	begin, due time.Duration
 }
 
 // NewScope opens a new trace rooted at a span named name, beginning at
@@ -476,22 +484,27 @@ func (s *Scope) Begin(component, name string, ts time.Duration, attrs ...Attr) {
 		Component: component, Name: name, Node: s.node, VM: s.vm, Attrs: attrs,
 	}
 	s.j.append(&e)
-	s.stack = append(s.stack, id)
+	s.stack = append(s.stack, frame{id: id, begin: ts})
 }
 
 // End closes the innermost open span. Ending with nothing open is a
 // no-op (the journal is best-effort: a lost event must never take the
-// platform down).
+// platform down). A span whose self time is not what was booked in it
+// counts into events_span_self_mismatch_total, from the first one on.
 func (s *Scope) End(ts time.Duration, attrs ...Attr) {
 	if s == nil || len(s.stack) == 0 {
 		return
 	}
-	id := s.stack[len(s.stack)-1]
+	f := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
+	if ts-f.begin != f.due {
+		s.j.reg.Load().Counter("events_span_self_mismatch_total").Inc()
+	}
+	s.Book(ts - f.begin) // the parent's closed children
 	// End events do not repeat the Begin's component/name — consumers
 	// resolve them by span ID.
 	e := Event{
-		TS: ts, Trace: s.trace, Span: id, Parent: s.parent(), Kind: KindEnd,
+		TS: ts, Trace: s.trace, Span: f.id, Parent: s.parent(), Kind: KindEnd,
 		Node: s.node, VM: s.vm, Attrs: attrs,
 	}
 	s.j.append(&e)
@@ -531,6 +544,13 @@ func (s *Scope) Close(ts time.Duration, attrs ...Attr) {
 	s.End(ts, attrs...)
 }
 
+// Book adds d of virtual time to the innermost open span, if any.
+func (s *Scope) Book(d time.Duration) {
+	if n := s.OpenSpans(); n > 0 {
+		s.stack[n-1].due += d
+	}
+}
+
 // OpenSpans reports how many spans the scope currently has open.
 func (s *Scope) OpenSpans() int {
 	if s == nil {
@@ -543,5 +563,5 @@ func (s *Scope) parent() SpanID {
 	if len(s.stack) == 0 {
 		return 0
 	}
-	return s.stack[len(s.stack)-1]
+	return s.stack[len(s.stack)-1].id
 }

@@ -76,21 +76,19 @@ type Retrier struct {
 	policy RetryPolicy
 	rng    *vclock.Rand
 
-	retries   *metrics.Counter
-	backoffH  *metrics.Histogram
 	exhausted *metrics.Counter
 	timeouts  *metrics.Counter
 }
 
-// NewRetrier builds a Retrier, registering retries_total,
-// retry_backoff_seconds, retry_exhausted_total, and
-// retry_attempt_timeouts_total on reg (nil reg = uninstrumented).
+// NewRetrier builds a Retrier, registering on reg (nil reg =
+// uninstrumented) the instruments the clock's ledger derives from its
+// retry-backoff charges (vclock.Register), retry_exhausted_total, and
+// retry_attempt_timeouts_total.
 func NewRetrier(policy RetryPolicy, reg *metrics.Registry) *Retrier {
+	vclock.Register(reg, "retry-backoff")
 	return &Retrier{
 		policy:    policy,
 		rng:       vclock.NewRand(retrySeed),
-		retries:   reg.Counter("retries_total"),
-		backoffH:  reg.Histogram("retry_backoff_seconds"),
 		exhausted: reg.Counter("retry_exhausted_total"),
 		timeouts:  reg.Counter("retry_attempt_timeouts_total"),
 	}
@@ -99,17 +97,18 @@ func NewRetrier(policy RetryPolicy, reg *metrics.Registry) *Retrier {
 // Enabled reports whether the policy ever retries.
 func (p RetryPolicy) Enabled() bool { return p.enabled }
 
-// DoWithDiscardTraced runs op until it succeeds within the per-attempt
+// DoWithDiscard runs op until it succeeds within the per-attempt
 // deadline, fails permanently, or the attempts / budget run out. Each
 // retry (and the final give-up) emits a "retry" event named label into
-// sc (nil records nothing). For operations whose success leaves a
-// resource behind, discard (nil for none) disposes of a result that
-// arrived past the deadline before the retry (stop the slow-restored
-// VM, drop the stale image).
-func (r *Retrier) DoWithDiscardTraced(clock *vclock.Clock, sc *events.Scope, label string, op func() error, discard func()) error {
+// the clock's trace. For operations whose success leaves a resource
+// behind, discard (nil for none) disposes of a result that arrived past
+// the deadline before the retry (stop the slow-restored VM, drop the
+// stale image).
+func (r *Retrier) DoWithDiscard(clock *vclock.Clock, label string, op func() error, discard func()) error {
 	if r == nil || !r.policy.enabled {
 		return op()
 	}
+	sc := clock.Scope()
 	start := clock.Now()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -145,8 +144,6 @@ func (r *Retrier) DoWithDiscardTraced(clock *vclock.Clock, sc *events.Scope, lab
 			return fmt.Errorf("%w after %d attempts: %v", ErrRetryBudget, attempt, lastErr)
 		}
 		clock.Charge("retry-backoff", backoff)
-		r.retries.Inc()
-		r.backoffH.ObserveDurationExemplar(backoff, uint64(sc.TraceID()), clock.Now())
 		sc.Instant("retry", label, clock.Now(),
 			events.A("attempt", strconv.Itoa(attempt+1)), events.A("backoff", backoff.String()))
 	}

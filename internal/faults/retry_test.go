@@ -36,7 +36,8 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRetrier(testPolicy(), reg)
 	clock := vclock.New()
-	if err := r.DoWithDiscardTraced(clock, nil, "", failN(clock, 2, time.Millisecond), nil); err != nil {
+	clock.Observe(reg, nil) // the ledger counts the backoffs
+	if err := r.DoWithDiscard(clock, "", failN(clock, 2, time.Millisecond), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("retries_total").Value(); got != 2 {
@@ -52,7 +53,8 @@ func TestRetryExhaustion(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRetrier(testPolicy(), reg)
 	clock := vclock.New()
-	err := r.DoWithDiscardTraced(clock, nil, "", failN(clock, 100, time.Millisecond), nil)
+	clock.Observe(reg, nil) // the ledger counts the backoffs
+	err := r.DoWithDiscard(clock, "", failN(clock, 100, time.Millisecond), nil)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want wrapped errBoom", err)
 	}
@@ -70,7 +72,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	r := NewRetrier(pol, metrics.NewRegistry())
 	clock := vclock.New()
 	calls := 0
-	err := r.DoWithDiscardTraced(clock, nil, "", func() error { calls++; return errBoom }, nil)
+	err := r.DoWithDiscard(clock, "", func() error { calls++; return errBoom }, nil)
 	if err != errBoom || calls != 1 {
 		t.Fatalf("err = %v after %d calls, want errBoom after 1", err, calls)
 	}
@@ -84,7 +86,7 @@ func TestAttemptTimeoutDiscardsSlowSuccess(t *testing.T) {
 	clock := vclock.New()
 	discarded := 0
 	slowOnce := true
-	err := r.DoWithDiscardTraced(clock, nil, "", func() error {
+	err := r.DoWithDiscard(clock, "", func() error {
 		if slowOnce {
 			slowOnce = false
 			clock.Advance(30 * time.Millisecond) // a latency spike
@@ -112,7 +114,7 @@ func TestBudgetCutsRetriesShort(t *testing.T) {
 	// Each attempt costs 2ms; after two attempts and one 2ms±25%
 	// backoff (5.5-6.5ms) the next 4ms±25% backoff would overrun the
 	// 8ms budget.
-	err := r.DoWithDiscardTraced(clock, nil, "", failN(clock, 100, 2*time.Millisecond), nil)
+	err := r.DoWithDiscard(clock, "", failN(clock, 100, 2*time.Millisecond), nil)
 	if !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", err)
 	}
@@ -125,7 +127,7 @@ func TestJitterIsDeterministic(t *testing.T) {
 	run := func() time.Duration {
 		r := NewRetrier(testPolicy(), metrics.NewRegistry())
 		clock := vclock.New()
-		_ = r.DoWithDiscardTraced(clock, nil, "", failN(clock, 100, time.Millisecond), nil)
+		_ = r.DoWithDiscard(clock, "", failN(clock, 100, time.Millisecond), nil)
 		return clock.Now()
 	}
 	a, b := run(), run()
@@ -141,12 +143,12 @@ func TestJitterIsDeterministic(t *testing.T) {
 func TestDisabledRetrierRunsOnce(t *testing.T) {
 	var r *Retrier
 	calls := 0
-	if err := r.DoWithDiscardTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }, nil); err != errBoom || calls != 1 {
+	if err := r.DoWithDiscard(vclock.New(), "", func() error { calls++; return errBoom }, nil); err != errBoom || calls != 1 {
 		t.Fatalf("nil retrier: err=%v calls=%d", err, calls)
 	}
 	r = NewRetrier(RetryPolicy{}, nil)
 	calls = 0
-	if err := r.DoWithDiscardTraced(vclock.New(), nil, "", func() error { calls++; return errBoom }, nil); err != errBoom || calls != 1 {
+	if err := r.DoWithDiscard(vclock.New(), "", func() error { calls++; return errBoom }, nil); err != errBoom || calls != 1 {
 		t.Fatalf("zero-policy retrier: err=%v calls=%d", err, calls)
 	}
 	if (RetryPolicy{}).Enabled() || !DefaultRetryPolicy().Enabled() {

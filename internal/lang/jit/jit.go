@@ -17,6 +17,7 @@ package jit
 
 import (
 	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/lang"
@@ -79,7 +80,8 @@ func (e *Engine) Compiles() int64 {
 }
 
 // CompiledFunctions returns the names of functions currently in the
-// code cache, for tests and introspection.
+// code cache in name order, so an install report is the same run to
+// run.
 func (e *Engine) CompiledFunctions() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -87,6 +89,7 @@ func (e *Engine) CompiledFunctions() []string {
 	for fn := range e.cache {
 		names = append(names, fn.Name)
 	}
+	slices.Sort(names)
 	return names
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/stats"
-	"repro/internal/vclock"
 )
 
 func TestCounterSemantics(t *testing.T) {
@@ -96,9 +95,9 @@ func TestHistogramPercentilesMatchStats(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat")
 	var raw []float64
-	rnd := vclock.NewRand(7)
+	rnd := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
-		v := float64(rnd.Intn(int(5 * time.Second)))
+		v := float64(rnd.Int63n(int64(5 * time.Second)))
 		raw = append(raw, v)
 		h.Observe(v)
 	}

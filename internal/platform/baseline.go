@@ -159,6 +159,7 @@ func (b *baseline) Invoke(name string, params lang.Value, opts InvokeOptions) (*
 	inv := opts.Parent
 	if inv == nil {
 		inv = NewInvocation(name)
+		inv.Clock.Observe(b.env.Metrics, opts.Trace)
 	}
 	// Request delivery: frontend (-> controller) -> sandbox.
 	inv.Clock.ChargeIn(vclock.Others, "param-deliver", b.profile.NetOpBase+PerKB(b.profile, encodedSize(params)))

@@ -57,12 +57,13 @@ func (k firecrackerKind) install(b *baseline, fn *deployed, report *InstallRepor
 		return nil
 	}
 	clock := vclock.New()
+	clock.Observe(b.env.Metrics, nil)
 	vm := b.env.HV.CreateVM(clock)
 	var snap *vmm.Snapshot
-	err := vm.BootKernelTraced(clock, nil)
+	err := vm.BootKernel(clock)
 	if err == nil {
-		snap, err = b.env.HV.TakeSnapshotTraced(vm, []vmm.RegionSpec{{Kind: mem.KindKernel, Bytes: vmm.CostKernelBytes}},
-			osSnapshotWorkingSet, nil, clock, nil)
+		snap, err = b.env.HV.TakeSnapshot(vm, []vmm.RegionSpec{{Kind: mem.KindKernel, Bytes: vmm.CostKernelBytes}},
+			osSnapshotWorkingSet, nil, clock)
 	}
 	// The install VM exists only to be imaged: it goes whether or not
 	// the capture worked.
@@ -94,7 +95,7 @@ func (k firecrackerKind) cold(b *baseline, g *guest, inv *Invocation) error {
 	} else {
 		vm := hv.CreateVM(inv.Clock)
 		g.vm, g.id, g.space = vm, vm.ID, vm.Space()
-		if err := vm.BootKernelTraced(inv.Clock, nil); err != nil {
+		if err := vm.BootKernel(inv.Clock); err != nil {
 			return err
 		}
 		if err := hv.SetupNetwork(vm, "192.168.0.2", inv.Clock); err != nil {

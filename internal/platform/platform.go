@@ -93,6 +93,8 @@ type Response struct {
 // chain reports one combined latency exactly as the paper's Figure 9
 // does.
 type Invocation struct {
+	// Clock carries the invocation's trace (Clock.Scope; nil when the
+	// deployment records no events) and the registry it is counted in.
 	Clock *vclock.Clock
 	// Breakdown is Clock under the name its readers use: its Startup,
 	// Exec, Others and Total are the paper's phase split, a view over
@@ -104,9 +106,6 @@ type Invocation struct {
 	SandboxID string
 	// Mode records which start path actually ran (cold/warm).
 	Mode StartMode
-	// Trace is the invocation's handle into the event journal. Nil when
-	// the deployment records no events; every emission site is nil-safe.
-	Trace *events.Scope
 }
 
 // NewInvocation returns a fresh accounting context at virtual time 0
@@ -149,12 +148,12 @@ func (inv *Invocation) RespondDefault(result lang.Value, p sandbox.Profile) {
 // StartSpan opens a span in the event journal at the invocation's
 // current virtual time. Close it with FinishSpan.
 func (inv *Invocation) StartSpan(component, name string, attrs ...events.Attr) {
-	inv.Trace.Begin(component, name, inv.Clock.Now(), attrs...)
+	inv.Clock.Scope().Begin(component, name, inv.Clock.Now(), attrs...)
 }
 
 // FinishSpan closes the innermost span opened by StartSpan.
 func (inv *Invocation) FinishSpan(attrs ...events.Attr) {
-	inv.Trace.End(inv.Clock.Now(), attrs...)
+	inv.Clock.Scope().End(inv.Clock.Now(), attrs...)
 }
 
 // InvokeOptions tunes one Invoke call.
@@ -346,7 +345,7 @@ func (m *InvokeMetrics) ObserveInvocation(inv *Invocation) {
 	})
 	m.total.Inc()
 	m.mode(inv.Mode).Inc()
-	tr, now := uint64(inv.Trace.TraceID()), inv.Clock.Now()
+	tr, now := uint64(inv.Clock.Scope().TraceID()), inv.Clock.Now()
 	m.phases[0].ObserveDurationExemplar(inv.Breakdown.Startup(), tr, now)
 	m.phases[1].ObserveDurationExemplar(inv.Breakdown.Exec(), tr, now)
 	m.phases[2].ObserveDurationExemplar(inv.Breakdown.Others(), tr, now)

@@ -103,12 +103,13 @@ func NewRemote() *Remote {
 	}
 }
 
-// UploadTraced stores an image remotely, charging transfer time to
-// clock and recording a "remote-upload" event into sc (nil records
-// nothing). Only chunks the remote pool lacks are transferred;
-// re-uploading an image whose content is already resident
-// short-circuits to a metadata write (base cost only).
-func (r *Remote) UploadTraced(name string, snap *vmm.Snapshot, clock *vclock.Clock, sc *events.Scope) {
+// Upload stores an image remotely, charging transfer time to clock and
+// recording a "remote-upload" event into the clock's trace. Only chunks
+// the remote pool lacks are transferred; re-uploading an image whose
+// content is already resident short-circuits to a metadata write (base
+// cost only).
+func (r *Remote) Upload(name string, snap *vmm.Snapshot, clock *vclock.Clock) {
+	sc := clock.Scope()
 	chunks := manifestChunks(snap)
 	r.mu.Lock()
 	var missing []chunk.Chunk
@@ -145,12 +146,13 @@ func (r *Remote) UploadTraced(name string, snap *vmm.Snapshot, clock *vclock.Clo
 		events.A("bytes", fmt.Sprint(moved)))
 }
 
-// FetchTraced retrieves an image, transferring only the chunks missing
-// from the local store's pool (nil local means everything is missing),
-// and charges the transfer to clock.
-// The transfer emits a "snapshot" event carrying the delta size, and
-// any injected fault emits its own at the remote-fetch site.
-func (r *Remote) FetchTraced(name string, local *Store, clock *vclock.Clock, sc *events.Scope) (*vmm.Snapshot, error) {
+// Fetch retrieves an image, transferring only the chunks missing from
+// the local store's pool (nil local means everything is missing), and
+// charges the transfer to clock. The transfer emits a "snapshot" event
+// carrying the delta size into the clock's trace, and any injected
+// fault emits its own at the remote-fetch site.
+func (r *Remote) Fetch(name string, local *Store, clock *vclock.Clock) (*vmm.Snapshot, error) {
+	sc := clock.Scope()
 	r.mu.Lock()
 	injector := r.injector
 	r.mu.Unlock()

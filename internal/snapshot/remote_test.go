@@ -14,13 +14,13 @@ func TestRemoteUploadFetch(t *testing.T) {
 	snap := makeSnap(t, hv, 100<<20)
 
 	up := vclock.New()
-	r.UploadTraced("fn", snap, up, nil)
+	r.Upload("fn", snap, up)
 	if up.Now() == 0 {
 		t.Fatal("upload free of charge")
 	}
 
 	down := vclock.New()
-	got, err := r.FetchTraced("fn", nil, down, nil)
+	got, err := r.Fetch("fn", nil, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +40,13 @@ func TestRemoteUploadFetch(t *testing.T) {
 func TestRemoteFetchCostScalesWithSize(t *testing.T) {
 	hv := newHV()
 	r := NewRemote()
-	r.UploadTraced("small", makeSnap(t, hv, 10<<20), vclock.New(), nil)
-	r.UploadTraced("big", makeSnap(t, hv, 200<<20), vclock.New(), nil)
+	r.Upload("small", makeSnap(t, hv, 10<<20), vclock.New())
+	r.Upload("big", makeSnap(t, hv, 200<<20), vclock.New())
 	cs, cb := vclock.New(), vclock.New()
-	if _, err := r.FetchTraced("small", nil, cs, nil); err != nil {
+	if _, err := r.Fetch("small", nil, cs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.FetchTraced("big", nil, cb, nil); err != nil {
+	if _, err := r.Fetch("big", nil, cb); err != nil {
 		t.Fatal(err)
 	}
 	if cb.Now() <= cs.Now() {
@@ -56,13 +56,13 @@ func TestRemoteFetchCostScalesWithSize(t *testing.T) {
 
 func TestRemoteMissAndDelete(t *testing.T) {
 	r := NewRemote()
-	if _, err := r.FetchTraced("ghost", nil, vclock.New(), nil); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Fetch("ghost", nil, vclock.New()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	hv := newHV()
-	r.UploadTraced("fn", makeSnap(t, hv, 1<<20), vclock.New(), nil)
+	r.Upload("fn", makeSnap(t, hv, 1<<20), vclock.New())
 	r.Delete("fn")
-	if _, err := r.FetchTraced("fn", nil, vclock.New(), nil); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Fetch("fn", nil, vclock.New()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete ineffective: %v", err)
 	}
 	r.Delete("fn") // idempotent

@@ -19,10 +19,10 @@ func makeSnap(t *testing.T, hv *vmm.Hypervisor, bytes uint64) *vmm.Snapshot {
 	t.Helper()
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
-	if err := v.BootKernelTraced(clock, nil); err != nil {
+	if err := v.BootKernel(clock); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := hv.TakeSnapshotTraced(v, []vmm.RegionSpec{{Kind: mem.KindHeap, Bytes: bytes}}, bytes/4, nil, clock, nil)
+	snap, err := hv.TakeSnapshot(v, []vmm.RegionSpec{{Kind: mem.KindHeap, Bytes: bytes}}, bytes/4, nil, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,10 @@ func makeChunkedSnap(t *testing.T, hv *vmm.Hypervisor, regions []vmm.RegionSpec)
 	t.Helper()
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
-	if err := v.BootKernelTraced(clock, nil); err != nil {
+	if err := v.BootKernel(clock); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := hv.TakeSnapshotTraced(v, regions, 8<<20, nil, clock, nil)
+	snap, err := hv.TakeSnapshot(v, regions, 8<<20, nil, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestReleasedImageKeepsRegionsWhileMapped(t *testing.T) {
 	if err := local.Put("fn", a); err != nil {
 		t.Fatal(err)
 	}
-	remote.UploadTraced("fn", a, clock, nil)
+	remote.Upload("fn", a, clock)
 	v := run(a)
 	want := lineage()
 	if len(want) != 1 {

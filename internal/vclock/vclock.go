@@ -10,14 +10,20 @@
 //
 // A charge names its cost and lands in the clock's phase ledger, so the
 // paper's split of a request into start-up, exec and "others" is a view
-// over the same charges that moved the clock, not a second book.
+// over the same charges that moved the clock, not a second book. The
+// ledger's one observer books the same charge to the invocation's trace
+// and counts it in the instruments that repeat it (see observe).
 package vclock
 
 import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/events"
+	"repro/internal/metrics"
 )
 
 // Phase is the slice of an invocation's latency a charge belongs to.
@@ -62,6 +68,8 @@ type Clock struct {
 	totals [4]time.Duration // per phase, Unphased included
 	ledger []Entry          // in first-charge order, backed by inline until it outgrows it
 	inline [inlineEntries]Entry
+	reg    atomic.Pointer[metrics.Registry] // where charges are counted; see Observe
+	scope  atomic.Pointer[events.Scope]     // the invocation's trace; see Observe
 }
 
 // New returns a clock positioned at virtual time zero.
@@ -97,19 +105,28 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	return c.now
 }
 
+// Observe makes reg the registry the clock's charges are counted in
+// and sc its invocation's trace, which they are booked to (either may
+// be nil). A bare clock is observed by neither.
+func (c *Clock) Observe(reg *metrics.Registry, sc *events.Scope) {
+	c.reg.Store(reg)
+	c.scope.Store(sc)
+}
+
+// Scope returns the trace of the clock's invocation (nil for none).
+func (c *Clock) Scope() *events.Scope { return c.scope.Load() }
+
 // Charge moves the clock forward by d and books it under label in the
 // clock's current phase (see SetPhase).
 func (c *Clock) Charge(label string, d time.Duration) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bookLocked(c.phase, label, d)
+	c.book(c.phase, label, d)
 }
 
 // ChargeIn is Charge into an explicit phase, whatever scope is open.
 func (c *Clock) ChargeIn(p Phase, label string, d time.Duration) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bookLocked(p, label, d)
+	c.book(p, label, d)
 }
 
 // WaitUntil moves the clock forward to time t, booking the wait as an
@@ -117,28 +134,75 @@ func (c *Clock) ChargeIn(p Phase, label string, d time.Duration) {
 // nothing moves: a clock never rewinds.
 func (c *Clock) WaitUntil(label string, t time.Duration) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.bookLocked(Unphased, label, t-c.now)
+	if t <= c.now {
+		c.mu.Unlock()
+		return
 	}
+	c.book(Unphased, label, t-c.now)
 }
 
-func (c *Clock) bookLocked(p Phase, label string, d time.Duration) {
+// book books a charge into the ledger, whose lock the caller holds,
+// releases the lock and hands the charge to the ledger's observer.
+func (c *Clock) book(p Phase, label string, d time.Duration) {
 	if d < 0 {
+		c.mu.Unlock()
 		panic(fmt.Sprintf("vclock: negative charge %v for %s/%s", d, p, label))
 	}
 	c.now += d
 	c.totals[p] += d
-	for i := range c.ledger {
-		if e := &c.ledger[i]; e.Phase == p && e.Label == label {
-			e.Total += d
-			return
+	i := 0
+	for i < len(c.ledger) && (c.ledger[i].Phase != p || c.ledger[i].Label != label) {
+		i++
+	}
+	if i == len(c.ledger) {
+		if c.ledger == nil {
+			c.ledger = c.inline[:0]
 		}
+		c.ledger = append(c.ledger, Entry{Phase: p, Label: label})
 	}
-	if c.ledger == nil {
-		c.ledger = c.inline[:0]
+	c.ledger[i].Total += d
+	now := c.now
+	c.mu.Unlock()
+	observe(c.reg.Load(), c.scope.Load(), label, d, now)
+}
+
+// instruments is the one binding of charge labels to the instruments
+// on reg that repeat every charge of the label: its counter and, where
+// it has one, its duration histogram. A nil reg or an unbound label
+// yields nil instruments, which record nothing.
+func instruments(reg *metrics.Registry, label string) (*metrics.Counter, *metrics.Histogram) {
+	switch label {
+	case "kernel-boot":
+		return reg.Counter("vmm_kernel_boots_total"), reg.Histogram("vmm_kernel_boot_duration")
+	case "vm-restore":
+		return reg.Counter("vmm_snapshot_restores_total"), reg.Histogram("vmm_snapshot_restore_duration")
+	case "snapshot-capture":
+		return reg.Counter("vmm_snapshots_taken_total"), reg.Histogram("vmm_snapshot_capture_duration")
+	case "vm-warm-resume":
+		return reg.Counter("vmm_warm_resumes_total"), nil
+	case "retry-backoff":
+		return reg.Counter("retries_total"), reg.Histogram("retry_backoff_seconds")
 	}
-	c.ledger = append(c.ledger, Entry{p, label, d})
+	return nil, nil
+}
+
+// Register creates on reg the instruments of the given charge labels,
+// so they are in its exports before the first such charge.
+func Register(reg *metrics.Registry, labels ...string) {
+	for _, label := range labels {
+		instruments(reg, label)
+	}
+}
+
+// observe is the ledger's one observer, run after the clock's lock is
+// released: it books a charge of d to sc's innermost open span and
+// records it into its label's instruments on reg, with sc's trace at
+// now, the clock's time after the charge, as the exemplar.
+func observe(reg *metrics.Registry, sc *events.Scope, label string, d, now time.Duration) {
+	sc.Book(d)
+	total, duration := instruments(reg, label)
+	total.Inc()
+	duration.ObserveDurationExemplar(d, uint64(sc.TraceID()), now)
 }
 
 // SetPhase makes p the phase that Charge books into and returns the

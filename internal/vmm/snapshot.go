@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -188,13 +189,12 @@ func (s *Snapshot) RecordWorkingSet(v *MicroVM) *WorkingSetRecord {
 	return rec
 }
 
-// TakeSnapshotTraced serializes a running VM's memory into a snapshot
-// image. The caller describes the guest memory layout (regions by kind)
-// and the resident working set; creation time is charged to clock, and
-// the capture cost histogram carries sc's trace (nil for none) as its
-// exemplar. The source VM keeps running (Firecracker pauses and resumes
-// it around serialization, which is inside the charged cost).
-func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, specs []RegionSpec, workingSet uint64, guestState any, clock *vclock.Clock, sc *events.Scope) (*Snapshot, error) {
+// TakeSnapshot serializes a running VM's memory into a snapshot image.
+// The caller describes the guest memory layout (regions by kind) and
+// the resident working set; creation time is charged to clock. The
+// source VM keeps running (Firecracker pauses and resumes it around
+// serialization, which is inside the charged cost).
+func (h *Hypervisor) TakeSnapshot(v *MicroVM, specs []RegionSpec, workingSet uint64, guestState any, clock *vclock.Clock) (*Snapshot, error) {
 	if v.state != StateRunning && v.state != StatePaused {
 		return nil, fmt.Errorf("%w: snapshot in %s", ErrBadState, v.state)
 	}
@@ -210,8 +210,6 @@ func (h *Hypervisor) TakeSnapshotTraced(v *MicroVM, specs []RegionSpec, workingS
 	}
 	captureCost := CostSnapshotBase + time.Duration(total)*CostSnapshotPerByte
 	clock.Charge("snapshot-capture", captureCost)
-	h.snapshots.Inc()
-	h.snapshotDur.ObserveDurationExemplar(captureCost, uint64(sc.TraceID()), clock.Now())
 
 	snap := &Snapshot{
 		ID:                      "snap-" + v.ID,
@@ -249,15 +247,12 @@ type RestoreOptions struct {
 // Restore creates a new microVM from a snapshot: a fresh VM shell whose
 // address space maps every snapshot region copy-on-write. Restore cost
 // (fixed + working-set page faults) is charged to clock. The caller is
-// responsible for network setup and for reviving the guest state.
+// responsible for network setup and for reviving the guest state. The
+// restore emits a "vmm" event carrying the new VM's identity into the
+// clock's trace, and any injected fault emits its own at the restore
+// site.
 func (h *Hypervisor) Restore(snap *Snapshot, opts RestoreOptions, clock *vclock.Clock) (*MicroVM, error) {
-	return h.RestoreTraced(snap, opts, clock, nil)
-}
-
-// RestoreTraced is Restore under an event scope: the restore emits a
-// "vmm" event carrying the new VM's identity (and any injected fault
-// emits its own at the restore site).
-func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *vclock.Clock, sc *events.Scope) (*MicroVM, error) {
+	sc := clock.Scope()
 	if err := h.faults.InjectTraced(faults.SiteVMMRestore, clock, sc, 0); err != nil {
 		return nil, fmt.Errorf("vmm: restore of %s: %w", snap.ID, err)
 	}
@@ -277,8 +272,6 @@ func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *v
 	}
 	restoreCost := CostRestoreBase + time.Duration(pages)*perPage
 	clock.Charge("vm-restore", restoreCost)
-	h.restores.Inc()
-	h.restoreDur.ObserveDurationExemplar(restoreCost, uint64(sc.TraceID()), clock.Now())
 
 	v := &MicroVM{
 		ID:    id,
@@ -293,9 +286,9 @@ func (h *Hypervisor) RestoreTraced(snap *Snapshot, opts RestoreOptions, clock *v
 	v.FS = newRestoredFS()
 	v.space.AllocPrivate(mem.KindAnon, mem.PagesFor(CostVMMOverheadBytes))
 	snap.mu.Lock()
+	v.mapped = slices.Clone(snap.regions)
 	for _, r := range snap.regions {
 		v.space.MapRegion(r)
-		v.mapped = append(v.mapped, r)
 	}
 	snap.mu.Unlock()
 	h.mu.Lock()

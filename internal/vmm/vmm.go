@@ -68,15 +68,7 @@ type Hypervisor struct {
 	// vmm.restore sites (nil-safe).
 	faults *faults.Plane
 
-	// Observability (nil-safe; see Instrument).
-	liveVMs     *metrics.Gauge
-	boots       *metrics.Counter
-	bootDur     *metrics.Histogram
-	restores    *metrics.Counter
-	restoreDur  *metrics.Histogram
-	snapshots   *metrics.Counter
-	snapshotDur *metrics.Histogram
-	warmResumes *metrics.Counter
+	liveVMs *metrics.Gauge // nil-safe; see Instrument
 }
 
 // New returns a hypervisor on the given host and network router.
@@ -84,21 +76,17 @@ func New(host *mem.Host, router *netsim.Router) *Hypervisor {
 	return &Hypervisor{Host: host, Router: router, vms: make(map[string]*MicroVM)}
 }
 
-// Instrument attaches the hypervisor to a metrics registry: live VM
-// count, kernel boots (the cold path), snapshot restores with their
-// latency histogram (the paper's headline quantity — Figure 6's ~12 ms
-// Fireworks start-up), and snapshot captures.
+// Instrument attaches the hypervisor to a metrics registry: the live VM
+// count, and the instruments the clock's ledger derives from the
+// hypervisor's charges (vclock.Register): kernel boots (the cold path),
+// snapshot restores with their latency histogram (the paper's headline
+// quantity — Figure 6's ~12 ms Fireworks start-up), snapshot captures
+// and warm resumes.
 func (h *Hypervisor) Instrument(reg *metrics.Registry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.liveVMs = reg.Gauge("vmm_live_vms")
-	h.boots = reg.Counter("vmm_kernel_boots_total")
-	h.bootDur = reg.Histogram("vmm_kernel_boot_duration")
-	h.restores = reg.Counter("vmm_snapshot_restores_total")
-	h.restoreDur = reg.Histogram("vmm_snapshot_restore_duration")
-	h.snapshots = reg.Counter("vmm_snapshots_taken_total")
-	h.snapshotDur = reg.Histogram("vmm_snapshot_capture_duration")
-	h.warmResumes = reg.Counter("vmm_warm_resumes_total")
+	vclock.Register(reg, "kernel-boot", "vm-restore", "snapshot-capture", "vm-warm-resume")
 }
 
 // AttachFaults connects the hypervisor to a fault-injection plane:
@@ -163,20 +151,19 @@ func (h *Hypervisor) CreateVM(clock *vclock.Clock) *MicroVM {
 	return v
 }
 
-// BootKernelTraced boots the guest kernel in a freshly created VM (the
-// cold path), charging boot time and allocating the kernel's private
-// pages. The boot emits a "vmm" event into sc (nil records nothing),
-// and any injected fault emits its own at the boot site.
-func (v *MicroVM) BootKernelTraced(clock *vclock.Clock, sc *events.Scope) error {
+// BootKernel boots the guest kernel in a freshly created VM (the cold
+// path), charging boot time and allocating the kernel's private pages.
+// The boot emits a "vmm" event into the clock's trace, and any injected
+// fault emits its own at the boot site.
+func (v *MicroVM) BootKernel(clock *vclock.Clock) error {
 	if v.state != StateCreated {
 		return fmt.Errorf("%w: boot in %s", ErrBadState, v.state)
 	}
+	sc := clock.Scope()
 	if err := v.hv.faults.InjectTraced(faults.SiteVMMBoot, clock, sc, 0); err != nil {
 		return fmt.Errorf("vmm: boot of %s: %w", v.ID, err)
 	}
 	clock.Charge("kernel-boot", CostKernelBoot)
-	v.hv.boots.Inc()
-	v.hv.bootDur.ObserveDurationExemplar(CostKernelBoot, uint64(sc.TraceID()), clock.Now())
 	v.space.AllocPrivate(mem.KindKernel, mem.PagesFor(CostKernelBytes))
 	v.state = StateRunning
 	sc.Instant("vmm", "boot", clock.Now(), events.A("vm", v.ID))
@@ -209,7 +196,6 @@ func (v *MicroVM) ResumeWarm(clock *vclock.Clock) error {
 	}
 	clock.Charge("vm-warm-resume", CostWarmResume)
 	v.state = StateRunning
-	v.hv.warmResumes.Inc()
 	return nil
 }
 

@@ -24,7 +24,7 @@ func TestVMLifecycle(t *testing.T) {
 	if clock.Now() != CostVMCreate {
 		t.Fatalf("create cost = %v", clock.Now())
 	}
-	if err := v.BootKernelTraced(clock, nil); err != nil {
+	if err := v.BootKernel(clock); err != nil {
 		t.Fatal(err)
 	}
 	if v.State() != StateRunning {
@@ -64,8 +64,8 @@ func TestStateMachineRejectsBadTransitions(t *testing.T) {
 	if err := v.ResumeWarm(clock); !errors.Is(err, ErrBadState) {
 		t.Fatalf("resume before pause: %v", err)
 	}
-	v.BootKernelTraced(clock, nil)
-	if err := v.BootKernelTraced(clock, nil); !errors.Is(err, ErrBadState) {
+	v.BootKernel(clock)
+	if err := v.BootKernel(clock); !errors.Is(err, ErrBadState) {
 		t.Fatalf("double boot: %v", err)
 	}
 	v.Stop()
@@ -79,7 +79,7 @@ func TestKernelBootAllocatesMemory(t *testing.T) {
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
 	before := hv.Host.Used()
-	v.BootKernelTraced(clock, nil)
+	v.BootKernel(clock)
 	grown := hv.Host.Used() - before
 	if grown != uint64(mem.PagesFor(CostKernelBytes))*mem.PageSize {
 		t.Fatalf("kernel pages = %d bytes", grown)
@@ -111,7 +111,7 @@ func TestSetupNetwork(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
-	v.BootKernelTraced(clock, nil)
+	v.BootKernel(clock)
 	if err := hv.SetupNetwork(v, "192.168.0.2", clock); err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +131,12 @@ func TestSetupNetwork(t *testing.T) {
 func takeTestSnapshot(t *testing.T, hv *Hypervisor, clock *vclock.Clock) *Snapshot {
 	t.Helper()
 	v := hv.CreateVM(clock)
-	v.BootKernelTraced(clock, nil)
-	snap, err := hv.TakeSnapshotTraced(v, []RegionSpec{
+	v.BootKernel(clock)
+	snap, err := hv.TakeSnapshot(v, []RegionSpec{
 		{Kind: mem.KindHeap, Bytes: 8 << 20},
 		{Kind: mem.KindKernel, Bytes: CostKernelBytes},
 		{Kind: mem.KindRuntime, Bytes: 64 << 20},
-	}, 32<<20, "guest-state", clock, nil)
+	}, 32<<20, "guest-state", clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestSnapshotRejectsOversize(t *testing.T) {
 	hv := newHV()
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
-	v.BootKernelTraced(clock, nil)
-	_, err := hv.TakeSnapshotTraced(v, []RegionSpec{{Kind: mem.KindKernel, Bytes: 513 << 20}}, 0, nil, clock, nil)
+	v.BootKernel(clock)
+	_, err := hv.TakeSnapshot(v, []RegionSpec{{Kind: mem.KindKernel, Bytes: 513 << 20}}, 0, nil, clock)
 	if err == nil {
 		t.Fatal("snapshot larger than guest memory accepted")
 	}
-	if _, err := hv.TakeSnapshotTraced(v, nil, 0, nil, clock, nil); err == nil {
+	if _, err := hv.TakeSnapshot(v, nil, 0, nil, clock); err == nil {
 		t.Fatal("empty snapshot accepted")
 	}
 }
@@ -337,7 +337,7 @@ func TestSnapshotInBadStateFails(t *testing.T) {
 	clock := vclock.New()
 	v := hv.CreateVM(clock)
 	// Not booted yet.
-	_, err := hv.TakeSnapshotTraced(v, []RegionSpec{{Kind: mem.KindKernel, Bytes: 1 << 20}}, 0, nil, clock, nil)
+	_, err := hv.TakeSnapshot(v, []RegionSpec{{Kind: mem.KindKernel, Bytes: 1 << 20}}, 0, nil, clock)
 	if !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v", err)
 	}

@@ -76,13 +76,12 @@ type Run struct {
 
 	steps   map[string]*StepState
 	results map[string]any
-	sc      *events.Scope
 	done    bool
 }
 
 // TraceID returns the run's current journal trace (replayed runs get a
 // fresh trace per resume).
-func (r *Run) TraceID() events.TraceID { return r.sc.TraceID() }
+func (r *Run) TraceID() events.TraceID { return r.Invocation.Clock.Scope().TraceID() }
 
 // Result returns a completed step's recorded output. Read it after
 // Run/Drain returns — the engine mutates results only while
@@ -268,7 +267,7 @@ func (e *Engine) runLocked(name string, input map[string]any, at time.Duration) 
 	inv := platform.NewInvocationAt("workflow:"+name, at)
 	sc := e.journal.NewScope("workflow", "run", at,
 		events.A("workflow", name), events.A("run", runID))
-	inv.Trace = sc
+	inv.Clock.Observe(e.reg, sc)
 	run := &Run{
 		ID:         runID,
 		Workflow:   name,
@@ -276,7 +275,6 @@ func (e *Engine) runLocked(name string, input map[string]any, at time.Duration) 
 		Invocation: inv,
 		steps:      make(map[string]*StepState, len(wf.spec.Steps)),
 		results:    make(map[string]any, len(wf.spec.Steps)),
-		sc:         sc,
 	}
 	for i := range wf.spec.Steps {
 		st := &wf.spec.Steps[i]
@@ -286,7 +284,7 @@ func (e *Engine) runLocked(name string, input map[string]any, at time.Duration) 
 	wf.runs.Inc()
 	if err := e.enqueueReady(wf, run); err != nil {
 		run.Status = RunStalled
-		run.sc.Close(inv.Clock.Now(), events.A("status", RunStalled), events.A("error", err.Error()))
+		sc.Close(inv.Clock.Now(), events.A("status", RunStalled), events.A("error", err.Error()))
 		run.done = true
 		return run, err
 	}
@@ -316,8 +314,8 @@ func (e *Engine) enqueueReady(wf *registered, run *Run) error {
 		return nil
 	}
 	clock := run.Invocation.Clock
-	return e.busRetrier.DoWithDiscardTraced(clock, run.sc, "wf-enqueue", func() error {
-		_, err := e.bus.ProduceBatchTracedAt(wf.stepsTopic, recs, clock.Now(), run.sc)
+	return e.busRetrier.DoWithDiscard(clock, "wf-enqueue", func() error {
+		_, err := e.bus.ProduceBatchTracedAt(wf.stepsTopic, recs, clock.Now(), clock.Scope())
 		return err
 	}, nil)
 }
@@ -347,10 +345,10 @@ func (e *Engine) drive(wf *registered) {
 		// Poll under the scope of the run that produced the head
 		// message where possible; fall back to a journal-less poll
 		// position when the topic is empty.
-		clock, sc := e.pollContext(wf)
-		err := e.busRetrier.DoWithDiscardTraced(clock, sc, "wf-poll", func() error {
+		clock := e.pollContext(wf)
+		err := e.busRetrier.DoWithDiscard(clock, "wf-poll", func() error {
 			var cerr error
-			msgs, cerr = e.bus.ConsumeFromTracedAt(wf.stepsTopic, 0, wf.offset, stepBatch, clock.Now(), sc)
+			msgs, cerr = e.bus.ConsumeFromTracedAt(wf.stepsTopic, 0, wf.offset, stepBatch, clock.Now(), clock.Scope())
 			return cerr
 		}, nil)
 		if err != nil || len(msgs) == 0 {
@@ -371,20 +369,22 @@ func (e *Engine) drive(wf *registered) {
 	}
 }
 
-// pollContext picks the clock and scope a poll is attributed to: the
-// run that produced the next undelivered message, so consume-batch
-// events land in the trace of the work they deliver.
-func (e *Engine) pollContext(wf *registered) (*vclock.Clock, *events.Scope) {
+// pollContext picks the clock a poll is charged to: the run that
+// produced the next undelivered message, so consume-batch events land
+// in the trace of the work they deliver; else a traceless one.
+func (e *Engine) pollContext(wf *registered) *vclock.Clock {
 	m, err := e.bus.ConsumeAt(wf.stepsTopic, 0, wf.offset)
 	if err == nil {
 		var sm stepMsg
 		if json.Unmarshal(m.Value, &sm) == nil {
 			if run := e.runs[sm.Run]; run != nil {
-				return run.Invocation.Clock, run.sc
+				return run.Invocation.Clock
 			}
 		}
 	}
-	return vclock.New(), nil
+	clock := vclock.New()
+	clock.Observe(e.reg, nil)
+	return clock
 }
 
 // deliver executes one delivered step to a terminal state and enqueues
@@ -424,7 +424,7 @@ func (e *Engine) deliver(wf *registered, run *Run, stepID string) {
 	if skip {
 		st.Status = StepSkipped
 		e.stepsSkipped.Inc()
-		run.sc.Instant("workflow", "step-skipped", now,
+		clock.Scope().Instant("workflow", "step-skipped", now,
 			events.A("step", stepID), events.A("run", run.ID))
 		e.enqueueReady(wf, run)
 		return
@@ -437,13 +437,13 @@ func (e *Engine) deliver(wf *registered, run *Run, stepID string) {
 	}
 
 	e.stepsStarted.Inc()
-	run.sc.Begin("workflow", "step", now,
+	clock.Scope().Begin("workflow", "step", now,
 		events.A("step", stepID),
 		events.A("function", spec.Function),
 		events.A("run", run.ID))
 	attempts := 0
 	var out *platform.Invocation
-	err := wf.retriers[stepID].DoWithDiscardTraced(clock, run.sc, "step:"+stepID, func() error {
+	err := wf.retriers[stepID].DoWithDiscard(clock, "step:"+stepID, func() error {
 		attempts++
 		var ierr error
 		out, ierr = e.inv.Invoke(spec.Function, params, platform.InvokeOptions{
@@ -457,7 +457,7 @@ func (e *Engine) deliver(wf *registered, run *Run, stepID string) {
 		e.stepsRetried.Add(int64(attempts - 1))
 	}
 	if err != nil {
-		run.sc.End(clock.Now(), events.A("status", "failed"), events.A("error", err.Error()))
+		clock.Scope().End(clock.Now(), events.A("status", "failed"), events.A("error", err.Error()))
 		e.deadLetter(wf, run, st, err)
 		return
 	}
@@ -467,7 +467,7 @@ func (e *Engine) deliver(wf *registered, run *Run, stepID string) {
 	st.Status = StepCompleted
 	st.Error = ""
 	e.stepsCompleted.Inc()
-	run.sc.End(clock.Now(), events.A("status", StepCompleted))
+	clock.Scope().End(clock.Now(), events.A("status", StepCompleted))
 	e.enqueueReady(wf, run)
 }
 
@@ -494,8 +494,8 @@ func (e *Engine) deadLetter(wf *registered, run *Run, st *StepState, cause error
 		Error:    cause.Error(),
 	}
 	body, _ := json.Marshal(rec)
-	perr := e.busRetrier.DoWithDiscardTraced(clock, run.sc, "wf-dlq", func() error {
-		_, _, err := e.bus.ProduceTracedAt(wf.dlqTopic, run.ID, body, clock.Now(), run.sc)
+	perr := e.busRetrier.DoWithDiscard(clock, "wf-dlq", func() error {
+		_, _, err := e.bus.ProduceTracedAt(wf.dlqTopic, run.ID, body, clock.Now(), clock.Scope())
 		return err
 	}, nil)
 	e.stepsDead.Inc()
@@ -508,7 +508,7 @@ func (e *Engine) deadLetter(wf *registered, run *Run, st *StepState, cause error
 	if perr != nil {
 		attrs = append(attrs, events.A("dlq_error", perr.Error()))
 	}
-	run.sc.Instant("workflow", "step-dead", clock.Now(), attrs...)
+	clock.Scope().Instant("workflow", "step-dead", clock.Now(), attrs...)
 }
 
 // finalize closes a run once the delivery loop has gone quiet: every
@@ -536,13 +536,13 @@ func (e *Engine) finalize(wf *registered, run *Run) {
 	}
 	run.Status = status
 	run.done = true
-	now := run.Invocation.Clock.Now()
+	now, sc := run.Invocation.Clock.Now(), run.Invocation.Clock.Scope()
 	e.runDuration.ObserveDurationExemplar(run.Invocation.Breakdown.Total(),
-		uint64(run.sc.TraceID()), now)
+		uint64(sc.TraceID()), now)
 	// The terminal workflow:done event carries the per-run step tally,
 	// so a DAG critical path closes on one event instead of scanning
 	// for the last step.
-	run.sc.Instant("workflow", "done", now,
+	sc.Instant("workflow", "done", now,
 		events.A("run", run.ID),
 		events.A("status", status),
 		events.A("steps_total", strconv.Itoa(len(wf.order))),
@@ -550,7 +550,7 @@ func (e *Engine) finalize(wf *registered, run *Run) {
 		events.A("steps_skipped", strconv.Itoa(skipped)),
 		events.A("steps_dead", strconv.Itoa(dead)),
 		events.A("steps_pending", strconv.Itoa(pending)))
-	run.sc.Close(now, events.A("status", status))
+	sc.Close(now, events.A("status", status))
 	if status == RunCompleted {
 		e.retire(run.ID)
 	}
@@ -641,12 +641,12 @@ func (e *Engine) ReplayDLQ(name string, at time.Duration) ([]*Run, error) {
 			seen[run.ID] = true
 			out = append(out, run)
 			// Resume the run on a fresh trace rooted at the replay:
-			// the original trace closed when the run stalled.
-			sc := e.journal.NewScope("workflow", "dlq-replay", at,
-				events.A("workflow", name), events.A("run", run.ID))
-			run.sc = sc
-			run.Invocation.Trace = sc
-			run.Invocation.Clock.WaitUntil("dlq-replay", at)
+			// the original trace closed when the run stalled. The
+			// wait for the replay is booked outside both.
+			clock := run.Invocation.Clock
+			clock.WaitUntil("dlq-replay", at)
+			clock.Observe(e.reg, e.journal.NewScope("workflow", "dlq-replay", clock.Now(),
+				events.A("workflow", name), events.A("run", run.ID)))
 			run.done = false
 		}
 		st.Status = StepPending

@@ -46,7 +46,7 @@ func (f *fakeInvoker) Invoke(name string, params lang.Value, opts platform.Invok
 	if inv == nil {
 		inv = platform.NewInvocation(name)
 	}
-	inv.Clock.Advance(f.cost)
+	inv.Clock.Charge("fake-invoke", f.cost)
 	var in map[string]any
 	if gv, err := runtime.ToGo(params); err == nil {
 		in, _ = gv.(map[string]any)

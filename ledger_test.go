@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/platform"
 	"repro/internal/runtime"
@@ -44,6 +45,46 @@ func conserved(t *testing.T, what string, inv *platform.Invocation, start time.D
 	return unphased
 }
 
+// spanned checks the span side of one invocation's ledger. Its clock
+// carried the given scopes, whose traces are in env's journal: no span
+// there ended with a self time other than the charges booked while it
+// was innermost (events_span_self_mismatch_total stays absent), and the
+// spans' self times plus outside, the charges booked while no span was
+// open, sum to the clock's elapsed time since start. It returns the
+// self times by site (component:name).
+func spanned(t *testing.T, what string, env *platform.Env, inv *platform.Invocation, start, outside time.Duration, scopes ...*events.Scope) map[string]time.Duration {
+	t.Helper()
+	for _, c := range env.Metrics.Snapshot().Counters {
+		if c.Name == "events_span_self_mismatch_total" {
+			t.Errorf("%s: %d spans ended with a self time other than their charges", what, c.Value)
+		}
+	}
+	self := map[string]time.Duration{}
+	var spans time.Duration
+	for _, sc := range scopes {
+		begun := map[events.SpanID]events.Event{}
+		for _, e := range env.Events.Trace(sc.TraceID()) {
+			switch e.Kind {
+			case events.KindBegin:
+				begun[e.Span] = e
+			case events.KindEnd:
+				b := begun[e.Span]
+				d := e.TS - b.TS
+				self[b.Component+":"+b.Name] += d
+				spans += d
+				if p, ok := begun[b.Parent]; ok {
+					self[p.Component+":"+p.Name] -= d
+					spans -= d
+				}
+			}
+		}
+	}
+	if elapsed := inv.Clock.Now() - start; spans+outside != elapsed {
+		t.Errorf("%s: span self times %v and %v outside every span sum to %v, the clock moved %v", what, spans, outside, spans+outside, elapsed)
+	}
+	return self
+}
+
 // labels lists a label set in order.
 func labels(m map[string]time.Duration) string {
 	var out []string
@@ -56,7 +97,10 @@ func labels(m map[string]time.Duration) string {
 
 // TestLedgerConservation runs every workload on every platform, cold
 // and warm, and requires each invocation's ledger to account for its
-// clock exactly, with no time outside the paper's three phases.
+// clock exactly, with no time outside the paper's three phases. Each
+// runs under a request span of the test's (as under a gateway), which
+// its spans must account for exactly too; on Fireworks no time is the
+// request's or core:invoke's own, so every charge is in a stage span.
 func TestLedgerConservation(t *testing.T) {
 	platforms := []struct {
 		name   string
@@ -76,7 +120,8 @@ func TestLedgerConservation(t *testing.T) {
 	all := workloads.All()
 	invokes := 0
 	for _, pc := range platforms {
-		p := pc.mk(platform.NewEnv(platform.EnvConfig{}))
+		env := platform.NewEnv(platform.EnvConfig{})
+		p := pc.mk(env)
 		for i := len(all) - 1; i >= 0; i-- { // callees before callers
 			if _, err := p.Install(all[i].Function); err != nil {
 				t.Fatalf("%s: install %s: %v", pc.name, all[i].Name, err)
@@ -88,12 +133,18 @@ func TestLedgerConservation(t *testing.T) {
 			}
 			for _, mode := range []platform.StartMode{platform.ModeCold, platform.ModeWarm} {
 				what := fmt.Sprintf("%s %s %v", pc.name, w.Name, mode)
-				inv, err := p.Invoke(w.Name, platform.MustParams(w.DefaultParams), platform.InvokeOptions{Mode: mode})
+				sc := env.Events.NewScope("test", "request", 0)
+				inv, err := p.Invoke(w.Name, platform.MustParams(w.DefaultParams), platform.InvokeOptions{Mode: mode, Trace: sc})
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
+				sc.Close(inv.Clock.Now())
 				if u := conserved(t, what, inv, 0); len(u) != 0 {
 					t.Errorf("%s: unphased charges %v", what, u)
+				}
+				self := spanned(t, what, env, inv, 0, 0, sc)
+				if pc.name == "fireworks" && (self["test:request"] != 0 || self["core:invoke"] != 0) {
+					t.Errorf("%s: %v of the request and %v of core:invoke are in no stage span", what, self["test:request"], self["core:invoke"])
 				}
 				invokes++
 			}
@@ -132,7 +183,11 @@ func TestLedgerNamesRetryBackoff(t *testing.T) {
 			continue
 		}
 		ok++
-		u := conserved(t, fmt.Sprintf("invoke %d", i), inv, 0)
+		what := fmt.Sprintf("invoke %d", i)
+		u := conserved(t, what, inv, 0)
+		if self := spanned(t, what, env, inv, 0, 0, inv.Clock.Scope()); self["core:invoke"] != 0 {
+			t.Errorf("%s: %v of core:invoke is in no stage span", what, self["core:invoke"])
+		}
 		if d := inv.Clock.Now() - inv.Breakdown.Total(); d != 0 {
 			gapped++
 			gap += d
@@ -170,6 +225,9 @@ func TestLedgerChainAndDLQReplay(t *testing.T) {
 	if u := conserved(t, "chain "+frontend.Name, inv, 0); len(u) != 0 {
 		t.Errorf("chain: unphased charges %v", u)
 	}
+	if self := spanned(t, "chain", env, inv, 0, 0, inv.Clock.Scope()); self["core:invoke"] != 0 {
+		t.Errorf("chain: %v of core:invoke is in no stage span", self["core:invoke"])
+	}
 
 	missing := platform.Function{Name: "late", Lang: runtime.LangNode,
 		Source: `func main(params) { return {"ok": true}; }`}
@@ -188,6 +246,7 @@ func TestLedgerChainAndDLQReplay(t *testing.T) {
 	if _, err := fw.Install(missing); err != nil {
 		t.Fatal(err)
 	}
+	stalled := run.Invocation.Clock.Scope()
 	replayed, err := eng.ReplayDLQ("late", time.Second)
 	if err != nil || len(replayed) != 1 || run.Status != workflow.RunCompleted {
 		t.Fatalf("replay = %v, %v; want the run completed", replayed, err)
@@ -196,4 +255,6 @@ func TestLedgerChainAndDLQReplay(t *testing.T) {
 	if got := labels(u); got != "dlq-replay,retry-backoff" {
 		t.Errorf("dlq replay: unphased labels %q, want dlq-replay,retry-backoff", got)
 	}
+	// The wait for the replay is the one charge outside every span.
+	spanned(t, "dlq replay", env, run.Invocation, start, u["dlq-replay"], stalled, run.Invocation.Clock.Scope())
 }
