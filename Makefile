@@ -114,7 +114,7 @@ contract-cover:
 # column is generated rather than hand-counted.
 LOC_OBSERVABILITY = internal/metrics internal/timeseries internal/events internal/insight internal/telemetry
 LOC_MECHANISM = internal/core internal/vmm internal/snapshot internal/mem internal/chunk
-LOC_OTHER = internal/lang internal/annotate internal/runtime internal/vclock internal/platform internal/faults internal/experiments internal/workflow internal/cluster internal/stats cmd/fwsim cmd/fwcli cmd/benchgate
+LOC_OTHER = internal/lang internal/annotate internal/runtime internal/vclock internal/platform internal/faults internal/netsim internal/experiments internal/workflow internal/cluster internal/stats cmd/fwsim cmd/fwcli cmd/benchgate
 
 loc:
 	@lines() { grep '\.go$$' | grep -v '_test\.go$$' | xargs cat | wc -l; }; \

@@ -139,8 +139,10 @@ type Tolerances struct {
 	// mainly guards against order-of-magnitude regressions.
 	MaxNsRatio float64
 	// MaxAllocRatio bounds fresh allocs/op ÷ baseline allocs/op (after
-	// AllocSlack). Allocation counts are hardware-independent, so this
-	// band is tight.
+	// AllocSlack), both ways. Allocation counts are hardware-independent,
+	// so this band is tight, and a fresh count below it means the
+	// baseline no longer records the tree: a regression back to the
+	// stale count would pass.
 	MaxAllocRatio float64
 	// AllocSlack is an absolute allowance added to the baseline before
 	// the ratio check, so a 0→1 allocs/op change on a tiny benchmark
@@ -285,6 +287,10 @@ func compare(baseline, fresh *Report, tol Tolerances) []Violation {
 			vs = append(vs, Violation{e.Name, fmt.Sprintf(
 				"allocs/op regressed: %.0f -> %.0f (> %.0f allowed)",
 				bb.AllocsOp, fb.AllocsOp, allowed)})
+		} else if (fb.AllocsOp+tol.AllocSlack)*tol.MaxAllocRatio < bb.AllocsOp {
+			vs = append(vs, Violation{e.Name, fmt.Sprintf(
+				"allocs/op fell below the band: %.0f -> %.0f; re-record the baseline",
+				bb.AllocsOp, fb.AllocsOp)})
 		}
 	}
 	for _, name := range sortedKeys(tol.MaxAllocs) {

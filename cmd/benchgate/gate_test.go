@@ -84,6 +84,32 @@ func TestCompareFailsOnSyntheticRegression(t *testing.T) {
 		}
 	})
 
+	t.Run("allocs_per_op_below_band", func(t *testing.T) {
+		// A baseline that records far more allocations than the tree
+		// does would let a regression back to its count pass.
+		fresh := sampleReport()
+		stale := sampleReport()
+		stale.result("BenchmarkSnapshotRestore").AllocsOp = 3 * fresh.result("BenchmarkSnapshotRestore").AllocsOp
+		vs := compare(stale, fresh, defaultTolerances())
+		if !hasViolation(vs, "BenchmarkSnapshotRestore", "re-record the baseline") {
+			t.Fatalf("allocs/op 3x below a stale baseline not caught: %v", vs)
+		}
+	})
+
+	t.Run("allocs_per_op_edges_of_band", func(t *testing.T) {
+		// Inside the band either way passes: (10+4)*1.25 = 17.5 above,
+		// 40/1.25-4 = 28 below.
+		tol := defaultTolerances()
+		for _, c := range []struct{ base, fresh float64 }{{10, 17}, {40, 28}} {
+			b, f := sampleReport(), sampleReport()
+			b.result("BenchmarkSnapshotRestore").AllocsOp = c.base
+			f.result("BenchmarkSnapshotRestore").AllocsOp = c.fresh
+			if vs := compare(b, f, tol); len(vs) != 0 {
+				t.Errorf("%v -> %v allocs/op is inside the band, got: %v", c.base, c.fresh, vs)
+			}
+		}
+	})
+
 	t.Run("speedup_collapse", func(t *testing.T) {
 		// A refactor that loses the amortized lock acquisition shows up
 		// as the batch arm slowing to the per-record arm.

@@ -32,8 +32,6 @@ func main() {
 		benchtime    = flag.String("benchtime", "1s", "go test -benchtime per benchmark")
 		count        = flag.Int("count", 1, "go test -count")
 		all          = flag.Bool("all", false, "run every manifest benchmark, not just the gated set")
-		maxNsRatio   = flag.Float64("max-ns-ratio", 0, "override ns/op tolerance (fresh/baseline)")
-		maxAllocs    = flag.Float64("max-alloc-ratio", 0, "override allocs/op tolerance (fresh/baseline)")
 	)
 	flag.Parse()
 
@@ -66,15 +64,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: no baseline (%v); generate one with -write\n", err)
 		os.Exit(1)
 	}
-	tol := defaultTolerances()
-	if *maxNsRatio > 0 {
-		tol.MaxNsRatio = *maxNsRatio
-	}
-	if *maxAllocs > 0 {
-		tol.MaxAllocRatio = *maxAllocs
-	}
 	printSummary(fresh)
-	if vs := compare(baseline, fresh, tol); len(vs) > 0 {
+	if vs := compare(baseline, fresh, defaultTolerances()); len(vs) > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d violation(s):\n", len(vs))
 		for _, v := range vs {
 			fmt.Fprintln(os.Stderr, "  -", v)

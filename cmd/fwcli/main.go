@@ -126,11 +126,11 @@ func run(args []string, stdout io.Writer) error {
 	if *watch || *tsDump != "" {
 		sampler = timeseries.NewSampler(env.Metrics, timeseries.DefaultCapacity)
 		sampler.AddProbe("mem_sharing_efficiency", func() float64 {
-			rep := env.Mem.Report()
-			if rep.UsedBytes == 0 {
+			rss, used := env.Mem.SharingTotals()
+			if used == 0 {
 				return 1
 			}
-			return float64(rep.RSSSumBytes) / float64(rep.UsedBytes)
+			return float64(rss) / float64(used)
 		})
 		sampler.Sample(0)
 	}

@@ -314,39 +314,17 @@ type faultsConfig struct {
 	rate float64
 }
 
-// parseFaultsSpec parses "seed=N,rate=P" (either key optional, any
-// order). An empty spec disables injection (nil config).
+// parseFaultsSpec parses "seed=N,rate=P" (faults.ParseSeedRate;
+// default rate 0.01). An empty spec disables injection (nil config).
 func parseFaultsSpec(spec string) (*faultsConfig, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	cfg := &faultsConfig{seed: 1, rate: 0.01}
-	for _, field := range strings.Split(spec, ",") {
-		key, value, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return nil, fmt.Errorf("fwsim: -faults field %q is not key=value", field)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseUint(value, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fwsim: -faults seed: %w", err)
-			}
-			cfg.seed = n
-		case "rate":
-			r, err := strconv.ParseFloat(value, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fwsim: -faults rate: %w", err)
-			}
-			if r < 0 || r > 1 {
-				return nil, fmt.Errorf("fwsim: -faults rate %v out of [0,1]", r)
-			}
-			cfg.rate = r
-		default:
-			return nil, fmt.Errorf("fwsim: -faults has no key %q (want seed, rate)", key)
-		}
+	seed, rate, err := faults.ParseSeedRate("-faults", spec, 1, 0.01)
+	if err != nil {
+		return nil, fmt.Errorf("fwsim: %w", err)
 	}
-	return cfg, nil
+	return &faultsConfig{seed: seed, rate: rate}, nil
 }
 
 // maxBodyBytes caps every request body the gateway reads; a larger one

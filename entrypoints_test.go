@@ -21,8 +21,6 @@ var calledOnlyElsewhere = map[string]string{
 	"Walked":     "bench_test.go's exact instruments/sample gate reads it",
 	"WindowWork": "bench_test.go's exact blocks_stepped and samples_moved gates read it",
 	"Enqueue":    "the scripted-fault seam of the fault-injection tests",
-	"Send":       "the paper's Fig 5 NAT path, awaiting a contract reader",
-	"Reply":      "the paper's Fig 5 NAT path, awaiting a contract reader",
 	"TopicCount": "the lifecycle tests' per-invocation topic leak check; no report exposes it",
 }
 
@@ -425,9 +423,7 @@ func eachNonTestFile(t *testing.T, visit func(fset *token.FileSet, file *ast.Fil
 // writeOnlyAllowed names the fields TestNoWriteOnlyFields lets stand
 // unread by the program, each with its reason.
 var writeOnlyAllowed = map[string]string{
-	"vmm.Snapshot.LayoutSeed": "ROADMAP item 19: restore-time layout randomization reads it",
-	"netsim.Tap.MAC":          "ROADMAP item 14: the Fig 5 NAT path's ARP step reads it",
-	"experiments.Table.ID":    "TestContractDigest keys every table's rows by it in testdata/contract.digest",
+	"experiments.Table.ID": "TestContractDigest keys every table's rows by it in testdata/contract.digest",
 }
 
 // TestNoWriteOnlyFields type-checks every non-test .go file of the repo

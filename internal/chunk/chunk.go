@@ -8,10 +8,9 @@
 // over the shared base-runtime image: only the chunks whose class is
 // unique to the function (keyed {function_id}_{code_hash}) add bytes.
 //
-// Chunk IDs are pure functions of (class, kind, ordinal, index) — the
-// same FNV-1a + SplitMix64 whitening the address-space layout seed
-// uses — so same-seed simulation runs produce byte-identical manifests
-// and the dedup accounting is reproducible.
+// Chunk IDs are pure functions of (class, kind, ordinal, index) — FNV-1a
+// whitened by SplitMix64 — so same-seed simulation runs produce
+// byte-identical manifests and the dedup accounting is reproducible.
 package chunk
 
 // Size is the fixed chunk granularity. 4 MiB balances dedup precision

@@ -32,7 +32,7 @@ func holdExternalIPs(t *testing.T, env *platform.Env, free int) func() {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4096-free; i++ {
-		if _, err := env.Router.AllocExternal(ns, "192.168.0.2"); err != nil {
+		if _, err := env.Router.AllocExternal(ns); err != nil {
 			t.Fatal(err)
 		}
 	}

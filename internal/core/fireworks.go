@@ -781,19 +781,6 @@ func (f *Framework) Instances(name string) []*Instance {
 	return append([]*Instance{}, f.instances[name]...)
 }
 
-// RegenerateSnapshot re-runs the install phase for a function,
-// replacing its snapshot image. The paper's §6 proposes periodic
-// regeneration to restore address-space layout entropy across clones.
-func (f *Framework) RegenerateSnapshot(name string) (*platform.InstallReport, error) {
-	f.mu.Lock()
-	inst, ok := f.fns[name]
-	f.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("fireworks: no function %q", name)
-	}
-	return f.Install(inst.fn)
-}
-
 // fireworksBridge holds the install/invoke host callbacks exposed to
 // the guest as __fireworks_* natives.
 type fireworksBridge struct {

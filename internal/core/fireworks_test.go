@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/platform"
 	"repro/internal/runtime"
 	"repro/internal/snapshot"
@@ -159,6 +160,51 @@ func TestInvokeUsesJITFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestCloneIsolationViaNamespaces is §3.5 on the restore path: every
+// clone of one snapshot wakes up with the snapshot's guest IP, and only
+// its own namespace makes that legal.
+func TestCloneIsolationViaNamespaces(t *testing.T) {
+	env, fw := newFW(t, core.Options{RetainInstances: true})
+	w := workloads.NetLatency(runtime.LangNode)
+	if _, err := fw.Install(w.Function); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := env.Snaps.Get(w.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	for i := 0; i < n; i++ {
+		if _, err := fw.Invoke(w.Name, platform.MustParams(nil), platform.InvokeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	instances := fw.Instances(w.Name)
+	if len(instances) != n || env.Router.NamespaceCount() != n {
+		t.Fatalf("%d instances in %d namespaces, want %d in %d", len(instances), env.Router.NamespaceCount(), n, n)
+	}
+	names := map[string]bool{}
+	for _, inst := range instances {
+		ns := inst.VM.Namespace
+		if names[ns.Name()] {
+			t.Fatalf("two clones share namespace %s", ns.Name())
+		}
+		names[ns.Name()] = true
+		// The clone's tap already holds the snapshot's guest IP: a
+		// second device with that address is the conflict §3.5 avoids.
+		err := env.Router.AttachTap(ns, &netsim.Tap{Name: "tap1", Guest: snap.GuestIP})
+		if !errors.Is(err, netsim.ErrAddrConflict) {
+			t.Fatalf("second tap with guest IP %s in %s: err = %v, want ErrAddrConflict", snap.GuestIP, ns.Name(), err)
+		}
+	}
+	if err := fw.Remove(w.Name); err != nil {
+		t.Fatal(err)
+	}
+	if c := env.Router.NamespaceCount(); c != 0 {
+		t.Fatalf("%d namespaces alive after Remove", c)
+	}
+}
+
 func TestRetainInstancesSharesMemory(t *testing.T) {
 	env, fw := newFW(t, core.Options{RetainInstances: true})
 	w := workloads.Fact(runtime.LangNode)
@@ -253,7 +299,7 @@ func TestSnapshotEvictionSurfacesError(t *testing.T) {
 		t.Fatalf("err = %v, want eviction error", err)
 	}
 	// Reinstall regenerates the snapshot and invocation works again.
-	if _, err := fw.RegenerateSnapshot(a.Name); err != nil {
+	if _, err := fw.Install(a.Function); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fw.Invoke(a.Name, platform.MustParams(map[string]any{"n": 35, "rounds": 1}), platform.InvokeOptions{}); err != nil {
@@ -309,40 +355,6 @@ func TestConcurrentInvocations(t *testing.T) {
 	}
 	if env.Router.NamespaceCount() != 0 {
 		t.Fatalf("%d namespaces leaked", env.Router.NamespaceCount())
-	}
-}
-
-func TestRegenerateSnapshotChangesLayoutSeed(t *testing.T) {
-	// §6: clones of one snapshot share their address-space layout;
-	// periodic regeneration restores entropy across generations.
-	env, fw := newFW(t, core.Options{})
-	w := workloads.NetLatency(runtime.LangNode)
-	if _, err := fw.Install(w.Function); err != nil {
-		t.Fatal(err)
-	}
-	first, err := env.Snaps.Get(w.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.LayoutSeed == 0 {
-		t.Fatal("no layout seed")
-	}
-	if _, err := fw.RegenerateSnapshot(w.Name); err != nil {
-		t.Fatal(err)
-	}
-	second, err := env.Snaps.Get(w.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second == first {
-		t.Fatal("regeneration kept the old image")
-	}
-	if second.LayoutSeed == first.LayoutSeed {
-		t.Fatal("regenerated snapshot has the same layout (no fresh ASLR)")
-	}
-	// The function still works after regeneration.
-	if _, err := fw.Invoke(w.Name, platform.MustParams(nil), platform.InvokeOptions{}); err != nil {
-		t.Fatal(err)
 	}
 }
 

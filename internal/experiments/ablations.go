@@ -200,7 +200,7 @@ func RunAblationSnapBudget() (*Result, error) {
 			inv, err := fw.Invoke(name, params, platform.InvokeOptions{})
 			if err != nil {
 				out.misses++
-				report, rerr := fw.RegenerateSnapshot(name)
+				report, rerr := fw.Install(platform.Function{Name: name, Source: source, Lang: runtime.LangNode})
 				if rerr != nil {
 					return nil, rerr
 				}

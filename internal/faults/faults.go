@@ -22,6 +22,8 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,8 +48,6 @@ const (
 	SiteBusProduce = "msgbus.produce"
 	// SiteBusConsume is the resumed clone's parameter fetch.
 	SiteBusConsume = "msgbus.consume"
-	// SiteNetTransfer is a packet send through the NAT router.
-	SiteNetTransfer = "netsim.transfer"
 	// SiteClusterNode is a whole-backend failure: the node picked for a
 	// placement crashes before completing the invocation.
 	SiteClusterNode = "cluster.node"
@@ -247,6 +247,39 @@ func DefaultPlan(seed uint64, rate float64) *Plane {
 	return p
 }
 
+// ParseSeedRate parses "seed=N,rate=P" (either key optional, any
+// order) over the given defaults; the rate must lie in [0,1]. Errors
+// name the flag. It is the grammar of both seeded-rate flags: fwsim's
+// -faults (DefaultPlan's two parameters) and -telem.
+func ParseSeedRate(flag, spec string, seed uint64, rate float64) (uint64, float64, error) {
+	for _, field := range strings.Split(spec, ",") {
+		key, value, ok := strings.Cut(strings.TrimSpace(field), "=")
+		if !ok {
+			return 0, 0, fmt.Errorf("%s field %q is not key=value", flag, field)
+		}
+		switch key {
+		case "seed":
+			n, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				return 0, 0, fmt.Errorf("%s seed: %w", flag, err)
+			}
+			seed = n
+		case "rate":
+			r, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				return 0, 0, fmt.Errorf("%s rate: %w", flag, err)
+			}
+			if r < 0 || r > 1 {
+				return 0, 0, fmt.Errorf("%s rate %v out of [0,1]", flag, r)
+			}
+			rate = r
+		default:
+			return 0, 0, fmt.Errorf("%s has no key %q (want seed, rate)", flag, key)
+		}
+	}
+	return seed, rate, nil
+}
+
 // ApplyDefaultPlan arms the DefaultPlan profiles on an existing plane —
 // the pattern for experiments that install functions fault-free first
 // and unleash faults only on the invoke phase.
@@ -262,6 +295,5 @@ func (p *Plane) ApplyDefaultPlan(rate float64) {
 	// charge nothing).
 	p.SetProfile(SiteBusProduce, Profile{ErrorRate: rate})
 	p.SetProfile(SiteBusConsume, Profile{ErrorRate: rate * 0.6, CorruptionRate: rate * 0.4})
-	p.SetProfile(SiteNetTransfer, Profile{ErrorRate: rate})
 	p.SetProfile(SiteClusterNode, Profile{CrashRate: rate})
 }

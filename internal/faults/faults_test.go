@@ -104,7 +104,7 @@ func TestUnprofiledSiteDoesNotDraw(t *testing.T) {
 	a.SetProfile(SiteVMMBoot, prof)
 	b.SetProfile(SiteVMMBoot, prof)
 	for i := 0; i < 100; i++ {
-		if err := a.InjectTraced(SiteNetTransfer, nil, nil, 0); err != nil {
+		if err := a.InjectTraced("unprofiled.site", nil, nil, 0); err != nil {
 			t.Fatalf("unprofiled site injected %v", err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestDefaultPlanCoversEverySite(t *testing.T) {
 	p := DefaultPlan(9, 0.5)
 	for _, site := range []string{
 		SiteVMMBoot, SiteVMMRestore, SiteRemoteFetch,
-		SiteBusProduce, SiteBusConsume, SiteNetTransfer, SiteClusterNode,
+		SiteBusProduce, SiteBusConsume, SiteClusterNode,
 	} {
 		p.mu.Lock()
 		prof, ok := p.profiles[site]

@@ -107,7 +107,7 @@ func TestFirecrackerFailedStartLeaksNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 4095; i++ {
-				if _, err := env.Router.AllocExternal(held, "192.168.0.2"); err != nil {
+				if _, err := env.Router.AllocExternal(held); err != nil {
 					t.Fatal(err)
 				}
 			}

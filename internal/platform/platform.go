@@ -250,7 +250,7 @@ type EnvConfig struct {
 
 // The paper's testbed host (§5.4): the kernel starts swapping at
 // vm.swappiness=60, i.e. once 60% of memory is in use, and each host
-// has a pool of 4096 external addresses for its clones' NAT rules.
+// has a pool of 4096 external addresses for its clones' NAT entries.
 const (
 	hostSwappiness     = 0.6
 	hostExternalIPPool = 4096
@@ -294,7 +294,6 @@ func NewEnv(cfg EnvConfig) *Env {
 		cfg.Faults.Instrument(reg)
 		env.HV.AttachFaults(cfg.Faults)
 		env.Bus.AttachFaults(cfg.Faults)
-		env.Router.AttachFaults(cfg.Faults)
 		if env.RemoteSnaps != nil {
 			env.RemoteSnaps.AttachFaults(cfg.Faults)
 		}

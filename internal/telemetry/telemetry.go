@@ -30,14 +30,12 @@
 package telemetry
 
 import (
-	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/events"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 )
 
@@ -88,44 +86,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ParseSpec parses a -telem flag value, "seed=N,rate=P" (either key
-// optional, any order), into the sampler's Config. An explicit rate=0
+// ParseSpec parses a -telem flag value, "seed=N,rate=P"
+// (faults.ParseSeedRate), into the sampler's Config. An explicit rate=0
 // keeps no boring traces. An empty spec leaves the governor off and
 // returns a nil Config.
 func ParseSpec(spec string) (*Config, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	cfg := &Config{Seed: 1, KeepRate: 0.1}
-	for _, field := range strings.Split(spec, ",") {
-		key, value, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return nil, fmt.Errorf("-telem field %q is not key=value", field)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseUint(value, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-telem seed: %w", err)
-			}
-			cfg.Seed = n
-		case "rate":
-			r, err := strconv.ParseFloat(value, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-telem rate: %w", err)
-			}
-			if r < 0 || r > 1 {
-				return nil, fmt.Errorf("-telem rate %v out of [0,1]", r)
-			}
-			cfg.KeepRate = r
-			if r == 0 {
-				cfg.KeepRate = -1 // Config's zero means "default"
-			}
-		default:
-			return nil, fmt.Errorf("-telem has no key %q (want seed, rate)", key)
-		}
+	seed, rate, err := faults.ParseSeedRate("-telem", spec, 1, 0.1)
+	if err != nil {
+		return nil, err
 	}
-	return cfg, nil
+	if rate == 0 {
+		rate = -1 // Config's zero means "default"
+	}
+	return &Config{Seed: seed, KeepRate: rate}, nil
 }
 
 // traceState is what the sampler buffers per in-flight trace: not the

@@ -20,22 +20,6 @@ import (
 // snapshotted disk; here each clone starts from an independent image.
 func newRestoredFS() *fs.MemFS { return fs.NewMemFS() }
 
-// layoutSeed derives the address-space layout identity of a snapshot
-// image (FNV-1a over the unique snapshot id, whitened by SplitMix64).
-// The guest kernel rolled its ASLR dice exactly once — at the boot that
-// produced this image — so the seed is a pure function of the image.
-func layoutSeed(id string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
-}
-
 // RegionSpec sizes one shared memory region of a snapshot image.
 type RegionSpec struct {
 	Kind  mem.Kind
@@ -65,12 +49,6 @@ type Snapshot struct {
 	// ResidentWorkingSetBytes is how much of the image a restored VM
 	// faults in before it can run (drives restore latency).
 	ResidentWorkingSetBytes uint64
-	// LayoutSeed identifies the address-space layout baked into the
-	// image: every clone restored from this snapshot shares it (the
-	// ASLR-entropy concern of §6). Re-generating the snapshot draws a
-	// fresh seed, restoring layout diversity across snapshot
-	// generations.
-	LayoutSeed uint64
 	// ContentKey identifies the image content for invalidation:
 	// Fireworks keys function snapshots {function_id}_{code_hash}, so
 	// redeploying changed code yields a new key and the stale image is
@@ -216,7 +194,6 @@ func (h *Hypervisor) TakeSnapshot(v *MicroVM, specs []RegionSpec, workingSet uin
 		GuestIP:                 "192.168.0.2", // the canonical guest address baked into every image
 		GuestState:              guestState,
 		ResidentWorkingSetBytes: workingSet,
-		LayoutSeed:              layoutSeed("snap-" + v.ID),
 		total:                   total,
 	}
 	contents := make([]chunk.Region, 0, len(specs))

@@ -238,9 +238,9 @@ func (h *Hypervisor) VMCount() int {
 }
 
 // SetupNetwork gives the VM its own network namespace, tap device, and
-// NAT rule (§3.5). Every VM restored from the same snapshot has the
-// same guest IP; isolation comes from the per-VM namespace. The cost is
-// charged to clock.
+// pooled external IP (§3.5). Every VM restored from the same snapshot
+// has the same guest IP; isolation comes from the per-VM namespace. The
+// cost is charged to clock.
 func (h *Hypervisor) SetupNetwork(v *MicroVM, guestIP netsim.Addr, clock *vclock.Clock) error {
 	if v.Namespace != nil {
 		return fmt.Errorf("vmm: %s already has a namespace", v.ID)
@@ -250,12 +250,12 @@ func (h *Hypervisor) SetupNetwork(v *MicroVM, guestIP netsim.Addr, clock *vclock
 	if err != nil {
 		return err
 	}
-	tap := &netsim.Tap{Name: "tap0", Guest: guestIP, MAC: "AA:FC:00:00:00:01"}
+	tap := &netsim.Tap{Name: "tap0", Guest: guestIP}
 	if err := h.Router.AttachTap(ns, tap); err != nil {
 		_ = h.Router.DeleteNamespace(ns.Name())
 		return err
 	}
-	if _, err := h.Router.AllocExternal(ns, guestIP); err != nil {
+	if _, err := h.Router.AllocExternal(ns); err != nil {
 		// Release the half-built namespace; the caller only tears down
 		// network state it was actually handed.
 		_ = h.Router.DeleteNamespace(ns.Name())
